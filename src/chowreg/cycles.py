@@ -143,10 +143,6 @@ class Precycle:
             return "0"
         return "\n".join(str(c) for c in self.components)
 
-    def map_components(self, fn):
-        return Precycle(self.n, self.p, [fn(c) for c in self.components],
-                        order=self.order, name=self.name)
-
 
 def _reduce_components(comps):
     """Merge identical components; exact identity for curves and exact points,

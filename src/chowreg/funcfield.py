@@ -311,23 +311,13 @@ def linear_factors(p, probe_bits=128):
     """
     found = []
     rem = p.monic()
-    if rem.degree < 1:
-        return found, rem
     with workprec(probe_bits):
         seen = set()
-        for ball, _mult, _fac in _roots_with_factors(rem, probe_bits):
-            for cand in reconstruct_in_field(ball.value, p.order):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                mult = 0
-                while rem.degree > 0 and rem.eval_exact(cand).is_zero():
-                    rem = rem.deflate(cand)
-                    mult += 1
-                if mult:
-                    found.append((cand, mult))
-        if rem.degree > 0:
-            # rational-root style second chance on the deflated remainder
+        # the second pass is a rational-root style second chance on the
+        # deflated remainder
+        for _ in range(2):
+            if rem.degree < 1:
+                break
             for ball, _mult, _fac in _roots_with_factors(rem, probe_bits):
                 for cand in reconstruct_in_field(ball.value, p.order):
                     if cand in seen:
@@ -631,12 +621,6 @@ class RFEvaluator:
         for c in reversed(coeffs):
             acc = acc * t + c
         return acc
-
-    def num_val(self, t):
-        return self._horner(self.nc, t)
-
-    def den_val(self, t):
-        return self._horner(self.dc, t)
 
     def value(self, t):
         return self._horner(self.nc, t) / self._horner(self.dc, t)

@@ -73,19 +73,6 @@ class ComplexApprox:
             raise ValueError(f"invalid error radius {radius}")
         self.radius = float(radius)
 
-    # spec field names
-    @property
-    def real_part(self):
-        return self.value.real
-
-    @property
-    def imag_part(self):
-        return self.value.imag
-
-    @property
-    def error_radius(self):
-        return self.radius
-
     @classmethod
     def exact(cls, value):
         return cls(value, 0.0)

@@ -33,17 +33,10 @@ from .errors import (
     ScheduleError,
 )
 from .field import embed
-from .funcfield import INF, RFEvaluator
+from .funcfield import INF, RFEvaluator, mpf_to_fraction
 from .numeric import ComplexApprox, workprec
 from .special import BranchSpec, log_eps
-from .wavefront import (
-    PhaseSchedule,
-    admissible,
-    find_pair_intersections,
-    make_schedule,
-    search_schedule,
-    trace_wavefront,
-)
+from .wavefront import PhaseSchedule, admissible, search_schedule
 
 
 @dataclass
@@ -92,11 +85,8 @@ def _canonical_mod_lattice(value, p):
 
 def lattice_difference(a, b, p):
     """(a - b) reduced mod (2*pi*i)^p: returns (integer multiple, residual)."""
-    gen = (2 * mp.pi * mp.mpc(0, 1)) ** p
-    diff = mp.mpc(a) - mp.mpc(b)
-    coeff = diff.real / gen.real if p % 2 == 0 else diff.imag / gen.imag
-    k = int(mp.floor(coeff + mp.mpf("0.5")))
-    return k, abs(diff - k * gen)
+    canon, k = _canonical_mod_lattice(mp.mpc(a) - mp.mpc(b), p)
+    return k, abs(canon)
 
 
 def reg_n1(Z, phase, precision_bits=None):
@@ -265,13 +255,23 @@ def _sided_log_branch(w, phase, guard, side_hint):
     return mp.mpc(mp.log(abs(w)), theta)
 
 
-def reg_n3(Z, schedule, precision_bits=None, tol=None, check=True,
-           trace_grid=None):
+def _admitted(Z, schedule, precision_bits):
+    """The admissibility report of the schedule; ScheduleError unless ok."""
+    rep = admissible(Z, schedule, precision_bits=precision_bits)
+    if not rep.ok:
+        raise ScheduleError(
+            "cycle is not admissible at the requested schedule: "
+            + "; ".join(f.kind for f in rep.failures))
+    return rep
+
+
+def reg_n3(Z, schedule, precision_bits=None, tol=None):
     """Regulator of a curve-level cycle in the 3-cube at a fixed schedule.
 
-    The k=1 term of the current (a holomorphic 2-form) vanishes identically
-    on a complex curve and is skipped; ``two_form_pullback_sample`` records
-    that assertion.
+    The schedule must be admissible; the traced first cut loci and their
+    crossings with the second cut come from the admissibility report.  The
+    k=1 term of the current (a holomorphic 2-form) vanishes identically on a
+    complex curve and is skipped.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -279,13 +279,8 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None, check=True,
         tol = float(mp.mpf(2) ** (-precision_bits // 3))
     if not (Z.is_curve_level and Z.n == 3):
         raise ChowregError("reg_n3 needs a curve-level cycle in the 3-cube")
-    if check:
-        rep = admissible(Z, schedule, precision_bits=precision_bits)
-        if not rep.ok:
-            raise ScheduleError(
-                "cycle is not admissible at the requested schedule: "
-                + "; ".join(f.kind for f in rep.failures))
-    eps1, eps2, eps3 = schedule.phases
+    rep = _admitted(Z, schedule, precision_bits)
+    _, eps2, eps3 = schedule.phases
     guard = mp.mpf(2) ** (-precision_bits // 2)
     with workprec(precision_bits):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
@@ -301,10 +296,8 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None, check=True,
             if f1.is_constant():
                 breakdown.append(entry)
                 continue
-            paths = trace_wavefront(comp, 1, eps1, grid=trace_grid,
-                                    precision_bits=precision_bits)
-            crossings = find_pair_intersections(
-                comp, paths, 2, eps2, precision_bits=precision_bits)
+            paths = rep.paths[ci]
+            crossings = rep.crossings[ci]
 
             # crossing sum P
             p_sum = ComplexApprox(mp.mpc(0), 0.0)
@@ -374,51 +367,23 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None, check=True,
         )
 
 
-def two_form_pullback_sample(comp, t, precision_bits=None):
-    """Coefficient of the pulled-back holomorphic 2-form at a parameter.
-
-    On a one-dimensional complex curve dz_2/z_2 wedge dz_3/z_3 pulls back
-    through a single dt, so the antisymmetrized coefficient is identically
-    zero; the sampler exists to record that assertion next to the term it
-    justifies skipping."""
-    if precision_bits is None:
-        precision_bits = mp.mp.prec
-    with workprec(precision_bits):
-        g2 = RFEvaluator(comp.coords[1], precision_bits).dlog(mp.mpc(t))
-        g3 = RFEvaluator(comp.coords[2], precision_bits).dlog(mp.mpc(t))
-        return g2 * g3 - g3 * g2
-
-
-def intersection_number_n2(Z, schedule, precision_bits=None, check=True):
-    """Signed crossing count of the two cut loci on a curve in the 2-cube."""
+def intersection_number_n2(Z, schedule, precision_bits=None):
+    """Signed crossing count of the two cut loci on a curve in the 2-cube,
+    read from the admissibility report of the schedule."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     if not (Z.is_curve_level and Z.n == 2):
         raise ChowregError("intersection_number_n2 needs a curve in the 2-cube")
-    if check:
-        rep = admissible(Z, schedule, precision_bits=precision_bits)
-        if not rep.ok:
-            raise ScheduleError(
-                "cycle is not admissible at the requested schedule: "
-                + "; ".join(f.kind for f in rep.failures))
-    count = 0
-    with workprec(precision_bits):
-        for comp in Z.components:
-            if comp.coords[0].is_constant():
-                continue
-            paths = trace_wavefront(comp, 1, schedule.phases[0],
-                                    precision_bits=precision_bits)
-            crossings = find_pair_intersections(
-                comp, paths, 2, schedule.phases[1], precision_bits=precision_bits)
-            count += comp.mult * sum(c.sign for c in crossings)
-    return count
+    rep = _admitted(Z, schedule, precision_bits)
+    return sum(Z.components[ci].mult * sum(c.sign for c in crossings)
+               for ci, crossings in rep.crossings.items())
 
 
-def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0,
-              shrink=3.0, trace_grid=None):
+def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
     """Top-level pipeline: normalize if needed, find a schedule, evaluate at
-    three shrinking bounds, check pairwise lattice agreement, and return the
-    smallest-bound evaluation annotated with the agreement report."""
+    three bounds shrinking by a factor 3, check pairwise lattice agreement,
+    and return the smallest-bound evaluation annotated with the agreement
+    report."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     with workprec(precision_bits):
@@ -427,7 +392,7 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0,
             bound = mp.mpf(eps_start)
             for _ in range(3):
                 values.append((bound, reg_n1(Z, bound / 2, precision_bits)))
-                bound = bound / mp.mpf(shrink)
+                bound = bound / 3
             return _reconcile(values, 1, tol)
         if Z.is_curve_level and Z.n == 2:
             raise ChowregError(
@@ -446,35 +411,42 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0,
         bound = mp.mpf(eps_start)
         for k in range(3):
             s = search_schedule(Z, bound, seed=seed, precision_bits=precision_bits)
-            v = reg_n3(Z, s, precision_bits=precision_bits, check=False,
-                       trace_grid=trace_grid)
-            values.append((bound, v))
-            bound = bound / mp.mpf(shrink)
+            values.append((bound, reg_n3(Z, s, precision_bits=precision_bits)))
+            bound = bound / 3
         return _reconcile(values, 2, tol)
+
+
+def _pairwise_agreement(values, p, tol):
+    """(a, b, lattice multiple, residual, ok) for every pair of values; a pair
+    agrees when its difference mod the lattice is within the two error
+    radii plus tol."""
+    out = []
+    for a in range(len(values)):
+        for b in range(a + 1, len(values)):
+            k, resid = lattice_difference(values[a].value.value,
+                                          values[b].value.value, p)
+            budget = values[a].quadrature_error + values[b].quadrature_error + tol
+            out.append((a, b, k, float(resid), float(resid) <= budget))
+    return out
 
 
 def _reconcile(values, p, tol):
     """Pairwise lattice agreement of evaluations at shrinking bounds; refuses
     to return anything when they disagree beyond combined errors."""
     agreement = []
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            (ba, va), (bb, vb) = values[a], values[b]
-            k, resid = lattice_difference(va.value.value, vb.value.value, p)
-            budget = va.quadrature_error + vb.quadrature_error + tol
-            entry = {
-                "bounds": (float(ba), float(bb)),
-                "lattice_multiple": k,
-                "residual": float(resid),
-                "ok": float(resid) <= budget,
-            }
-            agreement.append(entry)
-            if not entry["ok"]:
-                raise ChowregError(
-                    "evaluations at different schedules disagree beyond "
-                    f"combined errors (residual {float(resid):.3g}); this "
-                    "indicates a sign or transversality defect, refusing to "
-                    "average")
+    for a, b, k, resid, ok in _pairwise_agreement([v for _, v in values], p, tol):
+        agreement.append({
+            "bounds": (float(values[a][0]), float(values[b][0])),
+            "lattice_multiple": k,
+            "residual": resid,
+            "ok": ok,
+        })
+        if not ok:
+            raise ChowregError(
+                "evaluations at different schedules disagree beyond "
+                f"combined errors (residual {resid:.3g}); this "
+                "indicates a sign or transversality defect, refusing to "
+                "average")
     final = values[-1][1]
     final.agreement = agreement
     return final
@@ -493,30 +465,10 @@ def phase_independence_check(Z, schedules, precision_bits=None, tol=1e-8):
                 vals.append(reg_n1(Z, s.phases[0], precision_bits))
             else:
                 raise ChowregError("phase independence applies to n=1 or n=3 cycles")
-        p = vals[0].p
-        report = {"ok": True, "pairs": [], "values": vals}
-        for a in range(len(vals)):
-            for b in range(a + 1, len(vals)):
-                k, resid = lattice_difference(vals[a].value.value,
-                                              vals[b].value.value, p)
-                budget = vals[a].quadrature_error + vals[b].quadrature_error + tol
-                ok = float(resid) <= budget
-                report["pairs"].append({
-                    "schedules": (a, b),
-                    "lattice_multiple": k,
-                    "residual": float(resid),
-                    "ok": ok,
-                })
-                report["ok"] = report["ok"] and ok
-        return report
-
-
-def _fraction_from_real(x):
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(-man if sign else man)
-    return v * Fraction(2) ** exp
+        pairs = [{"schedules": (a, b), "lattice_multiple": k, "residual": resid,
+                  "ok": ok}
+                 for a, b, k, resid, ok in _pairwise_agreement(vals, vals[0].p, tol)]
+        return {"ok": all(p["ok"] for p in pairs), "pairs": pairs, "values": vals}
 
 
 def _cf_minimal_denominator(x, max_order, tol):
@@ -561,7 +513,7 @@ def torsion_order(value, max_order=200, tol=1e-6, p=None):
     if abs(q.imag) > tol:
         return TorsionResult(order=None, certificate=None,
                              residual=float(abs(q.imag)))
-    x = _fraction_from_real(q.real)
+    x = mpf_to_fraction(q.real)
     hit = _cf_minimal_denominator(x, max_order, tol)
     if hit is None:
         return TorsionResult(order=None, certificate=None, residual=float("nan"))

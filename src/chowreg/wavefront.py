@@ -5,25 +5,29 @@ the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
 traced as |f_i| level sets: for log-spaced radii r we solve f_i(t) = r *
 exp(i(pi - eps_i)) and join solutions by nearest-neighbor continuation, giving
 one oriented path per branch, running from a pole of f_i (r -> oo) to a zero
-(r -> 0).  Pairwise intersections of loci are refined by a two-dimensional
-Newton iteration on the two argument conditions; their sign is the sign of the
-crossing derivative of arg f_j along the oriented path.
+(r -> 0).  Crossings of the first locus with the second cut are refined by a
+two-dimensional Newton iteration on the two argument conditions; their sign
+is the sign of the crossing derivative of arg f_2 along the oriented path.
 
-Admissibility packages the proper-intersection requirements: every coordinate
-traces without hitting a critical value, cut crossings are transverse, no
-parameter satisfies three argument conditions at once, facet parameters stay
-off the first cut, and path endpoints stay off the other cuts.
+The regulator integrates along the first locus and sums over its crossings
+with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
+checks every coordinate exactly instead: a locus is a smooth union of branches
+exactly when no critical value of f_i lies on its ray, and the critical values
+are f_i at the roots of the Wronskian num' den - num den' (factors shared with
+num den removed exactly) plus f_i(oo) when the degrees agree.  The report of
+an admissibility check carries the coordinate-1 paths and crossings, which
+are all the evaluation needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import mpmath as mp
 
-from .errors import ChowregError, ConvergenceError, ScheduleError
-from .funcfield import INF, RFEvaluator
+from .errors import ChowregError, ConvergenceError, PrecisionError, ScheduleError
+from .field import CyclotomicNumber, embed
+from .funcfield import INF, RFEvaluator, roots_numeric
 from .numeric import ComplexApprox, workprec
 
 TRACE_GRID_DEFAULT = 560
@@ -119,8 +123,6 @@ class TracedPath:
     sigmas: list
     points: list
     arg_residuals: list
-    pole: object
-    zero: object
     branch_id: int = 0
     _direction: object = dataclass_field(default=None, repr=False)
 
@@ -135,9 +137,6 @@ class TracedPath:
     @property
     def sigma_lo(self):
         return self.sigmas[-1]
-
-    def radius_at(self, k):
-        return mp.e ** self.sigmas[k]
 
     def _nearest_index(self, sigma):
         lo, hi = 0, len(self.sigmas) - 1
@@ -185,16 +184,6 @@ def _chordal(a, b):
     return float(abs(a - b) / mp.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2)))
 
 
-def _chordal_to_location(t, location):
-    if location is INF:
-        return float(1 / mp.sqrt(1 + abs(t) ** 2))
-    if isinstance(location, ComplexApprox):
-        return _chordal(t, location.value)
-    from .field import embed
-
-    return _chordal(t, embed(location, mp.mp.prec).value)
-
-
 def _match_nearest(points, candidates):
     """Assign each point the nearest candidate; small sets, brute force on
     conflicts."""
@@ -213,7 +202,9 @@ def trace_wavefront(component, coord_index, phase, grid=None,
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
     total), each oriented pole -> zero.  A critical value of f_i on the ray
-    (two branches colliding) raises ScheduleError naming the radius.
+    (two branches colliding) raises ScheduleError naming the radius; a sample
+    that lands on a pole or zero of f_i at the working precision raises
+    PrecisionError.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -318,21 +309,23 @@ def trace_wavefront(component, coord_index, phase, grid=None,
             for k in range(d):
                 branches[k].append((sigma, current[k]))
 
-        zeros = [p for p in f.divisor() if p.multiplicity > 0]
-        poles = [p for p in f.divisor() if p.multiplicity < 0]
         paths = []
         for bid, samples in enumerate(branches):
             sigmas = [s for s, _ in samples]
             points = [t for _, t in samples]
             residuals = []
             for s, t in samples:
-                val = ev.value(t)
-                residuals.append(float(abs(mp.arg(-val * mp.e ** (1j * mp.mpf(phase))))
-                                       if val != 0 else mp.inf))
-            pole_idx = min(range(len(poles)),
-                           key=lambda k: _chordal_to_location(points[0], poles[k].location))
-            zero_idx = min(range(len(zeros)),
-                           key=lambda k: _chordal_to_location(points[-1], zeros[k].location))
+                try:
+                    val = ev.value(t)
+                except ZeroDivisionError:  # t rounds onto a pole
+                    val = None
+                if val is None or val == 0:
+                    raise PrecisionError(
+                        f"coordinate {coord_index}: traced sample t = "
+                        f"{mp.nstr(t, 8)} at radius {mp.nstr(mp.e ** s, 8)} lands "
+                        f"on a pole or zero at {precision_bits} bits; raise the "
+                        "working precision")
+                residuals.append(float(abs(mp.arg(-val * mp.e ** (1j * mp.mpf(phase))))))
             paths.append(
                 TracedPath(
                     coord_index=coord_index,
@@ -341,8 +334,6 @@ def trace_wavefront(component, coord_index, phase, grid=None,
                     sigmas=sigmas,
                     points=points,
                     arg_residuals=residuals,
-                    pole=poles[pole_idx],
-                    zero=zeros[zero_idx],
                     branch_id=bid,
                 )
             )
@@ -497,11 +488,16 @@ class AdmissibilityFailure:
 
 @dataclass
 class AdmissibilityReport:
+    """Verdict of ``admissible``.  ``paths`` and ``crossings`` hold, per
+    component index, the traced coordinate-1 branches and their crossings with
+    the second cut; evaluation reads them from an ok report."""
+
     ok: bool
     failures: list
     schedule: PhaseSchedule
     warnings: list = dataclass_field(default_factory=list)
-    traced: dict = dataclass_field(default_factory=dict, repr=False)
+    paths: dict = dataclass_field(default_factory=dict, repr=False)
+    crossings: dict = dataclass_field(default_factory=dict, repr=False)
 
     def to_dict(self):
         return {
@@ -518,10 +514,31 @@ def _on_cut_margin(value, phase):
     return float(abs(mp.arg(-v * mp.e ** (1j * mp.mpf(phase)))))
 
 
+def _critical_values(f, precision_bits):
+    """(critical point, value) pairs of a nonconstant f away from its zeros
+    and poles.
+
+    The finite critical points are the roots of the Wronskian
+    num' den - num den' once every factor it shares with num den (multiple
+    zeros and poles) is divided out exactly.  When deg num = deg den, f(oo)
+    is finite and nonzero and the level set through it loses a branch to
+    t = oo (the trace's degree drop), so it is returned with point None.
+    """
+    wronskian = f.num.derivative() * f.den - f.num * f.den.derivative()
+    zeros_and_poles = f.num * f.den
+    shared = wronskian.gcd(zeros_and_poles)
+    while shared.degree > 0:
+        wronskian = wronskian // shared
+        shared = wronskian.gcd(zeros_and_poles)
+    out = [(ball, f.eval(ball, precision_bits))
+           for ball, _mult in roots_numeric(wronskian, precision_bits)]
+    if f.num.degree == f.den.degree:
+        out.append((None, embed(f.eval(INF), precision_bits)))
+    return out
+
+
 def _coordinate_value_at(component, j, location):
     """Coordinate j at a divisor location; returns mpc, INF, or exact zero."""
-    from .field import CyclotomicNumber, embed
-
     f = component.coords[j - 1]
     v = f.eval(location if not isinstance(location, ComplexApprox) else location)
     if v is INF:
@@ -533,19 +550,25 @@ def _coordinate_value_at(component, j, location):
     return v.value if isinstance(v, ComplexApprox) else v
 
 
-def admissible(Z, schedule, precision_bits=None, tol=1e-9, trace_grid=None):
+def admissible(Z, schedule, precision_bits=None, tol=1e-9):
     """Check proper position of a curve precycle with respect to the perturbed
     cuts of a specific schedule.
 
-    Verifies, per component: (a) every nonconstant coordinate traces its cut
-    without critical points (constants must sit off their cut); (b) crossings
-    of the first two cut loci are transverse; (c) no crossing also satisfies a
-    later coordinate's argument condition (no triple point); (d) parameters
-    where any coordinate hits 0 or oo stay off the first cut, and endpoints of
-    the first locus stay off the second cut (keeping the crossing set away
-    from chain boundaries).  An endpoint sitting on a cut beyond the second is
-    outside every nested cut-prefix condition, so it is reported as a warning
-    rather than a failure.
+    Verifies, per component: (a) no nonconstant coordinate has a critical
+    value within ``tol`` (angularly) of its cut ray, decided from the exact
+    critical points rather than by tracing, so every cut locus is a smooth
+    union of branches; constant coordinates sit off their cut; (b) crossings
+    of the first cut locus with the second cut are transverse; (c) no crossing
+    also satisfies a later coordinate's argument condition (no triple point);
+    (d) parameters where any coordinate hits 0 or oo stay off the first cut,
+    and endpoints of the first locus stay off the second cut (keeping the
+    crossing set away from chain boundaries).  An endpoint sitting on a cut
+    beyond the second is outside every nested cut-prefix condition, so it is
+    reported as a warning rather than a failure.
+
+    Only the first locus is traced.  Its paths and crossings are kept in the
+    report for evaluation.  A PrecisionError from the trace propagates: no
+    other schedule can repair a working precision that is too low.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -555,18 +578,16 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9, trace_grid=None):
         raise ChowregError(f"schedule has {schedule.n} phases, cycle needs {Z.n}")
     failures = []
     warnings = []
-    traced = {}
+    paths = {}
+    crossings = {}
     cut_tol = max(float(tol), 1e-12)
     with workprec(precision_bits):
         for ci, comp in enumerate(Z.components):
-            # (a) every coordinate's own cut is traceable / off-cut constants
-            comp_paths = {}
+            # (a) no critical value on a cut ray; off-cut constants
             for i in range(1, Z.n + 1):
                 f = comp.coords[i - 1]
                 phase = schedule.phases[i - 1]
                 if f.is_constant():
-                    from .field import embed
-
                     cval = embed(f.constant_value(), precision_bits)
                     if _on_cut_margin(cval, phase) < cut_tol:
                         failures.append(AdmissibilityFailure(
@@ -574,15 +595,22 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9, trace_grid=None):
                             f"coordinate {i} is constant on its cut",
                             cval))
                     continue
+                for point, value in _critical_values(f, precision_bits):
+                    margin = _on_cut_margin(value, phase)
+                    if margin < cut_tol:
+                        failures.append(AdmissibilityFailure(
+                            "critical-value", ci,
+                            f"coordinate {i} has a critical value on its cut "
+                            f"(margin {margin:.2e})",
+                            point))
+            f1 = comp.coords[0]
+            if not f1.is_constant():
                 try:
-                    grid = trace_grid if (trace_grid and i == 1) else (
-                        trace_grid or (TRACE_GRID_DEFAULT if i == 1 else 240))
-                    comp_paths[i] = trace_wavefront(
-                        comp, i, phase, grid=grid, precision_bits=precision_bits)
+                    paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],
+                                                precision_bits=precision_bits)
                 except (ScheduleError, ConvergenceError) as exc:
                     failures.append(AdmissibilityFailure(
-                        "trace", ci, f"coordinate {i}: {exc}"))
-            traced[ci] = comp_paths
+                        "trace", ci, f"coordinate 1: {exc}"))
 
             # facet parameters: where any coordinate hits 0 or oo
             facet_params = []
@@ -593,8 +621,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9, trace_grid=None):
                 for pt in fk.divisor():
                     facet_params.append((k, pt))
 
-            # (c) facet parameters keep off the first cut
-            f1 = comp.coords[0]
+            # (d) facet parameters keep off the first cut
             if not f1.is_constant():
                 for k, pt in facet_params:
                     if k == 1:
@@ -628,22 +655,19 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9, trace_grid=None):
                             (failures if k == 2 else warnings).append(entry)
 
             # (b) + (c) crossings: transversality and no triple points
-            if Z.n >= 2 and 1 in comp_paths:
+            if Z.n >= 2 and ci in paths:
                 try:
-                    crossings = find_pair_intersections(
-                        comp, comp_paths[1], 2, schedule.phases[1],
+                    crossings[ci] = find_pair_intersections(
+                        comp, paths[ci], 2, schedule.phases[1],
                         precision_bits=precision_bits)
                 except ScheduleError as exc:
                     failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
-                    crossings = []
-                for c in crossings:
+                    crossings[ci] = []
+                for c in crossings[ci]:
                     for k in range(3, Z.n + 1):
                         fk = comp.coords[k - 1]
                         if fk.is_constant():
-                            vk = fk.constant_value()
-                            from .field import embed
-
-                            v = embed(vk, precision_bits).value
+                            v = embed(fk.constant_value(), precision_bits).value
                         else:
                             v = RFEvaluator(fk, precision_bits).value(c.t.value)
                         if v == 0:
@@ -657,7 +681,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9, trace_grid=None):
                                 c.t))
     return AdmissibilityReport(ok=not failures, failures=failures,
                                schedule=schedule, warnings=warnings,
-                               traced=traced)
+                               paths=paths, crossings=crossings)
 
 
 def search_schedule(Z, eps_start=0.3, attempts=12, seed=0, precision_bits=None,

@@ -161,7 +161,7 @@ def test_criterion_6_epsilon_to_zero_agreement():
         errs = []
         for bound in ("0.3", "0.1", "0.03"):
             s = search_schedule(Z, mp.mpf(bound), precision_bits=PRECISION)
-            v = reg_n3(Z, s, precision_bits=PRECISION, check=False)
+            v = reg_n3(Z, s, precision_bits=PRECISION)
             diffs.append(float(abs(v.value.value - target)))
             errs.append(v.quadrature_error)
         for d in diffs:

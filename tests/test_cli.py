@@ -155,6 +155,15 @@ def test_cli_properness_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["class"] == "properness"
 
 
+def test_cli_precision_exit_code(capsys):
+    code, _, err = _run(capsys, ["regulator", "--fixture", "z1_totaro",
+                                 "--precision", "64"])
+    assert code == 6
+    error = json.loads(err)["error"]
+    assert error["class"] == "precision"
+    assert "64 bits" in error["message"]
+
+
 def test_cli_missing_input(capsys):
     code, _, err = _run(capsys, ["check", "--precision", "128"])
     assert code == 1

@@ -31,7 +31,6 @@ from chowreg.regulator import (
     _canonical_mod_lattice,
     _tanh_sinh_segment,
     lattice_difference,
-    two_form_pullback_sample,
 )
 from chowreg.numeric import ComplexApprox
 
@@ -83,6 +82,25 @@ def test_boundary_values_lie_in_lattice_and_match_count(graph_1_m3):
         assert abs(count) == 1
         # informational: the chain-level identity holds with matching sign
         assert count == k
+
+
+def test_intersection_number_traces_once(graph_1_m3, monkeypatch):
+    # the count is read from the admissibility report, which traces only
+    # the first coordinate
+    import chowreg.wavefront as wf
+
+    calls = []
+    original = wf.trace_wavefront
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "trace_wavefront", counting)
+    with workprec(128):
+        s = PhaseSchedule(1, (mp.mpf("0.05"), mp.mpf("0.01")))
+        assert abs(intersection_number_n2(graph_1_m3, s, precision_bits=128)) == 1
+    assert calls == [1]
 
 
 def test_intersection_number_examples(graph_4_2):
@@ -195,19 +213,13 @@ def test_crossing_term_sweep_invariance(mccarthy):
         ncross = []
         for e2 in (mp.mpf("0.3"), mp.mpf("0.02")):
             v = reg_n3(mccarthy, PhaseSchedule(1, (e1, e2, e3)),
-                       precision_bits=192, check=False)
+                       precision_bits=192)
             vals.append(v)
             ncross.append(sum(len(e["crossings"]) for e in v.breakdown))
         assert any(n > 0 for n in ncross)  # the sweep really crosses the cut
         diff = abs(vals[0].value.value - vals[1].value.value)
         assert float(diff) <= vals[0].quadrature_error + \
             vals[1].quadrature_error + 1e-20
-
-
-def test_two_form_pullback_vanishes(z1):
-    with workprec(128):
-        sample = two_form_pullback_sample(z1.components[0], mp.mpc("0.37", "0.21"))
-        assert sample == 0
 
 
 def test_phase_independence_z1(z1):
@@ -234,6 +246,15 @@ def test_regulator_pipeline_point_cycle():
         tr = torsion_order(v, 20, 1e-8)
         assert tr.order == 5
         assert tr.certificate == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("bits", [53, 80])
+def test_regulator_low_precision_raises_precision_error(z1, bits):
+    # the first trace sample rounds onto the pole t = 0 of 1 - 1/t; no other
+    # schedule can repair that, so the error is not a schedule failure
+    with workprec(bits):
+        with pytest.raises(PrecisionError, match=f"{bits} bits"):
+            regulator(z1, precision_bits=bits)
 
 
 def test_regulator_refuses_open_cycle(z_minus1):

@@ -17,8 +17,6 @@ from chowreg import (
     trace_wavefront,
     workprec,
 )
-from chowreg.field import CyclotomicNumber
-from chowreg.funcfield import INF
 
 
 def t_var(order=1):
@@ -80,8 +78,6 @@ def test_trace_identity_function_is_ray():
                                 precision_bits=128)
         assert len(paths) == 1
         p = paths[0]
-        assert p.pole.location is INF
-        assert p.zero.location == CyclotomicNumber.zero(1)
         # every sample on the ray arg t = pi - eps
         target = mp.pi - mp.mpf("0.05")
         for tt in p.points[::40]:
@@ -199,6 +195,32 @@ def test_admissible_counterexample_equal_phase(mccarthy):
             assert triples
             witness = triples[0].witness.value
             assert abs(witness - mp.tan(e)) < 1e-6
+
+
+@pytest.mark.parametrize("coord2, witness", [
+    # critical point 5/2 with value -1/4 on the phase-0 ray
+    (lambda t: (t - 2) * (t - 3), mp.mpf("2.5")),
+    # no finite critical point, but f(oo) = -1 lies on the phase-0 ray
+    (lambda t: (3 - t) / (t + 2), None),
+])
+def test_admissible_critical_value_on_cut(coord2, witness):
+    # only coordinate 1 is traced, so coordinate 2 is judged exactly
+    t = t_var()
+    comp = CurveComponent(3, (t, coord2(t), RationalFunction.from_rational(5, 1)), 1)
+    Z = Precycle(3, 2, [comp], order=1)
+    with workprec(128):
+        rep = admissible(Z, PhaseSchedule(1, (0.1, 0, 0.001)),
+                         precision_bits=128)
+        crit = [f for f in rep.failures if f.kind == "critical-value"]
+        assert len(crit) == 1
+        if witness is None:
+            assert crit[0].witness is None
+        else:
+            assert abs(crit[0].witness.value - witness) < 1e-30
+        # a generic phase puts the critical value off the ray
+        rep = admissible(Z, PhaseSchedule(1, (0.1, 0.01, 0.001)),
+                         precision_bits=128)
+        assert not [f for f in rep.failures if f.kind == "critical-value"]
 
 
 def test_admissible_z1_at_zero_phases(z1):
