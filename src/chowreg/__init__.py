@@ -60,6 +60,7 @@ from .wavefront import (
     admissible,
     find_pair_intersections,
     make_schedule,
+    search_admissible,
     search_schedule,
     trace_wavefront,
 )

@@ -24,18 +24,13 @@ from .funcfield import INF, RationalFunction, rf_to_expr
 from .field import CyclotomicNumber
 from .numeric import ComplexApprox, workprec
 from .parser import parse_cycle_file, serialize_cycles
-from .regulator import (
-    intersection_number_n2,
-    reg_n1,
-    regulator,
-    torsion_order,
-)
+from .regulator import intersection_number_n2, regulator, torsion_order
 from .wavefront import (
     PhaseSchedule,
     admissible,
     find_pair_intersections,
     make_schedule,
-    search_schedule,
+    search_admissible,
     trace_wavefront,
 )
 
@@ -187,13 +182,13 @@ def _cmd_admissible(Z, args, precision_bits, tol):
 
 def _cmd_regulator(Z, args, precision_bits, tol):
     if Z.is_curve_level and Z.n == 2:
-        s = search_schedule(Z, getattr(args, "eps", None) or 0.3,
-                            seed=args.seed, precision_bits=precision_bits)
-        count = intersection_number_n2(Z, s, precision_bits=precision_bits)
+        rep = search_admissible(Z, getattr(args, "eps", None) or 0.3,
+                                seed=args.seed, precision_bits=precision_bits)
+        count = intersection_number_n2(Z, rep, precision_bits=precision_bits)
         return {
             "kind": "intersection_number",
             "count": count,
-            "schedule": s.describe(),
+            "schedule": rep.schedule.describe(),
         }
     v = regulator(Z, precision_bits=precision_bits, tol=tol, seed=args.seed)
     rec = {"kind": "regulator"}

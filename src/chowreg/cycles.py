@@ -26,6 +26,7 @@ from .numeric import ComplexApprox, workprec
 
 FACET_ZERO = "0"
 FACET_INF = "inf"
+CLOSEDNESS_ESCALATIONS = 2
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ def boundary(Z):
     return Precycle(Z.n - 1, Z.p, pieces, order=Z.order)
 
 
-def is_closed(Z, precision_bits=None, escalations=2):
+def is_closed(Z, precision_bits=None):
     """True iff the boundary reduces to the empty precycle.
 
     Numeric ambiguity escalates the working precision (two doublings) before
@@ -334,13 +335,13 @@ def is_closed(Z, precision_bits=None, escalations=2):
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    for attempt in range(escalations + 1):
+    for attempt in range(CLOSEDNESS_ESCALATIONS + 1):
         bits = precision_bits * (2 ** attempt)
         try:
             with workprec(bits):
                 return boundary(Z).is_empty()
         except PrecisionError:
-            if attempt == escalations:
+            if attempt == CLOSEDNESS_ESCALATIONS:
                 raise
     raise PrecisionError("closedness undecided")  # unreachable
 

@@ -19,8 +19,6 @@ import mpmath as mp
 
 from .errors import PrecisionError
 
-DEFAULT_PRECISION = 256
-
 # Multiplicative slop applied to every propagated radius so that float
 # rounding in the radius arithmetic itself stays on the safe side.
 _SLOP = 1.0 + 2.0 ** -40
@@ -48,12 +46,6 @@ def pi_const(precision_bits=None):
         return ComplexApprox(v, float(v) * 2.0 ** (1 - precision_bits))
 
 
-def two_pi_i(power=1):
-    """(2*pi*i)**power at the working precision, as ComplexApprox."""
-    v = (2 * mp.pi * mp.mpc(0, 1)) ** power
-    return ComplexApprox(v, abs(float(abs(v))) * 2.0 ** (3 - mp.mp.prec))
-
-
 class ComplexApprox:
     """A complex value with a rigorous error radius.
 
@@ -72,10 +64,6 @@ class ComplexApprox:
         if radius < 0 or math.isnan(radius):
             raise ValueError(f"invalid error radius {radius}")
         self.radius = float(radius)
-
-    @classmethod
-    def exact(cls, value):
-        return cls(value, 0.0)
 
     def __repr__(self):
         return f"ComplexApprox({mp.nstr(self.value, 12)}, rad={self.radius:.3g})"
@@ -136,9 +124,6 @@ class ComplexApprox:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def abs_upper(self):
-        return float(abs(self.value)) + self.radius
-
     def abs_lower(self):
         return max(float(abs(self.value)) - self.radius, 0.0)
 
@@ -149,9 +134,9 @@ class ComplexApprox:
         o = self._coerce(other)
         return float(abs(self.value - o.value))
 
-    def overlaps(self, other, slack=0.0):
+    def overlaps(self, other):
         o = self._coerce(other)
-        return self.distance(o) <= self.radius + o.radius + slack
+        return self.distance(o) <= self.radius + o.radius
 
 
 def _dyadic_exact(a, b, s):

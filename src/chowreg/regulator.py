@@ -15,6 +15,10 @@ integral at each crossing must cancel against the motion of the crossing sum
 for the total to be schedule-independent.  The overall orientation convention
 is pinned by the classical value pi^2/6 of the Totaro curve, after which
 every other fixture is a zero-freedom check.
+
+Evaluation reads the traced first cut loci and their crossings from the
+admissibility report that accepted the schedule, so the pipeline traces and
+intersects each schedule's cut loci once, inside the schedule search.
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ from .field import embed
 from .funcfield import INF, RFEvaluator, mpf_to_fraction
 from .numeric import ComplexApprox, workprec
 from .special import BranchSpec, log_eps
-from .wavefront import PhaseSchedule, admissible, search_schedule
+from .wavefront import (
+    AdmissibilityReport,
+    PhaseSchedule,
+    admissible,
+    search_admissible,
+)
 
 
 @dataclass
@@ -56,16 +65,9 @@ class RegulatorValue:
     lattice_multiple: int = 0
     agreement: list = dataclass_field(default_factory=list)
 
-    @property
-    def lattice_power(self):
-        return self.p
-
-    def lattice_generator(self):
-        return (2 * mp.pi * mp.mpc(0, 1)) ** self.p
-
     def q_value(self):
         """value / (2*pi*i)^p."""
-        return self.value.value / self.lattice_generator()
+        return self.value.value / (2 * mp.pi * mp.mpc(0, 1)) ** self.p
 
 
 @dataclass
@@ -182,18 +184,16 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level=9):
 
 
 _CHUNK_LENGTH = 8.0
+_MAX_LEVEL = 8
 
 
-def quadrature(path, integrand, precision_bits=None, tol=None, max_level=8,
-               in_parameter=False, u_range=None, integrand_u=None,
+def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
                tails=(True, True)):
-    """Integrate along a traced path, pole -> zero.
+    """Integrate ``fn`` over [u_lo, u_hi] in the path parameter u = -log r.
 
-    ``integrand`` maps the curve parameter t to a complex value and is
-    integrated against dt along the oriented path.  With ``in_parameter`` it
-    is integrated against the monotone log-radius parameter instead.  The
-    internal hook ``integrand_u`` takes the increasing path parameter u
-    (= -log radius) directly and already includes any dt/du factor.
+    ``fn`` takes u and already includes its du factor; along a traced path
+    oriented pole -> zero, u increases.  ``tails`` marks which ends are true
+    path ends and get the truncation-tail allowance.
 
     The range is cut into bounded chunks and each chunk integrated by the
     double-exponential rule; chunks in the exponential tails converge at the
@@ -204,23 +204,7 @@ def quadrature(path, integrand, precision_bits=None, tol=None, max_level=8,
     if tol is None:
         tol = float(mp.mpf(2) ** (-precision_bits // 3))
     with workprec(precision_bits + 16):
-        ev = path.evaluator
-        if u_range is None:
-            u_lo, u_hi = -path.sigma_hi, -path.sigma_lo
-        else:
-            u_lo, u_hi = mp.mpf(u_range[0]), mp.mpf(u_range[1])
-
-        if integrand_u is not None:
-            fn = integrand_u
-        elif in_parameter:
-            def fn(u):
-                return integrand(path.point_at(-u))
-        else:
-            def fn(u):
-                t = path.point_at(-u)
-                # dt/du along pole -> zero: u = -log r, dt/du = -1/(dlog f)
-                return -integrand(t) / ev.dlog(t)
-
+        u_lo, u_hi = mp.mpf(u_lo), mp.mpf(u_hi)
         span = u_hi - u_lo
         chunks = max(1, int(mp.ceil(span / _CHUNK_LENGTH)))
         step = span / chunks
@@ -229,7 +213,7 @@ def quadrature(path, integrand, precision_bits=None, tol=None, max_level=8,
         for k in range(chunks):
             a = u_lo + k * step
             b = u_lo + (k + 1) * step if k < chunks - 1 else u_hi
-            val, e = _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level)
+            val, e = _tanh_sinh_segment(fn, a, b, tol, precision_bits, _MAX_LEVEL)
             total += val
             err += e
         # truncation-tail allowance, only at true path ends
@@ -256,8 +240,12 @@ def _sided_log_branch(w, phase, guard, side_hint):
 
 
 def _admitted(Z, schedule, precision_bits):
-    """The admissibility report of the schedule; ScheduleError unless ok."""
-    rep = admissible(Z, schedule, precision_bits=precision_bits)
+    """The admissibility report for ``schedule``: a PhaseSchedule is checked
+    here, an AdmissibilityReport is taken as it is.  ScheduleError unless
+    the report is ok."""
+    rep = schedule
+    if not isinstance(rep, AdmissibilityReport):
+        rep = admissible(Z, schedule, precision_bits=precision_bits)
     if not rep.ok:
         raise ScheduleError(
             "cycle is not admissible at the requested schedule: "
@@ -268,10 +256,12 @@ def _admitted(Z, schedule, precision_bits):
 def reg_n3(Z, schedule, precision_bits=None, tol=None):
     """Regulator of a curve-level cycle in the 3-cube at a fixed schedule.
 
-    The schedule must be admissible; the traced first cut loci and their
-    crossings with the second cut come from the admissibility report.  The
-    k=1 term of the current (a holomorphic 2-form) vanishes identically on a
-    complex curve and is skipped.
+    ``schedule`` is a PhaseSchedule, which is checked for admissibility here,
+    or the ok AdmissibilityReport of one, which must come from this cycle at
+    this precision.  The traced first cut loci and their crossings with the
+    second cut are read from the report.  The k=1 term of the current (a
+    holomorphic 2-form) vanishes identically on a complex curve and is
+    skipped.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -280,7 +270,7 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
     if not (Z.is_curve_level and Z.n == 3):
         raise ChowregError("reg_n3 needs a curve-level cycle in the 3-cube")
     rep = _admitted(Z, schedule, precision_bits)
-    _, eps2, eps3 = schedule.phases
+    _, eps2, eps3 = rep.schedule.phases
     guard = mp.mpf(2) ** (-precision_bits // 2)
     with workprec(precision_bits):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
@@ -344,10 +334,9 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
                                                         guard, hint)
                             return -(lg2 * ev3q.dlog(t)) / _path.evaluator.dlog(t)
 
-                        piece = quadrature(path, None,
+                        piece = quadrature(fn, a, b,
                                            precision_bits=precision_bits,
-                                           tol=tol, u_range=(a, b),
-                                           integrand_u=fn,
+                                           tol=tol,
                                            tails=(seg == 0,
                                                   seg == len(bounds) - 2))
                         line = line + piece
@@ -360,7 +349,7 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
         return RegulatorValue(
             p=2,
             value=ComplexApprox(canon, total_err),
-            schedule_used=schedule,
+            schedule_used=rep.schedule,
             quadrature_error=total_err,
             breakdown=breakdown,
             lattice_multiple=k,
@@ -369,7 +358,10 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
 
 def intersection_number_n2(Z, schedule, precision_bits=None):
     """Signed crossing count of the two cut loci on a curve in the 2-cube,
-    read from the admissibility report of the schedule."""
+    read from the admissibility report of the schedule.
+
+    ``schedule`` is a PhaseSchedule or the ok AdmissibilityReport of one,
+    which must come from this cycle at this precision."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     if not (Z.is_curve_level and Z.n == 2):
@@ -410,8 +402,11 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
         values = []
         bound = mp.mpf(eps_start)
         for k in range(3):
-            s = search_schedule(Z, bound, seed=seed, precision_bits=precision_bits)
-            values.append((bound, reg_n3(Z, s, precision_bits=precision_bits)))
+            # the accepted report is dropped once its schedule is evaluated
+            rep = search_admissible(Z, bound, seed=seed,
+                                    precision_bits=precision_bits)
+            values.append((bound, reg_n3(Z, rep, precision_bits=precision_bits)))
+            del rep
             bound = bound / 3
         return _reconcile(values, 2, tol)
 

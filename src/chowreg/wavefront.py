@@ -16,7 +16,9 @@ exactly when no critical value of f_i lies on its ray, and the critical values
 are f_i at the roots of the Wronskian num' den - num den' (factors shared with
 num den removed exactly) plus f_i(oo) when the degrees agree.  The report of
 an admissibility check carries the coordinate-1 paths and crossings, which
-are all the evaluation needs.
+are all the evaluation needs: ``search_admissible`` returns the report that
+accepted a schedule, and evaluation reads its paths and crossings rather than
+tracing again.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .numeric import ComplexApprox, workprec
 
 TRACE_GRID_DEFAULT = 560
 SIGMA_SPAN_DEFAULT = 56.0
+SCHEDULE_ATTEMPTS = 12
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,6 @@ class TracedPath:
     sigmas: list
     points: list
     arg_residuals: list
-    branch_id: int = 0
     _direction: object = dataclass_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -197,7 +199,7 @@ def _match_nearest(points, candidates):
 
 
 def trace_wavefront(component, coord_index, phase, grid=None,
-                    precision_bits=None, sigma_span=None):
+                    precision_bits=None):
     """Trace all branches of {t : arg f_i(t) = pi - phase}.
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
@@ -210,8 +212,6 @@ def trace_wavefront(component, coord_index, phase, grid=None,
         precision_bits = mp.mp.prec
     if grid is None:
         grid = TRACE_GRID_DEFAULT
-    if sigma_span is None:
-        sigma_span = SIGMA_SPAN_DEFAULT
     f = component.coords[coord_index - 1]
     if f.is_constant():
         raise ChowregError("cannot trace a constant coordinate")
@@ -219,8 +219,8 @@ def trace_wavefront(component, coord_index, phase, grid=None,
         ev = RFEvaluator(f, precision_bits)
         d = f.degree_map
         direction = mp.e ** (1j * (mp.pi - mp.mpf(phase)))
-        sigma_hi = mp.mpf(sigma_span)
-        sigma_lo = -mp.mpf(sigma_span)
+        sigma_hi = mp.mpf(SIGMA_SPAN_DEFAULT)
+        sigma_lo = -mp.mpf(SIGMA_SPAN_DEFAULT)
         steps = int(grid)
         h = (sigma_hi - sigma_lo) / steps
         tol = mp.mpf(2) ** (16 - precision_bits)
@@ -310,7 +310,7 @@ def trace_wavefront(component, coord_index, phase, grid=None,
                 branches[k].append((sigma, current[k]))
 
         paths = []
-        for bid, samples in enumerate(branches):
+        for samples in branches:
             sigmas = [s for s, _ in samples]
             points = [t for _, t in samples]
             residuals = []
@@ -334,7 +334,6 @@ def trace_wavefront(component, coord_index, phase, grid=None,
                     sigmas=sigmas,
                     points=points,
                     arg_residuals=residuals,
-                    branch_id=bid,
                 )
             )
         return paths
@@ -345,11 +344,9 @@ class WavefrontIntersection:
     """A transverse crossing of two cut loci on the curve."""
 
     t: ComplexApprox
-    pair: tuple
     sign: int
     host_path: TracedPath
     sigma: object
-    transversality: float
 
 
 def _principal_arg_residual(value, phase):
@@ -358,7 +355,7 @@ def _principal_arg_residual(value, phase):
 
 
 def find_pair_intersections(component, paths_i, j, phase_j,
-                            precision_bits=None, transversality_rel=None):
+                            precision_bits=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
     The crossing sign is the sign of d(arg f_j)/du along the pole -> zero
@@ -366,15 +363,13 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    if transversality_rel is None:
-        transversality_rel = float(mp.mpf(2) ** (-precision_bits // 3))
+    transversality_rel = float(mp.mpf(2) ** (-precision_bits // 3))
     out = []
     if component.coords[j - 1].is_constant():
         return out
     with workprec(precision_bits):
         f_j_ev = RFEvaluator(component.coords[j - 1], precision_bits)
         for path in paths_i:
-            i = path.coord_index
             f_i_ev = path.evaluator
             rot = mp.e ** (1j * mp.mpf(phase_j))
             ims = []
@@ -420,11 +415,9 @@ def find_pair_intersections(component, paths_i, j, phase_j,
                     WavefrontIntersection(
                         t=ComplexApprox(t_c, float(mp.mpf(2) ** (24 - precision_bits)
                                                    * (1 + abs(t_c)))),
-                        pair=(i, j),
                         sign=sign,
                         host_path=path,
                         sigma=mp.log(abs(fi_val)),
-                        transversality=rel,
                     )
                 )
     return out
@@ -684,9 +677,10 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                                paths=paths, crossings=crossings)
 
 
-def search_schedule(Z, eps_start=0.3, attempts=12, seed=0, precision_bits=None,
-                    tol=1e-9):
-    """Find a nested schedule at which the cycle is admissible.
+def search_admissible(Z, eps_start=0.3, seed=0, precision_bits=None,
+                      tol=1e-9):
+    """Find a nested schedule at which the cycle is admissible and return
+    the ok admissibility report that accepted it.
 
     Deterministic for a fixed seed: a fixed ladder of lambda values and
     shrinking bounds, with seed-derived jitter on later attempts.  Exhausting
@@ -698,7 +692,7 @@ def search_schedule(Z, eps_start=0.3, attempts=12, seed=0, precision_bits=None,
     base_lams = [0.5, 0.35, 0.65, 0.8, 0.25, 0.45, 0.7, 0.3, 0.55, 0.6]
     rng_state = (seed * 2654435761 + 1013904223) % (2 ** 32)
     lams = []
-    for k in range(attempts):
+    for k in range(SCHEDULE_ATTEMPTS):
         if k < len(base_lams):
             lams.append(base_lams[k])
         else:
@@ -715,7 +709,7 @@ def search_schedule(Z, eps_start=0.3, attempts=12, seed=0, precision_bits=None,
                 continue
             report = admissible(Z, s, precision_bits=precision_bits, tol=tol)
             if report.ok:
-                return s
+                return report
             last_report = report
             if (k + 1) % 3 == 0:
                 eps = eps * mp.mpf("0.6")
@@ -725,5 +719,11 @@ def search_schedule(Z, eps_start=0.3, attempts=12, seed=0, precision_bits=None,
             f.kind + " (component " + str(f.component) + ")"
             for f in last_report.failures[:4])
     raise ScheduleError(
-        f"no admissible schedule found in {attempts} attempts from bound "
-        f"{eps_start}{detail}")
+        f"no admissible schedule found in {SCHEDULE_ATTEMPTS} attempts from "
+        f"bound {eps_start}{detail}")
+
+
+def search_schedule(Z, eps_start=0.3, seed=0, precision_bits=None, tol=1e-9):
+    """The schedule of ``search_admissible``'s accepted report."""
+    return search_admissible(Z, eps_start, seed=seed,
+                             precision_bits=precision_bits, tol=tol).schedule

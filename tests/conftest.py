@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from chowreg import (
@@ -54,3 +56,36 @@ def graph_1_m3():
     return Precycle(2, 1,
                     [CurveComponent(2, (t, (t - 1) / (t + 3)), 1)],
                     order=1, name="graph_1_m3")
+
+
+@pytest.fixture
+def trace_log(monkeypatch):
+    """``trace_log(name)`` returns a list that gains, for every
+    ``trace_wavefront`` call, whether it ran inside the ``search_admissible``
+    bound in the module ``name``."""
+    import chowreg.wavefront as wf
+
+    log = []
+    searching = []
+    trace = wf.trace_wavefront
+
+    def counting_trace(*args, **kwargs):
+        log.append(bool(searching))
+        return trace(*args, **kwargs)
+
+    def watch(name):
+        module = importlib.import_module(name)
+        search = module.search_admissible
+
+        def marking_search(*args, **kwargs):
+            searching.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(module, "search_admissible", marking_search)
+        return log
+
+    monkeypatch.setattr(wf, "trace_wavefront", counting_trace)
+    return watch

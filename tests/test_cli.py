@@ -212,10 +212,14 @@ def test_cli_torsion_chain(capsys):
     assert rec["torsion"]["certificate"] == "-1/24"
 
 
-def test_cli_regulator_two_cube_intersection(capsys):
+def test_cli_regulator_two_cube_intersection(capsys, trace_log):
+    # the count is read from the report that accepted the schedule, so every
+    # trace happens inside the schedule search
+    traced_in_search = trace_log("chowreg.cli")
     code, out, _ = _run(capsys, ["regulator", "--fixture", "graph_4_2",
                                  "--precision", "128"])
     assert code == 0
     rec = json.loads(out)["cycles"]["graph_4_2"]
     assert rec["kind"] == "intersection_number"
     assert rec["count"] == 0
+    assert traced_in_search and all(traced_in_search)

@@ -12,6 +12,8 @@ from chowreg import (
     PrecisionError,
     Precycle,
     RationalFunction,
+    ScheduleError,
+    admissible,
     boundary,
     intersection_number_n2,
     li2,
@@ -21,7 +23,7 @@ from chowreg import (
     reg_n1,
     reg_n3,
     regulator,
-    search_schedule,
+    search_admissible,
     torsion_order,
     trace_wavefront,
     workprec,
@@ -103,6 +105,34 @@ def test_intersection_number_traces_once(graph_1_m3, monkeypatch):
     assert calls == [1]
 
 
+def test_reg_n3_reads_the_accepted_report(z_square):
+    with workprec(192):
+        rep = search_admissible(z_square, 0.3, precision_bits=192)
+        from_report = reg_n3(z_square, rep, precision_bits=192)
+        from_schedule = reg_n3(z_square, rep.schedule, precision_bits=192)
+    assert from_report.schedule_used is rep.schedule
+    assert from_report.value.value == from_schedule.value.value
+    assert from_report.value.radius == from_schedule.value.radius
+    assert from_report.lattice_multiple == from_schedule.lattice_multiple
+    for a, b in zip(from_report.breakdown, from_schedule.breakdown, strict=True):
+        for key in ("line_integral", "crossing_sum"):
+            assert a[key].value == b[key].value
+            assert a[key].radius == b[key].radius
+        assert [(c["t"].value, c["sign"]) for c in a["crossings"]] == \
+            [(c["t"].value, c["sign"]) for c in b["crossings"]]
+
+
+def test_reg_n3_refuses_inadmissible_schedule_and_report(mccarthy):
+    e = mp.mpf("0.2")
+    s = PhaseSchedule(1, (e, e, e))
+    with workprec(128):
+        rep = admissible(mccarthy, s, precision_bits=128)
+        assert not rep.ok
+        for arg in (s, rep):
+            with pytest.raises(ScheduleError, match="triple"):
+                reg_n3(mccarthy, arg, precision_bits=128)
+
+
 def test_intersection_number_examples(graph_4_2):
     t = RationalFunction.t(1)
     with workprec(128):
@@ -116,28 +146,27 @@ def test_intersection_number_examples(graph_4_2):
 
 
 def test_quadrature_z1_line_integral(z1):
-    # int_0^1 log(1-t) (-dt/t) = Li2(1) = pi^2/6, quadrature in t-form
+    # int_0^1 log(1-t) (-dt/t) = Li2(1) = pi^2/6, integrated in u = -log r
+    # along the pole -> zero path, where dt/du = -1/dlog f_1
     with workprec(192):
         comp = z1.components[0]
-        paths = trace_wavefront(comp, 1, mp.mpf("1e-8"), precision_bits=192)
-        ev2 = comp.coords[1]
+        path = trace_wavefront(comp, 1, mp.mpf("1e-8"), precision_bits=192)[0]
 
-        def integrand(t):
-            return -mp.log(1 - t) / t
+        def fn(u):
+            t = path.point_at(-u)
+            return -mp.log(1 - t) / t * (-1 / path.evaluator.dlog(t))
 
-        val = quadrature(paths[0], integrand, precision_bits=192, tol=1e-24)
+        val = quadrature(fn, -path.sigma_hi, -path.sigma_lo,
+                         precision_bits=192, tol=1e-24)
         assert abs(val.value - mp.pi ** 2 / 6) < 1e-10
         assert abs(val.value - mp.pi ** 2 / 6) <= 10 * max(val.radius, 1e-22)
 
 
 def test_quadrature_constant_in_parameter():
     # the log-radius parameter measures one unit between r = 1 and r = e
-    t = RationalFunction.t(1)
-    comp = CurveComponent(2, (t, RationalFunction.from_rational(5, 1)), 1)
     with workprec(128):
-        paths = trace_wavefront(comp, 1, mp.mpf("0.1"), precision_bits=128)
-        val = quadrature(paths[0], lambda tt: mp.mpc(1), precision_bits=128,
-                         in_parameter=True, u_range=(0, 1), tails=(False, False))
+        val = quadrature(lambda u: mp.mpc(1), 0, 1, precision_bits=128,
+                         tails=(False, False))
         assert abs(val.value - 1) < 1e-25
 
 
@@ -230,12 +259,16 @@ def test_phase_independence_z1(z1):
         assert all(p["lattice_multiple"] == 0 for p in rep["pairs"])
 
 
-def test_regulator_pipeline_z1(z1):
+def test_regulator_pipeline_z1(z1, trace_log):
+    # each schedule's cut locus is traced once, inside the schedule search,
+    # and evaluated from the report that accepted it
+    traced_in_search = trace_log("chowreg.regulator")
     with workprec(192):
         v = regulator(z1, precision_bits=192)
         assert abs(v.value.value - mp.pi ** 2 / 6) < 1e-10
         assert len(v.agreement) == 3
         assert all(a["ok"] for a in v.agreement)
+    assert traced_in_search == [True] * 3
 
 
 def test_regulator_pipeline_point_cycle():
