@@ -602,6 +602,9 @@ class RFEvaluator:
 
     Caches complex coefficient arrays for num, den and their derivatives so
     repeated evaluation (path tracing, quadrature) costs only Horner loops.
+    ``solve`` is the one Newton loop for f(t) = w: each iteration evaluates
+    num and den once in ``residual`` and hands them to ``newton_step``, which
+    adds only num' and den', so an iteration costs four Horner passes.
     """
 
     __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc")
@@ -617,8 +620,11 @@ class RFEvaluator:
 
     @staticmethod
     def _horner(coeffs, t):
-        acc = mp.mpc(0)
-        for c in reversed(coeffs):
+        # seeding with +c_top rounds exactly as 0 * t + c_top would
+        if not coeffs:
+            return mp.mpc(0)
+        acc = +coeffs[-1]
+        for c in coeffs[-2::-1]:
             acc = acc * t + c
         return acc
 
@@ -633,10 +639,9 @@ class RFEvaluator:
         dp = self._horner(self.dpc, t)
         return np_ / n - dp / d
 
-    def newton_step(self, t, w):
-        """One Newton step for f(t) = w: t - (n - w d) d / (n' d - n d')."""
-        n = self._horner(self.nc, t)
-        d = self._horner(self.dc, t)
+    def newton_step(self, t, w, n, d):
+        """One Newton step for f(t) = w: t - (n - w d) d / (n' d - n d'),
+        given n = num(t) and d = den(t) from ``residual``."""
         np_ = self._horner(self.npc, t)
         dp = self._horner(self.dpc, t)
         denom = np_ * d - n * dp
@@ -644,10 +649,34 @@ class RFEvaluator:
             raise ZeroDivisionError("critical point in Newton step")
         return t - (n - w * d) * d / denom
 
-    def residual(self, t, w):
+    def residual(self, t, w, scale):
+        """(|n - w d| / (|d| scale), n, d) with n = num(t), d = den(t); the
+        caller passes scale = |w| + 1."""
         n = self._horner(self.nc, t)
         d = self._horner(self.dc, t)
-        return abs(n - w * d) / (abs(d) * (abs(w) + 1))
+        return abs(n - w * d) / (abs(d) * scale), n, d
+
+    def solve(self, t, w, tol, max_steps):
+        """Newton from t for f(t) = w at the working precision.
+
+        Returns the first iterate whose relative residual is below ``tol``,
+        or the one reached by a step at the rounding floor of t, about
+        2^(4 - prec) |t| (compared by binary magnitude), where the residual
+        stops falling: next to a finite pole it cannot reach ``tol``.
+        Returns None when ``max_steps`` steps do neither.  A critical point
+        raises ZeroDivisionError.
+        """
+        scale = abs(w) + 1
+        floor = 4 - mp.mp.prec
+        for _ in range(max_steps):
+            res, n, d = self.residual(t, w, scale)
+            if res < tol:
+                return t
+            t_next = self.newton_step(t, w, n, d)
+            if mp.mag(t_next - t) <= mp.mag(t) + floor:
+                return t_next
+            t = t_next
+        return None
 
 
 def _cyclo_to_expr(c):

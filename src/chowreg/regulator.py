@@ -122,11 +122,15 @@ def reg_n1(Z, phase, precision_bits=None):
         )
 
 
-def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level=9):
+def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level, nodes):
     """Double-exponential quadrature of an analytic integrand on [a, b].
 
     Error is estimated from the last level-to-level difference; estimates that
-    stop decreasing raise ConvergenceError.
+    stop decreasing raise ConvergenceError.  ``nodes`` maps each tau to its
+    abscissa tanh(pi/2 sinh tau) on [-1, 1] and weight, or to None where the
+    weight is below the floor.  Those depend only on tau and the working
+    precision, so one table, filled as levels are reached, serves every
+    segment integrated at that precision.
     """
     a = mp.mpf(a)
     b = mp.mpf(b)
@@ -138,23 +142,19 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level=9):
     w_floor = mp.mpf(2) ** (-precision_bits - 48)
     tau_max = mp.asinh(2 * mp.log(4 / eps_w) / mp.pi)
 
-    cache = {}
-
     def eval_at(tau):
-        val = cache.get(tau)
-        if val is None:
+        if tau not in nodes:
             s = mp.pi / 2 * mp.sinh(tau)
             w = mp.pi / 2 * mp.cosh(tau) / mp.cosh(s) ** 2
-            if w < w_floor:
-                val = mp.mpc(0)
-            else:
-                u = mid + half * mp.tanh(s)
-                if u <= a or u >= b:
-                    val = mp.mpc(0)
-                else:
-                    val = fn(u) * w
-            cache[tau] = val
-        return val
+            nodes[tau] = None if w < w_floor else (mp.tanh(s), w)
+        node = nodes[tau]
+        if node is None:
+            return mp.mpc(0)
+        x, w = node
+        u = mid + half * x
+        if u <= a or u >= b:
+            return mp.mpc(0)
+        return fn(u) * w
 
     h = mp.mpf(1)
     kmax = int(mp.ceil(tau_max / h))
@@ -185,6 +185,8 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level=9):
 
 _CHUNK_LENGTH = 8.0
 _MAX_LEVEL = 8
+# quadrature runs its integrand this many bits above the working precision
+_EXTRA_BITS = 16
 
 
 def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
@@ -197,23 +199,27 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
 
     The range is cut into bounded chunks and each chunk integrated by the
     double-exponential rule; chunks in the exponential tails converge at the
-    first levels, so the cost concentrates where the integrand lives.
+    first levels, so the cost concentrates where the integrand lives.  The
+    chunks share one node table, so each abscissa and weight is computed once
+    per call.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
     if tol is None:
         tol = float(mp.mpf(2) ** (-precision_bits // 3))
-    with workprec(precision_bits + 16):
+    with workprec(precision_bits + _EXTRA_BITS):
         u_lo, u_hi = mp.mpf(u_lo), mp.mpf(u_hi)
         span = u_hi - u_lo
         chunks = max(1, int(mp.ceil(span / _CHUNK_LENGTH)))
         step = span / chunks
         total = mp.mpc(0)
         err = 0.0
+        nodes = {}
         for k in range(chunks):
             a = u_lo + k * step
             b = u_lo + (k + 1) * step if k < chunks - 1 else u_hi
-            val, e = _tanh_sinh_segment(fn, a, b, tol, precision_bits, _MAX_LEVEL)
+            val, e = _tanh_sinh_segment(fn, a, b, tol, precision_bits,
+                                        _MAX_LEVEL, nodes)
             total += val
             err += e
         # truncation-tail allowance, only at true path ends
@@ -225,10 +231,11 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
         return ComplexApprox(total, err + 2.0 * tail)
 
 
-def _sided_log_branch(w, phase, guard, side_hint):
-    """log with argument in (-pi-phase, pi-phase]; the hint resolves values
-    inside the guard sliver around the cut by continuity from one side."""
-    phi = mp.arg(-w * mp.e ** (1j * phase))
+def _sided_log_branch(w, phase, rot, guard, side_hint):
+    """log with argument in (-pi-phase, pi-phase], given ``rot`` =
+    e^{i phase}; the hint resolves values inside the guard sliver around the
+    cut by continuity from one side."""
+    phi = mp.arg(-w * rot)
     if side_hint > 0:
         subtract = phi > -guard
     elif side_hint < 0:
@@ -272,6 +279,9 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
     rep = _admitted(Z, schedule, precision_bits)
     _, eps2, eps3 = rep.schedule.phases
     guard = mp.mpf(2) ** (-precision_bits // 2)
+    with workprec(precision_bits + _EXTRA_BITS):
+        # the cut rotation at the precision the integrand runs at
+        rot2 = mp.e ** (1j * eps2)
     with workprec(precision_bits):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         total = mp.mpc(0)
@@ -331,7 +341,7 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
                             else:
                                 hint = _l if (u - _a) <= (_b - u) else _r
                                 lg2 = _sided_log_branch(ev2.value(t), eps2,
-                                                        guard, hint)
+                                                        rot2, guard, hint)
                             return -(lg2 * ev3q.dlog(t)) / _path.evaluator.dlog(t)
 
                         piece = quadrature(fn, a, b,

@@ -116,8 +116,9 @@ class TracedPath:
 
     ``sigmas`` are log-radii in decreasing order; ``points`` the corresponding
     parameter values.  ``point_at`` re-solves the defining equation at any
-    log-radius by warm-started Newton, so downstream quadrature can sample the
-    exact path rather than interpolating.
+    log-radius by Newton warm-started from the nearest sample, so downstream
+    quadrature can sample the exact path rather than interpolating.  It runs
+    ``RFEvaluator.solve``, the Newton loop the trace itself steps with.
     """
 
     coord_index: int
@@ -152,14 +153,12 @@ class TracedPath:
 
     def _newton_to(self, t, sigma, tol):
         w = (mp.e ** mp.mpf(sigma)) * self._direction
-        for _ in range(60):
-            res = self.evaluator.residual(t, w)
-            if res < tol:
-                return t
-            t = self.evaluator.newton_step(t, w)
-        raise ConvergenceError(
-            f"path refinement stalled at log-radius {float(sigma):.4f}"
-        )
+        t = self.evaluator.solve(t, w, tol, 60)
+        if t is None:
+            raise ConvergenceError(
+                f"path refinement stalled at log-radius {float(sigma):.4f}"
+            )
+        return t
 
     def point_at(self, sigma, tol=None):
         """Solve f(t) = e^sigma * e^(i(pi-phase)) on this branch."""
@@ -269,20 +268,12 @@ def trace_wavefront(component, coord_index, phase, grid=None,
             sigma = sigma - h
             w = w_at(sigma)
             new_pts = []
-            ok = True
             for t in current:
                 try:
-                    tn = t
-                    for _ in range(40):
-                        if ev.residual(tn, w) < tol:
-                            break
-                        tn = ev.newton_step(tn, w)
-                    else:
-                        ok = False
-                    new_pts.append(tn)
+                    new_pts.append(ev.solve(t, w, tol, 40))
                 except ZeroDivisionError:
-                    ok = False
-                    new_pts.append(t)
+                    new_pts.append(None)
+            ok = all(t is not None for t in new_pts)
             # detect collisions / lost branches
             if ok and d > 1:
                 for a in range(d):
@@ -309,6 +300,7 @@ def trace_wavefront(component, coord_index, phase, grid=None,
             for k in range(d):
                 branches[k].append((sigma, current[k]))
 
+        rot = _rotation(phase)
         paths = []
         for samples in branches:
             sigmas = [s for s, _ in samples]
@@ -325,7 +317,7 @@ def trace_wavefront(component, coord_index, phase, grid=None,
                         f"{mp.nstr(t, 8)} at radius {mp.nstr(mp.e ** s, 8)} lands "
                         f"on a pole or zero at {precision_bits} bits; raise the "
                         "working precision")
-                residuals.append(float(abs(mp.arg(-val * mp.e ** (1j * mp.mpf(phase))))))
+                residuals.append(_on_cut_margin(val, rot))
             paths.append(
                 TracedPath(
                     coord_index=coord_index,
@@ -349,9 +341,16 @@ class WavefrontIntersection:
     sigma: object
 
 
-def _principal_arg_residual(value, phase):
-    """arg(e^{i phase} value) - pi, wrapped to (-pi, pi]."""
-    return mp.arg(-value * mp.e ** (1j * mp.mpf(phase)))
+def _rotation(phase):
+    """e^{i phase} at the working precision: multiplying a value by it puts
+    the phase's cut ray on the negative real axis."""
+    return mp.e ** (1j * mp.mpf(phase))
+
+
+def _principal_arg_residual(value, rot):
+    """arg(rot value) - pi, wrapped to (-pi, pi]; ``rot`` is the phase's
+    ``_rotation``."""
+    return mp.arg(-value * rot)
 
 
 def find_pair_intersections(component, paths_i, j, phase_j,
@@ -369,13 +368,13 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         return out
     with workprec(precision_bits):
         f_j_ev = RFEvaluator(component.coords[j - 1], precision_bits)
+        rot_j = _rotation(phase_j)
         for path in paths_i:
             f_i_ev = path.evaluator
-            rot = mp.e ** (1j * mp.mpf(phase_j))
             ims = []
             res = []
             for t in path.points:
-                v = f_j_ev.value(t) * rot
+                v = f_j_ev.value(t) * rot_j
                 ims.append(v.imag)
                 res.append(v.real)
             for k in range(len(ims) - 1):
@@ -386,9 +385,8 @@ def find_pair_intersections(component, paths_i, j, phase_j,
                     continue
                 if res[k] > 0 and res[k + 1] > 0:
                     continue  # positive-axis crossing, not the cut
-                t_c = _refine_crossing(path, f_i_ev, f_j_ev, path.phase, phase_j,
-                                       path.sigmas[k], path.sigmas[k + 1],
-                                       precision_bits)
+                t_c = _refine_crossing(path, f_j_ev, rot_j, path.sigmas[k],
+                                       path.sigmas[k + 1], precision_bits)
                 if t_c is None:
                     continue
                 g_i = f_i_ev.dlog(t_c)
@@ -423,10 +421,11 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     return out
 
 
-def _refine_crossing(path, f_i_ev, f_j_ev, phase_i, phase_j, s_hi, s_lo,
-                     precision_bits):
-    """Bisection bracket then 2d Newton on both argument conditions."""
-    rot_j = mp.e ** (1j * mp.mpf(phase_j))
+def _refine_crossing(path, f_j_ev, rot_j, s_hi, s_lo, precision_bits):
+    """Bisection bracket then 2d Newton on both argument conditions;
+    ``rot_j`` is the second phase's ``_rotation``."""
+    f_i_ev = path.evaluator
+    rot_i = _rotation(path.phase)
 
     def im_j(sigma):
         return (f_j_ev.value(path.point_at(sigma)) * rot_j).imag
@@ -443,8 +442,8 @@ def _refine_crossing(path, f_i_ev, f_j_ev, phase_i, phase_j, s_hi, s_lo,
     t = path.point_at((a + b) / 2)
     tol = mp.mpf(2) ** (16 - precision_bits)
     for _ in range(80):
-        r1 = _principal_arg_residual(f_i_ev.value(t), phase_i)
-        r2 = _principal_arg_residual(f_j_ev.value(t), phase_j)
+        r1 = _principal_arg_residual(f_i_ev.value(t), rot_i)
+        r2 = _principal_arg_residual(f_j_ev.value(t), rot_j)
         if abs(r1) < tol and abs(r2) < tol:
             break
         g1 = f_i_ev.dlog(t)
@@ -501,10 +500,11 @@ class AdmissibilityReport:
         }
 
 
-def _on_cut_margin(value, phase):
-    """Angular distance of a nonzero finite value from the phase's cut ray."""
+def _on_cut_margin(value, rot):
+    """Angular distance of a nonzero finite value from a cut ray, given the
+    ray's phase as its ``_rotation``."""
     v = value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
-    return float(abs(mp.arg(-v * mp.e ** (1j * mp.mpf(phase)))))
+    return float(abs(_principal_arg_residual(v, rot)))
 
 
 def _critical_values(f, precision_bits):
@@ -575,21 +575,21 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
     crossings = {}
     cut_tol = max(float(tol), 1e-12)
     with workprec(precision_bits):
+        rots = [_rotation(p) for p in schedule.phases]
         for ci, comp in enumerate(Z.components):
             # (a) no critical value on a cut ray; off-cut constants
             for i in range(1, Z.n + 1):
                 f = comp.coords[i - 1]
-                phase = schedule.phases[i - 1]
                 if f.is_constant():
                     cval = embed(f.constant_value(), precision_bits)
-                    if _on_cut_margin(cval, phase) < cut_tol:
+                    if _on_cut_margin(cval, rots[i - 1]) < cut_tol:
                         failures.append(AdmissibilityFailure(
                             "constant-on-cut", ci,
                             f"coordinate {i} is constant on its cut",
                             cval))
                     continue
                 for point, value in _critical_values(f, precision_bits):
-                    margin = _on_cut_margin(value, phase)
+                    margin = _on_cut_margin(value, rots[i - 1])
                     if margin < cut_tol:
                         failures.append(AdmissibilityFailure(
                             "critical-value", ci,
@@ -622,7 +622,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                     v = _coordinate_value_at(comp, 1, pt.location)
                     if v is INF or v == 0:
                         continue
-                    margin = _on_cut_margin(v, schedule.phases[0])
+                    margin = _on_cut_margin(v, rots[0])
                     if margin < cut_tol:
                         failures.append(AdmissibilityFailure(
                             "face-on-cut", ci,
@@ -637,7 +637,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                         v = _coordinate_value_at(comp, k, pt.location)
                         if v is INF or v == 0:
                             continue
-                        margin = _on_cut_margin(v, schedule.phases[k - 1])
+                        margin = _on_cut_margin(v, rots[k - 1])
                         if margin < cut_tol:
                             entry = AdmissibilityFailure(
                                 "endpoint-on-cut", ci,
@@ -665,7 +665,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                             v = RFEvaluator(fk, precision_bits).value(c.t.value)
                         if v == 0:
                             continue
-                        margin = _on_cut_margin(v, schedule.phases[k - 1])
+                        margin = _on_cut_margin(v, rots[k - 1])
                         if margin < cut_tol:
                             failures.append(AdmissibilityFailure(
                                 "triple", ci,

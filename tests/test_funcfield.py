@@ -10,11 +10,14 @@ from chowreg import (
     INF,
     Poly,
     RationalFunction,
+    fixture_names,
     join_coordinates,
+    load_fixture,
     rf_arith,
     roots_numeric,
     workprec,
 )
+from chowreg.funcfield import RFEvaluator
 
 
 def rf(order=1):
@@ -229,3 +232,30 @@ def test_roots_numeric_golden():
         roots = sorted(roots_numeric(p, 128), key=lambda rm: float(rm[0].value.real))
         assert abs(roots[1][0].value - (1 + mp.sqrt(5)) / 2) < 1e-30
         assert abs(roots[0][0].value - (1 - mp.sqrt(5)) / 2) < 1e-30
+
+
+def _zero_seeded_horner(coeffs, t):
+    acc = mp.mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_horner_seed_is_bit_identical_to_zero_seed(bits):
+    # num, den, num' and den' of every coordinate, and each of their
+    # truncations (the empty list among them), so that every coefficient,
+    # the inexact embeddings of zeta included, serves once as the seed
+    points = [mp.mpc("0.3", "0.7"), mp.mpc("-2.5", "1.25"), mp.mpc("1e3", "-1e-3"),
+              mp.mpc("1e-20", "3")]
+    with workprec(bits):
+        for name in fixture_names():
+            for comp in load_fixture(name).components:
+                for f in comp.coords:
+                    ev = RFEvaluator(f, bits)
+                    for coeffs in (ev.nc, ev.dc, ev.npc, ev.dpc):
+                        for k in range(len(coeffs) + 1):
+                            for t in points:
+                                got = RFEvaluator._horner(coeffs[:k], t)
+                                want = _zero_seeded_horner(coeffs[:k], t)
+                                assert got._mpc_ == want._mpc_

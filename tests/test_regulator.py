@@ -29,6 +29,8 @@ from chowreg import (
     workprec,
 )
 from chowreg.regulator import (
+    _EXTRA_BITS,
+    _MAX_LEVEL,
     RegulatorValue,
     _canonical_mod_lattice,
     _tanh_sinh_segment,
@@ -174,9 +176,45 @@ def test_segment_rule_log_kernel():
     # int_0^1 log(1+u)/u du = pi^2/12
     with workprec(160):
         val, err = _tanh_sinh_segment(lambda u: mp.log(1 + u) / u,
-                                      mp.mpf(0), mp.mpf(1), 1e-30, 160)
+                                      mp.mpf(0), mp.mpf(1), 1e-30, 160, 9, {})
         assert abs(val - mp.pi ** 2 / 12) < 1e-25
         assert err < 1e-25
+
+
+def test_quadrature_chunks_share_one_node_table(monkeypatch):
+    # one table per call gives the same sum, bit for bit, as a fresh table
+    # per chunk, and computes each abscissa once
+    tanh_calls = []
+    tanh = mp.tanh
+
+    def counting_tanh(x):
+        tanh_calls.append(x)
+        return tanh(x)
+
+    monkeypatch.setattr(mp, "tanh", counting_tanh)
+
+    def fn(u):
+        return mp.mpc(1, u) / (1 + u * u)
+
+    bits = 128
+    u_lo, u_hi = mp.mpf("-3"), mp.mpf(29)  # 4 chunks of length 8
+    with workprec(bits):
+        got = quadrature(fn, u_lo, u_hi, precision_bits=bits,
+                         tails=(False, False))
+    shared_calls = len(tanh_calls)
+    tol = float(mp.mpf(2) ** (-bits // 3))
+    total, err, fresh_calls = mp.mpc(0), 0.0, []
+    with workprec(bits + _EXTRA_BITS):
+        for k in range(4):
+            del tanh_calls[:]
+            val, e = _tanh_sinh_segment(fn, u_lo + 8 * k, u_lo + 8 * (k + 1),
+                                        tol, bits, _MAX_LEVEL, {})
+            total += val
+            err += e
+            fresh_calls.append(len(tanh_calls))
+    assert got.value._mpc_ == total._mpc_
+    assert got.radius == err
+    assert shared_calls == max(fresh_calls) < sum(fresh_calls)
 
 
 def test_reg_n3_z1(z1):

@@ -17,6 +17,7 @@ from chowreg import (
     trace_wavefront,
     workprec,
 )
+from chowreg.funcfield import RFEvaluator
 
 
 def t_var(order=1):
@@ -132,6 +133,60 @@ def test_branch_count_equals_degree():
             phase = mp.mpf(rng.uniform(0.05, 0.3))
             paths = trace_wavefront(comp, 1, phase, grid=300, precision_bits=128)
             assert len(paths) == f.degree_map
+
+
+def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
+    # point_at solves through the class's residual and newton_step, the
+    # methods the benchmark counts, at four Horner passes per iteration
+    phase = mp.mpf("0.1")
+    with workprec(128):
+        (path,) = trace_wavefront(z1.components[0], 1, phase, grid=300,
+                                  precision_bits=128)
+        counts = {"residual": 0, "newton_step": 0, "_horner": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("residual", "newton_step"):
+            monkeypatch.setattr(RFEvaluator, name,
+                                counting(name, getattr(RFEvaluator, name)))
+        monkeypatch.setattr(RFEvaluator, "_horner",
+                            staticmethod(counting("_horner", RFEvaluator._horner)))
+        sigma = (path.sigmas[100] + path.sigmas[101]) / 2
+        t = path.point_at(sigma)
+        k = counts["residual"]
+        assert k >= 3
+        assert counts["newton_step"] == k - 1
+        assert counts["_horner"] == 2 * k + 2 * (k - 1)
+        target = mp.e ** sigma * mp.e ** (1j * (mp.pi - phase))
+        assert abs(path.evaluator.value(t) - target) < 1e-30 * abs(target)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
+                                                     bits):
+    # next to the pole t = 2 of (t - 4)/(t - 2) the relative residual cannot
+    # reach its tolerance; Newton stops at the rounding floor instead of
+    # handing every step to a polyroots re-solve
+    calls = []
+    polyroots = mp.polyroots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", counting)
+    with workprec(bits):
+        (path,) = trace_wavefront(graph_4_2.components[0], 2, mp.mpf("0.1"),
+                                  precision_bits=bits)
+        assert len(calls) == 1  # the seed at the largest radius
+        bound = 2.0 ** (-bits // 3)
+        assert max(path.arg_residuals) < bound
+        for sigma, t in zip(path.sigmas, path.points):
+            assert abs(mp.log(abs(path.evaluator.value(t))) - sigma) < bound
 
 
 def test_pair_intersections_z1_empty(z1):
