@@ -602,9 +602,11 @@ class RFEvaluator:
 
     Caches complex coefficient arrays for num, den and their derivatives so
     repeated evaluation (path tracing, quadrature) costs only Horner loops.
-    ``solve`` is the one Newton loop for f(t) = w: each iteration evaluates
-    num and den once in ``residual`` and hands them to ``newton_step``, which
-    adds only num' and den', so an iteration costs four Horner passes.
+    ``solve`` is the one Newton loop for f(t) = w.  It steps on the level-set
+    polynomial num - w den rather than on the rational function f - w, so a
+    Moebius f (both polynomials of degree at most 1) is solved by one step.
+    Each iteration evaluates num and den once in ``residual`` and hands them
+    to ``newton_step``, which adds only num' and den': four Horner passes.
     """
 
     __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc")
@@ -631,23 +633,26 @@ class RFEvaluator:
     def value(self, t):
         return self._horner(self.nc, t) / self._horner(self.dc, t)
 
-    def dlog(self, t):
-        """f'/f at t; caller keeps t away from zeros and poles."""
-        n = self._horner(self.nc, t)
-        d = self._horner(self.dc, t)
+    def dlog(self, t, n=None, d=None):
+        """f'/f at t; caller keeps t away from zeros and poles.  ``n`` and
+        ``d`` are num(t) and den(t) when the caller already has them."""
+        if n is None:
+            n = self._horner(self.nc, t)
+            d = self._horner(self.dc, t)
         np_ = self._horner(self.npc, t)
         dp = self._horner(self.dpc, t)
         return np_ / n - dp / d
 
     def newton_step(self, t, w, n, d):
-        """One Newton step for f(t) = w: t - (n - w d) d / (n' d - n d'),
-        given n = num(t) and d = den(t) from ``residual``."""
+        """One Newton step for num(t) - w den(t) = 0:
+        t - (n - w d) / (n' - w d'), given n = num(t) and d = den(t) from
+        ``residual``."""
         np_ = self._horner(self.npc, t)
         dp = self._horner(self.dpc, t)
-        denom = np_ * d - n * dp
-        if denom == 0:
+        slope = np_ - w * dp
+        if slope == 0:
             raise ZeroDivisionError("critical point in Newton step")
-        return t - (n - w * d) * d / denom
+        return t - (n - w * d) / slope
 
     def residual(self, t, w, scale):
         """(|n - w d| / (|d| scale), n, d) with n = num(t), d = den(t); the
@@ -657,24 +662,26 @@ class RFEvaluator:
         return abs(n - w * d) / (abs(d) * scale), n, d
 
     def solve(self, t, w, tol, max_steps):
-        """Newton from t for f(t) = w at the working precision.
+        """Newton from t for f(t) = w at the working precision, stepping on
+        num - w den.
 
-        Returns the first iterate whose relative residual is below ``tol``,
-        or the one reached by a step at the rounding floor of t, about
-        2^(4 - prec) |t| (compared by binary magnitude), where the residual
-        stops falling: next to a finite pole it cannot reach ``tol``.
-        Returns None when ``max_steps`` steps do neither.  A critical point
-        raises ZeroDivisionError.
+        Returns (t, num(t), den(t)) for the first iterate whose relative
+        residual is below ``tol``, or for the one reached by a step at the
+        rounding floor of t, about 2^(4 - prec) |t| (compared by binary
+        magnitude), where the residual stops falling: next to a finite pole
+        it cannot reach ``tol``.  Returns None when ``max_steps`` steps do
+        neither.  A critical point raises ZeroDivisionError.
         """
         scale = abs(w) + 1
         floor = 4 - mp.mp.prec
         for _ in range(max_steps):
             res, n, d = self.residual(t, w, scale)
             if res < tol:
-                return t
+                return t, n, d
             t_next = self.newton_step(t, w, n, d)
             if mp.mag(t_next - t) <= mp.mag(t) + floor:
-                return t_next
+                return (t_next, self._horner(self.nc, t_next),
+                        self._horner(self.dc, t_next))
             t = t_next
         return None
 

@@ -281,7 +281,7 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
     guard = mp.mpf(2) ** (-precision_bits // 2)
     with workprec(precision_bits + _EXTRA_BITS):
         # the cut rotation at the precision the integrand runs at
-        rot2 = mp.e ** (1j * eps2)
+        rot2 = mp.expj(eps2)
     with workprec(precision_bits):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         total = mp.mpc(0)
@@ -335,14 +335,17 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
 
                         def fn(u, _a=a, _b=b, _l=left_sign, _r=right_sign,
                                _path=path):
-                            t = _path.point_at(-u)
+                            # num and den of coordinate 1 at t, as the
+                            # solve left them, serve its dlog
+                            t, n1, d1 = _path.solve_at(-u)
                             if const_log2 is not None:
                                 lg2 = const_log2
                             else:
                                 hint = _l if (u - _a) <= (_b - u) else _r
                                 lg2 = _sided_log_branch(ev2.value(t), eps2,
                                                         rot2, guard, hint)
-                            return -(lg2 * ev3q.dlog(t)) / _path.evaluator.dlog(t)
+                            return (-(lg2 * ev3q.dlog(t))
+                                    / _path.evaluator.dlog(t, n1, d1))
 
                         piece = quadrature(fn, a, b,
                                            precision_bits=precision_bits,

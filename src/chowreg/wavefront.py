@@ -2,10 +2,13 @@
 
 For a curve component t -> (f_1(t), ..., f_n(t)) and phases (eps_1, ..., eps_n),
 the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
-traced as |f_i| level sets: for log-spaced radii r we solve f_i(t) = r *
-exp(i(pi - eps_i)) and join solutions by nearest-neighbor continuation, giving
-one oriented path per branch, running from a pole of f_i (r -> oo) to a zero
-(r -> 0).  Crossings of the first locus with the second cut are refined by a
+traced as |f_i| level sets: for log-spaced radii r we solve f_i(t) = w with
+w = r * exp(i(pi - eps_i)) and join solutions by nearest-neighbor
+continuation, giving one oriented path per branch, running from a pole of f_i
+(r -> oo) to a zero (r -> 0).  Each solve is Newton on the level-set
+polynomial num_i - w den_i, warm-started from the previous sample; on a
+Moebius coordinate that polynomial is linear and one step lands on the root.
+Crossings of the first locus with the second cut are refined by a
 two-dimensional Newton iteration on the two argument conditions; their sign
 is the sign of the crossing derivative of arg f_2 along the oriented path.
 
@@ -118,7 +121,8 @@ class TracedPath:
     parameter values.  ``point_at`` re-solves the defining equation at any
     log-radius by Newton warm-started from the nearest sample, so downstream
     quadrature can sample the exact path rather than interpolating.  It runs
-    ``RFEvaluator.solve``, the Newton loop the trace itself steps with.
+    ``RFEvaluator.solve``, the Newton loop the trace itself steps with;
+    ``solve_at`` also hands on the num(t) and den(t) that loop computed.
     """
 
     coord_index: int
@@ -131,7 +135,7 @@ class TracedPath:
 
     def __post_init__(self):
         if self._direction is None:
-            self._direction = mp.e ** (1j * (mp.pi - mp.mpf(self.phase)))
+            self._direction = mp.expj(mp.pi - mp.mpf(self.phase))
 
     @property
     def sigma_hi(self):
@@ -152,16 +156,21 @@ class TracedPath:
         return lo if abs(self.sigmas[lo] - sigma) <= abs(self.sigmas[hi] - sigma) else hi
 
     def _newton_to(self, t, sigma, tol):
-        w = (mp.e ** mp.mpf(sigma)) * self._direction
-        t = self.evaluator.solve(t, w, tol, 60)
-        if t is None:
+        w = mp.exp(mp.mpf(sigma)) * self._direction
+        hit = self.evaluator.solve(t, w, tol, 60)
+        if hit is None:
             raise ConvergenceError(
                 f"path refinement stalled at log-radius {float(sigma):.4f}"
             )
-        return t
+        return hit
 
     def point_at(self, sigma, tol=None):
         """Solve f(t) = e^sigma * e^(i(pi-phase)) on this branch."""
+        return self.solve_at(sigma, tol)[0]
+
+    def solve_at(self, sigma, tol=None):
+        """``point_at`` as (t, num(t), den(t)), the last two as the solve
+        computed them."""
         if tol is None:
             tol = mp.mpf(2) ** (12 - mp.mp.prec)
         sigma = mp.mpf(sigma)
@@ -173,7 +182,7 @@ class TracedPath:
             step = mp.mpf("0.5") * (1 if sigma > s else -1)
             while abs(sigma - s) > mp.mpf("0.5"):
                 s += step
-                t = self._newton_to(t, s, tol)
+                t = self._newton_to(t, s, tol)[0]
             return self._newton_to(t, sigma, tol)
         k = self._nearest_index(sigma)
         return self._newton_to(self.points[k], sigma, tol)
@@ -217,7 +226,7 @@ def trace_wavefront(component, coord_index, phase, grid=None,
     with workprec(precision_bits):
         ev = RFEvaluator(f, precision_bits)
         d = f.degree_map
-        direction = mp.e ** (1j * (mp.pi - mp.mpf(phase)))
+        direction = mp.expj(mp.pi - mp.mpf(phase))
         sigma_hi = mp.mpf(SIGMA_SPAN_DEFAULT)
         sigma_lo = -mp.mpf(SIGMA_SPAN_DEFAULT)
         steps = int(grid)
@@ -226,7 +235,7 @@ def trace_wavefront(component, coord_index, phase, grid=None,
         collision_tol = mp.mpf(2) ** (-precision_bits // 2)
 
         def w_at(sigma):
-            return (mp.e ** sigma) * direction
+            return mp.exp(sigma) * direction
 
         def full_solve(sigma):
             w = w_at(sigma)
@@ -270,9 +279,10 @@ def trace_wavefront(component, coord_index, phase, grid=None,
             new_pts = []
             for t in current:
                 try:
-                    new_pts.append(ev.solve(t, w, tol, 40))
+                    hit = ev.solve(t, w, tol, 40)
                 except ZeroDivisionError:
-                    new_pts.append(None)
+                    hit = None
+                new_pts.append(None if hit is None else hit[0])
             ok = all(t is not None for t in new_pts)
             # detect collisions / lost branches
             if ok and d > 1:
@@ -344,7 +354,7 @@ class WavefrontIntersection:
 def _rotation(phase):
     """e^{i phase} at the working precision: multiplying a value by it puts
     the phase's cut ray on the negative real axis."""
-    return mp.e ** (1j * mp.mpf(phase))
+    return mp.expj(mp.mpf(phase))
 
 
 def _principal_arg_residual(value, rot):
@@ -605,34 +615,30 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                     failures.append(AdmissibilityFailure(
                         "trace", ci, f"coordinate 1: {exc}"))
 
-            # facet parameters: where any coordinate hits 0 or oo
-            facet_params = []
-            for k in range(1, Z.n + 1):
-                fk = comp.coords[k - 1]
-                if fk.is_constant():
-                    continue
-                for pt in fk.divisor():
-                    facet_params.append((k, pt))
-
-            # (d) facet parameters keep off the first cut
+            # (d) facet parameters, where any coordinate hits 0 or oo, keep
+            # off the first cut; endpoints of the first locus (its divisor)
+            # avoid the later cuts
             if not f1.is_constant():
-                for k, pt in facet_params:
+                divisors = {k: comp.coords[k - 1].divisor()
+                            for k in range(1, Z.n + 1)
+                            if not comp.coords[k - 1].is_constant()}
+                for k, points in divisors.items():
                     if k == 1:
                         continue
-                    v = _coordinate_value_at(comp, 1, pt.location)
-                    if v is INF or v == 0:
-                        continue
-                    margin = _on_cut_margin(v, rots[0])
-                    if margin < cut_tol:
-                        failures.append(AdmissibilityFailure(
-                            "face-on-cut", ci,
-                            f"coordinate {k} facet parameter lies on the first cut "
-                            f"(margin {margin:.2e})",
-                            pt.location if isinstance(pt.location, ComplexApprox)
-                            else None))
+                    for pt in points:
+                        v = _coordinate_value_at(comp, 1, pt.location)
+                        if v is INF or v == 0:
+                            continue
+                        margin = _on_cut_margin(v, rots[0])
+                        if margin < cut_tol:
+                            failures.append(AdmissibilityFailure(
+                                "face-on-cut", ci,
+                                f"coordinate {k} facet parameter lies on the "
+                                f"first cut (margin {margin:.2e})",
+                                pt.location if isinstance(pt.location, ComplexApprox)
+                                else None))
 
-                # (d) endpoints of the first locus avoid the later cuts
-                for pt in f1.divisor():
+                for pt in divisors[1]:
                     for k in range(2, Z.n + 1):
                         v = _coordinate_value_at(comp, k, pt.location)
                         if v is INF or v == 0:
@@ -656,13 +662,16 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                 except ScheduleError as exc:
                     failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
                     crossings[ci] = []
+                later = {k: RFEvaluator(comp.coords[k - 1], precision_bits)
+                         for k in range(3, Z.n + 1)
+                         if not comp.coords[k - 1].is_constant()}
                 for c in crossings[ci]:
                     for k in range(3, Z.n + 1):
-                        fk = comp.coords[k - 1]
-                        if fk.is_constant():
-                            v = embed(fk.constant_value(), precision_bits).value
+                        if k in later:
+                            v = later[k].value(c.t.value)
                         else:
-                            v = RFEvaluator(fk, precision_bits).value(c.t.value)
+                            v = embed(comp.coords[k - 1].constant_value(),
+                                      precision_bits).value
                         if v == 0:
                             continue
                         margin = _on_cut_margin(v, rots[k - 1])

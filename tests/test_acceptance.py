@@ -103,6 +103,17 @@ def test_criterion_3_petras_value_and_torsion(petras_result):
             f"{elapsed:.1f}s")
 
 
+def test_headline_balls_contain_their_oracles(z1_result, petras_result):
+    # the reported radius itself bounds the error, with each oracle
+    # evaluated 64 bits above the working precision
+    for (v, _), target in ((z1_result, lambda: mp.pi ** 2 / 6),
+                           (petras_result, lambda: 7 * mp.pi ** 2 / 30)):
+        with workprec(PRECISION + 64):
+            err = abs(mp.mpc(v.value.value) - target())
+        assert err <= v.value.radius, (
+            f"error {mp.nstr(err, 3)} > radius {v.value.radius:.3g}")
+
+
 def test_criterion_4_counterexample_reproduction():
     Z = load_fixture("mccarthy_counterexample")
     bits = 128

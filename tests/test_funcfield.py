@@ -17,6 +17,7 @@ from chowreg import (
     roots_numeric,
     workprec,
 )
+from chowreg.field import embed
 from chowreg.funcfield import RFEvaluator
 
 
@@ -259,3 +260,65 @@ def test_horner_seed_is_bit_identical_to_zero_seed(bits):
                                 got = RFEvaluator._horner(coeffs[:k], t)
                                 want = _zero_seeded_horner(coeffs[:k], t)
                                 assert got._mpc_ == want._mpc_
+
+
+def _moebius_coordinates():
+    # the first coordinates of the Totaro, Petras and McCarthy fixtures
+    # (den = 1 for i*t - 1) and one whose num has no unit coefficient.  Each
+    # has its pole at 0 or oo: next to a finite nonzero pole the relative
+    # residual cannot reach its tolerance and the floor rule takes a second
+    # step.  Each has a nonzero zero: at |w| = e^-56 the root sits next to
+    # it, and a seed whose residual exceeds the 53-bit tolerance lies within
+    # a factor of the root
+    one5 = RationalFunction.from_rational(1, 5)
+    zeta = RationalFunction.constant(CyclotomicNumber.zeta(5))
+    i = RationalFunction.constant(CyclotomicNumber.zeta(4))
+    return [1 - 1 / rf(), one5 - zeta / rf(5), one5 - zeta ** 4 / rf(5),
+            i * rf(4) - 1, (2 * rf() + 3) / (5 * rf())]
+
+
+def _linear_coeffs(p, prec):
+    cs = [embed(c, prec).value for c in p.coeffs]
+    return cs + [mp.mpc(0)] * (2 - len(cs))
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
+    # num - w den is linear, so one Newton step reaches its root
+    # t = (w d0 - n0) / (n1 - w d1) to rounding.  Near the pole (|w| = e^56)
+    # the seed is the neighbouring trace sample; near the zero (|w| = e^-56)
+    # it is the root at |w| = e^-8, far enough that its residual exceeds
+    # the tolerance
+    steps = []
+    newton_step = RFEvaluator.newton_step
+
+    def counting(self, *args):
+        steps.append(args)
+        return newton_step(self, *args)
+
+    monkeypatch.setattr(RFEvaluator, "newton_step", counting)
+    direction = mp.expj(mp.pi - mp.mpf("0.1"))
+    for f in _moebius_coordinates():
+        assert f.degree_map == 1
+
+        def closed_form(w, prec):
+            with workprec(prec):
+                n0, n1 = _linear_coeffs(f.num, prec)
+                d0, d1 = _linear_coeffs(f.den, prec)
+                return (w * d0 - n0) / (n1 - w * d1)
+
+        for sigma, seed_sigma in ((56, mp.mpf("56.2")), (-56, -8)):
+            with workprec(bits):
+                ev = RFEvaluator(f, bits)
+                w = mp.exp(sigma) * direction
+                seed = closed_form(mp.exp(seed_sigma) * direction, bits)
+                del steps[:]
+                t, n, d = ev.solve(seed, w, mp.mpf(2) ** (16 - bits), 40)
+                assert len(steps) == 1
+                assert n == RFEvaluator._horner(ev.nc, t)
+                assert d == RFEvaluator._horner(ev.dc, t)
+                if n != 0:  # at 53 bits t = 1 + w rounds onto the zero 1
+                    assert ev.dlog(t, n, d) == ev.dlog(t)
+            with workprec(bits + 64):
+                exact = closed_form(w, bits + 64)
+                assert abs(t - exact) <= mp.mpf(2) ** (4 - bits) * abs(exact)

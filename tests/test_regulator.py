@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -36,6 +37,7 @@ from chowreg.regulator import (
     _tanh_sinh_segment,
     lattice_difference,
 )
+from chowreg.funcfield import RFEvaluator
 from chowreg.numeric import ComplexApprox
 
 
@@ -223,6 +225,39 @@ def test_reg_n3_z1(z1):
         v = reg_n3(z1, s, precision_bits=256)
         assert abs(v.value.value - mp.pi ** 2 / 6) < 1e-10
         assert v.quadrature_error < 1e-12
+
+
+def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
+    # coordinate 1 of the Totaro curve is Moebius, so Newton on
+    # num - w den lands each quadrature node in one step from its sample
+    regulator_module = importlib.import_module("chowreg.regulator")
+    counts = {"nodes": 0, "steps": 0}
+    inside = []
+    quad = regulator_module.quadrature
+    newton_step = RFEvaluator.newton_step
+
+    def counting_quadrature(fn, *args, **kwargs):
+        def node(u):
+            counts["nodes"] += 1
+            return fn(u)
+
+        inside.append(True)
+        try:
+            return quad(node, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_step(self, *args):
+        if inside:
+            counts["steps"] += 1
+        return newton_step(self, *args)
+
+    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
+    monkeypatch.setattr(RFEvaluator, "newton_step", counting_step)
+    with workprec(128):
+        reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
+    assert counts["nodes"] > 0
+    assert counts["steps"] <= counts["nodes"]
 
 
 def test_reg_n3_z_square_oracle(z_square):

@@ -117,60 +117,18 @@ def test_trace_square_has_two_branches():
         assert abs(args[0] - expect_lo) < 1e-12
 
 
-def test_branch_count_equals_degree():
-    rng = random.Random(37)
+def _higher_degree_candidates():
     t = t_var()
-    candidates = [
+    return [
         (t * t - 2) / (t + 5),
         (t ** 3 - t - 3) / (t - 2),
         (t * t + t + 1),
         1 / (t * t * t - 2),
         (t - 1) * (t + 2) / ((t - 3) * (t + 4)),
     ]
-    with workprec(128):
-        for f in candidates:
-            comp = CurveComponent(2, (f, RationalFunction.from_rational(7, 1)), 1)
-            phase = mp.mpf(rng.uniform(0.05, 0.3))
-            paths = trace_wavefront(comp, 1, phase, grid=300, precision_bits=128)
-            assert len(paths) == f.degree_map
 
 
-def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
-    # point_at solves through the class's residual and newton_step, the
-    # methods the benchmark counts, at four Horner passes per iteration
-    phase = mp.mpf("0.1")
-    with workprec(128):
-        (path,) = trace_wavefront(z1.components[0], 1, phase, grid=300,
-                                  precision_bits=128)
-        counts = {"residual": 0, "newton_step": 0, "_horner": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("residual", "newton_step"):
-            monkeypatch.setattr(RFEvaluator, name,
-                                counting(name, getattr(RFEvaluator, name)))
-        monkeypatch.setattr(RFEvaluator, "_horner",
-                            staticmethod(counting("_horner", RFEvaluator._horner)))
-        sigma = (path.sigmas[100] + path.sigmas[101]) / 2
-        t = path.point_at(sigma)
-        k = counts["residual"]
-        assert k >= 3
-        assert counts["newton_step"] == k - 1
-        assert counts["_horner"] == 2 * k + 2 * (k - 1)
-        target = mp.e ** sigma * mp.e ** (1j * (mp.pi - phase))
-        assert abs(path.evaluator.value(t) - target) < 1e-30 * abs(target)
-
-
-@pytest.mark.parametrize("bits", [128, 256])
-def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
-                                                     bits):
-    # next to the pole t = 2 of (t - 4)/(t - 2) the relative residual cannot
-    # reach its tolerance; Newton stops at the rounding floor instead of
-    # handing every step to a polyroots re-solve
+def _counting_polyroots(monkeypatch):
     calls = []
     polyroots = mp.polyroots
 
@@ -179,6 +137,104 @@ def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
         return polyroots(*args, **kwargs)
 
     monkeypatch.setattr(mp, "polyroots", counting)
+    return calls
+
+
+def test_branch_count_equals_degree():
+    rng = random.Random(37)
+    with workprec(128):
+        for f in _higher_degree_candidates():
+            comp = CurveComponent(2, (f, RationalFunction.from_rational(7, 1)), 1)
+            phase = mp.mpf(rng.uniform(0.05, 0.3))
+            paths = trace_wavefront(comp, 1, phase, grid=300, precision_bits=128)
+            assert len(paths) == f.degree_map
+
+
+def test_higher_degree_trace_needs_one_root_solve(monkeypatch):
+    # Newton on num - w den stays on every branch of a degree-2/3 level
+    # set: the seed at the largest radius is the only polyroots call
+    bits = 256
+    rng = random.Random(41)
+    bound = 2.0 ** (-bits // 3)
+    calls = _counting_polyroots(monkeypatch)
+    with workprec(bits):
+        for f in _higher_degree_candidates():
+            comp = CurveComponent(2, (f, RationalFunction.from_rational(7, 1)), 1)
+            phase = mp.mpf(rng.uniform(0.05, 0.3))
+            del calls[:]
+            paths = trace_wavefront(comp, 1, phase, precision_bits=bits)
+            assert len(calls) == 1
+            assert len(paths) == f.degree_map
+            for path in paths:
+                assert max(path.arg_residuals) < bound
+                for sigma, t in zip(path.sigmas, path.points):
+                    v = path.evaluator.value(t)
+                    assert abs(mp.log(abs(v)) - sigma) < bound
+
+
+def _count_kernel_calls(monkeypatch):
+    counts = {"residual": 0, "newton_step": 0, "_horner": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("residual", "newton_step"):
+        monkeypatch.setattr(RFEvaluator, name,
+                            counting(name, getattr(RFEvaluator, name)))
+    monkeypatch.setattr(RFEvaluator, "_horner",
+                        staticmethod(counting("_horner", RFEvaluator._horner)))
+    return counts
+
+
+def _point_at_kernel_calls(comp, monkeypatch):
+    """Kernel calls of one point_at between two trace samples away from any
+    pole; next to one, the floor rule would end the solve with two extra
+    Horner passes."""
+    phase = mp.mpf("0.1")
+    with workprec(128):
+        path = trace_wavefront(comp, 1, phase, grid=300, precision_bits=128)[0]
+        counts = _count_kernel_calls(monkeypatch)
+        sigma = (path.sigmas[150] + path.sigmas[151]) / 2
+        t = path.point_at(sigma)
+        calls = dict(counts)
+        target = mp.e ** sigma * mp.e ** (1j * (mp.pi - phase))
+        assert abs(path.evaluator.value(t) - target) < 1e-30 * abs(target)
+    return calls
+
+
+def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
+    # point_at solves through the class's residual and newton_step, the
+    # methods the benchmark counts, at four Horner passes per iteration; on
+    # the Moebius 1 - 1/t one step from the nearest sample lands on the root
+    counts = _point_at_kernel_calls(z1.components[0], monkeypatch)
+    assert counts["residual"] == 2
+    assert counts["newton_step"] == 1
+    assert counts["_horner"] == 6
+
+
+def test_point_at_iterates_on_a_degree_two_locus(monkeypatch):
+    # on (t^2 - 2)/(t + 5) Newton takes more than one step, each at four
+    # Horner passes
+    t = t_var()
+    comp = CurveComponent(2, ((t * t - 2) / (t + 5),
+                              RationalFunction.from_rational(7, 1)), 1)
+    counts = _point_at_kernel_calls(comp, monkeypatch)
+    k = counts["residual"]
+    assert k >= 3
+    assert counts["newton_step"] == k - 1
+    assert counts["_horner"] == 2 * k + 2 * (k - 1)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
+                                                     bits):
+    # next to the pole t = 2 of (t - 4)/(t - 2) the relative residual cannot
+    # reach its tolerance; Newton stops at the rounding floor instead of
+    # handing every step to a polyroots re-solve
+    calls = _counting_polyroots(monkeypatch)
     with workprec(bits):
         (path,) = trace_wavefront(graph_4_2.components[0], 2, mp.mpf("0.1"),
                                   precision_bits=bits)
