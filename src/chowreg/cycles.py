@@ -9,8 +9,10 @@ alternating sign convention sum_i (-1)^i (facet_i_at_0 - facet_i_at_oo).
 
 Escape rule used throughout: a candidate facet point is discarded exactly when
 some remaining coordinate equals 1, because the point then leaves the open
-cube.  For numerically-clustered parameters that decision is made exactly, by
-gcd against the cluster's defining squarefree factor.
+cube; only a point that stays in the cube can be improper.  ``_incidence``
+is the one place that decides how a coordinate meets a facet point, exactly
+for field points and by gcd against a numeric cluster's squarefree factor;
+``face_restriction`` and ``check_face_proper`` both read it.
 """
 
 from __future__ import annotations
@@ -234,81 +236,66 @@ def _coordinate_hits(comp, i, value):
     return hits
 
 
-def _value_at(comp, j, location):
-    """Coordinate j of the component at a parameter location."""
-    return comp.coords[j - 1].eval(location)
+# How a remaining coordinate meets a facet point (see ``_incidence``).
+ONE = "one"
+FACET = "facet"
+NEITHER = "neither"
+SPLIT = "split"
 
 
-def _exact_status_on_factor(f, factor):
-    """Classify f's values on the roots of an exact squarefree factor.
+def _incidence(f, hit):
+    """How coordinate ``f`` meets the facet point ``hit``: ONE where f = 1
+    (the point leaves the cube), FACET where f is 0 or oo, NEITHER, or SPLIT
+    when the roots of a numeric cluster disagree.
 
-    Returns a dict with booleans: all_one / none_one / all_facet / none_facet.
-    Mixed cases (the factor splits) are reported so callers can refuse or
-    refine; the fixtures never hit them.
+    An exact location (field element or INF) is decided from f's value
+    there; a cluster from the gcds of its squarefree factor with num - den,
+    num and den.  f is never identically 1, so num - den is nonzero.
     """
-    num, den = f.num, f.den
-    diff = num - den  # f = 1 exactly at roots of num - den
-    g_one = factor.gcd(diff) if not diff.is_zero() else factor
-    g_zero = factor.gcd(num)
-    g_pole = factor.gcd(den)
-    deg = factor.degree
-    return {
-        "all_one": (not diff.is_zero() and g_one.degree == deg) or diff.is_zero(),
-        "none_one": (not diff.is_zero()) and g_one.degree == 0,
-        "one_part": g_one,
-        "all_facet": g_zero.degree == deg or g_pole.degree == deg,
-        "none_facet": g_zero.degree == 0 and g_pole.degree == 0,
-    }
+    if hit.is_exact:
+        v = f.eval(hit.location)
+        if v is INF or v.is_zero():
+            return FACET
+        return ONE if v.is_one() else NEITHER
+    factor = hit.factor
+    one = factor.gcd(f.num - f.den).degree
+    facet = factor.gcd(f.num).degree + factor.gcd(f.den).degree
+    if one == factor.degree:
+        return ONE
+    if facet == factor.degree:
+        return FACET
+    return NEITHER if one == facet == 0 else SPLIT
 
 
 def face_restriction(Z, i, value):
     """The facet restriction as a list of PointComponents in the (n-1)-cube.
 
     Points where a remaining coordinate equals 1 escape the cube and are
-    discarded; a remaining coordinate hitting 0 or oo is an improper face
-    configuration and raises PropernessError.
+    discarded; otherwise a remaining coordinate hitting 0 or oo is an
+    improper face configuration and raises PropernessError.
     """
     if not Z.is_curve_level:
         raise ChowregError("face restriction is defined for curve-level precycles")
     out = []
     for comp in Z.components:
+        others = [f for j, f in enumerate(comp.coords, 1) if j != i]
         for hit in _coordinate_hits(comp, i, value):
-            others = [j for j in range(1, Z.n + 1) if j != i]
-            if hit.is_exact:
-                vals = [_value_at(comp, j, hit.location) for j in others]
-                if any(isinstance(v, CyclotomicNumber) and v.is_one() for v in vals):
-                    continue
-                if any(v is INF or (isinstance(v, CyclotomicNumber) and v.is_zero())
-                       for v in vals):
-                    raise PropernessError(
-                        f"improper face configuration at {hit.location}: a second "
-                        "coordinate hits 0 or oo; run check_face_proper"
-                    )
-                out.append(PointComponent(Z.n - 1, tuple(vals),
-                                          comp.mult * hit.multiplicity))
-            else:
-                statuses = [
-                    _exact_status_on_factor(comp.coords[j - 1], hit.factor) for j in others
-                ]
-                if any(not s["all_facet"] and not s["none_facet"] for s in statuses):
-                    raise PrecisionError(
-                        "facet cluster splits on a 0/oo incidence; unsupported mixed case"
-                    )
-                if any(s["all_facet"] for s in statuses):
-                    raise PropernessError(
-                        "improper face configuration on a numeric cluster: a second "
-                        "coordinate hits 0 or oo; run check_face_proper"
-                    )
-                if any(s["all_one"] for s in statuses):
-                    continue
-                if any(not s["none_one"] for s in statuses):
-                    raise PrecisionError(
-                        "facet cluster splits on a coordinate-1 incidence; "
-                        "unsupported mixed case"
-                    )
-                vals = [_value_at(comp, j, hit.location) for j in others]
-                out.append(PointComponent(Z.n - 1, tuple(vals),
-                                          comp.mult * hit.multiplicity))
+            incidences = {_incidence(f, hit) for f in others}
+            if ONE in incidences:
+                continue
+            if SPLIT in incidences:
+                raise PrecisionError(
+                    f"facet cluster at {hit.location} splits: its roots meet a "
+                    "second coordinate differently; unsupported mixed case"
+                )
+            if FACET in incidences:
+                raise PropernessError(
+                    f"improper face configuration at {hit.location}: a second "
+                    "coordinate hits 0 or oo; run check_face_proper"
+                )
+            out.append(PointComponent(Z.n - 1,
+                                      tuple(f.eval(hit.location) for f in others),
+                                      comp.mult * hit.multiplicity))
     return out
 
 
@@ -367,7 +354,7 @@ def check_face_proper(Z):
     if not Z.is_curve_level:
         raise ChowregError("face properness applies to curve-level precycles")
     for ci, comp in enumerate(Z.components):
-        locations = []  # (location-key, location, hit coordinate indices)
+        locations = []  # (divisor point, index of the coordinate it is a hit of)
         for i in range(1, Z.n + 1):
             for value in (FACET_ZERO, FACET_INF):
                 for hit in _coordinate_hits(comp, i, value):
@@ -387,22 +374,15 @@ def check_face_proper(Z):
             coords_hit = sorted({i for _, i in g})
             if len(coords_hit) < 2:
                 continue
-            loc = g[0][0].location
-            remaining = [j for j in range(1, Z.n + 1) if j not in coords_hit]
-            escaped = False
-            for j in remaining:
-                v = _value_at(comp, j, loc) if g[0][0].is_exact else None
-                if v is None:
-                    status = _exact_status_on_factor(comp.coords[j - 1], g[0][0].factor)
-                    escaped = escaped or status["all_one"]
-                elif isinstance(v, CyclotomicNumber) and v.is_one():
-                    escaped = True
+            hit = g[0][0]
+            escaped = any(_incidence(comp.coords[j - 1], hit) == ONE
+                          for j in range(1, Z.n + 1) if j not in coords_hit)
             if not escaped:
                 report["ok"] = False
                 report["violations"].append(
                     {
                         "component": ci,
-                        "location": loc,
+                        "location": hit.location,
                         "coordinates": coords_hit,
                         "detail": "lies in a codimension->=2 face of the cube",
                     }

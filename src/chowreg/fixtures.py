@@ -33,6 +33,11 @@ field cyclotomic(1)
 cycle z_minus1 n=3 p=2
 component mult=1 1+1/t ; 1-t ; 1/t
 """,
+    "totaro_s2_plus_i": """\
+field cyclotomic(4)
+cycle totaro_s2_plus_i n=3 p=2
+component mult=1 1-1/(t^2+i) ; 1-(t^2+i) ; 1/(t^2+i)
+""",
 }
 
 

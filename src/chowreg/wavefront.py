@@ -146,14 +146,12 @@ class TracedPath:
         return self.sigmas[-1]
 
     def _nearest_index(self, sigma):
-        lo, hi = 0, len(self.sigmas) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.sigmas[mid] >= sigma:
-                lo = mid
-            else:
-                hi = mid
-        return lo if abs(self.sigmas[lo] - sigma) <= abs(self.sigmas[hi] - sigma) else hi
+        """The sample nearest to ``sigma``: the trace steps down from
+        ``sigmas[0]`` on a uniform grid, so one rounded division finds it."""
+        last = len(self.sigmas) - 1
+        k = round(float(self.sigmas[0] - sigma) * last
+                  / float(self.sigmas[0] - self.sigmas[-1]))
+        return min(max(k, 0), last)
 
     def _newton_to(self, t, sigma, tol):
         w = mp.exp(mp.mpf(sigma)) * self._direction
@@ -175,15 +173,9 @@ class TracedPath:
             tol = mp.mpf(2) ** (12 - mp.mp.prec)
         sigma = mp.mpf(sigma)
         if sigma > self.sigmas[0] or sigma < self.sigmas[-1]:
-            # march beyond the traced range in bounded steps to stay on branch
-            edge = 0 if sigma > self.sigmas[0] else len(self.sigmas) - 1
-            t = self.points[edge]
-            s = self.sigmas[edge]
-            step = mp.mpf("0.5") * (1 if sigma > s else -1)
-            while abs(sigma - s) > mp.mpf("0.5"):
-                s += step
-                t = self._newton_to(t, s, tol)[0]
-            return self._newton_to(t, sigma, tol)
+            raise ChowregError(
+                f"log-radius {mp.nstr(sigma, 8)} is outside the traced range "
+                f"[{mp.nstr(self.sigmas[-1], 8)}, {mp.nstr(self.sigmas[0], 8)}]")
         k = self._nearest_index(sigma)
         return self._newton_to(self.points[k], sigma, tol)
 
@@ -543,7 +535,7 @@ def _critical_values(f, precision_bits):
 def _coordinate_value_at(component, j, location):
     """Coordinate j at a divisor location; returns mpc, INF, or exact zero."""
     f = component.coords[j - 1]
-    v = f.eval(location if not isinstance(location, ComplexApprox) else location)
+    v = f.eval(location)
     if v is INF:
         return INF
     if isinstance(v, CyclotomicNumber):

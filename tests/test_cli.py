@@ -83,7 +83,8 @@ def test_round_trip(name):
 
 def test_fixture_loading():
     assert fixture_names() == ["graph_4_2", "mccarthy_counterexample",
-                               "petras_zeta5", "z1_totaro", "z_minus1"]
+                               "petras_zeta5", "totaro_s2_plus_i", "z1_totaro",
+                               "z_minus1"]
     for name in fixture_names():
         load_fixture(name)
 

@@ -17,9 +17,15 @@ from chowreg import (
     is_degenerate,
     is_normalized,
     normalize,
+    parse_cycle_file,
     workprec,
 )
-from chowreg.cycles import boundary_squared_terms, double_facet_terms, weil_symbol_product
+from chowreg.cycles import (
+    boundary_squared_terms,
+    double_facet_terms,
+    face_restriction,
+    weil_symbol_product,
+)
 
 
 def t_var(order=1):
@@ -77,6 +83,39 @@ def test_boundary_rejects_improper():
     with workprec(128):
         with pytest.raises(PropernessError):
             boundary(bad)
+
+
+def _one_component_cycle(n, component):
+    return parse_cycle_file(
+        f"field cyclotomic(1)\ncycle twin n={n} p={n - 1}\n"
+        f"component mult=1 {component}\n")[0]
+
+
+# each pair differs only in whether the facet root t^2 = 1 or t^2 = 2 lies in
+# Q; the escape and properness rules must not see the difference
+@pytest.mark.parametrize("component", [
+    "t^2-1 ; 1/(t^2-1) ; (t^3+t^2+4)/(t^3+5)",
+    "t^2-2 ; 1/(t^2-2) ; (t^3+t^2+3)/(t^3+5)",
+], ids=["exact", "cluster"])
+def test_facet_point_escapes_before_it_is_improper(component):
+    # at the roots of coordinate 1, coordinate 2 is oo but coordinate 3 is 1:
+    # the point leaves the cube, so it is dropped and is no violation
+    Z = _one_component_cycle(3, component)
+    with workprec(128):
+        assert check_face_proper(Z)["ok"]
+        assert face_restriction(Z, 1, "0") == []
+
+
+@pytest.mark.parametrize("component", [
+    "t^2-1 ; (t^2-1)/(t+5)",
+    "t^2-2 ; (t^2-2)/(t+5)",
+], ids=["exact", "cluster"])
+def test_facet_point_in_a_second_facet_is_improper(component):
+    Z = _one_component_cycle(2, component)
+    with workprec(128):
+        assert not check_face_proper(Z)["ok"]
+        with pytest.raises(PropernessError, match="a second coordinate hits 0 or oo"):
+            face_restriction(Z, 1, "0")
 
 
 def test_petras_closed_and_normalized(petras):

@@ -18,7 +18,9 @@ from chowreg import (
     boundary,
     intersection_number_n2,
     li2,
+    load_fixture,
     make_schedule,
+    parse_cycle_file,
     phase_independence_check,
     quadrature,
     reg_n1,
@@ -352,6 +354,31 @@ def test_regulator_pipeline_point_cycle():
         tr = torsion_order(v, 20, 1e-8)
         assert tr.order == 5
         assert tr.certificate == Fraction(1, 5)
+
+
+# Totaro's cycle composed with a map g of degree k on the parameter line pushes
+# forward to k times itself, so its regulator is k * pi^2/6 (Kerr-Lewis-
+# Mueller-Stach, Compositio Math. 2006); these send a first coordinate of
+# degree >= 2 through reg_n3
+@pytest.mark.parametrize("order, g, k, torsion", [
+    (1, "t^2", 2, 12),
+    (4, "t^2+i", 2, 12),
+    (3, "t^3", 3, 8),
+], ids=["s2", "s2_plus_i", "s3"])
+def test_regulator_of_reparametrized_totaro(order, g, k, torsion):
+    Z = parse_cycle_file(
+        f"field cyclotomic({order})\ncycle totaro_g n=3 p=2\n"
+        f"component mult=1 1-1/({g}) ; 1-({g}) ; 1/({g})\n")[0]
+    if g == "t^2+i":
+        assert Z.components == load_fixture("totaro_s2_plus_i").components
+    with workprec(128):
+        v = regulator(Z, precision_bits=128, tol=1e-8)
+        tr = torsion_order(v, max_order=200, tol=1e-6)
+    with workprec(128 + 64):
+        err = abs(mp.mpc(v.value.value) - k * mp.pi ** 2 / 6)
+    assert err <= v.value.radius, (
+        f"error {mp.nstr(err, 3)} > radius {v.value.radius:.3g}")
+    assert tr.order == torsion
 
 
 @pytest.mark.parametrize("bits", [53, 80])

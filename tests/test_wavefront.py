@@ -228,6 +228,16 @@ def test_point_at_iterates_on_a_degree_two_locus(monkeypatch):
     assert counts["_horner"] == 2 * k + 2 * (k - 1)
 
 
+def test_point_at_refuses_a_log_radius_outside_the_trace(z1):
+    with workprec(128):
+        path = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
+                               precision_bits=128)[0]
+        for sigma in (path.sigma_hi + 1, path.sigma_lo - 1):
+            with pytest.raises(ChowregError, match="outside the traced range"):
+                path.point_at(sigma)
+        path.point_at(path.sigma_lo)
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
                                                      bits):
