@@ -332,7 +332,7 @@ def linear_factors(p, probe_bits=128):
     return found, rem
 
 
-@dataclass
+@dataclass(frozen=True)
 class DivisorPoint:
     """A zero (positive multiplicity) or pole (negative) on P^1.
 
@@ -359,11 +359,16 @@ class DivisorPoint:
 
 
 class RationalFunction:
-    """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic."""
+    """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic.
 
-    __slots__ = ("order", "num", "den")
+    Instances are immutable, so ``divisor`` keeps its result per precision
+    in ``_divisors``.
+    """
+
+    __slots__ = ("order", "num", "den", "_divisors")
 
     def __init__(self, num, den=None):
+        self._divisors = {}
         if den is None:
             den = Poly.one(num.order)
         if den.is_zero():
@@ -542,11 +547,17 @@ class RationalFunction:
             return ComplexApprox(v, rad)
 
     def divisor(self, precision_bits=None):
-        """Zeros minus poles on P^1, infinity included; total degree 0."""
+        """Zeros minus poles on P^1, infinity included; total degree 0.
+
+        Computed once per precision; each call returns a new list of the
+        (frozen) points."""
         if self.is_zero():
             raise ChowregError("divisor of the zero function")
         if precision_bits is None:
             precision_bits = mp.mp.prec
+        cached = self._divisors.get(precision_bits)
+        if cached is not None:
+            return list(cached)
         points = []
         for poly, sign in ((self.num, 1), (self.den, -1)):
             if poly.degree < 1:
@@ -560,6 +571,7 @@ class RationalFunction:
         dn, dd = self.num.degree, self.den.degree
         if dn != dd:
             points.append(DivisorPoint(INF, dd - dn))
+        self._divisors[precision_bits] = tuple(points)
         return points
 
     def __str__(self):
@@ -602,14 +614,16 @@ class RFEvaluator:
 
     Caches complex coefficient arrays for num, den and their derivatives so
     repeated evaluation (path tracing, quadrature) costs only Horner loops.
-    ``solve`` is the one Newton loop for f(t) = w.  It steps on the level-set
-    polynomial num - w den rather than on the rational function f - w, so a
-    Moebius f (both polynomials of degree at most 1) is solved by one step.
-    Each iteration evaluates num and den once in ``residual`` and hands them
-    to ``newton_step``, which adds only num' and den': four Horner passes.
+    ``solve`` is the one solver for f(t) = w.  When the level-set polynomial
+    num - w den is linear (a Moebius f: both polynomials of degree at most
+    1), ``linear`` holds its padded coefficients (n0, n1, d0, d1) and the
+    solve is the closed form t = (w d0 - n0) / (n1 - w d1).  Otherwise it is
+    Newton on num - w den: each iteration evaluates num and den once in
+    ``residual`` and hands them to ``newton_step``, which adds only num' and
+    den': four Horner passes.
     """
 
-    __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc")
+    __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc", "linear")
 
     def __init__(self, rf, precision_bits):
         self.rf = rf
@@ -619,6 +633,12 @@ class RFEvaluator:
             self.dc = [embed(c, precision_bits + 20).value for c in rf.den.coeffs]
             self.npc = [embed(c, precision_bits + 20).value for c in rf.num.derivative().coeffs]
             self.dpc = [embed(c, precision_bits + 20).value for c in rf.den.derivative().coeffs]
+        self.linear = None
+        if len(self.nc) <= 2 and len(self.dc) <= 2:
+            zero = mp.mpc(0)
+            n0, n1 = (self.nc + [zero, zero])[:2]
+            d0, d1 = (self.dc + [zero, zero])[:2]
+            self.linear = (n0, n1, d0, d1)
 
     @staticmethod
     def _horner(coeffs, t):
@@ -632,6 +652,22 @@ class RFEvaluator:
 
     def value(self, t):
         return self._horner(self.nc, t) / self._horner(self.dc, t)
+
+    def resolved_value(self, t):
+        """f(t), or None when num(t) or den(t) lies within the rounding
+        error of its Horner pass, about 2^(4 - prec) max_k |c_k| |t|^k
+        (compared by binary magnitude): at the working precision t is then
+        not told apart from a zero or pole."""
+        e = mp.mag(t)
+        floor = 4 - mp.mp.prec
+        nd = []
+        for coeffs in (self.nc, self.dc):
+            v = self._horner(coeffs, t)
+            size = max(mp.mag(c) + k * e for k, c in enumerate(coeffs) if c)
+            if not v or mp.mag(v) <= size + floor:
+                return None
+            nd.append(v)
+        return nd[0] / nd[1]
 
     def dlog(self, t, n=None, d=None):
         """f'/f at t; caller keeps t away from zeros and poles.  ``n`` and
@@ -662,17 +698,34 @@ class RFEvaluator:
         return abs(n - w * d) / (abs(d) * scale), n, d
 
     def solve(self, t, w, tol, max_steps):
-        """Newton from t for f(t) = w at the working precision, stepping on
-        num - w den.
+        """f(t) = w at the working precision: (t, num(t), den(t)) for a
+        point whose relative residual |n - w d| / (|d| (|w| + 1)) is below
+        ``tol``.
 
-        Returns (t, num(t), den(t)) for the first iterate whose relative
-        residual is below ``tol``, or for the one reached by a step at the
-        rounding floor of t, about 2^(4 - prec) |t| (compared by binary
-        magnitude), where the residual stops falling: next to a finite pole
-        it cannot reach ``tol``.  Returns None when ``max_steps`` steps do
-        neither.  A critical point raises ZeroDivisionError.
+        A linear level set is solved in closed form and ignores the start
+        ``t`` (None is allowed).  Otherwise, or when the closed form misses
+        ``tol`` (next to a finite pole it cannot reach it), Newton steps on
+        num - w den, from the closed-form point when there is one and from
+        ``t`` else.  Newton returns the first iterate below ``tol``, or the
+        one reached by a step at the rounding floor of t, about
+        2^(4 - prec) |t| (compared by binary magnitude), where the residual
+        stops falling; None when ``max_steps`` steps do neither.  A critical
+        point, w = f(oo) on a linear level set among them, raises
+        ZeroDivisionError.
         """
         scale = abs(w) + 1
+        if self.linear is not None:
+            n0, n1, d0, d1 = self.linear
+            slope = n1 - w * d1
+            if slope != 0:
+                t = (w * d0 - n0) / slope
+                # rounded as Horner on nc and dc rounds them
+                n = +n1 * t + n0
+                d = +d1 * t + d0
+                if abs(n - w * d) < tol * abs(d) * scale:
+                    return t, n, d
+            elif t is None:
+                raise ZeroDivisionError("critical point: w = f(oo)")
         floor = 4 - mp.mp.prec
         for _ in range(max_steps):
             res, n, d = self.residual(t, w, scale)

@@ -5,9 +5,11 @@ the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
 traced as |f_i| level sets: for log-spaced radii r we solve f_i(t) = w with
 w = r * exp(i(pi - eps_i)) and join solutions by nearest-neighbor
 continuation, giving one oriented path per branch, running from a pole of f_i
-(r -> oo) to a zero (r -> 0).  Each solve is Newton on the level-set
-polynomial num_i - w den_i, warm-started from the previous sample; on a
-Moebius coordinate that polynomial is linear and one step lands on the root.
+(r -> oo) to a zero (r -> 0).  On a Moebius coordinate the level-set
+polynomial num_i - w den_i is linear and each point is its root in closed
+form, t = (w d0 - n0) / (n1 - w d1), seed included.  On a coordinate of
+higher degree the seed comes from a full root solve and each later point
+from Newton on num_i - w den_i, warm-started from the previous sample.
 Crossings of the first locus with the second cut are refined by a
 two-dimensional Newton iteration on the two argument conditions; their sign
 is the sign of the crossing derivative of arg f_2 along the oriented path.
@@ -119,10 +121,11 @@ class TracedPath:
 
     ``sigmas`` are log-radii in decreasing order; ``points`` the corresponding
     parameter values.  ``point_at`` re-solves the defining equation at any
-    log-radius by Newton warm-started from the nearest sample, so downstream
-    quadrature can sample the exact path rather than interpolating.  It runs
-    ``RFEvaluator.solve``, the Newton loop the trace itself steps with;
-    ``solve_at`` also hands on the num(t) and den(t) that loop computed.
+    log-radius, so downstream quadrature can sample the exact path rather
+    than interpolating.  It runs ``RFEvaluator.solve``, the solver the trace
+    itself steps with: in closed form on a Moebius coordinate, and else by
+    Newton warm-started from the nearest sample.  ``solve_at`` also hands on
+    the num(t) and den(t) that the solve computed.
     """
 
     coord_index: int
@@ -155,7 +158,12 @@ class TracedPath:
 
     def _newton_to(self, t, sigma, tol):
         w = mp.exp(mp.mpf(sigma)) * self._direction
-        hit = self.evaluator.solve(t, w, tol, 60)
+        try:
+            hit = self.evaluator.solve(t, w, tol, 60)
+        except ZeroDivisionError as exc:
+            raise ConvergenceError(
+                f"path refinement hit a critical point at log-radius "
+                f"{float(sigma):.4f}") from exc
         if hit is None:
             raise ConvergenceError(
                 f"path refinement stalled at log-radius {float(sigma):.4f}"
@@ -176,8 +184,10 @@ class TracedPath:
             raise ChowregError(
                 f"log-radius {mp.nstr(sigma, 8)} is outside the traced range "
                 f"[{mp.nstr(self.sigmas[-1], 8)}, {mp.nstr(self.sigmas[0], 8)}]")
-        k = self._nearest_index(sigma)
-        return self._newton_to(self.points[k], sigma, tol)
+        start = None
+        if self.evaluator.linear is None:
+            start = self.points[self._nearest_index(sigma)]
+        return self._newton_to(start, sigma, tol)
 
 
 def _chordal(a, b):
@@ -205,8 +215,8 @@ def trace_wavefront(component, coord_index, phase, grid=None,
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
     total), each oriented pole -> zero.  A critical value of f_i on the ray
     (two branches colliding) raises ScheduleError naming the radius; a sample
-    that lands on a pole or zero of f_i at the working precision raises
-    PrecisionError.
+    that the working precision cannot tell apart from a pole or zero of f_i
+    (``RFEvaluator.resolved_value``) raises PrecisionError.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -251,11 +261,22 @@ def trace_wavefront(component, coord_index, phase, grid=None,
             raise ConvergenceError(
                 f"seed root solve failed: {last_exc}") from last_exc
 
+        def seed_solve(sigma):
+            if ev.linear is None:
+                return full_solve(sigma)
+            try:
+                hit = ev.solve(None, w_at(sigma), tol, 40)
+            except ZeroDivisionError:
+                return None  # w = f(oo): degree drop
+            if hit is None:
+                raise ConvergenceError("seed solve stalled")
+            return [hit[0]]
+
         # seed at the largest radius, jittering past degree-drop radii
         sigma0 = sigma_hi
         roots = None
         for _ in range(6):
-            roots = full_solve(sigma0)
+            roots = seed_solve(sigma0)
             if roots is not None:
                 break
             sigma0 += h / 7
@@ -309,16 +330,13 @@ def trace_wavefront(component, coord_index, phase, grid=None,
             points = [t for _, t in samples]
             residuals = []
             for s, t in samples:
-                try:
-                    val = ev.value(t)
-                except ZeroDivisionError:  # t rounds onto a pole
-                    val = None
-                if val is None or val == 0:
+                val = ev.resolved_value(t)
+                if val is None:
                     raise PrecisionError(
                         f"coordinate {coord_index}: traced sample t = "
-                        f"{mp.nstr(t, 8)} at radius {mp.nstr(mp.e ** s, 8)} lands "
-                        f"on a pole or zero at {precision_bits} bits; raise the "
-                        "working precision")
+                        f"{mp.nstr(t, 8)} at radius {mp.nstr(mp.e ** s, 8)} is "
+                        f"not told apart from a pole or zero at {precision_bits} "
+                        "bits; raise the working precision")
                 residuals.append(_on_cut_margin(val, rot))
             paths.append(
                 TracedPath(

@@ -266,10 +266,8 @@ def _moebius_coordinates():
     # the first coordinates of the Totaro, Petras and McCarthy fixtures
     # (den = 1 for i*t - 1) and one whose num has no unit coefficient.  Each
     # has its pole at 0 or oo: next to a finite nonzero pole the relative
-    # residual cannot reach its tolerance and the floor rule takes a second
-    # step.  Each has a nonzero zero: at |w| = e^-56 the root sits next to
-    # it, and a seed whose residual exceeds the 53-bit tolerance lies within
-    # a factor of the root
+    # residual of the closed form cannot reach its tolerance and Newton
+    # takes over
     one5 = RationalFunction.from_rational(1, 5)
     zeta = RationalFunction.constant(CyclotomicNumber.zeta(5))
     i = RationalFunction.constant(CyclotomicNumber.zeta(4))
@@ -282,21 +280,28 @@ def _linear_coeffs(p, prec):
     return cs + [mp.mpc(0)] * (2 - len(cs))
 
 
+def _count_calls(monkeypatch, *names):
+    calls = {name: 0 for name in names}
+
+    def counting(name, fn):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(RFEvaluator, name,
+                            counting(name, getattr(RFEvaluator, name)))
+    return calls
+
+
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
-    # num - w den is linear, so one Newton step reaches its root
-    # t = (w d0 - n0) / (n1 - w d1) to rounding.  Near the pole (|w| = e^56)
-    # the seed is the neighbouring trace sample; near the zero (|w| = e^-56)
-    # it is the root at |w| = e^-8, far enough that its residual exceeds
-    # the tolerance
-    steps = []
-    newton_step = RFEvaluator.newton_step
-
-    def counting(self, *args):
-        steps.append(args)
-        return newton_step(self, *args)
-
-    monkeypatch.setattr(RFEvaluator, "newton_step", counting)
+    # num - w den is linear, so the solve is its root
+    # t = (w d0 - n0) / (n1 - w d1) in closed form, to rounding, with no
+    # residual or Newton call; the start is ignored, here the root at a far
+    # radius and None
+    calls = _count_calls(monkeypatch, "residual", "newton_step")
     direction = mp.expj(mp.pi - mp.mpf("0.1"))
     for f in _moebius_coordinates():
         assert f.degree_map == 1
@@ -312,13 +317,40 @@ def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
                 ev = RFEvaluator(f, bits)
                 w = mp.exp(sigma) * direction
                 seed = closed_form(mp.exp(seed_sigma) * direction, bits)
-                del steps[:]
                 t, n, d = ev.solve(seed, w, mp.mpf(2) ** (16 - bits), 40)
-                assert len(steps) == 1
+                assert ev.solve(None, w, mp.mpf(2) ** (16 - bits), 40) == (t, n, d)
                 assert n == RFEvaluator._horner(ev.nc, t)
                 assert d == RFEvaluator._horner(ev.dc, t)
-                if n != 0:  # at 53 bits t = 1 + w rounds onto the zero 1
+                if n != 0:  # at 53 bits t = 1 + w can round onto the zero 1
                     assert ev.dlog(t, n, d) == ev.dlog(t)
             with workprec(bits + 64):
                 exact = closed_form(w, bits + 64)
                 assert abs(t - exact) <= mp.mpf(2) ** (4 - bits) * abs(exact)
+    assert calls == {"residual": 0, "newton_step": 0}
+
+
+@pytest.mark.parametrize("start", [mp.mpc("0.5", "0.25"), None])
+def test_solve_at_the_value_at_infinity_is_a_critical_point(start):
+    # w = f(oo) makes the slope n1 - w d1 of num - w den exactly 0: the
+    # level set has no finite point, and the solve raises ZeroDivisionError
+    # from the closed form (no start) or from the Newton loop
+    for f in (1 - 1 / rf(), (2 * rf() + 3) / (4 * rf())):
+        w = embed(f.eval(INF), 128).value
+        with workprec(128):
+            ev = RFEvaluator(f, 128)
+            assert ev.linear[1] - w * ev.linear[3] == 0
+            with pytest.raises(ZeroDivisionError):
+                ev.solve(start, w, mp.mpf(2) ** -112, 40)
+
+
+def test_resolved_value_refuses_points_within_rounding_of_a_zero_or_pole():
+    # 1 - 1/t = (t - 1)/t: the bound on num(t) and den(t) is relative to the
+    # size of their terms, so a point next to the zero 1 is refused while a
+    # tiny point next to the pole 0 is resolved
+    bits = 80
+    with workprec(bits):
+        ev = RFEvaluator(1 - 1 / rf(), bits)
+        for t in (mp.mpc(1), mp.mpc(0), mp.mpc(1, mp.mpf(2) ** -90)):
+            assert ev.resolved_value(t) is None
+        for t in (mp.mpc(1, mp.mpf(2) ** -60), mp.mpc(mp.mpf(2) ** -200, 1e-70)):
+            assert ev.resolved_value(t) == ev.value(t)

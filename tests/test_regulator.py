@@ -230,8 +230,8 @@ def test_reg_n3_z1(z1):
 
 
 def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
-    # coordinate 1 of the Totaro curve is Moebius, so Newton on
-    # num - w den lands each quadrature node in one step from its sample
+    # coordinate 1 of the Totaro curve is Moebius, so every quadrature node
+    # is the closed-form root of num - w den: no Newton step at all
     regulator_module = importlib.import_module("chowreg.regulator")
     counts = {"nodes": 0, "steps": 0}
     inside = []
@@ -259,7 +259,7 @@ def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
     with workprec(128):
         reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
     assert counts["nodes"] > 0
-    assert counts["steps"] <= counts["nodes"]
+    assert counts["steps"] == 0
 
 
 def test_reg_n3_z_square_oracle(z_square):
@@ -388,6 +388,39 @@ def test_regulator_low_precision_raises_precision_error(z1, bits):
     with workprec(bits):
         with pytest.raises(PrecisionError, match=f"{bits} bits"):
             regulator(z1, precision_bits=bits)
+
+
+def _divisor_key(points):
+    def loc(x):
+        return (x.value, x.radius) if isinstance(x, ComplexApprox) else x
+    return [(loc(p.location), p.multiplicity, p.factor) for p in points]
+
+
+def test_regulator_computes_each_divisor_once(monkeypatch):
+    # the prechecks and every schedule's admissibility check read the
+    # divisor of each coordinate; it is computed once, one linear_factors
+    # probe per nonconstant numerator and denominator
+    funcfield = importlib.import_module("chowreg.funcfield")
+    probed = []
+    linear_factors = funcfield.linear_factors
+
+    def counting(p, *args, **kwargs):
+        probed.append(p)
+        return linear_factors(p, *args, **kwargs)
+
+    monkeypatch.setattr(funcfield, "linear_factors", counting)
+    Z = load_fixture("petras_zeta5")
+    coords = [f for comp in Z.components for f in comp.coords
+              if not f.is_constant()]
+    polys = [p for f in coords for p in (f.num, f.den) if p.degree >= 1]
+    with workprec(128):
+        regulator(Z, precision_bits=128)
+        assert sorted(map(id, probed)) == sorted(map(id, polys))
+        for f in coords:
+            cached = f.divisor()
+            assert cached is not f.divisor()
+            fresh = RationalFunction(f.num, f.den).divisor()
+            assert _divisor_key(cached) == _divisor_key(fresh)
 
 
 def test_regulator_refuses_open_cycle(z_minus1):

@@ -5,11 +5,13 @@ import pytest
 
 from chowreg import (
     ChowregError,
+    ConvergenceError,
     CurveComponent,
     PhaseSchedule,
     Precycle,
     RationalFunction,
     ScheduleError,
+    TracedPath,
     admissible,
     find_pair_intersections,
     make_schedule,
@@ -172,6 +174,23 @@ def test_higher_degree_trace_needs_one_root_solve(monkeypatch):
                     assert abs(mp.log(abs(v)) - sigma) < bound
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_moebius_trace_needs_no_root_solve(z1, petras, mccarthy, monkeypatch,
+                                           bits):
+    # every shipped first coordinate is Moebius: the seed is the closed form
+    # like every later sample, so the trace makes no polyroots call
+    calls = _counting_polyroots(monkeypatch)
+    bound = 2.0 ** (-bits // 3)
+    with workprec(bits):
+        for Z in (z1, petras, mccarthy):
+            for comp in Z.components:
+                (path,) = trace_wavefront(comp, 1, mp.mpf("0.1"),
+                                          precision_bits=bits)
+                assert path.evaluator.linear is not None
+                assert max(path.arg_residuals) < bound
+    assert calls == []
+
+
 def _count_kernel_calls(monkeypatch):
     counts = {"residual": 0, "newton_step": 0, "_horner": 0}
 
@@ -206,13 +225,31 @@ def _point_at_kernel_calls(comp, monkeypatch):
 
 
 def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
-    # point_at solves through the class's residual and newton_step, the
-    # methods the benchmark counts, at four Horner passes per iteration; on
-    # the Moebius 1 - 1/t one step from the nearest sample lands on the root
+    # on the Moebius 1 - 1/t point_at is the closed form of the solve: no
+    # residual, Newton step or Horner pass, and no nearest-sample lookup
+    monkeypatch.setattr(TracedPath, "_nearest_index", None)
     counts = _point_at_kernel_calls(z1.components[0], monkeypatch)
-    assert counts["residual"] == 2
-    assert counts["newton_step"] == 1
-    assert counts["_horner"] == 6
+    assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
+
+
+def test_point_at_reports_a_critical_point_as_convergence_error(monkeypatch):
+    # a ZeroDivisionError from the solve (a critical point on the level
+    # set) leaves point_at as a ConvergenceError naming the log-radius
+    t = t_var()
+    comp = CurveComponent(2, ((t * t - 2) / (t + 5),
+                              RationalFunction.from_rational(7, 1)), 1)
+    with workprec(128):
+        path = trace_wavefront(comp, 1, mp.mpf("0.1"), grid=300,
+                               precision_bits=128)[0]
+
+        def critical(self, *args):
+            raise ZeroDivisionError("critical point in Newton step")
+
+        monkeypatch.setattr(RFEvaluator, "newton_step", critical)
+        sigma = (path.sigmas[150] + path.sigmas[151]) / 2
+        with pytest.raises(ConvergenceError,
+                           match=f"log-radius {float(sigma):.4f}"):
+            path.point_at(sigma)
 
 
 def test_point_at_iterates_on_a_degree_two_locus(monkeypatch):
@@ -241,14 +278,15 @@ def test_point_at_refuses_a_log_radius_outside_the_trace(z1):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
                                                      bits):
-    # next to the pole t = 2 of (t - 4)/(t - 2) the relative residual cannot
-    # reach its tolerance; Newton stops at the rounding floor instead of
-    # handing every step to a polyroots re-solve
+    # next to the pole t = 2 of (t - 4)/(t - 2) the relative residual of the
+    # closed form cannot reach its tolerance; Newton from the closed-form
+    # point stops at the rounding floor instead of handing every step to a
+    # polyroots re-solve, and the Moebius seed needs none either
     calls = _counting_polyroots(monkeypatch)
     with workprec(bits):
         (path,) = trace_wavefront(graph_4_2.components[0], 2, mp.mpf("0.1"),
                                   precision_bits=bits)
-        assert len(calls) == 1  # the seed at the largest radius
+        assert len(calls) == 0
         bound = 2.0 ** (-bits // 3)
         assert max(path.arg_residuals) < bound
         for sigma, t in zip(path.sigmas, path.points):
