@@ -2,17 +2,22 @@
 
 For a curve component t -> (f_1(t), ..., f_n(t)) and phases (eps_1, ..., eps_n),
 the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
-traced as |f_i| level sets: for log-spaced radii r we solve f_i(t) = w with
-w = r * exp(i(pi - eps_i)) and join solutions by nearest-neighbor
-continuation, giving one oriented path per branch, running from a pole of f_i
-(r -> oo) to a zero (r -> 0).  On a Moebius coordinate the level-set
+traced as |f_i| level sets: for log-spaced radii r every point solves
+f_i(t) = w with w = r * exp(i(pi - eps_i)), giving one oriented path per
+branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
+point of a locus, trace samples, quadrature nodes and crossings alike,
+comes from ``RFEvaluator.solve``.  On a Moebius coordinate the level-set
 polynomial num_i - w den_i is linear and each point is its root in closed
 form, t = (w d0 - n0) / (n1 - w d1), seed included.  On a coordinate of
-higher degree the seed comes from a full root solve and each later point
-from Newton on num_i - w den_i, warm-started from the previous sample.
-Crossings of the first locus with the second cut are refined by a
-two-dimensional Newton iteration on the two argument conditions; their sign
-is the sign of the crossing derivative of arg f_2 along the oriented path.
+higher degree one full root solve seeds the branches at the largest radius
+and each later point is Newton on num_i - w den_i from the branch's previous
+sample.  A step that fails, or two branches that close in on one another, end
+the trace with PrecisionError or ScheduleError.
+A crossing of the first locus with the second cut is the root of
+Im(e^{i eps_2} f_2) as a function of the log-radius along the path, found by
+bracketed Newton; one quotient q = dlog f_2 / dlog f_1 there gives its slope,
+its transversality and its sign, the sign of the crossing derivative of
+arg f_2 along the oriented path.
 
 The regulator integrates along the first locus and sums over its crossings
 with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
@@ -125,7 +130,9 @@ class TracedPath:
     than interpolating.  It runs ``RFEvaluator.solve``, the solver the trace
     itself steps with: in closed form on a Moebius coordinate, and else by
     Newton warm-started from the nearest sample.  ``solve_at`` also hands on
-    the num(t) and den(t) that the solve computed.
+    the num(t) and den(t) that the solve computed; a point where either is
+    exactly 0 (rounded onto a zero or pole of f, where dlog f divides by
+    them) raises PrecisionError.
     """
 
     coord_index: int
@@ -168,6 +175,12 @@ class TracedPath:
             raise ConvergenceError(
                 f"path refinement stalled at log-radius {float(sigma):.4f}"
             )
+        if not (hit[1] and hit[2]):
+            raise PrecisionError(
+                f"coordinate {self.coord_index}: the point at log-radius "
+                f"{float(sigma):.4f} rounds onto a zero or pole at "
+                f"{self.evaluator.precision_bits} bits; raise the working "
+                "precision")
         return hit
 
     def point_at(self, sigma, tol=None):
@@ -190,153 +203,115 @@ class TracedPath:
         return self._newton_to(start, sigma, tol)
 
 
-def _chordal(a, b):
-    if a is None or b is None:
-        return float("inf")
-    return float(abs(a - b) / mp.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2)))
+def _unresolved(coord_index, t, sigma, precision_bits):
+    """The PrecisionError for a trace sample ``t`` at log-radius ``sigma``
+    that ``RFEvaluator.resolved_value`` refuses."""
+    return PrecisionError(
+        f"coordinate {coord_index}: traced sample t = {mp.nstr(t, 8)} at "
+        f"radius {mp.nstr(mp.e ** sigma, 8)} is not told apart from a pole or "
+        f"zero at {precision_bits} bits; raise the working precision")
 
 
-def _match_nearest(points, candidates):
-    """Assign each point the nearest candidate; small sets, brute force on
-    conflicts."""
-    if len(candidates) <= 1:
-        return [0] * len(points)
-    choice = []
-    for t in points:
-        dists = [_chordal(t, c) for c in candidates]
-        choice.append(dists.index(min(dists)))
-    return choice
+def _seed_roots(ev, w, precision_bits):
+    """All roots of num - w den, a polynomial of degree >= 2, by a full
+    root solve; ScheduleError when its degree drops (w near f(oo))."""
+    d = ev.rf.degree_map
+    nc = list(ev.nc) + [mp.mpc(0)] * (d + 1 - len(ev.nc))
+    dc = list(ev.dc) + [mp.mpc(0)] * (d + 1 - len(ev.dc))
+    poly = [a - w * b for a, b in zip(nc, dc)]
+    # the leading coefficient cancels only when w hits the value of f at
+    # infinity; compare against its forming terms, not the rest
+    lead_scale = abs(nc[-1]) + abs(w) * abs(dc[-1])
+    if abs(poly[-1]) < lead_scale * mp.mpf(2) ** (-precision_bits // 2):
+        raise ScheduleError(
+            "non-generic phase: degree drop at the seed radius "
+            f"{mp.nstr(abs(w), 8)}")
+    last_exc = None
+    for steps, extra in ((120, precision_bits // 2),
+                         (600, precision_bits),
+                         (2400, 2 * precision_bits)):
+        try:
+            return mp.polyroots(poly[::-1], maxsteps=steps, extraprec=extra)
+        except mp.libmp.NoConvergence as exc:
+            last_exc = exc
+    raise ConvergenceError(f"seed root solve failed: {last_exc}") from last_exc
 
 
-def trace_wavefront(component, coord_index, phase, grid=None,
-                    precision_bits=None):
+def trace_wavefront(component, coord_index, phase, precision_bits=None):
     """Trace all branches of {t : arg f_i(t) = pi - phase}.
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
-    total), each oriented pole -> zero.  A critical value of f_i on the ray
-    (two branches colliding) raises ScheduleError naming the radius; a sample
-    that the working precision cannot tell apart from a pole or zero of f_i
-    (``RFEvaluator.resolved_value``) raises PrecisionError.
+    total), each oriented pole -> zero.  The branches are seeded at the
+    largest radius, in closed form on a Moebius f_i and by one full root
+    solve else, and each is continued by ``RFEvaluator.solve`` from its
+    previous sample.  A step that fails (no convergence or a critical point)
+    raises PrecisionError when the previous sample is not told apart from a
+    pole or zero of f_i (``RFEvaluator.resolved_value``) at the working
+    precision, and ScheduleError naming the radius otherwise.  Two branches
+    whose distance shrinks by more than 2^(-prec/2) in one step have
+    collided or jumped onto one another, at a critical value on the ray
+    near that radius: ScheduleError.  A sample that fails
+    ``resolved_value`` raises PrecisionError.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    if grid is None:
-        grid = TRACE_GRID_DEFAULT
     f = component.coords[coord_index - 1]
     if f.is_constant():
         raise ChowregError("cannot trace a constant coordinate")
     with workprec(precision_bits):
         ev = RFEvaluator(f, precision_bits)
-        d = f.degree_map
         direction = mp.expj(mp.pi - mp.mpf(phase))
         sigma_hi = mp.mpf(SIGMA_SPAN_DEFAULT)
-        sigma_lo = -mp.mpf(SIGMA_SPAN_DEFAULT)
-        steps = int(grid)
-        h = (sigma_hi - sigma_lo) / steps
+        h = 2 * sigma_hi / TRACE_GRID_DEFAULT
         tol = mp.mpf(2) ** (16 - precision_bits)
-        collision_tol = mp.mpf(2) ** (-precision_bits // 2)
+        collision_rel = mp.mpf(2) ** (-precision_bits // 2)
 
-        def w_at(sigma):
-            return mp.exp(sigma) * direction
-
-        def full_solve(sigma):
-            w = w_at(sigma)
-            coeffs_asc = list(ev.nc) + [mp.mpc(0)] * (d + 1 - len(ev.nc))
-            dco = list(ev.dc) + [mp.mpc(0)] * (d + 1 - len(ev.dc))
-            poly = [a - w * b for a, b in zip(coeffs_asc, dco)]
-            # the leading coefficient cancels only when w hits the value of f
-            # at infinity; compare against its forming terms, not the rest
-            lead_scale = abs(coeffs_asc[-1]) + abs(w) * abs(dco[-1])
-            if abs(poly[-1]) < lead_scale * mp.mpf(2) ** (-precision_bits // 2):
-                return None  # degree drop; caller jitters sigma
-            last_exc = None
-            for steps, extra in ((120, precision_bits // 2),
-                                 (600, precision_bits),
-                                 (2400, 2 * precision_bits)):
-                try:
-                    return mp.polyroots(list(reversed(poly)), maxsteps=steps,
-                                        extraprec=extra)
-                except mp.libmp.NoConvergence as exc:
-                    last_exc = exc
-            raise ConvergenceError(
-                f"seed root solve failed: {last_exc}") from last_exc
-
-        def seed_solve(sigma):
-            if ev.linear is None:
-                return full_solve(sigma)
+        def step(t, sigma):
+            """The point at log-radius ``sigma`` of the branch through the
+            previous sample ``t`` (None for a Moebius seed)."""
             try:
-                hit = ev.solve(None, w_at(sigma), tol, 40)
+                hit = ev.solve(t, mp.exp(sigma) * direction, tol, 40)
             except ZeroDivisionError:
-                return None  # w = f(oo): degree drop
-            if hit is None:
-                raise ConvergenceError("seed solve stalled")
-            return [hit[0]]
+                hit = None
+            if hit is not None:
+                return hit[0]
+            if t is not None and ev.resolved_value(t) is None:
+                raise _unresolved(coord_index, t, sigmas[-1], precision_bits)
+            raise ScheduleError(
+                "non-generic phase: the trace lost a branch near radius "
+                f"{mp.nstr(mp.e ** sigma, 8)}")
 
-        # seed at the largest radius, jittering past degree-drop radii
-        sigma0 = sigma_hi
-        roots = None
-        for _ in range(6):
-            roots = seed_solve(sigma0)
-            if roots is not None:
-                break
-            sigma0 += h / 7
-        if roots is None:
-            raise ScheduleError("could not seed the trace: persistent degree drop")
-
-        branches = [[(sigma0, r)] for r in roots]
-        current = list(roots)
-        sigma = sigma0
-        while sigma > sigma_lo + h / 2:
-            sigma = sigma - h
-            w = w_at(sigma)
-            new_pts = []
-            for t in current:
-                try:
-                    hit = ev.solve(t, w, tol, 40)
-                except ZeroDivisionError:
-                    hit = None
-                new_pts.append(None if hit is None else hit[0])
-            ok = all(t is not None for t in new_pts)
-            # detect collisions / lost branches
-            if ok and d > 1:
-                for a in range(d):
-                    for b in range(a + 1, d):
-                        if abs(new_pts[a] - new_pts[b]) < collision_tol * (
-                            1 + abs(new_pts[a])
-                        ):
-                            ok = False
-            if not ok:
-                solved = full_solve(sigma)
-                if solved is None:
-                    raise ScheduleError(
-                        "non-generic phase: degree drop while tracing at radius "
-                        f"{mp.nstr(mp.e ** sigma, 8)}"
-                    )
-                assign = _match_nearest(current, solved)
-                if len(set(assign)) != len(current):
-                    raise ScheduleError(
-                        "non-generic phase: branch collision (critical value on "
-                        f"the cut ray) near radius {mp.nstr(mp.e ** sigma, 8)}"
-                    )
-                new_pts = [solved[k] for k in assign]
-            current = new_pts
-            for k in range(d):
-                branches[k].append((sigma, current[k]))
+        sigmas = [sigma_hi]
+        if ev.linear is None:
+            current = _seed_roots(ev, mp.exp(sigma_hi) * direction,
+                                  precision_bits)
+        else:
+            current = [step(None, sigma_hi)]
+        branches = [[t] for t in current]
+        for _ in range(TRACE_GRID_DEFAULT):
+            sigma = sigmas[-1] - h
+            moved = [step(t, sigma) for t in current]
+            for a in range(len(moved)):
+                for b in range(a + 1, len(moved)):
+                    if (abs(moved[a] - moved[b])
+                            < collision_rel * abs(current[a] - current[b])):
+                        raise ScheduleError(
+                            "non-generic phase: branch collision (critical "
+                            "value on the cut ray) near radius "
+                            f"{mp.nstr(mp.e ** sigma, 8)}")
+            current = moved
+            sigmas.append(sigma)
+            for branch, t in zip(branches, current):
+                branch.append(t)
 
         rot = _rotation(phase)
         paths = []
-        for samples in branches:
-            sigmas = [s for s, _ in samples]
-            points = [t for _, t in samples]
+        for points in branches:
             residuals = []
-            for s, t in samples:
+            for s, t in zip(sigmas, points):
                 val = ev.resolved_value(t)
                 if val is None:
-                    raise PrecisionError(
-                        f"coordinate {coord_index}: traced sample t = "
-                        f"{mp.nstr(t, 8)} at radius {mp.nstr(mp.e ** s, 8)} is "
-                        f"not told apart from a pole or zero at {precision_bits} "
-                        "bits; raise the working precision")
+                    raise _unresolved(coord_index, t, s, precision_bits)
                 residuals.append(_on_cut_margin(val, rot))
             paths.append(
                 TracedPath(
@@ -367,22 +342,23 @@ def _rotation(phase):
     return mp.expj(mp.mpf(phase))
 
 
-def _principal_arg_residual(value, rot):
-    """arg(rot value) - pi, wrapped to (-pi, pi]; ``rot`` is the phase's
-    ``_rotation``."""
-    return mp.arg(-value * rot)
-
-
 def find_pair_intersections(component, paths_i, j, phase_j,
                             precision_bits=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
-    The crossing sign is the sign of d(arg f_j)/du along the pole -> zero
-    orientation of the host path; tangential crossings raise ScheduleError.
+    A crossing is bracketed by consecutive samples between which
+    Im(e^{i phase_j} f_j) changes sign, counted half-open (zero counts as
+    positive, so a sample on the cut is one crossing, not two), and where
+    the value is not on the positive real axis at both samples.
+    ``_refine_crossing`` then solves for it along the path.  With
+    q = dlog f_j / dlog f_i at the crossing, the crossing is transverse when
+    |Im q| / |q| is above 2^(-prec/3), else ScheduleError; its sign is
+    -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero orientation
+    of the host path.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    transversality_rel = float(mp.mpf(2) ** (-precision_bits // 3))
+    transversality_rel = mp.mpf(2) ** (-precision_bits // 3)
     out = []
     if component.coords[j - 1].is_constant():
         return out
@@ -390,96 +366,72 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         f_j_ev = RFEvaluator(component.coords[j - 1], precision_bits)
         rot_j = _rotation(phase_j)
         for path in paths_i:
-            f_i_ev = path.evaluator
-            ims = []
-            res = []
-            for t in path.points:
-                v = f_j_ev.value(t) * rot_j
-                ims.append(v.imag)
-                res.append(v.real)
-            for k in range(len(ims) - 1):
-                a, b = ims[k], ims[k + 1]
-                if a == 0 and b == 0:
+            vals = [f_j_ev.value(t) * rot_j for t in path.points]
+            for k in range(len(vals) - 1):
+                a, b = vals[k], vals[k + 1]
+                if (a.imag >= 0) == (b.imag >= 0):
                     continue
-                if (a > 0 and b > 0) or (a < 0 and b < 0):
-                    continue
-                if res[k] > 0 and res[k + 1] > 0:
+                if a.real > 0 and b.real > 0:
                     continue  # positive-axis crossing, not the cut
-                t_c = _refine_crossing(path, f_j_ev, rot_j, path.sigmas[k],
-                                       path.sigmas[k + 1], precision_bits)
-                if t_c is None:
+                hit = _refine_crossing(path, f_j_ev, rot_j, k, precision_bits)
+                if hit is None:
                     continue
-                g_i = f_i_ev.dlog(t_c)
-                g_j = f_j_ev.dlog(t_c)
-                cross = (mp.conj(g_i) * g_j).imag
-                rel = float(abs(cross) / (abs(g_i) * abs(g_j)))
-                if rel < transversality_rel:
+                sigma, t_c, q = hit
+                if abs(q.imag) < transversality_rel * abs(q):
                     raise ScheduleError(
                         "non-generic schedule: tangential cut crossing near "
                         f"t = {mp.nstr(t_c, 10)}"
                     )
-                sign = -1 if cross > 0 else 1
-                dup = False
-                for prev in out:
-                    if prev.host_path is path and abs(prev.t.value - t_c) < mp.mpf(2) ** (
-                        -precision_bits // 2
-                    ) * (1 + abs(t_c)):
-                        dup = True
-                        break
-                if dup:
-                    continue
-                fi_val = f_i_ev.value(t_c)
                 out.append(
                     WavefrontIntersection(
                         t=ComplexApprox(t_c, float(mp.mpf(2) ** (24 - precision_bits)
                                                    * (1 + abs(t_c)))),
-                        sign=sign,
+                        sign=-1 if q.imag > 0 else 1,
                         host_path=path,
-                        sigma=mp.log(abs(fi_val)),
+                        sigma=sigma,
                     )
                 )
     return out
 
 
-def _refine_crossing(path, f_j_ev, rot_j, s_hi, s_lo, precision_bits):
-    """Bisection bracket then 2d Newton on both argument conditions;
-    ``rot_j`` is the second phase's ``_rotation``."""
+def _refine_crossing(path, f_j_ev, rot_j, k, precision_bits):
+    """The root of g(sigma) = Im(rot_j f_j(t(sigma))) between the samples k
+    and k + 1 of the path, with t(sigma) the path's ``solve_at``:
+    (sigma, t, q), or None when f_j lies on the positive real axis there
+    rather than on its cut.
+
+    ``rot_j`` is the second phase's ``_rotation``; g changes sign, counted
+    half-open, between the two samples.  Along the path
+    dt/dsigma = 1 / dlog f_i, so with q = dlog f_j / dlog f_i the slope is
+    g' = Im(rot_j f_j q).  Newton steps on g from the middle of the bracket,
+    and bisection replaces a step that leaves it.  Once a step falls below
+    2^(-prec/2), quadratic convergence puts the next iterate at the rounding
+    floor, and that iterate is the crossing.
+    """
     f_i_ev = path.evaluator
-    rot_i = _rotation(path.phase)
-
-    def im_j(sigma):
-        return (f_j_ev.value(path.point_at(sigma)) * rot_j).imag
-
-    a, b = s_hi, s_lo
-    fa = im_j(a)
-    for _ in range(14):
-        m = (a + b) / 2
-        fm = im_j(m)
-        if fa * fm <= 0:
-            b = m
+    small = mp.mpf(2) ** (-precision_bits // 2)
+    s_hi, s_lo = path.sigmas[k], path.sigmas[k + 1]
+    hi_positive = (f_j_ev.value(path.points[k]) * rot_j).imag >= 0
+    sigma = (s_hi + s_lo) / 2
+    converged = False
+    # enough for bisection alone to bring a step below ``small``
+    for _ in range(precision_bits):
+        t, n, d = path.solve_at(sigma)
+        v = f_j_ev.value(t) * rot_j
+        q = f_j_ev.dlog(t) / f_i_ev.dlog(t, n, d)
+        if converged:
+            return (sigma, t, q) if v.real < 0 else None
+        if (v.imag >= 0) == hi_positive:
+            s_hi = sigma
         else:
-            a, fa = m, fm
-    t = path.point_at((a + b) / 2)
-    tol = mp.mpf(2) ** (16 - precision_bits)
-    for _ in range(80):
-        r1 = _principal_arg_residual(f_i_ev.value(t), rot_i)
-        r2 = _principal_arg_residual(f_j_ev.value(t), rot_j)
-        if abs(r1) < tol and abs(r2) < tol:
-            break
-        g1 = f_i_ev.dlog(t)
-        g2 = f_j_ev.dlog(t)
-        det = g1.imag * g2.real - g1.real * g2.imag
-        if det == 0:
-            return None
-        dx = (-r1 * g2.real + r2 * g1.real) / det
-        dy = (-g1.imag * r2 + g2.imag * r1) / det
-        t = t + mp.mpc(dx, dy)
-    else:
-        raise ConvergenceError("crossing refinement did not converge")
-    v = f_j_ev.value(t) * rot_j
-    if v.real >= 0:
-        return None
-    return t
+            s_lo = sigma
+        slope = (v * q).imag
+        nxt = sigma - v.imag / slope if slope else None
+        if nxt is None or not s_lo <= nxt <= s_hi:
+            nxt = (s_hi + s_lo) / 2
+        converged = abs(nxt - sigma) < small
+        sigma = nxt
+    raise ConvergenceError("crossing refinement did not converge")
 
 
 @dataclass
@@ -522,9 +474,10 @@ class AdmissibilityReport:
 
 def _on_cut_margin(value, rot):
     """Angular distance of a nonzero finite value from a cut ray, given the
-    ray's phase as its ``_rotation``."""
+    ray's phase as its ``_rotation``: |arg(rot value) - pi|, with the
+    difference wrapped to (-pi, pi]."""
     v = value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
-    return float(abs(_principal_arg_residual(v, rot)))
+    return float(abs(mp.arg(-v * rot)))
 
 
 def _critical_values(f, precision_bits):
@@ -579,9 +532,10 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
     beyond the second is outside every nested cut-prefix condition, so it is
     reported as a warning rather than a failure.
 
-    Only the first locus is traced.  Its paths and crossings are kept in the
-    report for evaluation.  A PrecisionError from the trace propagates: no
-    other schedule can repair a working precision that is too low.
+    Only the first locus is traced, and only when (a) holds for it.  Its
+    paths and crossings are kept in the report for evaluation.  A
+    PrecisionError from the trace propagates: no other schedule can repair a
+    working precision that is too low.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -598,6 +552,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
         rots = [_rotation(p) for p in schedule.phases]
         for ci, comp in enumerate(Z.components):
             # (a) no critical value on a cut ray; off-cut constants
+            rough = set()
             for i in range(1, Z.n + 1):
                 f = comp.coords[i - 1]
                 if f.is_constant():
@@ -611,13 +566,15 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                 for point, value in _critical_values(f, precision_bits):
                     margin = _on_cut_margin(value, rots[i - 1])
                     if margin < cut_tol:
+                        rough.add(i)
                         failures.append(AdmissibilityFailure(
                             "critical-value", ci,
                             f"coordinate {i} has a critical value on its cut "
                             f"(margin {margin:.2e})",
                             point))
+            # a first locus that (a) refused is not a union of branches
             f1 = comp.coords[0]
-            if not f1.is_constant():
+            if not f1.is_constant() and 1 not in rough:
                 try:
                     paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],
                                                 precision_bits=precision_bits)

@@ -356,6 +356,12 @@ def test_regulator_pipeline_point_cycle():
         assert tr.certificate == Fraction(1, 5)
 
 
+def _totaro_composed(order, g):
+    return parse_cycle_file(
+        f"field cyclotomic({order})\ncycle totaro_g n=3 p=2\n"
+        f"component mult=1 1-1/({g}) ; 1-({g}) ; 1/({g})\n")[0]
+
+
 # Totaro's cycle composed with a map g of degree k on the parameter line pushes
 # forward to k times itself, so its regulator is k * pi^2/6 (Kerr-Lewis-
 # Mueller-Stach, Compositio Math. 2006); these send a first coordinate of
@@ -366,9 +372,7 @@ def test_regulator_pipeline_point_cycle():
     (3, "t^3", 3, 8),
 ], ids=["s2", "s2_plus_i", "s3"])
 def test_regulator_of_reparametrized_totaro(order, g, k, torsion):
-    Z = parse_cycle_file(
-        f"field cyclotomic({order})\ncycle totaro_g n=3 p=2\n"
-        f"component mult=1 1-1/({g}) ; 1-({g}) ; 1/({g})\n")[0]
+    Z = _totaro_composed(order, g)
     if g == "t^2+i":
         assert Z.components == load_fixture("totaro_s2_plus_i").components
     with workprec(128):
@@ -388,6 +392,16 @@ def test_regulator_low_precision_raises_precision_error(z1, bits):
     with workprec(bits):
         with pytest.raises(PrecisionError, match=f"{bits} bits"):
             regulator(z1, precision_bits=bits)
+
+
+def test_regulator_node_on_a_zero_raises_precision_error():
+    # at 64 bits a quadrature node of Totaro o s^3 rounds onto the zero
+    # zeta_3 of 1 - 1/t^3, where dlog of coordinate 1 would divide by 0
+    Z = _totaro_composed(3, "t^3")
+    with workprec(64):
+        with pytest.raises(PrecisionError, match="rounds onto a zero or pole "
+                                                 "at 64 bits"):
+            regulator(Z, precision_bits=64)
 
 
 def _divisor_key(points):

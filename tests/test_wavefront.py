@@ -8,6 +8,7 @@ from chowreg import (
     ConvergenceError,
     CurveComponent,
     PhaseSchedule,
+    PrecisionError,
     Precycle,
     RationalFunction,
     ScheduleError,
@@ -77,8 +78,7 @@ def test_trace_identity_function_is_ray():
     t = t_var()
     comp = CurveComponent(2, (t, (t - 1) / (t + 3)), 1)
     with workprec(128):
-        paths = trace_wavefront(comp, 1, mp.mpf("0.05"), grid=300,
-                                precision_bits=128)
+        paths = trace_wavefront(comp, 1, mp.mpf("0.05"), precision_bits=128)
         assert len(paths) == 1
         p = paths[0]
         # every sample on the ray arg t = pi - eps
@@ -93,7 +93,7 @@ def test_trace_identity_function_is_ray():
 
 def test_trace_unperturbed_segment(z1):
     with workprec(128):
-        paths = trace_wavefront(z1.components[0], 1, mp.mpf(0), grid=300,
+        paths = trace_wavefront(z1.components[0], 1, mp.mpf(0),
                                 precision_bits=128)
         assert len(paths) == 1
         p = paths[0]
@@ -110,7 +110,7 @@ def test_trace_square_has_two_branches():
     comp = CurveComponent(2, (t * t, RationalFunction.from_rational(5, 1)), 1)
     with workprec(128):
         eps = mp.mpf("0.1")
-        paths = trace_wavefront(comp, 1, eps, grid=300, precision_bits=128)
+        paths = trace_wavefront(comp, 1, eps, precision_bits=128)
         assert len(paths) == 2
         args = sorted(float(mp.arg(p.points[len(p.points) // 2])) for p in paths)
         expect_hi = float((mp.pi - eps) / 2)
@@ -148,7 +148,7 @@ def test_branch_count_equals_degree():
         for f in _higher_degree_candidates():
             comp = CurveComponent(2, (f, RationalFunction.from_rational(7, 1)), 1)
             phase = mp.mpf(rng.uniform(0.05, 0.3))
-            paths = trace_wavefront(comp, 1, phase, grid=300, precision_bits=128)
+            paths = trace_wavefront(comp, 1, phase, precision_bits=128)
             assert len(paths) == f.degree_map
 
 
@@ -172,6 +172,51 @@ def test_higher_degree_trace_needs_one_root_solve(monkeypatch):
                 for sigma, t in zip(path.sigmas, path.points):
                     v = path.evaluator.value(t)
                     assert abs(mp.log(abs(v)) - sigma) < bound
+
+
+@pytest.mark.parametrize("bits", [53, 64])
+def test_trace_near_a_double_pole_needs_one_root_solve(monkeypatch, bits):
+    # at the seed radius e^56 the two branches of 1 - 1/t^2 lie about
+    # 2 e^-28 apart around its double pole t = 0, closer than 2^(-prec/2);
+    # measured against their previous separation they only move apart, so
+    # the trace declares no collision and the seed is the one root solve
+    t = t_var()
+    f = RationalFunction.from_rational(1, 1) - 1 / (t * t)
+    comp = CurveComponent(2, (f, RationalFunction.from_rational(7, 1)), 1)
+    calls = _counting_polyroots(monkeypatch)
+    phase = mp.mpf("0.1")
+    with workprec(bits):
+        paths = trace_wavefront(comp, 1, phase, precision_bits=bits)
+        assert len(calls) == 1
+        assert len(paths) == 2
+        # on the ray at the sample's radius, in the relative measure
+        # |f(t) - w| / (|w| + 1) of the solve's tolerance
+        bound = mp.mpf(2) ** (-bits / 3)
+        direction = mp.expj(mp.pi - phase)
+        for path in paths:
+            for sigma, t in zip(path.sigmas, path.points):
+                w = mp.exp(sigma) * direction
+                assert abs(path.evaluator.value(t) - w) < bound * (abs(w) + 1)
+
+
+@pytest.mark.parametrize("bits, phase, error, match", [
+    # the critical values -5 +- sqrt(23) of f are negative reals; at phase
+    # 1e-4 two branches run onto one another near the ray
+    (128, "1e-4", ScheduleError, "branch collision"),
+    # the seed next to the pole t = -5 is not told apart from it at 64 bits,
+    # and the first step from it fails
+    (64, "0.15", PrecisionError, "64 bits"),
+])
+def test_trace_failure_contract(monkeypatch, bits, phase, error, match):
+    t = t_var()
+    comp = CurveComponent(2, ((t * t - 2) / (t + 5),
+                              RationalFunction.from_rational(7, 1)), 1)
+    calls = _counting_polyroots(monkeypatch)
+    with workprec(bits):
+        with pytest.raises(error, match=match):
+            trace_wavefront(comp, 1, mp.mpf(phase), precision_bits=bits)
+    # every root solve is an attempt at the seed
+    assert len({tuple(args[0]) for args in calls}) == 1
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -214,9 +259,10 @@ def _point_at_kernel_calls(comp, monkeypatch):
     Horner passes."""
     phase = mp.mpf("0.1")
     with workprec(128):
-        path = trace_wavefront(comp, 1, phase, grid=300, precision_bits=128)[0]
+        path = trace_wavefront(comp, 1, phase, precision_bits=128)[0]
         counts = _count_kernel_calls(monkeypatch)
-        sigma = (path.sigmas[150] + path.sigmas[151]) / 2
+        k = len(path.sigmas) // 2
+        sigma = (path.sigmas[k] + path.sigmas[k + 1]) / 2
         t = path.point_at(sigma)
         calls = dict(counts)
         target = mp.e ** sigma * mp.e ** (1j * (mp.pi - phase))
@@ -239,14 +285,14 @@ def test_point_at_reports_a_critical_point_as_convergence_error(monkeypatch):
     comp = CurveComponent(2, ((t * t - 2) / (t + 5),
                               RationalFunction.from_rational(7, 1)), 1)
     with workprec(128):
-        path = trace_wavefront(comp, 1, mp.mpf("0.1"), grid=300,
-                               precision_bits=128)[0]
+        path = trace_wavefront(comp, 1, mp.mpf("0.1"), precision_bits=128)[0]
 
         def critical(self, *args):
             raise ZeroDivisionError("critical point in Newton step")
 
         monkeypatch.setattr(RFEvaluator, "newton_step", critical)
-        sigma = (path.sigmas[150] + path.sigmas[151]) / 2
+        k = len(path.sigmas) // 2
+        sigma = (path.sigmas[k] + path.sigmas[k + 1]) / 2
         with pytest.raises(ConvergenceError,
                            match=f"log-radius {float(sigma):.4f}"):
             path.point_at(sigma)
@@ -380,6 +426,32 @@ def test_admissible_critical_value_on_cut(coord2, witness):
         rep = admissible(Z, PhaseSchedule(1, (0.1, 0.01, 0.001)),
                          precision_bits=128)
         assert not [f for f in rep.failures if f.kind == "critical-value"]
+
+
+def test_admissible_does_not_trace_a_first_locus_with_a_critical_value(
+        monkeypatch):
+    # the critical value -1/4 of (t - 2)(t - 3) lies on the phase-0 ray, so
+    # the first locus is no union of branches and there is nothing to trace
+    import chowreg.wavefront as wf
+
+    traces = []
+    trace = wf.trace_wavefront
+
+    def counting(*args, **kwargs):
+        traces.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(wf, "trace_wavefront", counting)
+    t = t_var()
+    comp = CurveComponent(3, ((t - 2) * (t - 3), t,
+                              RationalFunction.from_rational(5, 1)), 1)
+    Z = Precycle(3, 2, [comp], order=1)
+    with workprec(128):
+        rep = admissible(Z, PhaseSchedule(1, (0, 0.01, 0.001)),
+                         precision_bits=128)
+    assert [f.kind for f in rep.failures] == ["critical-value"]
+    assert abs(rep.failures[0].witness.value - mp.mpf("2.5")) < 1e-30
+    assert traces == []
 
 
 def test_admissible_z1_at_zero_phases(z1):
