@@ -653,21 +653,22 @@ class RFEvaluator:
     def value(self, t):
         return self._horner(self.nc, t) / self._horner(self.dc, t)
 
-    def resolved_value(self, t):
+    def resolved_value(self, t, n=None, d=None):
         """f(t), or None when num(t) or den(t) lies within the rounding
         error of its Horner pass, about 2^(4 - prec) max_k |c_k| |t|^k
         (compared by binary magnitude): at the working precision t is then
-        not told apart from a zero or pole."""
+        not told apart from a zero or pole.  ``n`` and ``d`` are num(t) and
+        den(t) when the caller already has them."""
+        if n is None:
+            n = self._horner(self.nc, t)
+            d = self._horner(self.dc, t)
         e = mp.mag(t)
         floor = 4 - mp.mp.prec
-        nd = []
-        for coeffs in (self.nc, self.dc):
-            v = self._horner(coeffs, t)
+        for coeffs, v in ((self.nc, n), (self.dc, d)):
             size = max(mp.mag(c) + k * e for k, c in enumerate(coeffs) if c)
             if not v or mp.mag(v) <= size + floor:
                 return None
-            nd.append(v)
-        return nd[0] / nd[1]
+        return n / d
 
     def dlog(self, t, n=None, d=None):
         """f'/f at t; caller keeps t away from zeros and poles.  ``n`` and

@@ -19,6 +19,13 @@ every other fixture is a zero-freedom check.
 Evaluation reads the traced first cut loci and their crossings from the
 admissibility report that accepted the schedule, so the pipeline traces and
 intersects each schedule's cut loci once, inside the schedule search.
+
+L is taken along each path in its log-radius u = -log r, split at the
+crossings into stretches on which the branch of log f_2 is fixed.  Each
+stretch is integrated in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
+whole path onto (-1, 1); there the integrand is bounded, with log-type
+behaviour only at the path ends x = +-1, which is the case one
+double-exponential (tanh-sinh) segment resolves.
 """
 
 from __future__ import annotations
@@ -183,8 +190,7 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level, nodes):
     return results[-1], err_prev + float(eps_w)
 
 
-_CHUNK_LENGTH = 8.0
-_MAX_LEVEL = 8
+_MAX_LEVEL = 10
 # quadrature runs its integrand this many bits above the working precision
 _EXTRA_BITS = 16
 
@@ -197,11 +203,15 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
     oriented pole -> zero, u increases.  ``tails`` marks which ends are true
     path ends and get the truncation-tail allowance.
 
-    The range is cut into bounded chunks and each chunk integrated by the
-    double-exponential rule; chunks in the exponential tails converge at the
-    first levels, so the cost concentrates where the integrand lives.  The
-    chunks share one node table, so each abscissa and weight is computed once
-    per call.
+    The integral is taken in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
+    whole log-radius line onto (-1, 1): the integrand
+    fn(u(x)) * 2/((1 - x)(1 + x)), u(x) = log((1 + x)/(1 - x)), is bounded
+    there, since fn decays like e^{-|u|} towards the pole and the zero, and
+    keeps only log-type behaviour at x = +-1.  One double-exponential
+    segment over [tanh(u_lo/2), tanh(u_hi/2)] resolves it: its nodes crowd
+    towards the path ends, where the stretch's exponential tails are.
+    Rounding never moves a node outside [u_lo, u_hi], so ``fn`` is only
+    asked for log-radii on the traced path.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -209,20 +219,16 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
         tol = float(mp.mpf(2) ** (-precision_bits // 3))
     with workprec(precision_bits + _EXTRA_BITS):
         u_lo, u_hi = mp.mpf(u_lo), mp.mpf(u_hi)
-        span = u_hi - u_lo
-        chunks = max(1, int(mp.ceil(span / _CHUNK_LENGTH)))
-        step = span / chunks
-        total = mp.mpc(0)
-        err = 0.0
-        nodes = {}
-        for k in range(chunks):
-            a = u_lo + k * step
-            b = u_lo + (k + 1) * step if k < chunks - 1 else u_hi
-            val, e = _tanh_sinh_segment(fn, a, b, tol, precision_bits,
-                                        _MAX_LEVEL, nodes)
-            total += val
-            err += e
+
+        def in_x(x):
+            u = min(max(mp.log((1 + x) / (1 - x)), u_lo), u_hi)
+            return fn(u) * 2 / ((1 - x) * (1 + x))
+
+        total, err = _tanh_sinh_segment(in_x, mp.tanh(u_lo / 2),
+                                        mp.tanh(u_hi / 2), tol,
+                                        precision_bits, _MAX_LEVEL, {})
         # truncation-tail allowance, only at true path ends
+        span = u_hi - u_lo
         tail = 0.0
         if tails[0]:
             tail += float(abs(fn(u_lo + mp.mpf("1e-9") * span)))

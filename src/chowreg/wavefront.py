@@ -266,16 +266,18 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
         tol = mp.mpf(2) ** (16 - precision_bits)
         collision_rel = mp.mpf(2) ** (-precision_bits // 2)
 
-        def step(t, sigma):
-            """The point at log-radius ``sigma`` of the branch through the
-            previous sample ``t`` (None for a Moebius seed)."""
+        def step(prev, sigma):
+            """The solve (t, num(t), den(t)) at log-radius ``sigma`` of the
+            branch through the previous sample ``prev``: a solve, a root
+            seed (t, None, None), or None for a Moebius seed."""
+            t = None if prev is None else prev[0]
             try:
                 hit = ev.solve(t, mp.exp(sigma) * direction, tol, 40)
             except ZeroDivisionError:
                 hit = None
             if hit is not None:
-                return hit[0]
-            if t is not None and ev.resolved_value(t) is None:
+                return hit
+            if prev is not None and ev.resolved_value(*prev) is None:
                 raise _unresolved(coord_index, t, sigmas[-1], precision_bits)
             raise ScheduleError(
                 "non-generic phase: the trace lost a branch near radius "
@@ -283,35 +285,37 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
 
         sigmas = [sigma_hi]
         if ev.linear is None:
-            current = _seed_roots(ev, mp.exp(sigma_hi) * direction,
-                                  precision_bits)
+            current = [(t, None, None) for t in
+                       _seed_roots(ev, mp.exp(sigma_hi) * direction,
+                                   precision_bits)]
         else:
             current = [step(None, sigma_hi)]
-        branches = [[t] for t in current]
+        branches = [[hit] for hit in current]
         for _ in range(TRACE_GRID_DEFAULT):
             sigma = sigmas[-1] - h
-            moved = [step(t, sigma) for t in current]
+            moved = [step(hit, sigma) for hit in current]
             for a in range(len(moved)):
                 for b in range(a + 1, len(moved)):
-                    if (abs(moved[a] - moved[b])
-                            < collision_rel * abs(current[a] - current[b])):
+                    if (abs(moved[a][0] - moved[b][0])
+                            < collision_rel
+                            * abs(current[a][0] - current[b][0])):
                         raise ScheduleError(
                             "non-generic phase: branch collision (critical "
                             "value on the cut ray) near radius "
                             f"{mp.nstr(mp.e ** sigma, 8)}")
             current = moved
             sigmas.append(sigma)
-            for branch, t in zip(branches, current):
-                branch.append(t)
+            for branch, hit in zip(branches, current):
+                branch.append(hit)
 
         rot = _rotation(phase)
         paths = []
-        for points in branches:
+        for hits in branches:
             residuals = []
-            for s, t in zip(sigmas, points):
-                val = ev.resolved_value(t)
+            for s, hit in zip(sigmas, hits):
+                val = ev.resolved_value(*hit)
                 if val is None:
-                    raise _unresolved(coord_index, t, s, precision_bits)
+                    raise _unresolved(coord_index, hit[0], s, precision_bits)
                 residuals.append(_on_cut_margin(val, rot))
             paths.append(
                 TracedPath(
@@ -319,7 +323,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
                     phase=mp.mpf(phase),
                     evaluator=ev,
                     sigmas=sigmas,
-                    points=points,
+                    points=[hit[0] for hit in hits],
                     arg_residuals=residuals,
                 )
             )

@@ -321,6 +321,7 @@ def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
                 assert ev.solve(None, w, mp.mpf(2) ** (16 - bits), 40) == (t, n, d)
                 assert n == RFEvaluator._horner(ev.nc, t)
                 assert d == RFEvaluator._horner(ev.dc, t)
+                assert ev.resolved_value(t, n, d) == ev.resolved_value(t)
                 if n != 0:  # at 53 bits t = 1 + w can round onto the zero 1
                     assert ev.dlog(t, n, d) == ev.dlog(t)
             with workprec(bits + 64):

@@ -32,8 +32,6 @@ from chowreg import (
     workprec,
 )
 from chowreg.regulator import (
-    _EXTRA_BITS,
-    _MAX_LEVEL,
     RegulatorValue,
     _canonical_mod_lattice,
     _tanh_sinh_segment,
@@ -185,40 +183,51 @@ def test_segment_rule_log_kernel():
         assert err < 1e-25
 
 
-def test_quadrature_chunks_share_one_node_table(monkeypatch):
-    # one table per call gives the same sum, bit for bit, as a fresh table
-    # per chunk, and computes each abscissa once
-    tanh_calls = []
-    tanh = mp.tanh
+def test_quadrature_is_one_segment_per_stretch(z1, monkeypatch):
+    # in x = tanh(u/2) one double-exponential segment resolves a whole
+    # stretch: a Totaro path (one stretch, no crossings) at 256 bits takes
+    # about 300 integrand calls
+    regulator_module = importlib.import_module("chowreg.regulator")
+    quad = regulator_module.quadrature
+    segment = regulator_module._tanh_sinh_segment
+    stretches = []
 
-    def counting_tanh(x):
-        tanh_calls.append(x)
-        return tanh(x)
+    def counting_segment(*args, **kwargs):
+        stretches[-1]["segments"] += 1
+        return segment(*args, **kwargs)
 
-    monkeypatch.setattr(mp, "tanh", counting_tanh)
+    def counting_quadrature(fn, *args, **kwargs):
+        counts = {"segments": 0, "nodes": 0}
+        stretches.append(counts)
 
-    def fn(u):
-        return mp.mpc(1, u) / (1 + u * u)
+        def node(u):
+            counts["nodes"] += 1
+            return fn(u)
 
-    bits = 128
-    u_lo, u_hi = mp.mpf("-3"), mp.mpf(29)  # 4 chunks of length 8
+        return quad(node, *args, **kwargs)
+
+    monkeypatch.setattr(regulator_module, "_tanh_sinh_segment",
+                        counting_segment)
+    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
+    with workprec(256):
+        s = make_schedule(0.3, 3, 0.5)
+        rep = admissible(z1, s, precision_bits=256)
+        reg_n3(z1, rep, precision_bits=256)
+    assert len(stretches) == len(rep.paths[0]) == 1
+    assert all(c["segments"] == 1 for c in stretches)
+    assert stretches[0]["nodes"] <= 400
+
+
+@pytest.mark.parametrize("bits", [96, 128])
+def test_totaro_accuracy_at_low_precision(z1, bits):
+    # the truncated path ends leave |error| ~ 56 e^{-56} ~ 3e-23, and the
+    # quadrature reaches that floor from 96 bits up
     with workprec(bits):
-        got = quadrature(fn, u_lo, u_hi, precision_bits=bits,
-                         tails=(False, False))
-    shared_calls = len(tanh_calls)
-    tol = float(mp.mpf(2) ** (-bits // 3))
-    total, err, fresh_calls = mp.mpc(0), 0.0, []
-    with workprec(bits + _EXTRA_BITS):
-        for k in range(4):
-            del tanh_calls[:]
-            val, e = _tanh_sinh_segment(fn, u_lo + 8 * k, u_lo + 8 * (k + 1),
-                                        tol, bits, _MAX_LEVEL, {})
-            total += val
-            err += e
-            fresh_calls.append(len(tanh_calls))
-    assert got.value._mpc_ == total._mpc_
-    assert got.radius == err
-    assert shared_calls == max(fresh_calls) < sum(fresh_calls)
+        v = regulator(z1, precision_bits=bits)
+    with workprec(bits + 64):
+        err = abs(mp.mpc(v.value.value) - mp.pi ** 2 / 6)
+    assert err <= v.value.radius
+    assert err < 1e-21
 
 
 def test_reg_n3_z1(z1):
@@ -324,6 +333,27 @@ def test_crossing_term_sweep_invariance(mccarthy):
         diff = abs(vals[0].value.value - vals[1].value.value)
         assert float(diff) <= vals[0].quadrature_error + \
             vals[1].quadrature_error + 1e-20
+
+
+def test_crossing_stretches_agree_across_the_sweep(mccarthy):
+    # the stretches that end at a crossing, integrated at 128 bits, against
+    # the same schedules at 256 bits: each ball holds its reference, and
+    # the two sides of the sweep agree to the span floor, far inside the
+    # radii
+    e1, e3 = mp.mpf("0.2"), mp.mpf("1e-6")
+    vals = []
+    for e2 in (mp.mpf("0.3"), mp.mpf("0.02")):
+        s = PhaseSchedule(1, (e1, e2, e3))
+        with workprec(128):
+            v = reg_n3(mccarthy, s, precision_bits=128)
+        with workprec(256):
+            ref = reg_n3(mccarthy, s, precision_bits=256)
+            assert abs(mp.mpc(v.value.value) - ref.value.value) <= v.value.radius
+        assert sum(len(e["crossings"]) for e in v.breakdown) > 0
+        vals.append(v)
+    with workprec(256):
+        diff = abs(mp.mpc(vals[0].value.value) - mp.mpc(vals[1].value.value))
+    assert diff < 1e-20
 
 
 def test_phase_independence_z1(z1):

@@ -278,6 +278,17 @@ def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
     assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
 
 
+def test_moebius_trace_reads_num_and_den_from_the_solve(z1, monkeypatch):
+    # every sample's resolution check reads the num(t) and den(t) of the
+    # closed-form solve that placed it: no Horner pass in the whole trace
+    counts = _count_kernel_calls(monkeypatch)
+    with workprec(128):
+        (path,) = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
+                                  precision_bits=128)
+    assert len(path.points) > 1
+    assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
+
+
 def test_point_at_reports_a_critical_point_as_convergence_error(monkeypatch):
     # a ZeroDivisionError from the solve (a critical point on the level
     # set) leaves point_at as a ConvergenceError naming the log-radius
