@@ -27,6 +27,8 @@ from .parser import parse_cycle_file, serialize_cycles
 from .regulator import intersection_number_n2, regulator, torsion_order
 from .wavefront import (
     PhaseSchedule,
+    _on_cut_margin,
+    _rotation,
     admissible,
     find_pair_intersections,
     make_schedule,
@@ -224,13 +226,14 @@ def _cmd_trace(Z, args, precision_bits, tol):
             paths = trace_wavefront(comp, i, s.phases[i - 1],
                                     precision_bits=precision_bits)
             all_paths[i] = paths
+            rot = _rotation(s.phases[i - 1])
             for p in paths:
                 for k, (sig, t) in enumerate(zip(p.sigmas, p.points)):
                     path_rows.append([
                         ci, i, k,
                         mp.nstr(t.real, 20), mp.nstr(t.imag, 20),
                         mp.nstr(mp.e ** sig, 20),
-                        repr(p.arg_residuals[k]),
+                        repr(_on_cut_margin(p.evaluator.value(t), rot)),
                     ])
         if Z.n >= 2 and 1 in all_paths:
             for c in find_pair_intersections(comp, all_paths[1], 2, s.phases[1],

@@ -301,7 +301,12 @@ def roots_numeric(p, precision_bits=None):
     return [(ball, mult) for ball, mult, _ in _roots_with_factors(p, precision_bits)]
 
 
-def linear_factors(p, probe_bits=128):
+# precision of the numeric root pass that proposes ``linear_factors``'
+# candidates; every candidate is then verified exactly
+_PROBE_BITS = 128
+
+
+def linear_factors(p):
     """Extract verified roots of p lying in Q(zeta_N).
 
     Returns ([(root, multiplicity)], remaining_poly).  Candidates come from a
@@ -311,14 +316,14 @@ def linear_factors(p, probe_bits=128):
     """
     found = []
     rem = p.monic()
-    with workprec(probe_bits):
+    with workprec(_PROBE_BITS):
         seen = set()
         # the second pass is a rational-root style second chance on the
         # deflated remainder
         for _ in range(2):
             if rem.degree < 1:
                 break
-            for ball, _mult, _fac in _roots_with_factors(rem, probe_bits):
+            for ball, _mult, _fac in _roots_with_factors(rem, _PROBE_BITS):
                 for cand in reconstruct_in_field(ball.value, p.order):
                     if cand in seen:
                         continue
@@ -623,7 +628,8 @@ class RFEvaluator:
     den': four Horner passes.
     """
 
-    __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc", "linear")
+    __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc", "mags",
+                 "linear")
 
     def __init__(self, rf, precision_bits):
         self.rf = rf
@@ -633,6 +639,10 @@ class RFEvaluator:
             self.dc = [embed(c, precision_bits + 20).value for c in rf.den.coeffs]
             self.npc = [embed(c, precision_bits + 20).value for c in rf.num.derivative().coeffs]
             self.dpc = [embed(c, precision_bits + 20).value for c in rf.den.derivative().coeffs]
+        # (k, binary magnitude of c_k) of the nonzero coefficients of num
+        # and den, which size ``resolved_value``'s rounding floor
+        self.mags = tuple([(k, mp.mag(c)) for k, c in enumerate(cs) if c]
+                          for cs in (self.nc, self.dc))
         self.linear = None
         if len(self.nc) <= 2 and len(self.dc) <= 2:
             zero = mp.mpc(0)
@@ -664,8 +674,8 @@ class RFEvaluator:
             d = self._horner(self.dc, t)
         e = mp.mag(t)
         floor = 4 - mp.mp.prec
-        for coeffs, v in ((self.nc, n), (self.dc, d)):
-            size = max(mp.mag(c) + k * e for k, c in enumerate(coeffs) if c)
+        for mags, v in zip(self.mags, (n, d)):
+            size = max(m + k * e for k, m in mags)
             if not v or mp.mag(v) <= size + floor:
                 return None
         return n / d

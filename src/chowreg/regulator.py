@@ -67,7 +67,6 @@ class RegulatorValue:
     p: int
     value: ComplexApprox
     schedule_used: object
-    quadrature_error: float
     breakdown: list = dataclass_field(default_factory=list)
     lattice_multiple: int = 0
     agreement: list = dataclass_field(default_factory=list)
@@ -123,21 +122,25 @@ def reg_n1(Z, phase, precision_bits=None):
             p=1,
             value=ComplexApprox(canon, total.radius),
             schedule_used=PhaseSchedule(mp.mpf(1), (mp.mpf(phase),)),
-            quadrature_error=total.radius,
             breakdown=breakdown,
             lattice_multiple=k,
         )
 
 
-def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level, nodes):
+_MAX_LEVEL = 10
+# quadrature runs its integrand this many bits above the working precision
+_EXTRA_BITS = 16
+
+
+def _tanh_sinh_segment(fn, a, b, tol, precision_bits):
     """Double-exponential quadrature of an analytic integrand on [a, b].
 
-    Error is estimated from the last level-to-level difference; estimates that
-    stop decreasing raise ConvergenceError.  ``nodes`` maps each tau to its
-    abscissa tanh(pi/2 sinh tau) on [-1, 1] and weight, or to None where the
-    weight is below the floor.  Those depend only on tau and the working
-    precision, so one table, filled as levels are reached, serves every
-    segment integrated at that precision.
+    Error is estimated from the last level-to-level difference, over at most
+    ``_MAX_LEVEL`` halvings of the step; estimates that stop decreasing raise
+    ConvergenceError.  Each level adds only the new odd-indexed nodes, so
+    every tau is visited once: its abscissa tanh(pi/2 sinh tau) on [-1, 1]
+    and weight are computed where it is evaluated, and a node whose weight
+    is below the floor contributes nothing.
     """
     a = mp.mpf(a)
     b = mp.mpf(b)
@@ -150,15 +153,11 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level, nodes):
     tau_max = mp.asinh(2 * mp.log(4 / eps_w) / mp.pi)
 
     def eval_at(tau):
-        if tau not in nodes:
-            s = mp.pi / 2 * mp.sinh(tau)
-            w = mp.pi / 2 * mp.cosh(tau) / mp.cosh(s) ** 2
-            nodes[tau] = None if w < w_floor else (mp.tanh(s), w)
-        node = nodes[tau]
-        if node is None:
+        s = mp.pi / 2 * mp.sinh(tau)
+        w = mp.pi / 2 * mp.cosh(tau) / mp.cosh(s) ** 2
+        if w < w_floor:
             return mp.mpc(0)
-        x, w = node
-        u = mid + half * x
+        u = mid + half * mp.tanh(s)
         if u <= a or u >= b:
             return mp.mpc(0)
         return fn(u) * w
@@ -170,7 +169,7 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level, nodes):
         total += eval_at(j * h) + eval_at(-j * h)
     results = [total * h * half]
     err_prev = None
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         h = h / 2
         kmax = int(mp.ceil(tau_max / h))
         for j in range(1, kmax + 1, 2):
@@ -188,11 +187,6 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits, max_level, nodes):
         raise ConvergenceError(
             f"quadrature did not reach tolerance {tol:.3g} (last error {err_prev})")
     return results[-1], err_prev + float(eps_w)
-
-
-_MAX_LEVEL = 10
-# quadrature runs its integrand this many bits above the working precision
-_EXTRA_BITS = 16
 
 
 def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
@@ -226,7 +220,7 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
 
         total, err = _tanh_sinh_segment(in_x, mp.tanh(u_lo / 2),
                                         mp.tanh(u_hi / 2), tol,
-                                        precision_bits, _MAX_LEVEL, {})
+                                        precision_bits)
         # truncation-tail allowance, only at true path ends
         span = u_hi - u_lo
         tail = 0.0
@@ -266,7 +260,7 @@ def _admitted(Z, schedule, precision_bits):
     return rep
 
 
-def reg_n3(Z, schedule, precision_bits=None, tol=None):
+def reg_n3(Z, schedule, precision_bits=None):
     """Regulator of a curve-level cycle in the 3-cube at a fixed schedule.
 
     ``schedule`` is a PhaseSchedule, which is checked for admissibility here,
@@ -274,12 +268,11 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
     this precision.  The traced first cut loci and their crossings with the
     second cut are read from the report.  The k=1 term of the current (a
     holomorphic 2-form) vanishes identically on a complex curve and is
-    skipped.
+    skipped.  Each stretch is integrated to ``quadrature``'s default
+    tolerance, 2^(-precision_bits/3).
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    if tol is None:
-        tol = float(mp.mpf(2) ** (-precision_bits // 3))
     if not (Z.is_curve_level and Z.n == 3):
         raise ChowregError("reg_n3 needs a curve-level cycle in the 3-cube")
     rep = _admitted(Z, schedule, precision_bits)
@@ -355,7 +348,6 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
 
                         piece = quadrature(fn, a, b,
                                            precision_bits=precision_bits,
-                                           tol=tol,
                                            tails=(seg == 0,
                                                   seg == len(bounds) - 2))
                         line = line + piece
@@ -369,7 +361,6 @@ def reg_n3(Z, schedule, precision_bits=None, tol=None):
             p=2,
             value=ComplexApprox(canon, total_err),
             schedule_used=rep.schedule,
-            quadrature_error=total_err,
             breakdown=breakdown,
             lattice_multiple=k,
         )
@@ -439,7 +430,7 @@ def _pairwise_agreement(values, p, tol):
         for b in range(a + 1, len(values)):
             k, resid = lattice_difference(values[a].value.value,
                                           values[b].value.value, p)
-            budget = values[a].quadrature_error + values[b].quadrature_error + tol
+            budget = values[a].value.radius + values[b].value.radius + tol
             out.append((a, b, k, float(resid), float(resid) <= budget))
     return out
 
@@ -510,18 +501,16 @@ def _cf_minimal_denominator(x, max_order, tol):
     return None
 
 
-def torsion_order(value, max_order=200, tol=1e-6, p=None):
+def torsion_order(value, max_order=200, tol=1e-6):
     """Least m <= max_order with m * value in the lattice, with certificate
     q = value / (2*pi*i)^p recognized as a fraction of denominator m."""
     if not isinstance(value, RegulatorValue):
         raise ChowregError("torsion_order expects a RegulatorValue")
     v = value
-    if p is None:
-        p = v.p
-    if v.quadrature_error >= tol / (2 * max_order):
+    if v.value.radius >= tol / (2 * max_order):
         raise PrecisionError(
-            "torsion recognition needs quadrature error below "
-            f"{tol / (2 * max_order):.3g}, have {v.quadrature_error:.3g}; "
+            "torsion recognition needs an error radius below "
+            f"{tol / (2 * max_order):.3g}, have {v.value.radius:.3g}; "
             "raise the working precision")
     q = v.q_value()
     if abs(q.imag) > tol:

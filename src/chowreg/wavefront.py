@@ -11,8 +11,11 @@ polynomial num_i - w den_i is linear and each point is its root in closed
 form, t = (w d0 - n0) / (n1 - w d1), seed included.  On a coordinate of
 higher degree one full root solve seeds the branches at the largest radius
 and each later point is Newton on num_i - w den_i from the branch's previous
-sample.  A step that fails, or two branches that close in on one another, end
-the trace with PrecisionError or ScheduleError.
+sample.  The trace is one pass that keeps, per branch, only the points
+evaluation reads.  Each point, sample or not, is checked by
+``RFEvaluator.resolved_value`` as the solve returns it: one within rounding
+of a zero or pole raises PrecisionError.  A step that fails, or two branches
+that close in on one another, end the trace with ScheduleError.
 A crossing of the first locus with the second cut is the root of
 Im(e^{i eps_2} f_2) as a function of the log-radius along the path, found by
 bracketed Newton; one quotient q = dlog f_2 / dlog f_1 there gives its slope,
@@ -124,28 +127,18 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
 class TracedPath:
     """One branch of a cut locus, oriented pole -> zero (radius decreasing).
 
-    ``sigmas`` are log-radii in decreasing order; ``points`` the corresponding
-    parameter values.  ``point_at`` re-solves the defining equation at any
-    log-radius, so downstream quadrature can sample the exact path rather
-    than interpolating.  It runs ``RFEvaluator.solve``, the solver the trace
-    itself steps with: in closed form on a Moebius coordinate, and else by
-    Newton warm-started from the nearest sample.  ``solve_at`` also hands on
-    the num(t) and den(t) that the solve computed; a point where either is
-    exactly 0 (rounded onto a zero or pole of f, where dlog f divides by
-    them) raises PrecisionError.
+    ``sigmas`` are log-radii in decreasing order, ``points`` the parameter
+    values there, and ``direction`` is e^(i(pi - phase)), the direction of
+    the cut ray.  These are what evaluation reads: ``solve_at`` re-solves
+    the defining equation at any log-radius, so downstream quadrature and
+    crossing refinement sample the exact path rather than interpolating.
     """
 
     coord_index: int
-    phase: object
+    direction: object
     evaluator: RFEvaluator
     sigmas: list
     points: list
-    arg_residuals: list
-    _direction: object = dataclass_field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._direction is None:
-            self._direction = mp.expj(mp.pi - mp.mpf(self.phase))
 
     @property
     def sigma_hi(self):
@@ -163,35 +156,17 @@ class TracedPath:
                   / float(self.sigmas[0] - self.sigmas[-1]))
         return min(max(k, 0), last)
 
-    def _newton_to(self, t, sigma, tol):
-        w = mp.exp(mp.mpf(sigma)) * self._direction
-        try:
-            hit = self.evaluator.solve(t, w, tol, 60)
-        except ZeroDivisionError as exc:
-            raise ConvergenceError(
-                f"path refinement hit a critical point at log-radius "
-                f"{float(sigma):.4f}") from exc
-        if hit is None:
-            raise ConvergenceError(
-                f"path refinement stalled at log-radius {float(sigma):.4f}"
-            )
-        if not (hit[1] and hit[2]):
-            raise PrecisionError(
-                f"coordinate {self.coord_index}: the point at log-radius "
-                f"{float(sigma):.4f} rounds onto a zero or pole at "
-                f"{self.evaluator.precision_bits} bits; raise the working "
-                "precision")
-        return hit
+    def solve_at(self, sigma):
+        """The point of this branch where f(t) = e^sigma direction, as
+        (t, num(t), den(t)), the last two as the solve computed them.
 
-    def point_at(self, sigma, tol=None):
-        """Solve f(t) = e^sigma * e^(i(pi-phase)) on this branch."""
-        return self.solve_at(sigma, tol)[0]
-
-    def solve_at(self, sigma, tol=None):
-        """``point_at`` as (t, num(t), den(t)), the last two as the solve
-        computed them."""
-        if tol is None:
-            tol = mp.mpf(2) ** (12 - mp.mp.prec)
+        It runs ``RFEvaluator.solve``, the solver the trace itself steps
+        with: in closed form on a Moebius coordinate, and else by Newton
+        warm-started from the nearest sample.  A stalled solve or a critical
+        point is a ConvergenceError; a point that ``resolved_value`` refuses
+        (within rounding of a zero or pole of f, where dlog f divides by
+        num or den) is a PrecisionError, as for a trace sample.
+        """
         sigma = mp.mpf(sigma)
         if sigma > self.sigmas[0] or sigma < self.sigmas[-1]:
             raise ChowregError(
@@ -200,16 +175,30 @@ class TracedPath:
         start = None
         if self.evaluator.linear is None:
             start = self.points[self._nearest_index(sigma)]
-        return self._newton_to(start, sigma, tol)
+        try:
+            hit = self.evaluator.solve(start, mp.exp(sigma) * self.direction,
+                                       mp.mpf(2) ** (12 - mp.mp.prec), 60)
+        except ZeroDivisionError as exc:
+            raise ConvergenceError(
+                f"path refinement hit a critical point at log-radius "
+                f"{float(sigma):.4f}") from exc
+        if hit is None:
+            raise ConvergenceError(
+                f"path refinement stalled at log-radius {float(sigma):.4f}"
+            )
+        return _resolved(self.evaluator, self.coord_index, hit, sigma)
 
 
-def _unresolved(coord_index, t, sigma, precision_bits):
-    """The PrecisionError for a trace sample ``t`` at log-radius ``sigma``
-    that ``RFEvaluator.resolved_value`` refuses."""
-    return PrecisionError(
-        f"coordinate {coord_index}: traced sample t = {mp.nstr(t, 8)} at "
-        f"radius {mp.nstr(mp.e ** sigma, 8)} is not told apart from a pole or "
-        f"zero at {precision_bits} bits; raise the working precision")
+def _resolved(ev, coord_index, hit, sigma):
+    """``hit`` = (t, num(t), den(t)) of a point at log-radius ``sigma`` on
+    a locus of coordinate ``coord_index``, or PrecisionError when
+    ``ev.resolved_value`` refuses it."""
+    if ev.resolved_value(*hit) is None:
+        raise PrecisionError(
+            f"coordinate {coord_index}: the point t = {mp.nstr(hit[0], 8)} "
+            f"at log-radius {float(sigma):.4f} rounds onto a zero or pole at "
+            f"{ev.precision_bits} bits; raise the working precision")
+    return hit
 
 
 def _seed_roots(ev, w, precision_bits):
@@ -244,14 +233,14 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     total), each oriented pole -> zero.  The branches are seeded at the
     largest radius, in closed form on a Moebius f_i and by one full root
     solve else, and each is continued by ``RFEvaluator.solve`` from its
-    previous sample.  A step that fails (no convergence or a critical point)
-    raises PrecisionError when the previous sample is not told apart from a
-    pole or zero of f_i (``RFEvaluator.resolved_value``) at the working
-    precision, and ScheduleError naming the radius otherwise.  Two branches
-    whose distance shrinks by more than 2^(-prec/2) in one step have
+    previous sample.  The trace is one pass: every sample, seeds included,
+    is checked as it is produced, and one that ``resolved_value`` does not
+    tell apart from a pole or zero of f_i at the working precision raises
+    PrecisionError there.  A step that fails (no convergence or a critical
+    point) raises ScheduleError naming the radius, and so do two branches
+    whose distance shrinks by more than 2^(-prec/2) in one step: they have
     collided or jumped onto one another, at a critical value on the ray
-    near that radius: ScheduleError.  A sample that fails
-    ``resolved_value`` raises PrecisionError.
+    near that radius.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -266,68 +255,45 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
         tol = mp.mpf(2) ** (16 - precision_bits)
         collision_rel = mp.mpf(2) ** (-precision_bits // 2)
 
-        def step(prev, sigma):
-            """The solve (t, num(t), den(t)) at log-radius ``sigma`` of the
-            branch through the previous sample ``prev``: a solve, a root
-            seed (t, None, None), or None for a Moebius seed."""
-            t = None if prev is None else prev[0]
+        def step(t, sigma):
+            """The checked sample at log-radius ``sigma`` of the branch
+            through the previous sample ``t`` (None for a Moebius seed)."""
             try:
                 hit = ev.solve(t, mp.exp(sigma) * direction, tol, 40)
             except ZeroDivisionError:
                 hit = None
-            if hit is not None:
-                return hit
-            if prev is not None and ev.resolved_value(*prev) is None:
-                raise _unresolved(coord_index, t, sigmas[-1], precision_bits)
-            raise ScheduleError(
-                "non-generic phase: the trace lost a branch near radius "
-                f"{mp.nstr(mp.e ** sigma, 8)}")
+            if hit is None:
+                raise ScheduleError(
+                    "non-generic phase: the trace lost a branch near radius "
+                    f"{mp.nstr(mp.e ** sigma, 8)}")
+            return _resolved(ev, coord_index, hit, sigma)[0]
 
         sigmas = [sigma_hi]
         if ev.linear is None:
-            current = [(t, None, None) for t in
-                       _seed_roots(ev, mp.exp(sigma_hi) * direction,
-                                   precision_bits)]
+            current = [_resolved(ev, coord_index, (t, None, None), sigma_hi)[0]
+                       for t in _seed_roots(ev, mp.exp(sigma_hi) * direction,
+                                            precision_bits)]
         else:
             current = [step(None, sigma_hi)]
-        branches = [[hit] for hit in current]
+        branches = [[t] for t in current]
         for _ in range(TRACE_GRID_DEFAULT):
             sigma = sigmas[-1] - h
-            moved = [step(hit, sigma) for hit in current]
+            moved = [step(t, sigma) for t in current]
             for a in range(len(moved)):
                 for b in range(a + 1, len(moved)):
-                    if (abs(moved[a][0] - moved[b][0])
-                            < collision_rel
-                            * abs(current[a][0] - current[b][0])):
+                    if (abs(moved[a] - moved[b])
+                            < collision_rel * abs(current[a] - current[b])):
                         raise ScheduleError(
                             "non-generic phase: branch collision (critical "
                             "value on the cut ray) near radius "
                             f"{mp.nstr(mp.e ** sigma, 8)}")
             current = moved
             sigmas.append(sigma)
-            for branch, hit in zip(branches, current):
-                branch.append(hit)
-
-        rot = _rotation(phase)
-        paths = []
-        for hits in branches:
-            residuals = []
-            for s, hit in zip(sigmas, hits):
-                val = ev.resolved_value(*hit)
-                if val is None:
-                    raise _unresolved(coord_index, hit[0], s, precision_bits)
-                residuals.append(_on_cut_margin(val, rot))
-            paths.append(
-                TracedPath(
-                    coord_index=coord_index,
-                    phase=mp.mpf(phase),
-                    evaluator=ev,
-                    sigmas=sigmas,
-                    points=[hit[0] for hit in hits],
-                    arg_residuals=residuals,
-                )
-            )
-        return paths
+            for branch, t in zip(branches, current):
+                branch.append(t)
+        return [TracedPath(coord_index=coord_index, direction=direction,
+                           evaluator=ev, sigmas=sigmas, points=points)
+                for points in branches]
 
 
 @dataclass
@@ -377,7 +343,8 @@ def find_pair_intersections(component, paths_i, j, phase_j,
                     continue
                 if a.real > 0 and b.real > 0:
                     continue  # positive-axis crossing, not the cut
-                hit = _refine_crossing(path, f_j_ev, rot_j, k, precision_bits)
+                hit = _refine_crossing(path, f_j_ev, rot_j, k, a.imag >= 0,
+                                       precision_bits)
                 if hit is None:
                     continue
                 sigma, t_c, q = hit
@@ -398,14 +365,15 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     return out
 
 
-def _refine_crossing(path, f_j_ev, rot_j, k, precision_bits):
+def _refine_crossing(path, f_j_ev, rot_j, k, hi_positive, precision_bits):
     """The root of g(sigma) = Im(rot_j f_j(t(sigma))) between the samples k
     and k + 1 of the path, with t(sigma) the path's ``solve_at``:
     (sigma, t, q), or None when f_j lies on the positive real axis there
     rather than on its cut.
 
     ``rot_j`` is the second phase's ``_rotation``; g changes sign, counted
-    half-open, between the two samples.  Along the path
+    half-open, between the two samples, and ``hi_positive`` is whether
+    g >= 0 at sample k.  Along the path
     dt/dsigma = 1 / dlog f_i, so with q = dlog f_j / dlog f_i the slope is
     g' = Im(rot_j f_j q).  Newton steps on g from the middle of the bracket,
     and bisection replaces a step that leaves it.  Once a step falls below
@@ -415,7 +383,6 @@ def _refine_crossing(path, f_j_ev, rot_j, k, precision_bits):
     f_i_ev = path.evaluator
     small = mp.mpf(2) ** (-precision_bits // 2)
     s_hi, s_lo = path.sigmas[k], path.sigmas[k + 1]
-    hi_positive = (f_j_ev.value(path.points[k]) * rot_j).imag >= 0
     sigma = (s_hi + s_lo) / 2
     converged = False
     # enough for bisection alone to bring a step below ``small``

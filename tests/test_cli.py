@@ -189,6 +189,10 @@ def test_cli_trace_export(tmp_path, capsys):
     assert head[0].startswith("# chowreg path export, format_version 1")
     assert head[1] == "component_id,coord_index,sample_index,re_t,im_t,r,arg_residual"
     assert rec["path_samples"] > 0
+    # every sample lies on its cut ray to a third of the working precision
+    residuals = [float(row.rsplit(",", 1)[1]) for row in head[2:]]
+    assert len(residuals) == rec["path_samples"]
+    assert max(residuals) < 2.0 ** (-128 / 3)
 
 
 def test_cli_text_format(capsys):

@@ -16,11 +16,13 @@ from chowreg import (
     admissible,
     find_pair_intersections,
     make_schedule,
+    regulator,
     search_schedule,
     trace_wavefront,
     workprec,
 )
 from chowreg.funcfield import RFEvaluator
+from chowreg.wavefront import TRACE_GRID_DEFAULT, _on_cut_margin, _rotation
 
 
 def t_var(order=1):
@@ -74,6 +76,13 @@ def test_schedule_validation_rejects_bad():
     assert not PhaseSchedule(0.5, (0.6,)).is_b_nested()
 
 
+def _margins(path, phase):
+    """Angular distance of f(t) from the cut ray of ``phase`` at every
+    sample t of ``path``."""
+    rot = _rotation(phase)
+    return [_on_cut_margin(path.evaluator.value(t), rot) for t in path.points]
+
+
 def test_trace_identity_function_is_ray():
     t = t_var()
     comp = CurveComponent(2, (t, (t - 1) / (t + 3)), 1)
@@ -88,7 +97,7 @@ def test_trace_identity_function_is_ray():
         # radii strictly decreasing along the pole -> zero order
         radii = [mp.e ** s for s in p.sigmas]
         assert all(radii[k] > radii[k + 1] for k in range(len(radii) - 1))
-        assert max(p.arg_residuals) < 1e-25
+        assert max(_margins(p, mp.mpf("0.05"))) < 1e-25
 
 
 def test_trace_unperturbed_segment(z1):
@@ -168,7 +177,7 @@ def test_higher_degree_trace_needs_one_root_solve(monkeypatch):
             assert len(calls) == 1
             assert len(paths) == f.degree_map
             for path in paths:
-                assert max(path.arg_residuals) < bound
+                assert max(_margins(path, phase)) < bound
                 for sigma, t in zip(path.sigmas, path.points):
                     v = path.evaluator.value(t)
                     assert abs(mp.log(abs(v)) - sigma) < bound
@@ -232,7 +241,7 @@ def test_moebius_trace_needs_no_root_solve(z1, petras, mccarthy, monkeypatch,
                 (path,) = trace_wavefront(comp, 1, mp.mpf("0.1"),
                                           precision_bits=bits)
                 assert path.evaluator.linear is not None
-                assert max(path.arg_residuals) < bound
+                assert max(_margins(path, mp.mpf("0.1"))) < bound
     assert calls == []
 
 
@@ -254,8 +263,8 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _point_at_kernel_calls(comp, monkeypatch):
-    """Kernel calls of one point_at between two trace samples away from any
-    pole; next to one, the floor rule would end the solve with two extra
+    """Kernel calls of one ``solve_at`` between two trace samples away from
+    any pole; next to one, the floor rule would end the solve with two extra
     Horner passes."""
     phase = mp.mpf("0.1")
     with workprec(128):
@@ -263,7 +272,7 @@ def _point_at_kernel_calls(comp, monkeypatch):
         counts = _count_kernel_calls(monkeypatch)
         k = len(path.sigmas) // 2
         sigma = (path.sigmas[k] + path.sigmas[k + 1]) / 2
-        t = path.point_at(sigma)
+        t = path.solve_at(sigma)[0]
         calls = dict(counts)
         target = mp.e ** sigma * mp.e ** (1j * (mp.pi - phase))
         assert abs(path.evaluator.value(t) - target) < 1e-30 * abs(target)
@@ -271,7 +280,7 @@ def _point_at_kernel_calls(comp, monkeypatch):
 
 
 def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
-    # on the Moebius 1 - 1/t point_at is the closed form of the solve: no
+    # on the Moebius 1 - 1/t solve_at is the closed form of the solve: no
     # residual, Newton step or Horner pass, and no nearest-sample lookup
     monkeypatch.setattr(TracedPath, "_nearest_index", None)
     counts = _point_at_kernel_calls(z1.components[0], monkeypatch)
@@ -289,9 +298,27 @@ def test_moebius_trace_reads_num_and_den_from_the_solve(z1, monkeypatch):
     assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
 
 
+def test_trace_computes_no_per_sample_margin(z1, monkeypatch):
+    # the trace keeps no arg residual per sample: a whole regulator() of
+    # Totaro makes fewer margin checks than one trace has samples
+    import chowreg.wavefront as wf
+
+    calls = []
+    margin = wf._on_cut_margin
+
+    def counting(*args):
+        calls.append(args)
+        return margin(*args)
+
+    monkeypatch.setattr(wf, "_on_cut_margin", counting)
+    with workprec(128):
+        regulator(z1, precision_bits=128)
+    assert len(calls) < TRACE_GRID_DEFAULT
+
+
 def test_point_at_reports_a_critical_point_as_convergence_error(monkeypatch):
     # a ZeroDivisionError from the solve (a critical point on the level
-    # set) leaves point_at as a ConvergenceError naming the log-radius
+    # set) leaves solve_at as a ConvergenceError naming the log-radius
     t = t_var()
     comp = CurveComponent(2, ((t * t - 2) / (t + 5),
                               RationalFunction.from_rational(7, 1)), 1)
@@ -306,7 +333,7 @@ def test_point_at_reports_a_critical_point_as_convergence_error(monkeypatch):
         sigma = (path.sigmas[k] + path.sigmas[k + 1]) / 2
         with pytest.raises(ConvergenceError,
                            match=f"log-radius {float(sigma):.4f}"):
-            path.point_at(sigma)
+            path.solve_at(sigma)
 
 
 def test_point_at_iterates_on_a_degree_two_locus(monkeypatch):
@@ -328,8 +355,8 @@ def test_point_at_refuses_a_log_radius_outside_the_trace(z1):
                                precision_bits=128)[0]
         for sigma in (path.sigma_hi + 1, path.sigma_lo - 1):
             with pytest.raises(ChowregError, match="outside the traced range"):
-                path.point_at(sigma)
-        path.point_at(path.sigma_lo)
+                path.solve_at(sigma)
+        path.solve_at(path.sigma_lo)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -345,7 +372,7 @@ def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
                                   precision_bits=bits)
         assert len(calls) == 0
         bound = 2.0 ** (-bits // 3)
-        assert max(path.arg_residuals) < bound
+        assert max(_margins(path, mp.mpf("0.1"))) < bound
         for sigma, t in zip(path.sigmas, path.points):
             assert abs(mp.log(abs(path.evaluator.value(t))) - sigma) < bound
 
