@@ -228,7 +228,7 @@ def _cmd_trace(Z, args, precision_bits, tol):
             all_paths[i] = paths
             rot = _rotation(s.phases[i - 1])
             for p in paths:
-                for k, (sig, t) in enumerate(zip(p.sigmas, p.points)):
+                for k, (sig, t) in enumerate(p.samples()):
                     path_rows.append([
                         ci, i, k,
                         mp.nstr(t.real, 20), mp.nstr(t.imag, 20),

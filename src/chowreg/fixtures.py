@@ -41,6 +41,25 @@ component mult=1 1-1/(t^2+i) ; 1-(t^2+i) ; 1/(t^2+i)
 }
 
 
+def _dilog_cycles(N, name, ks):
+    return parse_cycle_file(
+        f"field cyclotomic({N})\ncycle {name} n=3 p=2\n" + "".join(
+            f"component mult=1 1-zeta^{k}/t ; 1-t ; 1/t^{N}\n" for k in ks))[0]
+
+
+def dilog_cycle(N, k):
+    """Z_{N,k} = (1 - zeta^k/t ; 1 - t ; 1/t^N) over Q(zeta_N), a closed
+    curve in the 3-cube whose regulator is N Li_2(zeta^k) modulo
+    (2 pi i)^2; Totaro's cycle is Z_{1,0}."""
+    return _dilog_cycles(N, f"dilog_{N}_{k}", (k,))
+
+
+def dilog_pair(N, k):
+    """Z_{N,k} + Z_{N,N-k}: the imaginary parts N Cl_2(2 pi k / N) of the
+    two members cancel, and the sum is torsion."""
+    return _dilog_cycles(N, f"dilog_pair_{N}_{k}", (k, N - k))
+
+
 def fixture_names():
     return sorted(FIXTURES)
 

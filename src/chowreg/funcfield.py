@@ -640,7 +640,7 @@ class RFEvaluator:
             self.npc = [embed(c, precision_bits + 20).value for c in rf.num.derivative().coeffs]
             self.dpc = [embed(c, precision_bits + 20).value for c in rf.den.derivative().coeffs]
         # (k, binary magnitude of c_k) of the nonzero coefficients of num
-        # and den, which size ``resolved_value``'s rounding floor
+        # and den, which size ``is_resolved``'s rounding floor
         self.mags = tuple([(k, mp.mag(c)) for k, c in enumerate(cs) if c]
                           for cs in (self.nc, self.dc))
         self.linear = None
@@ -663,12 +663,12 @@ class RFEvaluator:
     def value(self, t):
         return self._horner(self.nc, t) / self._horner(self.dc, t)
 
-    def resolved_value(self, t, n=None, d=None):
-        """f(t), or None when num(t) or den(t) lies within the rounding
-        error of its Horner pass, about 2^(4 - prec) max_k |c_k| |t|^k
-        (compared by binary magnitude): at the working precision t is then
-        not told apart from a zero or pole.  ``n`` and ``d`` are num(t) and
-        den(t) when the caller already has them."""
+    def is_resolved(self, t, n=None, d=None):
+        """False when num(t) or den(t) lies within the rounding error of its
+        Horner pass, about 2^(4 - prec) max_k |c_k| |t|^k (compared by
+        binary magnitude): at the working precision t is then not told apart
+        from a zero or pole.  ``n`` and ``d`` are num(t) and den(t) when the
+        caller already has them."""
         if n is None:
             n = self._horner(self.nc, t)
             d = self._horner(self.dc, t)
@@ -677,8 +677,8 @@ class RFEvaluator:
         for mags, v in zip(self.mags, (n, d)):
             size = max(m + k * e for k, m in mags)
             if not v or mp.mag(v) <= size + floor:
-                return None
-        return n / d
+                return False
+        return True
 
     def dlog(self, t, n=None, d=None):
         """f'/f at t; caller keeps t away from zeros and poles.  ``n`` and

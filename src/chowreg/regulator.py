@@ -16,20 +16,25 @@ for the total to be schedule-independent.  The overall orientation convention
 is pinned by the classical value pi^2/6 of the Totaro curve, after which
 every other fixture is a zero-freedom check.
 
-Evaluation reads the traced first cut loci and their crossings from the
-admissibility report that accepted the schedule, so the pipeline traces and
-intersects each schedule's cut loci once, inside the schedule search.
+Evaluation reads the first cut loci and their crossings from the
+admissibility report that accepted the schedule, so the pipeline builds and
+intersects each schedule's cut loci once, inside the schedule search.  A
+path there is the closed form of a Moebius first coordinate, which every
+shipped 3-cube fixture has, or the traced branch of one of higher degree;
+either way the integrand reads its points from the path's ``solve_at``.
 
 L is taken along each path in its log-radius u = -log r, split at the
 crossings into stretches on which the branch of log f_2 is fixed.  Each
 stretch is integrated in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
 whole path onto (-1, 1); there the integrand is bounded, with log-type
 behaviour only at the path ends x = +-1, which is the case one
-double-exponential (tanh-sinh) segment resolves.
+double-exponential (tanh-sinh) segment resolves.  Its nodes on [-1, 1] are
+computed once per precision and shared by every stretch.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -132,15 +137,43 @@ _MAX_LEVEL = 10
 _EXTRA_BITS = 16
 
 
+@functools.lru_cache(maxsize=None)
+def _tanh_sinh_nodes(prec, precision_bits, level):
+    """The tanh-sinh nodes on [-1, 1] that level ``level`` (step 2^-level
+    in tau) adds, at ``prec`` bits, computed once and shared by every
+    quadrature call: at tau = +-j h for every j at level 0 and every odd j
+    above, up to the tau where the weight falls below 2^(-precision_bits
+    - 8).  They come as (plus, minus) pairs, level 0 opening with the
+    centre paired with None; a node is its (abscissa, weight), or None when
+    the weight is below the floor."""
+    with workprec(prec):
+        eps_w = mp.mpf(2) ** (-precision_bits - 8)
+        w_floor = mp.mpf(2) ** (-precision_bits - 48)
+        tau_max = mp.asinh(2 * mp.log(4 / eps_w) / mp.pi)
+        h = mp.mpf(2) ** -level
+        kmax = int(mp.ceil(tau_max / h))
+
+        def node(tau):
+            s = mp.pi / 2 * mp.sinh(tau)
+            w = mp.pi / 2 * mp.cosh(tau) / mp.cosh(s) ** 2
+            return None if w < w_floor else (mp.tanh(s), w)
+
+        pairs = [(node(mp.mpf(0)), None)] if level == 0 else []
+        pairs += [(node(j * h), node(-j * h))
+                  for j in range(1, kmax + 1, 1 if level == 0 else 2)]
+        return tuple(pairs)
+
+
 def _tanh_sinh_segment(fn, a, b, tol, precision_bits):
     """Double-exponential quadrature of an analytic integrand on [a, b].
 
     Error is estimated from the last level-to-level difference, over at most
     ``_MAX_LEVEL`` halvings of the step; estimates that stop decreasing raise
     ConvergenceError.  Each level adds only the new odd-indexed nodes, so
-    every tau is visited once: its abscissa tanh(pi/2 sinh tau) on [-1, 1]
-    and weight are computed where it is evaluated, and a node whose weight
-    is below the floor contributes nothing.
+    every tau is visited once.  Abscissae tanh(pi/2 sinh tau) on [-1, 1]
+    and weights come from ``_tanh_sinh_nodes``, shared by every call at
+    this precision, and are mapped onto [a, b] here; a node whose weight is
+    below the floor contributes nothing.
     """
     a = mp.mpf(a)
     b = mp.mpf(b)
@@ -149,31 +182,29 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits):
     mid = (a + b) / 2
     half = (b - a) / 2
     eps_w = mp.mpf(2) ** (-precision_bits - 8)
-    w_floor = mp.mpf(2) ** (-precision_bits - 48)
-    tau_max = mp.asinh(2 * mp.log(4 / eps_w) / mp.pi)
 
-    def eval_at(tau):
-        s = mp.pi / 2 * mp.sinh(tau)
-        w = mp.pi / 2 * mp.cosh(tau) / mp.cosh(s) ** 2
-        if w < w_floor:
+    def eval_at(node):
+        if node is None:
             return mp.mpc(0)
-        u = mid + half * mp.tanh(s)
+        x, w = node
+        u = mid + half * x
         if u <= a or u >= b:
             return mp.mpc(0)
         return fn(u) * w
 
+    def add_level(level, total):
+        for plus, minus in _tanh_sinh_nodes(mp.mp.prec, precision_bits,
+                                            level):
+            total += eval_at(plus) + eval_at(minus)
+        return total
+
     h = mp.mpf(1)
-    kmax = int(mp.ceil(tau_max / h))
-    total = eval_at(mp.mpf(0))
-    for j in range(1, kmax + 1):
-        total += eval_at(j * h) + eval_at(-j * h)
+    total = add_level(0, mp.mpc(0))
     results = [total * h * half]
     err_prev = None
     for level in range(1, _MAX_LEVEL + 1):
         h = h / 2
-        kmax = int(mp.ceil(tau_max / h))
-        for j in range(1, kmax + 1, 2):
-            total += eval_at(j * h) + eval_at(-j * h)
+        total = add_level(level, total)
         results.append(total * h * half)
         err = float(abs(results[-1] - results[-2]))
         if err < tol * max(1.0, float(abs(results[-1]))):

@@ -2,25 +2,31 @@
 
 For a curve component t -> (f_1(t), ..., f_n(t)) and phases (eps_1, ..., eps_n),
 the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
-traced as |f_i| level sets: for log-spaced radii r every point solves
-f_i(t) = w with w = r * exp(i(pi - eps_i)), giving one oriented path per
-branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
-point of a locus, trace samples, quadrature nodes and crossings alike,
-comes from ``RFEvaluator.solve``.  On a Moebius coordinate the level-set
-polynomial num_i - w den_i is linear and each point is its root in closed
-form, t = (w d0 - n0) / (n1 - w d1), seed included.  On a coordinate of
-higher degree one full root solve seeds the branches at the largest radius
-and each later point is Newton on num_i - w den_i from the branch's previous
-sample.  The trace is one pass that keeps, per branch, only the points
-evaluation reads.  Each point, sample or not, is checked by
-``RFEvaluator.resolved_value`` as the solve returns it: one within rounding
-of a zero or pole raises PrecisionError.  A step that fails, or two branches
-that close in on one another, end the trace with ScheduleError.
-A crossing of the first locus with the second cut is the root of
-Im(e^{i eps_2} f_2) as a function of the log-radius along the path, found by
-bracketed Newton; one quotient q = dlog f_2 / dlog f_1 there gives its slope,
-its transversality and its sign, the sign of the crossing derivative of
-arg f_2 along the oriented path.
+a family of |f_i| level sets: for log-radii sigma in a fixed span every point
+solves f_i(t) = w with w = e^sigma e^(i(pi - eps_i)), giving one oriented path
+per branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
+point of a locus, quadrature nodes and crossings alike, comes from
+``RFEvaluator.solve``, and each is checked by ``RFEvaluator.is_resolved`` as
+the solve returns it: one within rounding of a zero or pole raises
+PrecisionError.
+
+There are two kinds of path.  On a Moebius coordinate the level-set
+polynomial num_i - w den_i is linear and the path is its closed form
+t(w) = (w d0 - n0) / (n1 - w d1): nothing is sampled, and only the two span
+ends are solved and checked up front.  On a coordinate of higher degree the
+locus is traced over a grid of log-radii: one full root solve seeds the
+branches at the largest radius and each later sample is Newton on
+num_i - w den_i from the branch's previous one.  A step that fails, or two
+branches that close in on one another, end the trace with ScheduleError.
+
+A crossing of the first locus with the second cut is a root of
+Im(e^{i eps_2} f_2) as a function of the log-radius along the path.  On a
+Moebius path the roots are those of a real polynomial in the radius, isolated
+by Descartes's rule of signs; on a traced path they are bracketed by sign
+changes between samples.  Bracketed Newton along the path then finds each
+one, and one quotient q = dlog f_2 / dlog f_1 there gives its slope, its
+transversality and its sign, the sign of the crossing derivative of arg f_2
+along the oriented path.
 
 The regulator integrates along the first locus and sums over its crossings
 with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
@@ -36,6 +42,9 @@ tracing again.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import mpmath as mp
@@ -127,26 +136,24 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
 class TracedPath:
     """One branch of a cut locus, oriented pole -> zero (radius decreasing).
 
-    ``sigmas`` are log-radii in decreasing order, ``points`` the parameter
-    values there, and ``direction`` is e^(i(pi - phase)), the direction of
-    the cut ray.  These are what evaluation reads: ``solve_at`` re-solves
-    the defining equation at any log-radius, so downstream quadrature and
-    crossing refinement sample the exact path rather than interpolating.
+    The branch spans the log-radii [``sigma_lo``, ``sigma_hi``], and
+    ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
+    ``solve_at`` solves the defining equation at any log-radius of the span,
+    so quadrature and crossing refinement sample the exact path rather than
+    interpolating.  On a Moebius coordinate that solve is the closed form
+    and the path holds nothing more: ``sigmas`` and ``points`` are empty.
+    On a coordinate of higher degree they are the trace's samples, log-radii
+    in decreasing order and the parameter values there, which warm-start
+    the solve and bracket crossings.
     """
 
     coord_index: int
     direction: object
     evaluator: RFEvaluator
-    sigmas: list
-    points: list
-
-    @property
-    def sigma_hi(self):
-        return self.sigmas[0]
-
-    @property
-    def sigma_lo(self):
-        return self.sigmas[-1]
+    sigma_hi: object
+    sigma_lo: object
+    sigmas: tuple = ()
+    points: tuple = ()
 
     def _nearest_index(self, sigma):
         """The sample nearest to ``sigma``: the trace steps down from
@@ -163,15 +170,15 @@ class TracedPath:
         It runs ``RFEvaluator.solve``, the solver the trace itself steps
         with: in closed form on a Moebius coordinate, and else by Newton
         warm-started from the nearest sample.  A stalled solve or a critical
-        point is a ConvergenceError; a point that ``resolved_value`` refuses
+        point is a ConvergenceError; a point that ``is_resolved`` refuses
         (within rounding of a zero or pole of f, where dlog f divides by
         num or den) is a PrecisionError, as for a trace sample.
         """
         sigma = mp.mpf(sigma)
-        if sigma > self.sigmas[0] or sigma < self.sigmas[-1]:
+        if sigma > self.sigma_hi or sigma < self.sigma_lo:
             raise ChowregError(
                 f"log-radius {mp.nstr(sigma, 8)} is outside the traced range "
-                f"[{mp.nstr(self.sigmas[-1], 8)}, {mp.nstr(self.sigmas[0], 8)}]")
+                f"[{mp.nstr(self.sigma_lo, 8)}, {mp.nstr(self.sigma_hi, 8)}]")
         start = None
         if self.evaluator.linear is None:
             start = self.points[self._nearest_index(sigma)]
@@ -188,17 +195,59 @@ class TracedPath:
             )
         return _resolved(self.evaluator, self.coord_index, hit, sigma)
 
+    def samples(self):
+        """(sigma, t) at every log-radius of the trace grid: the stored
+        samples of a traced branch, and on a Moebius coordinate the closed
+        form, solved and checked as a trace sample would be."""
+        if self.points:
+            return list(zip(self.sigmas, self.points))
+        with workprec(self.evaluator.precision_bits):
+            return [(sigma, _trace_step(self.evaluator, self.coord_index,
+                                        self.direction, None, sigma))
+                    for sigma in _trace_grid(mp.mp.prec)]
+
 
 def _resolved(ev, coord_index, hit, sigma):
     """``hit`` = (t, num(t), den(t)) of a point at log-radius ``sigma`` on
     a locus of coordinate ``coord_index``, or PrecisionError when
-    ``ev.resolved_value`` refuses it."""
-    if ev.resolved_value(*hit) is None:
+    ``ev.is_resolved`` refuses it."""
+    if not ev.is_resolved(*hit):
         raise PrecisionError(
             f"coordinate {coord_index}: the point t = {mp.nstr(hit[0], 8)} "
             f"at log-radius {float(sigma):.4f} rounds onto a zero or pole at "
             f"{ev.precision_bits} bits; raise the working precision")
     return hit
+
+
+# one grid, about 100 KB of mpf, serves every trace and crossing search of
+# an evaluation, which runs at one precision
+@functools.lru_cache(maxsize=1)
+def _trace_grid(prec):
+    """The trace's log-radii at ``prec`` bits: SIGMA_SPAN_DEFAULT down to
+    about its negative in TRACE_GRID_DEFAULT equal steps."""
+    with workprec(prec):
+        sigmas = [mp.mpf(SIGMA_SPAN_DEFAULT)]
+        h = 2 * sigmas[0] / TRACE_GRID_DEFAULT
+        for _ in range(TRACE_GRID_DEFAULT):
+            sigmas.append(sigmas[-1] - h)
+    return tuple(sigmas)
+
+
+def _trace_step(ev, coord_index, direction, t, sigma):
+    """The checked trace sample at log-radius ``sigma`` of the branch
+    through the previous sample ``t`` (None on a Moebius coordinate): the
+    solve to 2^(16 - prec) in at most 40 steps, ScheduleError when it fails
+    and PrecisionError when ``_resolved`` refuses its point."""
+    try:
+        hit = ev.solve(t, mp.exp(sigma) * direction,
+                       mp.mpf(2) ** (16 - ev.precision_bits), 40)
+    except ZeroDivisionError:
+        hit = None
+    if hit is None:
+        raise ScheduleError(
+            "non-generic phase: the trace lost a branch near radius "
+            f"{mp.nstr(mp.e ** sigma, 8)}")
+    return _resolved(ev, coord_index, hit, sigma)[0]
 
 
 def _seed_roots(ev, w, precision_bits):
@@ -227,20 +276,27 @@ def _seed_roots(ev, w, precision_bits):
 
 
 def trace_wavefront(component, coord_index, phase, precision_bits=None):
-    """Trace all branches of {t : arg f_i(t) = pi - phase}.
+    """All branches of {t : arg f_i(t) = pi - phase}.
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
-    total), each oriented pole -> zero.  The branches are seeded at the
-    largest radius, in closed form on a Moebius f_i and by one full root
-    solve else, and each is continued by ``RFEvaluator.solve`` from its
-    previous sample.  The trace is one pass: every sample, seeds included,
-    is checked as it is produced, and one that ``resolved_value`` does not
-    tell apart from a pole or zero of f_i at the working precision raises
-    PrecisionError there.  A step that fails (no convergence or a critical
-    point) raises ScheduleError naming the radius, and so do two branches
-    whose distance shrinks by more than 2^(-prec/2) in one step: they have
-    collided or jumped onto one another, at a critical value on the ray
-    near that radius.
+    total), each oriented pole -> zero over the log-radii of the trace grid,
+    SIGMA_SPAN_DEFAULT down to its negative.
+
+    A Moebius f_i has one branch, and ``solve_at`` is its closed form: the
+    path is not sampled.  Only the two span ends are solved and checked, as
+    a trace sample would be, so an end that rounds onto a zero or pole of
+    f_i raises PrecisionError here.
+
+    A coordinate of higher degree is traced over the grid: one full root
+    solve seeds the branches at the largest radius, and each is continued
+    by ``RFEvaluator.solve`` from its previous sample.  The trace is one
+    pass: every sample, seeds included, is checked as it is produced, and
+    one that ``is_resolved`` does not tell apart from a pole or zero of f_i
+    at the working precision raises PrecisionError there.  A step that
+    fails (no convergence or a critical point) raises ScheduleError naming
+    the radius, and so do two branches whose distance shrinks by more than
+    2^(-prec/2) in one step: they have collided or jumped onto one another,
+    at a critical value on the ray near that radius.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -250,35 +306,20 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     with workprec(precision_bits):
         ev = RFEvaluator(f, precision_bits)
         direction = mp.expj(mp.pi - mp.mpf(phase))
-        sigma_hi = mp.mpf(SIGMA_SPAN_DEFAULT)
-        h = 2 * sigma_hi / TRACE_GRID_DEFAULT
-        tol = mp.mpf(2) ** (16 - precision_bits)
+        sigmas = _trace_grid(mp.mp.prec)
+        if ev.linear is not None:
+            for sigma in (sigmas[0], sigmas[-1]):
+                _trace_step(ev, coord_index, direction, None, sigma)
+            return [TracedPath(coord_index, direction, ev, sigmas[0],
+                               sigmas[-1])]
         collision_rel = mp.mpf(2) ** (-precision_bits // 2)
-
-        def step(t, sigma):
-            """The checked sample at log-radius ``sigma`` of the branch
-            through the previous sample ``t`` (None for a Moebius seed)."""
-            try:
-                hit = ev.solve(t, mp.exp(sigma) * direction, tol, 40)
-            except ZeroDivisionError:
-                hit = None
-            if hit is None:
-                raise ScheduleError(
-                    "non-generic phase: the trace lost a branch near radius "
-                    f"{mp.nstr(mp.e ** sigma, 8)}")
-            return _resolved(ev, coord_index, hit, sigma)[0]
-
-        sigmas = [sigma_hi]
-        if ev.linear is None:
-            current = [_resolved(ev, coord_index, (t, None, None), sigma_hi)[0]
-                       for t in _seed_roots(ev, mp.exp(sigma_hi) * direction,
-                                            precision_bits)]
-        else:
-            current = [step(None, sigma_hi)]
+        current = [_resolved(ev, coord_index, (t, None, None), sigmas[0])[0]
+                   for t in _seed_roots(ev, mp.exp(sigmas[0]) * direction,
+                                        precision_bits)]
         branches = [[t] for t in current]
-        for _ in range(TRACE_GRID_DEFAULT):
-            sigma = sigmas[-1] - h
-            moved = [step(t, sigma) for t in current]
+        for sigma in sigmas[1:]:
+            moved = [_trace_step(ev, coord_index, direction, t, sigma)
+                     for t in current]
             for a in range(len(moved)):
                 for b in range(a + 1, len(moved)):
                     if (abs(moved[a] - moved[b])
@@ -288,11 +329,10 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
                             "value on the cut ray) near radius "
                             f"{mp.nstr(mp.e ** sigma, 8)}")
             current = moved
-            sigmas.append(sigma)
             for branch, t in zip(branches, current):
                 branch.append(t)
-        return [TracedPath(coord_index=coord_index, direction=direction,
-                           evaluator=ev, sigmas=sigmas, points=points)
+        return [TracedPath(coord_index, direction, ev, sigmas[0], sigmas[-1],
+                           sigmas, tuple(points))
                 for points in branches]
 
 
@@ -316,15 +356,18 @@ def find_pair_intersections(component, paths_i, j, phase_j,
                             precision_bits=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
-    A crossing is bracketed by consecutive samples between which
-    Im(e^{i phase_j} f_j) changes sign, counted half-open (zero counts as
-    positive, so a sample on the cut is one crossing, not two), and where
-    the value is not on the positive real axis at both samples.
-    ``_refine_crossing`` then solves for it along the path.  With
-    q = dlog f_j / dlog f_i at the crossing, the crossing is transverse when
-    |Im q| / |q| is above 2^(-prec/3), else ScheduleError; its sign is
-    -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero orientation
-    of the host path.
+    A crossing is a root of g = Im(e^{i phase_j} f_j) along the path, and
+    each is bracketed in log-radius first.  On a Moebius path the brackets
+    isolate the real roots of a polynomial (``_moebius_brackets``); on a
+    traced path they are consecutive samples between which g changes sign,
+    counted half-open (zero counts as positive, so a sample on the cut is
+    one crossing, not two), and where the value is not on the positive real
+    axis at both samples.  ``_refine_crossing`` then solves for the root
+    along the path and drops it when f_j lies on the positive real axis
+    there.  With q = dlog f_j / dlog f_i at the crossing, the crossing is
+    transverse when |Im q| / |q| is above 2^(-prec/3), else ScheduleError;
+    its sign is -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero
+    orientation of the host path.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -336,15 +379,14 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         f_j_ev = RFEvaluator(component.coords[j - 1], precision_bits)
         rot_j = _rotation(phase_j)
         for path in paths_i:
-            vals = [f_j_ev.value(t) * rot_j for t in path.points]
-            for k in range(len(vals) - 1):
-                a, b = vals[k], vals[k + 1]
-                if (a.imag >= 0) == (b.imag >= 0):
-                    continue
-                if a.real > 0 and b.real > 0:
-                    continue  # positive-axis crossing, not the cut
-                hit = _refine_crossing(path, f_j_ev, rot_j, k, a.imag >= 0,
-                                       precision_bits)
+            if path.evaluator.linear is None:
+                brackets = _sample_brackets(path, f_j_ev, rot_j)
+            else:
+                brackets = _moebius_brackets(path, f_j_ev, rot_j,
+                                             precision_bits)
+            for bracket, hi_positive in brackets:
+                hit = _refine_crossing(path, f_j_ev, rot_j, bracket,
+                                       hi_positive, precision_bits)
                 if hit is None:
                     continue
                 sigma, t_c, q = hit
@@ -365,24 +407,136 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     return out
 
 
-def _refine_crossing(path, f_j_ev, rot_j, k, hi_positive, precision_bits):
-    """The root of g(sigma) = Im(rot_j f_j(t(sigma))) between the samples k
-    and k + 1 of the path, with t(sigma) the path's ``solve_at``:
-    (sigma, t, q), or None when f_j lies on the positive real axis there
-    rather than on its cut.
+def _sample_brackets(path, f_j_ev, rot_j):
+    """((sigma_k, sigma_k+1), g >= 0 at sample k) for the consecutive
+    samples of a traced path between which g = Im(rot_j f_j) changes sign,
+    counted half-open, unless rot_j f_j is on the positive real axis at
+    both."""
+    vals = [f_j_ev.value(t) * rot_j for t in path.points]
+    out = []
+    for k in range(len(vals) - 1):
+        a, b = vals[k], vals[k + 1]
+        if (a.imag >= 0) == (b.imag >= 0):
+            continue
+        if a.real > 0 and b.real > 0:
+            continue  # positive-axis crossing, not the cut
+        out.append(((path.sigmas[k], path.sigmas[k + 1]), a.imag >= 0))
+    return out
+
+
+def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
+    """((s_hi, s_lo), g >= 0 at s_hi) for each root of g = Im(rot_j f_j)
+    along a Moebius path, in decreasing log-radius.
+
+    Along w = r direction the path is t(w) = (w d0 - n0) / (n1 - w d1).
+    With m = deg f_j, A(r) = num_j(t) (n1 - w d1)^m and
+    B(r) = den_j(t) (n1 - w d1)^m are polynomials in r of degree at most m,
+    and P(r) = Im(rot_j A conj(B)) = |B|^2 g is real of degree at most 2m.
+    Its roots in (e^sigma_lo, e^sigma_hi) are isolated by Descartes's rule
+    of signs (Collins-Akritas).  A bracket is split at its middle point of
+    the trace grid while it holds one, so a root alone in a grid step gets
+    that step as its bracket, the one the sample scan would refine from,
+    and a step holding several roots is halved in log-radius.  A bracket
+    narrower than 2^(-prec/2) that still holds several roots is kept when
+    P changes sign across it, as one crossing, and dropped else.
+    """
+    n0, n1, d0, d1 = path.evaluator.linear
+    u = [-n0, path.direction * d0]     # w d0 - n0 as a polynomial in r
+    v = [n1, -path.direction * d1]     # n1 - w d1
+    m = max(len(f_j_ev.nc), len(f_j_ev.dc)) - 1
+    u_pows, v_pows = [[1]], [[1]]
+    for _ in range(m):
+        u_pows.append(_poly_mul(u_pows[-1], u))
+        v_pows.append(_poly_mul(v_pows[-1], v))
+    # u^k v^(m - k), which t^k becomes once (n1 - w d1)^m is cleared
+    basis = [_poly_mul(u_pows[k], v_pows[m - k]) for k in range(m + 1)]
+
+    def cleared(coeffs):
+        return [sum(c * b[e] for c, b in zip(coeffs, basis))
+                for e in range(m + 1)]
+
+    b_conj = [b.conjugate() for b in cleared(f_j_ev.dc)]
+    p = [(rot_j * c).imag for c in _poly_mul(cleared(f_j_ev.nc), b_conj)]
+    while p and not p[-1]:
+        p.pop()
+    if not p:
+        return []
+    grid = _trace_grid(mp.mp.prec)
+    min_width = mp.mpf(2) ** (-precision_bits // 2)
+    out = []
+    stack = [(path.sigma_hi, path.sigma_lo)]
+    while stack:
+        s_hi, s_lo = stack.pop()
+        roots = _sign_variations(p, mp.exp(s_lo), mp.exp(s_hi))
+        if roots == 0:
+            continue
+        # the grid points strictly inside the bracket, which runs down
+        # the grid as the sigmas do
+        first = bisect.bisect_right(grid, -s_hi, key=operator.neg)
+        stop = bisect.bisect_left(grid, -s_lo, key=operator.neg)
+        if first < stop:
+            mid = grid[(first + stop) // 2]
+        elif roots == 1 or s_hi - s_lo < min_width:
+            hi_positive, lo_positive = (mp.polyval(p[::-1], mp.exp(s)) >= 0
+                                        for s in (s_hi, s_lo))
+            if hi_positive != lo_positive:
+                out.append(((s_hi, s_lo), hi_positive))
+            continue
+        else:
+            mid = (s_hi + s_lo) / 2
+        stack.append((mid, s_lo))
+        stack.append((s_hi, mid))
+    return out
+
+
+def _poly_mul(a, b):
+    """The product of two coefficient lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+def _taylor_shift(p, c):
+    """Coefficients of p(x + c), constant term first."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for k in range(len(p) - 2, i - 1, -1):
+            p[k] += c * p[k + 1]
+    return p
+
+
+def _sign_variations(p, a, b):
+    """Sign variations in the coefficients of (1 + y)^n p((a + b y)/(1 + y)),
+    n = deg p: by Descartes's rule of signs a bound on the number of roots
+    of p in (a, b), of the same parity, and exact when it is 0 or 1."""
+    q = _taylor_shift(p, a)
+    scale = b - a
+    q = [c * scale ** k for k, c in enumerate(q)]
+    signs = [c > 0 for c in _taylor_shift(q[::-1], 1) if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _refine_crossing(path, f_j_ev, rot_j, bracket, hi_positive,
+                     precision_bits):
+    """The root of g(sigma) = Im(rot_j f_j(t(sigma))) in the log-radius
+    bracket (s_hi, s_lo) of the path, with t(sigma) the path's
+    ``solve_at``: (sigma, t, q), or None when f_j lies on the positive real
+    axis there rather than on its cut.
 
     ``rot_j`` is the second phase's ``_rotation``; g changes sign, counted
-    half-open, between the two samples, and ``hi_positive`` is whether
-    g >= 0 at sample k.  Along the path
-    dt/dsigma = 1 / dlog f_i, so with q = dlog f_j / dlog f_i the slope is
-    g' = Im(rot_j f_j q).  Newton steps on g from the middle of the bracket,
-    and bisection replaces a step that leaves it.  Once a step falls below
-    2^(-prec/2), quadratic convergence puts the next iterate at the rounding
-    floor, and that iterate is the crossing.
+    half-open, across the bracket, and ``hi_positive`` is whether g >= 0 at
+    s_hi.  Along the path dt/dsigma = 1 / dlog f_i, so with
+    q = dlog f_j / dlog f_i the slope is g' = Im(rot_j f_j q).  Newton steps
+    on g from the middle of the bracket, and bisection replaces a step that
+    leaves it.  Once a step falls below 2^(-prec/2), quadratic convergence
+    puts the next iterate at the rounding floor, and that iterate is the
+    crossing.
     """
     f_i_ev = path.evaluator
     small = mp.mpf(2) ** (-precision_bits // 2)
-    s_hi, s_lo = path.sigmas[k], path.sigmas[k + 1]
+    s_hi, s_lo = bracket
     sigma = (s_hi + s_lo) / 2
     converged = False
     # enough for bisection alone to bring a step below ``small``

@@ -321,7 +321,7 @@ def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
                 assert ev.solve(None, w, mp.mpf(2) ** (16 - bits), 40) == (t, n, d)
                 assert n == RFEvaluator._horner(ev.nc, t)
                 assert d == RFEvaluator._horner(ev.dc, t)
-                assert ev.resolved_value(t, n, d) == ev.resolved_value(t)
+                assert ev.is_resolved(t, n, d) == ev.is_resolved(t)
                 if n != 0:  # at 53 bits t = 1 + w can round onto the zero 1
                     assert ev.dlog(t, n, d) == ev.dlog(t)
             with workprec(bits + 64):
@@ -352,6 +352,6 @@ def test_resolved_value_refuses_points_within_rounding_of_a_zero_or_pole():
     with workprec(bits):
         ev = RFEvaluator(1 - 1 / rf(), bits)
         for t in (mp.mpc(1), mp.mpc(0), mp.mpc(1, mp.mpf(2) ** -90)):
-            assert ev.resolved_value(t) is None
+            assert ev.is_resolved(t) is False
         for t in (mp.mpc(1, mp.mpf(2) ** -60), mp.mpc(mp.mpf(2) ** -200, 1e-70)):
-            assert ev.resolved_value(t) == ev.value(t)
+            assert ev.is_resolved(t) is True

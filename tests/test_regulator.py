@@ -218,6 +218,42 @@ def test_quadrature_is_one_segment_per_stretch(z1, monkeypatch):
     assert stretches[0]["nodes"] <= 400
 
 
+def test_quadrature_calls_share_their_nodes(monkeypatch):
+    # the tanh-sinh abscissae and weights on [-1, 1] are computed once per
+    # precision: a second call on another interval computes no sinh or
+    # cosh, and its only tanh are the ends tanh(u/2) of its interval
+    regulator_module = importlib.import_module("chowreg.regulator")
+    nodes = regulator_module._tanh_sinh_nodes
+    nodes.cache_clear()
+    counts = {"sinh": 0, "cosh": 0, "tanh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
+
+    def fn(u):
+        return mp.mpc(1) / (1 + u * u)
+
+    with workprec(128):
+        first = quadrature(fn, -3, 2, precision_bits=128)
+        after_first = dict(counts)
+        second = quadrature(fn, -1, 4, precision_bits=128)
+    levels = nodes.cache_info().currsize
+    taus = sum(2 * len(nodes(128 + regulator_module._EXTRA_BITS, 128, level))
+               for level in range(levels)) - 1
+    assert counts["sinh"] == after_first["sinh"] == taus
+    assert counts["cosh"] == after_first["cosh"] == 2 * taus
+    assert counts["tanh"] == after_first["tanh"] + 2
+    with workprec(128):
+        assert abs(first.value - (mp.atan(2) + mp.atan(3))) < 1e-30
+        assert abs(second.value - (mp.atan(4) + mp.atan(1))) < 1e-30
+
+
 @pytest.mark.parametrize("bits", [96, 128])
 def test_totaro_accuracy_at_low_precision(z1, bits):
     # the truncated path ends leave |error| ~ 56 e^{-56} ~ 3e-23, and the
@@ -422,6 +458,30 @@ def test_regulator_low_precision_raises_precision_error(z1, bits):
     with workprec(bits):
         with pytest.raises(PrecisionError, match=f"{bits} bits"):
             regulator(z1, precision_bits=bits)
+
+
+@pytest.mark.parametrize("bits", [53, 64, 80])
+def test_totaro_span_end_raises_precision_error_before_quadrature(
+        z1, monkeypatch, bits):
+    # the Moebius first locus is not sampled, but its span ends are still
+    # solved and checked inside admissible: the end next to the zero t = 1
+    # is refused there, and no stretch is ever integrated
+    regulator_module = importlib.import_module("chowreg.regulator")
+    quadratures = []
+    quad = regulator_module.quadrature
+
+    def counting(*args, **kwargs):
+        quadratures.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(regulator_module, "quadrature", counting)
+    with workprec(bits):
+        with pytest.raises(PrecisionError, match=f"{bits} bits"):
+            admissible(z1, make_schedule(0.3, 3, 0.5, bits),
+                       precision_bits=bits)
+        with pytest.raises(PrecisionError, match=f"{bits} bits"):
+            regulator(z1, precision_bits=bits)
+    assert quadratures == []
 
 
 def test_regulator_node_on_a_zero_raises_precision_error():

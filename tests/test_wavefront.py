@@ -15,7 +15,9 @@ from chowreg import (
     TracedPath,
     admissible,
     find_pair_intersections,
+    intersection_number_n2,
     make_schedule,
+    parse_cycle_file,
     regulator,
     search_schedule,
     trace_wavefront,
@@ -78,9 +80,21 @@ def test_schedule_validation_rejects_bad():
 
 def _margins(path, phase):
     """Angular distance of f(t) from the cut ray of ``phase`` at every
-    sample t of ``path``."""
+    point t of ``path`` on the trace grid."""
     rot = _rotation(phase)
-    return [_on_cut_margin(path.evaluator.value(t), rot) for t in path.points]
+    return [_on_cut_margin(path.evaluator.value(t), rot)
+            for _, t in path.samples()]
+
+
+def _grid_samples(path):
+    """The (sigmas, points) of a Moebius path on the trace grid, which the
+    path itself does not store."""
+    assert path.evaluator.linear is not None
+    assert path.sigmas == () and path.points == ()
+    samples = path.samples()
+    assert len(samples) == TRACE_GRID_DEFAULT + 1
+    assert (samples[0][0], samples[-1][0]) == (path.sigma_hi, path.sigma_lo)
+    return [s for s, _ in samples], [t for _, t in samples]
 
 
 def test_trace_identity_function_is_ray():
@@ -90,12 +104,13 @@ def test_trace_identity_function_is_ray():
         paths = trace_wavefront(comp, 1, mp.mpf("0.05"), precision_bits=128)
         assert len(paths) == 1
         p = paths[0]
+        sigmas, points = _grid_samples(p)
         # every sample on the ray arg t = pi - eps
         target = mp.pi - mp.mpf("0.05")
-        for tt in p.points[::40]:
+        for tt in points[::40]:
             assert abs(mp.arg(tt) - target) < 1e-30
         # radii strictly decreasing along the pole -> zero order
-        radii = [mp.e ** s for s in p.sigmas]
+        radii = [mp.e ** s for s in sigmas]
         assert all(radii[k] > radii[k + 1] for k in range(len(radii) - 1))
         assert max(_margins(p, mp.mpf("0.05"))) < 1e-25
 
@@ -105,11 +120,11 @@ def test_trace_unperturbed_segment(z1):
         paths = trace_wavefront(z1.components[0], 1, mp.mpf(0),
                                 precision_bits=128)
         assert len(paths) == 1
-        p = paths[0]
+        _, points = _grid_samples(paths[0])
         # pole of 1 - 1/t at t = 0, zero at t = 1; path runs (0, 1)
-        assert abs(p.points[0]) < 1e-10
-        assert abs(p.points[-1] - 1) < 1e-10
-        for tt in p.points[::40]:
+        assert abs(points[0]) < 1e-10
+        assert abs(points[-1] - 1) < 1e-10
+        for tt in points[::40]:
             assert -1e-25 < tt.real < 1 + 1e-25
             assert abs(tt.imag) < 1e-20
 
@@ -231,8 +246,8 @@ def test_trace_failure_contract(monkeypatch, bits, phase, error, match):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_moebius_trace_needs_no_root_solve(z1, petras, mccarthy, monkeypatch,
                                            bits):
-    # every shipped first coordinate is Moebius: the seed is the closed form
-    # like every later sample, so the trace makes no polyroots call
+    # every shipped first coordinate is Moebius: the path is its closed
+    # form, so neither the trace nor its points on the grid need polyroots
     calls = _counting_polyroots(monkeypatch)
     bound = 2.0 ** (-bits // 3)
     with workprec(bits):
@@ -240,7 +255,7 @@ def test_moebius_trace_needs_no_root_solve(z1, petras, mccarthy, monkeypatch,
             for comp in Z.components:
                 (path,) = trace_wavefront(comp, 1, mp.mpf("0.1"),
                                           precision_bits=bits)
-                assert path.evaluator.linear is not None
+                _grid_samples(path)
                 assert max(_margins(path, mp.mpf("0.1"))) < bound
     assert calls == []
 
@@ -263,15 +278,16 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _point_at_kernel_calls(comp, monkeypatch):
-    """Kernel calls of one ``solve_at`` between two trace samples away from
-    any pole; next to one, the floor rule would end the solve with two extra
-    Horner passes."""
+    """Kernel calls of one ``solve_at`` between two points of the trace
+    grid away from any pole; next to one, the floor rule would end the solve
+    with two extra Horner passes."""
     phase = mp.mpf("0.1")
     with workprec(128):
         path = trace_wavefront(comp, 1, phase, precision_bits=128)[0]
+        sigmas = [s for s, _ in path.samples()]
         counts = _count_kernel_calls(monkeypatch)
-        k = len(path.sigmas) // 2
-        sigma = (path.sigmas[k] + path.sigmas[k + 1]) / 2
+        k = len(sigmas) // 2
+        sigma = (sigmas[k] + sigmas[k + 1]) / 2
         t = path.solve_at(sigma)[0]
         calls = dict(counts)
         target = mp.e ** sigma * mp.e ** (1j * (mp.pi - phase))
@@ -288,14 +304,30 @@ def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
 
 
 def test_moebius_trace_reads_num_and_den_from_the_solve(z1, monkeypatch):
-    # every sample's resolution check reads the num(t) and den(t) of the
-    # closed-form solve that placed it: no Horner pass in the whole trace
+    # the resolution check of each span end and of each point on the grid
+    # reads the num(t) and den(t) of the closed-form solve that placed it:
+    # no Horner pass in the trace or in its points on the grid
     counts = _count_kernel_calls(monkeypatch)
     with workprec(128):
         (path,) = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
                                   precision_bits=128)
-    assert len(path.points) > 1
+        _grid_samples(path)
     assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
+
+
+def test_solve_at_passes_on_num_and_den_of_the_solve(z1, graph_4_2):
+    # solve_at returns the solve's own (t, num(t), den(t)) once the
+    # resolution check accepts them, in closed form and next to a finite
+    # pole, where the closed form hands over to Newton
+    with workprec(128):
+        for comp, i in ((z1.components[0], 1), (graph_4_2.components[0], 2)):
+            (path,) = trace_wavefront(comp, i, mp.mpf("0.1"),
+                                      precision_bits=128)
+            for sigma in (path.sigma_hi, mp.mpf("0.3"), path.sigma_lo):
+                hit = path.evaluator.solve(
+                    None, mp.exp(sigma) * path.direction,
+                    mp.mpf(2) ** (12 - 128), 60)
+                assert path.solve_at(sigma) == hit
 
 
 def test_trace_computes_no_per_sample_margin(z1, monkeypatch):
@@ -370,10 +402,11 @@ def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
     with workprec(bits):
         (path,) = trace_wavefront(graph_4_2.components[0], 2, mp.mpf("0.1"),
                                   precision_bits=bits)
+        sigmas, points = _grid_samples(path)
         assert len(calls) == 0
         bound = 2.0 ** (-bits // 3)
         assert max(_margins(path, mp.mpf("0.1"))) < bound
-        for sigma, t in zip(path.sigmas, path.points):
+        for sigma, t in zip(sigmas, points):
             assert abs(mp.log(abs(path.evaluator.value(t))) - sigma) < bound
 
 
@@ -532,3 +565,76 @@ def test_schedule_phase_count_must_match(z1):
     with workprec(128):
         with pytest.raises(ChowregError):
             admissible(z1, PhaseSchedule(1, (0.1, 0.01)), precision_bits=128)
+
+
+HIDDEN_CROSSING = """\
+field cyclotomic(4)
+cycle hidden_crossing n=2 p=1
+component mult=1 t ; ((t+1-(1/5)*i)*(t+(11/10)-(11/50)*i))/((t+1)*(t+(11/10)))
+"""
+
+
+def test_a_cut_crossing_beside_a_positive_axis_crossing_is_counted():
+    # at the schedule the search accepts, (0.15, 6.4e-4), f_2 crosses its
+    # cut twice along the ray of f_1 = t, at log-radii -0.049 and 0.148,
+    # and the positive real axis at 0.053, inside the grid step (0, 0.2)
+    # of the second cut crossing; a scan of that step sees Im f_2 change
+    # sign twice and brackets neither
+    (Z,) = parse_cycle_file(HIDDEN_CROSSING)
+    with workprec(128):
+        s = search_schedule(Z, 0.3, seed=0, precision_bits=128)
+        count = intersection_number_n2(Z, s, precision_bits=128)
+        # an independent scan of Im(e^{i eps_2} f_2) on the ray, 2000 steps
+        # over log-radii [-1, 1], counting sign changes with Re < 0; a sign
+        # change from Im >= 0 to Im < 0 as the radius falls turns arg f_2
+        # up through pi, a +1 crossing
+        eps1, eps2 = s.phases
+        i = mp.mpc(0, 1)
+
+        def g(sigma):
+            t = mp.exp(sigma) * mp.expj(mp.pi - eps1)
+            f2 = ((t + 1 - i / 5) * (t + mp.mpf(11) / 10 - 11 * i / 50)
+                  / ((t + 1) * (t + mp.mpf(11) / 10)))
+            return mp.expj(eps2) * f2
+
+        vals = [g(1 - mp.mpf(k) / 1000) for k in range(2001)]
+        cut, positive_axis = [], []
+        for k, (a, b) in enumerate(zip(vals, vals[1:])):
+            if (a.imag >= 0) != (b.imag >= 0):
+                crossing = (1 - mp.mpf(k) / 1000, 1 if a.imag >= 0 else -1)
+                if a.real < 0 and b.real < 0:
+                    cut.append(crossing)
+                elif a.real > 0 and b.real > 0:
+                    positive_axis.append(crossing)
+    assert [sign for _, sign in cut] == [1, 1]
+    # the second cut crossing and the positive-axis one share a grid step
+    assert 0 < cut[0][0] < mp.mpf("0.2")
+    assert [0 < sigma < mp.mpf("0.2") for sigma, _ in positive_axis] == [True]
+    assert count == sum(sign for _, sign in cut) == 2
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
+        z1, petras, mccarthy, monkeypatch, bits):
+    # a Moebius first locus is solved at its two span ends and along the
+    # refinement of each root of the crossing polynomial, never on the
+    # 561-point trace grid
+    solves = []
+    solve = RFEvaluator.solve
+
+    def counting(self, *args):
+        if self.linear is not None:
+            solves.append(self)
+        return solve(self, *args)
+
+    monkeypatch.setattr(RFEvaluator, "solve", counting)
+    with workprec(bits):
+        for Z in (z1, petras, mccarthy):
+            for lam in (0.5, 0.35, 0.65):
+                del solves[:]
+                rep = admissible(Z, make_schedule(0.3, 3, lam, bits),
+                                 precision_bits=bits)
+                assert rep.ok
+                paths = [p for ps in rep.paths.values() for p in ps]
+                assert len(paths) == len(Z.components)
+                assert 2 * len(paths) <= len(solves) <= 12 * len(paths)
