@@ -366,14 +366,15 @@ class DivisorPoint:
 class RationalFunction:
     """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic.
 
-    Instances are immutable, so ``divisor`` keeps its result per precision
-    in ``_divisors``.
+    Instances are immutable, so ``divisor`` and ``critical_values`` keep
+    their results per precision in ``_divisors`` and ``_critical``.
     """
 
-    __slots__ = ("order", "num", "den", "_divisors")
+    __slots__ = ("order", "num", "den", "_divisors", "_critical")
 
     def __init__(self, num, den=None):
         self._divisors = {}
+        self._critical = {}
         if den is None:
             den = Poly.one(num.order)
         if den.is_zero():
@@ -578,6 +579,36 @@ class RationalFunction:
             points.append(DivisorPoint(INF, dd - dn))
         self._divisors[precision_bits] = tuple(points)
         return points
+
+    def critical_values(self, precision_bits=None):
+        """(critical point, value) pairs of a nonconstant function away from
+        its zeros and poles, as complex balls.
+
+        The finite critical points are the roots of the Wronskian
+        num' den - num den' once every factor it shares with num den
+        (multiple zeros and poles) is divided out exactly.  When
+        deg num = deg den, f(oo) is finite and nonzero and the level set
+        through it loses a branch to t = oo, so it is returned with point
+        None.  Computed once per precision; each call returns a new list of
+        the pairs.
+        """
+        if precision_bits is None:
+            precision_bits = mp.mp.prec
+        cached = self._critical.get(precision_bits)
+        if cached is not None:
+            return list(cached)
+        wronskian = self.num.derivative() * self.den - self.num * self.den.derivative()
+        zeros_and_poles = self.num * self.den
+        shared = wronskian.gcd(zeros_and_poles)
+        while shared.degree > 0:
+            wronskian = wronskian // shared
+            shared = wronskian.gcd(zeros_and_poles)
+        out = [(ball, self.eval(ball, precision_bits))
+               for ball, _mult in roots_numeric(wronskian, precision_bits)]
+        if self.num.degree == self.den.degree:
+            out.append((None, embed(self.eval(INF), precision_bits)))
+        self._critical[precision_bits] = tuple(out)
+        return out
 
     def __str__(self):
         return rf_to_expr(self)

@@ -20,8 +20,7 @@ Evaluation reads the first cut loci and their crossings from the
 admissibility report that accepted the schedule, so the pipeline builds and
 intersects each schedule's cut loci once, inside the schedule search.  A
 path there is the closed form of a Moebius first coordinate, which every
-shipped 3-cube fixture has, or the traced branch of one of higher degree;
-either way the integrand reads its points from the path's ``solve_at``.
+shipped 3-cube fixture has, or the traced branch of one of higher degree.
 
 L is taken along each path in its log-radius u = -log r, split at the
 crossings into stretches on which the branch of log f_2 is fixed.  Each
@@ -29,7 +28,10 @@ stretch is integrated in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
 whole path onto (-1, 1); there the integrand is bounded, with log-type
 behaviour only at the path ends x = +-1, which is the case one
 double-exponential (tanh-sinh) segment resolves.  Its nodes on [-1, 1] are
-computed once per precision and shared by every stretch.
+computed once per precision and shared by every stretch, and each hands the
+integrand its radius r.  On a Moebius path f_2 and dlog f_3 / dlog f_1 are
+rational functions of r, built once per path, so a node solves nothing; on
+a traced path the integrand reads its point from the path's ``solve_at``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .special import BranchSpec, log_eps
 from .wavefront import (
     AdmissibilityReport,
     PhaseSchedule,
+    _coordinate_value_at,
     admissible,
     search_admissible,
 )
@@ -222,21 +225,23 @@ def _tanh_sinh_segment(fn, a, b, tol, precision_bits):
 
 def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
                tails=(True, True)):
-    """Integrate ``fn`` over [u_lo, u_hi] in the path parameter u = -log r.
+    """Integrate over [u_lo, u_hi] in the path parameter u = -log r.
 
-    ``fn`` takes u and already includes its du factor; along a traced path
-    oriented pole -> zero, u increases.  ``tails`` marks which ends are true
-    path ends and get the truncation-tail allowance.
+    ``fn`` takes the radius r = e^{-u} and returns the integrand with its du
+    factor; along a traced path oriented pole -> zero, u increases and r
+    decreases.  ``tails`` marks which ends are true path ends and get the
+    truncation-tail allowance.
 
     The integral is taken in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
     whole log-radius line onto (-1, 1): the integrand
-    fn(u(x)) * 2/((1 - x)(1 + x)), u(x) = log((1 + x)/(1 - x)), is bounded
+    fn(r(x)) * 2/((1 - x)(1 + x)), r(x) = (1 - x)/(1 + x), is bounded
     there, since fn decays like e^{-|u|} towards the pole and the zero, and
     keeps only log-type behaviour at x = +-1.  One double-exponential
     segment over [tanh(u_lo/2), tanh(u_hi/2)] resolves it: its nodes crowd
-    towards the path ends, where the stretch's exponential tails are.
-    Rounding never moves a node outside [u_lo, u_hi], so ``fn`` is only
-    asked for log-radii on the traced path.
+    towards the path ends, where the stretch's exponential tails are.  A
+    node costs one division for its radius and no log; rounding never moves
+    it outside [e^{-u_hi}, e^{-u_lo}], so ``fn`` is only asked for radii on
+    the stretch.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -244,10 +249,12 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
         tol = float(mp.mpf(2) ** (-precision_bits // 3))
     with workprec(precision_bits + _EXTRA_BITS):
         u_lo, u_hi = mp.mpf(u_lo), mp.mpf(u_hi)
+        r_lo, r_hi = mp.exp(-u_hi), mp.exp(-u_lo)
 
         def in_x(x):
-            u = min(max(mp.log((1 + x) / (1 - x)), u_lo), u_hi)
-            return fn(u) * 2 / ((1 - x) * (1 + x))
+            below, above = 1 - x, 1 + x
+            r = min(max(below / above, r_lo), r_hi)
+            return fn(r) * 2 / (below * above)
 
         total, err = _tanh_sinh_segment(in_x, mp.tanh(u_lo / 2),
                                         mp.tanh(u_hi / 2), tol,
@@ -256,9 +263,9 @@ def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
         span = u_hi - u_lo
         tail = 0.0
         if tails[0]:
-            tail += float(abs(fn(u_lo + mp.mpf("1e-9") * span)))
+            tail += float(abs(fn(mp.exp(-(u_lo + mp.mpf("1e-9") * span)))))
         if tails[1]:
-            tail += float(abs(fn(u_hi - mp.mpf("1e-9") * span)))
+            tail += float(abs(fn(mp.exp(-(u_hi - mp.mpf("1e-9") * span)))))
         return ComplexApprox(total, err + 2.0 * tail)
 
 
@@ -289,6 +296,66 @@ def _admitted(Z, schedule, precision_bits):
             "cycle is not admissible at the requested schedule: "
             + "; ".join(f.kind for f in rep.failures))
     return rep
+
+
+def _along_path(comp, path, ev2, ev3, precision_bits):
+    """The integrand's two factors along a first-locus ``path`` as a
+    function of the radius r: r -> (f_2, dlog f_3 / dlog f_1) at the path
+    point of radius r, with None for f_2 when ``ev2`` is None (a constant
+    f_2).  The quotient of dlogs is dt/du times -dlog f_3.
+
+    On a Moebius path both are rational in r, built here once at the
+    integrand's precision.  f_2 = A_2(r) / B_2(r) from
+    ``TracedPath.in_radius``.  Along the path f_1 = r direction, so
+    dlog f_3 / dlog f_1 = r d(log f_3)/dr = sum_j m_j r / (r - rho_j) over
+    the divisor points y_j of f_3, of order m_j, with
+    rho_j = f_1(y_j) / direction: a point with f_1(y_j) = oo adds nothing,
+    one with f_1(y_j) = 0 the constant m_j.  A node then costs two Horner
+    passes in r and one division per divisor point, and no solve.  It
+    divides only by B_2(r) and r - rho_j, which vanish on the path only at
+    a pole of f_2 or a zero or pole of f_3 lying on the first cut, which
+    ``admissible`` refuses (face-on-cut).
+
+    On a traced path the point is ``solve_at(log r)``, with the log-radius
+    held to the path's span against rounding.
+    """
+    if path.evaluator.linear is None:
+        def along(r):
+            sigma = min(max(mp.log(r), path.sigma_lo), path.sigma_hi)
+            t, n1, d1 = path.solve_at(sigma)
+            v2 = None if ev2 is None else ev2.value(t)
+            return v2, ev3.dlog(t) / path.evaluator.dlog(t, n1, d1)
+        return along
+
+    with workprec(precision_bits + _EXTRA_BITS):
+        a2, b2 = path.in_radius(ev2) if ev2 is not None else (None, None)
+        const = 0
+        terms = []
+        for pt in comp.coords[2].divisor(precision_bits):
+            v = _coordinate_value_at(comp, 1, pt.location)
+            if v is INF:
+                continue
+            if v == 0:
+                const += pt.multiplicity
+            else:
+                rho = v / path.direction
+                terms.append((pt.multiplicity, rho, abs(rho)))
+    horner = RFEvaluator._horner
+
+    def along(r):
+        # r/(r - rho) = 1 + rho/(r - rho): a term with |rho| <= r is taken
+        # in the second form and its 1 added exactly, so the O(1) parts of
+        # the terms never cancel in rounding
+        whole, frac = const, 0
+        for m, rho, size in terms:
+            if size <= r:
+                whole += m
+                frac += m * rho / (r - rho)
+            else:
+                frac += m * r / (r - rho)
+        v2 = None if a2 is None else horner(a2, r) / horner(b2, r)
+        return v2, whole + frac
+    return along
 
 
 def reg_n3(Z, schedule, precision_bits=None):
@@ -344,13 +411,13 @@ def reg_n3(Z, schedule, precision_bits=None):
             # line integral L, split at crossings, branch fixed by continuity
             line = ComplexApprox(mp.mpc(0), 0.0)
             if not f3.is_constant():
-                ev3q = ev3
                 ev2 = RFEvaluator(f2, precision_bits) if not f2.is_constant() else None
                 const_log2 = None
                 if ev2 is None:
                     const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
                                          BranchSpec(eps2)).value
                 for path in paths:
+                    along = _along_path(comp, path, ev2, ev3, precision_bits)
                     xs = sorted((c for c in crossings if c.host_path is path),
                                 key=lambda c: float(-c.sigma))
                     u_lo, u_hi = -path.sigma_hi, -path.sigma_lo
@@ -362,20 +429,20 @@ def reg_n3(Z, schedule, precision_bits=None):
                             continue
                         left_sign = xs[seg - 1].sign if seg >= 1 else 0
                         right_sign = -xs[seg].sign if seg < len(xs) else 0
+                        # nodes at or above this radius are nearer the
+                        # left end of the stretch
+                        r_mid = mp.exp(-(a + b) / 2)
 
-                        def fn(u, _a=a, _b=b, _l=left_sign, _r=right_sign,
-                               _path=path):
-                            # num and den of coordinate 1 at t, as the
-                            # solve left them, serve its dlog
-                            t, n1, d1 = _path.solve_at(-u)
-                            if const_log2 is not None:
+                        def fn(r, _l=left_sign, _r=right_sign, _mid=r_mid,
+                               _along=along):
+                            v2, ratio = _along(r)
+                            if v2 is None:
                                 lg2 = const_log2
                             else:
-                                hint = _l if (u - _a) <= (_b - u) else _r
-                                lg2 = _sided_log_branch(ev2.value(t), eps2,
-                                                        rot2, guard, hint)
-                            return (-(lg2 * ev3q.dlog(t))
-                                    / _path.evaluator.dlog(t, n1, d1))
+                                lg2 = _sided_log_branch(
+                                    v2, eps2, rot2, guard,
+                                    _l if r >= _mid else _r)
+                            return -lg2 * ratio
 
                         piece = quadrature(fn, a, b,
                                            precision_bits=precision_bits,

@@ -5,10 +5,12 @@ the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
 a family of |f_i| level sets: for log-radii sigma in a fixed span every point
 solves f_i(t) = w with w = e^sigma e^(i(pi - eps_i)), giving one oriented path
 per branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
-point of a locus, quadrature nodes and crossings alike, comes from
-``RFEvaluator.solve``, and each is checked by ``RFEvaluator.is_resolved`` as
-the solve returns it: one within rounding of a zero or pole raises
-PrecisionError.
+point solved on a locus (trace samples, span ends, crossings, and the
+quadrature nodes of a traced path) comes from ``RFEvaluator.solve``, and
+each is checked by ``RFEvaluator.is_resolved`` as the solve returns it: one
+within rounding of a zero or pole raises PrecisionError.  Quadrature on a
+Moebius path solves no point: along it the integrand is a rational function
+of the radius (``TracedPath.in_radius``).
 
 There are two kinds of path.  On a Moebius coordinate the level-set
 polynomial num_i - w den_i is linear and the path is its closed form
@@ -51,7 +53,7 @@ import mpmath as mp
 
 from .errors import ChowregError, ConvergenceError, PrecisionError, ScheduleError
 from .field import CyclotomicNumber, embed
-from .funcfield import INF, RFEvaluator, roots_numeric
+from .funcfield import INF, RFEvaluator
 from .numeric import ComplexApprox, workprec
 
 TRACE_GRID_DEFAULT = 560
@@ -139,12 +141,14 @@ class TracedPath:
     The branch spans the log-radii [``sigma_lo``, ``sigma_hi``], and
     ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
     ``solve_at`` solves the defining equation at any log-radius of the span,
-    so quadrature and crossing refinement sample the exact path rather than
-    interpolating.  On a Moebius coordinate that solve is the closed form
-    and the path holds nothing more: ``sigmas`` and ``points`` are empty.
-    On a coordinate of higher degree they are the trace's samples, log-radii
-    in decreasing order and the parameter values there, which warm-start
-    the solve and bracket crossings.
+    so crossing refinement, and quadrature on a traced path, sample the
+    exact path rather than interpolating.  On a Moebius coordinate that
+    solve is the closed form and the path holds nothing more: ``sigmas``
+    and ``points`` are empty.  On a coordinate of higher degree they are the
+    trace's samples, log-radii in decreasing order and the parameter values
+    there, which warm-start the solve and bracket crossings.  On a Moebius
+    path ``in_radius`` composes another coordinate with the path, as a
+    rational function of the radius.
     """
 
     coord_index: int
@@ -194,6 +198,33 @@ class TracedPath:
                 f"path refinement stalled at log-radius {float(sigma):.4f}"
             )
         return _resolved(self.evaluator, self.coord_index, hit, sigma)
+
+    def in_radius(self, ev):
+        """(A, B), the numerator and denominator of ``ev``'s function g
+        along this Moebius path as polynomials in the radius r (coefficient
+        lists, constant term first), at the working precision.
+
+        The path is t(w) = (w d0 - n0) / (n1 - w d1) with w = r direction.
+        With m = deg g, A(r) = num_g(t) (n1 - w d1)^m and
+        B(r) = den_g(t) (n1 - w d1)^m have degree at most m, and
+        A(r) / B(r) = g(t(w)).
+        """
+        n0, n1, d0, d1 = self.evaluator.linear
+        u = [-n0, self.direction * d0]     # w d0 - n0 as a polynomial in r
+        v = [n1, -self.direction * d1]     # n1 - w d1
+        m = max(len(ev.nc), len(ev.dc)) - 1
+        u_pows, v_pows = [[1]], [[1]]
+        for _ in range(m):
+            u_pows.append(_poly_mul(u_pows[-1], u))
+            v_pows.append(_poly_mul(v_pows[-1], v))
+        # u^k v^(m - k), which t^k becomes once (n1 - w d1)^m is cleared
+        basis = [_poly_mul(u_pows[k], v_pows[m - k]) for k in range(m + 1)]
+
+        def cleared(coeffs):
+            return [sum(c * b[e] for c, b in zip(coeffs, basis))
+                    for e in range(m + 1)]
+
+        return cleared(ev.nc), cleared(ev.dc)
 
     def samples(self):
         """(sigma, t) at every log-radius of the trace grid: the stored
@@ -428,10 +459,9 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
     """((s_hi, s_lo), g >= 0 at s_hi) for each root of g = Im(rot_j f_j)
     along a Moebius path, in decreasing log-radius.
 
-    Along w = r direction the path is t(w) = (w d0 - n0) / (n1 - w d1).
-    With m = deg f_j, A(r) = num_j(t) (n1 - w d1)^m and
-    B(r) = den_j(t) (n1 - w d1)^m are polynomials in r of degree at most m,
-    and P(r) = Im(rot_j A conj(B)) = |B|^2 g is real of degree at most 2m.
+    With f_j = A(r) / B(r) along the path (``TracedPath.in_radius``),
+    P(r) = Im(rot_j A conj(B)) = |B|^2 g is a real polynomial of degree at
+    most 2 deg f_j.
     Its roots in (e^sigma_lo, e^sigma_hi) are isolated by Descartes's rule
     of signs (Collins-Akritas).  A bracket is split at its middle point of
     the trace grid while it holds one, so a root alone in a grid step gets
@@ -440,23 +470,8 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
     narrower than 2^(-prec/2) that still holds several roots is kept when
     P changes sign across it, as one crossing, and dropped else.
     """
-    n0, n1, d0, d1 = path.evaluator.linear
-    u = [-n0, path.direction * d0]     # w d0 - n0 as a polynomial in r
-    v = [n1, -path.direction * d1]     # n1 - w d1
-    m = max(len(f_j_ev.nc), len(f_j_ev.dc)) - 1
-    u_pows, v_pows = [[1]], [[1]]
-    for _ in range(m):
-        u_pows.append(_poly_mul(u_pows[-1], u))
-        v_pows.append(_poly_mul(v_pows[-1], v))
-    # u^k v^(m - k), which t^k becomes once (n1 - w d1)^m is cleared
-    basis = [_poly_mul(u_pows[k], v_pows[m - k]) for k in range(m + 1)]
-
-    def cleared(coeffs):
-        return [sum(c * b[e] for c, b in zip(coeffs, basis))
-                for e in range(m + 1)]
-
-    b_conj = [b.conjugate() for b in cleared(f_j_ev.dc)]
-    p = [(rot_j * c).imag for c in _poly_mul(cleared(f_j_ev.nc), b_conj)]
+    a, b = path.in_radius(f_j_ev)
+    p = [(rot_j * c).imag for c in _poly_mul(a, [c.conjugate() for c in b])]
     while p and not p[-1]:
         p.pop()
     if not p:
@@ -605,29 +620,6 @@ def _on_cut_margin(value, rot):
     return float(abs(mp.arg(-v * rot)))
 
 
-def _critical_values(f, precision_bits):
-    """(critical point, value) pairs of a nonconstant f away from its zeros
-    and poles.
-
-    The finite critical points are the roots of the Wronskian
-    num' den - num den' once every factor it shares with num den (multiple
-    zeros and poles) is divided out exactly.  When deg num = deg den, f(oo)
-    is finite and nonzero and the level set through it loses a branch to
-    t = oo (the trace's degree drop), so it is returned with point None.
-    """
-    wronskian = f.num.derivative() * f.den - f.num * f.den.derivative()
-    zeros_and_poles = f.num * f.den
-    shared = wronskian.gcd(zeros_and_poles)
-    while shared.degree > 0:
-        wronskian = wronskian // shared
-        shared = wronskian.gcd(zeros_and_poles)
-    out = [(ball, f.eval(ball, precision_bits))
-           for ball, _mult in roots_numeric(wronskian, precision_bits)]
-    if f.num.degree == f.den.degree:
-        out.append((None, embed(f.eval(INF), precision_bits)))
-    return out
-
-
 def _coordinate_value_at(component, j, location):
     """Coordinate j at a divisor location; returns mpc, INF, or exact zero."""
     f = component.coords[j - 1]
@@ -688,7 +680,7 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                             f"coordinate {i} is constant on its cut",
                             cval))
                     continue
-                for point, value in _critical_values(f, precision_bits):
+                for point, value in f.critical_values(precision_bits):
                     margin = _on_cut_margin(value, rots[i - 1])
                     if margin < cut_tol:
                         rough.add(i)
@@ -754,9 +746,11 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
                 except ScheduleError as exc:
                     failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
                     crossings[ci] = []
-                later = {k: RFEvaluator(comp.coords[k - 1], precision_bits)
-                         for k in range(3, Z.n + 1)
-                         if not comp.coords[k - 1].is_constant()}
+                later = {}
+                if crossings[ci]:
+                    later = {k: RFEvaluator(comp.coords[k - 1], precision_bits)
+                             for k in range(3, Z.n + 1)
+                             if not comp.coords[k - 1].is_constant()}
                 for c in crossings[ci]:
                     for k in range(3, Z.n + 1):
                         if k in later:

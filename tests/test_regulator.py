@@ -37,6 +37,7 @@ from chowreg.regulator import (
     _tanh_sinh_segment,
     lattice_difference,
 )
+from chowreg.fixtures import dilog_cycle
 from chowreg.funcfield import RFEvaluator
 from chowreg.numeric import ComplexApprox
 
@@ -156,8 +157,8 @@ def test_quadrature_z1_line_integral(z1):
         comp = z1.components[0]
         path = trace_wavefront(comp, 1, mp.mpf("1e-8"), precision_bits=192)[0]
 
-        def fn(u):
-            t = path.solve_at(-u)[0]
+        def fn(r):
+            t = path.solve_at(mp.log(r))[0]
             return -mp.log(1 - t) / t * (-1 / path.evaluator.dlog(t))
 
         val = quadrature(fn, -path.sigma_hi, -path.sigma_lo,
@@ -169,7 +170,7 @@ def test_quadrature_z1_line_integral(z1):
 def test_quadrature_constant_in_parameter():
     # the log-radius parameter measures one unit between r = 1 and r = e
     with workprec(128):
-        val = quadrature(lambda u: mp.mpc(1), 0, 1, precision_bits=128,
+        val = quadrature(lambda r: mp.mpc(1), 0, 1, precision_bits=128,
                          tails=(False, False))
         assert abs(val.value - 1) < 1e-25
 
@@ -200,9 +201,9 @@ def test_quadrature_is_one_segment_per_stretch(z1, monkeypatch):
         counts = {"segments": 0, "nodes": 0}
         stretches.append(counts)
 
-        def node(u):
+        def node(r):
             counts["nodes"] += 1
-            return fn(u)
+            return fn(r)
 
         return quad(node, *args, **kwargs)
 
@@ -236,8 +237,8 @@ def test_quadrature_calls_share_their_nodes(monkeypatch):
     for name in counts:
         monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
 
-    def fn(u):
-        return mp.mpc(1) / (1 + u * u)
+    def fn(r):
+        return mp.mpc(1) / (1 + mp.log(r) ** 2)
 
     with workprec(128):
         first = quadrature(fn, -3, 2, precision_bits=128)
@@ -284,9 +285,9 @@ def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
     newton_step = RFEvaluator.newton_step
 
     def counting_quadrature(fn, *args, **kwargs):
-        def node(u):
+        def node(r):
             counts["nodes"] += 1
-            return fn(u)
+            return fn(r)
 
         inside.append(True)
         try:
@@ -305,6 +306,160 @@ def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
         reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
     assert counts["nodes"] > 0
     assert counts["steps"] == 0
+
+
+_MOEBIUS_CYCLES = {
+    "totaro": lambda: load_fixture("z1_totaro"),
+    # components 2 and 3 have f_3 = 1/t^5
+    "petras": lambda: load_fixture("petras_zeta5"),
+    # one crossing at the accepted schedule, deg f_2 = 2
+    "mccarthy": lambda: load_fixture("mccarthy_counterexample"),
+    "dilog_7_3": lambda: dilog_cycle(7, 3),
+}
+
+
+def _recording_along(monkeypatch):
+    """Record (path, ev2, ev3, r, f_2, dlog f_3 / dlog f_1) at every node
+    that reg_n3's integrand evaluates."""
+    regulator_module = importlib.import_module("chowreg.regulator")
+    along_path = regulator_module._along_path
+    seen = []
+
+    def recording(comp, path, ev2, ev3, precision_bits):
+        along = along_path(comp, path, ev2, ev3, precision_bits)
+
+        def record(r):
+            v2, ratio = along(r)
+            seen.append((path, ev2, ev3, r, v2, ratio))
+            return v2, ratio
+        return record
+
+    monkeypatch.setattr(regulator_module, "_along_path", recording)
+    return seen
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(_MOEBIUS_CYCLES))
+def test_radius_integrand_agrees_with_the_t_space_integrand(name, bits,
+                                                            monkeypatch):
+    # at every node, f_2 and dlog f_3 / dlog f_1 of the radius form agree
+    # to 2^(8 - bits) relative with the t-space factors at the point t(w),
+    # w = r direction, solved and evaluated at twice the precision.  The
+    # node -log f_2 * dlog f_3 / dlog f_1 then agrees to 2^(8 - bits)
+    # (1 + |log f_2|) |dlog f_3 / dlog f_1|: next to f_2 = 1, at the pole
+    # end of the path, log f_2 has only an absolute error, in either form
+    Z = _MOEBIUS_CYCLES[name]()
+    seen = _recording_along(monkeypatch)
+    with workprec(bits):
+        rep = search_admissible(Z, 0.3, precision_bits=bits)
+        reg_n3(Z, rep, precision_bits=bits)
+    if name == "mccarthy":
+        assert sum(map(len, rep.crossings.values())) > 0
+    assert seen
+    ref_bits = 2 * bits
+    tol = mp.mpf(2) ** (8 - bits)
+    evaluators = {}
+
+    def at_ref_bits(ev):
+        if id(ev.rf) not in evaluators:
+            evaluators[id(ev.rf)] = RFEvaluator(ev.rf, ref_bits)
+        return evaluators[id(ev.rf)]
+
+    with workprec(ref_bits):
+        for path, ev2, ev3, r, v2, ratio in seen:
+            assert path.evaluator.linear is not None
+            ev1 = at_ref_bits(path.evaluator)
+            t, n, d = ev1.solve(None, r * path.direction,
+                                mp.mpf(2) ** (16 - ref_bits), 60)
+            ref2 = at_ref_bits(ev2).value(t)
+            ref_ratio = at_ref_bits(ev3).dlog(t) / ev1.dlog(t, n, d)
+            assert abs(v2 - ref2) <= tol * abs(ref2)
+            assert abs(ratio - ref_ratio) <= tol * abs(ref_ratio)
+            ref_log = mp.log(ref2)
+            node = -(ref_log + mp.log(v2 / ref2)) * ratio
+            ref_node = -ref_log * ref_ratio
+            assert abs(node - ref_node) <= \
+                tol * (1 + abs(ref_log)) * abs(ref_ratio)
+
+
+@pytest.mark.parametrize("name", ["totaro", "mccarthy"])
+def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
+                                                             monkeypatch):
+    # on a Moebius path the integrand is rational in the radius: no node
+    # solves for t or evaluates any coordinate at it
+    regulator_module = importlib.import_module("chowreg.regulator")
+    quad = regulator_module.quadrature
+    inside = []
+    calls = {"solve": 0, "value": 0, "dlog": 0}
+    nodes = []
+
+    def counting_quadrature(fn, *args, **kwargs):
+        def node(r):
+            nodes.append(r)
+            return fn(r)
+
+        inside.append(True)
+        try:
+            return quad(node, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(method):
+        original = getattr(RFEvaluator, method)
+
+        def wrapper(self, *args, **kwargs):
+            if inside:
+                calls[method] += 1
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
+    for method in calls:
+        monkeypatch.setattr(RFEvaluator, method, counting(method))
+    Z = _MOEBIUS_CYCLES[name]()
+    with workprec(128):
+        reg_n3(Z, search_admissible(Z, 0.3, precision_bits=128),
+               precision_bits=128)
+    assert nodes
+    assert calls == {"solve": 0, "value": 0, "dlog": 0}
+
+
+@pytest.mark.parametrize("cycle", [
+    lambda: load_fixture("z1_totaro"),
+    lambda: load_fixture("mccarthy_counterexample"),
+    lambda: _totaro_composed(1, "t^2"),
+], ids=["totaro", "mccarthy", "traced_s2"])
+def test_quadrature_radii_stay_on_the_path(cycle, monkeypatch):
+    # every radius quadrature hands the integrand lies in
+    # [e^sigma_lo, e^sigma_hi] of its path and in its stretch
+    regulator_module = importlib.import_module("chowreg.regulator")
+    quad = regulator_module.quadrature
+    stretches = []
+
+    def recording_quadrature(fn, u_lo, u_hi, *args, **kwargs):
+        radii = []
+        stretches.append((u_lo, u_hi, radii))
+
+        def node(r):
+            radii.append(r)
+            return fn(r)
+
+        return quad(node, u_lo, u_hi, *args, **kwargs)
+
+    monkeypatch.setattr(regulator_module, "quadrature", recording_quadrature)
+    Z = cycle()
+    with workprec(128):
+        rep = search_admissible(Z, 0.3, precision_bits=128)
+        reg_n3(Z, rep, precision_bits=128)
+    paths = [p for ps in rep.paths.values() for p in ps]
+    assert stretches
+    with workprec(128 + regulator_module._EXTRA_BITS):
+        lo = min(mp.exp(p.sigma_lo) for p in paths)
+        hi = max(mp.exp(p.sigma_hi) for p in paths)
+        for u_lo, u_hi, radii in stretches:
+            assert radii
+            assert all(mp.exp(-u_hi) <= r <= mp.exp(-u_lo) for r in radii)
+            assert all(lo <= r <= hi for r in radii)
 
 
 def test_reg_n3_z_square_oracle(z_square):
@@ -525,6 +680,39 @@ def test_regulator_computes_each_divisor_once(monkeypatch):
             assert cached is not f.divisor()
             fresh = RationalFunction(f.num, f.den).divisor()
             assert _divisor_key(cached) == _divisor_key(fresh)
+
+
+def test_regulator_computes_each_coordinates_critical_values_once(
+        monkeypatch):
+    # every schedule's admissibility check reads the critical values of each
+    # coordinate; they are found once, one Wronskian root solve per
+    # nonconstant coordinate, and equal those of a fresh function
+    funcfield = importlib.import_module("chowreg.funcfield")
+    solved = []
+    roots_numeric = funcfield.roots_numeric
+
+    def counting(p, *args, **kwargs):
+        solved.append(p)
+        return roots_numeric(p, *args, **kwargs)
+
+    monkeypatch.setattr(funcfield, "roots_numeric", counting)
+    Z = load_fixture("petras_zeta5")
+    coords = [f for comp in Z.components for f in comp.coords
+              if not f.is_constant()]
+
+    def key(pairs):
+        return [(None if p is None else (p.value, p.radius), v.value, v.radius)
+                for p, v in pairs]
+
+    with workprec(128):
+        regulator(Z, precision_bits=128)
+        assert len(solved) == len(coords)
+        for f in coords:
+            cached = f.critical_values()
+            assert cached is not f.critical_values()
+            fresh = RationalFunction(f.num, f.den).critical_values()
+            assert key(cached) == key(fresh)
+        assert len(solved) == len(coords) * 2
 
 
 def test_regulator_refuses_open_cycle(z_minus1):

@@ -561,6 +561,30 @@ def test_search_schedule_petras(petras):
         assert admissible(petras, s, precision_bits=128).ok
 
 
+def test_admissible_builds_later_evaluators_only_for_crossings(
+        petras, mccarthy, monkeypatch):
+    # the triple-point test reads coordinates >= 3 only at crossings: Petras
+    # has none at its accepted schedule, McCarthy one
+    import chowreg.wavefront as wf
+
+    built = []
+
+    def recording(rf, precision_bits):
+        built.append(rf)
+        return RFEvaluator(rf, precision_bits)
+
+    monkeypatch.setattr(wf, "RFEvaluator", recording)
+    for Z, expect_built in ((petras, False), (mccarthy, True)):
+        built.clear()
+        with workprec(128):
+            s = search_schedule(Z, 0.3, precision_bits=128)
+            rep = admissible(Z, s, precision_bits=128)
+        assert rep.ok
+        assert bool(sum(map(len, rep.crossings.values()))) == expect_built
+        later = [comp.coords[2] for comp in Z.components]
+        assert any(any(f is g for g in later) for f in built) == expect_built
+
+
 def test_schedule_phase_count_must_match(z1):
     with workprec(128):
         with pytest.raises(ChowregError):
