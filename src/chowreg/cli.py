@@ -175,7 +175,7 @@ def _cmd_normalize(Z, args, precision_bits, tol):
 
 def _cmd_admissible(Z, args, precision_bits, tol):
     s = _schedule_for(Z, args, precision_bits)
-    rep = admissible(Z, s, precision_bits=precision_bits, tol=tol)
+    rep = admissible(Z, s, precision_bits=precision_bits)
     rec = rep.to_dict()
     rec["equal_phase"] = bool(getattr(args, "equal_phase", False))
     rec["b_nested"] = s.is_b_nested()

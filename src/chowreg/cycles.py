@@ -17,7 +17,7 @@ for field points and by gcd against a numeric cluster's squarefree factor;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import mpmath as mp
 
@@ -38,6 +38,10 @@ class CurveComponent:
     n: int
     coords: tuple
     mult: int
+    # per precision, the values admissibility keeps off the cut rays
+    # (``wavefront._off_cut_entries``)
+    _off_cut: dict = dataclass_field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self):
         if self.mult == 0:

@@ -366,15 +366,14 @@ class DivisorPoint:
 class RationalFunction:
     """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic.
 
-    Instances are immutable, so ``divisor`` and ``critical_values`` keep
-    their results per precision in ``_divisors`` and ``_critical``.
+    Instances are immutable, so ``divisor``, ``critical_values`` and
+    ``evaluator`` keep their results per precision in ``_memo``.
     """
 
-    __slots__ = ("order", "num", "den", "_divisors", "_critical")
+    __slots__ = ("order", "num", "den", "_memo")
 
     def __init__(self, num, den=None):
-        self._divisors = {}
-        self._critical = {}
+        self._memo = {}
         if den is None:
             den = Poly.one(num.order)
         if den.is_zero():
@@ -561,7 +560,7 @@ class RationalFunction:
             raise ChowregError("divisor of the zero function")
         if precision_bits is None:
             precision_bits = mp.mp.prec
-        cached = self._divisors.get(precision_bits)
+        cached = self._memo.get(("divisor", precision_bits))
         if cached is not None:
             return list(cached)
         points = []
@@ -577,7 +576,7 @@ class RationalFunction:
         dn, dd = self.num.degree, self.den.degree
         if dn != dd:
             points.append(DivisorPoint(INF, dd - dn))
-        self._divisors[precision_bits] = tuple(points)
+        self._memo["divisor", precision_bits] = tuple(points)
         return points
 
     def critical_values(self, precision_bits=None):
@@ -594,7 +593,7 @@ class RationalFunction:
         """
         if precision_bits is None:
             precision_bits = mp.mp.prec
-        cached = self._critical.get(precision_bits)
+        cached = self._memo.get(("critical_values", precision_bits))
         if cached is not None:
             return list(cached)
         wronskian = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -607,8 +606,15 @@ class RationalFunction:
                for ball, _mult in roots_numeric(wronskian, precision_bits)]
         if self.num.degree == self.den.degree:
             out.append((None, embed(self.eval(INF), precision_bits)))
-        self._critical[precision_bits] = tuple(out)
+        self._memo["critical_values", precision_bits] = tuple(out)
         return out
+
+    def evaluator(self, precision_bits):
+        """This function's ``RFEvaluator``, built once per precision."""
+        key = ("evaluator", precision_bits)
+        if key not in self._memo:
+            self._memo[key] = RFEvaluator(self, precision_bits)
+        return self._memo[key]
 
     def __str__(self):
         return rf_to_expr(self)

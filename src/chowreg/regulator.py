@@ -398,7 +398,7 @@ def reg_n3(Z, schedule, precision_bits=None):
 
             # crossing sum P
             p_sum = ComplexApprox(mp.mpc(0), 0.0)
-            ev3 = RFEvaluator(f3, precision_bits) if not f3.is_constant() else None
+            ev3 = None if f3.is_constant() else f3.evaluator(precision_bits)
             for c in crossings:
                 if ev3 is None:
                     v3 = embed(f3.constant_value(), precision_bits)
@@ -411,7 +411,7 @@ def reg_n3(Z, schedule, precision_bits=None):
             # line integral L, split at crossings, branch fixed by continuity
             line = ComplexApprox(mp.mpc(0), 0.0)
             if not f3.is_constant():
-                ev2 = RFEvaluator(f2, precision_bits) if not f2.is_constant() else None
+                ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
                 const_log2 = None
                 if ev2 is None:
                     const_log2 = log_eps(embed(f2.constant_value(), precision_bits),

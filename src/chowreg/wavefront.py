@@ -32,14 +32,15 @@ along the oriented path.
 
 The regulator integrates along the first locus and sums over its crossings
 with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
-checks every coordinate exactly instead: a locus is a smooth union of branches
-exactly when no critical value of f_i lies on its ray, and the critical values
-are f_i at the roots of the Wronskian num' den - num den' (factors shared with
-num den removed exactly) plus f_i(oo) when the degrees agree.  The report of
-an admissibility check carries the coordinate-1 paths and crossings, which
-are all the evaluation needs: ``search_admissible`` returns the report that
-accepted a schedule, and evaluation reads its paths and crossings rather than
-tracing again.
+is one rule: a value keeps an angular margin of CUT_MARGIN from its cut ray.
+It is applied to every critical value of f_i (f_i at the roots of the
+Wronskian num' den - num den', factors shared with num den removed exactly,
+plus f_i(oo) when the degrees agree), since a locus is a smooth union of
+branches exactly when none lies on its ray, and to the few other values
+``admissible`` lists.  The report of an admissibility check carries the
+coordinate-1 paths and crossings, which are all the evaluation needs:
+``search_admissible`` returns the report that accepted a schedule, and
+evaluation reads its paths and crossings rather than tracing again.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ from .numeric import ComplexApprox, workprec
 TRACE_GRID_DEFAULT = 560
 SIGMA_SPAN_DEFAULT = 56.0
 SCHEDULE_ATTEMPTS = 12
+# the angular margin (radians) every value admissibility checks keeps from
+# its cut ray
+CUT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -335,7 +339,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     if f.is_constant():
         raise ChowregError("cannot trace a constant coordinate")
     with workprec(precision_bits):
-        ev = RFEvaluator(f, precision_bits)
+        ev = f.evaluator(precision_bits)
         direction = mp.expj(mp.pi - mp.mpf(phase))
         sigmas = _trace_grid(mp.mp.prec)
         if ev.linear is not None:
@@ -407,7 +411,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     if component.coords[j - 1].is_constant():
         return out
     with workprec(precision_bits):
-        f_j_ev = RFEvaluator(component.coords[j - 1], precision_bits)
+        f_j_ev = component.coords[j - 1].evaluator(precision_bits)
         rot_j = _rotation(phase_j)
         for path in paths_i:
             if path.evaluator.linear is None:
@@ -468,10 +472,16 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
     that step as its bracket, the one the sample scan would refine from,
     and a step holding several roots is halved in log-radius.  A bracket
     narrower than 2^(-prec/2) that still holds several roots is kept when
-    P changes sign across it, as one crossing, and dropped else.
+    P changes sign across it, as one crossing, and dropped else.  At a root
+    rot_j f_j = Q / |B|^2 with Q = Re(rot_j A conj(B)), so a bracket with
+    one root on which Q has no sign variation and is positive holds a
+    crossing of the positive real axis, not of the cut: it is dropped
+    before it is split or refined.
     """
     a, b = path.in_radius(f_j_ev)
-    p = [(rot_j * c).imag for c in _poly_mul(a, [c.conjugate() for c in b])]
+    rotated = [rot_j * c for c in _poly_mul(a, [c.conjugate() for c in b])]
+    p = [c.imag for c in rotated]
+    q = [c.real for c in rotated]
     while p and not p[-1]:
         p.pop()
     if not p:
@@ -482,8 +492,10 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
     stack = [(path.sigma_hi, path.sigma_lo)]
     while stack:
         s_hi, s_lo = stack.pop()
-        roots = _sign_variations(p, mp.exp(s_lo), mp.exp(s_hi))
-        if roots == 0:
+        r_hi, r_lo = mp.exp(s_hi), mp.exp(s_lo)
+        roots = _sign_variations(p, r_lo, r_hi)
+        if roots == 0 or (roots == 1 and _sign_variations(q, r_lo, r_hi) == 0
+                          and mp.polyval(q[::-1], r_hi) > 0):
             continue
         # the grid points strictly inside the bracket, which runs down
         # the grid as the sigmas do
@@ -492,8 +504,8 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
         if first < stop:
             mid = grid[(first + stop) // 2]
         elif roots == 1 or s_hi - s_lo < min_width:
-            hi_positive, lo_positive = (mp.polyval(p[::-1], mp.exp(s)) >= 0
-                                        for s in (s_hi, s_lo))
+            hi_positive, lo_positive = (mp.polyval(p[::-1], r) >= 0
+                                        for r in (r_hi, r_lo))
             if hi_positive != lo_positive:
                 out.append(((s_hi, s_lo), hi_positive))
             continue
@@ -622,37 +634,85 @@ def _on_cut_margin(value, rot):
 
 def _coordinate_value_at(component, j, location):
     """Coordinate j at a divisor location; returns mpc, INF, or exact zero."""
-    f = component.coords[j - 1]
-    v = f.eval(location)
-    if v is INF:
-        return INF
+    v = component.coords[j - 1].eval(location)
     if isinstance(v, CyclotomicNumber):
-        if v.is_zero():
-            return 0
-        return embed(v, mp.mp.prec).value
+        return 0 if v.is_zero() else embed(v, mp.mp.prec).value
     return v.value if isinstance(v, ComplexApprox) else v
 
 
-def admissible(Z, schedule, precision_bits=None, tol=1e-9):
+def _off_cut_entries(comp, precision_bits):
+    """(k, kind, value, witness, detail) for each value of ``comp`` that
+    ``admissible`` keeps off cut ray k at every schedule, built once per
+    precision and kept on the component.  A zero or pole of a coordinate
+    other than f_1 is a facet parameter (f_1 there keeps off the first
+    ray), and one of f_1 is an endpoint of the first locus (f_k there keeps
+    off ray k); a value 0 or oo there lies on no ray."""
+    if precision_bits in comp._off_cut:
+        return comp._off_cut[precision_bits]
+    entries, facets = [], []
+    f1 = comp.coords[0]
+    with workprec(precision_bits):
+        for i, f in enumerate(comp.coords, 1):
+            if f.is_constant():
+                cval = embed(f.constant_value(), precision_bits)
+                entries.append((i, "constant-on-cut", cval, cval,
+                                f"coordinate {i} is constant on its cut"))
+                continue
+            entries += [(i, "critical-value", value, point,
+                         f"coordinate {i} has a critical value on its cut")
+                        for point, value in f.critical_values(precision_bits)]
+            if i > 1 and not f1.is_constant():
+                facets += [(1, pt.location, "face-on-cut", f"coordinate {i} "
+                            "facet parameter lies on the first cut")
+                           for pt in f.divisor(precision_bits)]
+        if not f1.is_constant():
+            facets += [(k, pt.location, "endpoint-on-cut", "endpoint of the "
+                        f"first cut locus lies on cut {k}")
+                       for pt in f1.divisor(precision_bits)
+                       for k in range(2, comp.n + 1)]
+        for k, loc, kind, detail in facets:
+            v = _coordinate_value_at(comp, k, loc)
+            if v is not INF and v != 0:
+                witness = loc if isinstance(loc, ComplexApprox) else None
+                entries.append((k, kind, v, witness, detail))
+    comp._off_cut[precision_bits] = entries
+    return entries
+
+
+def _keep_off_cuts(entries, rots, ci, failures, warnings):
+    """The one rule of ``admissible``: each entry's value keeps an angular
+    margin of CUT_MARGIN from cut ray k (phase ``rots[k - 1]``), else it
+    fails with its kind, as a warning for an endpoint on a cut beyond the
+    second, which no nested cut-prefix condition reaches.  Returns the
+    (k, kind) of the failed entries."""
+    missed = set()
+    for k, kind, value, witness, detail in entries:
+        margin = _on_cut_margin(value, rots[k - 1])
+        if margin < CUT_MARGIN:
+            missed.add((k, kind))
+            (warnings if kind == "endpoint-on-cut" and k > 2
+             else failures).append(AdmissibilityFailure(
+                 kind, ci, f"{detail} (margin {margin:.2e})", witness))
+    return missed
+
+
+def admissible(Z, schedule, precision_bits=None):
     """Check proper position of a curve precycle with respect to the perturbed
     cuts of a specific schedule.
 
-    Verifies, per component: (a) no nonconstant coordinate has a critical
-    value within ``tol`` (angularly) of its cut ray, decided from the exact
-    critical points rather than by tracing, so every cut locus is a smooth
-    union of branches; constant coordinates sit off their cut; (b) crossings
-    of the first cut locus with the second cut are transverse; (c) no crossing
-    also satisfies a later coordinate's argument condition (no triple point);
-    (d) parameters where any coordinate hits 0 or oo stay off the first cut,
-    and endpoints of the first locus stay off the second cut (keeping the
-    crossing set away from chain boundaries).  An endpoint sitting on a cut
-    beyond the second is outside every nested cut-prefix condition, so it is
-    reported as a warning rather than a failure.
+    One rule decides (``_keep_off_cuts``): per component, the constant
+    coordinates, the critical values of the others (so every cut locus is
+    a smooth union of branches), f_1 at the facet parameters, the
+    coordinates >= 2 at the endpoints of the first locus and, at each
+    crossing of the first locus with the second cut, the coordinates >= 3
+    (no triple point) keep an angular margin of CUT_MARGIN from their cut
+    rays.  All but the last are built once per component and precision
+    (``_off_cut_entries``).  A crossing must also be transverse.
 
-    Only the first locus is traced, and only when (a) holds for it.  Its
-    paths and crossings are kept in the report for evaluation.  A
-    PrecisionError from the trace propagates: no other schedule can repair a
-    working precision that is too low.
+    Only the first locus is traced, and only when none of its critical
+    values failed.  Its paths and crossings are kept in the report for
+    evaluation.  A PrecisionError from the trace propagates: no other
+    schedule can repair a working precision that is too low.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -660,120 +720,49 @@ def admissible(Z, schedule, precision_bits=None, tol=1e-9):
         raise ChowregError("admissibility applies to curve-level precycles")
     if schedule.n != Z.n:
         raise ChowregError(f"schedule has {schedule.n} phases, cycle needs {Z.n}")
-    failures = []
-    warnings = []
-    paths = {}
-    crossings = {}
-    cut_tol = max(float(tol), 1e-12)
+    failures, warnings, paths, crossings = [], [], {}, {}
     with workprec(precision_bits):
         rots = [_rotation(p) for p in schedule.phases]
         for ci, comp in enumerate(Z.components):
-            # (a) no critical value on a cut ray; off-cut constants
-            rough = set()
-            for i in range(1, Z.n + 1):
-                f = comp.coords[i - 1]
-                if f.is_constant():
-                    cval = embed(f.constant_value(), precision_bits)
-                    if _on_cut_margin(cval, rots[i - 1]) < cut_tol:
-                        failures.append(AdmissibilityFailure(
-                            "constant-on-cut", ci,
-                            f"coordinate {i} is constant on its cut",
-                            cval))
-                    continue
-                for point, value in f.critical_values(precision_bits):
-                    margin = _on_cut_margin(value, rots[i - 1])
-                    if margin < cut_tol:
-                        rough.add(i)
-                        failures.append(AdmissibilityFailure(
-                            "critical-value", ci,
-                            f"coordinate {i} has a critical value on its cut "
-                            f"(margin {margin:.2e})",
-                            point))
-            # a first locus that (a) refused is not a union of branches
-            f1 = comp.coords[0]
-            if not f1.is_constant() and 1 not in rough:
-                try:
-                    paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],
-                                                precision_bits=precision_bits)
-                except (ScheduleError, ConvergenceError) as exc:
-                    failures.append(AdmissibilityFailure(
-                        "trace", ci, f"coordinate 1: {exc}"))
-
-            # (d) facet parameters, where any coordinate hits 0 or oo, keep
-            # off the first cut; endpoints of the first locus (its divisor)
-            # avoid the later cuts
-            if not f1.is_constant():
-                divisors = {k: comp.coords[k - 1].divisor()
-                            for k in range(1, Z.n + 1)
-                            if not comp.coords[k - 1].is_constant()}
-                for k, points in divisors.items():
-                    if k == 1:
-                        continue
-                    for pt in points:
-                        v = _coordinate_value_at(comp, 1, pt.location)
-                        if v is INF or v == 0:
-                            continue
-                        margin = _on_cut_margin(v, rots[0])
-                        if margin < cut_tol:
-                            failures.append(AdmissibilityFailure(
-                                "face-on-cut", ci,
-                                f"coordinate {k} facet parameter lies on the "
-                                f"first cut (margin {margin:.2e})",
-                                pt.location if isinstance(pt.location, ComplexApprox)
-                                else None))
-
-                for pt in divisors[1]:
-                    for k in range(2, Z.n + 1):
-                        v = _coordinate_value_at(comp, k, pt.location)
-                        if v is INF or v == 0:
-                            continue
-                        margin = _on_cut_margin(v, rots[k - 1])
-                        if margin < cut_tol:
-                            entry = AdmissibilityFailure(
-                                "endpoint-on-cut", ci,
-                                f"endpoint of the first cut locus lies on cut {k} "
-                                f"(margin {margin:.2e})",
-                                pt.location if isinstance(pt.location, ComplexApprox)
-                                else None)
-                            (failures if k == 2 else warnings).append(entry)
-
-            # (b) + (c) crossings: transversality and no triple points
-            if Z.n >= 2 and ci in paths:
-                try:
-                    crossings[ci] = find_pair_intersections(
-                        comp, paths[ci], 2, schedule.phases[1],
-                        precision_bits=precision_bits)
-                except ScheduleError as exc:
-                    failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
-                    crossings[ci] = []
-                later = {}
-                if crossings[ci]:
-                    later = {k: RFEvaluator(comp.coords[k - 1], precision_bits)
-                             for k in range(3, Z.n + 1)
-                             if not comp.coords[k - 1].is_constant()}
-                for c in crossings[ci]:
-                    for k in range(3, Z.n + 1):
-                        if k in later:
-                            v = later[k].value(c.t.value)
-                        else:
-                            v = embed(comp.coords[k - 1].constant_value(),
-                                      precision_bits).value
-                        if v == 0:
-                            continue
-                        margin = _on_cut_margin(v, rots[k - 1])
-                        if margin < cut_tol:
-                            failures.append(AdmissibilityFailure(
-                                "triple", ci,
-                                f"triple point: cuts 1,2,{k} meet "
-                                f"(margin {margin:.2e})",
-                                c.t))
+            missed = _keep_off_cuts(_off_cut_entries(comp, precision_bits),
+                                    rots, ci, failures, warnings)
+            # a first locus with a critical value on its ray is not a union
+            # of branches
+            if comp.coords[0].is_constant() or (1, "critical-value") in missed:
+                continue
+            try:
+                paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],
+                                            precision_bits=precision_bits)
+            except (ScheduleError, ConvergenceError) as exc:
+                failures.append(AdmissibilityFailure(
+                    "trace", ci, f"coordinate 1: {exc}"))
+                continue
+            if Z.n < 2:
+                continue
+            try:
+                crossings[ci] = find_pair_intersections(
+                    comp, paths[ci], 2, schedule.phases[1],
+                    precision_bits=precision_bits)
+            except ScheduleError as exc:
+                failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
+                crossings[ci] = []
+            triples = []
+            for c in crossings[ci]:
+                for k, f in enumerate(comp.coords[2:], 3):
+                    if f.is_constant():
+                        v = embed(f.constant_value(), precision_bits).value
+                    else:
+                        v = f.evaluator(precision_bits).value(c.t.value)
+                    if v != 0:
+                        triples.append((k, "triple", v, c.t,
+                                        f"triple point: cuts 1,2,{k} meet"))
+            _keep_off_cuts(triples, rots, ci, failures, warnings)
     return AdmissibilityReport(ok=not failures, failures=failures,
                                schedule=schedule, warnings=warnings,
                                paths=paths, crossings=crossings)
 
 
-def search_admissible(Z, eps_start=0.3, seed=0, precision_bits=None,
-                      tol=1e-9):
+def search_admissible(Z, eps_start=0.3, seed=0, precision_bits=None):
     """Find a nested schedule at which the cycle is admissible and return
     the ok admissibility report that accepted it.
 
@@ -802,7 +791,7 @@ def search_admissible(Z, eps_start=0.3, seed=0, precision_bits=None,
             except ScheduleError:
                 eps = eps * mp.mpf("0.6")
                 continue
-            report = admissible(Z, s, precision_bits=precision_bits, tol=tol)
+            report = admissible(Z, s, precision_bits=precision_bits)
             if report.ok:
                 return report
             last_report = report
@@ -818,7 +807,7 @@ def search_admissible(Z, eps_start=0.3, seed=0, precision_bits=None,
         f"bound {eps_start}{detail}")
 
 
-def search_schedule(Z, eps_start=0.3, seed=0, precision_bits=None, tol=1e-9):
+def search_schedule(Z, eps_start=0.3, seed=0, precision_bits=None):
     """The schedule of ``search_admissible``'s accepted report."""
     return search_admissible(Z, eps_start, seed=seed,
-                             precision_bits=precision_bits, tol=tol).schedule
+                             precision_bits=precision_bits).schedule

@@ -1,8 +1,16 @@
 import json
 
+import mpmath as mp
 import pytest
 
-from chowreg import CycleParseError, parse_cycle_file, serialize_cycles
+from chowreg import (
+    CycleParseError,
+    admissible,
+    make_schedule,
+    parse_cycle_file,
+    serialize_cycles,
+    workprec,
+)
 from chowreg.cli import main
 from chowreg.fixtures import FIXTURES, fixture_names, load_fixture
 
@@ -137,6 +145,27 @@ def test_cli_admissible_nested(capsys):
     assert code == 0
     rec = json.loads(out)["cycles"]["z1_totaro"]
     assert rec["ok"] is True and rec["b_nested"] is True
+
+
+def test_cli_admissible_verdict_is_the_librarys(tmp_path, capsys):
+    # --tolerance reports, it does not widen the cut margin: at bound 0.108
+    # the second phase is 4.53e-9, and the constant -1 and the value -1 of
+    # the second coordinate at both endpoints of the first locus keep that
+    # margin from the second cut, more than the library's
+    text = "field cyclotomic(1)\ncycle c n=2 p=1\ncomponent mult=1 t ; -1\n"
+    source = tmp_path / "c.cyc"
+    source.write_text(text)
+    code, out, _ = _run(capsys, ["admissible", str(source), "--eps", "0.108",
+                                 "--precision", "128"])
+    assert code == 0
+    rec = json.loads(out)["cycles"]["c"]
+    with workprec(128):
+        rep = admissible(parse_cycle_file(text)[0],
+                         make_schedule(mp.mpf("0.108"), 2, mp.mpf("0.5"), 128),
+                         precision_bits=128)
+    assert rec["phases"] == rep.schedule.describe()
+    assert rec["failures"] == [f.to_dict() for f in rep.failures] == []
+    assert rec["ok"] is rep.ok is True
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

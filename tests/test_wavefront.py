@@ -16,6 +16,7 @@ from chowreg import (
     admissible,
     find_pair_intersections,
     intersection_number_n2,
+    load_fixture,
     make_schedule,
     parse_cycle_file,
     regulator,
@@ -561,28 +562,126 @@ def test_search_schedule_petras(petras):
         assert admissible(petras, s, precision_bits=128).ok
 
 
-def test_admissible_builds_later_evaluators_only_for_crossings(
-        petras, mccarthy, monkeypatch):
-    # the triple-point test reads coordinates >= 3 only at crossings: Petras
-    # has none at its accepted schedule, McCarthy one
+def test_regulator_builds_one_evaluator_per_coordinate(monkeypatch):
+    # the trace, the crossings, the triple-point test and reg_n3 share one
+    # evaluator per coordinate and precision: a Petras regulator() builds
+    # one for each of its nine coordinates, and a second call none
+    built = []
+    init = RFEvaluator.__init__
+
+    def counting(self, rf, precision_bits):
+        built.append(rf)
+        init(self, rf, precision_bits)
+
+    monkeypatch.setattr(RFEvaluator, "__init__", counting)
+    Z = load_fixture("petras_zeta5")
+    coords = [f for comp in Z.components for f in comp.coords]
+    with workprec(128):
+        regulator(Z, precision_bits=128)
+        assert sorted(map(id, built)) == sorted(map(id, coords))
+        del built[:]
+        regulator(Z, precision_bits=128)
+    assert built == []
+
+
+SCHEDULE_LAMBDAS = (0.5, 0.35, 0.65, 0.8, 0.25)
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("petras_zeta5", 24), ("mccarthy_counterexample", 10), ("z1_totaro", 8)])
+def test_admissible_evaluates_at_divisor_points_once(name, calls,
+                                                      monkeypatch):
+    # facet parameters and endpoints of the first locus depend on the
+    # component alone: the first schedule evaluates them, the later ones
+    # read them from the component
     import chowreg.wavefront as wf
 
-    built = []
+    seen = []
+    value_at = wf._coordinate_value_at
 
-    def recording(rf, precision_bits):
-        built.append(rf)
-        return RFEvaluator(rf, precision_bits)
+    def counting(*args):
+        seen.append(args)
+        return value_at(*args)
 
-    monkeypatch.setattr(wf, "RFEvaluator", recording)
-    for Z, expect_built in ((petras, False), (mccarthy, True)):
-        built.clear()
-        with workprec(128):
-            s = search_schedule(Z, 0.3, precision_bits=128)
-            rep = admissible(Z, s, precision_bits=128)
-        assert rep.ok
-        assert bool(sum(map(len, rep.crossings.values()))) == expect_built
-        later = [comp.coords[2] for comp in Z.components]
-        assert any(any(f is g for g in later) for f in built) == expect_built
+    monkeypatch.setattr(wf, "_coordinate_value_at", counting)
+    Z = load_fixture(name)
+    counts = []
+    with workprec(128):
+        for lam in SCHEDULE_LAMBDAS:
+            admissible(Z, make_schedule(0.3, 3, lam, 128), precision_bits=128)
+            counts.append(len(seen))
+    assert counts == [calls] * len(SCHEDULE_LAMBDAS)
+
+
+def test_crossing_search_refines_no_positive_axis_root(z1, petras, mccarthy,
+                                                       monkeypatch):
+    # a root of Im(e^{i eps_2} f_2) where f_2 crosses the positive real axis
+    # is dropped before refinement: every refinement finds a cut crossing,
+    # none on Totaro and Petras, one per schedule on McCarthy
+    import chowreg.wavefront as wf
+
+    refined = []
+    refine = wf._refine_crossing
+
+    def counting(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(wf, "_refine_crossing", counting)
+    with workprec(128):
+        for Z, expected in ((z1, 0), (petras, 0), (mccarthy, 5)):
+            del refined[:]
+            found = 0
+            for lam in SCHEDULE_LAMBDAS:
+                rep = admissible(Z, make_schedule(0.3, 3, lam, 128),
+                                 precision_bits=128)
+                found += sum(map(len, rep.crossings.values()))
+            assert None not in refined
+            assert len(refined) == found == expected
+
+
+def _report_key(rep):
+    def witness(w):
+        return None if w is None else (w.value, w.radius)
+
+    return (rep.ok,
+            [[(f.kind, f.component, f.detail, witness(f.witness))
+              for f in failures] for failures in (rep.failures, rep.warnings)],
+            {ci: [(c.t.value, c.t.radius, c.sign, c.sigma) for c in cs]
+             for ci, cs in rep.crossings.items()})
+
+
+def _critical_value_cycle(coord2):
+    t = t_var()
+    comp = CurveComponent(3, (t, coord2(t), RationalFunction.from_rational(5, 1)), 1)
+    return Precycle(3, 2, [comp], order=1)
+
+
+def test_warm_and_fresh_components_give_equal_reports():
+    # the off-cut values kept on a component give the reports a freshly
+    # built one gives, failing schedules included
+    cases = [(lambda: load_fixture("mccarthy_counterexample"),
+              [(e, e, e) for e in ("0.05", "0.1", "0.2", "0.3", "0.4")]
+              + [(0.15, 0.01, 0.001)]),
+             (lambda: parse_cycle_file(
+                 "field cyclotomic(1)\ncycle c n=2 p=1\n"
+                 "component mult=1 t ; -1\n")[0], [(0.1, 0), (0.1, 0.01)])]
+    cases += [(lambda coord2=coord2: _critical_value_cycle(coord2),
+               [(0.1, 0, 0.001), (0.1, 0.01, 0.001)])
+              for coord2 in (lambda t: (t - 2) * (t - 3),
+                             lambda t: (3 - t) / (t + 2))]
+    kinds = set()
+    with workprec(128):
+        for build, phase_lists in cases:
+            warm = build()
+            for phases in phase_lists:
+                s = PhaseSchedule(1, tuple(mp.mpf(p) for p in phases))
+                reports = [admissible(Z, s, precision_bits=128)
+                           for Z in (warm, build())]
+                assert _report_key(reports[0]) == _report_key(reports[1])
+                kinds.update(f.kind for f in reports[0].failures)
+    assert kinds == {"triple", "constant-on-cut", "endpoint-on-cut",
+                     "critical-value"}
 
 
 def test_schedule_phase_count_must_match(z1):
