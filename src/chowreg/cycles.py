@@ -38,10 +38,12 @@ class CurveComponent:
     n: int
     coords: tuple
     mult: int
-    # per precision, the values admissibility keeps off the cut rays
-    # (``wavefront._off_cut_entries``)
-    _off_cut: dict = dataclass_field(default_factory=dict, init=False,
-                                     repr=False, compare=False)
+    # schedule-independent numerics keyed by (name, ..., precision): the
+    # values admissibility keeps off the cut rays
+    # (``wavefront._off_cut_entries``) and f_1 at the zeros and poles of the
+    # other coordinates (``regulator._in_radius_divisor``)
+    _memo: dict = dataclass_field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if self.mult == 0:
@@ -303,19 +305,43 @@ def face_restriction(Z, i, value):
     return out
 
 
-def boundary(Z):
-    """The alternating facet sum, landing one cube level down."""
+def _facet_restrictions(Z):
+    """(i, value, face_restriction(Z, i, value)) for the 2n facets, in the
+    order of the boundary sum."""
+    return [(i, value, face_restriction(Z, i, value))
+            for i in range(1, Z.n + 1) for value in (FACET_ZERO, FACET_INF)]
+
+
+def boundary(Z, facets=None):
+    """The alternating facet sum, landing one cube level down.  ``facets``
+    are the ``_facet_restrictions`` of Z when the caller has them."""
     if Z.is_empty():
         return Precycle(Z.n - 1, Z.p, [], order=Z.order)
     if not Z.is_curve_level:
         raise ChowregError("boundary is defined for curve-level precycles here")
-    pieces = []
-    for i in range(1, Z.n + 1):
-        for value in (FACET_ZERO, FACET_INF):
-            sign = _facet_sign(i, value)
-            for pt in face_restriction(Z, i, value):
-                pieces.append(PointComponent(pt.n, pt.coords, sign * pt.mult))
+    if facets is None:
+        facets = _facet_restrictions(Z)
+    pieces = [PointComponent(pt.n, pt.coords, _facet_sign(i, value) * pt.mult)
+              for i, value, points in facets for pt in points]
     return Precycle(Z.n - 1, Z.p, pieces, order=Z.order)
+
+
+def closed_facets(Z, precision_bits=None):
+    """(``is_closed(Z, precision_bits)``, the facet restrictions that
+    decided it), so a caller that goes on to ``is_normalized`` restricts
+    to each facet once."""
+    if precision_bits is None:
+        precision_bits = mp.mp.prec
+    for attempt in range(CLOSEDNESS_ESCALATIONS + 1):
+        bits = precision_bits * (2 ** attempt)
+        try:
+            with workprec(bits):
+                facets = _facet_restrictions(Z) if Z.is_curve_level else None
+                return boundary(Z, facets).is_empty(), facets
+        except PrecisionError:
+            if attempt == CLOSEDNESS_ESCALATIONS:
+                raise
+    raise PrecisionError("closedness undecided")  # unreachable
 
 
 def is_closed(Z, precision_bits=None):
@@ -324,17 +350,7 @@ def is_closed(Z, precision_bits=None):
     Numeric ambiguity escalates the working precision (two doublings) before
     raising, so a False answer is never a silent artifact of low precision.
     """
-    if precision_bits is None:
-        precision_bits = mp.mp.prec
-    for attempt in range(CLOSEDNESS_ESCALATIONS + 1):
-        bits = precision_bits * (2 ** attempt)
-        try:
-            with workprec(bits):
-                return boundary(Z).is_empty()
-        except PrecisionError:
-            if attempt == CLOSEDNESS_ESCALATIONS:
-                raise
-    raise PrecisionError("closedness undecided")  # unreachable
+    return closed_facets(Z, precision_bits)[0]
 
 
 def is_degenerate(comp):
@@ -415,22 +431,21 @@ def _divisor_locations_equal(a, b):
     return a.location.overlaps(b.location)
 
 
-def face_vanishing_profile(Z):
-    """Which facet restrictions vanish as cycles, as a {(i, value): bool} table."""
+def face_vanishing_profile(Z, facets=None):
+    """Which facet restrictions vanish as cycles, as a {(i, value): bool}
+    table.  ``facets`` are the ``_facet_restrictions`` of Z when the caller
+    has them."""
     if not Z.is_curve_level:
         raise ChowregError("facet profile applies to curve-level precycles")
-    table = {}
-    for i in range(1, Z.n + 1):
-        for value in (FACET_ZERO, FACET_INF):
-            pts = face_restriction(Z, i, value)
-            reduced = _reduce_components(pts)
-            table[(i, value)] = len(reduced) == 0
-    return table
+    if facets is None:
+        facets = _facet_restrictions(Z)
+    return {(i, value): not _reduce_components(points)
+            for i, value, points in facets}
 
 
-def is_normalized(Z):
+def is_normalized(Z, facets=None):
     """All 0-facets vanish and all oo-facets except possibly the last."""
-    table = face_vanishing_profile(Z)
+    table = face_vanishing_profile(Z, facets)
     for (i, value), vanishes in table.items():
         if value == FACET_ZERO and not vanishes:
             return False

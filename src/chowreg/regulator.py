@@ -21,17 +21,24 @@ admissibility report that accepted the schedule, so the pipeline builds and
 intersects each schedule's cut loci once, inside the schedule search.  A
 path there is the closed form of a Moebius first coordinate, which every
 shipped 3-cube fixture has, or the traced branch of one of higher degree.
+Either is split at its crossings into stretches on which the branch of
+log f_2 is fixed.
 
-L is taken along each path in its log-radius u = -log r, split at the
-crossings into stretches on which the branch of log f_2 is fixed.  Each
-stretch is integrated in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
-whole path onto (-1, 1); there the integrand is bounded, with log-type
+On a Moebius path f_1 = r direction, so f_2 is c prod (r - s_k)^{n_k} and
+dlog f_3 / dlog f_1 is sum_j m_j r / (r - rho_j), with the s_k and rho_j the
+zeros and poles of f_2 and f_3 in the radius.  Each stretch integral is
+then a sum of logs and dilogarithms at its two ends (Lewin 1981; Zagier
+2007), with the dilogarithm's ball radius carried into the stretch's
+radius: no quadrature node runs.
+
+A traced path keeps numerical quadrature in its log-radius u = -log r.
+Each stretch is integrated in x = tanh(u/2) = (1 - r)/(1 + r), which maps
+the whole path onto (-1, 1); there the integrand is bounded, with log-type
 behaviour only at the path ends x = +-1, which is the case one
 double-exponential (tanh-sinh) segment resolves.  Its nodes on [-1, 1] are
 computed once per precision and shared by every stretch, and each hands the
-integrand its radius r.  On a Moebius path f_2 and dlog f_3 / dlog f_1 are
-rational functions of r, built once per path, so a node solves nothing; on
-a traced path the integrand reads its point from the path's ``solve_at``.
+integrand its radius r, whose point the integrand reads from the path's
+``solve_at``.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .cycles import check_face_proper, is_closed, is_normalized, normalize
+from .cycles import check_face_proper, closed_facets, is_normalized, normalize
 from .errors import (
     ChowregError,
     ConvergenceError,
@@ -53,7 +60,7 @@ from .errors import (
 from .field import embed
 from .funcfield import INF, RFEvaluator, mpf_to_fraction
 from .numeric import ComplexApprox, workprec
-from .special import BranchSpec, log_eps
+from .special import BranchSpec, li2, log_eps
 from .wavefront import (
     AdmissibilityReport,
     PhaseSchedule,
@@ -136,7 +143,8 @@ def reg_n1(Z, phase, precision_bits=None):
 
 
 _MAX_LEVEL = 10
-# quadrature runs its integrand this many bits above the working precision
+# quadrature runs its integrand, and the closed form of a Moebius path its
+# logs and dilogarithms, this many bits above the working precision
 _EXTRA_BITS = 16
 
 
@@ -298,64 +306,176 @@ def _admitted(Z, schedule, precision_bits):
     return rep
 
 
-def _along_path(comp, path, ev2, ev3, precision_bits):
-    """The integrand's two factors along a first-locus ``path`` as a
+def _along_path(path, ev2, ev3):
+    """The integrand's two factors along a traced first-locus ``path`` as a
     function of the radius r: r -> (f_2, dlog f_3 / dlog f_1) at the path
     point of radius r, with None for f_2 when ``ev2`` is None (a constant
-    f_2).  The quotient of dlogs is dt/du times -dlog f_3.
-
-    On a Moebius path both are rational in r, built here once at the
-    integrand's precision.  f_2 = A_2(r) / B_2(r) from
-    ``TracedPath.in_radius``.  Along the path f_1 = r direction, so
-    dlog f_3 / dlog f_1 = r d(log f_3)/dr = sum_j m_j r / (r - rho_j) over
-    the divisor points y_j of f_3, of order m_j, with
-    rho_j = f_1(y_j) / direction: a point with f_1(y_j) = oo adds nothing,
-    one with f_1(y_j) = 0 the constant m_j.  A node then costs two Horner
-    passes in r and one division per divisor point, and no solve.  It
-    divides only by B_2(r) and r - rho_j, which vanish on the path only at
-    a pole of f_2 or a zero or pole of f_3 lying on the first cut, which
-    ``admissible`` refuses (face-on-cut).
-
-    On a traced path the point is ``solve_at(log r)``, with the log-radius
-    held to the path's span against rounding.
-    """
-    if path.evaluator.linear is None:
-        def along(r):
-            sigma = min(max(mp.log(r), path.sigma_lo), path.sigma_hi)
-            t, n1, d1 = path.solve_at(sigma)
-            v2 = None if ev2 is None else ev2.value(t)
-            return v2, ev3.dlog(t) / path.evaluator.dlog(t, n1, d1)
-        return along
-
-    with workprec(precision_bits + _EXTRA_BITS):
-        a2, b2 = path.in_radius(ev2) if ev2 is not None else (None, None)
-        const = 0
-        terms = []
-        for pt in comp.coords[2].divisor(precision_bits):
-            v = _coordinate_value_at(comp, 1, pt.location)
-            if v is INF:
-                continue
-            if v == 0:
-                const += pt.multiplicity
-            else:
-                rho = v / path.direction
-                terms.append((pt.multiplicity, rho, abs(rho)))
-    horner = RFEvaluator._horner
-
+    f_2).  The quotient of dlogs is dt/du times -dlog f_3.  The point is
+    ``solve_at(log r)``, with the log-radius held to the path's span
+    against rounding."""
     def along(r):
-        # r/(r - rho) = 1 + rho/(r - rho): a term with |rho| <= r is taken
-        # in the second form and its 1 added exactly, so the O(1) parts of
-        # the terms never cancel in rounding
-        whole, frac = const, 0
-        for m, rho, size in terms:
-            if size <= r:
-                whole += m
-                frac += m * rho / (r - rho)
-            else:
-                frac += m * r / (r - rho)
-        v2 = None if a2 is None else horner(a2, r) / horner(b2, r)
-        return v2, whole + frac
+        sigma = min(max(mp.log(r), path.sigma_lo), path.sigma_hi)
+        t, n1, d1 = path.solve_at(sigma)
+        v2 = None if ev2 is None else ev2.value(t)
+        return v2, ev3.dlog(t) / path.evaluator.dlog(t, n1, d1)
     return along
+
+
+def _stretches(bounds, xs):
+    """(seg, a, b, left sign, right sign) for each nonempty stretch [a, b]
+    between consecutive log-radius ``bounds`` -u of a path, split at its
+    crossings ``xs``: the sign of the crossing that opens it (0 at the
+    pole end) and minus that of the one that closes it (0 at the zero
+    end) tell from which side the stretch meets the second cut."""
+    for seg in range(len(bounds) - 1):
+        a, b = bounds[seg], bounds[seg + 1]
+        if b > a:
+            yield (seg, a, b, xs[seg - 1].sign if seg >= 1 else 0,
+                   -xs[seg].sign if seg < len(xs) else 0)
+
+
+def _in_radius_divisor(comp, k, path, precision_bits):
+    """(n, s) for each zero or pole of coordinate k, of order n, at which
+    f_1 is finite, with s = f_1 / direction there.  Along the Moebius
+    ``path``, f_1 = r direction, so coordinate k is c prod (r - s)^n and
+    dlog f_k / dlog f_1 = sum n r / (r - s); a point where f_1 = oo only
+    moves c.  ``admissible`` keeps every s off the positive real axis
+    (face-on-cut), so log(r - s) is continuous on the path.  The values of
+    f_1 are kept on the component, since no schedule moves them."""
+    key = ("first_at_divisor", k, precision_bits)
+    if key not in comp._memo:
+        comp._memo[key] = [
+            (pt.multiplicity, v)
+            for pt in comp.coords[k - 1].divisor(precision_bits)
+            if (v := _coordinate_value_at(comp, 1, pt.location)) is not INF]
+    return [(n, v / path.direction if v != 0 else mp.mpc(0))
+            for n, v in comp._memo[key]]
+
+
+def _dilog_pairs(zeros2, zeros3):
+    """How each pair of a zero or pole s of f_2 and rho of f_3 in the
+    radius (``_in_radius_divisor``) enters the antiderivative, as
+    (n m, index of rho in ``zeros3``, delta, inverted, D).
+
+    The pair contributes n m times an antiderivative of
+    log(r - s) / (r - rho) on r > 0, all logs principal (Lewin 1981;
+    Zagier 2007).  It is log^2(r - s) / 2 when s = rho (delta is None).
+    Else, with delta = s - rho and z = (r - rho) / delta, it is
+    D log(r - rho) - Li2(z), where log(r - s) = D + log(1 - z) with
+    D = log(rho - s) + 2 pi i q.  When the line z(r), r real, meets the
+    real axis right of 1, it misses [0, 1] instead, and the pair is
+    inverted, in w = 1 / z: log^2(r - rho) / 2 + Li2(w) + D log(r - rho),
+    where log(r - s) = log(r - rho) + log(1 - w) + D with D = 2 pi i q.
+    Either way no dilogarithm meets its cut [1, oo) for r > 0, every log
+    is continuous there (``admissible`` keeps s and rho off the positive
+    real axis), and the integer q is fixed once, at r = 1.
+    """
+    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+    pairs = []
+    for j, (m, rho) in enumerate(zeros3):
+        for n, s in zeros2:
+            if s == rho:
+                pairs.append((m * n, j, None, False, 0))
+                continue
+            delta = s - rho
+            # the real r at which z(r) is real, or 1 when the line z(r) is
+            # parallel to the real axis
+            r_real = (-(rho * delta.conjugate()).imag / delta.imag
+                      if delta.imag else 1)
+            inverted = ((r_real - rho) / delta).real > 1
+            z1 = (1 - rho) / delta
+            if inverted:
+                d = 0
+                rest = mp.log(1 - rho) + mp.log(1 - 1 / z1)
+            else:
+                d = mp.log(rho - s)
+                rest = d + mp.log(1 - z1)
+            q = int(mp.nint((mp.log(1 - s) - rest).imag / (2 * mp.pi)))
+            pairs.append((m * n, j, delta, inverted, d + two_pi_i * q))
+    return pairs
+
+
+def _antiderivative(r, zeros3, pairs):
+    """(H, G, radius, size) at the radius r > 0: G = sum_j m_j log(r - rho_j)
+    over ``zeros3``, and H an antiderivative of
+    (sum_k n_k log(r - s_k)) sum_j m_j / (r - rho_j), summed over the
+    ``_dilog_pairs``.  ``radius`` adds the dilogarithms' radii and ``size``
+    the absolute values of the terms of H and G."""
+    logs = [mp.log(r - rho) for _, rho in zeros3]
+    h, g, radius, size = mp.mpc(0), mp.mpc(0), 0.0, 0.0
+    for coeff, j, delta, inverted, d in pairs:
+        lr = logs[j]
+        if delta is None:
+            term = lr ** 2 / 2
+        else:
+            rho = zeros3[j][1]
+            li = li2(delta / (r - rho) if inverted else (r - rho) / delta)
+            term = d * lr + (lr ** 2 / 2 + li.value if inverted
+                             else -li.value)
+            radius += abs(coeff) * li.radius
+        h += coeff * term
+        size += float(abs(coeff * term))
+    for (m, _), lr in zip(zeros3, logs):
+        g += m * lr
+        size += float(abs(m * lr))
+    return h, g, radius, size
+
+
+def _moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2, guard,
+                  precision_bits):
+    """The line integral over each stretch of a Moebius ``path``, in closed
+    form, as a list of balls.
+
+    Along the path f_1 = r direction, so with the zeros and poles s_k of
+    f_2 and rho_j of f_3 in the radius (``_in_radius_divisor``) a stretch
+    from radius r_a down to r_b contributes
+    L = -int log f_2 dlog f_3 / dlog f_1 du
+      = int_{r_a}^{r_b} log^{eps_2} f_2 sum_j m_j dr / (r - rho_j).
+    On the stretch log^{eps_2} f_2 = K + sum_k n_k log(r - s_k): the branch
+    of log f_2 is fixed between crossings, and K is fixed once, at the
+    middle log-radius, by the sided branch the crossing signs pick.  So
+    L = [H + K G] from r_a to r_b (``_antiderivative``).  The
+    radius adds the dilogarithms' radii, a rounding term
+    2^(8 - precision_bits) times the summed size of the terms, and at a
+    true path end the tail allowance of ``quadrature``: twice the integrand
+    probed 1e-9 of the stretch inside the end.
+    """
+    with workprec(precision_bits + _EXTRA_BITS):
+        rot2 = mp.expj(eps2)
+        zeros2 = ([] if ev2 is None
+                  else _in_radius_divisor(comp, 2, path, precision_bits))
+        zeros3 = _in_radius_divisor(comp, 3, path, precision_bits)
+        pairs = _dilog_pairs(zeros2, zeros3)
+        ends = [_antiderivative(mp.exp(-u), zeros3, pairs) for u in bounds]
+        if ev2 is not None:
+            a2, b2 = path.in_radius(ev2)
+        horner = RFEvaluator._horner
+        rounding = mp.mpf(2) ** (8 - precision_bits)
+        pieces = []
+        for seg, a, b, left_sign, _ in _stretches(bounds, xs):
+            r_mid = mp.exp(-(a + b) / 2)
+            k = const_log2
+            if ev2 is not None:
+                k = _sided_log_branch(
+                    horner(a2, r_mid) / horner(b2, r_mid), eps2, rot2, guard,
+                    left_sign) - sum(n * mp.log(r_mid - s) for n, s in zeros2)
+            (h_a, g_a, rad_a, size_a), (h_b, g_b, rad_b, size_b) = \
+                ends[seg], ends[seg + 1]
+            # the tail probes, at a true path end only
+            inside = mp.mpf("1e-9") * (b - a)
+            tail = 0.0
+            for u in ([a + inside] if seg == 0 else []) + (
+                    [b - inside] if seg == len(bounds) - 2 else []):
+                r = mp.exp(-u)
+                lg2 = k + sum(n * mp.log(r - s) for n, s in zeros2)
+                tail += float(abs(lg2 * sum(m * r / (r - rho)
+                                            for m, rho in zeros3)))
+            size = size_a + size_b + float(abs(k)) * (float(abs(g_a))
+                                                     + float(abs(g_b)))
+            pieces.append(ComplexApprox(
+                h_b - h_a + k * (g_b - g_a),
+                rad_a + rad_b + float(rounding) * size + 2.0 * tail))
+        return pieces
 
 
 def reg_n3(Z, schedule, precision_bits=None):
@@ -366,7 +486,8 @@ def reg_n3(Z, schedule, precision_bits=None):
     this precision.  The traced first cut loci and their crossings with the
     second cut are read from the report.  The k=1 term of the current (a
     holomorphic 2-form) vanishes identically on a complex curve and is
-    skipped.  Each stretch is integrated to ``quadrature``'s default
+    skipped.  A stretch of a Moebius path is integrated in closed form
+    (``_moebius_line``), one of a traced path to ``quadrature``'s default
     tolerance, 2^(-precision_bits/3).
     """
     if precision_bits is None:
@@ -417,25 +538,25 @@ def reg_n3(Z, schedule, precision_bits=None):
                     const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
                                          BranchSpec(eps2)).value
                 for path in paths:
-                    along = _along_path(comp, path, ev2, ev3, precision_bits)
                     xs = sorted((c for c in crossings if c.host_path is path),
                                 key=lambda c: float(-c.sigma))
-                    u_lo, u_hi = -path.sigma_hi, -path.sigma_lo
-                    cut_us = [mp.mpf(-c.sigma) for c in xs]
-                    bounds = [u_lo] + cut_us + [u_hi]
-                    for seg in range(len(bounds) - 1):
-                        a, b = bounds[seg], bounds[seg + 1]
-                        if not (b > a):
-                            continue
-                        left_sign = xs[seg - 1].sign if seg >= 1 else 0
-                        right_sign = -xs[seg].sign if seg < len(xs) else 0
+                    bounds = ([-path.sigma_hi] + [mp.mpf(-c.sigma) for c in xs]
+                              + [-path.sigma_lo])
+                    if path.evaluator.linear is not None:
+                        for piece in _moebius_line(comp, path, ev2, const_log2,
+                                                   bounds, xs, eps2, guard,
+                                                   precision_bits):
+                            line = line + piece
+                        continue
+                    along = _along_path(path, ev2, ev3)
+                    for seg, a, b, left_sign, right_sign in _stretches(bounds,
+                                                                       xs):
                         # nodes at or above this radius are nearer the
                         # left end of the stretch
                         r_mid = mp.exp(-(a + b) / 2)
 
-                        def fn(r, _l=left_sign, _r=right_sign, _mid=r_mid,
-                               _along=along):
-                            v2, ratio = _along(r)
+                        def fn(r, _l=left_sign, _r=right_sign, _mid=r_mid):
+                            v2, ratio = along(r)
                             if v2 is None:
                                 lg2 = const_log2
                             else:
@@ -503,9 +624,10 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
         proper = check_face_proper(Z)
         if not proper["ok"]:
             raise PropernessError(f"cycle is not face-proper: {proper['violations']}")
-        if not is_closed(Z, precision_bits):
+        closed, facets = closed_facets(Z, precision_bits)
+        if not closed:
             raise ChowregError("cycle is not closed; the regulator needs ker(boundary)")
-        if not is_normalized(Z):
+        if not is_normalized(Z, facets):
             Z = normalize(Z)
         values = []
         bound = mp.mpf(eps_start)

@@ -1,10 +1,12 @@
-"""Independent analytic oracles: perturbed logarithm branches and the dilogarithm.
+"""Perturbed logarithm branches and the ball-valued dilogarithm.
 
 ``log_eps`` is the branch of log with argument in (-pi-eps, pi-eps], i.e. the
 cut rotated clockwise by the phase eps.  ``li2`` is evaluated from scratch
-(power series, Bernoulli series in -log(1-z), and the inversion formula)
-rather than delegated to a library routine, so it can serve as an oracle that
-shares no code with the contour quadrature it is used to check.
+(power series, Bernoulli series in -log(1-z), and the inversion and
+reflection formulas) rather than delegated to a library routine, and returns
+a ball whose radius bounds its truncation and rounding.  The regulator's
+closed-form line integrals on Moebius paths are sums of its values, so the
+tests check it against mpmath's independent ``polylog``.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ def li2(z):
         lg = mp.log(-zc)
         value = -inner.value - mp.pi ** 2 / 6 - lg ** 2 / 2
         tail = inner.radius
+    elif abs(1 - zc) <= 0.5:
+        # reflection, where -log(1 - z) leaves the Bernoulli region:
+        # Li2(z) = pi^2/6 - log(z) log(1 - z) - Li2(1 - z)
+        inner, tail = _li2_series(1 - zc)
+        value = mp.pi ** 2 / 6 - mp.log(zc) * mp.log(1 - zc) - inner
     else:
         value, tail = _li2_bernoulli(zc)
     # |dLi2/dz| = |log(1-z)/z| bounds input-radius propagation off the cut

@@ -8,9 +8,9 @@ per branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
 point solved on a locus (trace samples, span ends, crossings, and the
 quadrature nodes of a traced path) comes from ``RFEvaluator.solve``, and
 each is checked by ``RFEvaluator.is_resolved`` as the solve returns it: one
-within rounding of a zero or pole raises PrecisionError.  Quadrature on a
-Moebius path solves no point: along it the integrand is a rational function
-of the radius (``TracedPath.in_radius``).
+within rounding of a zero or pole raises PrecisionError.  The line
+integral along a Moebius path solves no point: it is taken in closed form in
+the radius.
 
 There are two kinds of path.  On a Moebius coordinate the level-set
 polynomial num_i - w den_i is linear and the path is its closed form
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
 
@@ -63,6 +64,7 @@ SCHEDULE_ATTEMPTS = 12
 # the angular margin (radians) every value admissibility checks keeps from
 # its cut ray
 CUT_MARGIN = 1e-9
+_TAN_CUT_MARGIN = math.tan(CUT_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -632,6 +634,15 @@ def _on_cut_margin(value, rot):
     return float(abs(mp.arg(-v * rot)))
 
 
+def _near_cut(value, rot):
+    """Whether ``_on_cut_margin(value, rot)`` is below CUT_MARGIN, decided
+    without an arctangent: -rot value lies in the sector
+    |Im| <= tan(CUT_MARGIN) Re around the positive real axis."""
+    v = value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
+    w = -v * rot
+    return abs(w.imag) <= _TAN_CUT_MARGIN * w.real
+
+
 def _coordinate_value_at(component, j, location):
     """Coordinate j at a divisor location; returns mpc, INF, or exact zero."""
     v = component.coords[j - 1].eval(location)
@@ -647,8 +658,9 @@ def _off_cut_entries(comp, precision_bits):
     other than f_1 is a facet parameter (f_1 there keeps off the first
     ray), and one of f_1 is an endpoint of the first locus (f_k there keeps
     off ray k); a value 0 or oo there lies on no ray."""
-    if precision_bits in comp._off_cut:
-        return comp._off_cut[precision_bits]
+    key = ("off_cut", precision_bits)
+    if key in comp._memo:
+        return comp._memo[key]
     entries, facets = [], []
     f1 = comp.coords[0]
     with workprec(precision_bits):
@@ -675,7 +687,16 @@ def _off_cut_entries(comp, precision_bits):
             if v is not INF and v != 0:
                 witness = loc if isinstance(loc, ComplexApprox) else None
                 entries.append((k, kind, v, witness, detail))
-    comp._off_cut[precision_bits] = entries
+    # one value on one ray is one fact: a constant coordinate is also its
+    # value at every endpoint, and f_k(oo) can be both a critical value and
+    # an endpoint value; the first entry listed reports it
+    firsts = {}
+    for entry in entries:
+        k, _, v = entry[:3]
+        firsts.setdefault(
+            (k, v.value if isinstance(v, ComplexApprox) else v), entry)
+    entries = list(firsts.values())
+    comp._memo[key] = entries
     return entries
 
 
@@ -687,8 +708,8 @@ def _keep_off_cuts(entries, rots, ci, failures, warnings):
     (k, kind) of the failed entries."""
     missed = set()
     for k, kind, value, witness, detail in entries:
-        margin = _on_cut_margin(value, rots[k - 1])
-        if margin < CUT_MARGIN:
+        if _near_cut(value, rots[k - 1]):
+            margin = _on_cut_margin(value, rots[k - 1])
             missed.add((k, kind))
             (warnings if kind == "endpoint-on-cut" and k > 2
              else failures).append(AdmissibilityFailure(

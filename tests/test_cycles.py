@@ -283,3 +283,29 @@ def test_dimension_bookkeeping():
     t = t_var()
     with pytest.raises(ChowregError):
         Precycle(3, 1, [CurveComponent(3, (t, 1 - t, 1 / t), 1)], order=1)
+
+
+def test_regulator_restricts_to_each_facet_once(monkeypatch):
+    # closedness and normalization read one pass over the 2n facet
+    # restrictions, and give the answers of the public functions
+    import chowreg.cycles as cycles
+    from chowreg import load_fixture, regulator
+
+    calls = []
+    restrict = cycles.face_restriction
+
+    def counting(Z, i, value):
+        calls.append((i, value))
+        return restrict(Z, i, value)
+
+    Z = load_fixture("petras_zeta5")
+    with workprec(128):
+        assert is_closed(Z, 128) and is_normalized(Z)
+        monkeypatch.setattr(cycles, "face_restriction", counting)
+        closed, facets = cycles.closed_facets(Z, 128)
+        assert closed and is_normalized(Z, facets)
+        assert face_vanishing_profile(Z, facets) == face_vanishing_profile(Z)
+        calls.clear()
+        regulator(Z, precision_bits=128)
+    assert sorted(calls) == sorted({(i, v) for i in (1, 2, 3)
+                                    for v in ("0", "inf")})

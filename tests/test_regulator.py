@@ -184,10 +184,10 @@ def test_segment_rule_log_kernel():
         assert err < 1e-25
 
 
-def test_quadrature_is_one_segment_per_stretch(z1, monkeypatch):
+def test_quadrature_is_one_segment_per_stretch(monkeypatch):
     # in x = tanh(u/2) one double-exponential segment resolves a whole
-    # stretch: a Totaro path (one stretch, no crossings) at 256 bits takes
-    # about 300 integrand calls
+    # stretch: each traced branch of Totaro o s^2 (one stretch, no
+    # crossings) at 256 bits takes about 300 integrand calls
     regulator_module = importlib.import_module("chowreg.regulator")
     quad = regulator_module.quadrature
     segment = regulator_module._tanh_sinh_segment
@@ -210,13 +210,15 @@ def test_quadrature_is_one_segment_per_stretch(z1, monkeypatch):
     monkeypatch.setattr(regulator_module, "_tanh_sinh_segment",
                         counting_segment)
     monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
+    Z = _totaro_composed(1, "t^2")
     with workprec(256):
         s = make_schedule(0.3, 3, 0.5)
-        rep = admissible(z1, s, precision_bits=256)
-        reg_n3(z1, rep, precision_bits=256)
-    assert len(stretches) == len(rep.paths[0]) == 1
+        rep = admissible(Z, s, precision_bits=256)
+        reg_n3(Z, rep, precision_bits=256)
+    assert rep.crossings[0] == []
+    assert len(stretches) == len(rep.paths[0]) == 2
     assert all(c["segments"] == 1 for c in stretches)
-    assert stretches[0]["nodes"] <= 400
+    assert all(c["nodes"] <= 400 for c in stretches)
 
 
 def test_quadrature_calls_share_their_nodes(monkeypatch):
@@ -275,39 +277,6 @@ def test_reg_n3_z1(z1):
         assert v.value.radius < 1e-12
 
 
-def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
-    # coordinate 1 of the Totaro curve is Moebius, so every quadrature node
-    # is the closed-form root of num - w den: no Newton step at all
-    regulator_module = importlib.import_module("chowreg.regulator")
-    counts = {"nodes": 0, "steps": 0}
-    inside = []
-    quad = regulator_module.quadrature
-    newton_step = RFEvaluator.newton_step
-
-    def counting_quadrature(fn, *args, **kwargs):
-        def node(r):
-            counts["nodes"] += 1
-            return fn(r)
-
-        inside.append(True)
-        try:
-            return quad(node, *args, **kwargs)
-        finally:
-            inside.pop()
-
-    def counting_step(self, *args):
-        if inside:
-            counts["steps"] += 1
-        return newton_step(self, *args)
-
-    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
-    monkeypatch.setattr(RFEvaluator, "newton_step", counting_step)
-    with workprec(128):
-        reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
-    assert counts["nodes"] > 0
-    assert counts["steps"] == 0
-
-
 _MOEBIUS_CYCLES = {
     "totaro": lambda: load_fixture("z1_totaro"),
     # components 2 and 3 have f_3 = 1/t^5
@@ -318,89 +287,104 @@ _MOEBIUS_CYCLES = {
 }
 
 
-def _recording_along(monkeypatch):
-    """Record (path, ev2, ev3, r, f_2, dlog f_3 / dlog f_1) at every node
-    that reg_n3's integrand evaluates."""
+def _recording_moebius_lines(monkeypatch):
+    """Record, for every Moebius path reg_n3 integrates, (component, path,
+    log-radius bounds, crossings, second phase, stretch balls, inverted
+    flags of its dilogarithm pairs)."""
     regulator_module = importlib.import_module("chowreg.regulator")
-    along_path = regulator_module._along_path
-    seen = []
+    moebius_line = regulator_module._moebius_line
+    dilog_pairs = regulator_module._dilog_pairs
+    seen, inverted = [], []
 
-    def recording(comp, path, ev2, ev3, precision_bits):
-        along = along_path(comp, path, ev2, ev3, precision_bits)
+    def recording_pairs(*args):
+        pairs = dilog_pairs(*args)
+        inverted.append([p[3] for p in pairs])
+        return pairs
 
-        def record(r):
-            v2, ratio = along(r)
-            seen.append((path, ev2, ev3, r, v2, ratio))
-            return v2, ratio
-        return record
+    def recording(comp, path, ev2, const_log2, bounds, xs, eps2, *args):
+        pieces = moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2,
+                              *args)
+        seen.append((comp, path, bounds, xs, eps2, pieces, inverted[-1]))
+        return pieces
 
-    monkeypatch.setattr(regulator_module, "_along_path", recording)
+    monkeypatch.setattr(regulator_module, "_dilog_pairs", recording_pairs)
+    monkeypatch.setattr(regulator_module, "_moebius_line", recording)
     return seen
+
+
+def _t_space_stretch(comp, phases, a, b, bits):
+    """-int_a^b log^{eps_2} f_2 dlog f_3 / dlog f_1 du along the first cut
+    locus, by mpmath's quadrature of the t-space integrand in
+    x = tanh(u/2) to 2^-(bits/2 + 32): each node solves f_1(t) = e^{-u}
+    e^{i(pi - eps_1)} and evaluates the coordinates at t at ``bits``."""
+    f1, f2, f3 = (RFEvaluator(f, bits) for f in comp.coords)
+    eps1, eps2 = phases[:2]
+    with workprec(bits):
+        direction = mp.expj(mp.pi - eps1)
+        x_a, x_b = mp.tanh(a / 2), mp.tanh(b / 2)
+
+    def integrand(x):
+        with workprec(bits):
+            u = 2 * mp.atanh(x)
+            t, n, d = f1.solve(None, mp.exp(-u) * direction,
+                               mp.mpf(2) ** (16 - bits), 60)
+            lg2 = mp.log(f2.value(t))
+            if lg2.imag > mp.pi - eps2:
+                lg2 -= 2 * mp.pi * mp.mpc(0, 1)
+            return (-lg2 * f3.dlog(t) / f1.dlog(t, n, d)
+                    * 2 / ((1 - x) * (1 + x)))
+
+    with workprec(bits // 2 + 32):
+        return mp.quad(integrand, [x_a, x_b])
 
 
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("name", sorted(_MOEBIUS_CYCLES))
 def test_radius_integrand_agrees_with_the_t_space_integrand(name, bits,
                                                             monkeypatch):
-    # at every node, f_2 and dlog f_3 / dlog f_1 of the radius form agree
-    # to 2^(8 - bits) relative with the t-space factors at the point t(w),
-    # w = r direction, solved and evaluated at twice the precision.  The
-    # node -log f_2 * dlog f_3 / dlog f_1 then agrees to 2^(8 - bits)
-    # (1 + |log f_2|) |dlog f_3 / dlog f_1|: next to f_2 = 1, at the pole
-    # end of the path, log f_2 has only an absolute error, in either form
+    # each stretch of a Moebius path, integrated in closed form in the
+    # radius, agrees with mpmath's quadrature of the t-space integrand at
+    # twice the precision: within the stretch's radius, and to
+    # 2^(16 - bits) relative, since the radius mostly holds the tail
+    # allowance of the path ends.  McCarthy's path has two stretches, one
+    # on either side of its crossing, and inverted (w = 1/z) pairs
     Z = _MOEBIUS_CYCLES[name]()
-    seen = _recording_along(monkeypatch)
+    seen = _recording_moebius_lines(monkeypatch)
     with workprec(bits):
         rep = search_admissible(Z, 0.3, precision_bits=bits)
         reg_n3(Z, rep, precision_bits=bits)
+    assert len(seen) == len(Z.components)
     if name == "mccarthy":
-        assert sum(map(len, rep.crossings.values())) > 0
-    assert seen
-    ref_bits = 2 * bits
-    tol = mp.mpf(2) ** (8 - bits)
-    evaluators = {}
-
-    def at_ref_bits(ev):
-        if id(ev.rf) not in evaluators:
-            evaluators[id(ev.rf)] = RFEvaluator(ev.rf, ref_bits)
-        return evaluators[id(ev.rf)]
-
-    with workprec(ref_bits):
-        for path, ev2, ev3, r, v2, ratio in seen:
-            assert path.evaluator.linear is not None
-            ev1 = at_ref_bits(path.evaluator)
-            t, n, d = ev1.solve(None, r * path.direction,
-                                mp.mpf(2) ** (16 - ref_bits), 60)
-            ref2 = at_ref_bits(ev2).value(t)
-            ref_ratio = at_ref_bits(ev3).dlog(t) / ev1.dlog(t, n, d)
-            assert abs(v2 - ref2) <= tol * abs(ref2)
-            assert abs(ratio - ref_ratio) <= tol * abs(ref_ratio)
-            ref_log = mp.log(ref2)
-            node = -(ref_log + mp.log(v2 / ref2)) * ratio
-            ref_node = -ref_log * ref_ratio
-            assert abs(node - ref_node) <= \
-                tol * (1 + abs(ref_log)) * abs(ref_ratio)
+        assert [len(pieces) for *_, pieces, _ in seen] == [2]
+        assert any(seen[0][-1]) and not all(seen[0][-1])
+    for comp, path, bounds, xs, eps2, pieces, _ in seen:
+        assert path.evaluator.linear is not None
+        assert eps2 == rep.schedule.phases[1]
+        assert len(pieces) == len(bounds) - 1
+        for piece, a, b in zip(pieces, bounds, bounds[1:]):
+            ref = _t_space_stretch(comp, rep.schedule.phases, a, b, 2 * bits)
+            with workprec(2 * bits):
+                err = abs(mp.mpc(piece.value) - ref)
+                assert err <= piece.radius
+                assert err <= mp.mpf(2) ** (16 - bits) * max(1, abs(ref))
 
 
 @pytest.mark.parametrize("name", ["totaro", "mccarthy"])
 def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
                                                              monkeypatch):
-    # on a Moebius path the integrand is rational in the radius: no node
-    # solves for t or evaluates any coordinate at it
+    # a Moebius path runs no quadrature node: its line integral is the
+    # closed form in the radius, which solves for no t, evaluates no
+    # coordinate at one and takes no Newton step
     regulator_module = importlib.import_module("chowreg.regulator")
-    quad = regulator_module.quadrature
+    moebius_line = regulator_module._moebius_line
     inside = []
-    calls = {"solve": 0, "value": 0, "dlog": 0}
-    nodes = []
+    calls = {"solve": 0, "value": 0, "dlog": 0, "newton_step": 0}
+    quadratures = []
 
-    def counting_quadrature(fn, *args, **kwargs):
-        def node(r):
-            nodes.append(r)
-            return fn(r)
-
+    def counting_line(*args, **kwargs):
         inside.append(True)
         try:
-            return quad(node, *args, **kwargs)
+            return moebius_line(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -413,25 +397,29 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
             return original(self, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
+    monkeypatch.setattr(regulator_module, "_moebius_line", counting_line)
+    monkeypatch.setattr(regulator_module, "quadrature",
+                        lambda *args, **kwargs: quadratures.append(args))
     for method in calls:
         monkeypatch.setattr(RFEvaluator, method, counting(method))
     Z = _MOEBIUS_CYCLES[name]()
     with workprec(128):
-        reg_n3(Z, search_admissible(Z, 0.3, precision_bits=128),
-               precision_bits=128)
-    assert nodes
-    assert calls == {"solve": 0, "value": 0, "dlog": 0}
+        v = reg_n3(Z, search_admissible(Z, 0.3, precision_bits=128),
+                   precision_bits=128)
+    assert all(e["line_integral"].value != 0 for e in v.breakdown)
+    assert quadratures == []
+    assert calls == {"solve": 0, "value": 0, "dlog": 0, "newton_step": 0}
 
 
 @pytest.mark.parametrize("cycle", [
-    lambda: load_fixture("z1_totaro"),
-    lambda: load_fixture("mccarthy_counterexample"),
     lambda: _totaro_composed(1, "t^2"),
-], ids=["totaro", "mccarthy", "traced_s2"])
+    lambda: load_fixture("totaro_s2_plus_i"),
+    lambda: _mccarthy_composed("t^2+i"),
+], ids=["traced_s2", "traced_s2_plus_i", "traced_mccarthy_s2_plus_i"])
 def test_quadrature_radii_stay_on_the_path(cycle, monkeypatch):
-    # every radius quadrature hands the integrand lies in
-    # [e^sigma_lo, e^sigma_hi] of its path and in its stretch
+    # every radius quadrature hands the integrand of a traced path lies in
+    # [e^sigma_lo, e^sigma_hi] of its path and in its stretch, also on
+    # stretches that end at a crossing
     regulator_module = importlib.import_module("chowreg.regulator")
     quad = regulator_module.quadrature
     stretches = []
@@ -453,6 +441,7 @@ def test_quadrature_radii_stay_on_the_path(cycle, monkeypatch):
         reg_n3(Z, rep, precision_bits=128)
     paths = [p for ps in rep.paths.values() for p in ps]
     assert stretches
+    assert len(stretches) == len(paths) + sum(map(len, rep.crossings.values()))
     with workprec(128 + regulator_module._EXTRA_BITS):
         lo = min(mp.exp(p.sigma_lo) for p in paths)
         hi = max(mp.exp(p.sigma_hi) for p in paths)
@@ -581,6 +570,16 @@ def _totaro_composed(order, g):
     return parse_cycle_file(
         f"field cyclotomic({order})\ncycle totaro_g n=3 p=2\n"
         f"component mult=1 1-1/({g}) ; 1-({g}) ; 1/({g})\n")[0]
+
+
+def _mccarthy_composed(g):
+    # McCarthy's curve composed with g: a first coordinate of degree deg g,
+    # and the crossings of the accepted schedule lifted to each branch
+    return parse_cycle_file(
+        f"field cyclotomic(4)\ncycle mccarthy_g n=3 p=2\n"
+        f"component mult=1 i*({g})-1 ; "
+        f"-((1+({g}))*(1+3*({g})))/((1+i*({g}))*(1-2*({g}))) ; "
+        f"(i*({g})-1)/(3+({g}))\n")[0]
 
 
 # Totaro's cycle composed with a map g of degree k on the parameter line pushes

@@ -118,3 +118,25 @@ def test_pi_const():
     with workprec(128):
         b = pi_const(128).value.real
         assert abs(a - b) < mp.mpf(2) ** -126
+
+
+@pytest.mark.parametrize("bits", [96, 128, 256])
+def test_li2_near_one(bits):
+    # where -log(1 - z) leaves the Bernoulli series region the reflection
+    # Li2(z) = pi^2/6 - log z log(1 - z) - Li2(1 - z) takes over: points
+    # approaching 1 from several directions, the cut's lower edge among
+    # them, hold mpmath's value at twice the precision in their radius
+    with workprec(bits):
+        points = [mp.mpc("0.999"), mp.mpc(1, "0.001"), 1 - mp.mpf("1e-7")]
+        for h in ("0.4", "1e-3", "1e-9", "1e-20"):
+            for k in range(8):
+                points.append(1 + mp.mpf(h) * mp.expjpi(mp.mpf(k) / 4))
+        balls = [li2(z) for z in points]
+    with workprec(2 * bits):
+        for z, ball in zip(points, balls):
+            # on [1, oo) li2 is the limit from below
+            below = mp.mpc(z.real, -mp.mpf(2) ** (-4 * bits)) if (
+                z.imag == 0 and z.real > 1) else z
+            err = abs(ball.value - mp.polylog(2, below))
+            assert err <= ball.radius
+            assert ball.radius < 2.0 ** (16 - bits)

@@ -25,7 +25,13 @@ from chowreg import (
     workprec,
 )
 from chowreg.funcfield import RFEvaluator
-from chowreg.wavefront import TRACE_GRID_DEFAULT, _on_cut_margin, _rotation
+from chowreg.numeric import ComplexApprox
+from chowreg.wavefront import (
+    TRACE_GRID_DEFAULT,
+    _off_cut_entries,
+    _on_cut_margin,
+    _rotation,
+)
 
 
 def t_var(order=1):
@@ -665,7 +671,11 @@ def test_warm_and_fresh_components_give_equal_reports():
               + [(0.15, 0.01, 0.001)]),
              (lambda: parse_cycle_file(
                  "field cyclotomic(1)\ncycle c n=2 p=1\n"
-                 "component mult=1 t ; -1\n")[0], [(0.1, 0), (0.1, 0.01)])]
+                 "component mult=1 t ; -1\n")[0], [(0.1, 0), (0.1, 0.01)]),
+             # f_2(0) = -2 at the zero of f_1: an endpoint on the second cut
+             (lambda: parse_cycle_file(
+                 "field cyclotomic(1)\ncycle e n=2 p=1\n"
+                 "component mult=1 t ; (t-2)/(t+1)\n")[0], [(0.1, 0)])]
     cases += [(lambda coord2=coord2: _critical_value_cycle(coord2),
                [(0.1, 0, 0.001), (0.1, 0.01, 0.001)])
               for coord2 in (lambda t: (t - 2) * (t - 3),
@@ -682,6 +692,66 @@ def test_warm_and_fresh_components_give_equal_reports():
                 kinds.update(f.kind for f in reports[0].failures)
     assert kinds == {"triple", "constant-on-cut", "endpoint-on-cut",
                      "critical-value"}
+
+
+@pytest.mark.parametrize("text, phases, kind", [
+    ("t ; -1", (0.1, 0), "constant-on-cut"),
+    ("t ; (3-t)/(t+2) ; 5", (0.1, 0, 0.001), "critical-value"),
+], ids=["constant", "critical_value_at_endpoint"])
+def test_each_value_on_a_cut_is_reported_once(text, phases, kind):
+    # a constant coordinate is also its value at both endpoints of the
+    # first locus, and f_2(oo) = -1 of a coordinate of equal degrees is
+    # both a critical value and its value at the pole oo of f_1: each fact
+    # on the second cut is listed and fails once, as the kind listed first
+    n = text.count(";") + 1
+    Z = parse_cycle_file(f"field cyclotomic(1)\ncycle c n={n} p={n - 1}\n"
+                         f"component mult=1 {text}\n")[0]
+    with workprec(128):
+        rep = admissible(Z, PhaseSchedule(1, phases), precision_bits=128)
+        entries = [e for e in _off_cut_entries(Z.components[0], 128)
+                   if e[0] == 2]
+    assert not rep.ok
+    assert [f.kind for f in rep.failures] == [kind]
+    assert rep.warnings == []
+    values = [e[2].value if isinstance(e[2], ComplexApprox) else e[2]
+              for e in entries]
+    assert values.count(-1) == 1
+
+
+def test_cut_margin_is_decided_without_an_arctangent(monkeypatch):
+    # the sector test agrees with the angle against CUT_MARGIN at, just
+    # inside and just outside the margin, on either side of the ray, at
+    # any size; admissible takes the angle only of a failing entry, for
+    # its detail
+    import chowreg.wavefront as wf
+
+    with workprec(128):
+        for phase in (0, mp.mpf("0.3"), 2, mp.pi / 2):
+            rot = _rotation(phase)
+            for angle in (0, 5e-10, 9.99e-10, 1.001e-9, 2e-9, 1e-3, 1.5, 3,
+                          mp.pi):
+                for side in (1, -1):
+                    for size in (mp.mpf("1e-30"), 1, mp.mpf("1e30")):
+                        v = -size * mp.expj(side * angle) / rot
+                        assert wf._near_cut(v, rot) == (
+                            _on_cut_margin(v, rot) < wf.CUT_MARGIN)
+    margins = []
+    on_cut_margin = wf._on_cut_margin
+
+    def counting(*args):
+        margins.append(args)
+        return on_cut_margin(*args)
+
+    monkeypatch.setattr(wf, "_on_cut_margin", counting)
+    with workprec(128):
+        ok = admissible(load_fixture("petras_zeta5"),
+                        make_schedule(0.3, 3, 0.5, 128), precision_bits=128)
+        assert ok.ok and margins == []
+        e = mp.mpf("0.2")
+        bad = admissible(load_fixture("mccarthy_counterexample"),
+                         PhaseSchedule(1, (e, e, e)), precision_bits=128)
+    assert not bad.ok
+    assert len(margins) == len(bad.failures) + len(bad.warnings) > 0
 
 
 def test_schedule_phase_count_must_match(z1):
