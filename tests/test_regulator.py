@@ -277,6 +277,43 @@ def test_reg_n3_z1(z1):
         assert v.value.radius < 1e-12
 
 
+def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
+    # coordinate 1 of the Totaro curve is Moebius: its cut locus is traced
+    # by closed-form solves and its line integral is a closed form in the
+    # radius, so the whole of reg_n3 runs no quadrature node and takes no
+    # Newton step, within the bound of one step per node
+    regulator_module = importlib.import_module("chowreg.regulator")
+    counts = {"nodes": 0, "steps": 0, "solves": 0}
+    quad = regulator_module.quadrature
+    newton_step = RFEvaluator.newton_step
+    solve = RFEvaluator.solve
+
+    def counting_quadrature(fn, *args, **kwargs):
+        def node(r):
+            counts["nodes"] += 1
+            return fn(r)
+
+        return quad(node, *args, **kwargs)
+
+    def counting_step(self, *args):
+        counts["steps"] += 1
+        return newton_step(self, *args)
+
+    def counting_solve(self, *args):
+        counts["solves"] += 1
+        return solve(self, *args)
+
+    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
+    monkeypatch.setattr(RFEvaluator, "newton_step", counting_step)
+    monkeypatch.setattr(RFEvaluator, "solve", counting_solve)
+    with workprec(128):
+        v = reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
+        assert abs(v.value.value - mp.pi ** 2 / 6) <= v.value.radius
+    assert counts["solves"] > 0
+    assert counts["nodes"] == 0
+    assert counts["steps"] == 0
+
+
 _MOEBIUS_CYCLES = {
     "totaro": lambda: load_fixture("z1_totaro"),
     # components 2 and 3 have f_3 = 1/t^5
