@@ -414,10 +414,10 @@ def _antiderivative(r, zeros3, pairs):
                              else -li.value)
             radius += abs(coeff) * li.radius
         h += coeff * term
-        size += float(abs(coeff * term))
+        size += abs(complex(coeff * term))
     for (m, _), lr in zip(zeros3, logs):
         g += m * lr
-        size += float(abs(m * lr))
+        size += abs(complex(m * lr))
     return h, g, radius, size
 
 

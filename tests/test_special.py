@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 
 from chowreg import BranchSpec, ComplexApprox, PrecisionError, li2, log_eps, pi_const, workprec
+from chowreg import special
 
 
 def test_log_eps_of_one():
@@ -140,3 +144,101 @@ def test_li2_near_one(bits):
             err = abs(ball.value - mp.polylog(2, below))
             assert err <= ball.radius
             assert ball.radius < 2.0 ** (16 - bits)
+
+
+@pytest.mark.parametrize("r", ["1e-20", "1e-3", "0.1", "0.4"])
+def test_li2_ball_centred_at_one(r):
+    # reflection: |Li2(w) - pi^2/6| <= r (1 + pi - log r) / (1 - r) on the
+    # disc; w on its rim, the cut's lower edge among them, must be inside
+    with workprec(128):
+        ball = li2(ComplexApprox(mp.mpc(1), float(r)))
+        rim = [1 + mp.mpf(r) * mp.expjpi(mp.mpf(k) / 4) for k in range(8)]
+    with workprec(256):
+        assert abs(ball.value - mp.pi ** 2 / 6) <= ball.radius
+        for w in rim:
+            below = mp.mpc(w.real, -mp.mpf(2) ** -600) if w.imag == 0 else w
+            assert abs(ball.value - mp.polylog(2, below)) <= ball.radius
+
+
+@pytest.mark.parametrize("r", ["1e-20", "1e-3", "0.1", "0.4"])
+def test_li2_ball_centred_at_zero(r):
+    # |Li2(w)| <= r / (1 - r) on |w| <= r, which exceeds Li2(r) > r
+    with workprec(128):
+        ball = li2(ComplexApprox(mp.mpc(0), float(r)))
+    with workprec(256):
+        for w in (mp.mpf(r), -mp.mpf(r), mp.mpc(0, r), mp.mpc(0, -mp.mpf(r))):
+            assert abs(ball.value - mp.polylog(2, w)) <= ball.radius
+
+
+@pytest.mark.parametrize("centre", [0, 1])
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_li2_wide_ball_at_zero_or_one_is_refused(centre, r):
+    with workprec(128):
+        with pytest.raises(PrecisionError):
+            li2(ComplexApprox(mp.mpc(centre), r))
+
+
+def _sweep_points():
+    points = []
+    for k in range(16):
+        e = mp.expjpi(mp.mpf(k) / 8)
+        # the branch boundaries |z| = 1/2, |z| = 1.4 and |1 - z| = 1/2
+        points += [e / 2, mp.mpf("1.4") * e, 1 + e / 2]
+    for n in (5, 7, 8, 12):
+        points += [mp.expjpi(mp.mpf(2 * k) / n) for k in range(1, n)]
+    # arguments the Totaro and Petras closed forms reach: |z| about 2e24
+    # (inversion) and |1 - z| about 5e-25 (reflection)
+    points += [mp.mpc("2.0681724145479291525e+24", "-3.1257368885485189043e+23"),
+               mp.mpc("3.4182517978495814565e+23", "-2.0635394335283060237e+24"),
+               1 - mp.mpc("-4.7272086102961893299e-25", "7.1444770412416447335e-26"),
+               1 - mp.mpc("-4.780228886355455764e-25", "7.9677859155434486663e-27")]
+    return points
+
+
+@pytest.mark.parametrize("bits", [53, 64, 96, 144, 256, 512])
+def test_li2_precision_sweep(bits):
+    # every branch and branch boundary, at each precision, against mpmath's
+    # polylog at twice the precision
+    with workprec(bits):
+        points = [+z for z in _sweep_points()]
+        balls = [li2(z) for z in points]
+    with workprec(2 * bits):
+        for z, ball in zip(points, balls):
+            # on [1, oo) li2 is the limit from below
+            below = mp.mpc(z.real, -mp.mpf(2) ** (-4 * bits)) if (
+                z.imag == 0 and z.real > 1) else z
+            assert abs(ball.value - mp.polylog(2, below)) <= ball.radius
+            assert ball.radius < 2.0 ** (16 - bits)
+
+
+def test_li2_table_is_keyed_by_precision_and_built_once(monkeypatch):
+    calls = []
+    bernoulli = mp.bernoulli
+    monkeypatch.setattr(mp, "bernoulli", lambda n: calls.append(n) or bernoulli(n))
+    special._bernoulli_coefficients.cache_clear()
+    with workprec(256):
+        z5 = mp.expjpi(mp.mpf(2) / 5)
+        points = [z5, mp.conj(z5), mp.mpc("-0.8", "0.6"), mp.mpc("1.2", 1)]
+        first = [li2(z) for z in points]
+    assert calls
+    with workprec(128):
+        li2(z5)
+    calls.clear()
+    with workprec(256):
+        again = [li2(z) for z in points]
+    assert not calls
+    for a, b in zip(first, again):
+        assert a.value == b.value and a.radius == b.radius
+
+
+def test_import_builds_no_table():
+    code = ("import mpmath as mp\n"
+            "calls = []\n"
+            "mp.bernoulli = lambda n: calls.append(n)\n"
+            "import chowreg.special as s\n"
+            "assert not calls\n"
+            "for f in (s._bernoulli_coefficients, s._inverse_squares, s._pi2_6):\n"
+            "    assert f.cache_info().currsize == 0\n")
+    src = os.path.dirname(os.path.dirname(special.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
