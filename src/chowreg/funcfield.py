@@ -655,7 +655,7 @@ class RFEvaluator:
     """Embedded numeric view of a rational function at a fixed precision.
 
     Caches complex coefficient arrays for num, den and their derivatives so
-    repeated evaluation (path tracing, quadrature) costs only Horner loops.
+    repeated evaluation (path tracing, crossings) costs only Horner loops.
     ``solve`` is the one solver for f(t) = w.  When the level-set polynomial
     num - w den is linear (a Moebius f: both polynomials of degree at most
     1), ``linear`` holds its padded coefficients (n0, n1, d0, d1) and the

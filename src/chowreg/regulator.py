@@ -28,46 +28,32 @@ On a Moebius path f_1 = r direction, so f_2 is c prod (r - s_k)^{n_k} and
 dlog f_3 / dlog f_1 is sum_j m_j r / (r - rho_j), with the s_k and rho_j the
 zeros and poles of f_2 and f_3 in the radius.  Each stretch integral is
 then a sum of logs and dilogarithms at its two ends (Lewin 1981; Zagier
-2007), with the dilogarithm's ball radius carried into the stretch's
-radius: no quadrature node runs.
-
-A traced path keeps numerical quadrature in its log-radius u = -log r.
-Each stretch is integrated in x = tanh(u/2) = (1 - r)/(1 + r), which maps
-the whole path onto (-1, 1); there the integrand is bounded, with log-type
-behaviour only at the path ends x = +-1, which is the case one
-double-exponential (tanh-sinh) segment resolves.  Its nodes on [-1, 1] are
-computed once per precision and shared by every stretch, and each hands the
-integrand its radius r, whose point the integrand reads from the path's
-``solve_at``.
+2007).  A traced path is integrated along a polygon through its trace
+samples to the exact zero and pole of f_1 (``quadrature``), with the same
+logs and dilogarithms on each chord, so every line integral is a finite
+sum of closed-form terms.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
+import cmath
+import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 import mpmath as mp
 
-from .cycles import check_face_proper, closed_facets, is_normalized, normalize
-from .errors import (
-    ChowregError,
-    ConvergenceError,
-    PrecisionError,
-    PropernessError,
-    ScheduleError,
-)
+from .cycles import (_divisor_locations_equal, check_face_proper,
+                     closed_facets, is_normalized, normalize)
+from .errors import ChowregError, PrecisionError, PropernessError, ScheduleError
 from .field import embed
 from .funcfield import INF, RFEvaluator, mpf_to_fraction
 from .numeric import ComplexApprox, workprec
 from .special import BranchSpec, li2, log_eps
-from .wavefront import (
-    AdmissibilityReport,
-    PhaseSchedule,
-    _coordinate_value_at,
-    admissible,
-    search_admissible,
-)
+from .wavefront import (AdmissibilityReport, PhaseSchedule,
+                        _coordinate_value_at, admissible, search_admissible)
 
 
 @dataclass
@@ -142,152 +128,19 @@ def reg_n1(Z, phase, precision_bits=None):
         )
 
 
-_MAX_LEVEL = 10
-# quadrature runs its integrand, and the closed form of a Moebius path its
-# logs and dilogarithms, this many bits above the working precision
+# the closed forms of the line integral run this many bits above the
+# working precision, along a polygon through every _POLYGON_STRIDE-th
+# trace sample of a traced branch
 _EXTRA_BITS = 16
-
-
-@functools.lru_cache(maxsize=None)
-def _tanh_sinh_nodes(prec, precision_bits, level):
-    """The tanh-sinh nodes on [-1, 1] that level ``level`` (step 2^-level
-    in tau) adds, at ``prec`` bits, computed once and shared by every
-    quadrature call: at tau = +-j h for every j at level 0 and every odd j
-    above, up to the tau where the weight falls below 2^(-precision_bits
-    - 8).  They come as (plus, minus) pairs, level 0 opening with the
-    centre paired with None; a node is its (abscissa, weight), or None when
-    the weight is below the floor."""
-    with workprec(prec):
-        eps_w = mp.mpf(2) ** (-precision_bits - 8)
-        w_floor = mp.mpf(2) ** (-precision_bits - 48)
-        tau_max = mp.asinh(2 * mp.log(4 / eps_w) / mp.pi)
-        h = mp.mpf(2) ** -level
-        kmax = int(mp.ceil(tau_max / h))
-
-        def node(tau):
-            s = mp.pi / 2 * mp.sinh(tau)
-            w = mp.pi / 2 * mp.cosh(tau) / mp.cosh(s) ** 2
-            return None if w < w_floor else (mp.tanh(s), w)
-
-        pairs = [(node(mp.mpf(0)), None)] if level == 0 else []
-        pairs += [(node(j * h), node(-j * h))
-                  for j in range(1, kmax + 1, 1 if level == 0 else 2)]
-        return tuple(pairs)
-
-
-def _tanh_sinh_segment(fn, a, b, tol, precision_bits):
-    """Double-exponential quadrature of an analytic integrand on [a, b].
-
-    Error is estimated from the last level-to-level difference, over at most
-    ``_MAX_LEVEL`` halvings of the step; estimates that stop decreasing raise
-    ConvergenceError.  Each level adds only the new odd-indexed nodes, so
-    every tau is visited once.  Abscissae tanh(pi/2 sinh tau) on [-1, 1]
-    and weights come from ``_tanh_sinh_nodes``, shared by every call at
-    this precision, and are mapped onto [a, b] here; a node whose weight is
-    below the floor contributes nothing.
-    """
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    if a == b:
-        return mp.mpc(0), 0.0
-    mid = (a + b) / 2
-    half = (b - a) / 2
-    eps_w = mp.mpf(2) ** (-precision_bits - 8)
-
-    def eval_at(node):
-        if node is None:
-            return mp.mpc(0)
-        x, w = node
-        u = mid + half * x
-        if u <= a or u >= b:
-            return mp.mpc(0)
-        return fn(u) * w
-
-    def add_level(level, total):
-        for plus, minus in _tanh_sinh_nodes(mp.mp.prec, precision_bits,
-                                            level):
-            total += eval_at(plus) + eval_at(minus)
-        return total
-
-    h = mp.mpf(1)
-    total = add_level(0, mp.mpc(0))
-    results = [total * h * half]
-    err_prev = None
-    for level in range(1, _MAX_LEVEL + 1):
-        h = h / 2
-        total = add_level(level, total)
-        results.append(total * h * half)
-        err = float(abs(results[-1] - results[-2]))
-        if err < tol * max(1.0, float(abs(results[-1]))):
-            return results[-1], err + float(eps_w)
-        if err_prev is not None and err > 4 * err_prev and err > 1e-6:
-            raise ConvergenceError(
-                f"quadrature estimates stopped decreasing (level {level}, "
-                f"error {err:.3g})")
-        err_prev = err
-    if err_prev is None or err_prev > 1e-6 * max(1.0, float(abs(results[-1]))):
-        raise ConvergenceError(
-            f"quadrature did not reach tolerance {tol:.3g} (last error {err_prev})")
-    return results[-1], err_prev + float(eps_w)
-
-
-def quadrature(fn, u_lo, u_hi, precision_bits=None, tol=None,
-               tails=(True, True)):
-    """Integrate over [u_lo, u_hi] in the path parameter u = -log r.
-
-    ``fn`` takes the radius r = e^{-u} and returns the integrand with its du
-    factor; along a traced path oriented pole -> zero, u increases and r
-    decreases.  ``tails`` marks which ends are true path ends and get the
-    truncation-tail allowance.
-
-    The integral is taken in x = tanh(u/2) = (1 - r)/(1 + r), which maps the
-    whole log-radius line onto (-1, 1): the integrand
-    fn(r(x)) * 2/((1 - x)(1 + x)), r(x) = (1 - x)/(1 + x), is bounded
-    there, since fn decays like e^{-|u|} towards the pole and the zero, and
-    keeps only log-type behaviour at x = +-1.  One double-exponential
-    segment over [tanh(u_lo/2), tanh(u_hi/2)] resolves it: its nodes crowd
-    towards the path ends, where the stretch's exponential tails are.  A
-    node costs one division for its radius and no log; rounding never moves
-    it outside [e^{-u_hi}, e^{-u_lo}], so ``fn`` is only asked for radii on
-    the stretch.
-    """
-    if precision_bits is None:
-        precision_bits = mp.mp.prec
-    if tol is None:
-        tol = float(mp.mpf(2) ** (-precision_bits // 3))
-    with workprec(precision_bits + _EXTRA_BITS):
-        u_lo, u_hi = mp.mpf(u_lo), mp.mpf(u_hi)
-        r_lo, r_hi = mp.exp(-u_hi), mp.exp(-u_lo)
-
-        def in_x(x):
-            below, above = 1 - x, 1 + x
-            r = min(max(below / above, r_lo), r_hi)
-            return fn(r) * 2 / (below * above)
-
-        total, err = _tanh_sinh_segment(in_x, mp.tanh(u_lo / 2),
-                                        mp.tanh(u_hi / 2), tol,
-                                        precision_bits)
-        # truncation-tail allowance, only at true path ends
-        span = u_hi - u_lo
-        tail = 0.0
-        if tails[0]:
-            tail += float(abs(fn(mp.exp(-(u_lo + mp.mpf("1e-9") * span)))))
-        if tails[1]:
-            tail += float(abs(fn(mp.exp(-(u_hi - mp.mpf("1e-9") * span)))))
-        return ComplexApprox(total, err + 2.0 * tail)
+_POLYGON_STRIDE = 40
 
 
 def _sided_log_branch(w, phase, rot, guard, side_hint):
     """log with argument in (-pi-phase, pi-phase], given ``rot`` =
-    e^{i phase}; the hint resolves values inside the guard sliver around the
-    cut by continuity from one side."""
+    e^{i phase}; the hint, a sign or 0, resolves values inside the guard
+    sliver around the cut by continuity from one side."""
     phi = mp.arg(-w * rot)
-    if side_hint > 0:
-        subtract = phi > -guard
-    elif side_hint < 0:
-        subtract = phi > guard
-    else:
-        subtract = phi > 0
+    subtract = phi > -guard * side_hint
     theta = mp.pi - phase + phi - (2 * mp.pi if subtract else 0)
     return mp.mpc(mp.log(abs(w)), theta)
 
@@ -304,34 +157,6 @@ def _admitted(Z, schedule, precision_bits):
             "cycle is not admissible at the requested schedule: "
             + "; ".join(f.kind for f in rep.failures))
     return rep
-
-
-def _along_path(path, ev2, ev3):
-    """The integrand's two factors along a traced first-locus ``path`` as a
-    function of the radius r: r -> (f_2, dlog f_3 / dlog f_1) at the path
-    point of radius r, with None for f_2 when ``ev2`` is None (a constant
-    f_2).  The quotient of dlogs is dt/du times -dlog f_3.  The point is
-    ``solve_at(log r)``, with the log-radius held to the path's span
-    against rounding."""
-    def along(r):
-        sigma = min(max(mp.log(r), path.sigma_lo), path.sigma_hi)
-        t, n1, d1 = path.solve_at(sigma)
-        v2 = None if ev2 is None else ev2.value(t)
-        return v2, ev3.dlog(t) / path.evaluator.dlog(t, n1, d1)
-    return along
-
-
-def _stretches(bounds, xs):
-    """(seg, a, b, left sign, right sign) for each nonempty stretch [a, b]
-    between consecutive log-radius ``bounds`` -u of a path, split at its
-    crossings ``xs``: the sign of the crossing that opens it (0 at the
-    pole end) and minus that of the one that closes it (0 at the zero
-    end) tell from which side the stretch meets the second cut."""
-    for seg in range(len(bounds) - 1):
-        a, b = bounds[seg], bounds[seg + 1]
-        if b > a:
-            yield (seg, a, b, xs[seg - 1].sign if seg >= 1 else 0,
-                   -xs[seg].sign if seg < len(xs) else 0)
 
 
 def _in_radius_divisor(comp, k, path, precision_bits):
@@ -352,7 +177,13 @@ def _in_radius_divisor(comp, k, path, precision_bits):
             for n, v in comp._memo[key]]
 
 
-def _dilog_pairs(zeros2, zeros3):
+def _log(z):
+    """The principal log of z in double precision, enough to fix the
+    integer multiple of 2 pi i between two logs."""
+    return cmath.log(complex(z))
+
+
+def _dilog_pairs(zeros2, zeros3, log_gaps=None):
     """How each pair of a zero or pole s of f_2 and rho of f_3 in the
     radius (``_in_radius_divisor``) enters the antiderivative, as
     (n m, index of rho in ``zeros3``, delta, inverted, D).
@@ -368,7 +199,9 @@ def _dilog_pairs(zeros2, zeros3):
     where log(r - s) = log(r - rho) + log(1 - w) + D with D = 2 pi i q.
     Either way no dilogarithm meets its cut [1, oo) for r > 0, every log
     is continuous there (``admissible`` keeps s and rho off the positive
-    real axis), and the integer q is fixed once, at r = 1.
+    real axis), and the integer q is fixed once, at r = 1, from logs in
+    double precision.  ``log_gaps``, when given, holds a log of rho - s per
+    pair in order, on any branch: q absorbs the multiple of 2 pi i.
     """
     two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
     pairs = []
@@ -386,35 +219,38 @@ def _dilog_pairs(zeros2, zeros3):
             z1 = (1 - rho) / delta
             if inverted:
                 d = 0
-                rest = mp.log(1 - rho) + mp.log(1 - 1 / z1)
+                rest = _log(1 - rho) + _log(1 - 1 / z1)
             else:
-                d = mp.log(rho - s)
-                rest = d + mp.log(1 - z1)
-            q = int(mp.nint((mp.log(1 - s) - rest).imag / (2 * mp.pi)))
+                d = (mp.log(rho - s) if log_gaps is None
+                     else log_gaps[len(pairs)])
+                rest = complex(d) + _log(1 - z1)
+            q = round((_log(1 - s) - rest).imag / (2 * math.pi))
             pairs.append((m * n, j, delta, inverted, d + two_pi_i * q))
     return pairs
 
 
-def _antiderivative(r, zeros3, pairs):
+def _antiderivative(r, zeros3, pairs, dilogs=None):
     """(H, G, radius, size) at the radius r > 0: G = sum_j m_j log(r - rho_j)
     over ``zeros3``, and H an antiderivative of
     (sum_k n_k log(r - s_k)) sum_j m_j / (r - rho_j), summed over the
     ``_dilog_pairs``.  ``radius`` adds the dilogarithms' radii and ``size``
-    the absolute values of the terms of H and G."""
+    the absolute values of the terms of H and G.  ``dilogs``, when given,
+    holds the dilogarithm ball of each pair, which is then not computed."""
     logs = [mp.log(r - rho) for _, rho in zeros3]
+    halves = [lr ** 2 / 2 for lr in logs]
     h, g, radius, size = mp.mpc(0), mp.mpc(0), 0.0, 0.0
-    for coeff, j, delta, inverted, d in pairs:
-        lr = logs[j]
+    for i, (coeff, j, delta, inverted, d) in enumerate(pairs):
         if delta is None:
-            term = lr ** 2 / 2
+            term = coeff * halves[j]
         else:
             rho = zeros3[j][1]
-            li = li2(delta / (r - rho) if inverted else (r - rho) / delta)
-            term = d * lr + (lr ** 2 / 2 + li.value if inverted
-                             else -li.value)
+            li = dilogs[i] if dilogs else li2(
+                delta / (r - rho) if inverted else (r - rho) / delta)
+            term = coeff * (d * logs[j] + (halves[j] + li.value if inverted
+                                           else -li.value))
             radius += abs(coeff) * li.radius
-        h += coeff * term
-        size += abs(complex(coeff * term))
+        h += term
+        size += abs(complex(term))
     for (m, _), lr in zip(zeros3, logs):
         g += m * lr
         size += abs(complex(m * lr))
@@ -429,16 +265,15 @@ def _moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2, guard,
     Along the path f_1 = r direction, so with the zeros and poles s_k of
     f_2 and rho_j of f_3 in the radius (``_in_radius_divisor``) a stretch
     from radius r_a down to r_b contributes
-    L = -int log f_2 dlog f_3 / dlog f_1 du
-      = int_{r_a}^{r_b} log^{eps_2} f_2 sum_j m_j dr / (r - rho_j).
+    L = int_{r_a}^{r_b} log^{eps_2} f_2 sum_j m_j dr / (r - rho_j).
     On the stretch log^{eps_2} f_2 = K + sum_k n_k log(r - s_k): the branch
     of log f_2 is fixed between crossings, and K is fixed once, at the
     middle log-radius, by the sided branch the crossing signs pick.  So
     L = [H + K G] from r_a to r_b (``_antiderivative``).  The
     radius adds the dilogarithms' radii, a rounding term
     2^(8 - precision_bits) times the summed size of the terms, and at a
-    true path end the tail allowance of ``quadrature``: twice the integrand
-    probed 1e-9 of the stretch inside the end.
+    true path end a tail allowance: twice the integrand probed 1e-9 of the
+    stretch inside the end, which the span leaves out.
     """
     with workprec(precision_bits + _EXTRA_BITS):
         rot2 = mp.expj(eps2)
@@ -452,7 +287,10 @@ def _moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2, guard,
         horner = RFEvaluator._horner
         rounding = mp.mpf(2) ** (8 - precision_bits)
         pieces = []
-        for seg, a, b, left_sign, _ in _stretches(bounds, xs):
+        for seg, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if b <= a:
+                continue
+            left_sign = xs[seg - 1].sign if seg else 0  # opens the stretch
             r_mid = mp.exp(-(a + b) / 2)
             k = const_log2
             if ev2 is not None:
@@ -478,6 +316,207 @@ def _moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2, guard,
         return pieces
 
 
+def _location(pt):
+    """The place of a DivisorPoint at the working precision: INF or mpc."""
+    loc = pt.location
+    return loc if loc is INF else loc.value if isinstance(
+        loc, ComplexApprox) else embed(loc, mp.mp.prec).value
+
+
+def _branch_ends(f1, path, precision_bits):
+    """(pole, zero): the DivisorPoints of f_1 nearest the first and the last
+    sample of the traced branch ``path``, where it starts and ends."""
+    return tuple(min(
+        (pt for pt in f1.divisor(precision_bits)
+         if sign * pt.multiplicity > 0),
+        key=lambda pt: 1 / abs(t) if (x := _location(pt)) is INF
+        else abs(t - x) / (1 + abs(x)))
+        for sign, t in ((-1, path.points[0]), (1, path.points[-1])))
+
+
+def _in_or_near_loop(z, loop):
+    """Whether z lies inside the polygon ``loop`` closed by the chord from
+    its last point back to its first (a nonzero winding number), or within
+    one sample spacing of it: of an edge, its length."""
+    winding = cmath.phase((loop[0] - z) / (loop[-1] - z))
+    for p, q in zip(loop, loop[1:]):
+        lam = min(max(((z - p) / (q - p)).real, 0.0), 1.0) if q != p else 0.0
+        if abs(z - p - lam * (q - p)) <= abs(q - p):
+            return True
+        winding += cmath.phase((q - z) / (p - z))
+    return abs(winding) > math.pi
+
+
+def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs=None):
+    """``_antiderivative`` at lambda = 0, an exact end of the first locus
+    where f_3 may vanish or have a pole (rho_j = 0).  There log lambda has
+    the factor m_j (K + sum_k n_k D_k) = m_j log f_2, which the limit drops,
+    as f_2 = 1 on a properly meeting cycle (else ChowregError); the pair is
+    not inverted and its Li2(0) is 0."""
+    keep = {j: i for i, j in enumerate(
+        j for j, (_, rho) in enumerate(zeros3) if rho != 0)}
+    dropped = [p for p in pairs if p[1] not in keep]
+    log_f2 = k * sum(m for m, rho in zeros3 if rho == 0) + sum(
+        coeff * d for coeff, _, _, _, d in dropped)
+    if any(p[2] is None for p in dropped) or abs(log_f2) > mp.mpf(2) ** (
+            16 - precision_bits) * (1 + sum(abs(p[0]) * (abs(k) + abs(p[4]))
+                                            for p in dropped)):
+        raise ChowregError("the line integral diverges at an end of the "
+                           "first cut locus, where f_3 is 0 or oo")
+    return _antiderivative(mp.mpf(0), [zeros3[j] for j in keep],
+                           [(coeff, keep[j], *rest) for coeff, j, *rest
+                            in pairs if j in keep], None if dropped else dilogs)
+
+
+def quadrature(comp, path, xs, eps2, precision_bits=None):
+    """The line integral along a traced first-locus ``path`` with its
+    crossings ``xs`` (in path order), as (stretch index, t_a, t_b, ball)
+    for each chord of a polygon, in path order.
+
+    It runs along a polygon homotopic to the path where the integrand is
+    holomorphic, with the same ends (Kerr-Lewis-Mueller-Stach 2006): from
+    the exact pole of f_1, through every ``_POLYGON_STRIDE``-th trace sample
+    and each crossing, to the exact zero.  On a chord t = t_a + lambda
+    (t_b - t_a) the integral is [H + K G] from 0 to 1 (``_dilog_pairs``,
+    ``_antiderivative``) in s_k = (x_k - t_a) / (t_b - t_a) and rho_j alike,
+    K fixed by the sided branch at a vertex on the path; an exact end sits
+    at lambda = 0 (``_antiderivative_at_0``), and t = oo is reached in
+    u = 1/t.  A chord is halved while a zero or pole of f_2 or f_3 lies in
+    or about one sample spacing from the loop of the chord and the samples
+    it skips, or on the chord; PrecisionError if it skips none.  The radius
+    adds the dilogarithms' radii, 2^(8 - precision_bits) times the size of
+    the terms and, at each vertex ball, the integrand times its radius."""
+    if precision_bits is None:
+        precision_bits = mp.mp.prec
+    f1, f2, f3 = comp.coords
+    ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
+    with workprec(precision_bits + _EXTRA_BITS):
+        rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
+        rounding = float(mp.mpf(2) ** (8 - precision_bits))
+        if ev2 is None:
+            const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
+                                 BranchSpec(eps2)).value
+        ends = _branch_ends(f1, path, precision_bits)
+        # (n, place, whether it is each end) per zero or pole of f_2, f_3
+        divisors = [[(pt.multiplicity, _location(pt),
+                      [_divisor_locations_equal(pt, e) for e in ends])
+                     for pt in f.divisor(precision_bits)]
+                    if not f.is_constant() else [] for f in (f2, f3)]
+        # a log of y - x per pair gives one of rho - s on every chord, and
+        # the dilogarithm argument (t - y) / (x - y) at a vertex is the same
+        # on the two chords that meet there: both are computed once
+        finite = [[x for _, x, _ in div if x is not INF] for div in divisors]
+        gaps = [None if x == y else mp.log(y - x)
+                for y in finite[1] for x in finite[0]]
+        dilogs, points, last = {}, path.points, len(path.points) - 1
+
+        def vertex_dilogs(v, pairs):
+            for i, (_, j, delta, inverted, _) in enumerate(pairs):
+                if delta is not None and (v[0], i, inverted) not in dilogs:
+                    x, y = finite[0][i % len(finite[0])], finite[1][j]
+                    dilogs[v[0], i, inverted] = li2(
+                        (x - y) / (v[1] - y) if inverted
+                        else (v[1] - y) / (x - y))
+            return [dilogs.get((v[0], i, p[3])) for i, p in enumerate(pairs)]
+
+        def chord(a, b, left_sign, right_sign):
+            """The closed form over the chord from vertex a to vertex b, or
+            the sample vertex at which to split it; the signs are those of
+            the crossings that open and close its stretch."""
+            base, tip = (b, a) if b[3] is not None else (a, b)
+            chart = ((lambda x: 0 if x is INF else None if x == 0 else 1 / x)
+                     if base[1] is INF else lambda x: None if x is INF else x)
+            c0 = chart(base[1])
+            delta = chart(tip[1]) - c0
+            zeros2, zeros3 = (
+                [(n, mp.mpc(0) if base[3] is not None and is_end[base[3]]
+                  else (c - c0) / delta)
+                 for n, x, is_end in div if (c := chart(x)) is not None]
+                for div in divisors)
+            skipped = [k for k in range(math.floor(a[0]) + 1, math.ceil(b[0]))
+                       if points[k] not in (a[1], b[1])]
+            # the loop only steers splitting: double precision will do
+            loop = [0j, *(complex(points[k] - c0) / complex(delta)
+                          for k in skipped), 1 + 0j]
+            for _, s in zeros2 + zeros3:
+                if base[3] is not None and s == 0:
+                    continue
+                on_chord = abs(s) <= guard or (
+                    0 < s.real <= 1 + guard and abs(s.imag) <= guard * s.real)
+                if skipped and (on_chord or abs(s) <= 3 * max(map(abs, loop))
+                                and _in_or_near_loop(complex(s), loop)):
+                    return (skipped[len(skipped) // 2],
+                            points[skipped[len(skipped) // 2]], 0.0, None)
+                if on_chord:
+                    raise PrecisionError(
+                        f"coordinate 1: the cut locus near t = "
+                        f"{mp.nstr(b[1], 8)} runs onto a zero or pole of f_2 "
+                        f"or f_3 at {precision_bits} bits; raise the working "
+                        "precision")
+            # K is fixed at a vertex on the path, a sample if there is one,
+            # with the side hint of the stretch end it opens or closes
+            at = next((v for v in (a, b) if v[0] % 1 == 0 and v[3] is None),
+                      a if a[3] is None else b)
+            k = const_log2 if ev2 is None else _sided_log_branch(
+                ev2.value(at[1]), eps2, rot2, guard,
+                left_sign if at is a else right_sign) - sum(
+                    n * mp.log(int(at is tip) - s) for n, s in zeros2)
+            # an exact end, or the chart u, shares nothing with a neighbour
+            share = base[3] is None
+            log_delta = mp.log(delta)
+            pairs = _dilog_pairs(zeros2, zeros3, [
+                None if g is None else g - log_delta for g in gaps]
+                if share else None)
+            h0, g0, r0, z0 = _antiderivative_at_0(
+                zeros3, pairs, k, precision_bits,
+                share and vertex_dilogs(base, pairs))
+            h1, g1, r1, z1 = _antiderivative(
+                mp.mpf(1), zeros3, pairs, share and vertex_dilogs(tip, pairs))
+            radius = r0 + r1 + rounding * (
+                z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1))))
+            # moving a vertex within its ball changes about its radius times
+            # the integrand, taken that far inside the chord
+            for lam, v in ((0, base), (1, tip)):
+                if v[2]:
+                    eps = v[2] / abs(delta)
+                    x = abs(lam - eps)
+                    radius += float(eps * abs(
+                        (k + sum(n * mp.log(x - s) for n, s in zeros2))
+                        * sum(m / (x - rho) for m, rho in zeros3)))
+            value = h1 - h0 + k * (g1 - g0)
+            return ComplexApprox(-value if base is b else value, radius)
+
+        # a vertex is (position among the samples, t, radius, end index or
+        # None); a crossing sits half-way between the samples around it
+        def end(i, pos):
+            return (pos, _location(ends[i]),
+                    getattr(ends[i].location, "radius", 0.0), i)
+
+        verts = [end(0, -1)]
+        for v in sorted(
+                [(k, points[k], 0.0, None)
+                 for k in {*range(0, last, _POLYGON_STRIDE), last}]
+                + [(bisect.bisect_right(path.sigmas, -c.sigma,
+                                        key=operator.neg) - 0.5,
+                    c.t.value, c.t.radius, None) for c in xs],
+                key=operator.itemgetter(0)):
+            if v[0] % 1 or v[1] != verts[-1][1]:
+                verts.append(v)
+        verts.append(end(1, last + 1))
+        chords, seg = [], 0
+        stack = [*zip(verts, verts[1:])][::-1]
+        while stack:
+            a, b = stack.pop()
+            piece = chord(a, b, xs[seg - 1].sign if seg else 0,
+                          -xs[seg].sign if seg < len(xs) else 0)
+            if isinstance(piece, tuple):
+                stack += [(piece, b), (a, piece)]
+            else:
+                chords.append((seg, a[1], b[1], piece))
+                seg += b[0] % 1 != 0  # a crossing closes the stretch
+        return chords
+
+
 def reg_n3(Z, schedule, precision_bits=None):
     """Regulator of a curve-level cycle in the 3-cube at a fixed schedule.
 
@@ -486,9 +525,8 @@ def reg_n3(Z, schedule, precision_bits=None):
     this precision.  The traced first cut loci and their crossings with the
     second cut are read from the report.  The k=1 term of the current (a
     holomorphic 2-form) vanishes identically on a complex curve and is
-    skipped.  A stretch of a Moebius path is integrated in closed form
-    (``_moebius_line``), one of a traced path to ``quadrature``'s default
-    tolerance, 2^(-precision_bits/3).
+    skipped.  A stretch is integrated in closed form in the radius of a
+    Moebius path (``_moebius_line``), along a polygon on a traced one.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -497,9 +535,6 @@ def reg_n3(Z, schedule, precision_bits=None):
     rep = _admitted(Z, schedule, precision_bits)
     _, eps2, eps3 = rep.schedule.phases
     guard = mp.mpf(2) ** (-precision_bits // 2)
-    with workprec(precision_bits + _EXTRA_BITS):
-        # the cut rotation at the precision the integrand runs at
-        rot2 = mp.expj(eps2)
     with workprec(precision_bits):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         total = mp.mpc(0)
@@ -540,35 +575,15 @@ def reg_n3(Z, schedule, precision_bits=None):
                 for path in paths:
                     xs = sorted((c for c in crossings if c.host_path is path),
                                 key=lambda c: float(-c.sigma))
-                    bounds = ([-path.sigma_hi] + [mp.mpf(-c.sigma) for c in xs]
-                              + [-path.sigma_lo])
-                    if path.evaluator.linear is not None:
-                        for piece in _moebius_line(comp, path, ev2, const_log2,
-                                                   bounds, xs, eps2, guard,
-                                                   precision_bits):
-                            line = line + piece
-                        continue
-                    along = _along_path(path, ev2, ev3)
-                    for seg, a, b, left_sign, right_sign in _stretches(bounds,
-                                                                       xs):
-                        # nodes at or above this radius are nearer the
-                        # left end of the stretch
-                        r_mid = mp.exp(-(a + b) / 2)
-
-                        def fn(r, _l=left_sign, _r=right_sign, _mid=r_mid):
-                            v2, ratio = along(r)
-                            if v2 is None:
-                                lg2 = const_log2
-                            else:
-                                lg2 = _sided_log_branch(
-                                    v2, eps2, rot2, guard,
-                                    _l if r >= _mid else _r)
-                            return -lg2 * ratio
-
-                        piece = quadrature(fn, a, b,
-                                           precision_bits=precision_bits,
-                                           tails=(seg == 0,
-                                                  seg == len(bounds) - 2))
+                    bounds = [-path.sigma_hi, *(mp.mpf(-c.sigma) for c in xs),
+                              -path.sigma_lo]
+                    pieces = ([ball for *_, ball in quadrature(
+                        comp, path, xs, eps2, precision_bits)]
+                              if path.evaluator.linear is None else
+                              _moebius_line(comp, path, ev2, const_log2,
+                                            bounds, xs, eps2, guard,
+                                            precision_bits))
+                    for piece in pieces:
                         line = line + piece
             entry["line_integral"] = line
             entry["crossing_sum"] = p_sum
@@ -608,9 +623,8 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
     if precision_bits is None:
         precision_bits = mp.mp.prec
     with workprec(precision_bits):
+        values, bound = [], mp.mpf(eps_start)
         if Z.is_point_level and Z.n == 1:
-            values = []
-            bound = mp.mpf(eps_start)
             for _ in range(3):
                 values.append((bound, reg_n1(Z, bound / 2, precision_bits)))
                 bound = bound / 3
@@ -629,9 +643,7 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
             raise ChowregError("cycle is not closed; the regulator needs ker(boundary)")
         if not is_normalized(Z, facets):
             Z = normalize(Z)
-        values = []
-        bound = mp.mpf(eps_start)
-        for k in range(3):
+        for _ in range(3):
             # the accepted report is dropped once its schedule is evaluated
             rep = search_admissible(Z, bound, seed=seed,
                                     precision_bits=precision_bits)
@@ -660,12 +672,8 @@ def _reconcile(values, p, tol):
     to return anything when they disagree beyond combined errors."""
     agreement = []
     for a, b, k, resid, ok in _pairwise_agreement([v for _, v in values], p, tol):
-        agreement.append({
-            "bounds": (float(values[a][0]), float(values[b][0])),
-            "lattice_multiple": k,
-            "residual": resid,
-            "ok": ok,
-        })
+        agreement.append({"bounds": (float(values[a][0]), float(values[b][0])),
+                          "lattice_multiple": k, "residual": resid, "ok": ok})
         if not ok:
             raise ChowregError(
                 "evaluations at different schedules disagree beyond "
@@ -681,15 +689,11 @@ def phase_independence_check(Z, schedules, precision_bits=None, tol=1e-8):
     """Evaluate at each schedule and compare pairwise mod the lattice."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    vals = []
+    if not (Z.is_curve_level and Z.n == 3 or Z.is_point_level and Z.n == 1):
+        raise ChowregError("phase independence applies to n=1 or n=3 cycles")
     with workprec(precision_bits):
-        for s in schedules:
-            if Z.is_curve_level and Z.n == 3:
-                vals.append(reg_n3(Z, s, precision_bits=precision_bits))
-            elif Z.is_point_level and Z.n == 1:
-                vals.append(reg_n1(Z, s.phases[0], precision_bits))
-            else:
-                raise ChowregError("phase independence applies to n=1 or n=3 cycles")
+        vals = [reg_n3(Z, s, precision_bits=precision_bits) if Z.n == 3
+                else reg_n1(Z, s.phases[0], precision_bits) for s in schedules]
         pairs = [{"schedules": (a, b), "lattice_multiple": k, "residual": resid,
                   "ok": ok}
                  for a, b, k, resid, ok in _pairwise_agreement(vals, vals[0].p, tol)]
@@ -702,22 +706,14 @@ def _cf_minimal_denominator(x, max_order, tol):
     qualifying convergent has the minimal denominator)."""
     tol_f = Fraction(tol).limit_denominator(10 ** 15)
     n, d = x.numerator, x.denominator
-    p_prev, p_curr = 1, 0
-    q_prev, q_curr = 0, 1
-    n, d = int(n), int(d)
+    p, p_last, q, q_last = 1, 0, 0, 1
     while d:
-        a = n // d
-        n, d = d, n - a * d
-        p_prev, p_curr = a * p_prev + p_curr, p_prev
-        q_prev, q_curr = a * q_prev + q_curr, q_prev
-        den = int(q_prev)
-        if den < 1:
-            continue
-        approx = Fraction(int(p_prev), den)
-        if den > max_order:
+        a, n, d = n // d, d, n % d
+        p, p_last, q, q_last = a * p + p_last, p, a * q + q_last, q
+        if q > max_order:
             return None
-        if abs(x - approx) < tol_f / den:
-            return den, approx
+        if abs(x - Fraction(p, q)) < tol_f / q:
+            return q, Fraction(p, q)
     return None
 
 

@@ -182,7 +182,8 @@ def li2(z):
     On the cut the value is the limit from below (principal log of 1-z picks
     arg = pi for negative reals), which is the convention the real-valued
     cycle totals require.  A ball centred at 0 or 1 with radius r < 1/2 maps
-    to the bound of Li2 on its disc; a larger one raises PrecisionError.
+    to the bound of Li2 on its disc; a larger one, or any other ball that
+    meets the cut, across which Li2 jumps by 2 pi i log z, PrecisionError.
     """
     zb = _as_ball(z)
     zc, rad = zb.value, zb.radius
@@ -198,6 +199,8 @@ def li2(z):
         v = _pi2_6(prec)
         tail = rad * (1 + math.pi - math.log(rad)) / (1 - rad) if rad else 0.0
         return ComplexApprox(mp.mpc(v), tail * 1.0000001 + ulp_radius(v))
+    if rad and rad >= (abs(zc.imag) if zc.real >= 1 else abs(1 - zc)):
+        raise PrecisionError("li2 of a ball that meets its cut [1, oo)")
     wp = prec + _GUARD
     with mp.workprec(wp):
         value, tail = _li2_point(zc, wp)

@@ -5,12 +5,12 @@ the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
 a family of |f_i| level sets: for log-radii sigma in a fixed span every point
 solves f_i(t) = w with w = e^sigma e^(i(pi - eps_i)), giving one oriented path
 per branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
-point solved on a locus (trace samples, span ends, crossings, and the
-quadrature nodes of a traced path) comes from ``RFEvaluator.solve``, and
-each is checked by ``RFEvaluator.is_resolved`` as the solve returns it: one
-within rounding of a zero or pole raises PrecisionError.  The line
-integral along a Moebius path solves no point: it is taken in closed form in
-the radius.
+point solved on a locus (trace samples, span ends and crossings) comes from
+``RFEvaluator.solve``, and each is checked by ``RFEvaluator.is_resolved`` as
+the solve returns it: one within rounding of a zero or pole raises
+PrecisionError.  The line integral solves no point: it is taken in closed
+form, in the radius along a Moebius path and along a polygon through the
+trace samples of a traced one.
 
 There are two kinds of path.  On a Moebius coordinate the level-set
 polynomial num_i - w den_i is linear and the path is its closed form
@@ -147,14 +147,14 @@ class TracedPath:
     The branch spans the log-radii [``sigma_lo``, ``sigma_hi``], and
     ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
     ``solve_at`` solves the defining equation at any log-radius of the span,
-    so crossing refinement, and quadrature on a traced path, sample the
-    exact path rather than interpolating.  On a Moebius coordinate that
-    solve is the closed form and the path holds nothing more: ``sigmas``
-    and ``points`` are empty.  On a coordinate of higher degree they are the
-    trace's samples, log-radii in decreasing order and the parameter values
-    there, which warm-start the solve and bracket crossings.  On a Moebius
-    path ``in_radius`` composes another coordinate with the path, as a
-    rational function of the radius.
+    so crossing refinement samples the exact path rather than
+    interpolating.  On a Moebius coordinate that solve is the closed form
+    and the path holds nothing more: ``sigmas`` and ``points`` are empty.
+    On a coordinate of higher degree they are the trace's samples, log-radii
+    in decreasing order and the parameter values there, which warm-start
+    the solve, bracket crossings and are the vertices of the polygon the
+    line integral runs along.  On a Moebius path ``in_radius`` composes
+    another coordinate with the path, as a rational function of the radius.
     """
 
     coord_index: int

@@ -185,19 +185,15 @@ def test_cli_properness_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["class"] == "properness"
 
 
-def test_cli_precision_exit_code(tmp_path, capsys):
-    # Totaro at 64 bits fails on its trace samples; Totaro o s^3 over
-    # Q(zeta_3) fails on a quadrature node that rounds onto the zero zeta_3
-    # of its first coordinate
-    s3 = tmp_path / "totaro_s3.cyc"
-    s3.write_text("field cyclotomic(3)\ncycle totaro_s3 n=3 p=2\n"
-                  "component mult=1 1-1/(t^3) ; 1-(t^3) ; 1/(t^3)\n")
-    for source in (["--fixture", "z1_totaro"], [str(s3)]):
-        code, _, err = _run(capsys, ["regulator", *source, "--precision", "64"])
-        assert code == 6
-        error = json.loads(err)["error"]
-        assert error["class"] == "precision"
-        assert "64 bits" in error["message"]
+def test_cli_precision_exit_code(capsys):
+    # Totaro at 64 bits fails on the span-end solve of its Moebius first
+    # locus, which rounds onto the zero t = 1 of 1 - 1/t
+    code, _, err = _run(capsys, ["regulator", "--fixture", "z1_totaro",
+                                 "--precision", "64"])
+    assert code == 6
+    error = json.loads(err)["error"]
+    assert error["class"] == "precision"
+    assert "64 bits" in error["message"]
 
 
 def test_cli_missing_input(capsys):

@@ -1,4 +1,7 @@
+import cmath
+import functools
 import importlib
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,23 +25,21 @@ from chowreg import (
     make_schedule,
     parse_cycle_file,
     phase_independence_check,
-    quadrature,
     reg_n1,
     reg_n3,
     regulator,
     search_admissible,
     torsion_order,
-    trace_wavefront,
     workprec,
 )
 from chowreg.regulator import (
     RegulatorValue,
     _canonical_mod_lattice,
-    _tanh_sinh_segment,
     lattice_difference,
 )
+from chowreg.field import embed
 from chowreg.fixtures import dilog_cycle
-from chowreg.funcfield import RFEvaluator
+from chowreg.funcfield import INF, RFEvaluator
 from chowreg.numeric import ComplexApprox
 
 
@@ -150,113 +151,6 @@ def test_intersection_number_examples(graph_4_2):
         assert intersection_number_n2(empty, s, precision_bits=128) == 0
 
 
-def test_quadrature_z1_line_integral(z1):
-    # int_0^1 log(1-t) (-dt/t) = Li2(1) = pi^2/6, integrated in u = -log r
-    # along the pole -> zero path, where dt/du = -1/dlog f_1
-    with workprec(192):
-        comp = z1.components[0]
-        path = trace_wavefront(comp, 1, mp.mpf("1e-8"), precision_bits=192)[0]
-
-        def fn(r):
-            t = path.solve_at(mp.log(r))[0]
-            return -mp.log(1 - t) / t * (-1 / path.evaluator.dlog(t))
-
-        val = quadrature(fn, -path.sigma_hi, -path.sigma_lo,
-                         precision_bits=192, tol=1e-24)
-        assert abs(val.value - mp.pi ** 2 / 6) < 1e-10
-        assert abs(val.value - mp.pi ** 2 / 6) <= 10 * max(val.radius, 1e-22)
-
-
-def test_quadrature_constant_in_parameter():
-    # the log-radius parameter measures one unit between r = 1 and r = e
-    with workprec(128):
-        val = quadrature(lambda r: mp.mpc(1), 0, 1, precision_bits=128,
-                         tails=(False, False))
-        assert abs(val.value - 1) < 1e-25
-
-
-def test_segment_rule_log_kernel():
-    # int_0^1 log(1+u)/u du = pi^2/12
-    with workprec(160):
-        val, err = _tanh_sinh_segment(lambda u: mp.log(1 + u) / u,
-                                      mp.mpf(0), mp.mpf(1), 1e-30, 160)
-        assert abs(val - mp.pi ** 2 / 12) < 1e-25
-        assert err < 1e-25
-
-
-def test_quadrature_is_one_segment_per_stretch(monkeypatch):
-    # in x = tanh(u/2) one double-exponential segment resolves a whole
-    # stretch: each traced branch of Totaro o s^2 (one stretch, no
-    # crossings) at 256 bits takes about 300 integrand calls
-    regulator_module = importlib.import_module("chowreg.regulator")
-    quad = regulator_module.quadrature
-    segment = regulator_module._tanh_sinh_segment
-    stretches = []
-
-    def counting_segment(*args, **kwargs):
-        stretches[-1]["segments"] += 1
-        return segment(*args, **kwargs)
-
-    def counting_quadrature(fn, *args, **kwargs):
-        counts = {"segments": 0, "nodes": 0}
-        stretches.append(counts)
-
-        def node(r):
-            counts["nodes"] += 1
-            return fn(r)
-
-        return quad(node, *args, **kwargs)
-
-    monkeypatch.setattr(regulator_module, "_tanh_sinh_segment",
-                        counting_segment)
-    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
-    Z = _totaro_composed(1, "t^2")
-    with workprec(256):
-        s = make_schedule(0.3, 3, 0.5)
-        rep = admissible(Z, s, precision_bits=256)
-        reg_n3(Z, rep, precision_bits=256)
-    assert rep.crossings[0] == []
-    assert len(stretches) == len(rep.paths[0]) == 2
-    assert all(c["segments"] == 1 for c in stretches)
-    assert all(c["nodes"] <= 400 for c in stretches)
-
-
-def test_quadrature_calls_share_their_nodes(monkeypatch):
-    # the tanh-sinh abscissae and weights on [-1, 1] are computed once per
-    # precision: a second call on another interval computes no sinh or
-    # cosh, and its only tanh are the ends tanh(u/2) of its interval
-    regulator_module = importlib.import_module("chowreg.regulator")
-    nodes = regulator_module._tanh_sinh_nodes
-    nodes.cache_clear()
-    counts = {"sinh": 0, "cosh": 0, "tanh": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
-
-    def fn(r):
-        return mp.mpc(1) / (1 + mp.log(r) ** 2)
-
-    with workprec(128):
-        first = quadrature(fn, -3, 2, precision_bits=128)
-        after_first = dict(counts)
-        second = quadrature(fn, -1, 4, precision_bits=128)
-    levels = nodes.cache_info().currsize
-    taus = sum(2 * len(nodes(128 + regulator_module._EXTRA_BITS, 128, level))
-               for level in range(levels)) - 1
-    assert counts["sinh"] == after_first["sinh"] == taus
-    assert counts["cosh"] == after_first["cosh"] == 2 * taus
-    assert counts["tanh"] == after_first["tanh"] + 2
-    with workprec(128):
-        assert abs(first.value - (mp.atan(2) + mp.atan(3))) < 1e-30
-        assert abs(second.value - (mp.atan(4) + mp.atan(1))) < 1e-30
-
-
 @pytest.mark.parametrize("bits", [96, 128])
 def test_totaro_accuracy_at_low_precision(z1, bits):
     # the truncated path ends leave |error| ~ 56 e^{-56} ~ 3e-23, and the
@@ -280,20 +174,17 @@ def test_reg_n3_z1(z1):
 def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
     # coordinate 1 of the Totaro curve is Moebius: its cut locus is traced
     # by closed-form solves and its line integral is a closed form in the
-    # radius, so the whole of reg_n3 runs no quadrature node and takes no
-    # Newton step, within the bound of one step per node
+    # radius, so the whole of reg_n3 integrates no traced path and takes no
+    # Newton step
     regulator_module = importlib.import_module("chowreg.regulator")
-    counts = {"nodes": 0, "steps": 0, "solves": 0}
+    counts = {"quadratures": 0, "steps": 0, "solves": 0}
     quad = regulator_module.quadrature
     newton_step = RFEvaluator.newton_step
     solve = RFEvaluator.solve
 
-    def counting_quadrature(fn, *args, **kwargs):
-        def node(r):
-            counts["nodes"] += 1
-            return fn(r)
-
-        return quad(node, *args, **kwargs)
+    def counting_quadrature(*args, **kwargs):
+        counts["quadratures"] += 1
+        return quad(*args, **kwargs)
 
     def counting_step(self, *args):
         counts["steps"] += 1
@@ -310,7 +201,7 @@ def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
         v = reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
         assert abs(v.value.value - mp.pi ** 2 / 6) <= v.value.radius
     assert counts["solves"] > 0
-    assert counts["nodes"] == 0
+    assert counts["quadratures"] == 0
     assert counts["steps"] == 0
 
 
@@ -448,44 +339,222 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
     assert calls == {"solve": 0, "value": 0, "dlog": 0, "newton_step": 0}
 
 
-@pytest.mark.parametrize("cycle", [
-    lambda: _totaro_composed(1, "t^2"),
-    lambda: load_fixture("totaro_s2_plus_i"),
-    lambda: _mccarthy_composed("t^2+i"),
-], ids=["traced_s2", "traced_s2_plus_i", "traced_mccarthy_s2_plus_i"])
-def test_quadrature_radii_stay_on_the_path(cycle, monkeypatch):
-    # every radius quadrature hands the integrand of a traced path lies in
-    # [e^sigma_lo, e^sigma_hi] of its path and in its stretch, also on
-    # stretches that end at a crossing
+_TRACED_CYCLES = {
+    "totaro_s2": lambda: _totaro_composed(1, "t^2"),
+    "totaro_s2_plus_i": lambda: load_fixture("totaro_s2_plus_i"),
+    "totaro_s3": lambda: _totaro_composed(3, "t^3"),
+    "mccarthy_s2_plus_i": lambda: _mccarthy_composed("t^2+i"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted(name):
+    """(cycle, the report search_admissible accepts at 128 bits) of a traced
+    cycle, kept for the polygon tests, which only read it."""
+    Z = _TRACED_CYCLES[name]()
+    with workprec(128):
+        return Z, search_admissible(Z, 0.3, precision_bits=128)
+
+
+def _polygon_of(name, branch=0):
+    """(component, report, path, its crossings, its polygon's chords) for
+    one branch of a traced cycle at 128 bits."""
     regulator_module = importlib.import_module("chowreg.regulator")
-    quad = regulator_module.quadrature
-    stretches = []
+    Z, rep = _accepted(name)
+    path = rep.paths[0][branch]
+    xs = sorted((c for c in rep.crossings[0] if c.host_path is path),
+                key=lambda c: float(-c.sigma))
+    with workprec(128):
+        chords = regulator_module.quadrature(Z.components[0], path, xs,
+                                             rep.schedule.phases[1], 128)
+    return Z.components[0], rep, path, xs, chords
 
-    def recording_quadrature(fn, u_lo, u_hi, *args, **kwargs):
-        radii = []
-        stretches.append((u_lo, u_hi, radii))
 
-        def node(r):
-            radii.append(r)
-            return fn(r)
+def _t_space_chord(comp, eps2, t_a, t_b, bits, exact, start_at_b):
+    """int log^{eps_2} f_2 dlog f_3 along the straight chord from t_a to t_b
+    (in u = 1/t when an end is t = oo), by mpmath's quadrature at ``bits``.
 
-        return quad(node, u_lo, u_hi, *args, **kwargs)
+    The chord parameter lambda in [0, 1] is cut where a zero or pole of f_2
+    or f_3 comes near, and each piece continues the branch of log f_2 from
+    the previous one, starting on the eps_2 branch at the end
+    ``start_at_b`` names.  An end in ``exact`` (a zero or pole of f_1) is
+    approached to 2^(-bits/2), which leaves out far less than the radius."""
+    inverted = INF in (t_a, t_b)
+    coords = comp.coords[1:]
+    if inverted:
+        coords = [f.compose(1 / RationalFunction.t(f.order)) for f in coords]
+    f2, f3 = (RFEvaluator(f, bits) for f in coords)
+    with workprec(bits):
+        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        a, b = (mp.mpc(0) if t is INF else 1 / mp.mpc(t) if inverted
+                else mp.mpc(t) for t in (t_a, t_b))
+        eta = mp.mpf(2) ** (-bits // 2)
+        cuts = {eta if exact[0] else mp.mpf(0), 1 - eta if exact[1] else 1}
+        for f in coords:
+            for pt in f.divisor(bits):
+                if pt.location is INF:
+                    continue
+                loc = pt.location
+                x = (loc.value if isinstance(loc, ComplexApprox)
+                     else embed(loc, bits).value)
+                s = (x - a) / (b - a)
+                cuts |= {c for c in (s.real - abs(s.imag), s.real,
+                                     s.real + abs(s.imag))
+                         if min(cuts) < c < max(cuts)}
+        cuts = sorted(cuts, reverse=start_at_b)
 
-    monkeypatch.setattr(regulator_module, "quadrature", recording_quadrature)
-    Z = cycle()
+        def near(w, branch):
+            lw = mp.log(w)
+            return lw + two_pi_i * mp.nint((branch - lw).imag / (2 * mp.pi))
+
+        branch = mp.log(f2.value(a + cuts[0] * (b - a)))
+        if branch.imag > mp.pi - eps2:
+            branch -= two_pi_i
+        total = mp.mpc(0)
+        for p, q in zip(cuts, cuts[1:]):
+            total += mp.quad(lambda lam, _b=branch: near(
+                f2.value(a + lam * (b - a)), _b)
+                * f3.dlog(a + lam * (b - a)) * (b - a), [p, q])
+            branch = near(f2.value(a + q * (b - a)), branch)
+        return -total if start_at_b else total
+
+
+def _check_chords_against_t_space(comp, rep, xs, chords):
+    crossing_ts = [c.t.value for c in xs]
+    for i, (_, a, b, ball) in enumerate(chords):
+        ref = _t_space_chord(comp, rep.schedule.phases[1], a, b, 192,
+                             (i == 0, i == len(chords) - 1),
+                             i == 0 or a in crossing_ts)
+        with workprec(192):
+            err = abs(mp.mpc(ball.value) - ref)
+            assert err <= ball.radius, (i, a, b)
+            assert err <= mp.mpf(2) ** (16 - 128) * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("name", ["totaro_s2_plus_i", "mccarthy_s2_plus_i"])
+def test_polygon_chords_agree_with_the_t_space_integrand(name):
+    # each chord of a traced branch, integrated in closed form at 128 bits,
+    # against mpmath's quadrature of the t-space integrand on that chord 64
+    # bits higher.  g = s^2 + i is even, so t -> -t maps the curve onto
+    # itself and the first branch onto the second.  On Totaro o (s^2 + i)
+    # the chords meet exact ends where f_2 vanishes and f_3 has a pole; on
+    # McCarthy o (s^2 + i) the branch starts at t = oo, has a crossing, and
+    # ends where f_3 vanishes
+    comp, rep, path, xs, chords = _polygon_of(name)
+    assert len(chords) >= 16
+    if name.startswith("mccarthy"):
+        assert chords[0][1] is INF
+        assert len(xs) == 1 and {seg for seg, *_ in chords} == {0, 1}
+    _check_chords_against_t_space(comp, rep, xs, chords)
+
+
+def test_polygon_end_at_infinity_is_a_chord_in_u():
+    # the first locus of McCarthy o (s^2 + i) starts at the double pole
+    # t = oo of f_1 = i s^2 - 2: each branch's first chord runs from u = 0
+    # to the first trace sample in u = 1/t, where f_2 and f_3 are regular,
+    # and agrees with mpmath's quadrature there 64 bits higher
+    regulator_module = importlib.import_module("chowreg.regulator")
+    for branch in (0, 1):
+        comp, rep, path, xs, chords = _polygon_of("mccarthy_s2_plus_i",
+                                                   branch)
+        pole, _ = regulator_module._branch_ends(comp.coords[0], path, 128)
+        assert pole.location is INF and pole.multiplicity == -2
+        _, a, b, _ = chords[0]
+        assert a is INF and b == path.points[0]
+        assert abs(b) > mp.exp(27)
+        _check_chords_against_t_space(comp, rep, [], chords[:1])
+
+
+def test_chord_around_a_divisor_point_is_split(monkeypatch):
+    # Totaro o g with g = s^2 / (s - c), c = 1/20 + i/400, a curve whose
+    # second branch runs from the pole s = 0 of f_1 around the zero
+    # r_1 = 0.0528 + 0.0028 i of f_2 (where the first branch ends) to
+    # r_2 = 0.947 - 0.0028 i.  With one vertex at each end of the trace the
+    # chord across the branch and the samples it skips enclose r_1, so the
+    # chord is split; the value moves no more than the radii, and holds
+    # deg g pi^2/6
+    regulator_module = importlib.import_module("chowreg.regulator")
+    in_or_near_loop = regulator_module._in_or_near_loop
+    enclosed = []
+
+    def recording(z, loop):
+        near = in_or_near_loop(z, loop)
+        winding = sum(cmath.phase((q - z) / (p - z))
+                      for p, q in zip(loop, loop[1:] + loop[:1]))
+        if near and abs(winding) > math.pi:
+            enclosed.append(z)
+        return near
+
+    Z = _totaro_composed(4, "t^2/(t-(1/20+i/400))")
     with workprec(128):
         rep = search_admissible(Z, 0.3, precision_bits=128)
-        reg_n3(Z, rep, precision_bits=128)
-    paths = [p for ps in rep.paths.values() for p in ps]
-    assert stretches
-    assert len(stretches) == len(paths) + sum(map(len, rep.crossings.values()))
-    with workprec(128 + regulator_module._EXTRA_BITS):
-        lo = min(mp.exp(p.sigma_lo) for p in paths)
-        hi = max(mp.exp(p.sigma_hi) for p in paths)
-        for u_lo, u_hi, radii in stretches:
-            assert radii
-            assert all(mp.exp(-u_hi) <= r <= mp.exp(-u_lo) for r in radii)
-            assert all(lo <= r <= hi for r in radii)
+        default = reg_n3(Z, rep, precision_bits=128)
+        monkeypatch.setattr(regulator_module, "_POLYGON_STRIDE", 10 ** 6)
+        monkeypatch.setattr(regulator_module, "_in_or_near_loop", recording)
+        wide = reg_n3(Z, rep, precision_bits=128)
+    assert enclosed
+    with workprec(192):
+        assert abs(mp.mpc(wide.value.value) - mp.mpc(default.value.value)) \
+            <= wide.value.radius + default.value.radius
+        assert abs(mp.mpc(wide.value.value) - mp.pi ** 2 / 3) \
+            <= wide.value.radius
+
+
+@pytest.mark.parametrize("name", sorted(_TRACED_CYCLES))
+def test_half_polygon_stride_moves_no_traced_value(name, monkeypatch):
+    # a polygon through every 20th trace sample instead of every 40th is
+    # homotopic to the first: the value moves by less than the radii
+    regulator_module = importlib.import_module("chowreg.regulator")
+    Z, rep = _accepted(name)
+    with workprec(128):
+        default = reg_n3(Z, rep, precision_bits=128)
+        monkeypatch.setattr(regulator_module, "_POLYGON_STRIDE",
+                            regulator_module._POLYGON_STRIDE // 2)
+        half = reg_n3(Z, rep, precision_bits=128)
+    with workprec(192):
+        assert abs(mp.mpc(half.value.value) - mp.mpc(default.value.value)) \
+            <= half.value.radius + default.value.radius
+
+
+@pytest.mark.parametrize("name", ["totaro_s2", "totaro_s2_plus_i",
+                                  "mccarthy_s2_plus_i"],
+                         ids=["traced_s2", "traced_s2_plus_i",
+                              "traced_mccarthy_s2_plus_i"])
+def test_polygon_vertices_lie_on_the_path(name):
+    # the polygon of each branch is joined up, runs from a pole of f_1 to a
+    # zero, and every other vertex is a trace sample of the branch or a
+    # crossing with the second cut, where the stretch changes
+    regulator_module = importlib.import_module("chowreg.regulator")
+    Z, rep = _accepted(name)
+    for branch in range(len(rep.paths[0])):
+        comp, _, path, xs, chords = _polygon_of(name, branch)
+        pole, zero = regulator_module._branch_ends(comp.coords[0], path, 128)
+        with workprec(144):
+            assert chords[0][1] == regulator_module._location(pole)
+            assert chords[-1][2] == regulator_module._location(zero)
+        assert [seg for seg, *_ in chords] == sorted(seg for seg, *_ in chords)
+        assert chords[-1][0] == len(xs)
+        crossing_ts = [c.t.value for c in xs]
+        for (seg, _, b, _), (next_seg, a, _, _) in zip(chords, chords[1:]):
+            assert a == b
+            assert b in path.points or (b in crossing_ts
+                                        and next_seg == seg + 1)
+
+
+def test_polygon_is_a_few_chords_per_stretch():
+    # each traced branch of Totaro o s^2 (one stretch, no crossings) at 256
+    # bits is one chord per 40 trace samples and one to each exact end,
+    # with a few split where a zero of f_2 sits next to the last sample
+    regulator_module = importlib.import_module("chowreg.regulator")
+    Z = _totaro_composed(1, "t^2")
+    with workprec(256):
+        rep = admissible(Z, make_schedule(0.3, 3, 0.5), precision_bits=256)
+        assert rep.crossings[0] == []
+        assert len(rep.paths[0]) == 2
+        for path in rep.paths[0]:
+            chords = regulator_module.quadrature(Z.components[0], path, [],
+                                                 rep.schedule.phases[1], 256)
+            assert 16 <= len(chords) <= 24
 
 
 def test_reg_n3_z_square_oracle(z_square):
@@ -675,14 +744,17 @@ def test_totaro_span_end_raises_precision_error_before_quadrature(
     assert quadratures == []
 
 
-def test_regulator_node_on_a_zero_raises_precision_error():
-    # at 64 bits a quadrature node of Totaro o s^3 rounds onto the zero
-    # zeta_3 of 1 - 1/t^3, where dlog of coordinate 1 would divide by 0
+def test_totaro_s3_at_64_bits_holds_its_oracle():
+    # the polygon of a traced path reads no point within rounding of a zero
+    # or pole: it runs to the exact zeros zeta_3^k of 1 - 1/t^3, where a
+    # quadrature node used to round onto one at 64 bits and refuse
     Z = _totaro_composed(3, "t^3")
     with workprec(64):
-        with pytest.raises(PrecisionError, match="rounds onto a zero or pole "
-                                                 "at 64 bits"):
-            regulator(Z, precision_bits=64)
+        v = regulator(Z, precision_bits=64)
+        tr = torsion_order(v, max_order=200, tol=1e-6)
+    with workprec(128):
+        assert abs(mp.mpc(v.value.value) - mp.pi ** 2 / 2) <= v.value.radius
+    assert tr.order == 8
 
 
 def _divisor_key(points):

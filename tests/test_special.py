@@ -178,6 +178,23 @@ def test_li2_wide_ball_at_zero_or_one_is_refused(centre, r):
             li2(ComplexApprox(mp.mpc(centre), r))
 
 
+def test_li2_ball_meeting_its_cut_is_refused():
+    # Li2 jumps by 2 pi i log x across its cut [1, oo): Li2(2 + 0.05i) lies
+    # 4.36 from Li2(2), far outside any derivative bound, so a ball of
+    # nonzero radius that meets the cut has no value.  A point on the cut
+    # keeps its limit from below, and a ball clear of the cut is a value
+    with workprec(128):
+        for z in (2, mp.mpc(3, "0.05"), mp.mpc("0.95", "0.01")):
+            with pytest.raises(PrecisionError, match="cut"):
+                li2(ComplexApprox(mp.mpc(z), 0.1))
+        clear = li2(ComplexApprox(mp.mpc(2, "0.2"), 0.1))
+        for w in (mp.mpc(2, "0.11"), mp.mpc("2.1", "0.2"), mp.mpc(2, "0.29")):
+            assert abs(clear.value - mp.polylog(2, w)) <= clear.radius
+        point = li2(mp.mpc(2))
+        assert abs(point.value - (mp.pi ** 2 / 4 - 1j * mp.pi * mp.log(2))) \
+            <= point.radius
+
+
 def _sweep_points():
     points = []
     for k in range(16):
