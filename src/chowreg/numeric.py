@@ -27,7 +27,7 @@ _SLOP = 1.0 + 2.0 ** -40
 def workprec(bits):
     """Context manager setting the mpmath working precision in bits."""
     if bits < 53:
-        raise PrecisionError(f"working precision must be >= 53 bits, got {bits}")
+        raise PrecisionError(f"working precision must be >= 53 bits, got {bits} bits")
     return mp.workprec(int(bits))
 
 

@@ -27,9 +27,9 @@ log f_2 is fixed.
 On a Moebius path f_1 = r direction, so f_2 is c prod (r - s_k)^{n_k} and
 dlog f_3 / dlog f_1 is sum_j m_j r / (r - rho_j), with the s_k and rho_j the
 zeros and poles of f_2 and f_3 in the radius.  Each stretch integral is
-then a sum of logs and dilogarithms at its two ends (Lewin 1981; Zagier
-2007).  A traced path is integrated along a polygon through its trace
-samples to the exact zero and pole of f_1 (``quadrature``), with the same
+then a sum of logs and dilogarithms at its two ends, or their limits at
+the pole r = oo and the zero r = 0 of f_1 (Lewin 1981; Zagier 2007).  A
+traced path is integrated along a polygon through its trace to the exact zero and pole of f_1 (``quadrature``), with the same
 logs and dilogarithms on each chord, so every line integral is a finite
 sum of closed-form terms.
 """
@@ -257,62 +257,62 @@ def _antiderivative(r, zeros3, pairs, dilogs=None):
     return h, g, radius, size
 
 
-def _moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2, guard,
-                  precision_bits):
-    """The line integral over each stretch of a Moebius ``path``, in closed
-    form, as a list of balls.
+def _moebius_line(comp, path, xs, eps2, precision_bits=None):
+    """The line integral over each stretch of a Moebius first-locus ``path``
+    with its crossings ``xs`` (in path order), in closed form, as balls.
 
-    Along the path f_1 = r direction, so with the zeros and poles s_k of
-    f_2 and rho_j of f_3 in the radius (``_in_radius_divisor``) a stretch
-    from radius r_a down to r_b contributes
-    L = int_{r_a}^{r_b} log^{eps_2} f_2 sum_j m_j dr / (r - rho_j).
+    Along the path f_1 = r direction, r from oo down to 0, so with the zeros
+    and poles s_k of f_2 and rho_j of f_3 in the radius
+    (``_in_radius_divisor``) a stretch from radius r_a down to r_b
+    contributes L = int_{r_a}^{r_b} log^{eps_2} f_2 sum_j m_j dr / (r - rho_j).
     On the stretch log^{eps_2} f_2 = K + sum_k n_k log(r - s_k): the branch
-    of log f_2 is fixed between crossings, and K is fixed once, at the
-    middle log-radius, by the sided branch the crossing signs pick.  So
-    L = [H + K G] from r_a to r_b (``_antiderivative``).  The
-    radius adds the dilogarithms' radii, a rounding term
-    2^(8 - precision_bits) times the summed size of the terms, and at a
-    true path end a tail allowance: twice the integrand probed 1e-9 of the
-    stretch inside the end, which the span leaves out.
+    of log f_2 is fixed between crossings, and K is fixed once, by the
+    sided branch the crossing signs pick, at the middle log-radius of the
+    stretch, one unit beyond the crossing next to a path end, or at r = 1.
+    So L = [H + K G] from r_a to r_b (``_antiderivative``), in the limit at
+    r = oo and r = 0 (``_antiderivative_at_oo``, ``_antiderivative_at_0``).
+    The radius adds the dilogarithms' radii and 2^(8 - precision_bits)
+    times the summed size of the terms.
     """
+    if precision_bits is None:
+        precision_bits = mp.mp.prec
+    f2 = comp.coords[1]
+    ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
     with workprec(precision_bits + _EXTRA_BITS):
-        rot2 = mp.expj(eps2)
+        rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
+        rounding = float(mp.mpf(2) ** (8 - precision_bits))
+        if ev2 is None:
+            const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
+                                 BranchSpec(eps2)).value
+        else:
+            a2, b2 = path.in_radius(ev2)
         zeros2 = ([] if ev2 is None
                   else _in_radius_divisor(comp, 2, path, precision_bits))
         zeros3 = _in_radius_divisor(comp, 3, path, precision_bits)
         pairs = _dilog_pairs(zeros2, zeros3)
-        ends = [_antiderivative(mp.exp(-u), zeros3, pairs) for u in bounds]
-        if ev2 is not None:
-            a2, b2 = path.in_radius(ev2)
+        # K is fixed at the middle log-radius of a stretch, or one unit
+        # beyond its crossing on a stretch that runs to a path end
+        sigmas = [c.sigma for c in xs]
+        inner = [_antiderivative(mp.exp(s), zeros3, pairs) for s in sigmas]
+        mids = [sigmas[0] + 2, *sigmas, sigmas[-1] - 2] if xs else [1, -1]
         horner = RFEvaluator._horner
-        rounding = mp.mpf(2) ** (8 - precision_bits)
         pieces = []
-        for seg, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            if b <= a:
-                continue
-            left_sign = xs[seg - 1].sign if seg else 0  # opens the stretch
-            r_mid = mp.exp(-(a + b) / 2)
-            k = const_log2
-            if ev2 is not None:
-                k = _sided_log_branch(
-                    horner(a2, r_mid) / horner(b2, r_mid), eps2, rot2, guard,
-                    left_sign) - sum(n * mp.log(r_mid - s) for n, s in zeros2)
-            (h_a, g_a, rad_a, size_a), (h_b, g_b, rad_b, size_b) = \
-                ends[seg], ends[seg + 1]
-            # the tail probes, at a true path end only
-            inside = mp.mpf("1e-9") * (b - a)
-            tail = 0.0
-            for u in ([a + inside] if seg == 0 else []) + (
-                    [b - inside] if seg == len(bounds) - 2 else []):
-                r = mp.exp(-u)
-                lg2 = k + sum(n * mp.log(r - s) for n, s in zeros2)
-                tail += float(abs(lg2 * sum(m * r / (r - rho)
-                                            for m, rho in zeros3)))
+        for seg, (a, b) in enumerate(zip(mids, mids[1:])):
+            r = mp.exp((a + b) / 2)
+            k = const_log2 if ev2 is None else _sided_log_branch(
+                horner(a2, r) / horner(b2, r), eps2, rot2, guard,
+                xs[seg - 1].sign if seg else 0) - sum(
+                    n * mp.log(r - s) for n, s in zeros2)
+            h_a, g_a, rad_a, size_a = (
+                inner[seg - 1] if seg
+                else _antiderivative_at_oo(zeros3, pairs, k, precision_bits))
+            h_b, g_b, rad_b, size_b = (
+                inner[seg] if seg < len(xs)
+                else _antiderivative_at_0(zeros3, pairs, k, precision_bits))
             size = size_a + size_b + float(abs(k)) * (float(abs(g_a))
                                                      + float(abs(g_b)))
-            pieces.append(ComplexApprox(
-                h_b - h_a + k * (g_b - g_a),
-                rad_a + rad_b + float(rounding) * size + 2.0 * tail))
+            pieces.append(ComplexApprox(h_b - h_a + k * (g_b - g_a),
+                                        rad_a + rad_b + rounding * size))
         return pieces
 
 
@@ -366,6 +366,34 @@ def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs=None):
     return _antiderivative(mp.mpf(0), [zeros3[j] for j in keep],
                            [(coeff, keep[j], *rest) for coeff, j, *rest
                             in pairs if j in keep], None if dropped else dilogs)
+
+
+def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
+    """``_antiderivative`` as r -> oo, where a Moebius path starts: (H, 0,
+    0.0, size), H the limit of H + K G.  With L = log r,
+    log(r - rho) = L + o(1), and the L^2/2 and L terms of the pairs and of
+    K G cancel on a properly meeting cycle (else ChowregError).  An
+    inverted pair's Li2 tends to 0; one that is not adds pi^2/6 + c^2/2 by
+    the inversion formula of Li2 (Zagier 2007), log(-z) = L + c + o(1):
+    c = log(-1/delta), less 2 pi i when delta > 0 and Im rho < 0."""
+    slope = k * sum(m for m, _ in zeros3)
+    scale, h, size = abs(slope), mp.mpc(0), 0.0
+    for coeff, j, delta, inverted, d in pairs:
+        if delta is not None and not inverted:
+            c = mp.log(-1 / delta)
+            if not delta.imag and delta.real > 0 and zeros3[j][1].imag < 0:
+                c -= 2 * mp.pi * mp.mpc(0, 1)
+            d += c
+            term = coeff * (mp.pi ** 2 / 6 + c ** 2 / 2)
+            h += term
+            size += abs(complex(term))
+        slope += coeff * d
+        scale += abs(coeff) * abs(d)
+    if sum(p[0] for p in pairs) or abs(slope) > mp.mpf(2) ** (
+            16 - precision_bits) * (1 + scale):
+        raise ChowregError("the line integral diverges at the start of the "
+                           "first cut locus, where f_3 is 0 or oo")
+    return h, mp.mpc(0), 0.0, size
 
 
 def quadrature(comp, path, xs, eps2, precision_bits=None):
@@ -525,8 +553,10 @@ def reg_n3(Z, schedule, precision_bits=None):
     this precision.  The traced first cut loci and their crossings with the
     second cut are read from the report.  The k=1 term of the current (a
     holomorphic 2-form) vanishes identically on a complex curve and is
-    skipped.  A stretch is integrated in closed form in the radius of a
-    Moebius path (``_moebius_line``), along a polygon on a traced one.
+    skipped.  Each path is integrated from the pole of f_1 to its zero, one
+    stretch between crossings at a time: in closed form in the radius on a
+    Moebius path (``_moebius_line``), along a polygon on a traced one
+    (``quadrature``), both called alike.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -534,14 +564,13 @@ def reg_n3(Z, schedule, precision_bits=None):
         raise ChowregError("reg_n3 needs a curve-level cycle in the 3-cube")
     rep = _admitted(Z, schedule, precision_bits)
     _, eps2, eps3 = rep.schedule.phases
-    guard = mp.mpf(2) ** (-precision_bits // 2)
     with workprec(precision_bits):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         total = mp.mpc(0)
         total_err = 0.0
         breakdown = []
         for ci, comp in enumerate(Z.components):
-            f1, f2, f3 = comp.coords
+            f1, _, f3 = comp.coords
             entry = {"component": ci, "mult": comp.mult,
                      "line_integral": ComplexApprox(mp.mpc(0), 0.0),
                      "crossing_sum": ComplexApprox(mp.mpc(0), 0.0),
@@ -567,24 +596,13 @@ def reg_n3(Z, schedule, precision_bits=None):
             # line integral L, split at crossings, branch fixed by continuity
             line = ComplexApprox(mp.mpc(0), 0.0)
             if not f3.is_constant():
-                ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
-                const_log2 = None
-                if ev2 is None:
-                    const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
-                                         BranchSpec(eps2)).value
                 for path in paths:
                     xs = sorted((c for c in crossings if c.host_path is path),
                                 key=lambda c: float(-c.sigma))
-                    bounds = [-path.sigma_hi, *(mp.mpf(-c.sigma) for c in xs),
-                              -path.sigma_lo]
-                    pieces = ([ball for *_, ball in quadrature(
-                        comp, path, xs, eps2, precision_bits)]
-                              if path.evaluator.linear is None else
-                              _moebius_line(comp, path, ev2, const_log2,
-                                            bounds, xs, eps2, guard,
-                                            precision_bits))
-                    for piece in pieces:
-                        line = line + piece
+                    moebius = path.evaluator.linear is not None
+                    for piece in (_moebius_line if moebius else quadrature)(
+                            comp, path, xs, eps2, precision_bits):
+                        line = line + (piece if moebius else piece[-1])
             entry["line_integral"] = line
             entry["crossing_sum"] = p_sum
             breakdown.append(entry)

@@ -2,21 +2,21 @@
 
 For a curve component t -> (f_1(t), ..., f_n(t)) and phases (eps_1, ..., eps_n),
 the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
-a family of |f_i| level sets: for log-radii sigma in a fixed span every point
-solves f_i(t) = w with w = e^sigma e^(i(pi - eps_i)), giving one oriented path
-per branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
-point solved on a locus (trace samples, span ends and crossings) comes from
+a family of |f_i| level sets: at log-radius sigma every point solves
+f_i(t) = w with w = e^sigma e^(i(pi - eps_i)), giving one oriented path per
+branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
+point solved on a locus (trace samples and crossings) comes from
 ``RFEvaluator.solve``, and each is checked by ``RFEvaluator.is_resolved`` as
 the solve returns it: one within rounding of a zero or pole raises
 PrecisionError.  The line integral solves no point: it is taken in closed
 form, in the radius along a Moebius path and along a polygon through the
-trace samples of a traced one.
+trace samples of a traced one, each from the pole to the zero.
 
 There are two kinds of path.  On a Moebius coordinate the level-set
 polynomial num_i - w den_i is linear and the path is its closed form
-t(w) = (w d0 - n0) / (n1 - w d1): nothing is sampled, and only the two span
-ends are solved and checked up front.  On a coordinate of higher degree the
-locus is traced over a grid of log-radii: one full root solve seeds the
+t(w) = (w d0 - n0) / (n1 - w d1) for every radius in (0, oo): nothing is
+sampled or solved up front.  On a coordinate of higher degree the locus is
+traced over a fixed span of log-radii: one full root solve seeds the
 branches at the largest radius and each later sample is Newton on
 num_i - w den_i from the branch's previous one.  A step that fails, or two
 branches that close in on one another, end the trace with ScheduleError.
@@ -45,10 +45,8 @@ evaluation reads its paths and crossings rather than tracing again.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import mpmath as mp
@@ -144,24 +142,22 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
 class TracedPath:
     """One branch of a cut locus, oriented pole -> zero (radius decreasing).
 
-    The branch spans the log-radii [``sigma_lo``, ``sigma_hi``], and
     ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
-    ``solve_at`` solves the defining equation at any log-radius of the span,
+    ``solve_at`` solves the defining equation at a log-radius of the path,
     so crossing refinement samples the exact path rather than
-    interpolating.  On a Moebius coordinate that solve is the closed form
-    and the path holds nothing more: ``sigmas`` and ``points`` are empty.
-    On a coordinate of higher degree they are the trace's samples, log-radii
-    in decreasing order and the parameter values there, which warm-start
-    the solve, bracket crossings and are the vertices of the polygon the
-    line integral runs along.  On a Moebius path ``in_radius`` composes
-    another coordinate with the path, as a rational function of the radius.
+    interpolating.  On a Moebius coordinate that solve is the closed form,
+    at any log-radius, and the path holds nothing more: ``sigmas`` and
+    ``points`` are empty.  On a coordinate of higher degree they are the
+    trace's samples, log-radii in decreasing order and the parameter values
+    there, which bound and warm-start the solve, bracket crossings and are
+    the vertices of the polygon the line integral runs along.  On a Moebius
+    path ``in_radius`` composes another coordinate with the path, as a
+    rational function of the radius.
     """
 
     coord_index: int
     direction: object
     evaluator: RFEvaluator
-    sigma_hi: object
-    sigma_lo: object
     sigmas: tuple = ()
     points: tuple = ()
 
@@ -179,19 +175,18 @@ class TracedPath:
 
         It runs ``RFEvaluator.solve``, the solver the trace itself steps
         with: in closed form on a Moebius coordinate, and else by Newton
-        warm-started from the nearest sample.  A stalled solve or a critical
-        point is a ConvergenceError; a point that ``is_resolved`` refuses
-        (within rounding of a zero or pole of f, where dlog f divides by
-        num or den) is a PrecisionError, as for a trace sample.
+        warm-started from the nearest sample within the traced range.  A
+        stalled solve or a critical point is a ConvergenceError; a point
+        that ``is_resolved`` refuses (within rounding of a zero or pole of
+        f, where dlog f divides by num or den) is a PrecisionError, as for
+        a trace sample.
         """
-        sigma = mp.mpf(sigma)
-        if sigma > self.sigma_hi or sigma < self.sigma_lo:
+        sigma, sigmas = mp.mpf(sigma), self.sigmas
+        if sigmas and not sigmas[-1] <= sigma <= sigmas[0]:
             raise ChowregError(
                 f"log-radius {mp.nstr(sigma, 8)} is outside the traced range "
-                f"[{mp.nstr(self.sigma_lo, 8)}, {mp.nstr(self.sigma_hi, 8)}]")
-        start = None
-        if self.evaluator.linear is None:
-            start = self.points[self._nearest_index(sigma)]
+                f"[{mp.nstr(sigmas[-1], 8)}, {mp.nstr(sigmas[0], 8)}]")
+        start = self.points[self._nearest_index(sigma)] if sigmas else None
         try:
             hit = self.evaluator.solve(start, mp.exp(sigma) * self.direction,
                                        mp.mpf(2) ** (12 - mp.mp.prec), 60)
@@ -201,8 +196,7 @@ class TracedPath:
                 f"{float(sigma):.4f}") from exc
         if hit is None:
             raise ConvergenceError(
-                f"path refinement stalled at log-radius {float(sigma):.4f}"
-            )
+                f"path refinement stalled at log-radius {float(sigma):.4f}")
         return _resolved(self.evaluator, self.coord_index, hit, sigma)
 
     def in_radius(self, ev):
@@ -316,15 +310,13 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     """All branches of {t : arg f_i(t) = pi - phase}.
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
-    total), each oriented pole -> zero over the log-radii of the trace grid,
-    SIGMA_SPAN_DEFAULT down to its negative.
+    total), each oriented pole -> zero.
 
-    A Moebius f_i has one branch, and ``solve_at`` is its closed form: the
-    path is not sampled.  Only the two span ends are solved and checked, as
-    a trace sample would be, so an end that rounds onto a zero or pole of
-    f_i raises PrecisionError here.
+    A Moebius f_i has one branch, and ``solve_at`` is its closed form at
+    every radius in (0, oo): the path is neither sampled nor solved here.
 
-    A coordinate of higher degree is traced over the grid: one full root
+    A coordinate of higher degree is traced over the log-radii of the trace
+    grid, SIGMA_SPAN_DEFAULT down to its negative: one full root
     solve seeds the branches at the largest radius, and each is continued
     by ``RFEvaluator.solve`` from its previous sample.  The trace is one
     pass: every sample, seeds included, is checked as it is produced, and
@@ -343,12 +335,9 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     with workprec(precision_bits):
         ev = f.evaluator(precision_bits)
         direction = mp.expj(mp.pi - mp.mpf(phase))
-        sigmas = _trace_grid(mp.mp.prec)
         if ev.linear is not None:
-            for sigma in (sigmas[0], sigmas[-1]):
-                _trace_step(ev, coord_index, direction, None, sigma)
-            return [TracedPath(coord_index, direction, ev, sigmas[0],
-                               sigmas[-1])]
+            return [TracedPath(coord_index, direction, ev)]
+        sigmas = _trace_grid(mp.mp.prec)
         collision_rel = mp.mpf(2) ** (-precision_bits // 2)
         current = [_resolved(ev, coord_index, (t, None, None), sigmas[0])[0]
                    for t in _seed_roots(ev, mp.exp(sigmas[0]) * direction,
@@ -368,8 +357,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
             current = moved
             for branch, t in zip(branches, current):
                 branch.append(t)
-        return [TracedPath(coord_index, direction, ev, sigmas[0], sigmas[-1],
-                           sigmas, tuple(points))
+        return [TracedPath(coord_index, direction, ev, sigmas, tuple(points))
                 for points in branches]
 
 
@@ -467,12 +455,11 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
 
     With f_j = A(r) / B(r) along the path (``TracedPath.in_radius``),
     P(r) = Im(rot_j A conj(B)) = |B|^2 g is a real polynomial of degree at
-    most 2 deg f_j.
-    Its roots in (e^sigma_lo, e^sigma_hi) are isolated by Descartes's rule
-    of signs (Collins-Akritas).  A bracket is split at its middle point of
-    the trace grid while it holds one, so a root alone in a grid step gets
-    that step as its bracket, the one the sample scan would refine from,
-    and a step holding several roots is halved in log-radius.  A bracket
+    most 2 deg f_j; its factors of r are dropped, as r = 0 is no point of
+    the path.  By Cauchy's bound every root of P lies in the log-radii
+    +-log(1 + max |p_k| / min(|p_0|, |p_n|)), and those in (0, oo) are
+    isolated there by Descartes's rule of signs (Collins-Akritas): a
+    bracket that holds several roots is halved in log-radius.  A bracket
     narrower than 2^(-prec/2) that still holds several roots is kept when
     P changes sign across it, as one crossing, and dropped else.  At a root
     rot_j f_j = Q / |B|^2 with Q = Re(rot_j A conj(B)), so a bracket with
@@ -486,12 +473,14 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
     q = [c.real for c in rotated]
     while p and not p[-1]:
         p.pop()
-    if not p:
+    while p and not p[0]:
+        p.pop(0)
+    if len(p) < 2:
         return []
-    grid = _trace_grid(mp.mp.prec)
+    bound = mp.log(1 + max(map(abs, p)) / min(abs(p[0]), abs(p[-1])))
     min_width = mp.mpf(2) ** (-precision_bits // 2)
     out = []
-    stack = [(path.sigma_hi, path.sigma_lo)]
+    stack = [(bound, -bound)]
     while stack:
         s_hi, s_lo = stack.pop()
         r_hi, r_lo = mp.exp(s_hi), mp.exp(s_lo)
@@ -499,20 +488,13 @@ def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
         if roots == 0 or (roots == 1 and _sign_variations(q, r_lo, r_hi) == 0
                           and mp.polyval(q[::-1], r_hi) > 0):
             continue
-        # the grid points strictly inside the bracket, which runs down
-        # the grid as the sigmas do
-        first = bisect.bisect_right(grid, -s_hi, key=operator.neg)
-        stop = bisect.bisect_left(grid, -s_lo, key=operator.neg)
-        if first < stop:
-            mid = grid[(first + stop) // 2]
-        elif roots == 1 or s_hi - s_lo < min_width:
+        if roots == 1 or s_hi - s_lo < min_width:
             hi_positive, lo_positive = (mp.polyval(p[::-1], r) >= 0
                                         for r in (r_hi, r_lo))
             if hi_positive != lo_positive:
                 out.append(((s_hi, s_lo), hi_positive))
             continue
-        else:
-            mid = (s_hi + s_lo) / 2
+        mid = (s_hi + s_lo) / 2
         stack.append((mid, s_lo))
         stack.append((s_hi, mid))
     return out

@@ -186,14 +186,13 @@ def test_cli_properness_exit_code(tmp_path, capsys):
 
 
 def test_cli_precision_exit_code(capsys):
-    # Totaro at 64 bits fails on the span-end solve of its Moebius first
-    # locus, which rounds onto the zero t = 1 of 1 - 1/t
+    # a working precision below the supported 53 bits is refused up front
     code, _, err = _run(capsys, ["regulator", "--fixture", "z1_totaro",
-                                 "--precision", "64"])
+                                 "--precision", "40"])
     assert code == 6
     error = json.loads(err)["error"]
     assert error["class"] == "precision"
-    assert "64 bits" in error["message"]
+    assert "40 bits" in error["message"]
 
 
 def test_cli_missing_input(capsys):

@@ -20,9 +20,13 @@ ORACLE_GUARD_BITS = 64
     (10, 3), (12, 1), (12, 5),
 ])
 def test_dilog_member_matches_li2_and_cl2(N, k):
-    with workprec(BITS):
-        v = regulator(dilog_cycle(N, k), precision_bits=BITS)
-    with workprec(BITS + ORACLE_GUARD_BITS):
+    _member_holds_li2_and_cl2(N, k, BITS)
+
+
+def _member_holds_li2_and_cl2(N, k, bits):
+    with workprec(bits):
+        v = regulator(dilog_cycle(N, k), precision_bits=bits)
+    with workprec(bits + ORACLE_GUARD_BITS):
         value = mp.mpc(v.value.value)
         li2 = N * mp.polylog(2, mp.expjpi(mp.mpf(2 * k) / N))
         cl2 = N * mp.clsin(2, 2 * mp.pi * k / N)
@@ -39,7 +43,18 @@ def test_dilog_pair_is_torsion(N, k, order, certificate):
     # Z_{N,k} + Z_{N,N-k} is real, q = -(N/3 - 2k(N - k)/N)/4 mod 1
     q = -(Fraction(N, 3) - Fraction(2 * k * (N - k), N)) / 4
     assert q % 1 == certificate
-    with workprec(BITS):
-        v = regulator(dilog_pair(N, k), precision_bits=BITS)
+    _pair_is_torsion(N, k, order, certificate, BITS)
+
+
+def _pair_is_torsion(N, k, order, certificate, bits):
+    with workprec(bits):
+        v = regulator(dilog_pair(N, k), precision_bits=bits)
         tr = torsion_order(v)
     assert (tr.order, tr.certificate) == (order, certificate)
+
+
+def test_member_and_pair_at_53_bits():
+    # the first locus runs from the pole of f_1 to its zero, so a family
+    # member and a pair evaluate at the lowest supported precision
+    _member_holds_li2_and_cl2(12, 5, 53)
+    _pair_is_torsion(12, 5, 24, Fraction(11, 24), 53)

@@ -2,6 +2,7 @@ import cmath
 import functools
 import importlib
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -151,16 +152,29 @@ def test_intersection_number_examples(graph_4_2):
         assert intersection_number_n2(empty, s, precision_bits=128) == 0
 
 
-@pytest.mark.parametrize("bits", [96, 128])
+@pytest.mark.parametrize("bits", [53, 64, 80, 96, 128])
 def test_totaro_accuracy_at_low_precision(z1, bits):
-    # the truncated path ends leave |error| ~ 56 e^{-56} ~ 3e-23, and the
-    # quadrature reaches that floor from 96 bits up
+    # the Moebius first locus is integrated from the pole of f_1 to its
+    # zero, so the error is rounding alone, down to 53 bits
     with workprec(bits):
         v = regulator(z1, precision_bits=bits)
+        tr = torsion_order(v, 200, 1e-6)
     with workprec(bits + 64):
-        err = abs(mp.mpc(v.value.value) - mp.pi ** 2 / 6)
-    assert err <= v.value.radius
-    assert err < 1e-21
+        value = mp.mpc(v.value.value)
+        err = abs(value - mp.pi ** 2 / 6)
+        assert err <= v.value.radius
+        assert err <= mp.mpf(2) ** (8 - bits) * max(1, abs(value))
+    assert tr.order == 24
+
+
+def test_petras_at_53_bits_holds_its_oracle(petras):
+    with workprec(53):
+        v = regulator(petras, precision_bits=53)
+        tr = torsion_order(v, 200, 1e-6)
+    with workprec(53 + 64):
+        assert abs(mp.mpc(v.value.value) - 7 * mp.pi ** 2 / 30) \
+            <= v.value.radius
+    assert tr.order == 120
 
 
 def test_reg_n3_z1(z1):
@@ -172,10 +186,10 @@ def test_reg_n3_z1(z1):
 
 
 def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
-    # coordinate 1 of the Totaro curve is Moebius: its cut locus is traced
-    # by closed-form solves and its line integral is a closed form in the
-    # radius, so the whole of reg_n3 integrates no traced path and takes no
-    # Newton step
+    # coordinate 1 of the Totaro curve is Moebius: its cut locus is the
+    # closed form in the radius, with no crossing to refine, and so is its
+    # line integral, so the whole of reg_n3 solves no point, integrates no
+    # traced path and takes no Newton step
     regulator_module = importlib.import_module("chowreg.regulator")
     counts = {"quadratures": 0, "steps": 0, "solves": 0}
     quad = regulator_module.quadrature
@@ -200,7 +214,7 @@ def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
     with workprec(128):
         v = reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
         assert abs(v.value.value - mp.pi ** 2 / 6) <= v.value.radius
-    assert counts["solves"] > 0
+    assert counts["solves"] == 0
     assert counts["quadratures"] == 0
     assert counts["steps"] == 0
 
@@ -217,8 +231,8 @@ _MOEBIUS_CYCLES = {
 
 def _recording_moebius_lines(monkeypatch):
     """Record, for every Moebius path reg_n3 integrates, (component, path,
-    log-radius bounds, crossings, second phase, stretch balls, inverted
-    flags of its dilogarithm pairs)."""
+    crossings, second phase, stretch balls, inverted flags of its
+    dilogarithm pairs)."""
     regulator_module = importlib.import_module("chowreg.regulator")
     moebius_line = regulator_module._moebius_line
     dilog_pairs = regulator_module._dilog_pairs
@@ -229,10 +243,9 @@ def _recording_moebius_lines(monkeypatch):
         inverted.append([p[3] for p in pairs])
         return pairs
 
-    def recording(comp, path, ev2, const_log2, bounds, xs, eps2, *args):
-        pieces = moebius_line(comp, path, ev2, const_log2, bounds, xs, eps2,
-                              *args)
-        seen.append((comp, path, bounds, xs, eps2, pieces, inverted[-1]))
+    def recording(comp, path, xs, eps2, precision_bits):
+        pieces = moebius_line(comp, path, xs, eps2, precision_bits)
+        seen.append((comp, path, xs, eps2, pieces, inverted[-1]))
         return pieces
 
     monkeypatch.setattr(regulator_module, "_dilog_pairs", recording_pairs)
@@ -242,14 +255,16 @@ def _recording_moebius_lines(monkeypatch):
 
 def _t_space_stretch(comp, phases, a, b, bits):
     """-int_a^b log^{eps_2} f_2 dlog f_3 / dlog f_1 du along the first cut
-    locus, by mpmath's quadrature of the t-space integrand in
-    x = tanh(u/2) to 2^-(bits/2 + 32): each node solves f_1(t) = e^{-u}
+    locus, u = -log r from a to b, either of which may be None for the path
+    end u = -oo or u = oo, by mpmath's quadrature of the t-space integrand
+    in x = tanh(u/2) to 2^-(bits + 32): each node solves f_1(t) = e^{-u}
     e^{i(pi - eps_1)} and evaluates the coordinates at t at ``bits``."""
     f1, f2, f3 = (RFEvaluator(f, bits) for f in comp.coords)
     eps1, eps2 = phases[:2]
     with workprec(bits):
         direction = mp.expj(mp.pi - eps1)
-        x_a, x_b = mp.tanh(a / 2), mp.tanh(b / 2)
+        x_a = mp.mpf(-1) if a is None else mp.tanh(a / 2)
+        x_b = mp.mpf(1) if b is None else mp.tanh(b / 2)
 
     def integrand(x):
         with workprec(bits):
@@ -262,7 +277,7 @@ def _t_space_stretch(comp, phases, a, b, bits):
             return (-lg2 * f3.dlog(t) / f1.dlog(t, n, d)
                     * 2 / ((1 - x) * (1 + x)))
 
-    with workprec(bits // 2 + 32):
+    with workprec(bits + 32):
         return mp.quad(integrand, [x_a, x_b])
 
 
@@ -273,8 +288,8 @@ def test_radius_integrand_agrees_with_the_t_space_integrand(name, bits,
     # each stretch of a Moebius path, integrated in closed form in the
     # radius, agrees with mpmath's quadrature of the t-space integrand at
     # twice the precision: within the stretch's radius, and to
-    # 2^(16 - bits) relative, since the radius mostly holds the tail
-    # allowance of the path ends.  McCarthy's path has two stretches, one
+    # 2^(16 - bits) relative.  The outer stretches run to the path ends,
+    # the pole and the zero of f_1.  McCarthy's path has two stretches, one
     # on either side of its crossing, and inverted (w = 1/z) pairs
     Z = _MOEBIUS_CYCLES[name]()
     seen = _recording_moebius_lines(monkeypatch)
@@ -285,16 +300,71 @@ def test_radius_integrand_agrees_with_the_t_space_integrand(name, bits,
     if name == "mccarthy":
         assert [len(pieces) for *_, pieces, _ in seen] == [2]
         assert any(seen[0][-1]) and not all(seen[0][-1])
-    for comp, path, bounds, xs, eps2, pieces, _ in seen:
+    for comp, path, xs, eps2, pieces, _ in seen:
         assert path.evaluator.linear is not None
         assert eps2 == rep.schedule.phases[1]
-        assert len(pieces) == len(bounds) - 1
+        assert len(pieces) == len(xs) + 1
+        with workprec(bits):
+            bounds = [None, *(-c.sigma for c in xs), None]
         for piece, a, b in zip(pieces, bounds, bounds[1:]):
             ref = _t_space_stretch(comp, rep.schedule.phases, a, b, 2 * bits)
             with workprec(2 * bits):
                 err = abs(mp.mpc(piece.value) - ref)
                 assert err <= piece.radius
                 assert err <= mp.mpf(2) ** (16 - bits) * max(1, abs(ref))
+
+
+def _off_the_positive_axis(rng, count):
+    out = []
+    while len(out) < count:
+        z = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        if not (z.real > 0 and abs(z.imag) < 0.2):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_antiderivative_at_oo_is_the_limit_of_the_closed_form(trial):
+    # random zeros and poles s of f_2 (sum n = 0) and rho of f_3 in the
+    # radius: [H + K G](2^e) tends to the limit at r = oo like e 2^-e, with
+    # K = 0 when f_3 has a zero or pole at oo (sum m != 0), where f_2 = 1,
+    # and any K else.  Trial 0 holds a pair that is not inverted, with
+    # delta = s - rho real and positive and Im rho < 0, where log(-z) tends
+    # to the negative real axis from below
+    regulator_module = importlib.import_module("chowreg.regulator")
+    rng = random.Random(trial)
+    with workprec(200):
+        ms = [1, -2, 1] if trial % 2 else [2, 1, -1]
+        zeros2 = list(zip([1, 2, -3], _off_the_positive_axis(rng, 3)))
+        zeros3 = list(zip(ms, _off_the_positive_axis(rng, 3)))
+        if trial == 0:
+            zeros2[0], zeros3[0] = (1, mp.mpc(3, -1)), (ms[0], mp.mpc(2, -1))
+        pairs = regulator_module._dilog_pairs(zeros2, zeros3)
+        if trial == 0:
+            assert pairs[0][2] == 1 and not pairs[0][3]
+        k = (mp.mpc(rng.uniform(-1, 1), rng.uniform(-3, 3)) if sum(ms) == 0
+             else mp.mpc(0))
+        h, g, radius, _ = regulator_module._antiderivative_at_oo(
+            zeros3, pairs, k, 200)
+        assert g == 0 and radius == 0
+        for e in (80, 160):
+            h_e, g_e, _, _ = regulator_module._antiderivative(
+                mp.mpf(2) ** e, zeros3, pairs)
+            assert abs(h_e + k * g_e - h) < e * mp.mpf(2) ** (8 - e)
+
+
+def test_antiderivative_at_oo_refuses_a_diverging_end():
+    # f_2 and f_3 both with a zero or pole at r = oo (a log^2 r term), or
+    # f_3 with one where f_2 != 1 (a log r term): the integral diverges
+    regulator_module = importlib.import_module("chowreg.regulator")
+    with workprec(128):
+        s, rho = mp.mpc(-1, 2), mp.mpc(-2, -1)
+        for zeros2, k in (([(1, s)], mp.mpc(0)), ([(1, s), (-1, -s)], 1)):
+            zeros3 = [(1, rho)]
+            pairs = regulator_module._dilog_pairs(zeros2, zeros3)
+            with pytest.raises(ChowregError, match="diverges"):
+                regulator_module._antiderivative_at_oo(zeros3, pairs,
+                                                       mp.mpc(k), 128)
 
 
 @pytest.mark.parametrize("name", ["totaro", "mccarthy"])
@@ -709,39 +779,6 @@ def test_regulator_of_reparametrized_totaro(order, g, k, torsion):
     assert err <= v.value.radius, (
         f"error {mp.nstr(err, 3)} > radius {v.value.radius:.3g}")
     assert tr.order == torsion
-
-
-@pytest.mark.parametrize("bits", [53, 80])
-def test_regulator_low_precision_raises_precision_error(z1, bits):
-    # the first trace sample rounds onto the pole t = 0 of 1 - 1/t; no other
-    # schedule can repair that, so the error is not a schedule failure
-    with workprec(bits):
-        with pytest.raises(PrecisionError, match=f"{bits} bits"):
-            regulator(z1, precision_bits=bits)
-
-
-@pytest.mark.parametrize("bits", [53, 64, 80])
-def test_totaro_span_end_raises_precision_error_before_quadrature(
-        z1, monkeypatch, bits):
-    # the Moebius first locus is not sampled, but its span ends are still
-    # solved and checked inside admissible: the end next to the zero t = 1
-    # is refused there, and no stretch is ever integrated
-    regulator_module = importlib.import_module("chowreg.regulator")
-    quadratures = []
-    quad = regulator_module.quadrature
-
-    def counting(*args, **kwargs):
-        quadratures.append(args)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(regulator_module, "quadrature", counting)
-    with workprec(bits):
-        with pytest.raises(PrecisionError, match=f"{bits} bits"):
-            admissible(z1, make_schedule(0.3, 3, 0.5, bits),
-                       precision_bits=bits)
-        with pytest.raises(PrecisionError, match=f"{bits} bits"):
-            regulator(z1, precision_bits=bits)
-    assert quadratures == []
 
 
 def test_totaro_s3_at_64_bits_holds_its_oracle():

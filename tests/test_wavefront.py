@@ -27,6 +27,7 @@ from chowreg import (
 from chowreg.funcfield import RFEvaluator
 from chowreg.numeric import ComplexApprox
 from chowreg.wavefront import (
+    SIGMA_SPAN_DEFAULT,
     TRACE_GRID_DEFAULT,
     _off_cut_entries,
     _on_cut_margin,
@@ -100,7 +101,8 @@ def _grid_samples(path):
     assert path.sigmas == () and path.points == ()
     samples = path.samples()
     assert len(samples) == TRACE_GRID_DEFAULT + 1
-    assert (samples[0][0], samples[-1][0]) == (path.sigma_hi, path.sigma_lo)
+    assert samples[0][0] == SIGMA_SPAN_DEFAULT
+    assert abs(samples[-1][0] + SIGMA_SPAN_DEFAULT) < 1e-20
     return [s for s, _ in samples], [t for _, t in samples]
 
 
@@ -330,7 +332,8 @@ def test_solve_at_passes_on_num_and_den_of_the_solve(z1, graph_4_2):
         for comp, i in ((z1.components[0], 1), (graph_4_2.components[0], 2)):
             (path,) = trace_wavefront(comp, i, mp.mpf("0.1"),
                                       precision_bits=128)
-            for sigma in (path.sigma_hi, mp.mpf("0.3"), path.sigma_lo):
+            for sigma in (mp.mpf(SIGMA_SPAN_DEFAULT), mp.mpf("0.3"),
+                          -mp.mpf(SIGMA_SPAN_DEFAULT)):
                 hit = path.evaluator.solve(
                     None, mp.exp(sigma) * path.direction,
                     mp.mpf(2) ** (12 - 128), 60)
@@ -389,13 +392,25 @@ def test_point_at_iterates_on_a_degree_two_locus(monkeypatch):
 
 
 def test_point_at_refuses_a_log_radius_outside_the_trace(z1):
+    # a traced branch is solved only within its samples; a Moebius path is
+    # its closed form at every radius, far beyond the trace grid too
+    (Z,) = parse_cycle_file("field cyclotomic(1)\ncycle totaro_s2 n=3 p=2\n"
+                            "component mult=1 1-1/(t^2) ; 1-(t^2) ; 1/(t^2)\n")
     with workprec(128):
-        path = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
+        path = trace_wavefront(Z.components[0], 1, mp.mpf("0.1"),
                                precision_bits=128)[0]
-        for sigma in (path.sigma_hi + 1, path.sigma_lo - 1):
+        assert path.evaluator.linear is None
+        for sigma in (path.sigmas[0] + 1, path.sigmas[-1] - 1):
             with pytest.raises(ChowregError, match="outside the traced range"):
                 path.solve_at(sigma)
-        path.solve_at(path.sigma_lo)
+        path.solve_at(path.sigmas[-1])
+    with workprec(256):
+        (path,) = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
+                                  precision_bits=256)
+        for sigma in (80, -80):
+            t = path.solve_at(sigma)[0]
+            assert abs(mp.log(abs(path.evaluator.value(t))) - sigma) \
+                < 2.0 ** (-256 // 3)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
@@ -806,12 +821,33 @@ def test_a_cut_crossing_beside_a_positive_axis_crossing_is_counted():
     assert count == sum(sign for _, sign in cut) == 2
 
 
+def test_a_crossing_beyond_the_trace_span_is_counted():
+    # along the ray of f_1 = t, f_2 = t - 2^90 i crosses the negative real
+    # axis, and its cut just beyond it, at log-radius 65.6: outside the
+    # trace span, on the Moebius path all the same.  An independent scan of
+    # Im(e^{i eps_2} f_2) over log-radii [0, 100] finds the one crossing
+    (Z,) = parse_cycle_file("field cyclotomic(4)\ncycle far n=2 p=1\n"
+                            f"component mult=1 t ; t-{2 ** 90}*i\n")
+    with workprec(128):
+        s = PhaseSchedule(1, (mp.mpf("0.05"), mp.mpf("0.01")))
+        count = intersection_number_n2(Z, s, precision_bits=128)
+        (crossing,) = admissible(Z, s, precision_bits=128).crossings[0]
+        vals = [mp.expj(s.phases[1]) * (
+            mp.exp(mp.mpf(k) / 20) * mp.expj(mp.pi - s.phases[0])
+            - 2 ** 90 * mp.mpc(0, 1)) for k in range(2001)]
+    cut = [k for k, (a, b) in enumerate(zip(vals, vals[1:]))
+           if (a.imag >= 0) != (b.imag >= 0) and a.real < 0]
+    assert [k / 20 for k in cut] == [65.6]
+    assert SIGMA_SPAN_DEFAULT < crossing.sigma < 65.65
+    assert count == 1
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
         z1, petras, mccarthy, monkeypatch, bits):
-    # a Moebius first locus is solved at its two span ends and along the
-    # refinement of each root of the crossing polynomial, never on the
-    # 561-point trace grid
+    # a Moebius first locus is solved only along the refinement of each
+    # root of the crossing polynomial, never on the 561-point trace grid:
+    # not at all on Totaro and Petras, which have no crossing
     solves = []
     solve = RFEvaluator.solve
 
@@ -830,4 +866,6 @@ def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
                 assert rep.ok
                 paths = [p for ps in rep.paths.values() for p in ps]
                 assert len(paths) == len(Z.components)
-                assert 2 * len(paths) <= len(solves) <= 12 * len(paths)
+                assert len(solves) <= 12 * len(paths)
+                if Z is not mccarthy:
+                    assert solves == []
