@@ -254,15 +254,21 @@ def _incidence(f, hit):
     (the point leaves the cube), FACET where f is 0 or oo, NEITHER, or SPLIT
     when the roots of a numeric cluster disagree.
 
-    An exact location (field element or INF) is decided from f's value
-    there; a cluster from the gcds of its squarefree factor with num - den,
-    num and den.  f is never identically 1, so num - den is nonzero.
+    An exact location (field element or INF) is decided from num and den
+    there, without dividing; a cluster from the gcds of its squarefree
+    factor with num - den, num and den.  f is never identically 1, so
+    num - den is nonzero.
     """
     if hit.is_exact:
-        v = f.eval(hit.location)
-        if v is INF or v.is_zero():
+        if hit.location is INF:
+            if f.num.degree != f.den.degree:
+                return FACET
+            nv, dv = f.num.lead(), f.den.lead()
+        else:
+            nv, dv = f.num.eval_exact(hit.location), f.den.eval_exact(hit.location)
+        if nv.is_zero() or dv.is_zero():
             return FACET
-        return ONE if v.is_one() else NEITHER
+        return ONE if nv == dv else NEITHER
     factor = hit.factor
     one = factor.gcd(f.num - f.den).degree
     facet = factor.gcd(f.num).degree + factor.gcd(f.den).degree

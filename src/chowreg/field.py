@@ -1,7 +1,9 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) and their complex embedding.
 
 Elements are residues modulo the N-th cyclotomic polynomial, stored as
-coefficient vectors of length phi(N) over ``fractions.Fraction``.  The complex
+phi(N) integer numerators over one positive denominator in lowest terms, so
+the ring operations, equality and hashing run on Python ints; Phi_N is monic
+with integer coefficients, so reduction modulo it stays integral.  The complex
 embedding is fixed globally as zeta_N -> exp(2*pi*i/N); Galois-conjugate
 embeddings would change regulator values, so the choice is part of the field
 contract, not a knob.
@@ -57,6 +59,8 @@ def _poly_divmod_int(num, den):
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
     """Integer coefficients of Phi_n, ascending, computed by recursive division."""
+    if n < 1:
+        raise ValueError("cyclotomic_polynomial needs n >= 1")
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]          # x^n - 1
@@ -66,39 +70,66 @@ def cyclotomic_polynomial(n):
     return tuple(poly)
 
 
-def _reduce_mod_phi(coeffs, n):
-    """Reduce a Fraction coefficient list modulo Phi_n; returns length phi(n)."""
+def _reduce_mod_phi(work, n):
+    """Reduce an integer coefficient list modulo the monic Phi_n (in place);
+    returns the phi(n) coefficients as a tuple."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = list(coeffs)
     for k in range(len(work) - 1, deg - 1, -1):
         c = work[k]
         if c:
-            work[k] = Fraction(0)
             for j in range(deg):
                 work[k - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(work)
+    return tuple(work[:deg]) + (0,) * (deg - len(work))
+
+
+def _element(order, num, den):
+    """The element sum_k num[k] zeta^k / den; (num, den) must be canonical."""
+    x = object.__new__(CyclotomicNumber)
+    x.order, x.num, x.den = order, num, den
+    return x
+
+
+def _canonical(order, num, den):
+    """The element sum_k num[k] zeta^k / den for reduced integer ``num`` and
+    nonzero ``den``, brought to den > 0 and gcd(den, *num) = 1."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return _element(order, num, den)
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_N) in the canonical power-basis representation."""
+    """An element of Q(zeta_N) in the power basis 1, zeta, ..., zeta^(phi-1).
 
-    __slots__ = ("order", "coeffs")
+    It is stored as ``num``, phi(N) integer numerators, over one integer
+    denominator ``den``, in canonical form: den > 0 and gcd(den, *num) = 1.
+    Equality, hashing and the ring operations therefore run on ints only;
+    ``coeffs`` gives the coefficients as reduced Fractions.
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
+        """``coeffs`` are ints or Fractions in the power basis of any length;
+        powers of zeta from phi(N) on are reduced modulo Phi_N."""
         self.order = int(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        phi = euler_phi(self.order)
-        if len(coeffs) != phi:
-            coeffs = _reduce_mod_phi(coeffs, self.order)
-        self.coeffs = coeffs
+        coeffs, den = tuple(coeffs), 1
+        for c in coeffs:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        work = [c.numerator * (den // c.denominator) for c in coeffs]
+        x = _canonical(self.order, _reduce_mod_phi(work, self.order), den)
+        self.num, self.den = x.num, x.den
 
     @classmethod
     def from_rational(cls, q, order=1):
-        phi = euler_phi(order)
-        return cls(order, (Fraction(q),) + (Fraction(0),) * (phi - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        phi = len(cyclotomic_polynomial(order)) - 1
+        return _element(order, (q.numerator,) + (0,) * (phi - 1), q.denominator)
 
     @classmethod
     def zero(cls, order=1):
@@ -111,47 +142,44 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, order):
         """The distinguished primitive root zeta_N (the basis element itself)."""
-        if order == 1:
-            return cls.one(1)
-        if order == 2:
-            return cls.from_rational(-1, 2)
-        phi = euler_phi(order)
-        coeffs = [Fraction(0)] * phi
-        coeffs[1] = Fraction(1)
-        return cls(order, coeffs)
+        return cls(order, (0, 1))
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as reduced Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ChowregError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_one(self):
-        return self.is_rational() and self.coeffs[0] == 1
+        return self.den == 1 and self.num[0] == 1 and self.is_rational()
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            a, b = promote_pair(self, other) if self.order != other.order else (self, other)
+            return a.num == b.num and a.den == b.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        if self.order != other.order:
-            a, b = promote_pair(self, other)
-            return a.coeffs == b.coeffs
-        return self.coeffs == other.coeffs
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def _require_same_order(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, self.order)
         if not isinstance(other, CyclotomicNumber):
-            raise TypeError(f"cannot combine CyclotomicNumber with {type(other)!r}")
+            if not isinstance(other, (int, Fraction)):
+                raise TypeError(f"cannot combine CyclotomicNumber with {type(other)!r}")
+            other = CyclotomicNumber.from_rational(other, self.order)
         if other.order != self.order:
             raise ChowregError(
                 f"mismatched cyclotomic orders {self.order} and {other.order}; "
@@ -161,12 +189,16 @@ class CyclotomicNumber:
 
     def __add__(self, other):
         o = self._require_same_order(other)
-        return CyclotomicNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        d, e = self.den, o.den
+        if d == e:
+            return _canonical(self.order, tuple(a + b for a, b in zip(self.num, o.num)), d)
+        return _canonical(self.order,
+                          tuple(a * e + b * d for a, b in zip(self.num, o.num)), d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coeffs))
+        return _element(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._require_same_order(other))
@@ -176,37 +208,31 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         o = self._require_same_order(other)
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CyclotomicNumber(self.order, _reduce_mod_phi(prod, self.order))
+        b = o.num
+        prod = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return _canonical(self.order, _reduce_mod_phi(prod, self.order), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse: the product c of the other Galois
+        conjugates over the norm x * c, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
+        n = self.order
         if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.order)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_N has no roots in Q(zeta_N) shared with a unit)
-        r0 = _frac_poly_trim(r0)
-        if len(r0) != 1:
-            raise ChowregError("element is a zero divisor; Phi_N not squarefree?")
-        inv_const = 1 / r0[0]
-        coeffs = [c * inv_const for c in s0]
-        return CyclotomicNumber(self.order, _reduce_mod_phi(coeffs, self.order))
+            return _canonical(n, (self.den,) + self.num[1:], self.num[0])
+        c = CyclotomicNumber.one(n)
+        for j in range(2, n):
+            if math.gcd(j, n) == 1:
+                c = c * self.galois(j)
+        norm = self * c
+        return _canonical(n, tuple(a * norm.den for a in c.num), c.den * norm.num[0])
 
     def __truediv__(self, other):
         o = self._require_same_order(other)
@@ -229,16 +255,13 @@ class CyclotomicNumber:
 
     def galois(self, j):
         """Apply the automorphism zeta -> zeta^j, gcd(j, N) = 1."""
-        if math.gcd(j, self.order) != 1:
-            raise ChowregError(f"zeta -> zeta^{j} is not an automorphism of Q(zeta_{self.order})")
-        zj = CyclotomicNumber.zeta(self.order) ** (j % self.order)
-        out = CyclotomicNumber.zero(self.order)
-        power = CyclotomicNumber.one(self.order)
-        for c in self.coeffs:
-            if c:
-                out = out + CyclotomicNumber.from_rational(c, self.order) * power
-            power = power * zj
-        return out
+        n = self.order
+        if math.gcd(j, n) != 1:
+            raise ChowregError(f"zeta -> zeta^{j} is not an automorphism of Q(zeta_{n})")
+        work = [0] * n
+        for k, c in enumerate(self.num):
+            work[k * j % n] += c
+        return _canonical(n, _reduce_mod_phi(work, n), self.den)
 
     def conjugate(self):
         if self.order <= 2:
@@ -252,10 +275,10 @@ class CyclotomicNumber:
         if new_order % self.order != 0:
             raise ChowregError(f"cannot promote order {self.order} to non-multiple {new_order}")
         step = new_order // self.order
-        coeffs = [Fraction(0)] * (len(self.coeffs) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            coeffs[k * step] += c
-        return CyclotomicNumber(new_order, _reduce_mod_phi(coeffs, new_order))
+        work = [0] * ((len(self.num) - 1) * step + 1)
+        for k, c in enumerate(self.num):
+            work[k * step] = c
+        return _canonical(new_order, _reduce_mod_phi(work, new_order), self.den)
 
     def __str__(self):
         if self.is_zero():
@@ -273,44 +296,6 @@ class CyclotomicNumber:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def _frac_poly_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _frac_poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _frac_poly_trim(out)
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    b = _frac_poly_trim(list(b))
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
-        q[k] = c
-        if c:
-            for j, d in enumerate(b):
-                a[k + j] -= c * d
-    return _frac_poly_trim(q), _frac_poly_trim(a[:max(len(b) - 1, 1)])
 
 
 def promote_pair(a, b):

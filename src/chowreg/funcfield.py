@@ -700,17 +700,19 @@ class RFEvaluator:
     def value(self, t):
         return self._horner(self.nc, t) / self._horner(self.dc, t)
 
-    def is_resolved(self, t, n=None, d=None):
+    def is_resolved(self, t, n=None, d=None, floor=None):
         """False when num(t) or den(t) lies within the rounding error of its
-        Horner pass, about 2^(4 - prec) max_k |c_k| |t|^k (compared by
-        binary magnitude): at the working precision t is then not told apart
-        from a zero or pole.  ``n`` and ``d`` are num(t) and den(t) when the
-        caller already has them."""
+        Horner pass, about 2^floor max_k |c_k| |t|^k with floor = 4 - prec
+        (compared by binary magnitude): at the working precision t is then
+        not told apart from a zero or pole.  A caller that needs more
+        relative accuracy passes a higher ``floor``.  ``n`` and ``d`` are
+        num(t) and den(t) when the caller already has them."""
         if n is None:
             n = self._horner(self.nc, t)
             d = self._horner(self.dc, t)
         e = mp.mag(t)
-        floor = 4 - mp.mp.prec
+        if floor is None:
+            floor = 4 - mp.mp.prec
         for mags, v in zip(self.mags, (n, d)):
             size = max(m + k * e for k, m in mags)
             if not v or mp.mag(v) <= size + floor:

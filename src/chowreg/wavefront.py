@@ -227,22 +227,40 @@ class TracedPath:
         return cleared(ev.nc), cleared(ev.dc)
 
     def samples(self):
-        """(sigma, t) at every log-radius of the trace grid: the stored
+        """(sigma, t) at the log-radii of the trace grid: the stored
         samples of a traced branch, and on a Moebius coordinate the closed
-        form, solved and checked as a trace sample would be."""
+        form, solved and checked as a trace sample would be.  A Moebius path
+        lists the grid points the precision resolves: those where num(t) and
+        den(t) exceed 2^(-2 prec/3) max_k |c_k| |t|^k, so that their
+        relative rounding error, and with it the distance of arg f(t) from
+        the cut ray, stays below about 2^(-prec/3).  The runs of unresolved
+        points next to the pole and the zero, at the ends of the grid, are
+        dropped; an unresolved point between resolved ones, or none
+        resolved, is a PrecisionError."""
         if self.points:
             return list(zip(self.sigmas, self.points))
-        with workprec(self.evaluator.precision_bits):
-            return [(sigma, _trace_step(self.evaluator, self.coord_index,
-                                        self.direction, None, sigma))
-                    for sigma in _trace_grid(mp.mp.prec)]
+        ev, out = self.evaluator, []
+        with workprec(ev.precision_bits):
+            floor = mp.mp.prec // 3 - mp.mp.prec
+            for sigma in _trace_grid(mp.mp.prec):
+                try:
+                    out.append((sigma, _trace_step(ev, self.coord_index, self.direction,
+                                                   None, sigma, floor)))
+                except PrecisionError as exc:
+                    out.append(exc)
+        resolved = [k for k, s in enumerate(out) if isinstance(s, tuple)]
+        kept = out[resolved[0]:resolved[-1] + 1] if resolved else out[:1]
+        for s in kept:
+            if isinstance(s, PrecisionError):
+                raise s
+        return kept
 
 
-def _resolved(ev, coord_index, hit, sigma):
+def _resolved(ev, coord_index, hit, sigma, floor=None):
     """``hit`` = (t, num(t), den(t)) of a point at log-radius ``sigma`` on
     a locus of coordinate ``coord_index``, or PrecisionError when
-    ``ev.is_resolved`` refuses it."""
-    if not ev.is_resolved(*hit):
+    ``ev.is_resolved`` refuses it at ``floor``."""
+    if not ev.is_resolved(*hit, floor=floor):
         raise PrecisionError(
             f"coordinate {coord_index}: the point t = {mp.nstr(hit[0], 8)} "
             f"at log-radius {float(sigma):.4f} rounds onto a zero or pole at "
@@ -264,11 +282,11 @@ def _trace_grid(prec):
     return tuple(sigmas)
 
 
-def _trace_step(ev, coord_index, direction, t, sigma):
+def _trace_step(ev, coord_index, direction, t, sigma, floor=None):
     """The checked trace sample at log-radius ``sigma`` of the branch
     through the previous sample ``t`` (None on a Moebius coordinate): the
     solve to 2^(16 - prec) in at most 40 steps, ScheduleError when it fails
-    and PrecisionError when ``_resolved`` refuses its point."""
+    and PrecisionError when ``_resolved`` refuses its point at ``floor``."""
     try:
         hit = ev.solve(t, mp.exp(sigma) * direction,
                        mp.mpf(2) ** (16 - ev.precision_bits), 40)
@@ -278,7 +296,7 @@ def _trace_step(ev, coord_index, direction, t, sigma):
         raise ScheduleError(
             "non-generic phase: the trace lost a branch near radius "
             f"{mp.nstr(mp.e ** sigma, 8)}")
-    return _resolved(ev, coord_index, hit, sigma)[0]
+    return _resolved(ev, coord_index, hit, sigma, floor)[0]
 
 
 def _seed_roots(ev, w, precision_bits):

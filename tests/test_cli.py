@@ -219,6 +219,21 @@ def test_cli_trace_export(tmp_path, capsys):
     assert max(residuals) < 2.0 ** (-128 / 3)
 
 
+def test_cli_trace_at_53_bits_lists_the_resolved_samples(tmp_path, capsys):
+    # Totaro's Moebius loci run into the zero t = 1 of 1 - 1/t and 1 - t;
+    # at 53 bits the grid points next to it are dropped, not refused
+    code, out, _ = _run(capsys, ["trace", "--fixture", "z1_totaro",
+                                 "--precision", "53", "--export", str(tmp_path)])
+    assert code == 0
+    rec = json.loads(out)["cycles"]["z1_totaro"]
+    rows = (tmp_path / "z1_totaro_paths.csv").read_text().splitlines()[2:]
+    assert len(rows) == rec["path_samples"]
+    coords = [row.split(",")[1] for row in rows]
+    assert {c: coords.count(c) for c in "123"}["3"] == 561
+    assert all(0 < coords.count(c) < 561 for c in "12")
+    assert max(float(row.rsplit(",", 1)[1]) for row in rows) < 2.0 ** (-53 / 3)
+
+
 def test_cli_text_format(capsys):
     code, out, _ = _run(capsys, ["check", "--fixture", "graph_4_2",
                                  "--precision", "128", "--format", "text"])

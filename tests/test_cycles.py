@@ -22,6 +22,7 @@ from chowreg import (
 )
 from chowreg.cycles import (
     boundary_squared_terms,
+    closed_facets,
     double_facet_terms,
     face_restriction,
     weil_symbol_product,
@@ -39,6 +40,20 @@ def const(q, order=1):
 def test_z1_face_proper(z1):
     with workprec(128):
         assert check_face_proper(z1)["ok"]
+
+
+def test_prechecks_divide_nothing(petras, monkeypatch):
+    # closedness and face properness decide every exact facet point from
+    # num and den there: no inverse in Q(zeta_5) once the divisors are known
+    with workprec(128):
+        closed_facets(petras, 128)
+        calls = []
+        inverse = CyclotomicNumber.inverse
+        monkeypatch.setattr(CyclotomicNumber, "inverse",
+                            lambda x: calls.append(x) or inverse(x))
+        assert closed_facets(petras, 128)[0]
+        assert check_face_proper(petras)["ok"]
+    assert calls == []
 
 
 def test_improper_at_infinity():
