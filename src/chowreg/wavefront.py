@@ -230,13 +230,13 @@ class TracedPath:
         """(sigma, t) at the log-radii of the trace grid: the stored
         samples of a traced branch, and on a Moebius coordinate the closed
         form, solved and checked as a trace sample would be.  A Moebius path
-        lists the grid points the precision resolves: those where num(t) and
-        den(t) exceed 2^(-2 prec/3) max_k |c_k| |t|^k, so that their
-        relative rounding error, and with it the distance of arg f(t) from
-        the cut ray, stays below about 2^(-prec/3).  The runs of unresolved
-        points next to the pole and the zero, at the ends of the grid, are
-        dropped; an unresolved point between resolved ones, or none
-        resolved, is a PrecisionError."""
+        lists the grid points the precision resolves: those the solve
+        reaches where num(t) and den(t) exceed 2^(-2 prec/3) max_k |c_k|
+        |t|^k, so that their relative rounding error, and with it the
+        distance of arg f(t) from the cut ray, stays below about
+        2^(-prec/3).  The runs of unresolved points next to the pole and the
+        zero, at the ends of the grid, are dropped; an unresolved point
+        between resolved ones, or none resolved, raises its error."""
         if self.points:
             return list(zip(self.sigmas, self.points))
         ev, out = self.evaluator, []
@@ -246,12 +246,12 @@ class TracedPath:
                 try:
                     out.append((sigma, _trace_step(ev, self.coord_index, self.direction,
                                                    None, sigma, floor)))
-                except PrecisionError as exc:
+                except (PrecisionError, ScheduleError) as exc:
                     out.append(exc)
         resolved = [k for k, s in enumerate(out) if isinstance(s, tuple)]
         kept = out[resolved[0]:resolved[-1] + 1] if resolved else out[:1]
         for s in kept:
-            if isinstance(s, PrecisionError):
+            if isinstance(s, ChowregError):
                 raise s
         return kept
 
