@@ -170,15 +170,6 @@ class Poly:
             acc = acc * a + c
         return acc
 
-    def eval_numeric(self, t, precision_bits=None):
-        if precision_bits is None:
-            precision_bits = mp.mp.prec
-        with workprec(precision_bits):
-            acc = mp.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * t + embed(c, precision_bits).value
-            return acc
-
     def deflate(self, a):
         """Exact division by (x - a); the caller guarantees a is a root."""
         n = len(self.coeffs)
@@ -535,16 +526,17 @@ class RationalFunction:
         ball = at if isinstance(at, ComplexApprox) else ComplexApprox(at, 0.0)
         if precision_bits is None:
             precision_bits = mp.mp.prec
+        ev = self.evaluator(precision_bits)
         with workprec(precision_bits):
             t = ball.value
-            nv = self.num.eval_numeric(t, precision_bits)
-            dv = self.den.eval_numeric(t, precision_bits)
+            nv = ev._horner(ev.nc, t)
+            dv = ev._horner(ev.dc, t)
             if abs(dv) == 0:
                 return INF
             v = nv / dv
             # first-order radius: |f'(t)| * r_t plus rounding slack
-            npv = self.num.derivative().eval_numeric(t, precision_bits)
-            dpv = self.den.derivative().eval_numeric(t, precision_bits)
+            npv = ev._horner(ev.npc, t)
+            dpv = ev._horner(ev.dpc, t)
             fp = (npv * dv - nv * dpv) / (dv * dv)
             size = max(1.0, float(abs(v)))
             rad = 2.0 * float(abs(fp)) * ball.radius

@@ -21,17 +21,16 @@ admissibility report that accepted the schedule, so the pipeline builds and
 intersects each schedule's cut loci once, inside the schedule search.  A
 path there is the closed form of a Moebius first coordinate, which every
 shipped 3-cube fixture has, or the traced branch of one of higher degree.
-Either is split at its crossings into stretches on which the branch of
-log f_2 is fixed.
 
-On a Moebius path f_1 = r direction, so f_2 is c prod (r - s_k)^{n_k} and
-dlog f_3 / dlog f_1 is sum_j m_j r / (r - rho_j), with the s_k and rho_j the
-zeros and poles of f_2 and f_3 in the radius.  Each stretch integral is
-then a sum of logs and dilogarithms at its two ends, or their limits at
-the pole r = oo and the zero r = 0 of f_1 (Lewin 1981; Zagier 2007).  A
-traced path is integrated along a polygon through its trace to the exact zero and pole of f_1 (``quadrature``), with the same
-logs and dilogarithms on each chord, so every line integral is a finite
-sum of closed-form terms.
+``quadrature`` takes every line integral, along a polygon from the pole of
+f_1 to its zero that is split at the crossings into stretches on which the
+branch of log f_2 is fixed.  A Moebius path is such a polygon already: in
+the chart r = f_1 / direction it is the ray from r = oo to r = 0.  A traced
+path is replaced by a polygon in t through its trace samples.  Along a
+chord f_2 is c prod (x - s_k)^{n_k} and dlog f_3 is sum_j m_j dx / (x - rho_j),
+so the chord integral is a sum of logs and dilogarithms at its two ends, or
+their limits at an end at 0 or oo (Lewin 1981; Zagier 2007), and every line
+integral is a finite sum of closed-form terms.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .cycles import (_divisor_locations_equal, check_face_proper,
                      closed_facets, is_normalized, normalize)
 from .errors import ChowregError, PrecisionError, PropernessError, ScheduleError
 from .field import embed
-from .funcfield import INF, RFEvaluator, mpf_to_fraction
+from .funcfield import INF, mpf_to_fraction
 from .numeric import ComplexApprox, workprec
 from .special import BranchSpec, li2, log_eps
 from .wavefront import (AdmissibilityReport, PhaseSchedule,
@@ -257,65 +256,6 @@ def _antiderivative(r, zeros3, pairs, dilogs=None):
     return h, g, radius, size
 
 
-def _moebius_line(comp, path, xs, eps2, precision_bits=None):
-    """The line integral over each stretch of a Moebius first-locus ``path``
-    with its crossings ``xs`` (in path order), in closed form, as balls.
-
-    Along the path f_1 = r direction, r from oo down to 0, so with the zeros
-    and poles s_k of f_2 and rho_j of f_3 in the radius
-    (``_in_radius_divisor``) a stretch from radius r_a down to r_b
-    contributes L = int_{r_a}^{r_b} log^{eps_2} f_2 sum_j m_j dr / (r - rho_j).
-    On the stretch log^{eps_2} f_2 = K + sum_k n_k log(r - s_k): the branch
-    of log f_2 is fixed between crossings, and K is fixed once, by the
-    sided branch the crossing signs pick, at the middle log-radius of the
-    stretch, one unit beyond the crossing next to a path end, or at r = 1.
-    So L = [H + K G] from r_a to r_b (``_antiderivative``), in the limit at
-    r = oo and r = 0 (``_antiderivative_at_oo``, ``_antiderivative_at_0``).
-    The radius adds the dilogarithms' radii and 2^(8 - precision_bits)
-    times the summed size of the terms.
-    """
-    if precision_bits is None:
-        precision_bits = mp.mp.prec
-    f2 = comp.coords[1]
-    ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
-    with workprec(precision_bits + _EXTRA_BITS):
-        rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
-        rounding = float(mp.mpf(2) ** (8 - precision_bits))
-        if ev2 is None:
-            const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
-                                 BranchSpec(eps2)).value
-        else:
-            a2, b2 = path.in_radius(ev2)
-        zeros2 = ([] if ev2 is None
-                  else _in_radius_divisor(comp, 2, path, precision_bits))
-        zeros3 = _in_radius_divisor(comp, 3, path, precision_bits)
-        pairs = _dilog_pairs(zeros2, zeros3)
-        # K is fixed at the middle log-radius of a stretch, or one unit
-        # beyond its crossing on a stretch that runs to a path end
-        sigmas = [c.sigma for c in xs]
-        inner = [_antiderivative(mp.exp(s), zeros3, pairs) for s in sigmas]
-        mids = [sigmas[0] + 2, *sigmas, sigmas[-1] - 2] if xs else [1, -1]
-        horner = RFEvaluator._horner
-        pieces = []
-        for seg, (a, b) in enumerate(zip(mids, mids[1:])):
-            r = mp.exp((a + b) / 2)
-            k = const_log2 if ev2 is None else _sided_log_branch(
-                horner(a2, r) / horner(b2, r), eps2, rot2, guard,
-                xs[seg - 1].sign if seg else 0) - sum(
-                    n * mp.log(r - s) for n, s in zeros2)
-            h_a, g_a, rad_a, size_a = (
-                inner[seg - 1] if seg
-                else _antiderivative_at_oo(zeros3, pairs, k, precision_bits))
-            h_b, g_b, rad_b, size_b = (
-                inner[seg] if seg < len(xs)
-                else _antiderivative_at_0(zeros3, pairs, k, precision_bits))
-            size = size_a + size_b + float(abs(k)) * (float(abs(g_a))
-                                                     + float(abs(g_b)))
-            pieces.append(ComplexApprox(h_b - h_a + k * (g_b - g_a),
-                                        rad_a + rad_b + rounding * size))
-        return pieces
-
-
 def _location(pt):
     """The place of a DivisorPoint at the working precision: INF or mpc."""
     loc = pt.location
@@ -369,9 +309,9 @@ def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs=None):
 
 
 def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
-    """``_antiderivative`` as r -> oo, where a Moebius path starts: (H, 0,
-    0.0, size), H the limit of H + K G.  With L = log r,
-    log(r - rho) = L + o(1), and the L^2/2 and L terms of the pairs and of
+    """``_antiderivative`` as lambda -> oo, at a chord end at oo: (H, 0,
+    0.0, size), H the limit of H + K G.  With L = log lambda,
+    log(lambda - rho) = L + o(1), and the L^2/2 and L terms of the pairs and of
     K G cancel on a properly meeting cycle (else ChowregError).  An
     inverted pair's Li2 tends to 0; one that is not adds pi^2/6 + c^2/2 by
     the inversion formula of Li2 (Zagier 2007), log(-z) = L + c + o(1):
@@ -391,86 +331,143 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
         scale += abs(coeff) * abs(d)
     if sum(p[0] for p in pairs) or abs(slope) > mp.mpf(2) ** (
             16 - precision_bits) * (1 + scale):
-        raise ChowregError("the line integral diverges at the start of the "
-                           "first cut locus, where f_3 is 0 or oo")
+        raise ChowregError("the line integral diverges at an end of the "
+                           "first cut locus at oo, where f_3 is 0 or oo")
     return h, mp.mpc(0), 0.0, size
 
 
 def quadrature(comp, path, xs, eps2, precision_bits=None):
-    """The line integral along a traced first-locus ``path`` with its
-    crossings ``xs`` (in path order), as (stretch index, t_a, t_b, ball)
-    for each chord of a polygon, in path order.
+    """The line integral along a first-locus ``path`` with its crossings
+    ``xs`` (in path order), as (stretch index, x_a, x_b, ball) for each
+    chord of a polygon from the pole of f_1 to its zero, in path order, x_a
+    and x_b the places of the chord's ends: the radius r on a Moebius path,
+    t on a traced one.
 
-    It runs along a polygon homotopic to the path where the integrand is
-    holomorphic, with the same ends (Kerr-Lewis-Mueller-Stach 2006): from
-    the exact pole of f_1, through every ``_POLYGON_STRIDE``-th trace sample
-    and each crossing, to the exact zero.  On a chord t = t_a + lambda
-    (t_b - t_a) the integral is [H + K G] from 0 to 1 (``_dilog_pairs``,
-    ``_antiderivative``) in s_k = (x_k - t_a) / (t_b - t_a) and rho_j alike,
-    K fixed by the sided branch at a vertex on the path; an exact end sits
-    at lambda = 0 (``_antiderivative_at_0``), and t = oo is reached in
-    u = 1/t.  A chord is halved while a zero or pole of f_2 or f_3 lies in
-    or about one sample spacing from the loop of the chord and the samples
-    it skips, or on the chord; PrecisionError if it skips none.  The radius
-    adds the dilogarithms' radii, 2^(8 - precision_bits) times the size of
-    the terms and, at each vertex ball, the integrand times its radius."""
+    The polygon is homotopic to the path where the integrand is holomorphic
+    (Kerr-Lewis-Mueller-Stach 2006).  A Moebius path is one already: in the
+    chart r = f_1 / direction it is the ray from the pole r = oo through
+    the crossing radii to the zero r = 0, one line whose zeros and poles of
+    f_2 and f_3 come from ``_in_radius_divisor``.  A traced path is replaced
+    by the polygon in t from the exact pole of f_1 through every
+    ``_POLYGON_STRIDE``-th trace sample and each crossing to the exact
+    zero: a chord is t = t_a + lambda (t_b - t_a), lambda from 0 to 1 with
+    an exact end at 0, or, with an end at t = oo, the ray t = lambda v from
+    its finite vertex v (lambda = 1).  With the zeros and poles s_k of f_2
+    and rho_j of f_3 on the line (lambda = r on a Moebius path), a chord
+    integral is [H + K G] between its ends (``_dilog_pairs``,
+    ``_antiderivative``), in the limit at an end at 0 or oo
+    (``_antiderivative_at_0``, ``_antiderivative_at_oo``).  K is fixed by
+    the sided branch of log f_2 at a vertex on the path, a sample if there
+    is one, else a crossing, with the side hint of the stretch it opens or
+    closes; at r = 1 on a Moebius path without crossings.  A traced chord
+    is halved while a zero or pole of f_2 or f_3 lies in or about one
+    sample spacing from the loop of the chord and the samples it skips, or
+    on the chord; PrecisionError if it skips none.  The radius adds the
+    dilogarithms' radii, 2^(8 - precision_bits) times the size of the terms
+    and, at each vertex ball, the integrand times its radius."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     f1, f2, f3 = comp.coords
     ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
+    linear, points = path.evaluator.linear, path.points
     with workprec(precision_bits + _EXTRA_BITS):
         rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
         rounding = float(mp.mpf(2) ** (8 - precision_bits))
         if ev2 is None:
             const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
                                  BranchSpec(eps2)).value
+
+        def branch_k(t, lam, hint, zeros2):
+            """K from the sided branch of log f_2 at the point t of the
+            path, which sits at lambda on the chord."""
+            if ev2 is None:
+                return const_log2
+            return _sided_log_branch(ev2.value(t), eps2, rot2, guard,
+                                     hint) - sum(n * mp.log(lam - s)
+                                                 for n, s in zeros2)
+
+        def closed_form(k, start, stop):
+            """(value, radius) of [H + K G] over a chord, from the
+            ``_antiderivative`` sums (H, G, radius, size) at its ends."""
+            (h0, g0, r0, z0), (h1, g1, r1, z1) = start, stop
+            return h1 - h0 + k * (g1 - g0), r0 + r1 + rounding * (
+                z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1))))
+
+        if linear is not None:
+            # one line: the pairs, and H and G at each crossing, serve
+            # every chord
+            zeros2, zeros3 = (_in_radius_divisor(comp, k, path,
+                                                 precision_bits)
+                              for k in (2, 3))
+            pairs = _dilog_pairs(zeros2, zeros3)
+            radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
+            inner = [_antiderivative(r, zeros3, pairs) for r in radii[1:-1]]
+            n0, n1, d0, d1 = linear
+            chords = []
+            for seg, (a, b) in enumerate(zip(radii, radii[1:])):
+                # K at the crossing that opens the stretch, else at the one
+                # that closes it, else at r = 1
+                r, hint = ((a, xs[seg - 1].sign) if seg
+                           else (b, -xs[0].sign) if xs else (mp.mpf(1), 0))
+                w = r * path.direction
+                k = branch_k((w * d0 - n0) / (n1 - w * d1), r, hint, zeros2)
+                value, radius = closed_form(
+                    k, inner[seg - 1] if seg else _antiderivative_at_oo(
+                        zeros3, pairs, k, precision_bits),
+                    inner[seg] if seg < len(xs) else _antiderivative_at_0(
+                        zeros3, pairs, k, precision_bits))
+                chords.append((seg, a, b, ComplexApprox(value, radius)))
+            return chords
+
         ends = _branch_ends(f1, path, precision_bits)
         # (n, place, whether it is each end) per zero or pole of f_2, f_3
         divisors = [[(pt.multiplicity, _location(pt),
                       [_divisor_locations_equal(pt, e) for e in ends])
-                     for pt in f.divisor(precision_bits)]
-                    if not f.is_constant() else [] for f in (f2, f3)]
+                     for pt in f.divisor(precision_bits)] for f in (f2, f3)]
         # a log of y - x per pair gives one of rho - s on every chord, and
         # the dilogarithm argument (t - y) / (x - y) at a vertex is the same
-        # on the two chords that meet there: both are computed once
+        # on the chords that meet there: both are computed once
         finite = [[x for _, x, _ in div if x is not INF] for div in divisors]
         gaps = [None if x == y else mp.log(y - x)
                 for y in finite[1] for x in finite[0]]
-        dilogs, points, last = {}, path.points, len(path.points) - 1
+        dilogs, last = {}, len(points) - 1
 
         def vertex_dilogs(v, pairs):
             for i, (_, j, delta, inverted, _) in enumerate(pairs):
-                if delta is not None and (v[0], i, inverted) not in dilogs:
+                if delta is not None and (v[1], i, inverted) not in dilogs:
                     x, y = finite[0][i % len(finite[0])], finite[1][j]
-                    dilogs[v[0], i, inverted] = li2(
+                    dilogs[v[1], i, inverted] = li2(
                         (x - y) / (v[1] - y) if inverted
                         else (v[1] - y) / (x - y))
-            return [dilogs.get((v[0], i, p[3])) for i, p in enumerate(pairs)]
+            return [dilogs.get((v[1], i, p[3])) for i, p in enumerate(pairs)]
 
         def chord(a, b, left_sign, right_sign):
             """The closed form over the chord from vertex a to vertex b, or
             the sample vertex at which to split it; the signs are those of
             the crossings that open and close its stretch."""
+            # lambda runs to 1 at the tip from the base, an end if the chord
+            # has one: from 0, or from oo along the ray t = lambda tip on a
+            # chord to t = oo
             base, tip = (b, a) if b[3] is not None else (a, b)
-            chart = ((lambda x: 0 if x is INF else None if x == 0 else 1 / x)
-                     if base[1] is INF else lambda x: None if x is INF else x)
-            c0 = chart(base[1])
-            delta = chart(tip[1]) - c0
+            ray = base[1] is INF
+            exact = base[3] is not None and not ray
+            c0, delta = (0, tip[1]) if ray else (base[1], tip[1] - base[1])
             zeros2, zeros3 = (
-                [(n, mp.mpc(0) if base[3] is not None and is_end[base[3]]
-                  else (c - c0) / delta)
-                 for n, x, is_end in div if (c := chart(x)) is not None]
+                [(n, mp.mpc(0) if exact and is_end[base[3]]
+                  else (x - c0) / delta)
+                 for n, x, is_end in div if x is not INF]
                 for div in divisors)
             skipped = [k for k in range(math.floor(a[0]) + 1, math.ceil(b[0]))
                        if points[k] not in (a[1], b[1])]
             # the loop only steers splitting: double precision will do
             loop = [0j, *(complex(points[k] - c0) / complex(delta)
                           for k in skipped), 1 + 0j]
+            lo, hi = (1, mp.inf) if ray else (0, 1 + guard)
             for _, s in zeros2 + zeros3:
-                if base[3] is not None and s == 0:
+                if exact and s == 0:
                     continue
-                on_chord = abs(s) <= guard or (
-                    0 < s.real <= 1 + guard and abs(s.imag) <= guard * s.real)
+                on_chord = abs(s - lo) <= guard or (
+                    lo < s.real <= hi and abs(s.imag) <= guard * s.real)
                 if skipped and (on_chord or abs(s) <= 3 * max(map(abs, loop))
                                 and _in_or_near_loop(complex(s), loop)):
                     return (skipped[len(skipped) // 2],
@@ -478,30 +475,27 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
                 if on_chord:
                     raise PrecisionError(
                         f"coordinate 1: the cut locus near t = "
-                        f"{mp.nstr(b[1], 8)} runs onto a zero or pole of f_2 "
-                        f"or f_3 at {precision_bits} bits; raise the working "
-                        "precision")
+                        f"{mp.nstr(tip[1], 8)} runs onto a zero or pole of "
+                        f"f_2 or f_3 at {precision_bits} bits; raise the "
+                        "working precision")
             # K is fixed at a vertex on the path, a sample if there is one,
             # with the side hint of the stretch end it opens or closes
             at = next((v for v in (a, b) if v[0] % 1 == 0 and v[3] is None),
                       a if a[3] is None else b)
-            k = const_log2 if ev2 is None else _sided_log_branch(
-                ev2.value(at[1]), eps2, rot2, guard,
-                left_sign if at is a else right_sign) - sum(
-                    n * mp.log(int(at is tip) - s) for n, s in zeros2)
-            # an exact end, or the chart u, shares nothing with a neighbour
-            share = base[3] is None
+            k = branch_k(at[1], int(at is tip),
+                         left_sign if at is a else right_sign, zeros2)
+            # an exact end shares nothing with a neighbour
             log_delta = mp.log(delta)
-            pairs = _dilog_pairs(zeros2, zeros3, [
-                None if g is None else g - log_delta for g in gaps]
-                if share else None)
-            h0, g0, r0, z0 = _antiderivative_at_0(
-                zeros3, pairs, k, precision_bits,
-                share and vertex_dilogs(base, pairs))
-            h1, g1, r1, z1 = _antiderivative(
-                mp.mpf(1), zeros3, pairs, share and vertex_dilogs(tip, pairs))
-            radius = r0 + r1 + rounding * (
-                z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1))))
+            pairs = _dilog_pairs(zeros2, zeros3, None if exact else [
+                None if g is None else g - log_delta for g in gaps])
+            sums = [_antiderivative_at_oo(zeros3, pairs, k, precision_bits)
+                    if ray else _antiderivative_at_0(
+                        zeros3, pairs, k, precision_bits,
+                        not exact and vertex_dilogs(base, pairs)),
+                    _antiderivative(mp.mpf(1), zeros3, pairs,
+                                    not exact and vertex_dilogs(tip, pairs))]
+            value, radius = closed_form(
+                k, *(sums if base is a else sums[::-1]))
             # moving a vertex within its ball changes about its radius times
             # the integrand, taken that far inside the chord
             for lam, v in ((0, base), (1, tip)):
@@ -511,8 +505,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
                     radius += float(eps * abs(
                         (k + sum(n * mp.log(x - s) for n, s in zeros2))
                         * sum(m / (x - rho) for m, rho in zeros3)))
-            value = h1 - h0 + k * (g1 - g0)
-            return ComplexApprox(-value if base is b else value, radius)
+            return ComplexApprox(value, radius)
 
         # a vertex is (position among the samples, t, radius, end index or
         # None); a crossing sits half-way between the samples around it
@@ -553,10 +546,8 @@ def reg_n3(Z, schedule, precision_bits=None):
     this precision.  The traced first cut loci and their crossings with the
     second cut are read from the report.  The k=1 term of the current (a
     holomorphic 2-form) vanishes identically on a complex curve and is
-    skipped.  Each path is integrated from the pole of f_1 to its zero, one
-    stretch between crossings at a time: in closed form in the radius on a
-    Moebius path (``_moebius_line``), along a polygon on a traced one
-    (``quadrature``), both called alike.
+    skipped.  Each path is integrated from the pole of f_1 to its zero by
+    one ``quadrature`` call, whose chords are summed.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -599,10 +590,9 @@ def reg_n3(Z, schedule, precision_bits=None):
                 for path in paths:
                     xs = sorted((c for c in crossings if c.host_path is path),
                                 key=lambda c: float(-c.sigma))
-                    moebius = path.evaluator.linear is not None
-                    for piece in (_moebius_line if moebius else quadrature)(
-                            comp, path, xs, eps2, precision_bits):
-                        line = line + (piece if moebius else piece[-1])
+                    for *_, piece in quadrature(comp, path, xs, eps2,
+                                                 precision_bits):
+                        line = line + piece
             entry["line_integral"] = line
             entry["crossing_sum"] = p_sum
             breakdown.append(entry)

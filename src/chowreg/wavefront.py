@@ -8,9 +8,10 @@ branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
 point solved on a locus (trace samples and crossings) comes from
 ``RFEvaluator.solve``, and each is checked by ``RFEvaluator.is_resolved`` as
 the solve returns it: one within rounding of a zero or pole raises
-PrecisionError.  The line integral solves no point: it is taken in closed
-form, in the radius along a Moebius path and along a polygon through the
-trace samples of a traced one, each from the pole to the zero.
+PrecisionError.  The line integral solves no point: ``regulator.quadrature``
+takes it in closed form along a polygon from the pole to the zero, through
+the trace samples of a traced path, and along a Moebius path itself, a ray
+in the radius.
 
 There are two kinds of path.  On a Moebius coordinate the level-set
 polynomial num_i - w den_i is linear and the path is its closed form
@@ -152,7 +153,8 @@ class TracedPath:
     there, which bound and warm-start the solve, bracket crossings and are
     the vertices of the polygon the line integral runs along.  On a Moebius
     path ``in_radius`` composes another coordinate with the path, as a
-    rational function of the radius.
+    rational function of the radius, from which ``_moebius_brackets``
+    isolates the crossings.
     """
 
     coord_index: int

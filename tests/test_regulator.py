@@ -188,8 +188,8 @@ def test_reg_n3_z1(z1):
 def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
     # coordinate 1 of the Totaro curve is Moebius: its cut locus is the
     # closed form in the radius, with no crossing to refine, and so is its
-    # line integral, so the whole of reg_n3 solves no point, integrates no
-    # traced path and takes no Newton step
+    # line integral, one quadrature call on its one path, so the whole of
+    # reg_n3 solves no point and takes no Newton step
     regulator_module = importlib.import_module("chowreg.regulator")
     counts = {"quadratures": 0, "steps": 0, "solves": 0}
     quad = regulator_module.quadrature
@@ -215,7 +215,7 @@ def test_reg_n3_takes_one_newton_step_per_node(z1, monkeypatch):
         v = reg_n3(z1, make_schedule(0.3, 3, 0.5), precision_bits=128)
         assert abs(v.value.value - mp.pi ** 2 / 6) <= v.value.radius
     assert counts["solves"] == 0
-    assert counts["quadratures"] == 0
+    assert counts["quadratures"] == 1
     assert counts["steps"] == 0
 
 
@@ -231,10 +231,10 @@ _MOEBIUS_CYCLES = {
 
 def _recording_moebius_lines(monkeypatch):
     """Record, for every Moebius path reg_n3 integrates, (component, path,
-    crossings, second phase, stretch balls, inverted flags of its
-    dilogarithm pairs)."""
+    crossings, second phase, the chord balls of each stretch, inverted
+    flags of its dilogarithm pairs)."""
     regulator_module = importlib.import_module("chowreg.regulator")
-    moebius_line = regulator_module._moebius_line
+    quadrature = regulator_module.quadrature
     dilog_pairs = regulator_module._dilog_pairs
     seen, inverted = [], []
 
@@ -244,12 +244,15 @@ def _recording_moebius_lines(monkeypatch):
         return pairs
 
     def recording(comp, path, xs, eps2, precision_bits):
-        pieces = moebius_line(comp, path, xs, eps2, precision_bits)
-        seen.append((comp, path, xs, eps2, pieces, inverted[-1]))
-        return pieces
+        chords = quadrature(comp, path, xs, eps2, precision_bits)
+        stretches = [[] for _ in range(len(xs) + 1)]
+        for seg, _, _, ball in chords:
+            stretches[seg].append(ball)
+        seen.append((comp, path, xs, eps2, stretches, inverted[-1]))
+        return chords
 
     monkeypatch.setattr(regulator_module, "_dilog_pairs", recording_pairs)
-    monkeypatch.setattr(regulator_module, "_moebius_line", recording)
+    monkeypatch.setattr(regulator_module, "quadrature", recording)
     return seen
 
 
@@ -285,9 +288,9 @@ def _t_space_stretch(comp, phases, a, b, bits):
 @pytest.mark.parametrize("name", sorted(_MOEBIUS_CYCLES))
 def test_radius_integrand_agrees_with_the_t_space_integrand(name, bits,
                                                             monkeypatch):
-    # each stretch of a Moebius path, integrated in closed form in the
-    # radius, agrees with mpmath's quadrature of the t-space integrand at
-    # twice the precision: within the stretch's radius, and to
+    # each stretch of a Moebius path, the sum of its chords in closed form
+    # in the radius, agrees with mpmath's quadrature of the t-space
+    # integrand at twice the precision: within the summed radii, and to
     # 2^(16 - bits) relative.  The outer stretches run to the path ends,
     # the pole and the zero of f_1.  McCarthy's path has two stretches, one
     # on either side of its crossing, and inverted (w = 1/z) pairs
@@ -303,14 +306,14 @@ def test_radius_integrand_agrees_with_the_t_space_integrand(name, bits,
     for comp, path, xs, eps2, pieces, _ in seen:
         assert path.evaluator.linear is not None
         assert eps2 == rep.schedule.phases[1]
-        assert len(pieces) == len(xs) + 1
+        assert len(pieces) == len(xs) + 1 and all(pieces)
         with workprec(bits):
             bounds = [None, *(-c.sigma for c in xs), None]
-        for piece, a, b in zip(pieces, bounds, bounds[1:]):
+        for balls, a, b in zip(pieces, bounds, bounds[1:]):
             ref = _t_space_stretch(comp, rep.schedule.phases, a, b, 2 * bits)
             with workprec(2 * bits):
-                err = abs(mp.mpc(piece.value) - ref)
-                assert err <= piece.radius
+                err = abs(mp.fsum(mp.mpc(ball.value) for ball in balls) - ref)
+                assert err <= sum(ball.radius for ball in balls)
                 assert err <= mp.mpf(2) ** (16 - bits) * max(1, abs(ref))
 
 
@@ -371,20 +374,23 @@ def test_antiderivative_at_oo_refuses_a_diverging_end():
 def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
                                                              monkeypatch):
     # a Moebius path runs no quadrature node: its line integral is the
-    # closed form in the radius, which solves for no t, evaluates no
-    # coordinate at one and takes no Newton step
+    # closed form in the radius, which solves for no t, takes no Newton
+    # step and evaluates f_2 at one point per stretch only, the point in
+    # closed form that fixes the branch of log f_2 there
     regulator_module = importlib.import_module("chowreg.regulator")
-    moebius_line = regulator_module._moebius_line
-    inside = []
+    quadrature = regulator_module.quadrature
+    inside, stretches = [], []
     calls = {"solve": 0, "value": 0, "dlog": 0, "newton_step": 0}
-    quadratures = []
 
-    def counting_line(*args, **kwargs):
+    def counting_quadrature(comp, path, *args):
+        assert path.evaluator.linear is not None
         inside.append(True)
         try:
-            return moebius_line(*args, **kwargs)
+            chords = quadrature(comp, path, *args)
         finally:
             inside.pop()
+        stretches.append(len({seg for seg, *_ in chords}))
+        return chords
 
     def counting(method):
         original = getattr(RFEvaluator, method)
@@ -395,9 +401,7 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
             return original(self, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(regulator_module, "_moebius_line", counting_line)
-    monkeypatch.setattr(regulator_module, "quadrature",
-                        lambda *args, **kwargs: quadratures.append(args))
+    monkeypatch.setattr(regulator_module, "quadrature", counting_quadrature)
     for method in calls:
         monkeypatch.setattr(RFEvaluator, method, counting(method))
     Z = _MOEBIUS_CYCLES[name]()
@@ -405,8 +409,9 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
         v = reg_n3(Z, search_admissible(Z, 0.3, precision_bits=128),
                    precision_bits=128)
     assert all(e["line_integral"].value != 0 for e in v.breakdown)
-    assert quadratures == []
-    assert calls == {"solve": 0, "value": 0, "dlog": 0, "newton_step": 0}
+    assert len(stretches) == len(Z.components)
+    assert 0 < calls.pop("value") <= sum(stretches)
+    assert calls == {"solve": 0, "dlog": 0, "newton_step": 0}
 
 
 _TRACED_CYCLES = {
@@ -414,6 +419,7 @@ _TRACED_CYCLES = {
     "totaro_s2_plus_i": lambda: load_fixture("totaro_s2_plus_i"),
     "totaro_s3": lambda: _totaro_composed(3, "t^3"),
     "mccarthy_s2_plus_i": lambda: _mccarthy_composed("t^2+i"),
+    "totaro_s2p1_s2p2": lambda: _totaro_composed(1, "(t^2+1)/(t^2+2)"),
 }
 
 
@@ -518,21 +524,31 @@ def test_polygon_chords_agree_with_the_t_space_integrand(name):
     _check_chords_against_t_space(comp, rep, xs, chords)
 
 
-def test_polygon_end_at_infinity_is_a_chord_in_u():
+@pytest.mark.parametrize("name", ["mccarthy_s2_plus_i", "totaro_s2p1_s2p2"])
+def test_polygon_end_at_infinity_is_a_ray(name):
     # the first locus of McCarthy o (s^2 + i) starts at the double pole
-    # t = oo of f_1 = i s^2 - 2: each branch's first chord runs from u = 0
-    # to the first trace sample in u = 1/t, where f_2 and f_3 are regular,
-    # and agrees with mpmath's quadrature there 64 bits higher
+    # t = oo of f_1 = i s^2 - 2, and that of Totaro o ((s^2 + 1)/(s^2 + 2))
+    # ends at the double zero t = oo of f_1 = -1/(s^2 + 1).  Each branch's
+    # chord to t = oo runs along the ray t = lambda v from the trace sample
+    # v next to it, where f_2 and f_3 are regular, and agrees with
+    # mpmath's quadrature there 64 bits higher
     regulator_module = importlib.import_module("chowreg.regulator")
+    last = name.startswith("totaro")
+    i = -1 if last else 0
     for branch in (0, 1):
-        comp, rep, path, xs, chords = _polygon_of("mccarthy_s2_plus_i",
-                                                   branch)
-        pole, _ = regulator_module._branch_ends(comp.coords[0], path, 128)
-        assert pole.location is INF and pole.multiplicity == -2
-        _, a, b, _ = chords[0]
-        assert a is INF and b == path.points[0]
-        assert abs(b) > mp.exp(27)
-        _check_chords_against_t_space(comp, rep, [], chords[:1])
+        comp, rep, path, xs, chords = _polygon_of(name, branch)
+        end = regulator_module._branch_ends(comp.coords[0], path, 128)[last]
+        assert end.location is INF and end.multiplicity == (2 if last else -2)
+        _, a, b, ball = chords[i]
+        v, oo = (a, b) if last else (b, a)
+        assert oo is INF and v == path.points[i]
+        assert abs(v) > mp.exp(27)
+        ref = _t_space_chord(comp, rep.schedule.phases[1], a, b, 192,
+                             (a is INF, b is INF), a is INF)
+        with workprec(192):
+            err = abs(mp.mpc(ball.value) - ref)
+            assert err <= ball.radius
+            assert err <= mp.mpf(2) ** (16 - 128) * max(1, abs(ref))
 
 
 def test_chord_around_a_divisor_point_is_split(monkeypatch):
