@@ -133,24 +133,28 @@ def _value_record(v):
             }
             for a in v.agreement
         ],
-        "breakdown": [
-            {
-                "component": e["component"],
-                "mult": e["mult"],
-                "line_integral": _cnum(e["line_integral"].value,
-                                       e["line_integral"].radius),
-                "crossing_sum": _cnum(e["crossing_sum"].value,
-                                      e["crossing_sum"].radius),
-                "crossings": [
-                    {"t": _cnum(c["t"].value, c["t"].radius), "sign": c["sign"]}
-                    for c in e["crossings"]
-                ],
-            }
-            for e in v.breakdown
-            if isinstance(e, dict)
-        ],
+        "breakdown": [_breakdown_record(e) for e in v.breakdown],
     }
     return rec
+
+
+def _breakdown_record(e):
+    """A point's perturbed log (1-cube) or a component's terms (3-cube)."""
+    if "point" in e:
+        return {"point": e["point"], "mult": e["mult"],
+                "log": _cnum(e["log"].value, e["log"].radius)}
+    return {
+        "component": e["component"],
+        "mult": e["mult"],
+        "line_integral": _cnum(e["line_integral"].value,
+                               e["line_integral"].radius),
+        "crossing_sum": _cnum(e["crossing_sum"].value,
+                              e["crossing_sum"].radius),
+        "crossings": [
+            {"t": _cnum(c["t"].value, c["t"].radius), "sign": c["sign"]}
+            for c in e["crossings"]
+        ],
+    }
 
 
 def _cmd_check(Z, args, precision_bits, tol):

@@ -38,10 +38,10 @@ class CurveComponent:
     n: int
     coords: tuple
     mult: int
-    # schedule-independent numerics keyed by (name, ..., precision): the
-    # values admissibility keeps off the cut rays
-    # (``wavefront._off_cut_entries``) and f_1 at the zeros and poles of the
-    # other coordinates (``regulator._in_radius_divisor``)
+    # schedule-independent data keyed by (name, ...): the values admissibility
+    # keeps off the cut rays (``wavefront._off_cut_entries``), f_1 at the
+    # zeros and poles of the others (``regulator._in_radius_divisor``), both
+    # per precision, and the charts f_k o f_1^-1 (``wavefront._chart``)
     _memo: dict = dataclass_field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 

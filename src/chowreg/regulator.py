@@ -51,7 +51,7 @@ from .field import embed
 from .funcfield import INF, mpf_to_fraction
 from .numeric import ComplexApprox, workprec
 from .special import BranchSpec, li2, log_eps
-from .wavefront import (AdmissibilityReport, PhaseSchedule,
+from .wavefront import (AdmissibilityReport, PhaseSchedule, _chart,
                         _coordinate_value_at, admissible, search_admissible)
 
 
@@ -359,8 +359,9 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     (``_antiderivative_at_0``, ``_antiderivative_at_oo``).  K is fixed by
     the sided branch of log f_2 at a vertex on the path, a sample if there
     is one, else a crossing, with the side hint of the stretch it opens or
-    closes; at r = 1 on a Moebius path without crossings.  A traced chord
-    is halved while a zero or pole of f_2 or f_3 lies in or about one
+    closes; at r = 1 on a Moebius path without crossings, where f_2 is
+    read in its chart (``wavefront._chart``) at w = r direction.  A traced
+    chord is halved while a zero or pole of f_2 or f_3 lies in or about one
     sample spacing from the loop of the chord and the samples it skips, or
     on the chord; PrecisionError if it skips none.  The radius adds the
     dilogarithms' radii, 2^(8 - precision_bits) times the size of the terms
@@ -368,8 +369,10 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     if precision_bits is None:
         precision_bits = mp.mp.prec
     f1, f2, f3 = comp.coords
-    ev2 = None if f2.is_constant() else f2.evaluator(precision_bits)
-    linear, points = path.evaluator.linear, path.points
+    points = path.points
+    # f_2 in t on a traced path, and in its chart w = f_1 on a Moebius one
+    ev2 = None if f2.is_constant() else (
+        f2 if points else _chart(comp, 1, 2)).evaluator(precision_bits)
     with workprec(precision_bits + _EXTRA_BITS):
         rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
         rounding = float(mp.mpf(2) ** (8 - precision_bits))
@@ -377,12 +380,13 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
                                  BranchSpec(eps2)).value
 
-        def branch_k(t, lam, hint, zeros2):
-            """K from the sided branch of log f_2 at the point t of the
-            path, which sits at lambda on the chord."""
+        def branch_k(x, lam, hint, zeros2):
+            """K from the sided branch of log f_2 at the point of the path
+            where ``ev2`` reads f_2 at x, which sits at lambda on the
+            chord."""
             if ev2 is None:
                 return const_log2
-            return _sided_log_branch(ev2.value(t), eps2, rot2, guard,
+            return _sided_log_branch(ev2.value(x), eps2, rot2, guard,
                                      hint) - sum(n * mp.log(lam - s)
                                                  for n, s in zeros2)
 
@@ -393,7 +397,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             return h1 - h0 + k * (g1 - g0), r0 + r1 + rounding * (
                 z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1))))
 
-        if linear is not None:
+        if not points:
             # one line: the pairs, and H and G at each crossing, serve
             # every chord
             zeros2, zeros3 = (_in_radius_divisor(comp, k, path,
@@ -402,15 +406,13 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             pairs = _dilog_pairs(zeros2, zeros3)
             radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
             inner = [_antiderivative(r, zeros3, pairs) for r in radii[1:-1]]
-            n0, n1, d0, d1 = linear
             chords = []
             for seg, (a, b) in enumerate(zip(radii, radii[1:])):
                 # K at the crossing that opens the stretch, else at the one
                 # that closes it, else at r = 1
                 r, hint = ((a, xs[seg - 1].sign) if seg
                            else (b, -xs[0].sign) if xs else (mp.mpf(1), 0))
-                w = r * path.direction
-                k = branch_k((w * d0 - n0) / (n1 - w * d1), r, hint, zeros2)
+                k = branch_k(r * path.direction, r, hint, zeros2)
                 value, radius = closed_form(
                     k, inner[seg - 1] if seg else _antiderivative_at_oo(
                         zeros3, pairs, k, precision_bits),
@@ -574,13 +576,8 @@ def reg_n3(Z, schedule, precision_bits=None):
 
             # crossing sum P
             p_sum = ComplexApprox(mp.mpc(0), 0.0)
-            ev3 = None if f3.is_constant() else f3.evaluator(precision_bits)
             for c in crossings:
-                if ev3 is None:
-                    v3 = embed(f3.constant_value(), precision_bits)
-                else:
-                    v3 = ComplexApprox(ev3.value(c.t.value), c.t.radius * 4.0)
-                lg = log_eps(v3, BranchSpec(eps3))
+                lg = log_eps(f3.eval(c.t, precision_bits), BranchSpec(eps3))
                 p_sum = p_sum + c.sign * lg
                 entry["crossings"].append({"t": c.t, "sign": c.sign, "log_f3": lg})
 

@@ -24,8 +24,9 @@ branches that close in on one another, end the trace with ScheduleError.
 
 A crossing of the first locus with the second cut is a root of
 Im(e^{i eps_2} f_2) as a function of the log-radius along the path.  On a
-Moebius path the roots are those of a real polynomial in the radius, isolated
-by Descartes's rule of signs; on a traced path they are bracketed by sign
+Moebius path the roots are those of a real polynomial in the radius, read
+from f_2 in the exact chart w = f_1, and are isolated by Descartes's rule
+of signs; on a traced path they are bracketed by sign
 changes between samples.  Bracketed Newton along the path then finds each
 one, and one quotient q = dlog f_2 / dlog f_1 there gives its slope, its
 transversality and its sign, the sign of the crossing derivative of arg f_2
@@ -54,7 +55,7 @@ import mpmath as mp
 
 from .errors import ChowregError, ConvergenceError, PrecisionError, ScheduleError
 from .field import CyclotomicNumber, embed
-from .funcfield import INF, RFEvaluator
+from .funcfield import INF, Poly, RationalFunction, RFEvaluator
 from .numeric import ComplexApprox, workprec
 
 TRACE_GRID_DEFAULT = 560
@@ -151,10 +152,9 @@ class TracedPath:
     ``points`` are empty.  On a coordinate of higher degree they are the
     trace's samples, log-radii in decreasing order and the parameter values
     there, which bound and warm-start the solve, bracket crossings and are
-    the vertices of the polygon the line integral runs along.  On a Moebius
-    path ``in_radius`` composes another coordinate with the path, as a
-    rational function of the radius, from which ``_moebius_brackets``
-    isolates the crossings.
+    the vertices of the polygon the line integral runs along.  Along a
+    Moebius path the other coordinates are read in the exact chart
+    w = f_1 (``_chart``), with w = e^sigma direction.
     """
 
     coord_index: int
@@ -200,33 +200,6 @@ class TracedPath:
             raise ConvergenceError(
                 f"path refinement stalled at log-radius {float(sigma):.4f}")
         return _resolved(self.evaluator, self.coord_index, hit, sigma)
-
-    def in_radius(self, ev):
-        """(A, B), the numerator and denominator of ``ev``'s function g
-        along this Moebius path as polynomials in the radius r (coefficient
-        lists, constant term first), at the working precision.
-
-        The path is t(w) = (w d0 - n0) / (n1 - w d1) with w = r direction.
-        With m = deg g, A(r) = num_g(t) (n1 - w d1)^m and
-        B(r) = den_g(t) (n1 - w d1)^m have degree at most m, and
-        A(r) / B(r) = g(t(w)).
-        """
-        n0, n1, d0, d1 = self.evaluator.linear
-        u = [-n0, self.direction * d0]     # w d0 - n0 as a polynomial in r
-        v = [n1, -self.direction * d1]     # n1 - w d1
-        m = max(len(ev.nc), len(ev.dc)) - 1
-        u_pows, v_pows = [[1]], [[1]]
-        for _ in range(m):
-            u_pows.append(_poly_mul(u_pows[-1], u))
-            v_pows.append(_poly_mul(v_pows[-1], v))
-        # u^k v^(m - k), which t^k becomes once (n1 - w d1)^m is cleared
-        basis = [_poly_mul(u_pows[k], v_pows[m - k]) for k in range(m + 1)]
-
-        def cleared(coeffs):
-            return [sum(c * b[e] for c, b in zip(coeffs, basis))
-                    for e in range(m + 1)]
-
-        return cleared(ev.nc), cleared(ev.dc)
 
     def samples(self):
         """(sigma, t) at the log-radii of the trace grid: the stored
@@ -397,13 +370,32 @@ def _rotation(phase):
     return mp.expj(mp.mpf(phase))
 
 
+def _chart(comp, i, k):
+    """Coordinate k of ``comp`` as an exact rational function of w = f_i,
+    for a Moebius f_i: g_k = f_k o f_i^-1, composed with the inverse
+    t = (d0 w - n0) / (n1 - d1 w).  Along a Moebius path of coordinate i,
+    w = e^sigma direction.  No schedule or precision moves it, so it is
+    built once and kept on the component.  Its numerator and denominator
+    give the implicit equation den_g(w) y - num_g(w) = 0 of (f_i, f_k)."""
+    key = ("chart", i, k)
+    if key not in comp._memo:
+        f = comp.coords[i - 1]
+        zero = CyclotomicNumber.zero(f.order)
+        n0, n1 = (*f.num.coeffs, zero, zero)[:2]
+        d0, d1 = (*f.den.coeffs, zero, zero)[:2]
+        comp._memo[key] = comp.coords[k - 1].compose(RationalFunction(
+            Poly(f.order, [-n0, d0]), Poly(f.order, [n1, -d1])))
+    return comp._memo[key]
+
+
 def find_pair_intersections(component, paths_i, j, phase_j,
                             precision_bits=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
     A crossing is a root of g = Im(e^{i phase_j} f_j) along the path, and
     each is bracketed in log-radius first.  On a Moebius path the brackets
-    isolate the real roots of a polynomial (``_moebius_brackets``); on a
+    isolate the real roots of a polynomial in the radius, read from the
+    chart of f_j (``_chart``, ``_moebius_brackets``); on a
     traced path they are consecutive samples between which g changes sign,
     counted half-open (zero counts as positive, so a sample on the cut is
     one crossing, not two), and where the value is not on the positive real
@@ -427,8 +419,10 @@ def find_pair_intersections(component, paths_i, j, phase_j,
             if path.evaluator.linear is None:
                 brackets = _sample_brackets(path, f_j_ev, rot_j)
             else:
-                brackets = _moebius_brackets(path, f_j_ev, rot_j,
-                                             precision_bits)
+                brackets = _moebius_brackets(
+                    path, _chart(component, path.coord_index,
+                                 j).evaluator(precision_bits),
+                    rot_j, precision_bits)
             for bracket, hi_positive in brackets:
                 hit = _refine_crossing(path, f_j_ev, rot_j, bracket,
                                        hi_positive, precision_bits)
@@ -469,25 +463,28 @@ def _sample_brackets(path, f_j_ev, rot_j):
     return out
 
 
-def _moebius_brackets(path, f_j_ev, rot_j, precision_bits):
+def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
     """((s_hi, s_lo), g >= 0 at s_hi) for each root of g = Im(rot_j f_j)
     along a Moebius path, in decreasing log-radius.
 
-    With f_j = A(r) / B(r) along the path (``TracedPath.in_radius``),
-    P(r) = Im(rot_j A conj(B)) = |B|^2 g is a real polynomial of degree at
-    most 2 deg f_j; its factors of r are dropped, as r = 0 is no point of
-    the path.  By Cauchy's bound every root of P lies in the log-radii
-    +-log(1 + max |p_k| / min(|p_0|, |p_n|)), and those in (0, oo) are
-    isolated there by Descartes's rule of signs (Collins-Akritas): a
-    bracket that holds several roots is halved in log-radius.  A bracket
-    narrower than 2^(-prec/2) that still holds several roots is kept when
-    P changes sign across it, as one crossing, and dropped else.  At a root
-    rot_j f_j = Q / |B|^2 with Q = Re(rot_j A conj(B)), so a bracket with
-    one root on which Q has no sign variation and is positive holds a
-    crossing of the positive real axis, not of the cut: it is dropped
-    before it is split or refined.
+    ``chart_ev`` evaluates f_j in the chart w = f_1 (``_chart``), and
+    along the path w = r direction, so f_j = A(r) / B(r), the k-th
+    coefficients of A and B those of its ``nc`` and ``dc`` times
+    direction^k.  P(r) = Im(rot_j A conj(B)) = |B|^2 g is a real polynomial
+    of degree at most 2 deg f_j; its factors of r are dropped, as r = 0 is
+    no point of the path.  By Cauchy's bound every root of P lies in the
+    log-radii +-log(1 + max |p_k| / min(|p_0|, |p_n|)), and those in
+    (0, oo) are isolated there by Descartes's rule of signs
+    (Collins-Akritas): a bracket that holds several roots is halved in
+    log-radius.  A bracket narrower than 2^(-prec/2) that still holds
+    several roots is kept when P changes sign across it, as one crossing,
+    and dropped else.  At a root rot_j f_j = Q / |B|^2 with
+    Q = Re(rot_j A conj(B)), so a bracket with one root on which Q has no
+    sign variation and is positive holds a crossing of the positive real
+    axis, not of the cut: it is dropped before it is split or refined.
     """
-    a, b = path.in_radius(f_j_ev)
+    a, b = ([c * path.direction ** k for k, c in enumerate(cs)]
+            for cs in (chart_ev.nc, chart_ev.dc))
     rotated = [rot_j * c for c in _poly_mul(a, [c.conjugate() for c in b])]
     p = [c.imag for c in rotated]
     q = [c.real for c in rotated]

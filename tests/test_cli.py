@@ -275,3 +275,57 @@ def test_cli_regulator_two_cube_intersection(capsys, trace_log):
     assert rec["kind"] == "intersection_number"
     assert rec["count"] == 0
     assert traced_in_search and all(traced_in_search)
+
+
+POINTS_TEXT = """\
+field cyclotomic(1)
+cycle pt n=1 p=1
+component mult=1 2
+component mult=-1 3
+"""
+
+
+@pytest.mark.parametrize("command", ["regulator", "torsion"])
+def test_cli_point_level_cycle_reports_its_logs(command, tmp_path, capsys):
+    # a point-level cycle in the 1-cube has a breakdown of one perturbed log
+    # per point: log 2 - log 3, which is no torsion value
+    src = tmp_path / "points.cyc"
+    src.write_text(POINTS_TEXT)
+    code, out, _ = _run(capsys, [command, str(src), "--precision", "128"])
+    assert code == 0
+    rec = json.loads(out)["cycles"]["pt"]
+    with workprec(128):
+        assert abs(mp.mpf(rec["re"]) - mp.log(mp.mpf(2) / 3)) < 1e-29
+        assert mp.mpf(rec["im"]) == 0
+        assert 0 < float(rec["error"]) < 1e-30
+        logs = [mp.mpf(e["log"]["re"]) for e in rec["breakdown"]]
+        assert abs(logs[0] - mp.log(2)) < 1e-29
+        assert abs(logs[1] - mp.log(3)) < 1e-29
+    assert [(e["point"], e["mult"]) for e in rec["breakdown"]] == [
+        ("+1 * (2)", 1), ("-1 * (3)", -1)]
+    if command == "torsion":
+        assert rec["torsion"]["order"] is None
+
+
+def test_cli_trace_writes_the_mccarthy_crossing(tmp_path, capsys):
+    # the one cut crossing of McCarthy's Moebius first locus, found from the
+    # crossing polynomial of its chart
+    code, out, _ = _run(capsys, ["trace", "--fixture", "mccarthy_counterexample",
+                                 "--precision", "128", "--export", str(tmp_path)])
+    assert code == 0
+    assert json.loads(out)["cycles"]["mccarthy_counterexample"][
+        "intersections"] == 1
+    rows = (tmp_path / "mccarthy_counterexample_intersections.csv"
+            ).read_text().splitlines()
+    assert rows[2:] == ["0,1,2,0.15523860144009159461,0.027150411628173839557,-1"]
+
+
+def test_cli_normalize_round_trips_a_normalized_cycle(capsys):
+    code, out, _ = _run(capsys, ["normalize", "--fixture", "z1_totaro",
+                                 "--precision", "128"])
+    assert code == 0
+    rec = json.loads(out)["cycles"]["z1_totaro"]
+    assert (rec["n"], rec["p"], rec["normalized"]) == (3, 2, True)
+    (Z,) = parse_cycle_file(rec["cycle"])
+    assert [c.key() for c in Z.components] == [
+        c.key() for c in load_fixture("z1_totaro").components]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from chowreg import (
@@ -324,3 +325,36 @@ def test_regulator_restricts_to_each_facet_once(monkeypatch):
         regulator(Z, precision_bits=128)
     assert sorted(calls) == sorted({(i, v) for i in (1, 2, 3)
                                     for v in ("0", "inf")})
+
+
+def _irrational_facets(mult):
+    # f_1 = t^2 - 2 vanishes at +-sqrt(2), which no exact factor finds: its
+    # facet points are numeric clusters, matched by ball distance
+    return parse_cycle_file(
+        "field cyclotomic(1)\ncycle irr n=2 p=1\n"
+        "component mult=1 t^2-2 ; (t+3)/(t-5)\n"
+        f"component mult={mult} t^2-2 ; (t-3)/(t+5)\n")[0]
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_numeric_facet_points_cancel_and_add(bits):
+    # at +-sqrt(2) the two second coordinates take the same two irrational
+    # values, (3 - sqrt 2)/(-5 - sqrt 2) and (3 + sqrt 2)/(-5 + sqrt 2), with
+    # the roles of the two roots swapped
+    with workprec(bits):
+        assert is_closed(_irrational_facets(-1), bits)
+        Z = _irrational_facets(1)
+        assert not is_closed(Z, bits)
+        points = boundary(Z).components
+        numeric = sorted((pt for pt in points if not pt.is_exact()),
+                         key=lambda pt: float(pt.coords[0].value.real))
+        exact = [(pt.mult, pt.coords[0]) for pt in points if pt.is_exact()]
+        sqrt2 = mp.sqrt(2)
+        for pt, value in zip(numeric, ((3 + sqrt2) / (sqrt2 - 5),
+                                       (3 - sqrt2) / (-sqrt2 - 5))):
+            assert pt.mult == -2
+            assert abs(pt.coords[0].value - value) <= 2.0 ** (8 - bits)
+    assert len(numeric) == 2 and len(points) == 4
+    assert sorted(exact, key=lambda e: e[0]) == [
+        (-2, CyclotomicNumber.from_rational(23, 1)),
+        (2, CyclotomicNumber.from_rational(7, 1))]

@@ -27,6 +27,7 @@ from chowreg import (
 from chowreg.funcfield import RFEvaluator
 from chowreg.numeric import ComplexApprox
 from chowreg.wavefront import (
+    SCHEDULE_ATTEMPTS,
     SIGMA_SPAN_DEFAULT,
     TRACE_GRID_DEFAULT,
     _off_cut_entries,
@@ -583,26 +584,86 @@ def test_search_schedule_petras(petras):
         assert admissible(petras, s, precision_bits=128).ok
 
 
-def test_regulator_builds_one_evaluator_per_coordinate(monkeypatch):
+def test_regulator_builds_each_evaluator_once(monkeypatch):
     # the trace, the crossings, the triple-point test and reg_n3 share one
-    # evaluator per coordinate and precision: a Petras regulator() builds
-    # one for each of its nine coordinates, and a second call none
-    built = []
-    init = RFEvaluator.__init__
+    # evaluator per function and precision: every evaluator a Petras
+    # regulator() builds belongs to a coordinate or to a chart w = f_1 of
+    # one, none is built twice, each chart is composed once, and a second
+    # call builds and composes nothing
+    built, composed = [], []
+    init, compose = RFEvaluator.__init__, RationalFunction.compose
 
     def counting(self, rf, precision_bits):
         built.append(rf)
         init(self, rf, precision_bits)
 
+    def composing(self, g):
+        composed.append(self)
+        return compose(self, g)
+
     monkeypatch.setattr(RFEvaluator, "__init__", counting)
+    monkeypatch.setattr(RationalFunction, "compose", composing)
     Z = load_fixture("petras_zeta5")
-    coords = [f for comp in Z.components for f in comp.coords]
     with workprec(128):
         regulator(Z, precision_bits=128)
-        assert sorted(map(id, built)) == sorted(map(id, coords))
-        del built[:]
+        first, first_composed = list(built), list(composed)
+        del built[:], composed[:]
         regulator(Z, precision_bits=128)
-    assert built == []
+    assert built == [] and composed == []
+    charts = [chart for comp in Z.components
+              for key, chart in comp._memo.items() if key[0] == "chart"]
+    coords = [f for comp in Z.components for f in comp.coords]
+    assert len(charts) == len(first_composed) == len(Z.components)
+    assert len(set(map(id, first))) == len(first)
+    assert set(map(id, first)) <= set(map(id, coords + charts))
+    assert set(map(id, charts)) <= set(map(id, first))
+
+
+def _refused_schedules(monkeypatch, seed):
+    """The schedules search_admissible tries on Totaro at 128 bits when
+    admissible refuses every one, and the ScheduleError it ends with."""
+    import chowreg.wavefront as wf
+
+    tried = []
+
+    def refuse(Z, schedule, precision_bits=None):
+        tried.append(schedule)
+        return wf.AdmissibilityReport(
+            ok=False, schedule=schedule, failures=[wf.AdmissibilityFailure(
+                "critical-value", len(tried) - 1, "refused")])
+
+    monkeypatch.setattr(wf, "admissible", refuse)
+    with workprec(128), pytest.raises(ScheduleError) as err:
+        wf.search_admissible(load_fixture("z1_totaro"), 0.3, seed=seed,
+                             precision_bits=128)
+    return tried, str(err.value)
+
+
+def test_schedule_search_walks_its_whole_ladder(monkeypatch):
+    # twelve attempts: the ten fixed lambdas, then two jittered by the seed,
+    # with the bound shrunk by 0.6 after every third refusal
+    tried, message = _refused_schedules(monkeypatch, 0)
+    assert len(tried) == SCHEDULE_ATTEMPTS == 12
+    lams = []
+    with workprec(128):
+        for k, s in enumerate(tried):
+            bound = mp.mpf(0.3) * mp.mpf("0.6") ** (k // 3)
+            assert abs(s.eps_bound - bound) < 1e-30
+            lams.append(float(s.phases[0] / s.eps_bound))
+            assert s.is_b_nested()
+    assert lams[:10] == pytest.approx(
+        [0.5, 0.35, 0.65, 0.8, 0.25, 0.45, 0.7, 0.3, 0.55, 0.6], abs=1e-15)
+    assert all(0.2 <= lam < 0.8 for lam in lams[10:])
+    assert lams[10] != lams[11]
+    assert message == (
+        "no admissible schedule found in 12 attempts from bound 0.3; last "
+        "failures: critical-value (component 11)")
+    again, _ = _refused_schedules(monkeypatch, 0)
+    other, _ = _refused_schedules(monkeypatch, 1)
+    assert [s.phases for s in again] == [s.phases for s in tried]
+    assert [s.phases for s in other[:10]] == [s.phases for s in tried[:10]]
+    assert all(a.phases[0] != b.phases[0] for a, b in zip(other[10:],
+                                                          tried[10:]))
 
 
 SCHEDULE_LAMBDAS = (0.5, 0.35, 0.65, 0.8, 0.25)
