@@ -75,7 +75,7 @@ def _schedule_for(Z, args, precision_bits):
     eps = mp.mpf(repr(args.eps)) if args.eps is not None else mp.mpf("0.3")
     if getattr(args, "equal_phase", False):
         return PhaseSchedule(eps, (eps,) * Z.n)
-    lam = mp.mpf(repr(getattr(args, "schedule_lambda", 0.5) or 0.5))
+    lam = mp.mpf(repr(args.schedule_lambda))
     return make_schedule(eps, Z.n, lam, precision_bits)
 
 

@@ -308,23 +308,15 @@ def linear_factors(p):
     found = []
     rem = p.monic()
     with workprec(_PROBE_BITS):
-        seen = set()
-        # the second pass is a rational-root style second chance on the
-        # deflated remainder
-        for _ in range(2):
-            if rem.degree < 1:
-                break
-            for ball, _mult, _fac in _roots_with_factors(rem, _PROBE_BITS):
-                for cand in reconstruct_in_field(ball.value, p.order):
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    mult = 0
-                    while rem.degree > 0 and rem.eval_exact(cand).is_zero():
-                        rem = rem.deflate(cand)
-                        mult += 1
-                    if mult:
-                        found.append((cand, mult))
+        for ball, _mult, _fac in _roots_with_factors(rem, _PROBE_BITS):
+            # a candidate met again finds its root deflated already
+            for cand in reconstruct_in_field(ball.value, p.order):
+                mult = 0
+                while rem.degree > 0 and rem.eval_exact(cand).is_zero():
+                    rem = rem.deflate(cand)
+                    mult += 1
+                if mult:
+                    found.append((cand, mult))
     return found, rem
 
 
@@ -358,7 +350,8 @@ class RationalFunction:
     """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic.
 
     Instances are immutable, so ``divisor``, ``critical_values`` and
-    ``evaluator`` keep their results per precision in ``_memo``.
+    ``evaluator`` keep their results per precision in ``_memo``, and
+    ``inverse`` keeps its one.
     """
 
     __slots__ = ("order", "num", "den", "_memo")
@@ -504,6 +497,22 @@ class RationalFunction:
 
         return RationalFunction(substitute(self.num), substitute(self.den))
 
+    def inverse(self):
+        """The compositional inverse of a Moebius function (degree 1 as a
+        map): f^-1(w) = (d0 w - n0) / (n1 - d1 w) for
+        f = (n0 + n1 t) / (d0 + d1 t), exactly.  Built once."""
+        if self.degree_map != 1:
+            raise ChowregError(
+                f"{self} has degree {self.degree_map} as a map: only a "
+                "Moebius function has a compositional inverse")
+        if "inverse" not in self._memo:
+            zero = CyclotomicNumber.zero(self.order)
+            n0, n1 = (*self.num.coeffs, zero, zero)[:2]
+            d0, d1 = (*self.den.coeffs, zero, zero)[:2]
+            self._memo["inverse"] = RationalFunction(
+                Poly(self.order, [-n0, d0]), Poly(self.order, [n1, -d1]))
+        return self._memo["inverse"]
+
     def eval(self, at, precision_bits=None):
         """Value at a point of P^1: exact element, INF, or a complex ball."""
         if at is INF:
@@ -648,17 +657,12 @@ class RFEvaluator:
 
     Caches complex coefficient arrays for num, den and their derivatives so
     repeated evaluation (path tracing, crossings) costs only Horner loops.
-    ``solve`` is the one solver for f(t) = w.  When the level-set polynomial
-    num - w den is linear (a Moebius f: both polynomials of degree at most
-    1), ``linear`` holds its padded coefficients (n0, n1, d0, d1) and the
-    solve is the closed form t = (w d0 - n0) / (n1 - w d1).  Otherwise it is
-    Newton on num - w den: each iteration evaluates num and den once in
-    ``residual`` and hands them to ``newton_step``, which adds only num' and
-    den': four Horner passes.
+    ``solve`` is Newton on num - w den for f(t) = w from a given start:
+    each iteration evaluates num and den once in ``residual`` and hands them
+    to ``newton_step``, which adds only num' and den': four Horner passes.
     """
 
-    __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc", "mags",
-                 "linear")
+    __slots__ = ("rf", "precision_bits", "nc", "dc", "npc", "dpc", "mags")
 
     def __init__(self, rf, precision_bits):
         self.rf = rf
@@ -672,12 +676,6 @@ class RFEvaluator:
         # and den, which size ``is_resolved``'s rounding floor
         self.mags = tuple([(k, mp.mag(c)) for k, c in enumerate(cs) if c]
                           for cs in (self.nc, self.dc))
-        self.linear = None
-        if len(self.nc) <= 2 and len(self.dc) <= 2:
-            zero = mp.mpc(0)
-            n0, n1 = (self.nc + [zero, zero])[:2]
-            d0, d1 = (self.dc + [zero, zero])[:2]
-            self.linear = (n0, n1, d0, d1)
 
     @staticmethod
     def _horner(coeffs, t):
@@ -740,34 +738,15 @@ class RFEvaluator:
         return abs(n - w * d) / (abs(d) * scale), n, d
 
     def solve(self, t, w, tol, max_steps):
-        """f(t) = w at the working precision: (t, num(t), den(t)) for a
-        point whose relative residual |n - w d| / (|d| (|w| + 1)) is below
-        ``tol``.
-
-        A linear level set is solved in closed form and ignores the start
-        ``t`` (None is allowed).  Otherwise, or when the closed form misses
-        ``tol`` (next to a finite pole it cannot reach it), Newton steps on
-        num - w den, from the closed-form point when there is one and from
-        ``t`` else.  Newton returns the first iterate below ``tol``, or the
-        one reached by a step at the rounding floor of t, about
+        """f(t) = w at the working precision by Newton on num - w den from
+        the start ``t``: (t, num(t), den(t)) for the first iterate whose
+        relative residual |n - w d| / (|d| (|w| + 1)) is below ``tol``, or
+        for the one reached by a step at the rounding floor of t, about
         2^(4 - prec) |t| (compared by binary magnitude), where the residual
         stops falling; None when ``max_steps`` steps do neither.  A critical
-        point, w = f(oo) on a linear level set among them, raises
-        ZeroDivisionError.
+        point raises ZeroDivisionError.
         """
         scale = abs(w) + 1
-        if self.linear is not None:
-            n0, n1, d0, d1 = self.linear
-            slope = n1 - w * d1
-            if slope != 0:
-                t = (w * d0 - n0) / slope
-                # rounded as Horner on nc and dc rounds them
-                n = +n1 * t + n0
-                d = +d1 * t + d0
-                if abs(n - w * d) < tol * abs(d) * scale:
-                    return t, n, d
-            elif t is None:
-                raise ZeroDivisionError("critical point: w = f(oo)")
         floor = 4 - mp.mp.prec
         for _ in range(max_steps):
             res, n, d = self.residual(t, w, scale)

@@ -19,7 +19,7 @@ every other fixture is a zero-freedom check.
 Evaluation reads the first cut loci and their crossings from the
 admissibility report that accepted the schedule, so the pipeline builds and
 intersects each schedule's cut loci once, inside the schedule search.  A
-path there is the closed form of a Moebius first coordinate, which every
+path there is the exact inverse of a Moebius first coordinate, which every
 shipped 3-cube fixture has, or the traced branch of one of higher degree.
 
 ``quadrature`` takes every line integral, along a polygon from the pole of
@@ -171,7 +171,7 @@ def _in_radius_divisor(comp, k, path, precision_bits):
         comp._memo[key] = [
             (pt.multiplicity, v)
             for pt in comp.coords[k - 1].divisor(precision_bits)
-            if (v := _coordinate_value_at(comp, 1, pt.location)) is not INF]
+            if (v := _coordinate_value_at(comp, 1, pt)) is not INF]
     return [(n, v / path.direction if v != 0 else mp.mpc(0))
             for n, v in comp._memo[key]]
 
@@ -625,6 +625,8 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
     three bounds shrinking by a factor 3, check pairwise lattice agreement,
     and return the smallest-bound evaluation annotated with the agreement
     report."""
+    if not 0 <= tol < math.inf:
+        raise ChowregError(f"tolerance must be finite and >= 0, got {tol!r}")
     if precision_bits is None:
         precision_bits = mp.mp.prec
     with workprec(precision_bits):
@@ -727,6 +729,9 @@ def torsion_order(value, max_order=200, tol=1e-6):
     q = value / (2*pi*i)^p recognized as a fraction of denominator m."""
     if not isinstance(value, RegulatorValue):
         raise ChowregError("torsion_order expects a RegulatorValue")
+    if max_order < 1 or not 0 < tol < math.inf:
+        raise ChowregError("torsion_order needs max_order >= 1 and a finite "
+                           f"tol > 0, got {max_order!r} and {tol!r}")
     v = value
     if v.value.radius >= tol / (2 * max_order):
         raise PrecisionError(

@@ -5,22 +5,21 @@ the cut locus of coordinate i is {t : arg f_i(t) = pi - eps_i}.  Each locus is
 a family of |f_i| level sets: at log-radius sigma every point solves
 f_i(t) = w with w = e^sigma e^(i(pi - eps_i)), giving one oriented path per
 branch, running from a pole of f_i (r -> oo) to a zero (r -> 0).  Every
-point solved on a locus (trace samples and crossings) comes from
-``RFEvaluator.solve``, and each is checked by ``RFEvaluator.is_resolved`` as
-the solve returns it: one within rounding of a zero or pole raises
-PrecisionError.  The line integral solves no point: ``regulator.quadrature``
-takes it in closed form along a polygon from the pole to the zero, through
-the trace samples of a traced path, and along a Moebius path itself, a ray
-in the radius.
+point placed on a locus (trace samples and crossings) is checked by
+``RFEvaluator.is_resolved`` as it is placed: one within rounding of a zero or
+pole raises PrecisionError.  The line integral places no point:
+``regulator.quadrature`` takes it in closed form along a polygon from the
+pole to the zero, through the trace samples of a traced path, and along a
+Moebius path itself, a ray in the radius.
 
-There are two kinds of path.  On a Moebius coordinate the level-set
-polynomial num_i - w den_i is linear and the path is its closed form
-t(w) = (w d0 - n0) / (n1 - w d1) for every radius in (0, oo): nothing is
-sampled or solved up front.  On a coordinate of higher degree the locus is
-traced over a fixed span of log-radii: one full root solve seeds the
-branches at the largest radius and each later sample is Newton on
-num_i - w den_i from the branch's previous one.  A step that fails, or two
-branches that close in on one another, end the trace with ScheduleError.
+There are two kinds of path.  On a Moebius coordinate the path is
+t = f_i^-1(w) for every radius in (0, oo), with the exact inverse
+``RationalFunction.inverse``: nothing is sampled or solved up front.  On a
+coordinate of higher degree the locus is traced over a fixed span of
+log-radii: one full root solve seeds the branches at the largest radius and
+each later sample is ``RFEvaluator.solve``, Newton on num_i - w den_i from
+the branch's previous one.  A step that fails, or two branches that close in
+on one another, end the trace with ScheduleError.
 
 A crossing of the first locus with the second cut is a root of
 Im(e^{i eps_2} f_2) as a function of the log-radius along the path.  On a
@@ -53,9 +52,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import mpmath as mp
 
+from .cycles import FACET, _incidence
 from .errors import ChowregError, ConvergenceError, PrecisionError, ScheduleError
 from .field import CyclotomicNumber, embed
-from .funcfield import INF, Poly, RationalFunction, RFEvaluator
+from .funcfield import INF, RFEvaluator
 from .numeric import ComplexApprox, workprec
 
 TRACE_GRID_DEFAULT = 560
@@ -147,14 +147,15 @@ class TracedPath:
     ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
     ``solve_at`` solves the defining equation at a log-radius of the path,
     so crossing refinement samples the exact path rather than
-    interpolating.  On a Moebius coordinate that solve is the closed form,
-    at any log-radius, and the path holds nothing more: ``sigmas`` and
-    ``points`` are empty.  On a coordinate of higher degree they are the
-    trace's samples, log-radii in decreasing order and the parameter values
-    there, which bound and warm-start the solve, bracket crossings and are
-    the vertices of the polygon the line integral runs along.  Along a
-    Moebius path the other coordinates are read in the exact chart
-    w = f_1 (``_chart``), with w = e^sigma direction.
+    interpolating.  On a Moebius coordinate the path holds nothing more:
+    ``sigmas`` and ``points`` are empty, and ``solve_at`` evaluates the
+    exact inverse f^-1 (``RationalFunction.inverse``) at any log-radius.
+    On a coordinate of higher degree they are the trace's samples,
+    log-radii in decreasing order and the parameter values there, which
+    bound and warm-start the solve, bracket crossings and are the vertices
+    of the polygon the line integral runs along.  Along a Moebius path the
+    other coordinates are read in the exact chart w = f_1 (``_chart``),
+    with w = e^sigma direction.
     """
 
     coord_index: int
@@ -171,27 +172,33 @@ class TracedPath:
                   / float(self.sigmas[0] - self.sigmas[-1]))
         return min(max(k, 0), last)
 
-    def solve_at(self, sigma):
-        """The point of this branch where f(t) = e^sigma direction, as
-        (t, num(t), den(t)), the last two as the solve computed them.
+    def solve_at(self, sigma, floor=None):
+        """The point of this branch where f(t) = w = e^sigma direction, as
+        (t, num(t), den(t)).
 
-        It runs ``RFEvaluator.solve``, the solver the trace itself steps
-        with: in closed form on a Moebius coordinate, and else by Newton
-        warm-started from the nearest sample within the traced range.  A
-        stalled solve or a critical point is a ConvergenceError; a point
-        that ``is_resolved`` refuses (within rounding of a zero or pole of
-        f, where dlog f divides by num or den) is a PrecisionError, as for
-        a trace sample.
+        On a Moebius coordinate t = f^-1(w) from the inverse's evaluator,
+        at any log-radius, and num(t) and den(t) are Horner passes; w = f(oo)
+        has no finite point.  Else it runs ``RFEvaluator.solve``, the solver
+        the trace itself steps with, warm-started from the nearest sample
+        within the traced range, and returns num(t) and den(t) as the solve
+        computed them.  A stalled solve or a critical point is a
+        ConvergenceError; a point that ``is_resolved`` refuses at ``floor``
+        (within rounding of a zero or pole of f, where dlog f divides by num
+        or den) is a PrecisionError, as for a trace sample.
         """
-        sigma, sigmas = mp.mpf(sigma), self.sigmas
+        sigma, sigmas, ev = mp.mpf(sigma), self.sigmas, self.evaluator
         if sigmas and not sigmas[-1] <= sigma <= sigmas[0]:
             raise ChowregError(
                 f"log-radius {mp.nstr(sigma, 8)} is outside the traced range "
                 f"[{mp.nstr(sigmas[-1], 8)}, {mp.nstr(sigmas[0], 8)}]")
-        start = self.points[self._nearest_index(sigma)] if sigmas else None
+        w = mp.exp(sigma) * self.direction
         try:
-            hit = self.evaluator.solve(start, mp.exp(sigma) * self.direction,
-                                       mp.mpf(2) ** (12 - mp.mp.prec), 60)
+            if sigmas:
+                hit = ev.solve(self.points[self._nearest_index(sigma)], w,
+                               mp.mpf(2) ** (12 - mp.mp.prec), 60)
+            else:
+                t = ev.rf.inverse().evaluator(ev.precision_bits).value(w)
+                hit = t, ev._horner(ev.nc, t), ev._horner(ev.dc, t)
         except ZeroDivisionError as exc:
             raise ConvergenceError(
                 f"path refinement hit a critical point at log-radius "
@@ -199,29 +206,28 @@ class TracedPath:
         if hit is None:
             raise ConvergenceError(
                 f"path refinement stalled at log-radius {float(sigma):.4f}")
-        return _resolved(self.evaluator, self.coord_index, hit, sigma)
+        return _resolved(ev, self.coord_index, hit, sigma, floor)
 
     def samples(self):
         """(sigma, t) at the log-radii of the trace grid: the stored
-        samples of a traced branch, and on a Moebius coordinate the closed
-        form, solved and checked as a trace sample would be.  A Moebius path
-        lists the grid points the precision resolves: those the solve
-        reaches where num(t) and den(t) exceed 2^(-2 prec/3) max_k |c_k|
-        |t|^k, so that their relative rounding error, and with it the
-        distance of arg f(t) from the cut ray, stays below about
-        2^(-prec/3).  The runs of unresolved points next to the pole and the
-        zero, at the ends of the grid, are dropped; an unresolved point
-        between resolved ones, or none resolved, raises its error."""
+        samples of a traced branch, and on a Moebius coordinate its
+        ``solve_at`` points.  A Moebius path lists the grid points the
+        precision resolves: those where num(t) and den(t) exceed
+        2^(-2 prec/3) max_k |c_k| |t|^k, so that their relative rounding
+        error, and with it the distance of arg f(t) from the cut ray, stays
+        below about 2^(-prec/3).  The runs of unresolved points next to the
+        pole and the zero, at the ends of the grid, are dropped; an
+        unresolved point between resolved ones, or none resolved, raises
+        its error."""
         if self.points:
             return list(zip(self.sigmas, self.points))
-        ev, out = self.evaluator, []
-        with workprec(ev.precision_bits):
+        out = []
+        with workprec(self.evaluator.precision_bits):
             floor = mp.mp.prec // 3 - mp.mp.prec
             for sigma in _trace_grid(mp.mp.prec):
                 try:
-                    out.append((sigma, _trace_step(ev, self.coord_index, self.direction,
-                                                   None, sigma, floor)))
-                except (PrecisionError, ScheduleError) as exc:
+                    out.append((sigma, self.solve_at(sigma, floor)[0]))
+                except (PrecisionError, ConvergenceError) as exc:
                     out.append(exc)
         resolved = [k for k, s in enumerate(out) if isinstance(s, tuple)]
         kept = out[resolved[0]:resolved[-1] + 1] if resolved else out[:1]
@@ -257,11 +263,11 @@ def _trace_grid(prec):
     return tuple(sigmas)
 
 
-def _trace_step(ev, coord_index, direction, t, sigma, floor=None):
+def _trace_step(ev, coord_index, direction, t, sigma):
     """The checked trace sample at log-radius ``sigma`` of the branch
-    through the previous sample ``t`` (None on a Moebius coordinate): the
-    solve to 2^(16 - prec) in at most 40 steps, ScheduleError when it fails
-    and PrecisionError when ``_resolved`` refuses its point at ``floor``."""
+    through the previous sample ``t``: the solve to 2^(16 - prec) in at most
+    40 steps, ScheduleError when it fails and PrecisionError when
+    ``_resolved`` refuses its point."""
     try:
         hit = ev.solve(t, mp.exp(sigma) * direction,
                        mp.mpf(2) ** (16 - ev.precision_bits), 40)
@@ -271,7 +277,7 @@ def _trace_step(ev, coord_index, direction, t, sigma, floor=None):
         raise ScheduleError(
             "non-generic phase: the trace lost a branch near radius "
             f"{mp.nstr(mp.e ** sigma, 8)}")
-    return _resolved(ev, coord_index, hit, sigma, floor)[0]
+    return _resolved(ev, coord_index, hit, sigma)[0]
 
 
 def _seed_roots(ev, w, precision_bits):
@@ -305,8 +311,9 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
     total), each oriented pole -> zero.
 
-    A Moebius f_i has one branch, and ``solve_at`` is its closed form at
-    every radius in (0, oo): the path is neither sampled nor solved here.
+    A Moebius f_i has one branch, and ``solve_at`` evaluates the exact
+    inverse of f_i at every radius in (0, oo): the path is neither sampled
+    nor solved here.
 
     A coordinate of higher degree is traced over the log-radii of the trace
     grid, SIGMA_SPAN_DEFAULT down to its negative: one full root
@@ -328,7 +335,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     with workprec(precision_bits):
         ev = f.evaluator(precision_bits)
         direction = mp.expj(mp.pi - mp.mpf(phase))
-        if ev.linear is not None:
+        if f.degree_map == 1:
             return [TracedPath(coord_index, direction, ev)]
         sigmas = _trace_grid(mp.mp.prec)
         collision_rel = mp.mpf(2) ** (-precision_bits // 2)
@@ -372,19 +379,15 @@ def _rotation(phase):
 
 def _chart(comp, i, k):
     """Coordinate k of ``comp`` as an exact rational function of w = f_i,
-    for a Moebius f_i: g_k = f_k o f_i^-1, composed with the inverse
-    t = (d0 w - n0) / (n1 - d1 w).  Along a Moebius path of coordinate i,
+    for a Moebius f_i: g_k = f_k o f_i^-1, composed with
+    ``RationalFunction.inverse``.  Along a Moebius path of coordinate i,
     w = e^sigma direction.  No schedule or precision moves it, so it is
     built once and kept on the component.  Its numerator and denominator
     give the implicit equation den_g(w) y - num_g(w) = 0 of (f_i, f_k)."""
     key = ("chart", i, k)
     if key not in comp._memo:
-        f = comp.coords[i - 1]
-        zero = CyclotomicNumber.zero(f.order)
-        n0, n1 = (*f.num.coeffs, zero, zero)[:2]
-        d0, d1 = (*f.den.coeffs, zero, zero)[:2]
-        comp._memo[key] = comp.coords[k - 1].compose(RationalFunction(
-            Poly(f.order, [-n0, d0]), Poly(f.order, [n1, -d1])))
+        comp._memo[key] = comp.coords[k - 1].compose(
+            comp.coords[i - 1].inverse())
     return comp._memo[key]
 
 
@@ -416,7 +419,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         f_j_ev = component.coords[j - 1].evaluator(precision_bits)
         rot_j = _rotation(phase_j)
         for path in paths_i:
-            if path.evaluator.linear is None:
+            if path.points:
                 brackets = _sample_brackets(path, f_j_ev, rot_j)
             else:
                 brackets = _moebius_brackets(
@@ -642,9 +645,17 @@ def _near_cut(value, rot):
     return abs(w.imag) <= _TAN_CUT_MARGIN * w.real
 
 
-def _coordinate_value_at(component, j, location):
-    """Coordinate j at a divisor location; returns mpc, INF, or exact zero."""
-    v = component.coords[j - 1].eval(location)
+def _coordinate_value_at(component, j, point):
+    """Coordinate j at a ``DivisorPoint``; returns mpc, INF, or exact zero.
+
+    At a numeric cluster where ``cycles._incidence`` finds coordinate j 0 or
+    oo, the value is decided exactly, not read from a rounded residue: INF
+    when the cluster's squarefree factor shares a factor with its
+    denominator, 0 else."""
+    f = component.coords[j - 1]
+    if not point.is_exact and _incidence(f, point) == FACET:
+        return INF if point.factor.gcd(f.den).degree > 0 else 0
+    v = f.eval(point.location)
     if isinstance(v, CyclotomicNumber):
         return 0 if v.is_zero() else embed(v, mp.mp.prec).value
     return v.value if isinstance(v, ComplexApprox) else v
@@ -673,18 +684,18 @@ def _off_cut_entries(comp, precision_bits):
                          f"coordinate {i} has a critical value on its cut")
                         for point, value in f.critical_values(precision_bits)]
             if i > 1 and not f1.is_constant():
-                facets += [(1, pt.location, "face-on-cut", f"coordinate {i} "
+                facets += [(1, pt, "face-on-cut", f"coordinate {i} "
                             "facet parameter lies on the first cut")
                            for pt in f.divisor(precision_bits)]
         if not f1.is_constant():
-            facets += [(k, pt.location, "endpoint-on-cut", "endpoint of the "
+            facets += [(k, pt, "endpoint-on-cut", "endpoint of the "
                         f"first cut locus lies on cut {k}")
                        for pt in f1.divisor(precision_bits)
                        for k in range(2, comp.n + 1)]
-        for k, loc, kind, detail in facets:
-            v = _coordinate_value_at(comp, k, loc)
+        for k, pt, kind, detail in facets:
+            v = _coordinate_value_at(comp, k, pt)
             if v is not INF and v != 0:
-                witness = loc if isinstance(loc, ComplexApprox) else None
+                witness = None if pt.is_exact else pt.location
                 entries.append((k, kind, v, witness, detail))
     # one value on one ray is one fact: a constant coordinate is also its
     # value at every endpoint, and f_k(oo) can be both a critical value and
@@ -769,10 +780,7 @@ def admissible(Z, schedule, precision_bits=None):
             triples = []
             for c in crossings[ci]:
                 for k, f in enumerate(comp.coords[2:], 3):
-                    if f.is_constant():
-                        v = embed(f.constant_value(), precision_bits).value
-                    else:
-                        v = f.evaluator(precision_bits).value(c.t.value)
+                    v = f.eval(c.t, precision_bits).value
                     if v != 0:
                         triples.append((k, "triple", v, c.t,
                                         f"triple point: cuts 1,2,{k} meet"))

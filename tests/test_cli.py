@@ -196,6 +196,25 @@ def test_cli_precision_exit_code(capsys):
     assert "40 bits" in error["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["torsion", "--max-order", "0"], "max_order >= 1"),
+    (["torsion", "--max-order", "-3"], "max_order >= 1"),
+    (["regulator", "--tolerance", "-1"], "tolerance must be finite and >= 0"),
+    (["regulator", "--tolerance", "nan"], "tolerance must be finite and >= 0"),
+    (["admissible", "--schedule-lambda", "0"], "lambda must lie in (0, 1)"),
+], ids=["max_order_0", "max_order_negative", "tolerance_negative",
+        "tolerance_nan", "lambda_0"])
+def test_cli_refuses_an_invalid_argument(argv, message, capsys):
+    # an argument out of range leaves as a ChowregError naming it, not as a
+    # raw exception, a misleading error or a silently replaced value
+    code, out, err = _run(capsys, argv + ["--fixture", "z1_totaro",
+                                          "--precision", "128"])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["class"] == "internal"
+    assert message in error["message"]
+
+
 def test_cli_missing_input(capsys):
     code, _, err = _run(capsys, ["check", "--precision", "128"])
     assert code == 1

@@ -8,6 +8,8 @@ from chowreg import (
     ChowregError,
     CurveComponent,
     CyclotomicNumber,
+    INF,
+    PrecisionError,
     Precycle,
     PropernessError,
     RationalFunction,
@@ -358,3 +360,35 @@ def test_numeric_facet_points_cancel_and_add(bits):
     assert sorted(exact, key=lambda e: e[0]) == [
         (-2, CyclotomicNumber.from_rational(23, 1)),
         (2, CyclotomicNumber.from_rational(7, 1))]
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+@pytest.mark.parametrize("text, square, at_infinity", [
+    ("(t^2-2)*(t^2-3) ; (t^2-2)/(t+7)", 2, [1, 2]),
+    ("(t^2-2)*(t^2-3) ; (t^2-3)*(t-1)/(t+7) ; t+9", 3, [1, 2, 3]),
+], ids=["2-cube", "3-cube"])
+def test_a_split_cluster_is_reported_and_refused(text, square, at_infinity,
+                                                 bits):
+    # the zeros of f_1 form one numeric cluster, (t^2 - 2)(t^2 - 3), and
+    # f_2 vanishes at the roots of t^2 - square only.  check_face_proper
+    # reports those two roots with coordinates [1, 2], and t = oo with the
+    # coordinates that are 0 or oo there; face_restriction refuses the
+    # cluster, whose roots meet f_2 differently
+    n = text.count(";") + 1
+    (Z,) = parse_cycle_file(f"field cyclotomic(1)\ncycle c n={n} p={n - 1}\n"
+                            f"component mult=1 {text}\n")
+    with workprec(bits):
+        report = check_face_proper(Z)
+        assert not report["ok"]
+        roots = []
+        for v in report["violations"]:
+            if v["location"] is INF:
+                assert v["coordinates"] == at_infinity
+                continue
+            assert v["coordinates"] == [1, 2]
+            roots.append(v["location"].value)
+        assert len(roots) == 2 and len(report["violations"]) == 3
+        for x, sign in zip(sorted(roots, key=lambda x: x.real), (-1, 1)):
+            assert abs(x - sign * mp.sqrt(square)) <= 2.0 ** (8 - bits)
+        with pytest.raises(PrecisionError, match="splits"):
+            face_restriction(Z, 1, "0")

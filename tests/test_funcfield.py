@@ -9,7 +9,9 @@ from chowreg import (
     CyclotomicNumber,
     INF,
     Poly,
+    PrecisionError,
     RationalFunction,
+    TracedPath,
     fixture_names,
     join_coordinates,
     load_fixture,
@@ -18,7 +20,7 @@ from chowreg import (
     workprec,
 )
 from chowreg.field import embed
-from chowreg.funcfield import RFEvaluator
+from chowreg.funcfield import RFEvaluator, linear_factors
 
 
 def rf(order=1):
@@ -151,6 +153,51 @@ def test_divisor_multiplicative():
             assert _match_divisors(left, right)
 
 
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_one_probe_pass_finds_every_root_in_the_field(bits):
+    # ``linear_factors`` proposes candidates from one numeric pass over the
+    # whole polynomial; on every fixture coordinate it finds each zero and
+    # pole in Q(zeta_N) exactly at every precision, so only t^2 + i, which
+    # has no root in Q(i), is left as numeric clusters
+    for name in fixture_names():
+        for comp in load_fixture(name).components:
+            for f in comp.coords:
+                if f.is_constant():
+                    continue
+                with workprec(bits):
+                    points = f.divisor(bits)
+                assert sum(pt.multiplicity for pt in points) == 0
+                for pt in points:
+                    if pt.is_exact:
+                        assert f.eval(pt.location) == (
+                            INF if pt.multiplicity < 0
+                            else CyclotomicNumber.zero(f.order))
+                    else:
+                        assert name == "totaro_s2_plus_i"
+                        assert pt.factor.degree == 2
+
+
+def test_one_probe_pass_finds_every_rational_linear_factor():
+    # on products of rational linear factors with a cofactor free of
+    # rational roots, ``linear_factors`` finds each linear factor with its
+    # multiplicity and leaves the monic cofactor
+    rng = random.Random(31)
+    cofactors = ([-2, 0, 1], [1, 1, 1], [-3, 0, 0, 1], [1])
+    for _ in range(40):
+        roots = {}
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            roots[root] = roots.get(root, 0) + rng.randint(1, 2)
+        cofactor = Poly.from_rationals(1, rng.choice(cofactors))
+        p = cofactor
+        for root, mult in roots.items():
+            for _ in range(mult):
+                p = p * Poly.from_rationals(1, [-root, 1])
+        found, rem = linear_factors(p)
+        assert {r.as_rational(): m for r, m in found} == roots
+        assert rem == cofactor.monic()
+
+
 def _loc_key(pt):
     if pt.location is INF:
         return "inf"
@@ -264,10 +311,7 @@ def test_horner_seed_is_bit_identical_to_zero_seed(bits):
 
 def _moebius_coordinates():
     # the first coordinates of the Totaro, Petras and McCarthy fixtures
-    # (den = 1 for i*t - 1) and one whose num has no unit coefficient.  Each
-    # has its pole at 0 or oo: next to a finite nonzero pole the relative
-    # residual of the closed form cannot reach its tolerance and Newton
-    # takes over
+    # (den = 1 for i*t - 1) and one whose num has no unit coefficient
     one5 = RationalFunction.from_rational(1, 5)
     zeta = RationalFunction.constant(CyclotomicNumber.zeta(5))
     i = RationalFunction.constant(CyclotomicNumber.zeta(4))
@@ -297,10 +341,9 @@ def _count_calls(monkeypatch, *names):
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
-    # num - w den is linear, so the solve is its root
-    # t = (w d0 - n0) / (n1 - w d1) in closed form, to rounding, with no
-    # residual or Newton call; the start is ignored, here the root at a far
-    # radius and None
+    # a Moebius path's solve_at is the exact inverse f^-1(w), evaluated to
+    # rounding, with no residual or Newton call; it passes on num(t) and
+    # den(t) by Horner, which the resolution check and dlog reuse
     calls = _count_calls(monkeypatch, "residual", "newton_step")
     direction = mp.expj(mp.pi - mp.mpf("0.1"))
     for f in _moebius_coordinates():
@@ -312,18 +355,21 @@ def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
                 d0, d1 = _linear_coeffs(f.den, prec)
                 return (w * d0 - n0) / (n1 - w * d1)
 
-        for sigma, seed_sigma in ((56, mp.mpf("56.2")), (-56, -8)):
+        for sigma in (56, -56):
             with workprec(bits):
                 ev = RFEvaluator(f, bits)
+                path = TracedPath(1, direction, ev)
                 w = mp.exp(sigma) * direction
-                seed = closed_form(mp.exp(seed_sigma) * direction, bits)
-                t, n, d = ev.solve(seed, w, mp.mpf(2) ** (16 - bits), 40)
-                assert ev.solve(None, w, mp.mpf(2) ** (16 - bits), 40) == (t, n, d)
-                assert n == RFEvaluator._horner(ev.nc, t)
-                assert d == RFEvaluator._horner(ev.dc, t)
-                assert ev.is_resolved(t, n, d) == ev.is_resolved(t)
-                if n != 0:  # at 53 bits t = 1 + w can round onto the zero 1
+                t = f.inverse().evaluator(bits).value(w)
+                n = RFEvaluator._horner(ev.nc, t)
+                d = RFEvaluator._horner(ev.dc, t)
+                if ev.is_resolved(t, n, d):
+                    assert path.solve_at(sigma) == (t, n, d)
                     assert ev.dlog(t, n, d) == ev.dlog(t)
+                else:  # at 53 bits t = 1 + w rounds onto the zero 1
+                    assert bits == 53
+                    with pytest.raises(PrecisionError):
+                        path.solve_at(sigma)
             with workprec(bits + 64):
                 exact = closed_form(w, bits + 64)
                 assert abs(t - exact) <= mp.mpf(2) ** (4 - bits) * abs(exact)
@@ -332,16 +378,42 @@ def test_solve_on_moebius_lands_in_one_step(bits, monkeypatch):
 
 @pytest.mark.parametrize("start", [mp.mpc("0.5", "0.25"), None])
 def test_solve_at_the_value_at_infinity_is_a_critical_point(start):
-    # w = f(oo) makes the slope n1 - w d1 of num - w den exactly 0: the
-    # level set has no finite point, and the solve raises ZeroDivisionError
-    # from the closed form (no start) or from the Newton loop
+    # w = f(oo) makes the slope n1 - w d1 of num - w den exactly 0, and the
+    # denominator of f^-1 vanishes there: the level set has no finite point.
+    # Newton from a start raises ZeroDivisionError; a Moebius path's
+    # solve_at (no start) raises a ChowregError
     for f in (1 - 1 / rf(), (2 * rf() + 3) / (4 * rf())):
         w = embed(f.eval(INF), 128).value
         with workprec(128):
             ev = RFEvaluator(f, 128)
-            assert ev.linear[1] - w * ev.linear[3] == 0
-            with pytest.raises(ZeroDivisionError):
-                ev.solve(start, w, mp.mpf(2) ** -112, 40)
+            assert RFEvaluator._horner(f.inverse().evaluator(128).dc, w) == 0
+            if start is None:
+                # w = e^0 direction, exactly
+                with pytest.raises(ChowregError, match="critical point"):
+                    TracedPath(1, w, ev).solve_at(0)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    ev.solve(start, w, mp.mpf(2) ** -112, 40)
+
+
+def test_inverse_composes_to_the_identity_on_every_moebius_coordinate():
+    # f o f^-1 = t = f^-1 o f exactly, for each Moebius coordinate of every
+    # fixture; the inverse is built once, and a function of another degree
+    # has none
+    seen = 0
+    for name in fixture_names():
+        for comp in load_fixture(name).components:
+            for f in comp.coords:
+                if f.degree_map != 1:
+                    with pytest.raises(ChowregError, match="inverse"):
+                        f.inverse()
+                    continue
+                t = RationalFunction.t(f.order)
+                g = f.inverse()
+                assert f.compose(g) == t and g.compose(f) == t
+                assert f.inverse() is g
+                seen += 1
+    assert seen >= 8
 
 
 def test_resolved_value_refuses_points_within_rounding_of_a_zero_or_pole():

@@ -98,7 +98,7 @@ def _margins(path, phase):
 def _grid_samples(path):
     """The (sigmas, points) of a Moebius path on the trace grid, which the
     path itself does not store."""
-    assert path.evaluator.linear is not None
+    assert path.evaluator.rf.degree_map == 1
     assert path.sigmas == () and path.points == ()
     samples = path.samples()
     assert len(samples) == TRACE_GRID_DEFAULT + 1
@@ -256,8 +256,8 @@ def test_trace_failure_contract(monkeypatch, bits, phase, error, match):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_moebius_trace_needs_no_root_solve(z1, petras, mccarthy, monkeypatch,
                                            bits):
-    # every shipped first coordinate is Moebius: the path is its closed
-    # form, so neither the trace nor its points on the grid need polyroots
+    # every shipped first coordinate is Moebius: the path is its exact
+    # inverse, so neither the trace nor its points on the grid need polyroots
     calls = _counting_polyroots(monkeypatch)
     bound = 2.0 ** (-bits // 3)
     with workprec(bits):
@@ -306,39 +306,44 @@ def _point_at_kernel_calls(comp, monkeypatch):
 
 
 def test_point_at_runs_the_fused_newton_kernel(z1, monkeypatch):
-    # on the Moebius 1 - 1/t solve_at is the closed form of the solve: no
-    # residual, Newton step or Horner pass, and no nearest-sample lookup
+    # on the Moebius 1 - 1/t solve_at evaluates the exact inverse: no
+    # residual, Newton step or nearest-sample lookup, and four Horner
+    # passes, num and den of f^-1 at w and of f at t
     monkeypatch.setattr(TracedPath, "_nearest_index", None)
     counts = _point_at_kernel_calls(z1.components[0], monkeypatch)
-    assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
+    assert counts == {"residual": 0, "newton_step": 0, "_horner": 4}
 
 
 def test_moebius_trace_reads_num_and_den_from_the_solve(z1, monkeypatch):
-    # the resolution check of each span end and of each point on the grid
-    # reads the num(t) and den(t) of the closed-form solve that placed it:
-    # no Horner pass in the trace or in its points on the grid
+    # the trace of a Moebius coordinate evaluates nothing, and the
+    # resolution check of each point on the grid reads the num(t) and
+    # den(t) that solve_at computed: four Horner passes per point
     counts = _count_kernel_calls(monkeypatch)
     with workprec(128):
         (path,) = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
                                   precision_bits=128)
+        assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
         _grid_samples(path)
-    assert counts == {"residual": 0, "newton_step": 0, "_horner": 0}
+    assert counts == {"residual": 0, "newton_step": 0,
+                      "_horner": 4 * (TRACE_GRID_DEFAULT + 1)}
 
 
 def test_solve_at_passes_on_num_and_den_of_the_solve(z1, graph_4_2):
-    # solve_at returns the solve's own (t, num(t), den(t)) once the
-    # resolution check accepts them, in closed form and next to a finite
-    # pole, where the closed form hands over to Newton
+    # on a Moebius path solve_at returns (t, num(t), den(t)) for
+    # t = f^-1(w) once the resolution check accepts them, and next to a
+    # finite pole as far from it
     with workprec(128):
         for comp, i in ((z1.components[0], 1), (graph_4_2.components[0], 2)):
             (path,) = trace_wavefront(comp, i, mp.mpf("0.1"),
                                       precision_bits=128)
+            ev = path.evaluator
+            inverse = comp.coords[i - 1].inverse().evaluator(128)
             for sigma in (mp.mpf(SIGMA_SPAN_DEFAULT), mp.mpf("0.3"),
                           -mp.mpf(SIGMA_SPAN_DEFAULT)):
-                hit = path.evaluator.solve(
-                    None, mp.exp(sigma) * path.direction,
-                    mp.mpf(2) ** (12 - 128), 60)
-                assert path.solve_at(sigma) == hit
+                t = inverse.value(mp.exp(sigma) * path.direction)
+                assert path.solve_at(sigma) == (
+                    t, RFEvaluator._horner(ev.nc, t),
+                    RFEvaluator._horner(ev.dc, t))
 
 
 def test_trace_computes_no_per_sample_margin(z1, monkeypatch):
@@ -394,13 +399,13 @@ def test_point_at_iterates_on_a_degree_two_locus(monkeypatch):
 
 def test_point_at_refuses_a_log_radius_outside_the_trace(z1):
     # a traced branch is solved only within its samples; a Moebius path is
-    # its closed form at every radius, far beyond the trace grid too
+    # its exact inverse at every radius, far beyond the trace grid too
     (Z,) = parse_cycle_file("field cyclotomic(1)\ncycle totaro_s2 n=3 p=2\n"
                             "component mult=1 1-1/(t^2) ; 1-(t^2) ; 1/(t^2)\n")
     with workprec(128):
         path = trace_wavefront(Z.components[0], 1, mp.mpf("0.1"),
                                precision_bits=128)[0]
-        assert path.evaluator.linear is None
+        assert path.points
         for sigma in (path.sigmas[0] + 1, path.sigmas[-1] - 1):
             with pytest.raises(ChowregError, match="outside the traced range"):
                 path.solve_at(sigma)
@@ -417,10 +422,9 @@ def test_point_at_refuses_a_log_radius_outside_the_trace(z1):
 @pytest.mark.parametrize("bits", [128, 256])
 def test_trace_near_finite_pole_needs_one_root_solve(graph_4_2, monkeypatch,
                                                      bits):
-    # next to the pole t = 2 of (t - 4)/(t - 2) the relative residual of the
-    # closed form cannot reach its tolerance; Newton from the closed-form
-    # point stops at the rounding floor instead of handing every step to a
-    # polyroots re-solve, and the Moebius seed needs none either
+    # next to the pole t = 2 of (t - 4)/(t - 2) the exact inverse places
+    # every point on the grid without a polyroots solve, and each one keeps
+    # its radius and its cut ray to 2^(-prec/3)
     calls = _counting_polyroots(monkeypatch)
     with workprec(bits):
         (path,) = trace_wavefront(graph_4_2.components[0], 2, mp.mpf("0.1"),
@@ -794,6 +798,30 @@ def test_each_value_on_a_cut_is_reported_once(text, phases, kind):
     assert values.count(-1) == 1
 
 
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_a_zero_or_pole_at_an_irrational_point_is_exact(bits):
+    # Totaro o (s^2 - 2)/(s + 5): f_1 = 1 - 1/g and f_2 = 1 - g vanish at
+    # the irrational zeros of g - 1, and f_1 and f_3 = 1/g have poles at the
+    # zeros of g.  Those values lie on no ray; read from rounded residues
+    # they were near 2^(-prec) or 2^prec and could fail as facet or endpoint
+    # values on a cut.  Only f_3's real negative critical values are left
+    # on a cut (margin rule open), so regulator() still finds no schedule
+    g = "(t^2-2)/(t+5)"
+    (Z,) = parse_cycle_file(
+        "field cyclotomic(1)\ncycle c n=3 p=2\n"
+        f"component mult=1 1-1/({g}) ; 1-({g}) ; 1/({g})\n")
+    with workprec(bits):
+        for *_, value, _, _ in _off_cut_entries(Z.components[0], bits):
+            v = value.value if isinstance(value, ComplexApprox) else value
+            assert 2.0 ** (-bits / 2) <= abs(v) <= 2.0 ** (bits / 2)
+        if bits == 128:
+            rep = admissible(Z, make_schedule(mp.mpf("0.1") / 3, 3, 0.5),
+                             precision_bits=bits)
+            assert {f.kind for f in rep.failures} == {"critical-value"}
+            with pytest.raises(ScheduleError):
+                regulator(Z, precision_bits=bits)
+
+
 def test_cut_margin_is_decided_without_an_arctangent(monkeypatch):
     # the sector test agrees with the angle against CUT_MARGIN at, just
     # inside and just outside the margin, on either side of the ray, at
@@ -910,14 +938,14 @@ def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
     # root of the crossing polynomial, never on the 561-point trace grid:
     # not at all on Totaro and Petras, which have no crossing
     solves = []
-    solve = RFEvaluator.solve
+    solve_at = TracedPath.solve_at
 
     def counting(self, *args):
-        if self.linear is not None:
+        if not self.points:
             solves.append(self)
-        return solve(self, *args)
+        return solve_at(self, *args)
 
-    monkeypatch.setattr(RFEvaluator, "solve", counting)
+    monkeypatch.setattr(TracedPath, "solve_at", counting)
     with workprec(bits):
         for Z in (z1, petras, mccarthy):
             for lam in (0.5, 0.35, 0.65):
@@ -928,5 +956,4 @@ def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
                 paths = [p for ps in rep.paths.values() for p in ps]
                 assert len(paths) == len(Z.components)
                 assert len(solves) <= 12 * len(paths)
-                if Z is not mccarthy:
-                    assert solves == []
+                assert bool(solves) == (Z is mccarthy)
