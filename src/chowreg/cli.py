@@ -24,7 +24,8 @@ from .funcfield import INF, RationalFunction, rf_to_expr
 from .field import CyclotomicNumber
 from .numeric import ComplexApprox, workprec
 from .parser import parse_cycle_file, serialize_cycles
-from .regulator import intersection_number_n2, regulator, torsion_order
+from .regulator import (_check_torsion_args, intersection_number_n2,
+                        regulator, torsion_order)
 from .wavefront import (
     PhaseSchedule,
     _on_cut_margin,
@@ -203,8 +204,10 @@ def _cmd_regulator(Z, args, precision_bits, tol):
 
 
 def _cmd_torsion(Z, args, precision_bits, tol):
+    torsion_tol = max(tol, 1e-10)
+    _check_torsion_args(args.max_order, torsion_tol)
     v = regulator(Z, precision_bits=precision_bits, tol=tol, seed=args.seed)
-    res = torsion_order(v, max_order=args.max_order, tol=max(tol, 1e-10))
+    res = torsion_order(v, max_order=args.max_order, tol=torsion_tol)
     rec = _value_record(v)
     rec["torsion"] = {
         "order": res.order,

@@ -724,14 +724,20 @@ def _cf_minimal_denominator(x, max_order, tol):
     return None
 
 
+def _check_torsion_args(max_order, tol):
+    """ChowregError unless max_order >= 1 and tol is finite and > 0: the
+    arguments ``torsion_order`` accepts, checkable before any evaluation."""
+    if max_order < 1 or not 0 < tol < math.inf:
+        raise ChowregError("torsion_order needs max_order >= 1 and a finite "
+                           f"tol > 0, got {max_order!r} and {tol!r}")
+
+
 def torsion_order(value, max_order=200, tol=1e-6):
     """Least m <= max_order with m * value in the lattice, with certificate
     q = value / (2*pi*i)^p recognized as a fraction of denominator m."""
     if not isinstance(value, RegulatorValue):
         raise ChowregError("torsion_order expects a RegulatorValue")
-    if max_order < 1 or not 0 < tol < math.inf:
-        raise ChowregError("torsion_order needs max_order >= 1 and a finite "
-                           f"tol > 0, got {max_order!r} and {tol!r}")
+    _check_torsion_args(max_order, tol)
     v = value
     if v.value.radius >= tol / (2 * max_order):
         raise PrecisionError(

@@ -22,14 +22,18 @@ the branch's previous one.  A step that fails, or two branches that close in
 on one another, end the trace with ScheduleError.
 
 A crossing of the first locus with the second cut is a root of
-Im(e^{i eps_2} f_2) as a function of the log-radius along the path.  On a
-Moebius path the roots are those of a real polynomial in the radius, read
-from f_2 in the exact chart w = f_1, and are isolated by Descartes's rule
-of signs; on a traced path they are bracketed by sign
-changes between samples.  Bracketed Newton along the path then finds each
-one, and one quotient q = dlog f_2 / dlog f_1 there gives its slope, its
-transversality and its sign, the sign of the crossing derivative of arg f_2
-along the oriented path.
+Im(e^{i eps_2} f_2) as a function of the log-radius along the path, where
+Re(e^{i eps_2} f_2) < 0.  On a Moebius path the roots are those of a real
+polynomial P in the radius, read from f_2 in the exact chart w = f_1, with
+a companion Q whose sign there tells the cut from the positive real axis.
+Descartes's rule of signs on their coefficients rules most paths out at
+once, isolates the rest, and bracketed Newton on P in the reals finds each
+root; the path is solved once per crossing, to place it.  On a traced path
+the roots are bracketed by sign changes between samples, and bracketed
+Newton along the path, one solve per step, finds each one.  One quotient
+q = dlog f_2 / dlog f_1 at the crossing gives its transversality and its
+sign, the sign of the crossing derivative of arg f_2 along the oriented
+path.
 
 The regulator integrates along the first locus and sums over its crossings
 with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
@@ -146,8 +150,8 @@ class TracedPath:
 
     ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
     ``solve_at`` solves the defining equation at a log-radius of the path,
-    so crossing refinement samples the exact path rather than
-    interpolating.  On a Moebius coordinate the path holds nothing more:
+    so a crossing is placed on the exact path rather than interpolated.
+    On a Moebius coordinate the path holds nothing more:
     ``sigmas`` and ``points`` are empty, and ``solve_at`` evaluates the
     exact inverse f^-1 (``RationalFunction.inverse``) at any log-radius.
     On a coordinate of higher degree they are the trace's samples,
@@ -395,15 +399,17 @@ def find_pair_intersections(component, paths_i, j, phase_j,
                             precision_bits=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
-    A crossing is a root of g = Im(e^{i phase_j} f_j) along the path, and
-    each is bracketed in log-radius first.  On a Moebius path the brackets
-    isolate the real roots of a polynomial in the radius, read from the
-    chart of f_j (``_chart``, ``_moebius_brackets``); on a
-    traced path they are consecutive samples between which g changes sign,
-    counted half-open (zero counts as positive, so a sample on the cut is
-    one crossing, not two), and where the value is not on the positive real
-    axis at both samples.  ``_refine_crossing`` then solves for the root
-    along the path and drops it when f_j lies on the positive real axis
+    A crossing is a root of g = Im(e^{i phase_j} f_j) along the path where
+    Re(e^{i phase_j} f_j) < 0, and each is bracketed in log-radius first.
+    On a Moebius path the brackets isolate the real roots of the polynomial
+    P in the radius read from the chart of f_j (``_chart``,
+    ``_moebius_brackets``), and a path whose coefficients already show no
+    cut crossing gets none; on a traced path they are consecutive samples
+    between which g changes sign, counted half-open (zero counts as
+    positive, so a sample on the cut is one crossing, not two), and where
+    the value is not on the positive real axis at both samples.
+    ``_refine_crossing`` then finds the root, on P in the reals or along
+    the traced path, and drops it when f_j lies on the positive real axis
     there.  With q = dlog f_j / dlog f_i at the crossing, the crossing is
     transverse when |Im q| / |q| is above 2^(-prec/3), else ScheduleError;
     its sign is -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero
@@ -420,15 +426,15 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         rot_j = _rotation(phase_j)
         for path in paths_i:
             if path.points:
-                brackets = _sample_brackets(path, f_j_ev, rot_j)
+                pq, brackets = None, _sample_brackets(path, f_j_ev, rot_j)
             else:
-                brackets = _moebius_brackets(
+                pq, brackets = _moebius_brackets(
                     path, _chart(component, path.coord_index,
                                  j).evaluator(precision_bits),
                     rot_j, precision_bits)
             for bracket, hi_positive in brackets:
                 hit = _refine_crossing(path, f_j_ev, rot_j, bracket,
-                                       hi_positive, precision_bits)
+                                       hi_positive, pq, precision_bits)
                 if hit is None:
                     continue
                 sigma, t_c, q = hit
@@ -467,24 +473,31 @@ def _sample_brackets(path, f_j_ev, rot_j):
 
 
 def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
-    """((s_hi, s_lo), g >= 0 at s_hi) for each root of g = Im(rot_j f_j)
-    along a Moebius path, in decreasing log-radius.
+    """((P, Q), brackets) along a Moebius path: the chart polynomials below,
+    and ((s_hi, s_lo), g >= 0 at s_hi) for each root of
+    g = Im(rot_j f_j) that may be a cut crossing, in decreasing log-radius.
 
     ``chart_ev`` evaluates f_j in the chart w = f_1 (``_chart``), and
     along the path w = r direction, so f_j = A(r) / B(r), the k-th
     coefficients of A and B those of its ``nc`` and ``dc`` times
     direction^k.  P(r) = Im(rot_j A conj(B)) = |B|^2 g is a real polynomial
     of degree at most 2 deg f_j; its factors of r are dropped, as r = 0 is
-    no point of the path.  By Cauchy's bound every root of P lies in the
-    log-radii +-log(1 + max |p_k| / min(|p_0|, |p_n|)), and those in
-    (0, oo) are isolated there by Descartes's rule of signs
-    (Collins-Akritas): a bracket that holds several roots is halved in
-    log-radius.  A bracket narrower than 2^(-prec/2) that still holds
-    several roots is kept when P changes sign across it, as one crossing,
-    and dropped else.  At a root rot_j f_j = Q / |B|^2 with
-    Q = Re(rot_j A conj(B)), so a bracket with one root on which Q has no
-    sign variation and is positive holds a crossing of the positive real
-    axis, not of the cut: it is dropped before it is split or refined.
+    no point of the path.  At a root rot_j f_j = Q / |B|^2 with
+    Q = Re(rot_j A conj(B)), and the root is on the cut when Q < 0 there.
+    Both are lists of coefficients, constant term first.
+
+    The coefficients decide first, by Descartes's rule of signs on (0, oo):
+    with no sign variation in P, or no negative coefficient in Q (Q >= 0
+    for every r > 0), the path has no cut crossing and no bracket.  Else,
+    by Cauchy's bound every root of P lies in the log-radii
+    +-log(1 + max |p_k| / min(|p_0|, |p_n|)), and those in (0, oo) are
+    isolated there by Descartes's rule on each bracket (Collins-Akritas):
+    a bracket that holds several roots is halved in log-radius.  A bracket
+    narrower than 2^(-prec/2) that still holds several roots is kept when P
+    changes sign across it, as one crossing, and dropped else.  A bracket
+    with one root on which Q has no sign variation and is positive holds a
+    crossing of the positive real axis, not of the cut: it is dropped
+    before it is split or refined.
     """
     a, b = ([c * path.direction ** k for k, c in enumerate(cs)]
             for cs in (chart_ev.nc, chart_ev.dc))
@@ -495,8 +508,8 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
         p.pop()
     while p and not p[0]:
         p.pop(0)
-    if len(p) < 2:
-        return []
+    if _variations(p) == 0 or min(q) >= 0:
+        return (p, q), []
     bound = mp.log(1 + max(map(abs, p)) / min(abs(p[0]), abs(p[-1])))
     min_width = mp.mpf(2) ** (-precision_bits // 2)
     out = []
@@ -517,7 +530,7 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
         mid = (s_hi + s_lo) / 2
         stack.append((mid, s_lo))
         stack.append((s_hi, mid))
-    return out
+    return (p, q), out
 
 
 def _poly_mul(a, b):
@@ -538,6 +551,14 @@ def _taylor_shift(p, c):
     return p
 
 
+def _variations(coeffs):
+    """Sign variations in a list of real coefficients, zeros skipped: by
+    Descartes's rule of signs a bound on the number of positive roots, of
+    the same parity, and exact when it is 0 or 1."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
 def _sign_variations(p, a, b):
     """Sign variations in the coefficients of (1 + y)^n p((a + b y)/(1 + y)),
     n = deg p: by Descartes's rule of signs a bound on the number of roots
@@ -545,49 +566,68 @@ def _sign_variations(p, a, b):
     q = _taylor_shift(p, a)
     scale = b - a
     q = [c * scale ** k for k, c in enumerate(q)]
-    signs = [c > 0 for c in _taylor_shift(q[::-1], 1) if c]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
+    return _variations(_taylor_shift(q[::-1], 1))
 
 
-def _refine_crossing(path, f_j_ev, rot_j, bracket, hi_positive,
+def _refine_crossing(path, f_j_ev, rot_j, bracket, hi_positive, pq,
                      precision_bits):
     """The root of g(sigma) = Im(rot_j f_j(t(sigma))) in the log-radius
     bracket (s_hi, s_lo) of the path, with t(sigma) the path's
-    ``solve_at``: (sigma, t, q), or None when f_j lies on the positive real
-    axis there rather than on its cut.
+    ``solve_at``: (sigma, t, q) with q = dlog f_j / dlog f_i at t, or None
+    when f_j lies on the positive real axis there rather than on its cut.
 
     ``rot_j`` is the second phase's ``_rotation``; g changes sign, counted
     half-open, across the bracket, and ``hi_positive`` is whether g >= 0 at
-    s_hi.  Along the path dt/dsigma = 1 / dlog f_i, so with
-    q = dlog f_j / dlog f_i the slope is g' = Im(rot_j f_j q).  Newton steps
-    on g from the middle of the bracket, and bisection replaces a step that
-    leaves it.  Once a step falls below 2^(-prec/2), quadratic convergence
-    puts the next iterate at the rounding floor, and that iterate is the
-    crossing.
+    s_hi.  Newton steps from the middle of the bracket, and bisection
+    replaces a step that leaves it.  Once a step falls below 2^(-prec/2),
+    quadratic convergence puts the next iterate at the rounding floor, and
+    that iterate is the crossing.
+
+    On a Moebius path ``pq`` holds the chart polynomials (P, Q) of
+    ``_moebius_brackets``, and the steps run on P(e^sigma), which has the
+    sign of g, in the reals: no point of the path is placed until the root
+    is found.  The root is on the cut when Q < 0 there, and only then does
+    one ``solve_at`` place it.  On a traced path ``pq`` is None and each
+    step solves the path: along it dt/dsigma = 1 / dlog f_i, so the slope
+    is g' = Im(rot_j f_j q).
     """
     f_i_ev = path.evaluator
+    if pq is not None:
+        p, q_chart = (c[::-1] for c in pq)
     small = mp.mpf(2) ** (-precision_bits // 2)
     s_hi, s_lo = bracket
     sigma = (s_hi + s_lo) / 2
     converged = False
     # enough for bisection alone to bring a step below ``small``
     for _ in range(precision_bits):
-        t, n, d = path.solve_at(sigma)
-        v = f_j_ev.value(t) * rot_j
-        q = f_j_ev.dlog(t) / f_i_ev.dlog(t, n, d)
+        if pq is not None:
+            r = mp.exp(sigma)
+            g, slope = mp.polyval(p, r, derivative=True)
+            slope *= r
+        else:
+            t, n, d = path.solve_at(sigma)
+            v = f_j_ev.value(t) * rot_j
+            q = f_j_ev.dlog(t) / f_i_ev.dlog(t, n, d)
+            g, slope = v.imag, (v * q).imag
         if converged:
-            return (sigma, t, q) if v.real < 0 else None
-        if (v.imag >= 0) == hi_positive:
+            break
+        if (g >= 0) == hi_positive:
             s_hi = sigma
         else:
             s_lo = sigma
-        slope = (v * q).imag
-        nxt = sigma - v.imag / slope if slope else None
+        nxt = sigma - g / slope if slope else None
         if nxt is None or not s_lo <= nxt <= s_hi:
             nxt = (s_hi + s_lo) / 2
         converged = abs(nxt - sigma) < small
         sigma = nxt
-    raise ConvergenceError("crossing refinement did not converge")
+    else:
+        raise ConvergenceError("crossing refinement did not converge")
+    if pq is None:
+        return (sigma, t, q) if v.real < 0 else None
+    if mp.polyval(q_chart, r) >= 0:
+        return None
+    t, n, d = path.solve_at(sigma)
+    return sigma, t, f_j_ev.dlog(t) / f_i_ev.dlog(t, n, d)
 
 
 @dataclass
@@ -714,17 +754,13 @@ def _keep_off_cuts(entries, rots, ci, failures, warnings):
     """The one rule of ``admissible``: each entry's value keeps an angular
     margin of CUT_MARGIN from cut ray k (phase ``rots[k - 1]``), else it
     fails with its kind, as a warning for an endpoint on a cut beyond the
-    second, which no nested cut-prefix condition reaches.  Returns the
-    (k, kind) of the failed entries."""
-    missed = set()
+    second, which no nested cut-prefix condition reaches."""
     for k, kind, value, witness, detail in entries:
         if _near_cut(value, rots[k - 1]):
             margin = _on_cut_margin(value, rots[k - 1])
-            missed.add((k, kind))
             (warnings if kind == "endpoint-on-cut" and k > 2
              else failures).append(AdmissibilityFailure(
                  kind, ci, f"{detail} (margin {margin:.2e})", witness))
-    return missed
 
 
 def admissible(Z, schedule, precision_bits=None):
@@ -740,8 +776,11 @@ def admissible(Z, schedule, precision_bits=None):
     rays.  All but the last are built once per component and precision
     (``_off_cut_entries``).  A crossing must also be transverse.
 
-    Only the first locus is traced, and only when none of its critical
-    values failed.  Its paths and crossings are kept in the report for
+    Only the first locus is traced, and only for a component that no entry
+    has failed yet (a warning does not count): the schedule is refused
+    already, so a failed component's report lists the kinds of its off-cut
+    entries and no trace, tangency or triple-point failure.  The paths and
+    crossings of the traced components are kept in the report for
     evaluation.  A PrecisionError from the trace propagates: no other
     schedule can repair a working precision that is too low.
     """
@@ -755,11 +794,10 @@ def admissible(Z, schedule, precision_bits=None):
     with workprec(precision_bits):
         rots = [_rotation(p) for p in schedule.phases]
         for ci, comp in enumerate(Z.components):
-            missed = _keep_off_cuts(_off_cut_entries(comp, precision_bits),
-                                    rots, ci, failures, warnings)
-            # a first locus with a critical value on its ray is not a union
-            # of branches
-            if comp.coords[0].is_constant() or (1, "critical-value") in missed:
+            failed = len(failures)
+            _keep_off_cuts(_off_cut_entries(comp, precision_bits), rots, ci,
+                           failures, warnings)
+            if comp.coords[0].is_constant() or len(failures) > failed:
                 continue
             try:
                 paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],

@@ -204,15 +204,29 @@ def test_cli_precision_exit_code(capsys):
     (["admissible", "--schedule-lambda", "0"], "lambda must lie in (0, 1)"),
 ], ids=["max_order_0", "max_order_negative", "tolerance_negative",
         "tolerance_nan", "lambda_0"])
-def test_cli_refuses_an_invalid_argument(argv, message, capsys):
+def test_cli_refuses_an_invalid_argument(argv, message, capsys,
+                                         monkeypatch):
     # an argument out of range leaves as a ChowregError naming it, not as a
-    # raw exception, a misleading error or a silently replaced value
+    # raw exception, a misleading error or a silently replaced value; a
+    # torsion argument is refused before the regulator is evaluated
+    import chowreg.cli as cli
+
+    evaluated = []
+    regulator = cli.regulator
+
+    def counting(*args, **kwargs):
+        evaluated.append(args)
+        return regulator(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "regulator", counting)
     code, out, err = _run(capsys, argv + ["--fixture", "z1_totaro",
                                           "--precision", "128"])
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["class"] == "internal"
     assert message in error["message"]
+    if argv[0] == "torsion":
+        assert evaluated == []
 
 
 def test_cli_missing_input(capsys):

@@ -33,6 +33,7 @@ from chowreg.wavefront import (
     _off_cut_entries,
     _on_cut_margin,
     _rotation,
+    search_admissible,
 )
 
 
@@ -582,6 +583,48 @@ def test_search_schedule_counterexample(mccarthy):
         assert admissible(mccarthy, s, precision_bits=128).ok
 
 
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_mccarthy_crossing_holds_its_oracle(mccarthy, bits):
+    # at the schedule the search accepts, each crossing lies on ray 1 of
+    # f_1 = it - 1 and on cut 2 of f_2 within its radius, 64 bits higher:
+    # the root of Im(e^{i eps_2} f_2) along t(sigma) = f_1^-1(e^sigma
+    # e^{i(pi - eps_1)}), found here by the secant method from the formulas
+    # of the fixture, is within the radius in t and sigma, f_2 is on the
+    # negative side there, and the sign is that of d Im(e^{i eps_2} f_2) /
+    # dsigma (arg f_2 rises through pi as the radius falls)
+    with workprec(bits):
+        rep = search_admissible(mccarthy, 0.3, seed=0, precision_bits=bits)
+    crossings = [c for cs in rep.crossings.values() for c in cs]
+    assert crossings
+    with workprec(bits + 64):
+        i = mp.mpc(0, 1)
+        eps1, eps2 = rep.schedule.phases[:2]
+        rot1, rot2 = mp.expj(eps1), mp.expj(eps2)
+
+        def f1(t):
+            return i * t - 1
+
+        def f2(t):
+            return -((1 + t) * (1 + 3 * t)) / ((1 + i * t) * (1 - 2 * t))
+
+        def t_at(sigma):
+            return (mp.exp(sigma) * mp.expj(mp.pi - eps1) + 1) / i
+
+        def g(sigma):
+            return (rot2 * f2(t_at(sigma))).imag
+
+        for c in crossings:
+            radius = c.t.radius
+            t = mp.mpc(c.t.value)
+            assert abs((rot1 * f1(t)).imag) <= radius
+            assert abs((rot2 * f2(t)).imag) <= abs(mp.diff(f2, t)) * radius
+            sigma = mp.findroot(g, mp.mpf(c.sigma))
+            assert abs(sigma - c.sigma) <= radius
+            assert abs(t_at(sigma) - t) <= radius
+            assert (rot2 * f2(t_at(sigma))).real < 0
+            assert c.sign == (1 if mp.diff(g, sigma) > 0 else -1)
+
+
 def test_search_schedule_petras(petras):
     with workprec(128):
         s = search_schedule(petras, 0.3, precision_bits=128)
@@ -934,26 +977,37 @@ def test_a_crossing_beyond_the_trace_span_is_counted():
 @pytest.mark.parametrize("bits", [128, 256])
 def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
         z1, petras, mccarthy, monkeypatch, bits):
-    # a Moebius first locus is solved only along the refinement of each
-    # root of the crossing polynomial, never on the 561-point trace grid:
-    # not at all on Totaro and Petras, which have no crossing
-    solves = []
+    # a Moebius first locus is solved once per crossing, to place it: the
+    # crossing polynomial is refined in the reals, never along the path or
+    # on the 561-point trace grid.  Totaro and Petras have no crossing, and
+    # the coefficients of their chart polynomials show it without a Taylor
+    # shift
+    import chowreg.wavefront as wf
+
+    solves, shifts = [], []
     solve_at = TracedPath.solve_at
+    taylor_shift = wf._taylor_shift
 
     def counting(self, *args):
         if not self.points:
             solves.append(self)
         return solve_at(self, *args)
 
+    def counting_shift(*args):
+        shifts.append(args)
+        return taylor_shift(*args)
+
     monkeypatch.setattr(TracedPath, "solve_at", counting)
+    monkeypatch.setattr(wf, "_taylor_shift", counting_shift)
     with workprec(bits):
         for Z in (z1, petras, mccarthy):
             for lam in (0.5, 0.35, 0.65):
-                del solves[:]
+                del solves[:], shifts[:]
                 rep = admissible(Z, make_schedule(0.3, 3, lam, bits),
                                  precision_bits=bits)
                 assert rep.ok
                 paths = [p for ps in rep.paths.values() for p in ps]
                 assert len(paths) == len(Z.components)
-                assert len(solves) <= 12 * len(paths)
+                assert len(solves) == sum(map(len, rep.crossings.values()))
                 assert bool(solves) == (Z is mccarthy)
+                assert bool(shifts) == (Z is mccarthy)
