@@ -27,13 +27,14 @@ Re(e^{i eps_2} f_2) < 0.  On a Moebius path the roots are those of a real
 polynomial P in the radius, read from f_2 in the exact chart w = f_1, with
 a companion Q whose sign there tells the cut from the positive real axis.
 Descartes's rule of signs on their coefficients rules most paths out at
-once, isolates the rest, and bracketed Newton on P in the reals finds each
-root; the path is solved once per crossing, to place it.  On a traced path
-the roots are bracketed by sign changes between samples, and bracketed
-Newton along the path, one solve per step, finds each one.  One quotient
-q = dlog f_2 / dlog f_1 at the crossing gives its transversality and its
-sign, the sign of the crossing derivative of arg f_2 along the oriented
-path.
+once and isolates the rest, its counts exact on the binary values of P, Q
+and the bracket ends, in Python ints; bracketed Newton on P in the reals
+finds each root, and the path is solved once per crossing, to place it.
+On a traced path the roots are bracketed by sign changes between samples,
+and bracketed Newton along the path, one solve per step, finds each one.
+One quotient q = dlog f_2 / dlog f_1 at the crossing gives its
+transversality and its sign, the sign of the crossing derivative of arg f_2
+along the oriented path.
 
 The regulator integrates along the first locus and sums over its crossings
 with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
@@ -86,6 +87,9 @@ class PhaseSchedule:
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(mp.mpf(p) for p in self.phases))
         object.__setattr__(self, "eps_bound", mp.mpf(self.eps_bound))
+        # every comparison with nan is false, so finiteness is tested first
+        if not all(map(mp.isfinite, (self.eps_bound,) + self.phases)):
+            raise ChowregError("phases and their bound must be finite")
         for p in self.phases:
             if p < 0:
                 raise ChowregError("phases must be nonnegative")
@@ -125,8 +129,8 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
     lam = mp.mpf(lam)
     if not (0 < lam < 1):
         raise ChowregError("lambda must lie in (0, 1)")
-    if eps_bound <= 0 or n < 1:
-        raise ChowregError("need eps_bound > 0 and n >= 1")
+    if not 0 < eps_bound < mp.inf or n < 1:
+        raise ChowregError("need 0 < eps_bound < oo and n >= 1")
     with workprec(precision_bits):
         phases = [lam * eps_bound]
         for _ in range(n - 1):
@@ -497,7 +501,10 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
     changes sign across it, as one crossing, and dropped else.  A bracket
     with one root on which Q has no sign variation and is positive holds a
     crossing of the positive real axis, not of the cut: it is dropped
-    before it is split or refined.
+    before it is split or refined.  The counts are exact on the binary
+    values of P, Q and the bracket ends e^s: P and Q are written once as
+    Python ints over one power of two (``_binary_ints``), and each bracket
+    end's exponential is computed once.
     """
     a, b = ([c * path.direction ** k for k, c in enumerate(cs)]
             for cs in (chart_ev.nc, chart_ev.dc))
@@ -510,15 +517,18 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
         p.pop(0)
     if _variations(p) == 0 or min(q) >= 0:
         return (p, q), []
+    (p_ints, _), (q_ints, _) = _binary_ints(p), _binary_ints(q)
     bound = mp.log(1 + max(map(abs, p)) / min(abs(p[0]), abs(p[-1])))
     min_width = mp.mpf(2) ** (-precision_bits // 2)
     out = []
-    stack = [(bound, -bound)]
+    # bracket ends as (log-radius, radius)
+    stack = [((bound, mp.exp(bound)), (-bound, mp.exp(-bound)))]
     while stack:
-        s_hi, s_lo = stack.pop()
-        r_hi, r_lo = mp.exp(s_hi), mp.exp(s_lo)
-        roots = _sign_variations(p, r_lo, r_hi)
-        if roots == 0 or (roots == 1 and _sign_variations(q, r_lo, r_hi) == 0
+        hi, lo = stack.pop()
+        (s_hi, r_hi), (s_lo, r_lo) = hi, lo
+        roots = _sign_variations(p_ints, r_lo, r_hi)
+        if roots == 0 or (roots == 1
+                          and _sign_variations(q_ints, r_lo, r_hi) == 0
                           and mp.polyval(q[::-1], r_hi) > 0):
             continue
         if roots == 1 or s_hi - s_lo < min_width:
@@ -527,10 +537,21 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
             if hi_positive != lo_positive:
                 out.append(((s_hi, s_lo), hi_positive))
             continue
-        mid = (s_hi + s_lo) / 2
-        stack.append((mid, s_lo))
-        stack.append((s_hi, mid))
+        s_mid = (s_hi + s_lo) / 2
+        mid = (s_mid, mp.exp(s_mid))
+        stack.append((mid, lo))
+        stack.append((hi, mid))
     return (p, q), out
+
+
+def _binary_ints(values):
+    """(n, e) with values[k] = n[k] 2^e, Python ints n[k] and e the least
+    binary exponent of the nonzero mpf values: their sign bits and
+    mantissas, read from ``_mpf_`` (``mpf.man_exp`` drops the sign)."""
+    parts = [v._mpf_ for v in values]
+    e = min(exp for _, man, exp, _ in parts if man)
+    return [(-man if sign else man) << (exp - e) if man else 0
+            for sign, man, exp, _ in parts], e
 
 
 def _poly_mul(a, b):
@@ -543,7 +564,8 @@ def _poly_mul(a, b):
 
 
 def _taylor_shift(p, c):
-    """Coefficients of p(x + c), constant term first."""
+    """Coefficients of p(x + c), constant term first; exact on Python
+    ints."""
     p = list(p)
     for i in range(len(p) - 1):
         for k in range(len(p) - 2, i - 1, -1):
@@ -561,9 +583,18 @@ def _variations(coeffs):
 
 def _sign_variations(p, a, b):
     """Sign variations in the coefficients of (1 + y)^n p((a + b y)/(1 + y)),
-    n = deg p: by Descartes's rule of signs a bound on the number of roots
-    of p in (a, b), of the same parity, and exact when it is 0 or 1."""
-    q = _taylor_shift(p, a)
+    n = len(p) - 1: by Descartes's rule of signs a bound on the number of
+    roots of p in (a, b), of the same parity, and exact when it is 0 or 1.
+
+    ``p`` holds Python ints (``_binary_ints``) and the ends are positive
+    mpf values, written as a = A 2^e and b = B 2^e with Python ints A, B.
+    With x = X 2^e, 2^(-e n) p(x) for e < 0, or p(x) for e >= 0, has the
+    integer coefficients p_k 2^(e k - n min(e, 0)) in X, so the count is
+    exact on the binary values of p, a and b."""
+    (a, b), e = _binary_ints((a, b))
+    n = len(p) - 1
+    q = _taylor_shift([c << (e * k - n * min(e, 0)) for k, c in enumerate(p)],
+                      a)
     scale = b - a
     q = [c * scale ** k for k, c in enumerate(q)]
     return _variations(_taylor_shift(q[::-1], 1))

@@ -229,6 +229,26 @@ def test_cli_refuses_an_invalid_argument(argv, message, capsys,
         assert evaluated == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["admissible", "--eps", "nan"], "0 < eps_bound < oo"),
+    (["admissible", "--equal-phase", "--eps", "inf"], "must be finite"),
+    (["trace", "--eps", "nan"], "0 < eps_bound < oo"),
+], ids=["admissible_nan", "equal_phase_inf", "trace_nan"])
+def test_cli_refuses_a_non_finite_phase(argv, message, tmp_path, capsys):
+    # a nan or infinite --eps leaves as a ChowregError, not as an ok report
+    # with phases "nan", and exports nothing
+    export = tmp_path / "export"
+    code, out, err = _run(capsys, argv + ["--fixture", "z1_totaro",
+                                          "--precision", "128",
+                                          *(["--export", str(export)]
+                                            if argv[0] == "trace" else [])])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["class"] == "internal"
+    assert message in error["message"]
+    assert not export.exists()
+
+
 def test_cli_missing_input(capsys):
     code, _, err = _run(capsys, ["check", "--precision", "128"])
     assert code == 1

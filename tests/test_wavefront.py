@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -24,15 +26,17 @@ from chowreg import (
     trace_wavefront,
     workprec,
 )
-from chowreg.funcfield import RFEvaluator
+from chowreg.funcfield import RFEvaluator, mpf_to_fraction
 from chowreg.numeric import ComplexApprox
 from chowreg.wavefront import (
     SCHEDULE_ATTEMPTS,
     SIGMA_SPAN_DEFAULT,
     TRACE_GRID_DEFAULT,
+    _binary_ints,
     _off_cut_entries,
     _on_cut_margin,
     _rotation,
+    _sign_variations,
     search_admissible,
 )
 
@@ -86,6 +90,21 @@ def test_schedule_strict_nesting_random():
 def test_schedule_validation_rejects_bad():
     assert not PhaseSchedule(0.5, (0.25, 0.25, 0.25)).is_b_nested()
     assert not PhaseSchedule(0.5, (0.6,)).is_b_nested()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_phase_is_refused(z1, value):
+    # every comparison with nan is false, so no sign check alone refuses
+    # it: a schedule, its construction and an evaluation from such a bound
+    # leave as a ChowregError, not as a raw ValueError or a report
+    x = float(value)
+    with workprec(128):
+        for build in (lambda: PhaseSchedule(1, (0.1, x, 0.001)),
+                      lambda: PhaseSchedule(x, (0.1, 0.01, 0.001)),
+                      lambda: make_schedule(x, 3, 0.5),
+                      lambda: regulator(z1, precision_bits=128, eps_start=x)):
+            with pytest.raises(ChowregError, match="finite|eps_bound < oo"):
+                build()
 
 
 def _margins(path, phase):
@@ -1011,3 +1030,65 @@ def test_admissible_solves_a_moebius_path_at_a_handful_of_points(
                 assert len(solves) == sum(map(len, rep.crossings.values()))
                 assert bool(solves) == (Z is mccarthy)
                 assert bool(shifts) == (Z is mccarthy)
+                # the root counts run on Python ints, not on mpf
+                assert all(type(x) is int
+                           for p, c in shifts for x in (*p, c))
+
+
+def _exact_variations(p, a, b):
+    """Sign variations in the coefficients of (1 + y)^n p((a + b y)/(1 + y)),
+    n = len(p) - 1, expanded in Fractions from the exact binary values of
+    the mpf ``p``, ``a`` and ``b``: the coefficient of y^m is
+    sum_k p_k sum_(i + j = m) C(k, i) a^(k - i) b^i C(n - k, j)."""
+    p, a, b = [mpf_to_fraction(c) for c in p], *map(mpf_to_fraction, (a, b))
+    n = len(p) - 1
+    coeffs = [sum(c * math.comb(k, i) * a ** (k - i) * b ** i
+                  * math.comb(n - k, m - i)
+                  for k, c in enumerate(p) for i in range(min(k, m) + 1)
+                  if m - i <= n - k)
+              for m in range(n + 1)]
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _kernel_cases(bits):
+    """(p, a, b) at ``bits``: polynomials of degree 1 to 4 with clustered
+    roots near 1, zero inner coefficients or a negative leading
+    coefficient, on brackets whose ends have different binary exponents,
+    straddle 1, are powers of two or are both even integers."""
+    rng = random.Random(bits)
+    h = mp.mpf(2) ** (-bits // 2)
+    zero = mp.mpf(0)
+    polys = [[mp.mpf(3), zero, zero, mp.mpf(-5)],
+             [mp.mpf(-1), zero, mp.mpf(2), zero, mp.mpf(-1)],
+             [mp.mpf(1) / 3, zero, zero, zero, -mp.mpf(7) / 5],
+             [zero, mp.mpf(-2), mp.mpf(2)]]
+    for _ in range(40):
+        p = [mp.mpf(rng.choice((-1, 1)) * rng.uniform(0.1, 10))]
+        for _ in range(rng.randint(1, 4)):
+            root = 1 + rng.choice((1, h, h * h)) * rng.uniform(-4, 4)
+            p = [c - root * d for c, d in zip([zero] + p, p + [zero])]
+        polys.append(p)
+    ends = [(mp.exp(-h), mp.exp(h)), (1 - h, 1 + 3 * h),
+            (mp.mpf(1) - h * h, mp.mpf(1)), (mp.mpf(1), 1 + h),
+            (mp.mpf("0.75"), mp.mpf(3)), (mp.mpf(1) / 2, mp.exp(mp.mpf(1))),
+            (mp.mpf(1), mp.mpf(2)), (mp.mpf(2), mp.mpf(12)),
+            (mp.mpf(2) ** -10, mp.exp(20))]
+    return [(p, a, b) for p in polys for a, b in ends]
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_sign_variations_is_exact_on_the_binary_values(bits):
+    # the Descartes count of _moebius_brackets runs on Python ints: the
+    # mpf coefficients over one power of two and the bracket ends over
+    # another; it equals the count of an exact expansion in Fractions
+    counts = set()
+    with workprec(bits):
+        for p, a, b in _kernel_cases(bits):
+            ints, e = _binary_ints(p)
+            assert [n * Fraction(2) ** e for n in ints] == [
+                mpf_to_fraction(c) for c in p]
+            count = _sign_variations(ints, a, b)
+            assert count == _exact_variations(p, a, b)
+            counts.add(min(count, 2))
+    assert counts == {0, 1, 2}
