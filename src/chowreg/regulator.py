@@ -287,7 +287,7 @@ def _in_or_near_loop(z, loop):
     return abs(winding) > math.pi
 
 
-def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs=None):
+def _antiderivative_at_0(zeros3, pairs, k, precision_bits):
     """``_antiderivative`` at lambda = 0, an exact end of the first locus
     where f_3 may vanish or have a pole (rho_j = 0).  There log lambda has
     the factor m_j (K + sum_k n_k D_k) = m_j log f_2, which the limit drops,
@@ -305,7 +305,7 @@ def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs=None):
                            "first cut locus, where f_3 is 0 or oo")
     return _antiderivative(mp.mpf(0), [zeros3[j] for j in keep],
                            [(coeff, keep[j], *rest) for coeff, j, *rest
-                            in pairs if j in keep], None if dropped else dilogs)
+                            in pairs if j in keep])
 
 
 def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
@@ -336,6 +336,34 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
     return h, mp.mpc(0), 0.0, size
 
 
+def _line(zeros3, pairs, stops, ks, precision_bits, dilogs=None):
+    """The ball of [H + K G] over each stretch of a line, between its stops
+    ``stops[i]`` and ``stops[i + 1]`` (lambda values in path order) with
+    K = ``ks[i]``: the closed form of the integral of log f_2 dlog f_3
+    along it, whose zeros and poles on the line are ``zeros3`` and the
+    ``_dilog_pairs`` ``pairs``.  A stop at INF takes the limit of
+    ``_antiderivative_at_oo`` with the K of its stretch, and one at 0 with
+    no shared dilogarithms that of ``_antiderivative_at_0``; any other stop
+    is ``_antiderivative`` there, computed once for the two stretches that
+    meet at it, with the dilogarithm balls ``dilogs[i]`` when given.  A
+    stop at 0 with shared dilogarithms holds no zero or pole of f_3, so it
+    needs no limit.  The radius adds the dilogarithms' radii and
+    2^(8 - precision_bits) times the size of the terms at both ends, K G
+    included."""
+    sums = []
+    for i, lam in enumerate(stops):
+        k, shared = ks[max(i - 1, 0)], dilogs and dilogs[i]
+        sums.append(_antiderivative_at_oo(zeros3, pairs, k, precision_bits)
+                    if lam is INF else _antiderivative_at_0(
+                        zeros3, pairs, k, precision_bits)
+                    if lam == 0 and shared is None else
+                    _antiderivative(lam, zeros3, pairs, shared))
+    rounding = 2.0 ** (8 - precision_bits)
+    return [ComplexApprox(h1 - h0 + k * (g1 - g0), r0 + r1 + rounding * (
+        z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1)))))
+        for k, (h0, g0, r0, z0), (h1, g1, r1, z1) in zip(ks, sums, sums[1:])]
+
+
 def quadrature(comp, path, xs, eps2, precision_bits=None):
     """The line integral along a first-locus ``path`` with its crossings
     ``xs`` (in path order), as (stretch index, x_a, x_b, ball) for each
@@ -353,73 +381,50 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     zero: a chord is t = t_a + lambda (t_b - t_a), lambda from 0 to 1 with
     an exact end at 0, or, with an end at t = oo, the ray t = lambda v from
     its finite vertex v (lambda = 1).  With the zeros and poles s_k of f_2
-    and rho_j of f_3 on the line (lambda = r on a Moebius path), a chord
-    integral is [H + K G] between its ends (``_dilog_pairs``,
-    ``_antiderivative``), in the limit at an end at 0 or oo
-    (``_antiderivative_at_0``, ``_antiderivative_at_oo``).  K is fixed by
-    the sided branch of log f_2 at a vertex on the path, a sample if there
-    is one, else a crossing, with the side hint of the stretch it opens or
-    closes; at r = 1 on a Moebius path without crossings, where f_2 is
-    read in its chart (``wavefront._chart``) at w = r direction.  A traced
-    chord is halved while a zero or pole of f_2 or f_3 lies in or about one
-    sample spacing from the loop of the chord and the samples it skips, or
-    on the chord; PrecisionError if it skips none.  The radius adds the
-    dilogarithms' radii, 2^(8 - precision_bits) times the size of the terms
-    and, at each vertex ball, the integrand times its radius."""
+    and rho_j of f_3 on the line (lambda = r on a Moebius path), ``_line``
+    takes the chord integrals between its stops: r = oo, each crossing
+    radius and r = 0 on a Moebius path, the two ends of a traced chord.  K
+    is fixed by the sided branch of log f_2 at a vertex on the path, a
+    sample if there is one, else a crossing, with the side hint of the
+    stretch it opens or closes; at r = 1 on a Moebius path without
+    crossings, where f_2 is read in its chart (``wavefront._chart``) at
+    w = r direction.  A traced chord is halved while a zero or pole of f_2
+    or f_3 lies in or about one sample spacing from the loop of the chord
+    and the samples it skips, or on the chord; PrecisionError if it skips
+    none.  The radius is ``_line``'s, plus, at each vertex ball of a traced
+    chord, the integrand times its radius."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     f1, f2, f3 = comp.coords
     points = path.points
     # f_2 in t on a traced path, and in its chart w = f_1 on a Moebius one
-    ev2 = None if f2.is_constant() else (
-        f2 if points else _chart(comp, 1, 2)).evaluator(precision_bits)
+    ev2 = (f2 if points else _chart(comp, 1, 2)).evaluator(precision_bits)
     with workprec(precision_bits + _EXTRA_BITS):
         rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
-        rounding = float(mp.mpf(2) ** (8 - precision_bits))
-        if ev2 is None:
-            const_log2 = log_eps(embed(f2.constant_value(), precision_bits),
-                                 BranchSpec(eps2)).value
 
         def branch_k(x, lam, hint, zeros2):
             """K from the sided branch of log f_2 at the point of the path
             where ``ev2`` reads f_2 at x, which sits at lambda on the
             chord."""
-            if ev2 is None:
-                return const_log2
             return _sided_log_branch(ev2.value(x), eps2, rot2, guard,
                                      hint) - sum(n * mp.log(lam - s)
                                                  for n, s in zeros2)
 
-        def closed_form(k, start, stop):
-            """(value, radius) of [H + K G] over a chord, from the
-            ``_antiderivative`` sums (H, G, radius, size) at its ends."""
-            (h0, g0, r0, z0), (h1, g1, r1, z1) = start, stop
-            return h1 - h0 + k * (g1 - g0), r0 + r1 + rounding * (
-                z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1))))
-
         if not points:
-            # one line: the pairs, and H and G at each crossing, serve
-            # every chord
+            # one line with a stop at each crossing radius
             zeros2, zeros3 = (_in_radius_divisor(comp, k, path,
                                                  precision_bits)
                               for k in (2, 3))
-            pairs = _dilog_pairs(zeros2, zeros3)
             radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
-            inner = [_antiderivative(r, zeros3, pairs) for r in radii[1:-1]]
-            chords = []
-            for seg, (a, b) in enumerate(zip(radii, radii[1:])):
-                # K at the crossing that opens the stretch, else at the one
-                # that closes it, else at r = 1
-                r, hint = ((a, xs[seg - 1].sign) if seg
-                           else (b, -xs[0].sign) if xs else (mp.mpf(1), 0))
-                k = branch_k(r * path.direction, r, hint, zeros2)
-                value, radius = closed_form(
-                    k, inner[seg - 1] if seg else _antiderivative_at_oo(
-                        zeros3, pairs, k, precision_bits),
-                    inner[seg] if seg < len(xs) else _antiderivative_at_0(
-                        zeros3, pairs, k, precision_bits))
-                chords.append((seg, a, b, ComplexApprox(value, radius)))
-            return chords
+            # K at the crossing that opens the stretch, else at the one
+            # that closes it, else at r = 1
+            at = [(radii[1], -xs[0].sign) if xs else (mp.mpf(1), 0),
+                  *((r, c.sign) for r, c in zip(radii[1:], xs))]
+            balls = _line(zeros3, _dilog_pairs(zeros2, zeros3), radii,
+                          [branch_k(r * path.direction, r, hint, zeros2)
+                           for r, hint in at], precision_bits)
+            return [(seg, a, b, ball) for seg, (a, b, ball)
+                    in enumerate(zip(radii, radii[1:], balls))]
 
         ends = _branch_ends(f1, path, precision_bits)
         # (n, place, whether it is each end) per zero or pole of f_2, f_3
@@ -490,16 +495,16 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             log_delta = mp.log(delta)
             pairs = _dilog_pairs(zeros2, zeros3, None if exact else [
                 None if g is None else g - log_delta for g in gaps])
-            sums = [_antiderivative_at_oo(zeros3, pairs, k, precision_bits)
-                    if ray else _antiderivative_at_0(
-                        zeros3, pairs, k, precision_bits,
-                        not exact and vertex_dilogs(base, pairs)),
-                    _antiderivative(mp.mpf(1), zeros3, pairs,
-                                    not exact and vertex_dilogs(tip, pairs))]
-            value, radius = closed_form(
-                k, *(sums if base is a else sums[::-1]))
+            # the stops run from a to b, lambda from the base to the tip
+            lams = [INF if ray else mp.mpf(0), mp.mpf(1)]
+            if base is b:
+                lams.reverse()
+            (ball,) = _line(zeros3, pairs, lams, [k], precision_bits, [
+                None if exact or lam is INF else vertex_dilogs(v, pairs)
+                for v, lam in zip((a, b), lams)])
             # moving a vertex within its ball changes about its radius times
             # the integrand, taken that far inside the chord
+            radius = ball.radius
             for lam, v in ((0, base), (1, tip)):
                 if v[2]:
                     eps = v[2] / abs(delta)
@@ -507,7 +512,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
                     radius += float(eps * abs(
                         (k + sum(n * mp.log(x - s) for n, s in zeros2))
                         * sum(m / (x - rho) for m, rho in zeros3)))
-            return ComplexApprox(value, radius)
+            return ComplexApprox(ball.value, radius)
 
         # a vertex is (position among the samples, t, radius, end index or
         # None); a crossing sits half-way between the samples around it
@@ -585,8 +590,7 @@ def reg_n3(Z, schedule, precision_bits=None):
             line = ComplexApprox(mp.mpc(0), 0.0)
             if not f3.is_constant():
                 for path in paths:
-                    xs = sorted((c for c in crossings if c.host_path is path),
-                                key=lambda c: float(-c.sigma))
+                    xs = [c for c in crossings if c.host_path is path]
                     for *_, piece in quadrature(comp, path, xs, eps2,
                                                  precision_bits):
                         line = line + piece
@@ -625,8 +629,7 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
     three bounds shrinking by a factor 3, check pairwise lattice agreement,
     and return the smallest-bound evaluation annotated with the agreement
     report."""
-    if not 0 <= tol < math.inf:
-        raise ChowregError(f"tolerance must be finite and >= 0, got {tol!r}")
+    _check_tolerance(tol)
     if precision_bits is None:
         precision_bits = mp.mp.prec
     with workprec(precision_bits):
@@ -658,6 +661,12 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
             del rep
             bound = bound / 3
         return _reconcile(values, 2, tol)
+
+
+def _check_tolerance(tol):
+    """ChowregError unless the agreement tolerance is finite and >= 0."""
+    if not 0 <= tol < math.inf:
+        raise ChowregError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 def _pairwise_agreement(values, p, tol):
@@ -693,14 +702,19 @@ def _reconcile(values, p, tol):
 
 
 def phase_independence_check(Z, schedules, precision_bits=None, tol=1e-8):
-    """Evaluate at each schedule and compare pairwise mod the lattice."""
+    """Evaluate at each schedule and compare pairwise mod the lattice.
+    ChowregError for no schedule or a tolerance that is not finite and
+    >= 0."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     if not (Z.is_curve_level and Z.n == 3 or Z.is_point_level and Z.n == 1):
         raise ChowregError("phase independence applies to n=1 or n=3 cycles")
+    _check_tolerance(tol)
     with workprec(precision_bits):
         vals = [reg_n3(Z, s, precision_bits=precision_bits) if Z.n == 3
                 else reg_n1(Z, s.phases[0], precision_bits) for s in schedules]
+        if not vals:
+            raise ChowregError("phase independence needs a schedule")
         pairs = [{"schedules": (a, b), "lattice_multiple": k, "residual": resid,
                   "ok": ok}
                  for a, b, k, resid, ok in _pairwise_agreement(vals, vals[0].p, tol)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .errors import ConvergenceError, PrecisionError
+from .errors import ChowregError, ConvergenceError, PrecisionError
 from .numeric import ComplexApprox, ulp_radius
 
 # bits above the caller's precision at which li2 sums its series
@@ -35,8 +35,10 @@ class BranchSpec:
     phase: object = 0.0
 
     def __post_init__(self):
-        if mp.mpf(self.phase) < 0:
-            raise ValueError("branch phase must be >= 0")
+        # every comparison with nan is false, so it fails the range test
+        if not 0 <= mp.mpf(self.phase) < mp.inf:
+            raise ChowregError(
+                f"branch phase must be finite and >= 0, got {self.phase!r}")
 
 
 def _as_ball(z):

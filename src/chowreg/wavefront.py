@@ -313,6 +313,14 @@ def _seed_roots(ev, w, precision_bits):
     raise ConvergenceError(f"seed root solve failed: {last_exc}") from last_exc
 
 
+def _check_coordinate_index(component, index):
+    """ChowregError unless ``index`` names a coordinate of ``component``,
+    an int counted from 1."""
+    if not (isinstance(index, int) and 1 <= index <= len(component.coords)):
+        raise ChowregError(f"coordinate index must lie in "
+                           f"1..{len(component.coords)}, got {index!r}")
+
+
 def trace_wavefront(component, coord_index, phase, precision_bits=None):
     """All branches of {t : arg f_i(t) = pi - phase}.
 
@@ -333,10 +341,12 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     fails (no convergence or a critical point) raises ScheduleError naming
     the radius, and so do two branches whose distance shrinks by more than
     2^(-prec/2) in one step: they have collided or jumped onto one another,
-    at a critical value on the ray near that radius.
+    at a critical value on the ray near that radius.  ChowregError unless
+    ``coord_index`` is a coordinate of the component, counted from 1.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
+    _check_coordinate_index(component, coord_index)
     f = component.coords[coord_index - 1]
     if f.is_constant():
         raise ChowregError("cannot trace a constant coordinate")
@@ -417,10 +427,14 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     there.  With q = dlog f_j / dlog f_i at the crossing, the crossing is
     transverse when |Im q| / |q| is above 2^(-prec/3), else ScheduleError;
     its sign is -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero
-    orientation of the host path.
+    orientation of the host path.  ChowregError unless j is a coordinate
+    of the component other than every host path's own.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
+    _check_coordinate_index(component, j)
+    if any(path.coord_index == j for path in paths_i):
+        raise ChowregError(f"coordinate {j} cannot cut its own cut locus")
     transversality_rel = mp.mpf(2) ** (-precision_bits // 3)
     out = []
     if component.coords[j - 1].is_constant():

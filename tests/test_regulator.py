@@ -738,6 +738,22 @@ def test_phase_independence_z1(z1):
         assert all(p["lattice_multiple"] == 0 for p in rep["pairs"])
 
 
+@pytest.mark.parametrize("lams, tol", [
+    ((), 1e-8),
+    ((0.3, 0.6), float("nan")),
+    ((0.3, 0.6), -1.0),
+    ((0.3, 0.6), float("inf")),
+], ids=["no_schedules", "tol_nan", "tol_negative", "tol_inf"])
+def test_phase_independence_check_refuses_bad_arguments(z1, lams, tol):
+    # an empty schedule list has no value to compare, and a tolerance that
+    # is not finite and >= 0 compares nothing: both are refused, as
+    # regulator() refuses such a tolerance
+    with workprec(128):
+        schedules = [make_schedule(0.3, 3, lam) for lam in lams]
+        with pytest.raises(ChowregError):
+            phase_independence_check(z1, schedules, precision_bits=128, tol=tol)
+
+
 def test_regulator_pipeline_z1(z1, trace_log):
     # each schedule's cut locus is traced once, inside the schedule search,
     # and evaluated from the report that accepted it
@@ -758,6 +774,32 @@ def test_regulator_pipeline_point_cycle():
         tr = torsion_order(v, 20, 1e-8)
         assert tr.order == 5
         assert tr.certificate == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("text, oracle", [
+    ("1-1/t ; 1/2 ; (t+2)/(t+3)",
+     lambda: mp.log(mp.mpf(1) / 2) * mp.log(mp.mpf(9) / 8)),
+    ("1-1/t ; 1/3 ; (t+2)/(t+3)",
+     lambda: mp.log(mp.mpf(1) / 3) * mp.log(mp.mpf(9) / 8)),
+    ("(t-2)/(t+1) ; -5 ; (t+3)/(t-7)",
+     lambda: (mp.log(5) - mp.pi * 1j) * mp.log(4)),
+], ids=["half", "third", "minus_five"])
+def test_constant_second_coordinate_on_a_moebius_path(text, oracle, bits):
+    # with f_2 = c the second cut never meets the path, and the line
+    # integral is log^{eps_2}(c) (log f_3(zero of f_1) - log f_3(pole of
+    # f_1)) modulo (2 pi i)^2: log(9/8) = log f_3(1) - log f_3(0) on the
+    # first two, and log 4 = log f_3(2) - log f_3(-1) on the third, where
+    # f_3 stays near the negative axis and log(-5) = log 5 - pi i on the
+    # eps_2 branch.  The oracle is taken 64 bits higher
+    Z = parse_cycle_file("field cyclotomic(1)\ncycle const_f2 n=3 p=2\n"
+                         f"component mult=1 {text}\n")[0]
+    with workprec(bits):
+        v = reg_n3(Z, make_schedule(0.3, 3, 0.5), precision_bits=bits)
+    assert v.breakdown[0]["crossings"] == []
+    with workprec(bits + 64):
+        _, resid = lattice_difference(v.value.value, oracle(), 2)
+    assert resid <= v.value.radius
 
 
 def _totaro_composed(order, g):

@@ -6,7 +6,8 @@ import sys
 import mpmath as mp
 import pytest
 
-from chowreg import BranchSpec, ComplexApprox, PrecisionError, li2, log_eps, pi_const, workprec
+from chowreg import (BranchSpec, ChowregError, ComplexApprox, PrecisionError,
+                     li2, log_eps, pi_const, workprec)
 from chowreg import special
 
 
@@ -41,6 +42,16 @@ def test_log_eps_branch_difference_lattice():
             k = d.imag / two_pi
             assert abs(k - mp.nint(k)) < 1e-25
             assert int(mp.nint(k)) in (-1, 0, 1)
+
+
+@pytest.mark.parametrize("phase", ["-0.1", "nan", "inf"])
+def test_branch_phase_must_be_finite_and_non_negative(phase):
+    # a negative phase has no branch, nan compares false with every bound,
+    # and an infinite one turns the cut by an undefined angle: each is
+    # refused as a ChowregError
+    with workprec(128):
+        with pytest.raises(ChowregError):
+            log_eps(2, mp.mpf(phase))
 
 
 def test_log_eps_straddle_rejected():

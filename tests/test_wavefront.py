@@ -467,6 +467,28 @@ def test_pair_intersections_z1_empty(z1):
         assert hits == []
 
 
+@pytest.mark.parametrize("index", [0, -1, 4, 1.5])
+def test_trace_refuses_a_coordinate_index_out_of_range(z1, index):
+    # the indices of a 3-cube cycle's coordinates are 1, 2 and 3; 0 and -1
+    # would wrap round to coordinate 3 under Python indexing
+    with workprec(128):
+        with pytest.raises(ChowregError):
+            trace_wavefront(z1.components[0], index, mp.mpf("0.1"),
+                            precision_bits=128)
+
+
+@pytest.mark.parametrize("j", [0, 1, 4])
+def test_pair_intersections_refuse_a_bad_cut_index(z1, j):
+    # the cut must be another coordinate of the cycle than the host
+    # paths' own, here coordinate 1
+    with workprec(128):
+        paths = trace_wavefront(z1.components[0], 1, mp.mpf("0.1"),
+                                precision_bits=128)
+        with pytest.raises(ChowregError):
+            find_pair_intersections(z1.components[0], paths, j,
+                                    mp.mpf("0.05"), precision_bits=128)
+
+
 def test_pair_intersections_constant_off_cut():
     t = t_var()
     comp = CurveComponent(2, (t, RationalFunction.from_rational(5, 1)), 1)
