@@ -24,7 +24,7 @@ import mpmath as mp
 from .errors import ChowregError, PrecisionError, PropernessError
 from .field import CyclotomicNumber
 from .funcfield import INF, DivisorPoint, RationalFunction
-from .numeric import ComplexApprox, workprec
+from .numeric import ComplexApprox
 
 FACET_ZERO = "0"
 FACET_INF = "inf"
@@ -343,7 +343,7 @@ def closed_facets(Z, precision_bits=None):
     for attempt in range(CLOSEDNESS_ESCALATIONS + 1):
         bits = precision_bits * (2 ** attempt)
         try:
-            with workprec(bits):
+            with mp.workprec(bits):
                 facets = _facet_restrictions(Z) if Z.is_curve_level else None
                 return boundary(Z, facets).is_empty(), facets
         except PrecisionError:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import ChowregError, PrecisionError
-from .numeric import ComplexApprox, workprec
+from .numeric import ComplexApprox
 
 Rational = Fraction
 
@@ -343,7 +343,7 @@ def embed(a, precision_bits=None):
     if precision_bits < 53:
         raise PrecisionError("embedding precision must be >= 53 bits")
     n = a.order
-    with workprec(precision_bits):
+    with mp.workprec(precision_bits):
         if a.is_rational():
             v, ok = _fraction_exact_mpf(a.coeffs[0], precision_bits)
             if ok:
@@ -354,7 +354,7 @@ def embed(a, precision_bits=None):
             if ok_re and ok_im:
                 return ComplexApprox(mp.mpc(re, im), 0.0)
     guard = 40
-    with workprec(precision_bits + guard):
+    with mp.workprec(precision_bits + guard):
         zeta = mp.e ** (2j * mp.pi / n)
         acc = mp.mpc(0)
         size = mp.mpf(0)
@@ -362,7 +362,7 @@ def embed(a, precision_bits=None):
             cv = mp.mpf(c.numerator) / mp.mpf(c.denominator)
             acc = acc * zeta + cv
             size += abs(cv)
-    with workprec(precision_bits):
+    with mp.workprec(precision_bits):
         value = +acc
     n_ops = 3 * len(a.coeffs) + 6
     radius = n_ops * (float(size) + 1e-300) * 2.0 ** (-(precision_bits + guard // 2))

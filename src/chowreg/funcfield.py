@@ -667,7 +667,7 @@ class RFEvaluator:
     def __init__(self, rf, precision_bits):
         self.rf = rf
         self.precision_bits = precision_bits
-        with workprec(precision_bits + 20):
+        with mp.workprec(precision_bits + 20):
             self.nc = [embed(c, precision_bits + 20).value for c in rf.num.coeffs]
             self.dc = [embed(c, precision_bits + 20).value for c in rf.den.coeffs]
             self.npc = [embed(c, precision_bits + 20).value for c in rf.num.derivative().coeffs]

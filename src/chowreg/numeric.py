@@ -8,7 +8,10 @@ product rule through multiplication; a radius of 0 is reserved for exactly
 representable values.
 
 Precision is configured per call tree with :func:`workprec`, which wraps
-``mpmath.mp.workprec``.
+``mpmath.mp.workprec`` and holds a precision to the supported range,
+53-1024 bits: above it the float error radii underflow to 0.  The guard
+bits that internal steps add above a supported precision use
+``mpmath.mp.workprec`` directly.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ _SLOP = 1.0 + 2.0 ** -40
 
 
 def workprec(bits):
-    """Context manager setting the mpmath working precision in bits."""
-    if bits < 53:
-        raise PrecisionError(f"working precision must be >= 53 bits, got {bits} bits")
+    """Context manager setting the mpmath working precision in bits;
+    PrecisionError outside the supported 53-1024 bits."""
+    if not 53 <= bits <= 1024:
+        raise PrecisionError("working precision must be >= 53 and <= 1024 "
+                             f"bits, got {bits} bits")
     return mp.workprec(int(bits))
 
 

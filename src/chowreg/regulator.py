@@ -31,6 +31,21 @@ chord f_2 is c prod (x - s_k)^{n_k} and dlog f_3 is sum_j m_j dx / (x - rho_j),
 so the chord integral is a sum of logs and dilogarithms at its two ends, or
 their limits at an end at 0 or oo (Lewin 1981; Zagier 2007), and every line
 integral is a finite sum of closed-form terms.
+
+On a Moebius path most of those terms are chart invariants.  With a = f_1
+at a zero or pole of f_2 and b = f_1 at one of f_3, the places on the ray
+are s = a / direction and rho = b / direction, so log(-rho), log(rho - s)
+and the dilogarithms at r = 0, Li2(b / (b - a)) or Li2((b - a) / b), move
+with the schedule only by i theta, theta = arg(direction), and a multiple
+of 2 pi i.  They are computed once per component and precision, in the
+chart (``_chart_terms``), and each schedule adds -i theta and the
+multiple, which the half-plane of the log's argument fixes: the sign of
+Im rho at r = 0, that of Im delta for c = log(-1/delta) at r = oo.  The K
+of a stretch is log c + N log(scale) + 2 pi i m for f_2 = c scale^N
+prod (lambda - s)^n on its line, the scale the direction or a traced
+chord's vector, with the integer m from the side of the cut on which the
+branch of log f_2 lies.  Every side is an mp comparison; only the integers
+are rounded from double-precision imaginary parts.
 """
 
 from __future__ import annotations
@@ -134,14 +149,44 @@ _EXTRA_BITS = 16
 _POLYGON_STRIDE = 40
 
 
-def _sided_log_branch(w, phase, rot, guard, side_hint):
-    """log with argument in (-pi-phase, pi-phase], given ``rot`` =
-    e^{i phase}; the hint, a sign or 0, resolves values inside the guard
-    sliver around the cut by continuity from one side."""
+def _arg(z):
+    """arg z of a nonzero mpc in double precision, at any exponent of z."""
+    e = mp.mag(z)
+    return math.atan2(float(mp.ldexp(z.imag, -e)), float(mp.ldexp(z.real, -e)))
+
+
+def _shifted(lg, centre):
+    """lg + 2 pi i n, the n that puts its imaginary part nearest the float
+    ``centre``: the log on the branch whose arguments lie within pi of it."""
+    n = round((centre - float(lg.imag)) / (2 * math.pi))
+    return lg + mp.mpc(0, 2 * n * mp.pi) if n else lg
+
+
+def _sided_k(w, phase, rot, guard, side_hint, lead, lam, zeros2):
+    """K = lead + 2 pi i m on a line where f_2 = c scale^N prod (lam - s)^n,
+    given lead = log c + N log(scale) and w = f_2 at ``lam``: the m that
+    puts Im K + sum n Im log(lam - s) in (-pi - phase, pi - phase], so that
+    K + sum n log(lam - s) is the branch of log f_2 with ``rot`` =
+    e^{i phase}.  The hint, a sign or 0, resolves a w inside the guard
+    sliver around the cut by continuity from one side.  That side is an mp
+    comparison; only m is rounded from double-precision arguments."""
     phi = mp.arg(-w * rot)
-    subtract = phi > -guard * side_hint
-    theta = mp.pi - phase + phi - (2 * mp.pi if subtract else 0)
-    return mp.mpc(mp.log(abs(w)), theta)
+    theta = mp.pi - phase + phi - (2 * mp.pi if phi > -guard * side_hint
+                                   else 0)
+    return _shifted(lead, float(theta) - sum(n * _arg(lam - s)
+                                             for n, s in zeros2))
+
+
+def _log_lead(rf, precision_bits):
+    """(log c, N) for rf = c prod (x - x_k)^{n_k} over its finite zeros and
+    poles x_k: c the ratio of the leading coefficients, N = deg num - deg
+    den.  Kept on the function's memo per precision."""
+    key = ("log_lead", precision_bits)
+    if key not in rf._memo:
+        c = rf.num.lead() * rf.den.lead().inverse()
+        rf._memo[key] = (mp.log(embed(c, mp.mp.prec).value),
+                         rf.num.degree - rf.den.degree)
+    return rf._memo[key]
 
 
 def _admitted(Z, schedule, precision_bits):
@@ -164,16 +209,66 @@ def _in_radius_divisor(comp, k, path, precision_bits):
     ``path``, f_1 = r direction, so coordinate k is c prod (r - s)^n and
     dlog f_k / dlog f_1 = sum n r / (r - s); a point where f_1 = oo only
     moves c.  ``admissible`` keeps every s off the positive real axis
-    (face-on-cut), so log(r - s) is continuous on the path.  The values of
-    f_1 are kept on the component, since no schedule moves them."""
+    (face-on-cut), so log(r - s) is continuous on the path."""
+    return [(n, v / path.direction if v != 0 else mp.mpc(0))
+            for n, v in _first_at_divisor(comp, k, precision_bits)]
+
+
+def _first_at_divisor(comp, k, precision_bits):
+    """(n, f_1 there) for each zero or pole of coordinate k, of order n, at
+    which f_1 is finite, kept on the component: no schedule moves them."""
     key = ("first_at_divisor", k, precision_bits)
     if key not in comp._memo:
         comp._memo[key] = [
             (pt.multiplicity, v)
             for pt in comp.coords[k - 1].divisor(precision_bits)
             if (v := _coordinate_value_at(comp, 1, pt)) is not INF]
-    return [(n, v / path.direction if v != 0 else mp.mpc(0))
-            for n, v in comp._memo[key]]
+    return comp._memo[key]
+
+
+def _chart_terms(comp, precision_bits):
+    """The terms of the closed form on a Moebius path that no schedule
+    moves, with a = f_1 at a zero or pole of f_2 and b = f_1 at one of f_3
+    (``_first_at_divisor``): log(-b) per b (None at b = 0), log(b - a) per
+    pair in the order of ``_dilog_pairs`` (None where a = b), and a dict
+    that gains the dilogarithm ball at the r = 0 end, Li2(b / (b - a)) or,
+    inverted, Li2((b - a) / b), per (pair index, inverted) on first need.
+    Built on the first Moebius quadrature of a precision and kept on the
+    component."""
+    key = ("chart_terms", precision_bits)
+    if key not in comp._memo:
+        a_s, b_s = (_first_at_divisor(comp, k, precision_bits) for k in (2, 3))
+        comp._memo[key] = (
+            [None if b == 0 else mp.log(-b) for _, b in b_s],
+            [None if a == b else mp.log(b - a) for _, b in b_s for _, a in a_s],
+            {})
+    return comp._memo[key]
+
+
+def _chart_at_0(comp, zeros3, pairs, theta, precision_bits):
+    """(logs, dilogs) at the end r = 0 of a Moebius path whose direction
+    has argument ``theta``, from ``_chart_terms``: the principal
+    log(-rho_j) = log(-b_j) - i theta + 2 pi i n, whose imaginary part lies
+    in the half-plane of -rho_j that the sign of Im rho_j fixes (0 on a
+    negative rho_j; ``admissible`` keeps rho_j off the positive axis), or
+    None at rho_j = 0, and the dilogarithm ball of each ``_dilog_pairs``
+    pair there, Li2(-rho / delta) = Li2(b / (b - a)) or, inverted,
+    Li2((b - a) / b), or None for a pair that needs none."""
+    neg_logs, _, dilogs = _chart_terms(comp, precision_bits)
+    a_s, b_s = (_first_at_divisor(comp, k, precision_bits) for k in (2, 3))
+    logs = [None if lg is None else _shifted(
+        lg - mp.mpc(0, theta), -math.pi / 2 if rho.imag > 0
+        else math.pi / 2 if rho.imag < 0 else 0.0)
+        for lg, (_, rho) in zip(neg_logs, zeros3)]
+    balls = []
+    for i, (_, j, delta, inverted, _) in enumerate(pairs):
+        if delta is not None and logs[j] is not None and (
+                i, inverted) not in dilogs:
+            a, b = a_s[i % len(a_s)][1], b_s[j][1]
+            dilogs[i, inverted] = li2((b - a) / b if inverted
+                                      else b / (b - a))
+        balls.append(dilogs.get((i, inverted)))
+    return logs, balls
 
 
 def _log(z):
@@ -228,14 +323,16 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None):
     return pairs
 
 
-def _antiderivative(r, zeros3, pairs, dilogs=None):
+def _antiderivative(r, zeros3, pairs, dilogs=None, logs=None):
     """(H, G, radius, size) at the radius r > 0: G = sum_j m_j log(r - rho_j)
     over ``zeros3``, and H an antiderivative of
     (sum_k n_k log(r - s_k)) sum_j m_j / (r - rho_j), summed over the
     ``_dilog_pairs``.  ``radius`` adds the dilogarithms' radii and ``size``
     the absolute values of the terms of H and G.  ``dilogs``, when given,
-    holds the dilogarithm ball of each pair, which is then not computed."""
-    logs = [mp.log(r - rho) for _, rho in zeros3]
+    holds the dilogarithm ball of each pair, and ``logs`` the principal
+    log(r - rho_j) of each rho_j, which are then not computed."""
+    if logs is None:
+        logs = [mp.log(r - rho) for _, rho in zeros3]
     halves = [lr ** 2 / 2 for lr in logs]
     h, g, radius, size = mp.mpc(0), mp.mpc(0), 0.0, 0.0
     for i, (coeff, j, delta, inverted, d) in enumerate(pairs):
@@ -287,12 +384,14 @@ def _in_or_near_loop(z, loop):
     return abs(winding) > math.pi
 
 
-def _antiderivative_at_0(zeros3, pairs, k, precision_bits):
+def _antiderivative_at_0(zeros3, pairs, k, precision_bits, zero=None):
     """``_antiderivative`` at lambda = 0, an exact end of the first locus
     where f_3 may vanish or have a pole (rho_j = 0).  There log lambda has
     the factor m_j (K + sum_k n_k D_k) = m_j log f_2, which the limit drops,
     as f_2 = 1 on a properly meeting cycle (else ChowregError); the pair is
-    not inverted and its Li2(0) is 0."""
+    not inverted and its Li2(0) is 0.  ``zero``, when given, holds the
+    log(-rho_j) per rho_j and the dilogarithm ball per pair there, as
+    ``_chart_at_0`` gives them."""
     keep = {j: i for i, j in enumerate(
         j for j, (_, rho) in enumerate(zeros3) if rho != 0)}
     dropped = [p for p in pairs if p[1] not in keep]
@@ -303,9 +402,12 @@ def _antiderivative_at_0(zeros3, pairs, k, precision_bits):
                                             for p in dropped)):
         raise ChowregError("the line integral diverges at an end of the "
                            "first cut locus, where f_3 is 0 or oo")
-    return _antiderivative(mp.mpf(0), [zeros3[j] for j in keep],
-                           [(coeff, keep[j], *rest) for coeff, j, *rest
-                            in pairs if j in keep])
+    kept = [i for i, p in enumerate(pairs) if p[1] in keep]
+    logs, dilogs = zero or (None, None)
+    return _antiderivative(
+        mp.mpf(0), [zeros3[j] for j in keep],
+        [(pairs[i][0], keep[pairs[i][1]], *pairs[i][2:]) for i in kept],
+        dilogs and [dilogs[i] for i in kept], logs and [logs[j] for j in keep])
 
 
 def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
@@ -315,14 +417,18 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
     K G cancel on a properly meeting cycle (else ChowregError).  An
     inverted pair's Li2 tends to 0; one that is not adds pi^2/6 + c^2/2 by
     the inversion formula of Li2 (Zagier 2007), log(-z) = L + c + o(1):
-    c = log(-1/delta), less 2 pi i when delta > 0 and Im rho < 0."""
+    c = log(-1/delta) = -D + 2 pi i n, whose imaginary part lies in the
+    half-plane of -1/delta, fixed by the sign of Im delta; on a real delta
+    it is 0 when delta < 0 and pi when delta > 0, or -pi when Im rho < 0,
+    where log(-z) tends to the negative real axis from below."""
     slope = k * sum(m for m, _ in zeros3)
     scale, h, size = abs(slope), mp.mpc(0), 0.0
     for coeff, j, delta, inverted, d in pairs:
         if delta is not None and not inverted:
-            c = mp.log(-1 / delta)
-            if not delta.imag and delta.real > 0 and zeros3[j][1].imag < 0:
-                c -= 2 * mp.pi * mp.mpc(0, 1)
+            c = _shifted(-d, math.pi / 2 if delta.imag > 0
+                         else -math.pi / 2 if delta.imag < 0
+                         else 0.0 if delta.real < 0
+                         else -math.pi if zeros3[j][1].imag < 0 else math.pi)
             d += c
             term = coeff * (mp.pi ** 2 / 6 + c ** 2 / 2)
             h += term
@@ -336,26 +442,26 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
     return h, mp.mpc(0), 0.0, size
 
 
-def _line(zeros3, pairs, stops, ks, precision_bits, dilogs=None):
+def _line(zeros3, pairs, stops, ks, precision_bits, dilogs=None, zero=None):
     """The ball of [H + K G] over each stretch of a line, between its stops
     ``stops[i]`` and ``stops[i + 1]`` (lambda values in path order) with
     K = ``ks[i]``: the closed form of the integral of log f_2 dlog f_3
     along it, whose zeros and poles on the line are ``zeros3`` and the
     ``_dilog_pairs`` ``pairs``.  A stop at INF takes the limit of
     ``_antiderivative_at_oo`` with the K of its stretch, and one at 0 with
-    no shared dilogarithms that of ``_antiderivative_at_0``; any other stop
-    is ``_antiderivative`` there, computed once for the two stretches that
-    meet at it, with the dilogarithm balls ``dilogs[i]`` when given.  A
-    stop at 0 with shared dilogarithms holds no zero or pole of f_3, so it
-    needs no limit.  The radius adds the dilogarithms' radii and
-    2^(8 - precision_bits) times the size of the terms at both ends, K G
-    included."""
+    no shared dilogarithms that of ``_antiderivative_at_0``, from the terms
+    ``zero`` when given; any other stop is ``_antiderivative`` there,
+    computed once for the two stretches that meet at it, with the
+    dilogarithm balls ``dilogs[i]`` when given.  A stop at 0 with shared
+    dilogarithms holds no zero or pole of f_3, so it needs no limit.  The
+    radius adds the dilogarithms' radii and 2^(8 - precision_bits) times
+    the size of the terms at both ends, K G included."""
     sums = []
     for i, lam in enumerate(stops):
         k, shared = ks[max(i - 1, 0)], dilogs and dilogs[i]
         sums.append(_antiderivative_at_oo(zeros3, pairs, k, precision_bits)
                     if lam is INF else _antiderivative_at_0(
-                        zeros3, pairs, k, precision_bits)
+                        zeros3, pairs, k, precision_bits, zero)
                     if lam == 0 and shared is None else
                     _antiderivative(lam, zeros3, pairs, shared))
     rounding = 2.0 ** (8 - precision_bits)
@@ -383,46 +489,62 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     its finite vertex v (lambda = 1).  With the zeros and poles s_k of f_2
     and rho_j of f_3 on the line (lambda = r on a Moebius path), ``_line``
     takes the chord integrals between its stops: r = oo, each crossing
-    radius and r = 0 on a Moebius path, the two ends of a traced chord.  K
-    is fixed by the sided branch of log f_2 at a vertex on the path, a
-    sample if there is one, else a crossing, with the side hint of the
-    stretch it opens or closes; at r = 1 on a Moebius path without
-    crossings, where f_2 is read in its chart (``wavefront._chart``) at
-    w = r direction.  A traced chord is halved while a zero or pole of f_2
-    or f_3 lies in or about one sample spacing from the loop of the chord
-    and the samples it skips, or on the chord; PrecisionError if it skips
-    none.  The radius is ``_line``'s, plus, at each vertex ball of a traced
+    radius and r = 0 on a Moebius path, the two ends of a traced chord.
+    On the line f_2 = c scale^N prod (lambda - s)^n, the scale the
+    direction on a Moebius path (log i theta, theta its argument) and the
+    chord's vector on a traced one, and K = log c + N log(scale) + 2 pi i m
+    (``_log_lead``, ``_sided_k``).  The integer m puts log f_2 on its sided
+    branch at a vertex on the path, a sample if there is one, else a
+    crossing, with the side hint of the stretch it opens or closes; at
+    r = 1 on a Moebius path without crossings, where f_2 is read in its
+    chart (``wavefront._chart``) at w = r direction.  On a Moebius path the
+    logs of rho - s, the logs and dilogarithms at r = 0 and c at r = oo
+    come from the chart terms (``_chart_terms``, ``_chart_at_0``) less
+    i theta, and no schedule takes them anew.  A traced chord is halved
+    while a zero or pole of f_2 or f_3 lies in or about one sample spacing
+    from the loop of the chord and the samples it skips, or on the chord;
+    PrecisionError if it skips none.  The radius is ``_line``'s, plus, at each vertex ball of a traced
     chord, the integrand times its radius."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     f1, f2, f3 = comp.coords
     points = path.points
     # f_2 in t on a traced path, and in its chart w = f_1 on a Moebius one
-    ev2 = (f2 if points else _chart(comp, 1, 2)).evaluator(precision_bits)
-    with workprec(precision_bits + _EXTRA_BITS):
+    rf2 = f2 if points else _chart(comp, 1, 2)
+    ev2 = rf2.evaluator(precision_bits)
+    with mp.workprec(precision_bits + _EXTRA_BITS):
         rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
+        log_c, degree = _log_lead(rf2, precision_bits)
 
-        def branch_k(x, lam, hint, zeros2):
-            """K from the sided branch of log f_2 at the point of the path
-            where ``ev2`` reads f_2 at x, which sits at lambda on the
-            chord."""
-            return _sided_log_branch(ev2.value(x), eps2, rot2, guard,
-                                     hint) - sum(n * mp.log(lam - s)
-                                                 for n, s in zeros2)
+        def branch_k(x, lam, hint, zeros2, log_scale):
+            """K on a line where f_2 = c scale^N prod (lambda - s)^n, with
+            ``log_scale`` a log of its scale, from the sided branch of log
+            f_2 at the point of the path where ``ev2`` reads f_2 at x,
+            which sits at lambda on the line."""
+            return _sided_k(ev2.value(x), eps2, rot2, guard, hint,
+                            log_c + degree * log_scale, lam, zeros2)
 
         if not points:
-            # one line with a stop at each crossing radius
+            # one line with a stop at each crossing radius; the chart terms
+            # move with the direction only by i theta and multiples of 2 pi i
             zeros2, zeros3 = (_in_radius_divisor(comp, k, path,
                                                  precision_bits)
                               for k in (2, 3))
+            log_dir = mp.mpc(0, mp.arg(path.direction))
+            _, gaps, _ = _chart_terms(comp, precision_bits)
+            pairs = _dilog_pairs(zeros2, zeros3, [
+                None if g is None else g - log_dir for g in gaps])
             radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
             # K at the crossing that opens the stretch, else at the one
             # that closes it, else at r = 1
             at = [(radii[1], -xs[0].sign) if xs else (mp.mpf(1), 0),
                   *((r, c.sign) for r, c in zip(radii[1:], xs))]
-            balls = _line(zeros3, _dilog_pairs(zeros2, zeros3), radii,
-                          [branch_k(r * path.direction, r, hint, zeros2)
-                           for r, hint in at], precision_bits)
+            balls = _line(zeros3, pairs, radii,
+                          [branch_k(r * path.direction, r, hint, zeros2,
+                                    log_dir) for r, hint in at],
+                          precision_bits, zero=_chart_at_0(
+                              comp, zeros3, pairs, log_dir.imag,
+                              precision_bits))
             return [(seg, a, b, ball) for seg, (a, b, ball)
                     in enumerate(zip(radii, radii[1:], balls))]
 
@@ -489,10 +611,11 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             # with the side hint of the stretch end it opens or closes
             at = next((v for v in (a, b) if v[0] % 1 == 0 and v[3] is None),
                       a if a[3] is None else b)
-            k = branch_k(at[1], int(at is tip),
-                         left_sign if at is a else right_sign, zeros2)
-            # an exact end shares nothing with a neighbour
             log_delta = mp.log(delta)
+            k = branch_k(at[1], int(at is tip),
+                         left_sign if at is a else right_sign, zeros2,
+                         log_delta)
+            # an exact end shares nothing with a neighbour
             pairs = _dilog_pairs(zeros2, zeros3, None if exact else [
                 None if g is None else g - log_delta for g in gaps])
             # the stops run from a to b, lambda from the base to the tip
@@ -739,11 +862,12 @@ def _cf_minimal_denominator(x, max_order, tol):
 
 
 def _check_torsion_args(max_order, tol):
-    """ChowregError unless max_order >= 1 and tol is finite and > 0: the
-    arguments ``torsion_order`` accepts, checkable before any evaluation."""
-    if max_order < 1 or not 0 < tol < math.inf:
-        raise ChowregError("torsion_order needs max_order >= 1 and a finite "
-                           f"tol > 0, got {max_order!r} and {tol!r}")
+    """ChowregError unless max_order is finite and >= 1 and tol is finite
+    and > 0: the arguments ``torsion_order`` accepts, checkable before any
+    evaluation.  Every comparison with nan is false, so nan fails both."""
+    if not 1 <= max_order < math.inf or not 0 < tol < math.inf:
+        raise ChowregError("torsion_order needs a finite max_order >= 1 and "
+                           f"a finite tol > 0, got {max_order!r} and {tol!r}")
 
 
 def torsion_order(value, max_order=200, tol=1e-6):

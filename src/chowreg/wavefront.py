@@ -137,8 +137,9 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
             prev = phases[-1]
             inv = 1 / prev
             # exp(-inv) has a binary exponent of about -inv/log(2); keep the
-            # exponent integer itself representable in sane memory
-            if mp.log(inv, 2) > mp.mpf(2) ** 20:
+            # exponent integer itself representable in sane memory: an
+            # exact comparison with 2^(2^20), not one of log2(inv) with 2^20
+            if inv > mp.ldexp(1, 2 ** 20):
                 raise ScheduleError(
                     "schedule underflow: exp(-1/eps) needs an exponent beyond "
                     "any usable representation; use a larger lambda*eps or "

@@ -196,6 +196,17 @@ def test_cli_precision_exit_code(capsys):
     assert "40 bits" in error["message"]
 
 
+def test_cli_refuses_a_precision_above_1024_bits(capsys):
+    # the float error radii underflow above 1024 bits, so such a working
+    # precision is refused up front, with the precision exit code
+    code, _, err = _run(capsys, ["regulator", "--fixture", "z1_totaro",
+                                 "--precision", "1100"])
+    assert code == 6
+    error = json.loads(err)["error"]
+    assert error["class"] == "precision"
+    assert "1100 bits" in error["message"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["torsion", "--max-order", "0"], "max_order >= 1"),
     (["torsion", "--max-order", "-3"], "max_order >= 1"),

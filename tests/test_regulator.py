@@ -328,25 +328,45 @@ def _off_the_positive_axis(rng, count):
     return out
 
 
-@pytest.mark.parametrize("trial", range(6))
+# (rho, delta = s - rho) of the first pair of a trial, each not inverted:
+# delta real and positive with Im rho < 0 or > 0, real and negative, and
+# Im delta = +-1e-40 |delta| on the side where the pair is not inverted
+_PAIRS_AT_OO = {
+    0: (mp.mpc(2, -1), mp.mpc(1)),
+    6: (mp.mpc(-1, 2), mp.mpc(-2)),
+    7: (mp.mpc(-1, 1), mp.mpc(3)),
+    8: (mp.mpc(-1, 1), mp.mpc(1, 1e-40)),
+    9: (mp.mpc(2, -1), mp.mpc(1, -1e-40)),
+}
+
+
+@pytest.mark.parametrize("trial", range(12))
 def test_antiderivative_at_oo_is_the_limit_of_the_closed_form(trial):
     # random zeros and poles s of f_2 (sum n = 0) and rho of f_3 in the
     # radius: [H + K G](2^e) tends to the limit at r = oo like e 2^-e, with
     # K = 0 when f_3 has a zero or pole at oo (sum m != 0), where f_2 = 1,
     # and any K else.  Trial 0 holds a pair that is not inverted, with
     # delta = s - rho real and positive and Im rho < 0, where log(-z) tends
-    # to the negative real axis from below
+    # to the negative real axis from below; trial 7 one with Im rho > 0,
+    # where it tends to it from above, and trial 6 one with delta real and
+    # negative.  Trials 8 and 9 put Im delta 1e-40 |delta| above and below
+    # the real axis.  Trials 10 and 11 shift every D by +-2 pi i, a log of
+    # rho - s on another branch, which the limit may not see
     regulator_module = importlib.import_module("chowreg.regulator")
     rng = random.Random(trial)
     with workprec(200):
         ms = [1, -2, 1] if trial % 2 else [2, 1, -1]
         zeros2 = list(zip([1, 2, -3], _off_the_positive_axis(rng, 3)))
         zeros3 = list(zip(ms, _off_the_positive_axis(rng, 3)))
-        if trial == 0:
-            zeros2[0], zeros3[0] = (1, mp.mpc(3, -1)), (ms[0], mp.mpc(2, -1))
+        if trial in _PAIRS_AT_OO:
+            rho, delta = _PAIRS_AT_OO[trial]
+            zeros2[0], zeros3[0] = (1, rho + delta), (ms[0], rho)
         pairs = regulator_module._dilog_pairs(zeros2, zeros3)
-        if trial == 0:
-            assert pairs[0][2] == 1 and not pairs[0][3]
+        if trial in _PAIRS_AT_OO:
+            assert pairs[0][2] == delta and not pairs[0][3]
+        if trial >= 10:
+            shift = mp.mpc(0, 2 * mp.pi) * (1 if trial == 10 else -1)
+            pairs = [(*p[:4], p[4] + shift) for p in pairs]
         k = (mp.mpc(rng.uniform(-1, 1), rng.uniform(-3, 3)) if sum(ms) == 0
              else mp.mpc(0))
         h, g, radius, _ = regulator_module._antiderivative_at_oo(
@@ -372,13 +392,22 @@ def test_antiderivative_at_oo_refuses_a_diverging_end():
                                                        mp.mpc(k), 128)
 
 
-@pytest.mark.parametrize("name", ["totaro", "mccarthy"])
+# li2 calls over one regulator() call on a fresh cycle: one per pair of a
+# zero or pole of f_2 and one of f_3 that differ, at the end r = 0
+_MOEBIUS_DILOGS = {"totaro": 1, "petras": 3}
+
+
+@pytest.mark.parametrize("name", ["totaro", "mccarthy", "petras"])
 def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
                                                              monkeypatch):
     # a Moebius path runs no quadrature node: its line integral is the
     # closed form in the radius, which solves for no t, takes no Newton
     # step and evaluates f_2 at one point per stretch only, the point in
-    # closed form that fixes the branch of log f_2 there
+    # closed form that fixes the branch of log f_2 there.  Without
+    # crossings its logs and dilogarithms are chart terms no schedule
+    # moves: a fresh Totaro or Petras computes each dilogarithm once over
+    # the three schedules of regulator(), and a second call takes no log
+    # and no dilogarithm at all
     regulator_module = importlib.import_module("chowreg.regulator")
     quadrature = regulator_module.quadrature
     inside, stretches = [], []
@@ -414,6 +443,29 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
     assert len(stretches) == len(Z.components)
     assert 0 < calls.pop("value") <= sum(stretches)
     assert calls == {"solve": 0, "dlog": 0, "newton_step": 0}
+    if name not in _MOEBIUS_DILOGS:
+        return
+    monkeypatch.undo()
+    counts = {"li2": 0, "log": 0}
+
+    def count(call, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(regulator_module, "li2",
+                        count(regulator_module.li2, "li2"))
+    monkeypatch.setattr(mp, "log", count(mp.log, "log"))
+    Z = _MOEBIUS_CYCLES[name]()
+    seen = []
+    for _ in range(2):
+        counts.update(li2=0, log=0)
+        with workprec(128):
+            regulator(Z, precision_bits=128)
+        seen.append(dict(counts))
+    assert seen[0]["li2"] == _MOEBIUS_DILOGS[name]
+    assert seen[1] == {"li2": 0, "log": 0}
 
 
 _TRACED_CYCLES = {
@@ -802,6 +854,80 @@ def test_constant_second_coordinate_on_a_moebius_path(text, oracle, bits):
     assert resid <= v.value.radius
 
 
+def _sided_log_branch(w, phase, rot, guard, side_hint):
+    """log w with argument in (-pi - phase, pi - phase], given ``rot`` =
+    e^{i phase}, the hint resolving values inside the guard sliver around
+    the cut from one side: K was this less sum n log(lambda - s)."""
+    phi = mp.arg(-w * rot)
+    subtract = phi > -guard * side_hint
+    theta = mp.pi - phase + phi - (2 * mp.pi if subtract else 0)
+    return mp.mpc(mp.log(abs(w)), theta)
+
+
+def _const_f2(text):
+    return parse_cycle_file("field cyclotomic(1)\ncycle const_f2 n=3 p=2\n"
+                            f"component mult=1 {text}\n")[0]
+
+
+# (cycle, schedule seed) or (cycle, None) for make_schedule(0.3, 3, 0.5)
+_K_CYCLES = {
+    "totaro": (lambda: load_fixture("z1_totaro"), 0),
+    "petras": (lambda: load_fixture("petras_zeta5"), 0),
+    "z_minus1": (lambda: load_fixture("z_minus1"), 0),
+    **{f"dilog_{n}_{k}": (functools.partial(dilog_cycle, n, k), 0)
+       for n, k in ((3, 1), (4, 1), (5, 2), (6, 1), (7, 3))},
+    **{f"mccarthy_seed{seed}": (
+        lambda: load_fixture("mccarthy_counterexample"), seed)
+       for seed in range(5)},
+    "totaro_s2_plus_i": (lambda: load_fixture("totaro_s2_plus_i"), 0),
+    "const_half": (lambda: _const_f2("1-1/t ; 1/2 ; (t+2)/(t+3)"), None),
+    "const_third": (lambda: _const_f2("1-1/t ; 1/3 ; (t+2)/(t+3)"), None),
+    "const_minus_five": (
+        lambda: _const_f2("(t-2)/(t+1) ; -5 ; (t+3)/(t-7)"), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_K_CYCLES))
+def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
+    # K = log c + N log(scale) + 2 pi i m, from the leading coefficient of
+    # f_2 on its line and the integer m, is the K read from the sided
+    # branch of log f_2 at a point w = f_2 of the line, less the logs of
+    # lambda - s there: the same multiple of 2 pi i, and equal within
+    # 2^(8 - bits) (1 + |K| + 1 / |w|).  The last term is the reference's
+    # own error: w carries the rounding of the places of the zeros of f_2
+    # at the working precision, about 2^-bits absolute, which the traced
+    # chords of Totaro o (s^2 + i) next to the exact zero of f_1, where
+    # f_2 vanishes too, read with |w| down to 5e-25.  Every K that _line
+    # takes is checked, on Moebius paths with and without crossings
+    # (McCarthy's carry side hints), on traced branches, and for a
+    # constant f_2 (N = 0)
+    regulator_module = importlib.import_module("chowreg.regulator")
+    sided_k, line = regulator_module._sided_k, regulator_module._line
+    bits, checked, taken = 128, [], []
+
+    def checking_k(w, phase, rot, guard, hint, lead, lam, zeros2):
+        k = sided_k(w, phase, rot, guard, hint, lead, lam, zeros2)
+        ref = _sided_log_branch(w, phase, rot, guard, hint) - sum(
+            n * mp.log(lam - s) for n, s in zeros2)
+        checked.append((k, abs(k - ref) / (1 + abs(k) + 1 / abs(w))))
+        return k
+
+    def recording_line(zeros3, pairs, stops, ks, *args, **kwargs):
+        taken.extend(ks)
+        return line(zeros3, pairs, stops, ks, *args, **kwargs)
+
+    monkeypatch.setattr(regulator_module, "_sided_k", checking_k)
+    monkeypatch.setattr(regulator_module, "_line", recording_line)
+    build, seed = _K_CYCLES[name]
+    Z = build()
+    with workprec(bits):
+        schedule = (make_schedule(0.3, 3, 0.5) if seed is None else
+                    search_admissible(Z, 0.3, seed=seed, precision_bits=bits))
+        reg_n3(Z, schedule, precision_bits=bits)
+    assert taken and taken == [k for k, _ in checked]
+    assert max(err for _, err in checked) <= mp.mpf(2) ** (8 - bits)
+
+
 def _totaro_composed(order, g):
     return parse_cycle_file(
         f"field cyclotomic({order})\ncycle totaro_g n=3 p=2\n"
@@ -974,6 +1100,40 @@ def test_torsion_rejects_imprecise_input():
                            schedule_used=None)
         with pytest.raises(PrecisionError):
             torsion_order(v, 200, 1e-6)
+
+
+@pytest.mark.parametrize("max_order", [math.nan, math.inf],
+                         ids=["nan", "inf"])
+def test_torsion_refuses_a_max_order_that_is_not_finite(max_order):
+    # every comparison with nan is false, so nan once passed the argument
+    # check and recognized pi^2/6 as of order 24; inf asked for an error
+    # radius below tol / oo = 0 and left as a misleading PrecisionError
+    with workprec(128):
+        v = RegulatorValue(p=2, value=ComplexApprox(mp.mpc(mp.pi ** 2 / 6),
+                                                    1e-30),
+                           schedule_used=None)
+        with pytest.raises(ChowregError, match="finite max_order"):
+            torsion_order(v, max_order=max_order)
+
+
+def test_totaro_at_1024_bits_holds_its_oracle(z1):
+    # the top of the supported precision range: the float radius has not
+    # underflowed, and it holds pi^2 / 6, which it did not at 1090 bits
+    with workprec(1024):
+        v = regulator(z1, precision_bits=1024)
+        tr = torsion_order(v, 200, 1e-6)
+    assert 0 < v.value.radius < 1e-300
+    with mp.workprec(1024 + 64):
+        assert abs(mp.mpc(v.value.value) - mp.pi ** 2 / 6) <= v.value.radius
+    assert tr.order == 24
+
+
+@pytest.mark.parametrize("bits", [52, 1025])
+def test_regulator_refuses_a_precision_outside_53_to_1024_bits(z1, bits):
+    # above 1024 bits the float radii underflow, and a value would come
+    # with a radius of 0 that bounds nothing
+    with pytest.raises(PrecisionError, match=f"got {bits} bits"):
+        regulator(z1, precision_bits=bits)
 
 
 def test_torsion_none_for_non_torsion():

@@ -73,6 +73,44 @@ def test_schedule_underflow_rejected():
             make_schedule(0.5, 5, 0.5)
 
 
+def _log_guarded_schedule(eps_bound, n, lam):
+    """The phases of make_schedule under its former guard, log2(1/eps) >
+    2^20, or None where that guard refused."""
+    phases = [lam * eps_bound]
+    for _ in range(n - 1):
+        inv = 1 / phases[-1]
+        if mp.log(inv, 2) > mp.mpf(2) ** 20:
+            return None
+        phases.append(lam * mp.exp(-inv))
+    return tuple(phases)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_schedule_underflow_guard_compares_without_logs(bits):
+    # the guard compares 1/eps exactly with 2^(2^20), not log2(1/eps) with
+    # 2^20: over a grid of bounds and lambda it keeps the same phases bit
+    # for bit and refuses where the log form did, at 3 to 5 phases of an
+    # ordinary bound and with 1/eps_1 at 2^(2^20) (1 + 2^-8) and
+    # 2^(2^20 + 1).  An accepted 1/eps near 2^(2^20) would take
+    # exp(-2^(2^20)), which the guard is there to spare
+    with workprec(bits):
+        edge = mp.ldexp(1, -2 ** 20)
+        refused = 0
+        for lam in (mp.mpf("0.05"), mp.mpf("0.5"), mp.mpf("0.95")):
+            bounds = [mp.mpf(x) for x in ("1", "0.3", "0.01")] + [
+                edge / lam / f for f in (1 + mp.mpf(2) ** -8, 2)]
+            for eps in bounds:
+                for n in (2, 3, 4, 5):
+                    expected = _log_guarded_schedule(eps, n, lam)
+                    if expected is None:
+                        refused += 1
+                        with pytest.raises(ScheduleError, match="underflow"):
+                            make_schedule(eps, n, lam)
+                    else:
+                        assert make_schedule(eps, n, lam).phases == expected
+        assert 0 < refused < 3 * 5 * 4
+
+
 def test_schedule_strict_nesting_random():
     rng = random.Random(19)
     with workprec(256):
