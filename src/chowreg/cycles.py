@@ -39,9 +39,10 @@ class CurveComponent:
     coords: tuple
     mult: int
     # schedule-independent data keyed by (name, ...): the values admissibility
-    # keeps off the cut rays (``wavefront._off_cut_entries``), f_1 at the
+    # keeps off the cut rays (``wavefront._off_cut_entries``) and f_1 at the
     # zeros and poles of the others (``regulator._in_radius_divisor``), both
-    # per precision and exact where a value is 0 or oo, and the charts
+    # per precision and exact where a value is 0 or oo, the double images of
+    # the former (``wavefront._off_cut_images``), per precision, the charts
     # f_k o f_1^-1 (``wavefront._chart``), exact; f_1^-1 itself is kept on
     # f_1 (``RationalFunction.inverse``)
     _memo: dict = dataclass_field(default_factory=dict, init=False,

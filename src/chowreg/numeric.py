@@ -42,6 +42,16 @@ def ulp_radius(z):
     return (float(m) + 1e-300) * 2.0 ** (2 - mp.mp.prec)
 
 
+def double_image(z):
+    """z 2^(-mag z) as a Python complex, for an mpf or mpc z: a double that
+    neither overflows nor underflows at any exponent of z, each part of it
+    rounded once from the exact binary value; 0j for z = 0."""
+    if not z:
+        return 0j
+    e = mp.mag(z)
+    return complex(float(mp.ldexp(z.real, -e)), float(mp.ldexp(z.imag, -e)))
+
+
 def pi_const(precision_bits=None):
     """pi at the working precision, radius one ulp."""
     if precision_bits is None:

@@ -64,7 +64,7 @@ from .cycles import (_divisor_locations_equal, check_face_proper,
 from .errors import ChowregError, PrecisionError, PropernessError, ScheduleError
 from .field import embed
 from .funcfield import INF, mpf_to_fraction
-from .numeric import ComplexApprox, workprec
+from .numeric import ComplexApprox, double_image, workprec
 from .special import BranchSpec, li2, log_eps
 from .wavefront import (AdmissibilityReport, PhaseSchedule, _chart,
                         _coordinate_value_at, admissible, search_admissible)
@@ -151,8 +151,8 @@ _POLYGON_STRIDE = 40
 
 def _arg(z):
     """arg z of a nonzero mpc in double precision, at any exponent of z."""
-    e = mp.mag(z)
-    return math.atan2(float(mp.ldexp(z.imag, -e)), float(mp.ldexp(z.real, -e)))
+    image = double_image(z)
+    return math.atan2(image.imag, image.real)
 
 
 def _shifted(lg, centre):

@@ -28,22 +28,29 @@ polynomial P in the radius, read from f_2 in the exact chart w = f_1, with
 a companion Q whose sign there tells the cut from the positive real axis.
 Descartes's rule of signs on their coefficients rules most paths out at
 once and isolates the rest, its counts exact on the binary values of P, Q
-and the bracket ends, in Python ints; bracketed Newton on P in the reals
-finds each root, and the path is solved once per crossing, to place it.
-On a traced path the roots are bracketed by sign changes between samples,
-and bracketed Newton along the path, one solve per step, finds each one.
-One quotient q = dlog f_2 / dlog f_1 at the crossing gives its
+and the bracket ends, in Python ints; a path on which P vanishes to
+rounding and Q is negative runs along the cut and is refused.  Bracketed
+Newton on P in the reals finds each root: in doubles first, on P's
+coefficients scaled by one power of two, and from that seed in working
+precision for its last steps; the path is solved once per crossing, to
+place it.  On a traced path the roots are bracketed by sign changes
+between samples, and bracketed Newton along the path, one solve per step,
+finds each one.  One quotient q = dlog f_2 / dlog f_1 at the crossing gives its
 transversality and its sign, the sign of the crossing derivative of arg f_2
 along the oriented path.
 
 The regulator integrates along the first locus and sums over its crossings
 with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
 is one rule: a value keeps an angular margin of CUT_MARGIN from its cut ray.
-It is applied to every critical value of f_i (f_i at the roots of the
-Wronskian num' den - num den', factors shared with num den removed exactly,
-plus f_i(oo) when the degrees agree), since a locus is a smooth union of
-branches exactly when none lies on its ray, and to the few other values
-``admissible`` lists.  The report of an admissibility check carries the
+It is decided on doubles, the value and the ray's rotation each scaled by a
+power of two (``numeric.double_image``), and at working precision only when
+the double's slack lies within 2^-44 of zero, relative to the value's size:
+the images of a component's own values are kept on it, those of the
+rotations are made once per check.  The rule is applied to every critical
+value of f_i (f_i at the roots of the Wronskian num' den - num den',
+factors shared with num den removed exactly, plus f_i(oo) when the degrees
+agree), since a locus is a smooth union of branches exactly when none lies
+on its ray, and to the few other values ``admissible`` lists.  The report of an admissibility check carries the
 coordinate-1 paths and crossings, which are all the evaluation needs:
 ``search_admissible`` returns the report that accepted a schedule, and
 evaluation reads its paths and crossings rather than tracing again.
@@ -61,7 +68,7 @@ from .cycles import FACET, _incidence
 from .errors import ChowregError, ConvergenceError, PrecisionError, ScheduleError
 from .field import CyclotomicNumber, embed
 from .funcfield import INF, RFEvaluator
-from .numeric import ComplexApprox, workprec
+from .numeric import ComplexApprox, double_image, workprec
 
 TRACE_GRID_DEFAULT = 560
 SIGMA_SPAN_DEFAULT = 56.0
@@ -119,9 +126,12 @@ class PhaseSchedule:
 def make_schedule(eps_bound, n, lam, precision_bits=None):
     """Nested schedule eps_1 = lam*bound, eps_{k+1} = lam*exp(-1/eps_k).
 
-    The recursion collapses doubly-exponentially; when the next phase would
-    need an exponent beyond any sane representation the construction fails
-    loudly rather than producing zeros.
+    The recursion collapses doubly-exponentially; when 1/eps_k exceeds
+    2^(2^12), so that the next phase's binary exponent, about
+    -1/(eps_k ln 2), takes thousands of bits to write, the construction
+    fails at once with ScheduleError rather than spend seconds on a phase
+    that no evaluation can use.  ``regulator``'s own search goes
+    no deeper than 1/eps_2 of about 2^1004.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -136,14 +146,14 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
         for _ in range(n - 1):
             prev = phases[-1]
             inv = 1 / prev
-            # exp(-inv) has a binary exponent of about -inv/log(2); keep the
-            # exponent integer itself representable in sane memory: an
-            # exact comparison with 2^(2^20), not one of log2(inv) with 2^20
-            if inv > mp.ldexp(1, 2 ** 20):
+            # exp(-inv) has a binary exponent of about -inv/log(2), and
+            # computing it takes ln 2 to about log2(inv) bits: an exact
+            # comparison with 2^(2^12), not one of log2(inv) with 2^12
+            if inv > mp.ldexp(1, 2 ** 12):
                 raise ScheduleError(
-                    "schedule underflow: exp(-1/eps) needs an exponent beyond "
-                    "any usable representation; use a larger lambda*eps or "
-                    "higher precision"
+                    "schedule underflow: 1/eps exceeds 2^4096, so exp(-1/eps) "
+                    "needs an exponent beyond any usable representation; use "
+                    "a larger lambda*eps"
                 )
             phases.append(lam * mp.exp(-inv))
         return PhaseSchedule(eps_bound, tuple(phases))
@@ -506,8 +516,12 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
     Both are lists of coefficients, constant term first.
 
     The coefficients decide first, by Descartes's rule of signs on (0, oo):
-    with no sign variation in P, or no negative coefficient in Q (Q >= 0
-    for every r > 0), the path has no cut crossing and no bracket.  Else,
+    with no negative coefficient in Q (Q >= 0 for every r > 0), or no sign
+    variation in P, the path has no cut crossing and no bracket.  When every
+    coefficient of P lies within 2^(8 - prec) sum |a_i| sum |b_k| of zero,
+    compared by binary magnitudes, f_j is real along the whole path to
+    rounding, and Q(1) < 0 puts the path on the cut, not across it: that
+    raises ScheduleError (non-generic schedule).  Else,
     by Cauchy's bound every root of P lies in the log-radii
     +-log(1 + max |p_k| / min(|p_0|, |p_n|)), and those in (0, oo) are
     isolated there by Descartes's rule on each bracket (Collins-Akritas):
@@ -530,7 +544,14 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
         p.pop()
     while p and not p[0]:
         p.pop(0)
-    if _variations(p) == 0 or min(q) >= 0:
+    if min(q) >= 0:
+        return (p, q), []
+    floor = 8 - precision_bits + max(map(mp.mag, a)) + max(map(mp.mag, b))
+    if all(mp.mag(c) <= floor for c in p) and sum(q) < 0:
+        raise ScheduleError(
+            "non-generic schedule: the first cut locus runs along the "
+            "second cut (Im(e^{i eps_2} f_2) vanishes to rounding on it)")
+    if _variations(p) == 0:
         return (p, q), []
     (p_ints, _), (q_ints, _) = _binary_ints(p), _binary_ints(q)
     bound = mp.log(1 + max(map(abs, p)) / min(abs(p[0]), abs(p[-1])))
@@ -624,25 +645,33 @@ def _refine_crossing(path, f_j_ev, rot_j, bracket, hi_positive, pq,
 
     ``rot_j`` is the second phase's ``_rotation``; g changes sign, counted
     half-open, across the bracket, and ``hi_positive`` is whether g >= 0 at
-    s_hi.  Newton steps from the middle of the bracket, and bisection
-    replaces a step that leaves it.  Once a step falls below 2^(-prec/2),
-    quadratic convergence puts the next iterate at the rounding floor, and
-    that iterate is the crossing.
+    s_hi.  Newton steps from a start in the bracket, and bisection replaces
+    a step that leaves it.  Once a step falls below 2^(-prec/2), quadratic
+    convergence puts the next iterate at the rounding floor, and that
+    iterate is the crossing.
 
     On a Moebius path ``pq`` holds the chart polynomials (P, Q) of
     ``_moebius_brackets``, and the steps run on P(e^sigma), which has the
     sign of g, in the reals: no point of the path is placed until the root
-    is found.  The root is on the cut when Q < 0 there, and only then does
-    one ``solve_at`` place it.  On a traced path ``pq`` is None and each
-    step solves the path: along it dt/dsigma = 1 / dlog f_i, so the slope
-    is g' = Im(rot_j f_j q).
+    is found.  The start is the root in double precision
+    (``_double_seed``), so the working-precision steps only finish the
+    work: 2, 3 and 4 evaluations of P at 53, 128 and 256 bits where the
+    middle of the bracket took about 7 to 9; the middle is the start when
+    the double iteration fails.  The root is on the cut when Q < 0 there,
+    and only then does one ``solve_at`` place it.  On a traced path ``pq``
+    is None, Newton starts from the middle of the bracket and each step
+    solves the path: along it dt/dsigma = 1 / dlog f_i, so the slope is
+    g' = Im(rot_j f_j q).
     """
     f_i_ev = path.evaluator
-    if pq is not None:
-        p, q_chart = (c[::-1] for c in pq)
     small = mp.mpf(2) ** (-precision_bits // 2)
     s_hi, s_lo = bracket
-    sigma = (s_hi + s_lo) / 2
+    seed = None
+    if pq is not None:
+        p, q_chart = (c[::-1] for c in pq)
+        seed = _double_seed(p, s_hi, s_lo, hi_positive)
+    sigma = ((s_hi + s_lo) / 2 if seed is None
+             else min(max(mp.mpf(seed), s_lo), s_hi))
     converged = False
     # enough for bisection alone to bring a step below ``small``
     for _ in range(precision_bits):
@@ -674,6 +703,44 @@ def _refine_crossing(path, f_j_ev, rot_j, bracket, hi_positive, pq,
         return None
     t, n, d = path.solve_at(sigma)
     return sigma, t, f_j_ev.dlog(t) / f_i_ev.dlog(t, n, d)
+
+
+def _double_seed(p, s_hi, s_lo, hi_positive):
+    """The root of P(e^sigma) in the log-radius bracket (s_hi, s_lo) to
+    double precision, or None: ``_refine_crossing``'s safeguarded Newton
+    iteration run in floats, on the coefficients of P (highest degree
+    first) as doubles scaled by one power of two so that none overflows.
+    It stops once a step falls below 2^-45 (1 + |sigma|), and fails when
+    e^sigma overflows, a value is not finite or 120 steps do not get there.
+    Its bracket updates follow the double signs of P, so the seed is only a
+    start: the working-precision iteration keeps the whole bracket."""
+    e = max(mp.mag(c) for c in p if c)
+    cs = [float(mp.ldexp(c, -e)) for c in p]
+    hi, lo = float(s_hi), float(s_lo)
+    sigma = (hi + lo) / 2
+    for _ in range(120):
+        try:
+            r = math.exp(sigma)
+        except OverflowError:
+            return None
+        g = slope = 0.0
+        for c in cs:
+            slope = slope * r + g
+            g = g * r + c
+        slope *= r
+        if not (math.isfinite(g) and math.isfinite(slope)):
+            return None
+        if (g >= 0) == hi_positive:
+            hi = sigma
+        else:
+            lo = sigma
+        nxt = sigma - g / slope if slope else None
+        if nxt is None or not lo <= nxt <= hi:
+            nxt = (hi + lo) / 2
+        if abs(nxt - sigma) < 2.0 ** -45 * (1 + abs(sigma)):
+            return nxt
+        sigma = nxt
+    return None
 
 
 @dataclass
@@ -714,21 +781,48 @@ class AdmissibilityReport:
         }
 
 
+def _midpoint(value):
+    """The mpc of an admissibility value, which is an mpc, an mpf or a
+    ``ComplexApprox``."""
+    return value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
+
+
 def _on_cut_margin(value, rot):
     """Angular distance of a nonzero finite value from a cut ray, given the
     ray's phase as its ``_rotation``: |arg(rot value) - pi|, with the
     difference wrapped to (-pi, pi]."""
-    v = value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
-    return float(abs(mp.arg(-v * rot)))
+    return float(abs(mp.arg(-_midpoint(value) * rot)))
 
 
-def _near_cut(value, rot):
-    """Whether ``_on_cut_margin(value, rot)`` is below CUT_MARGIN, decided
-    without an arctangent: -rot value lies in the sector
-    |Im| <= tan(CUT_MARGIN) Re around the positive real axis."""
-    v = value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
-    w = -v * rot
+def _in_sector(value, rot):
+    """Whether -rot value lies in the sector |Im| <= tan(CUT_MARGIN) Re
+    around the positive real axis, at the working precision."""
+    w = -_midpoint(value) * rot
     return abs(w.imag) <= _TAN_CUT_MARGIN * w.real
+
+
+def _near_cut(value, rot, image=None, rot_image=None):
+    """Whether ``_on_cut_margin(value, rot)`` is below CUT_MARGIN, decided
+    without an arctangent: the sector test ``_in_sector``, on doubles
+    first.
+
+    ``image`` and ``rot_image`` are the ``double_image``s of value and rot
+    (computed here when not given), and w = -image rot_image is -rot value
+    scaled by a power of two, to a few units of 2^-53 |w|.  The sector test
+    on w decides when its slack tan(CUT_MARGIN) Re w - |Im w| lies outside
+    2^-44 |w| of zero, a band far wider than that error and than the
+    working-precision rounding of -rot value; inside the band ``_in_sector``
+    decides at the working precision.  So the verdict is the one of
+    ``_in_sector`` at every input and precision."""
+    if image is None:
+        image = double_image(_midpoint(value))
+    if rot_image is None:
+        rot_image = double_image(rot)
+    w = -image * rot_image
+    slack = _TAN_CUT_MARGIN * w.real - abs(w.imag)
+    if abs(slack) > 2.0 ** -44 * abs(w):
+        return slack > 0
+    return _in_sector(value, rot)
 
 
 def _coordinate_value_at(component, j, point):
@@ -796,14 +890,31 @@ def _off_cut_entries(comp, precision_bits):
     return entries
 
 
-def _keep_off_cuts(entries, rots, ci, failures, warnings):
+def _off_cut_images(comp, precision_bits):
+    """The ``double_image`` of each value of ``_off_cut_entries``, in its
+    order: built once per precision and kept on the component beside the
+    entries, which stay as they are."""
+    key = ("off_cut_images", precision_bits)
+    if key not in comp._memo:
+        comp._memo[key] = [double_image(_midpoint(entry[2])) for entry
+                           in _off_cut_entries(comp, precision_bits)]
+    return comp._memo[key]
+
+
+def _keep_off_cuts(entries, images, rots, ci, failures, warnings):
     """The one rule of ``admissible``: each entry's value keeps an angular
-    margin of CUT_MARGIN from cut ray k (phase ``rots[k - 1]``), else it
-    fails with its kind, as a warning for an endpoint on a cut beyond the
-    second, which no nested cut-prefix condition reaches."""
-    for k, kind, value, witness, detail in entries:
-        if _near_cut(value, rots[k - 1]):
-            margin = _on_cut_margin(value, rots[k - 1])
+    margin of CUT_MARGIN from cut ray k, else it fails with its kind, as a
+    warning for an endpoint on a cut beyond the second, which no nested
+    cut-prefix condition reaches.  ``images`` holds the ``double_image`` of
+    each entry's value, kept on the component for its own entries
+    (``_off_cut_images``), and ``rots[k - 1]`` is (rotation, its image) for
+    ray k, made once per ``admissible`` call: ``_near_cut`` decides most
+    entries in doubles, and at working precision those whose slack falls
+    in its band."""
+    for (k, kind, value, witness, detail), image in zip(entries, images):
+        rot, rot_image = rots[k - 1]
+        if _near_cut(value, rot, image, rot_image):
+            margin = _on_cut_margin(value, rot)
             (warnings if kind == "endpoint-on-cut" and k > 2
              else failures).append(AdmissibilityFailure(
                  kind, ci, f"{detail} (margin {margin:.2e})", witness))
@@ -820,7 +931,8 @@ def admissible(Z, schedule, precision_bits=None):
     crossing of the first locus with the second cut, the coordinates >= 3
     (no triple point) keep an angular margin of CUT_MARGIN from their cut
     rays.  All but the last are built once per component and precision
-    (``_off_cut_entries``).  A crossing must also be transverse.
+    (``_off_cut_entries``), with the double images the margin test reads
+    first (``_off_cut_images``).  A crossing must also be transverse.
 
     Only the first locus is traced, and only for a component that no entry
     has failed yet (a warning does not count): the schedule is refused
@@ -838,10 +950,12 @@ def admissible(Z, schedule, precision_bits=None):
         raise ChowregError(f"schedule has {schedule.n} phases, cycle needs {Z.n}")
     failures, warnings, paths, crossings = [], [], {}, {}
     with workprec(precision_bits):
-        rots = [_rotation(p) for p in schedule.phases]
+        rots = [(rot, double_image(rot))
+                for rot in map(_rotation, schedule.phases)]
         for ci, comp in enumerate(Z.components):
             failed = len(failures)
-            _keep_off_cuts(_off_cut_entries(comp, precision_bits), rots, ci,
+            _keep_off_cuts(_off_cut_entries(comp, precision_bits),
+                           _off_cut_images(comp, precision_bits), rots, ci,
                            failures, warnings)
             if comp.coords[0].is_constant() or len(failures) > failed:
                 continue
@@ -864,11 +978,15 @@ def admissible(Z, schedule, precision_bits=None):
             triples = []
             for c in crossings[ci]:
                 for k, f in enumerate(comp.coords[2:], 3):
-                    v = f.eval(c.t, precision_bits).value
+                    # f has no pole at a crossing: the face-on-cut
+                    # entries keep f_1 at its poles off the first ray
+                    v = f.evaluator(precision_bits).value(c.t.value)
                     if v != 0:
                         triples.append((k, "triple", v, c.t,
                                         f"triple point: cuts 1,2,{k} meet"))
-            _keep_off_cuts(triples, rots, ci, failures, warnings)
+            _keep_off_cuts(triples, [double_image(v) for _, _, v, _, _
+                                     in triples], rots, ci, failures,
+                           warnings)
     return AdmissibilityReport(ok=not failures, failures=failures,
                                schedule=schedule, warnings=warnings,
                                paths=paths, crossings=crossings)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import mpmath as mp
 import pytest
@@ -146,6 +147,19 @@ def test_cli_admissible_nested(capsys):
     assert code == 0
     rec = json.loads(out)["cycles"]["z1_totaro"]
     assert rec["ok"] is True and rec["b_nested"] is True
+
+
+def test_cli_admissible_refuses_a_schedule_too_deep_to_use(capsys):
+    # at bound 1e-4, 1/eps_2 is about 2^28855: the schedule is refused with
+    # the schedule exit code before its third phase is built, which took
+    # minutes, and before describe() prints digits Python will not write
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["admissible", "--fixture", "z1_totaro",
+                                   "--eps", "1e-4"])
+    assert time.perf_counter() - start < 5
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["class"] == "schedule" and "underflow" in error["message"]
 
 
 def test_cli_admissible_verdict_is_the_librarys(tmp_path, capsys):

@@ -66,3 +66,93 @@ def test_every_private_module_level_name_is_referenced():
               if name.startswith("_") and not name.startswith("__")
               and name not in refs]
     assert unused == []
+
+
+# the methods that change a dict, list or set in place
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+             "pop", "popitem", "clear", "remove", "discard",
+             "difference_update", "intersection_update",
+             "symmetric_difference_update", "sort", "reverse"}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                    "Counter", "deque"}
+
+
+def _module_containers(tree):
+    """The module-level names bound to a dict, list or set, by a display,
+    a comprehension or a constructor call."""
+    names = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(value, ast.Call):
+            func = value.func
+            call = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            is_container = call in _CONTAINER_CALLS
+        else:
+            is_container = isinstance(value, (ast.Dict, ast.List, ast.Set,
+                                              ast.DictComp, ast.ListComp,
+                                              ast.SetComp))
+        if is_container:
+            names.update(_defined(node))
+    return names
+
+
+def _writes(function, containers):
+    """(line, name) for each write of ``function`` into a module-level
+    container that it does not rebind locally: a subscript assignment or
+    deletion, or a call of an in-place method."""
+    local = {n.id for n in ast.walk(function)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    local |= {a.arg for a in ast.walk(function.args)
+              if isinstance(a, ast.arg)}
+    for n in ast.walk(function):
+        if isinstance(n, ast.Global):
+            local -= set(n.names)
+    shared = containers - local
+    for n in ast.walk(function):
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store,
+                                                               ast.Del)):
+            target = n.value
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in _MUTATORS):
+            target = n.func.value
+        else:
+            continue
+        # x[k][j] = v and x[k].append(v) write into x as well
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Name) and target.id in shared:
+            yield n.lineno, target.id
+
+
+def _container_writes(tree):
+    containers = _module_containers(tree)
+    return [hit for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda))
+            for hit in _writes(node, containers)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_writes_into_a_module_level_container(path):
+    # a module-level dict, list or set that functions fill is a cache that
+    # outlives every object it describes and grows without bound; memos
+    # belong on the objects they describe (a component's or a function's
+    # _memo)
+    assert _container_writes(_tree(path)) == []
+
+
+def test_a_module_level_cache_is_caught():
+    # the check above sees each form of write into a module-level container
+    tree = ast.parse(
+        "import collections\n"
+        "_IMAGES = {}\n_SEEN = set()\n_LOG = []\n"
+        "_BY_KEY = collections.defaultdict(list)\n"
+        "def a(k, v):\n    _IMAGES[k] = v\n"
+        "def b(v):\n    _SEEN.add(v)\n    _LOG.append(v)\n"
+        "def c(k, v):\n    _BY_KEY[k].append(v)\n    _IMAGES.setdefault(k, v)\n"
+        "def d(k):\n    del _IMAGES[k]\n"
+        "def fine(k, v):\n    _IMAGES = {}\n    _IMAGES[k] = v\n"
+        "    memo = {}\n    memo[k] = v\n    return _IMAGES.get(k)\n")
+    assert sorted(name for _, name in _container_writes(tree)) == [
+        "_BY_KEY", "_IMAGES", "_IMAGES", "_IMAGES", "_LOG", "_SEEN"]

@@ -1,4 +1,5 @@
 import math
+import time
 import random
 from fractions import Fraction
 
@@ -1152,3 +1153,268 @@ def test_sign_variations_is_exact_on_the_binary_values(bits):
             assert count == _exact_variations(p, a, b)
             counts.add(min(count, 2))
     assert counts == {0, 1, 2}
+
+
+def test_a_schedule_too_deep_to_use_is_refused_at_once():
+    # 1/eps_3 of this schedule is about 2^(6.3e5): exp(-1/eps_3) took 9 s
+    # to build at 256 bits, and no evaluation can use it.  The guard at
+    # 1/eps = 2^(2^12) refuses it before any exponential that deep
+    start = time.perf_counter()
+    with workprec(256):
+        with pytest.raises(ScheduleError, match="underflow"):
+            make_schedule(2, 4, 0.05)
+    assert time.perf_counter() - start < 1
+
+
+def test_every_schedule_the_regulator_tries_is_built():
+    # regulator() searches from the bounds 0.3, 0.1 and 0.1/3, each shrunk
+    # up to three times by 0.6, with lambda in [0.2, 0.8]: the deepest phase
+    # it asks for has 1/eps_2 of about 2^1004, far inside the guard
+    lams = [mp.mpf(x) for x in ("0.2", "0.25", "0.5", "0.8")]
+    with workprec(128):
+        for bound in (mp.mpf("0.3"), mp.mpf("0.1"), mp.mpf("0.1") / 3):
+            for k in range(4):
+                for lam in lams:
+                    s = make_schedule(bound * mp.mpf("0.6") ** k, 3, lam)
+                    assert mp.log(1 / s.phases[1], 2) < 1010
+
+
+ALONG_THE_CUT = ["t ; 2*t ; (t-2)/(t+3)",
+                 "(t-1)/(t+2) ; 3*(t-1)/(t+2) ; (t-5)/(t+3)"]
+
+
+def _n3_cycle(text):
+    (Z,) = parse_cycle_file("field cyclotomic(1)\ncycle c n=3 p=2\n"
+                            f"component mult=1 {text}\n")
+    return Z
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("text", ALONG_THE_CUT, ids=["t", "moebius"])
+def test_a_first_locus_along_the_second_cut_is_refused(text, bits):
+    # f_2 = c f_1 with c > 0: at equal first and second phases the whole
+    # first locus lies on the second cut, so T_1 and T_2 meet in a curve,
+    # not in points.  Along the path Im(e^{i eps_2} f_2) is 0 to rounding,
+    # and the schedule is refused as non-generic; at other phases the
+    # locus crosses nothing and the schedule stays admissible
+    from chowreg.regulator import reg_n3
+
+    Z = _n3_cycle(text)
+    equal = PhaseSchedule(1, (0.1, 0.1, 0.01))
+    with workprec(bits):
+        rep = admissible(Z, equal, precision_bits=bits)
+        assert [f.kind for f in rep.failures] == ["tangency"]
+        assert "runs along the second cut" in rep.failures[0].detail
+        other = admissible(Z, PhaseSchedule(1, (0.1, 0.2, 0.01)),
+                           precision_bits=bits)
+        assert other.ok and other.crossings == {0: []}
+        with pytest.raises(ScheduleError):
+            reg_n3(Z, equal, precision_bits=bits)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a traced first locus brackets crossings by sign changes between trace "
+    "samples and sees none on a locus that runs along the cut; ROADMAP's "
+    "one crossing finder for every degree is to refuse it"))
+def test_a_traced_first_locus_along_the_second_cut_is_refused():
+    Z = _n3_cycle("t^2 ; 2*t^2 ; (t-2)/(t+3)")
+    with workprec(128):
+        rep = admissible(Z, PhaseSchedule(1, (0.1, 0.1, 0.01)),
+                         precision_bits=128)
+    assert [f.kind for f in rep.failures] == ["tangency"]
+
+
+def _reference_in_sector(value, rot):
+    """The sector test at the working precision: -rot value has
+    |Im| <= tan(CUT_MARGIN) Re."""
+    import chowreg.wavefront as wf
+
+    w = -mp.mpc(value) * rot
+    return abs(w.imag) <= math.tan(wf.CUT_MARGIN) * w.real
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_near_cut_in_doubles_agrees_with_the_sector_test(bits, monkeypatch):
+    # _near_cut decides on doubles unless the slack lies within 2^-44 |w|
+    # of zero: at every phase, size and side of the ray its verdict is the
+    # working-precision sector test's, and only the angles within 2^-20 of
+    # the margin, relatively, fall back to it
+    import chowreg.wavefront as wf
+
+    fallback = []
+    in_sector = wf._in_sector
+
+    def counting(*args):
+        fallback.append(args)
+        return in_sector(*args)
+
+    monkeypatch.setattr(wf, "_in_sector", counting)
+    factors = [0, mp.mpf(1) / 2, 1, 2, 10 ** 6] + [
+        1 + side * mp.mpf(2) ** -k for k in (10, 20, 50) for side in (1, -1)]
+    near_margin = {1} | {1 + side * mp.mpf(2) ** -k
+                         for k in (20, 50) for side in (1, -1)}
+    verdicts = set()
+    with workprec(bits):
+        for phase in (0, mp.mpf("0.3"), 2, mp.pi / 2, 3, mp.mpf("1e-683")):
+            rot = _rotation(phase)
+            for factor in factors:
+                angle = wf.CUT_MARGIN * factor
+                for side in (1, -1):
+                    for size in (mp.mpf("1e-300"), 1, mp.mpf("1e300")):
+                        v = -size * mp.expj(side * angle) / rot
+                        del fallback[:]
+                        verdict = wf._near_cut(v, rot)
+                        assert verdict == _reference_in_sector(v, rot)
+                        assert bool(fallback) == (factor in near_margin)
+                        verdicts.add((factor, verdict))
+    assert {f for f, near in verdicts if near} >= {0, mp.mpf(1) / 2}
+    assert {f for f, near in verdicts if not near} >= {2, 10 ** 6}
+
+
+def _count_polyval_per_crossing(monkeypatch):
+    """A list that gains, per Moebius crossing refinement, the number of
+    ``mp.polyval`` calls it made."""
+    import chowreg.wavefront as wf
+
+    counts, inside = [], []
+    polyval, refine = mp.polyval, wf._refine_crossing
+
+    def counting_polyval(*args, **kwargs):
+        if inside:
+            counts[-1] += 1
+        return polyval(*args, **kwargs)
+
+    def counting_refine(path, f_j_ev, rot_j, bracket, hi_positive, pq,
+                        precision_bits):
+        if pq is not None:
+            counts.append(0)
+            inside.append(True)
+        try:
+            return refine(path, f_j_ev, rot_j, bracket, hi_positive, pq,
+                          precision_bits)
+        finally:
+            del inside[:]
+
+    monkeypatch.setattr(mp, "polyval", counting_polyval)
+    monkeypatch.setattr(wf, "_refine_crossing", counting_refine)
+    return counts
+
+
+def _mccarthy_schedules(bits):
+    """Ten nested schedules and six equal phases of McCarthy's cycle."""
+    lams = ("0.25", "0.35", "0.5", "0.65", "0.8")
+    return ([make_schedule(mp.mpf(b), 3, mp.mpf(lam), bits)
+             for b in ("0.3", "0.1") for lam in lams]
+            + [PhaseSchedule(1, (mp.mpf(e),) * 3)
+               for e in ("0.05", "0.1", "0.15", "0.2", "0.3", "0.4")])
+
+
+@pytest.mark.parametrize("bits, most", [(53, 3), (128, 4), (256, 5)])
+def test_a_moebius_crossing_takes_few_working_precision_steps(
+        mccarthy, monkeypatch, bits, most):
+    # Newton on P(e^sigma) starts from the root in doubles, so the working
+    # precision only finishes it: one Q test and 2, 3 and 4 evaluations of
+    # P at 53, 128 and 256 bits, where the middle of the bracket took 7.6,
+    # 8.75 and 9.7 polyval calls on average
+    counts = _count_polyval_per_crossing(monkeypatch)
+    with workprec(bits):
+        for s in _mccarthy_schedules(bits):
+            admissible(mccarthy, s, precision_bits=bits)
+    assert len(counts) == 16
+    assert max(counts) <= most
+
+
+def _midpoint_start_crossings(comp, s, bits):
+    """(sign, t) of each crossing of the first locus of ``comp`` with the
+    second cut: the chart polynomial's brackets, then bracketed Newton on
+    P(e^sigma) in working precision from the middle of the bracket, the Q
+    sign test and one path solve, as before the double seed."""
+    import chowreg.wavefront as wf
+
+    (path,) = trace_wavefront(comp, 1, s.phases[0], bits)
+    f2_ev = comp.coords[1].evaluator(bits)
+    rot = _rotation(s.phases[1])
+    (p, q), brackets = wf._moebius_brackets(
+        path, wf._chart(comp, 1, 2).evaluator(bits), rot, bits)
+    small = mp.mpf(2) ** (-bits // 2)
+    out = []
+    for (s_hi, s_lo), hi_positive in brackets:
+        sigma, converged = (s_hi + s_lo) / 2, False
+        for _ in range(bits):
+            r = mp.exp(sigma)
+            g, slope = mp.polyval(p[::-1], r, derivative=True)
+            slope *= r
+            if converged:
+                break
+            if (g >= 0) == hi_positive:
+                s_hi = sigma
+            else:
+                s_lo = sigma
+            nxt = sigma - g / slope if slope else None
+            if nxt is None or not s_lo <= nxt <= s_hi:
+                nxt = (s_hi + s_lo) / 2
+            converged = abs(nxt - sigma) < small
+            sigma = nxt
+        if mp.polyval(q[::-1], r) >= 0:
+            continue
+        t, n, d = path.solve_at(sigma)
+        quotient = f2_ev.dlog(t) / path.evaluator.dlog(t, n, d)
+        out.append((-1 if quotient.imag > 0 else 1, t))
+    return out
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_a_seeded_crossing_stays_within_its_radius(mccarthy, bits):
+    # the double seed moves where Newton starts, not which root it finds:
+    # every crossing of McCarthy's cycle and of HIDDEN_CROSSING keeps its
+    # count and sign, and its t lies within its radius of the crossing the
+    # midpoint start finds
+    (hidden,) = parse_cycle_file(HIDDEN_CROSSING)
+    found = 0
+    with workprec(bits):
+        cases = [(mccarthy, s) for s in _mccarthy_schedules(bits)]
+        cases += [(hidden, make_schedule(mp.mpf(b), 2, mp.mpf(lam), bits))
+                  for b in ("0.3", "0.1") for lam in ("0.25", "0.5", "0.8")]
+        cases.append((hidden, PhaseSchedule(
+            1, (mp.mpf("0.15"), mp.mpf("6.4e-4")))))
+        for Z, s in cases:
+            comp = Z.components[0]
+            paths = trace_wavefront(comp, 1, s.phases[0], bits)
+            got = find_pair_intersections(comp, paths, 2, s.phases[1], bits)
+            ref = _midpoint_start_crossings(comp, s, bits)
+            assert [c.sign for c in got] == [sign for sign, _ in ref]
+            for c, (_, t) in zip(got, ref):
+                assert abs(c.t.value - t) <= c.t.radius
+            found += len(got)
+    assert found >= 16 + 2
+
+
+def test_a_warm_component_builds_no_entry_image(monkeypatch):
+    # the double images of a component's off-cut values are built with
+    # them, once per precision; a later admissible call builds only the
+    # images of its rotations and of the values at its crossings
+    import chowreg.wavefront as wf
+
+    images = []
+    double_image = wf.double_image
+
+    def counting(z):
+        images.append(z)
+        return double_image(z)
+
+    monkeypatch.setattr(wf, "double_image", counting)
+    Z = load_fixture("mccarthy_counterexample")
+    comp = Z.components[0]
+    counts = []
+    with workprec(128):
+        for e in ("0.2", "0.3", "0.2"):
+            del images[:]
+            rep = admissible(Z, PhaseSchedule(1, (mp.mpf(e),) * 3),
+                             precision_bits=128)
+            assert not rep.ok
+            counts.append(len(images) - 3 - len(rep.crossings[0]))
+        assert counts == [len(_off_cut_entries(comp, 128)), 0, 0]
+        assert comp._memo["off_cut_images", 128] == [
+            double_image(e[2].value if isinstance(e[2], ComplexApprox)
+                         else mp.mpc(e[2]))
+            for e in _off_cut_entries(comp, 128)]
