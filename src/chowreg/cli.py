@@ -18,7 +18,7 @@ import sys
 import mpmath as mp
 
 from . import cycles as cyc
-from .errors import ChowregError
+from .errors import ChowregError, CycleParseError
 from .fixtures import FIXTURES, fixture_names, load_fixture
 from .funcfield import INF, RationalFunction, rf_to_expr
 from .field import CyclotomicNumber
@@ -68,8 +68,13 @@ def _load_cycles(args):
         return [load_fixture(args.fixture)]
     if not args.input:
         raise ChowregError("provide an input file or --fixture NAME")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return parse_cycle_file(fh.read())
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CycleParseError(f"not UTF-8 text at byte {exc.start}") from None
+    return parse_cycle_file(text)
 
 
 def _schedule_for(Z, args, precision_bits):
@@ -189,8 +194,8 @@ def _cmd_admissible(Z, args, precision_bits, tol):
 
 def _cmd_regulator(Z, args, precision_bits, tol):
     if Z.is_curve_level and Z.n == 2:
-        rep = search_admissible(Z, getattr(args, "eps", None) or 0.3,
-                                seed=args.seed, precision_bits=precision_bits)
+        rep = search_admissible(Z, 0.3, seed=args.seed,
+                                precision_bits=precision_bits)
         count = intersection_number_n2(Z, rep, precision_bits=precision_bits)
         return {
             "kind": "intersection_number",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 import mpmath as mp
 
 from .errors import ChowregError, PrecisionError, PropernessError
-from .field import CyclotomicNumber
+from .field import CyclotomicNumber, embed
 from .funcfield import INF, DivisorPoint, RationalFunction
 from .numeric import ComplexApprox
 
@@ -38,13 +38,12 @@ class CurveComponent:
     n: int
     coords: tuple
     mult: int
-    # schedule-independent data keyed by (name, ...): the values admissibility
-    # keeps off the cut rays (``wavefront._off_cut_entries``) and f_1 at the
-    # zeros and poles of the others (``regulator._in_radius_divisor``), both
-    # per precision and exact where a value is 0 or oo, the double images of
-    # the former (``wavefront._off_cut_images``), per precision, the charts
-    # f_k o f_1^-1 (``wavefront._chart``), exact; f_1^-1 itself is kept on
-    # f_1 (``RationalFunction.inverse``)
+    # schedule-independent data keyed by (name, ...): per precision,
+    # "off_cut" (``wavefront._off_cut_entries``), exact where a value is 0
+    # or oo, "off_cut_images" (``wavefront._off_cut_images``) and
+    # "chart_terms" (``regulator._chart_terms``); exact, "chart"
+    # (``wavefront._chart``).  f_1^-1 itself is kept on f_1
+    # (``RationalFunction.inverse``)
     _memo: dict = dataclass_field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 
@@ -200,8 +199,6 @@ def _coord_distance(a, b):
         return 0.0 if (a is INF and b is INF) else float("inf")
     if isinstance(a, CyclotomicNumber) and isinstance(b, CyclotomicNumber):
         return 0.0 if a == b else float("inf")
-    from .field import embed
-
     ab = a if isinstance(a, ComplexApprox) else embed(a, mp.mp.prec)
     bb = b if isinstance(b, ComplexApprox) else embed(b, mp.mp.prec)
     d = float(abs(ab.value - bb.value))

@@ -349,9 +349,9 @@ class DivisorPoint:
 class RationalFunction:
     """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic.
 
-    Instances are immutable, so ``divisor``, ``critical_values`` and
-    ``evaluator`` keep their results per precision in ``_memo``, and
-    ``inverse`` keeps its one.
+    Instances are immutable, so ``divisor``, ``critical_values``,
+    ``evaluator`` and ``regulator._log_lead`` (as "log_lead") keep their
+    results per precision in ``_memo``, and ``inverse`` keeps its one.
     """
 
     __slots__ = ("order", "num", "den", "_memo")

@@ -203,72 +203,44 @@ def _admitted(Z, schedule, precision_bits):
     return rep
 
 
-def _in_radius_divisor(comp, k, path, precision_bits):
-    """(n, s) for each zero or pole of coordinate k, of order n, at which
-    f_1 is finite, with s = f_1 / direction there.  Along the Moebius
-    ``path``, f_1 = r direction, so coordinate k is c prod (r - s)^n and
-    dlog f_k / dlog f_1 = sum n r / (r - s); a point where f_1 = oo only
-    moves c.  ``admissible`` keeps every s off the positive real axis
-    (face-on-cut), so log(r - s) is continuous on the path."""
-    return [(n, v / path.direction if v != 0 else mp.mpc(0))
-            for n, v in _first_at_divisor(comp, k, precision_bits)]
-
-
-def _first_at_divisor(comp, k, precision_bits):
-    """(n, f_1 there) for each zero or pole of coordinate k, of order n, at
-    which f_1 is finite, kept on the component: no schedule moves them."""
-    key = ("first_at_divisor", k, precision_bits)
-    if key not in comp._memo:
-        comp._memo[key] = [
-            (pt.multiplicity, v)
-            for pt in comp.coords[k - 1].divisor(precision_bits)
-            if (v := _coordinate_value_at(comp, 1, pt)) is not INF]
-    return comp._memo[key]
-
-
 def _chart_terms(comp, precision_bits):
     """The terms of the closed form on a Moebius path that no schedule
-    moves, with a = f_1 at a zero or pole of f_2 and b = f_1 at one of f_3
-    (``_first_at_divisor``): log(-b) per b (None at b = 0), log(b - a) per
-    pair in the order of ``_dilog_pairs`` (None where a = b), and a dict
-    that gains the dilogarithm ball at the r = 0 end, Li2(b / (b - a)) or,
-    inverted, Li2((b - a) / b), per (pair index, inverted) on first need.
-    Built on the first Moebius quadrature of a precision and kept on the
-    component."""
+    moves: the places (n, a) of f_2 and (m, b) of f_3, a or b the value of
+    f_1 at a zero or pole of order n or m at which f_1 is finite;
+    log(-b) per b (None at b = 0); log(b - a) per pair in the order of
+    ``_dilog_pairs`` (None where a = b); and the ``_stop_dilogs`` cache of
+    the dilogarithm balls at the end r = 0.  Built on the first Moebius
+    quadrature of a precision and kept on the component."""
     key = ("chart_terms", precision_bits)
     if key not in comp._memo:
-        a_s, b_s = (_first_at_divisor(comp, k, precision_bits) for k in (2, 3))
+        places2, places3 = (
+            [(pt.multiplicity, v)
+             for pt in comp.coords[k - 1].divisor(precision_bits)
+             if (v := _coordinate_value_at(comp, 1, pt)) is not INF]
+            for k in (2, 3))
         comp._memo[key] = (
-            [None if b == 0 else mp.log(-b) for _, b in b_s],
-            [None if a == b else mp.log(b - a) for _, b in b_s for _, a in a_s],
+            places2, places3,
+            [None if b == 0 else mp.log(-b) for _, b in places3],
+            [None if a == b else mp.log(b - a)
+             for _, b in places3 for _, a in places2],
             {})
     return comp._memo[key]
 
 
-def _chart_at_0(comp, zeros3, pairs, theta, precision_bits):
-    """(logs, dilogs) at the end r = 0 of a Moebius path whose direction
-    has argument ``theta``, from ``_chart_terms``: the principal
-    log(-rho_j) = log(-b_j) - i theta + 2 pi i n, whose imaginary part lies
-    in the half-plane of -rho_j that the sign of Im rho_j fixes (0 on a
-    negative rho_j; ``admissible`` keeps rho_j off the positive axis), or
-    None at rho_j = 0, and the dilogarithm ball of each ``_dilog_pairs``
-    pair there, Li2(-rho / delta) = Li2(b / (b - a)) or, inverted,
-    Li2((b - a) / b), or None for a pair that needs none."""
-    neg_logs, _, dilogs = _chart_terms(comp, precision_bits)
-    a_s, b_s = (_first_at_divisor(comp, k, precision_bits) for k in (2, 3))
-    logs = [None if lg is None else _shifted(
-        lg - mp.mpc(0, theta), -math.pi / 2 if rho.imag > 0
-        else math.pi / 2 if rho.imag < 0 else 0.0)
-        for lg, (_, rho) in zip(neg_logs, zeros3)]
+def _stop_dilogs(cache, v, pairs, xs, ys):
+    """The dilogarithm ball of each ``_dilog_pairs`` pair at the stop v,
+    with x and y the places of the pair's zero or pole of f_2 and of f_3
+    in the coordinate of v: Li2((v - y) / (x - y)) or, inverted,
+    Li2((x - y) / (v - y)), or None for a pair that needs none or whose y
+    is v.  ``cache`` keeps them by (v, pair, inverted) for every line."""
     balls = []
     for i, (_, j, delta, inverted, _) in enumerate(pairs):
-        if delta is not None and logs[j] is not None and (
-                i, inverted) not in dilogs:
-            a, b = a_s[i % len(a_s)][1], b_s[j][1]
-            dilogs[i, inverted] = li2((b - a) / b if inverted
-                                      else b / (b - a))
-        balls.append(dilogs.get((i, inverted)))
-    return logs, balls
+        x, y = xs[i % len(xs)], ys[j]
+        if delta is not None and y != v and (v, i, inverted) not in cache:
+            cache[v, i, inverted] = li2((x - y) / (v - y) if inverted
+                                        else (v - y) / (x - y))
+        balls.append(cache.get((v, i, inverted)))
+    return balls
 
 
 def _log(z):
@@ -277,9 +249,9 @@ def _log(z):
     return cmath.log(complex(z))
 
 
-def _dilog_pairs(zeros2, zeros3, log_gaps=None):
-    """How each pair of a zero or pole s of f_2 and rho of f_3 in the
-    radius (``_in_radius_divisor``) enters the antiderivative, as
+def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0):
+    """How each pair of a zero or pole s of f_2 and rho of f_3 on a line
+    (in lambda, the radius r on a Moebius path) enters the antiderivative, as
     (n m, index of rho in ``zeros3``, delta, inverted, D).
 
     The pair contributes n m times an antiderivative of
@@ -294,8 +266,9 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None):
     Either way no dilogarithm meets its cut [1, oo) for r > 0, every log
     is continuous there (``admissible`` keeps s and rho off the positive
     real axis), and the integer q is fixed once, at r = 1, from logs in
-    double precision.  ``log_gaps``, when given, holds a log of rho - s per
-    pair in order, on any branch: q absorbs the multiple of 2 pi i.
+    double precision.  ``log_gaps``, when given, holds a log of
+    (rho - s) scale per pair in order and ``log_scale`` one of the line's
+    scale, on any branch: q absorbs the multiple of 2 pi i.
     """
     two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
     pairs = []
@@ -316,7 +289,7 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None):
                 rest = _log(1 - rho) + _log(1 - 1 / z1)
             else:
                 d = (mp.log(rho - s) if log_gaps is None
-                     else log_gaps[len(pairs)])
+                     else log_gaps[len(pairs)] - log_scale)
                 rest = complex(d) + _log(1 - z1)
             q = round((_log(1 - s) - rest).imag / (2 * math.pi))
             pairs.append((m * n, j, delta, inverted, d + two_pi_i * q))
@@ -384,14 +357,13 @@ def _in_or_near_loop(z, loop):
     return abs(winding) > math.pi
 
 
-def _antiderivative_at_0(zeros3, pairs, k, precision_bits, zero=None):
-    """``_antiderivative`` at lambda = 0, an exact end of the first locus
-    where f_3 may vanish or have a pole (rho_j = 0).  There log lambda has
-    the factor m_j (K + sum_k n_k D_k) = m_j log f_2, which the limit drops,
-    as f_2 = 1 on a properly meeting cycle (else ChowregError); the pair is
-    not inverted and its Li2(0) is 0.  ``zero``, when given, holds the
-    log(-rho_j) per rho_j and the dilogarithm ball per pair there, as
-    ``_chart_at_0`` gives them."""
+def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs, logs):
+    """``_antiderivative`` at lambda = 0, where f_3 may vanish or have a
+    pole (rho_j = 0) at an exact end of the first locus.  There log lambda
+    has the factor m_j (K + sum_k n_k D_k) = m_j log f_2, which the limit
+    drops, as f_2 = 1 on a properly meeting cycle (else ChowregError); the
+    pair is not inverted and its Li2(0) is 0.  ``dilogs`` and ``logs`` are
+    ``_antiderivative``'s, over every pair and rho_j."""
     keep = {j: i for i, j in enumerate(
         j for j, (_, rho) in enumerate(zeros3) if rho != 0)}
     dropped = [p for p in pairs if p[1] not in keep]
@@ -403,7 +375,6 @@ def _antiderivative_at_0(zeros3, pairs, k, precision_bits, zero=None):
         raise ChowregError("the line integral diverges at an end of the "
                            "first cut locus, where f_3 is 0 or oo")
     kept = [i for i, p in enumerate(pairs) if p[1] in keep]
-    logs, dilogs = zero or (None, None)
     return _antiderivative(
         mp.mpf(0), [zeros3[j] for j in keep],
         [(pairs[i][0], keep[pairs[i][1]], *pairs[i][2:]) for i in kept],
@@ -442,28 +413,28 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
     return h, mp.mpc(0), 0.0, size
 
 
-def _line(zeros3, pairs, stops, ks, precision_bits, dilogs=None, zero=None):
+def _line(zeros3, pairs, stops, ks, precision_bits, shared=None):
     """The ball of [H + K G] over each stretch of a line, between its stops
     ``stops[i]`` and ``stops[i + 1]`` (lambda values in path order) with
     K = ``ks[i]``: the closed form of the integral of log f_2 dlog f_3
     along it, whose zeros and poles on the line are ``zeros3`` and the
     ``_dilog_pairs`` ``pairs``.  A stop at INF takes the limit of
-    ``_antiderivative_at_oo`` with the K of its stretch, and one at 0 with
-    no shared dilogarithms that of ``_antiderivative_at_0``, from the terms
-    ``zero`` when given; any other stop is ``_antiderivative`` there,
-    computed once for the two stretches that meet at it, with the
-    dilogarithm balls ``dilogs[i]`` when given.  A stop at 0 with shared
-    dilogarithms holds no zero or pole of f_3, so it needs no limit.  The
-    radius adds the dilogarithms' radii and 2^(8 - precision_bits) times
-    the size of the terms at both ends, K G included."""
+    ``_antiderivative_at_oo`` with the K of its stretch, one at 0 that of
+    ``_antiderivative_at_0``, and any other is ``_antiderivative`` there,
+    each computed once for the two stretches that meet at it.
+    ``shared[i]``, when given, is None or the (logs, dilogs) of stop i
+    that other lines share, either of them None.  The radius adds the
+    dilogarithms' radii and 2^(8 - precision_bits) times the size of the
+    terms at both ends, K G included."""
     sums = []
     for i, lam in enumerate(stops):
-        k, shared = ks[max(i - 1, 0)], dilogs and dilogs[i]
+        k = ks[max(i - 1, 0)]
+        logs, dilogs = shared and shared[i] or (None, None)
         sums.append(_antiderivative_at_oo(zeros3, pairs, k, precision_bits)
                     if lam is INF else _antiderivative_at_0(
-                        zeros3, pairs, k, precision_bits, zero)
-                    if lam == 0 and shared is None else
-                    _antiderivative(lam, zeros3, pairs, shared))
+                        zeros3, pairs, k, precision_bits, dilogs, logs)
+                    if lam == 0 else
+                    _antiderivative(lam, zeros3, pairs, dilogs, logs))
     rounding = 2.0 ** (8 - precision_bits)
     return [ComplexApprox(h1 - h0 + k * (g1 - g0), r0 + r1 + rounding * (
         z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1)))))
@@ -481,7 +452,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     (Kerr-Lewis-Mueller-Stach 2006).  A Moebius path is one already: in the
     chart r = f_1 / direction it is the ray from the pole r = oo through
     the crossing radii to the zero r = 0, one line whose zeros and poles of
-    f_2 and f_3 come from ``_in_radius_divisor``.  A traced path is replaced
+    f_2 and f_3 are f_1 / direction at theirs.  A traced path is replaced
     by the polygon in t from the exact pole of f_1 through every
     ``_POLYGON_STRIDE``-th trace sample and each crossing to the exact
     zero: a chord is t = t_a + lambda (t_b - t_a), lambda from 0 to 1 with
@@ -499,12 +470,12 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     r = 1 on a Moebius path without crossings, where f_2 is read in its
     chart (``wavefront._chart``) at w = r direction.  On a Moebius path the
     logs of rho - s, the logs and dilogarithms at r = 0 and c at r = oo
-    come from the chart terms (``_chart_terms``, ``_chart_at_0``) less
-    i theta, and no schedule takes them anew.  A traced chord is halved
-    while a zero or pole of f_2 or f_3 lies in or about one sample spacing
-    from the loop of the chord and the samples it skips, or on the chord;
-    PrecisionError if it skips none.  The radius is ``_line``'s, plus, at each vertex ball of a traced
-    chord, the integrand times its radius."""
+    come from the chart terms (``_chart_terms``) less i theta, and no
+    schedule takes them anew.  A traced chord is halved while a zero or
+    pole of f_2 or f_3 lies in or about one sample spacing from the loop of
+    the chord and the samples it skips, or on the chord; PrecisionError if
+    it skips none.  The radius is ``_line``'s, plus, at each vertex ball of
+    a traced chord, the integrand times its radius."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     f1, f2, f3 = comp.coords
@@ -525,15 +496,29 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
                             log_c + degree * log_scale, lam, zeros2)
 
         if not points:
-            # one line with a stop at each crossing radius; the chart terms
-            # move with the direction only by i theta and multiples of 2 pi i
-            zeros2, zeros3 = (_in_radius_divisor(comp, k, path,
-                                                 precision_bits)
-                              for k in (2, 3))
+            # one line with a stop at each crossing radius, on which
+            # f_1 = r direction: f_k = c prod (r - s)^n over its places
+            # (n, a), s = a / direction (a point where f_1 = oo only moves
+            # c), and admissible keeps every s off the positive real axis
+            # (face-on-cut), so log(r - s) is continuous on the path
+            places2, places3, neg_logs, gaps, dilogs = _chart_terms(
+                comp, precision_bits)
+            zeros2, zeros3 = ([(n, a / path.direction if a != 0
+                                else mp.mpc(0)) for n, a in places]
+                              for places in (places2, places3))
             log_dir = mp.mpc(0, mp.arg(path.direction))
-            _, gaps, _ = _chart_terms(comp, precision_bits)
-            pairs = _dilog_pairs(zeros2, zeros3, [
-                None if g is None else g - log_dir for g in gaps])
+            pairs = _dilog_pairs(zeros2, zeros3, gaps, log_dir)
+            # the chart terms move with the direction by -i theta and a
+            # multiple of 2 pi i: at r = 0, log(-rho) lies in the half-plane
+            # of -rho that the sign of Im rho fixes (0 on a negative rho;
+            # admissible keeps rho off the positive axis), None at rho = 0
+            at_0 = ([None if lg is None else _shifted(
+                lg - log_dir, -math.pi / 2 if rho.imag > 0
+                else math.pi / 2 if rho.imag < 0 else 0.0)
+                for lg, (_, rho) in zip(neg_logs, zeros3)],
+                _stop_dilogs(dilogs, 0, pairs,
+                             *([a for _, a in places]
+                               for places in (places2, places3))))
             radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
             # K at the crossing that opens the stretch, else at the one
             # that closes it, else at r = 1
@@ -542,9 +527,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             balls = _line(zeros3, pairs, radii,
                           [branch_k(r * path.direction, r, hint, zeros2,
                                     log_dir) for r, hint in at],
-                          precision_bits, zero=_chart_at_0(
-                              comp, zeros3, pairs, log_dir.imag,
-                              precision_bits))
+                          precision_bits, [None] * (len(radii) - 1) + [at_0])
             return [(seg, a, b, ball) for seg, (a, b, ball)
                     in enumerate(zip(radii, radii[1:], balls))]
 
@@ -560,15 +543,6 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
         gaps = [None if x == y else mp.log(y - x)
                 for y in finite[1] for x in finite[0]]
         dilogs, last = {}, len(points) - 1
-
-        def vertex_dilogs(v, pairs):
-            for i, (_, j, delta, inverted, _) in enumerate(pairs):
-                if delta is not None and (v[1], i, inverted) not in dilogs:
-                    x, y = finite[0][i % len(finite[0])], finite[1][j]
-                    dilogs[v[1], i, inverted] = li2(
-                        (x - y) / (v[1] - y) if inverted
-                        else (v[1] - y) / (x - y))
-            return [dilogs.get((v[1], i, p[3])) for i, p in enumerate(pairs)]
 
         def chord(a, b, left_sign, right_sign):
             """The closed form over the chord from vertex a to vertex b, or
@@ -616,14 +590,15 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
                          left_sign if at is a else right_sign, zeros2,
                          log_delta)
             # an exact end shares nothing with a neighbour
-            pairs = _dilog_pairs(zeros2, zeros3, None if exact else [
-                None if g is None else g - log_delta for g in gaps])
+            pairs = _dilog_pairs(zeros2, zeros3, None if exact else gaps,
+                                 log_delta)
             # the stops run from a to b, lambda from the base to the tip
             lams = [INF if ray else mp.mpf(0), mp.mpf(1)]
             if base is b:
                 lams.reverse()
             (ball,) = _line(zeros3, pairs, lams, [k], precision_bits, [
-                None if exact or lam is INF else vertex_dilogs(v, pairs)
+                None if exact or lam is INF
+                else (None, _stop_dilogs(dilogs, v[1], pairs, *finite))
                 for v, lam in zip((a, b), lams)])
             # moving a vertex within its ball changes about its radius times
             # the integrand, taken that far inside the chord

@@ -326,8 +326,8 @@ def _seed_roots(ev, w, precision_bits):
 
 def _check_coordinate_index(component, index):
     """ChowregError unless ``index`` names a coordinate of ``component``,
-    an int counted from 1."""
-    if not (isinstance(index, int) and 1 <= index <= len(component.coords)):
+    an int, not a bool, counted from 1."""
+    if not (type(index) is int and 1 <= index <= len(component.coords)):
         raise ChowregError(f"coordinate index must lie in "
                            f"1..{len(component.coords)}, got {index!r}")
 

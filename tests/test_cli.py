@@ -191,6 +191,22 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"]["class"] == "parse"
 
 
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff\xfefield cyclotomic(1)\n", 0),
+    (b"field cyclotomic(1)\n\xe9", 20),
+])
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys, data, offset):
+    # a file that is not UTF-8 text is refused like any unparsable one,
+    # naming the offset of the first byte that does not decode
+    bad = tmp_path / "bad.cyc"
+    bad.write_bytes(data)
+    code, _, err = _run(capsys, ["check", str(bad), "--precision", "128"])
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["class"] == "parse"
+    assert f"byte {offset}" in error["message"]
+
+
 def test_cli_properness_exit_code(tmp_path, capsys):
     improper = tmp_path / "improper.cyc"
     improper.write_text(

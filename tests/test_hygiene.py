@@ -58,6 +58,18 @@ def test_every_module_level_import_is_read(path):
     assert [name for name in bound if name not in loaded] == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # imports sit at module level, where the check above sees whether they
+    # are read and a reader sees what a module depends on
+    functions = [node for node in ast.walk(_tree(path))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [(fn.name, node.lineno) for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
 def test_every_private_module_level_name_is_referenced():
     trees = {path: _tree(path) for path in MODULES}
     refs = set().union(*map(_references, trees.values()))

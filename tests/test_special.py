@@ -181,6 +181,35 @@ def test_li2_ball_centred_at_zero(r):
             assert abs(ball.value - mp.polylog(2, w)) <= ball.radius
 
 
+@pytest.mark.parametrize("ra, rb", [(0.0, 0.0), (1e-20, 0.0), (1e-3, 1e-2),
+                                    (0.0, 0.5)])
+def test_ball_division_and_subtraction_hold_every_point(ra, rb):
+    # every point p of the ball A and q of B maps inside the balls A / B,
+    # 3 / B, A - B, 3 - B and -A: points on the centres, half-way out and
+    # just inside the rims, in eight directions
+    with workprec(128):
+        a = ComplexApprox(mp.mpc("0.3", "-1.7"), ra)
+        b = ComplexApprox(mp.mpc("-2.1", "0.9"), rb)
+        balls = [a / b, 3 / b, a - b, 3 - b, -a]
+    with workprec(256):
+        units = [mp.mpf(s) * mp.expjpi(mp.mpf(k) / 4)
+                 for s in (0, 0.5, 0.999) for k in range(8)]
+        for p in (a.value + ra * u for u in units):
+            for q in (b.value + rb * u for u in units):
+                for ball, ref in zip(balls, (p / q, 3 / q, p - q, 3 - q, -p)):
+                    assert abs(ball.value - ref) <= ball.radius
+
+
+def test_ball_division_by_a_ball_holding_zero_is_refused():
+    with workprec(128):
+        for den in (ComplexApprox(mp.mpc(0), 0.0),
+                    ComplexApprox(mp.mpc("0.1", "0.1"), 0.2)):
+            with pytest.raises(PrecisionError):
+                ComplexApprox(mp.mpc(1), 0.0) / den
+            with pytest.raises(PrecisionError):
+                1 / den
+
+
 @pytest.mark.parametrize("centre", [0, 1])
 @pytest.mark.parametrize("r", [0.5, 0.9])
 def test_li2_wide_ball_at_zero_or_one_is_refused(centre, r):

@@ -506,10 +506,11 @@ def test_pair_intersections_z1_empty(z1):
         assert hits == []
 
 
-@pytest.mark.parametrize("index", [0, -1, 4, 1.5])
+@pytest.mark.parametrize("index", [0, -1, 4, 1.5, True])
 def test_trace_refuses_a_coordinate_index_out_of_range(z1, index):
     # the indices of a 3-cube cycle's coordinates are 1, 2 and 3; 0 and -1
-    # would wrap round to coordinate 3 under Python indexing
+    # would wrap round to coordinate 3 under Python indexing, and True
+    # would pass for 1
     with workprec(128):
         with pytest.raises(ChowregError):
             trace_wavefront(z1.components[0], index, mp.mpf("0.1"),
