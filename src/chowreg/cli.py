@@ -74,11 +74,13 @@ def _load_cycles(args):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CycleParseError(f"not UTF-8 text at byte {exc.start}") from None
-    return parse_cycle_file(text)
+    # a leading byte-order mark is no text; stripped after decoding, not by
+    # "utf-8-sig", so that the offset above counts from the file's start
+    return parse_cycle_file(text.removeprefix("\ufeff"))
 
 
 def _schedule_for(Z, args, precision_bits):
-    eps = mp.mpf(repr(args.eps)) if args.eps is not None else mp.mpf("0.3")
+    eps = mp.mpf(repr(args.eps))
     if getattr(args, "equal_phase", False):
         return PhaseSchedule(eps, (eps,) * Z.n)
     lam = mp.mpf(repr(args.schedule_lambda))
@@ -350,6 +352,8 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command, print its report and return the exit code; a reader
+    that closes stdout early ends the run quietly, as the report was made."""
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
@@ -358,38 +362,41 @@ def main(argv=None):
                 "format_version": FORMAT_VERSION,
                 "fixtures": {name: FIXTURES[name] for name in fixture_names()},
             }
-            print(json.dumps(report, indent=2) if args.format == "json"
-                  else "\n".join(fixture_names()))
-            return 0
-        with workprec(args.precision):
-            cycles = _load_cycles(args)
-            handler = _COMMANDS[args.command]
-            records = {}
-            for Z in cycles:
-                records[Z.name or f"cycle{len(records)}"] = handler(
-                    Z, args, args.precision, args.tolerance)
-        report = {
-            "format_version": FORMAT_VERSION,
-            "command": args.command,
-            "precision_bits": args.precision,
-            "tolerance": repr(args.tolerance),
-            "seed": args.seed,
-            "cycles": records,
-        }
-        if args.format == "json":
-            print(json.dumps(report, indent=2))
+            text = (json.dumps(report, indent=2) if args.format == "json"
+                    else "\n".join(fixture_names()))
         else:
-            print(_render_text(report))
-        return 0
+            with workprec(args.precision):
+                cycles = _load_cycles(args)
+                handler = _COMMANDS[args.command]
+                records = {}
+                for Z in cycles:
+                    records[Z.name or f"cycle{len(records)}"] = handler(
+                        Z, args, args.precision, args.tolerance)
+            report = {
+                "format_version": FORMAT_VERSION,
+                "command": args.command,
+                "precision_bits": args.precision,
+                "tolerance": repr(args.tolerance),
+                "seed": args.seed,
+                "cycles": records,
+            }
+            text = (json.dumps(report, indent=2) if args.format == "json"
+                    else _render_text(report))
     except ChowregError as exc:
         err = {"error": {"class": exc.tag, "message": str(exc)}}
         print(json.dumps(err) if args.format == "json" else f"error [{exc.tag}]: {exc}",
               file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
+    except OSError as exc:  # the input, or the trace export
         print(json.dumps({"error": {"class": "io", "message": str(exc)}}),
               file=sys.stderr)
         return 1
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass
+    return 0
 
 
 if __name__ == "__main__":

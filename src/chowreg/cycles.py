@@ -24,7 +24,7 @@ import mpmath as mp
 from .errors import ChowregError, PrecisionError, PropernessError
 from .field import CyclotomicNumber, embed
 from .funcfield import INF, DivisorPoint, RationalFunction
-from .numeric import ComplexApprox
+from .numeric import ComplexApprox, kept
 
 FACET_ZERO = "0"
 FACET_INF = "inf"
@@ -38,12 +38,12 @@ class CurveComponent:
     n: int
     coords: tuple
     mult: int
-    # schedule-independent data keyed by (name, ...): per precision,
-    # "off_cut" (``wavefront._off_cut_entries``), exact where a value is 0
-    # or oo, "off_cut_images" (``wavefront._off_cut_images``) and
-    # "chart_terms" (``regulator._chart_terms``); exact, "chart"
-    # (``wavefront._chart``).  f_1^-1 itself is kept on f_1
-    # (``RationalFunction.inverse``)
+    # schedule-independent data built once by ``numeric.kept``: per
+    # precision, "off_cut" (``wavefront._off_cut_entries``), exact where a
+    # value is 0 or oo, "off_cut_images" (``wavefront._off_cut_images``)
+    # and "chart_terms" (``regulator._chart_terms``); exact, "chart"
+    # (``wavefront._chart``).  f_1^-1 is kept on f_1, the facet
+    # restrictions on the precycle as ("facets", bits) (``cycles._facets``)
     _memo: dict = dataclass_field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 
@@ -119,6 +119,7 @@ class Precycle:
     """
 
     def __init__(self, n, p, components, order=1, name=None):
+        self._memo = {}  # ("facets", bits): ``_facets``
         self.n = n
         self.p = p
         self.order = order
@@ -311,52 +312,47 @@ def face_restriction(Z, i, value):
     return out
 
 
-def _facet_restrictions(Z):
-    """(i, value, face_restriction(Z, i, value)) for the 2n facets, in the
-    order of the boundary sum."""
-    return [(i, value, face_restriction(Z, i, value))
-            for i in range(1, Z.n + 1) for value in (FACET_ZERO, FACET_INF)]
+def _facets(Z, precision_bits):
+    """(the restrictions (i, value, points) to the 2n facets in the order
+    of the boundary sum, their signed sum reduced), kept on Z per
+    precision.  The precision doubles, at most CLOSEDNESS_ESCALATIONS
+    times, while a restriction or the reduction is undecided."""
+
+    def build():
+        # an empty point-level precycle has no facets and the empty boundary
+        if not (Z.is_curve_level or Z.is_empty()):
+            raise ChowregError("boundary is defined for curve-level precycles here")
+        for attempt in range(CLOSEDNESS_ESCALATIONS + 1):
+            try:
+                with mp.workprec(precision_bits * 2 ** attempt):
+                    facets = [(i, value, face_restriction(Z, i, value))
+                              for i in range(1, Z.n + 1) if Z.is_curve_level
+                              for value in (FACET_ZERO, FACET_INF)]
+                    return facets, Precycle(Z.n - 1, Z.p, [
+                        PointComponent(pt.n, pt.coords,
+                                       _facet_sign(i, value) * pt.mult)
+                        for i, value, points in facets for pt in points],
+                        order=Z.order)
+            except PrecisionError:
+                if attempt == CLOSEDNESS_ESCALATIONS:
+                    raise
+    return kept(Z, ("facets", precision_bits), build)
 
 
-def boundary(Z, facets=None):
-    """The alternating facet sum, landing one cube level down.  ``facets``
-    are the ``_facet_restrictions`` of Z when the caller has them."""
-    if Z.is_empty():
-        return Precycle(Z.n - 1, Z.p, [], order=Z.order)
-    if not Z.is_curve_level:
-        raise ChowregError("boundary is defined for curve-level precycles here")
-    if facets is None:
-        facets = _facet_restrictions(Z)
-    pieces = [PointComponent(pt.n, pt.coords, _facet_sign(i, value) * pt.mult)
-              for i, value, points in facets for pt in points]
-    return Precycle(Z.n - 1, Z.p, pieces, order=Z.order)
-
-
-def closed_facets(Z, precision_bits=None):
-    """(``is_closed(Z, precision_bits)``, the facet restrictions that
-    decided it), so a caller that goes on to ``is_normalized`` restricts
-    to each facet once."""
-    if precision_bits is None:
-        precision_bits = mp.mp.prec
-    for attempt in range(CLOSEDNESS_ESCALATIONS + 1):
-        bits = precision_bits * (2 ** attempt)
-        try:
-            with mp.workprec(bits):
-                facets = _facet_restrictions(Z) if Z.is_curve_level else None
-                return boundary(Z, facets).is_empty(), facets
-        except PrecisionError:
-            if attempt == CLOSEDNESS_ESCALATIONS:
-                raise
-    raise PrecisionError("closedness undecided")  # unreachable
+def boundary(Z):
+    """The alternating facet sum, landing one cube level down (see
+    ``_facets``)."""
+    return _facets(Z, mp.mp.prec)[1]
 
 
 def is_closed(Z, precision_bits=None):
     """True iff the boundary reduces to the empty precycle.
 
-    Numeric ambiguity escalates the working precision (two doublings) before
+    Numeric ambiguity in a facet restriction or in the reduction of their
+    sum escalates ``precision_bits`` (two doublings, ``_facets``) before
     raising, so a False answer is never a silent artifact of low precision.
     """
-    return closed_facets(Z, precision_bits)[0]
+    return _facets(Z, precision_bits or mp.mp.prec)[1].is_empty()
 
 
 def is_degenerate(comp):
@@ -437,21 +433,18 @@ def _divisor_locations_equal(a, b):
     return a.location.overlaps(b.location)
 
 
-def face_vanishing_profile(Z, facets=None):
+def face_vanishing_profile(Z):
     """Which facet restrictions vanish as cycles, as a {(i, value): bool}
-    table.  ``facets`` are the ``_facet_restrictions`` of Z when the caller
-    has them."""
+    table, from the restrictions kept on Z (``_facets``)."""
     if not Z.is_curve_level:
         raise ChowregError("facet profile applies to curve-level precycles")
-    if facets is None:
-        facets = _facet_restrictions(Z)
     return {(i, value): not _reduce_components(points)
-            for i, value, points in facets}
+            for i, value, points in _facets(Z, mp.mp.prec)[0]}
 
 
-def is_normalized(Z, facets=None):
+def is_normalized(Z):
     """All 0-facets vanish and all oo-facets except possibly the last."""
-    table = face_vanishing_profile(Z, facets)
+    table = face_vanishing_profile(Z)
     for (i, value), vanishes in table.items():
         if value == FACET_ZERO and not vanishes:
             return False

@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .errors import ChowregError, ConvergenceError
 from .field import CyclotomicNumber, embed
-from .numeric import ComplexApprox, workprec
+from .numeric import ComplexApprox, kept, workprec
 
 
 class _Infinity:
@@ -349,9 +349,10 @@ class DivisorPoint:
 class RationalFunction:
     """Element of Q(zeta_N)(t) in canonical form: gcd(num, den)=1, den monic.
 
-    Instances are immutable, so ``divisor``, ``critical_values``,
-    ``evaluator`` and ``regulator._log_lead`` (as "log_lead") keep their
-    results per precision in ``_memo``, and ``inverse`` keeps its one.
+    Instances are immutable, so ``numeric.kept`` keeps in ``_memo``, per
+    precision, ``divisor``, ``critical_values``, ``evaluator`` and
+    ``regulator._log_lead`` ("log_lead"), and ``inverse`` once; a precycle
+    keeps its facet restrictions the same way, as ("facets", bits).
     """
 
     __slots__ = ("order", "num", "den", "_memo")
@@ -505,13 +506,14 @@ class RationalFunction:
             raise ChowregError(
                 f"{self} has degree {self.degree_map} as a map: only a "
                 "Moebius function has a compositional inverse")
-        if "inverse" not in self._memo:
+
+        def build():
             zero = CyclotomicNumber.zero(self.order)
             n0, n1 = (*self.num.coeffs, zero, zero)[:2]
             d0, d1 = (*self.den.coeffs, zero, zero)[:2]
-            self._memo["inverse"] = RationalFunction(
-                Poly(self.order, [-n0, d0]), Poly(self.order, [n1, -d1]))
-        return self._memo["inverse"]
+            return RationalFunction(Poly(self.order, [-n0, d0]),
+                                    Poly(self.order, [n1, -d1]))
+        return kept(self, "inverse", build)
 
     def eval(self, at, precision_bits=None):
         """Value at a point of P^1: exact element, INF, or a complex ball."""
@@ -561,24 +563,23 @@ class RationalFunction:
             raise ChowregError("divisor of the zero function")
         if precision_bits is None:
             precision_bits = mp.mp.prec
-        cached = self._memo.get(("divisor", precision_bits))
-        if cached is not None:
-            return list(cached)
-        points = []
-        for poly, sign in ((self.num, 1), (self.den, -1)):
-            if poly.degree < 1:
-                continue
-            exact, rem = linear_factors(poly)
-            for root, mult in exact:
-                points.append(DivisorPoint(root, sign * mult))
-            if rem.degree > 0:
-                for ball, mult, fac in _roots_with_factors(rem, precision_bits):
-                    points.append(DivisorPoint(ball, sign * mult, factor=fac))
-        dn, dd = self.num.degree, self.den.degree
-        if dn != dd:
-            points.append(DivisorPoint(INF, dd - dn))
-        self._memo["divisor", precision_bits] = tuple(points)
-        return points
+
+        def build():
+            points = []
+            for poly, sign in ((self.num, 1), (self.den, -1)):
+                if poly.degree < 1:
+                    continue
+                exact, rem = linear_factors(poly)
+                for root, mult in exact:
+                    points.append(DivisorPoint(root, sign * mult))
+                if rem.degree > 0:
+                    for ball, mult, fac in _roots_with_factors(rem, precision_bits):
+                        points.append(DivisorPoint(ball, sign * mult, factor=fac))
+            dn, dd = self.num.degree, self.den.degree
+            if dn != dd:
+                points.append(DivisorPoint(INF, dd - dn))
+            return tuple(points)
+        return list(kept(self, ("divisor", precision_bits), build))
 
     def critical_values(self, precision_bits=None):
         """(critical point, value) pairs of a nonconstant function away from
@@ -594,28 +595,25 @@ class RationalFunction:
         """
         if precision_bits is None:
             precision_bits = mp.mp.prec
-        cached = self._memo.get(("critical_values", precision_bits))
-        if cached is not None:
-            return list(cached)
-        wronskian = self.num.derivative() * self.den - self.num * self.den.derivative()
-        zeros_and_poles = self.num * self.den
-        shared = wronskian.gcd(zeros_and_poles)
-        while shared.degree > 0:
-            wronskian = wronskian // shared
+
+        def build():
+            wronskian = self.num.derivative() * self.den - self.num * self.den.derivative()
+            zeros_and_poles = self.num * self.den
             shared = wronskian.gcd(zeros_and_poles)
-        out = [(ball, self.eval(ball, precision_bits))
-               for ball, _mult in roots_numeric(wronskian, precision_bits)]
-        if self.num.degree == self.den.degree:
-            out.append((None, embed(self.eval(INF), precision_bits)))
-        self._memo["critical_values", precision_bits] = tuple(out)
-        return out
+            while shared.degree > 0:
+                wronskian = wronskian // shared
+                shared = wronskian.gcd(zeros_and_poles)
+            out = [(ball, self.eval(ball, precision_bits))
+                   for ball, _mult in roots_numeric(wronskian, precision_bits)]
+            if self.num.degree == self.den.degree:
+                out.append((None, embed(self.eval(INF), precision_bits)))
+            return tuple(out)
+        return list(kept(self, ("critical_values", precision_bits), build))
 
     def evaluator(self, precision_bits):
         """This function's ``RFEvaluator``, built once per precision."""
-        key = ("evaluator", precision_bits)
-        if key not in self._memo:
-            self._memo[key] = RFEvaluator(self, precision_bits)
-        return self._memo[key]
+        return kept(self, ("evaluator", precision_bits),
+                    lambda: RFEvaluator(self, precision_bits))
 
     def __str__(self):
         return rf_to_expr(self)

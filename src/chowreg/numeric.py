@@ -36,6 +36,14 @@ def workprec(bits):
     return mp.workprec(int(bits))
 
 
+def kept(obj, key, build):
+    """``obj._memo[key]``, made by ``build()`` on the first call only: the
+    package's one get-or-build.  A build that raises keeps nothing."""
+    if key not in obj._memo:
+        obj._memo[key] = build()
+    return obj._memo[key]
+
+
 def ulp_radius(z):
     """Upper bound on the rounding error of one arithmetic op on z."""
     m = abs(mp.mpc(z))

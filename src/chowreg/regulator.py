@@ -60,11 +60,11 @@ from fractions import Fraction
 import mpmath as mp
 
 from .cycles import (_divisor_locations_equal, check_face_proper,
-                     closed_facets, is_normalized, normalize)
+                     is_closed, is_normalized, normalize)
 from .errors import ChowregError, PrecisionError, PropernessError, ScheduleError
 from .field import embed
 from .funcfield import INF, mpf_to_fraction
-from .numeric import ComplexApprox, double_image, workprec
+from .numeric import ComplexApprox, double_image, kept, workprec
 from .special import BranchSpec, li2, log_eps
 from .wavefront import (AdmissibilityReport, PhaseSchedule, _chart,
                         _coordinate_value_at, admissible, search_admissible)
@@ -181,12 +181,11 @@ def _log_lead(rf, precision_bits):
     """(log c, N) for rf = c prod (x - x_k)^{n_k} over its finite zeros and
     poles x_k: c the ratio of the leading coefficients, N = deg num - deg
     den.  Kept on the function's memo per precision."""
-    key = ("log_lead", precision_bits)
-    if key not in rf._memo:
+    def build():
         c = rf.num.lead() * rf.den.lead().inverse()
-        rf._memo[key] = (mp.log(embed(c, mp.mp.prec).value),
-                         rf.num.degree - rf.den.degree)
-    return rf._memo[key]
+        return (mp.log(embed(c, mp.mp.prec).value),
+                rf.num.degree - rf.den.degree)
+    return kept(rf, ("log_lead", precision_bits), build)
 
 
 def _admitted(Z, schedule, precision_bits):
@@ -211,20 +210,18 @@ def _chart_terms(comp, precision_bits):
     ``_dilog_pairs`` (None where a = b); and the ``_stop_dilogs`` cache of
     the dilogarithm balls at the end r = 0.  Built on the first Moebius
     quadrature of a precision and kept on the component."""
-    key = ("chart_terms", precision_bits)
-    if key not in comp._memo:
+    def build():
         places2, places3 = (
             [(pt.multiplicity, v)
              for pt in comp.coords[k - 1].divisor(precision_bits)
              if (v := _coordinate_value_at(comp, 1, pt)) is not INF]
             for k in (2, 3))
-        comp._memo[key] = (
-            places2, places3,
-            [None if b == 0 else mp.log(-b) for _, b in places3],
-            [None if a == b else mp.log(b - a)
-             for _, b in places3 for _, a in places2],
-            {})
-    return comp._memo[key]
+        return (places2, places3,
+                [None if b == 0 else mp.log(-b) for _, b in places3],
+                [None if a == b else mp.log(b - a)
+                 for _, b in places3 for _, a in places2],
+                {})
+    return kept(comp, ("chart_terms", precision_bits), build)
 
 
 def _stop_dilogs(cache, v, pairs, xs, ys):
@@ -746,10 +743,9 @@ def regulator(Z, precision_bits=None, tol=1e-8, eps_start=0.3, seed=0):
         proper = check_face_proper(Z)
         if not proper["ok"]:
             raise PropernessError(f"cycle is not face-proper: {proper['violations']}")
-        closed, facets = closed_facets(Z, precision_bits)
-        if not closed:
+        if not is_closed(Z, precision_bits):
             raise ChowregError("cycle is not closed; the regulator needs ker(boundary)")
-        if not is_normalized(Z, facets):
+        if not is_normalized(Z):
             Z = normalize(Z)
         for _ in range(3):
             # the accepted report is dropped once its schedule is evaluated

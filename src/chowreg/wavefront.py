@@ -68,7 +68,7 @@ from .cycles import FACET, _incidence
 from .errors import ChowregError, ConvergenceError, PrecisionError, ScheduleError
 from .field import CyclotomicNumber, embed
 from .funcfield import INF, RFEvaluator
-from .numeric import ComplexApprox, double_image, workprec
+from .numeric import ComplexApprox, double_image, kept, workprec
 
 TRACE_GRID_DEFAULT = 560
 SIGMA_SPAN_DEFAULT = 56.0
@@ -413,11 +413,8 @@ def _chart(comp, i, k):
     w = e^sigma direction.  No schedule or precision moves it, so it is
     built once and kept on the component.  Its numerator and denominator
     give the implicit equation den_g(w) y - num_g(w) = 0 of (f_i, f_k)."""
-    key = ("chart", i, k)
-    if key not in comp._memo:
-        comp._memo[key] = comp.coords[k - 1].compose(
-            comp.coords[i - 1].inverse())
-    return comp._memo[key]
+    return kept(comp, ("chart", i, k), lambda: comp.coords[k - 1].compose(
+        comp.coords[i - 1].inverse()))
 
 
 def find_pair_intersections(component, paths_i, j, phase_j,
@@ -848,57 +845,53 @@ def _off_cut_entries(comp, precision_bits):
     other than f_1 is a facet parameter (f_1 there keeps off the first
     ray), and one of f_1 is an endpoint of the first locus (f_k there keeps
     off ray k); a value 0 or oo there lies on no ray."""
-    key = ("off_cut", precision_bits)
-    if key in comp._memo:
-        return comp._memo[key]
-    entries, facets = [], []
-    f1 = comp.coords[0]
-    with workprec(precision_bits):
-        for i, f in enumerate(comp.coords, 1):
-            if f.is_constant():
-                cval = embed(f.constant_value(), precision_bits)
-                entries.append((i, "constant-on-cut", cval, cval,
-                                f"coordinate {i} is constant on its cut"))
-                continue
-            entries += [(i, "critical-value", value, point,
-                         f"coordinate {i} has a critical value on its cut")
-                        for point, value in f.critical_values(precision_bits)]
-            if i > 1 and not f1.is_constant():
-                facets += [(1, pt, "face-on-cut", f"coordinate {i} "
-                            "facet parameter lies on the first cut")
-                           for pt in f.divisor(precision_bits)]
-        if not f1.is_constant():
-            facets += [(k, pt, "endpoint-on-cut", "endpoint of the "
-                        f"first cut locus lies on cut {k}")
-                       for pt in f1.divisor(precision_bits)
-                       for k in range(2, comp.n + 1)]
-        for k, pt, kind, detail in facets:
-            v = _coordinate_value_at(comp, k, pt)
-            if v is not INF and v != 0:
-                witness = None if pt.is_exact else pt.location
-                entries.append((k, kind, v, witness, detail))
-    # one value on one ray is one fact: a constant coordinate is also its
-    # value at every endpoint, and f_k(oo) can be both a critical value and
-    # an endpoint value; the first entry listed reports it
-    firsts = {}
-    for entry in entries:
-        k, _, v = entry[:3]
-        firsts.setdefault(
-            (k, v.value if isinstance(v, ComplexApprox) else v), entry)
-    entries = list(firsts.values())
-    comp._memo[key] = entries
-    return entries
+
+    def build():
+        entries, facets = [], []
+        f1 = comp.coords[0]
+        with workprec(precision_bits):
+            for i, f in enumerate(comp.coords, 1):
+                if f.is_constant():
+                    cval = embed(f.constant_value(), precision_bits)
+                    entries.append((i, "constant-on-cut", cval, cval,
+                                    f"coordinate {i} is constant on its cut"))
+                    continue
+                entries += [(i, "critical-value", value, point,
+                             f"coordinate {i} has a critical value on its cut")
+                            for point, value in f.critical_values(precision_bits)]
+                if i > 1 and not f1.is_constant():
+                    facets += [(1, pt, "face-on-cut", f"coordinate {i} "
+                                "facet parameter lies on the first cut")
+                               for pt in f.divisor(precision_bits)]
+            if not f1.is_constant():
+                facets += [(k, pt, "endpoint-on-cut", "endpoint of the "
+                            f"first cut locus lies on cut {k}")
+                           for pt in f1.divisor(precision_bits)
+                           for k in range(2, comp.n + 1)]
+            for k, pt, kind, detail in facets:
+                v = _coordinate_value_at(comp, k, pt)
+                if v is not INF and v != 0:
+                    witness = None if pt.is_exact else pt.location
+                    entries.append((k, kind, v, witness, detail))
+        # one value on one ray is one fact: a constant coordinate is also its
+        # value at every endpoint, and f_k(oo) can be both a critical value and
+        # an endpoint value; the first entry listed reports it
+        firsts = {}
+        for entry in entries:
+            k, _, v = entry[:3]
+            firsts.setdefault(
+                (k, v.value if isinstance(v, ComplexApprox) else v), entry)
+        return list(firsts.values())
+    return kept(comp, ("off_cut", precision_bits), build)
 
 
 def _off_cut_images(comp, precision_bits):
     """The ``double_image`` of each value of ``_off_cut_entries``, in its
     order: built once per precision and kept on the component beside the
     entries, which stay as they are."""
-    key = ("off_cut_images", precision_bits)
-    if key not in comp._memo:
-        comp._memo[key] = [double_image(_midpoint(entry[2])) for entry
-                           in _off_cut_entries(comp, precision_bits)]
-    return comp._memo[key]
+    return kept(comp, ("off_cut_images", precision_bits), lambda: [
+        double_image(_midpoint(entry[2]))
+        for entry in _off_cut_entries(comp, precision_bits)])
 
 
 def _keep_off_cuts(entries, images, rots, ci, failures, warnings):

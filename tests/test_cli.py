@@ -194,10 +194,12 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("data, offset", [
     (b"\xff\xfefield cyclotomic(1)\n", 0),
     (b"field cyclotomic(1)\n\xe9", 20),
+    (b"\xef\xbb\xbffield cyclotomic(1)\n\xe9", 23),
 ])
 def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys, data, offset):
     # a file that is not UTF-8 text is refused like any unparsable one,
-    # naming the offset of the first byte that does not decode
+    # naming the offset of the first byte that does not decode, counted
+    # from the file's first byte, a byte-order mark included
     bad = tmp_path / "bad.cyc"
     bad.write_bytes(data)
     code, _, err = _run(capsys, ["check", str(bad), "--precision", "128"])
@@ -205,6 +207,44 @@ def test_cli_non_utf8_file_is_a_parse_error(tmp_path, capsys, data, offset):
     error = json.loads(err)["error"]
     assert error["class"] == "parse"
     assert f"byte {offset}" in error["message"]
+
+
+def test_cli_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path,
+                                                             capsys):
+    # a UTF-8 byte-order mark is no text: the file checks like one without
+    plain = tmp_path / "plain.cyc"
+    marked = tmp_path / "marked.cyc"
+    plain.write_bytes(Z1_TEXT.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + Z1_TEXT.encode("utf-8"))
+    runs = [_run(capsys, ["check", str(source), "--precision", "128"])
+            for source in (plain, marked)]
+    assert runs[0] == runs[1]
+    assert runs[1][0] == 0 and json.loads(runs[1][1])["cycles"]["z1"]["closed"]
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone, as under ``chowreg check ... | head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fixture", "z1_totaro", "--precision", "128"],
+    ["check", "--fixture", "z1_totaro", "--precision", "128",
+     "--format", "text"],
+    ["fixtures"],
+])
+def test_cli_closed_stdout_is_no_error(argv, capsys, monkeypatch):
+    # the report was made; a reader that stopped reading is no input/output
+    # fault of the command, and leaves no error record
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    code = main(argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_properness_exit_code(tmp_path, capsys):

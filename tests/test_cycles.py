@@ -25,11 +25,11 @@ from chowreg import (
 )
 from chowreg.cycles import (
     boundary_squared_terms,
-    closed_facets,
     double_facet_terms,
     face_restriction,
     weil_symbol_product,
 )
+from chowreg.numeric import kept
 
 
 def t_var(order=1):
@@ -45,17 +45,27 @@ def test_z1_face_proper(z1):
         assert check_face_proper(z1)["ok"]
 
 
+def _twin(Z):
+    """A new precycle on the components of Z: the divisors of the shared
+    coordinates are kept, the facet restrictions of Z are not."""
+    return Precycle(Z.n, Z.p, Z.components, order=Z.order, name=Z.name)
+
+
 def test_prechecks_divide_nothing(petras, monkeypatch):
     # closedness and face properness decide every exact facet point from
-    # num and den there: no inverse in Q(zeta_5) once the divisors are known
+    # num and den there: no inverse in Q(zeta_5) once the divisors are
+    # known.  The twin restricts to every facet afresh, so no kept result
+    # passes this
     with workprec(128):
-        closed_facets(petras, 128)
+        assert is_closed(petras, 128)
+        twin = _twin(petras)
         calls = []
         inverse = CyclotomicNumber.inverse
         monkeypatch.setattr(CyclotomicNumber, "inverse",
                             lambda x: calls.append(x) or inverse(x))
-        assert closed_facets(petras, 128)[0]
-        assert check_face_proper(petras)["ok"]
+        assert twin._memo == {}
+        assert is_closed(twin, 128)
+        assert check_face_proper(twin)["ok"]
     assert calls == []
 
 
@@ -303,11 +313,13 @@ def test_dimension_bookkeeping():
         Precycle(3, 1, [CurveComponent(3, (t, 1 - t, 1 / t), 1)], order=1)
 
 
-def test_regulator_restricts_to_each_facet_once(monkeypatch):
-    # closedness and normalization read one pass over the 2n facet
-    # restrictions, and give the answers of the public functions
+def test_regulator_restricts_to_each_facet_once(petras, monkeypatch):
+    # closedness, normalization, the boundary, the facet profile and
+    # regulator() all read the restrictions kept on the precycle: over all
+    # of them and two regulator() calls, each of the 2n facets of a fresh
+    # precycle is restricted once
     import chowreg.cycles as cycles
-    from chowreg import load_fixture, regulator
+    from chowreg import regulator
 
     calls = []
     restrict = cycles.face_restriction
@@ -316,17 +328,46 @@ def test_regulator_restricts_to_each_facet_once(monkeypatch):
         calls.append((i, value))
         return restrict(Z, i, value)
 
-    Z = load_fixture("petras_zeta5")
     with workprec(128):
-        assert is_closed(Z, 128) and is_normalized(Z)
+        profile = face_vanishing_profile(petras)
+        Z = _twin(petras)
         monkeypatch.setattr(cycles, "face_restriction", counting)
-        closed, facets = cycles.closed_facets(Z, 128)
-        assert closed and is_normalized(Z, facets)
-        assert face_vanishing_profile(Z, facets) == face_vanishing_profile(Z)
-        calls.clear()
-        regulator(Z, precision_bits=128)
-    assert sorted(calls) == sorted({(i, v) for i in (1, 2, 3)
-                                    for v in ("0", "inf")})
+        assert is_closed(Z, 128) and is_normalized(Z)
+        assert boundary(Z).is_empty()
+        assert face_vanishing_profile(Z) == profile
+        first = regulator(Z, precision_bits=128)
+        second = regulator(Z, precision_bits=128)
+    assert repr(first.value) == repr(second.value)
+    assert sorted(calls) == sorted((i, v) for i in (1, 2, 3)
+                                   for v in ("0", "inf"))
+
+
+def test_a_build_that_raises_keeps_nothing():
+    # numeric.kept stores a value only once its build returns, so a call
+    # after a refused build builds again.  A split facet cluster is refused
+    # at every doubling: no facets are kept on its precycle
+    calls = []
+
+    def build():
+        calls.append(1)
+        if len(calls) == 1:
+            raise PrecisionError("undecided")
+        return "built"
+
+    holder = Precycle(2, 1, [], order=1)
+    with pytest.raises(PrecisionError):
+        kept(holder, "key", build)
+    assert holder._memo == {}
+    assert kept(holder, "key", build) == kept(holder, "key", build) == "built"
+    assert len(calls) == 2
+    (Z,) = parse_cycle_file("field cyclotomic(1)\ncycle c n=2 p=1\n"
+                            "component mult=1 (t^2-2)*(t^2-3) ; "
+                            "(t^2-2)/(t+7)\n")
+    with workprec(128):
+        for _ in range(2):
+            with pytest.raises(PrecisionError, match="splits"):
+                is_closed(Z, 128)
+    assert Z._memo == {}
 
 
 def _irrational_facets(mult):

@@ -168,3 +168,70 @@ def test_a_module_level_cache_is_caught():
         "    memo = {}\n    memo[k] = v\n    return _IMAGES.get(k)\n")
     assert sorted(name for _, name in _container_writes(tree)) == [
         "_BY_KEY", "_IMAGES", "_IMAGES", "_IMAGES", "_LOG", "_SEEN"]
+
+
+def _is_memo(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_memo"
+
+
+def _memo_handling(tree, home):
+    """(line, form) for each place that handles an object's ``_memo`` by
+    hand: a store into it (a subscript assignment or deletion, or an
+    in-place method), a membership test on it, or a binding of it to a
+    name.  In ``home`` (numeric.py) the body of ``kept`` is skipped; a
+    ``self._memo = {}`` or a dataclass field declares the memo and is none
+    of these."""
+    skipped = {id(n) for fn in ast.walk(tree)
+               if home and isinstance(fn, ast.FunctionDef)
+               and fn.name == "kept" for n in ast.walk(fn)}
+    for n in ast.walk(tree):
+        if id(n) in skipped:
+            continue
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store,
+                                                               ast.Del)):
+            hit = _is_memo(n.value) and "store"
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            hit = (n.func.attr in _MUTATORS and _is_memo(n.func.value)
+                   and "store")
+        elif isinstance(n, ast.Compare):
+            hit = any(isinstance(op, (ast.In, ast.NotIn)) and _is_memo(c)
+                      for op, c in zip(n.ops, n.comparators)) and "test"
+        elif isinstance(n, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+            hit = (_is_memo(n.value) and "alias")
+        else:
+            hit = False
+        if hit:
+            yield n.lineno, hit
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_memo_is_kept_through_one_helper(path):
+    # numeric.kept is the one get-or-build: a hand-written one elsewhere is
+    # one more place where a build can be stored half-made or twice
+    tree = _tree(path)
+    assert list(_memo_handling(tree, path.name == "numeric.py")) == []
+
+
+def test_a_hand_written_memo_is_caught():
+    # the check above sees each form of handling a memo by hand, outside
+    # kept in numeric.py, and passes the declarations and plain reads
+    source = (
+        "def kept(obj, key, build):\n"
+        "    if key not in obj._memo:\n"
+        "        obj._memo[key] = build()\n"
+        "    return obj._memo[key]\n"
+        "class A:\n    _memo: dict = None\n"
+        "    def __init__(self):\n        self._memo = {}\n"
+        "def a(self, k, v):\n    self._memo[k] = v\n"
+        "def b(self, k):\n    return k in self._memo\n"
+        "def c(self, k, v):\n    if k not in self._memo:\n        return v\n"
+        "def d(self, k, v):\n    self._memo.setdefault(k, v)\n"
+        "def e(self, k):\n    del self._memo[k]\n"
+        "def f(self, k):\n    memo = self._memo\n    return memo[k]\n"
+        "def fine(self, k):\n    return self._memo.get(k), self._memo[k]\n")
+    forms = [form for _, form in _memo_handling(ast.parse(source), True)]
+    assert sorted(forms) == ["alias", "store", "store", "store", "test",
+                             "test"]
+    forms = [form for _, form in _memo_handling(ast.parse(source), False)]
+    assert sorted(forms) == ["alias", "store", "store", "store", "store",
+                             "test", "test", "test"]

@@ -1048,15 +1048,16 @@ def test_regulator_computes_each_coordinates_critical_values_once(
 
 @pytest.mark.parametrize("name", ["z1_totaro", "petras_zeta5"])
 def test_a_second_regulator_call_builds_no_memo(name):
-    # every memo of a component, of its coordinates and of the functions
-    # kept in those memos (f_1^-1, the charts) is built on the first
-    # regulator() call: a second call adds no key and keeps every value
-    # the same object
+    # every memo of the precycle, of a component, of its coordinates and of
+    # the functions kept in those memos (f_1^-1, the charts) is built on
+    # the first regulator() call: a second call adds no key and keeps every
+    # value the same object
     Z = load_fixture(name)
 
     def memos():
-        own = [m for comp in Z.components
-               for m in (comp._memo, *(f._memo for f in comp.coords))]
+        own = [Z._memo] + [m for comp in Z.components
+                           for m in (comp._memo,
+                                     *(f._memo for f in comp.coords))]
         return own + [v._memo for m in own for v in m.values()
                       if isinstance(v, RationalFunction)]
 
@@ -1065,6 +1066,7 @@ def test_a_second_regulator_call_builds_no_memo(name):
         first = [dict(m) for m in memos()]
         regulator(Z, precision_bits=128)
         second = memos()
+    assert list(first[0]) == [("facets", 128)]
     assert any(("chart_terms", 128) in m for m in first)
     assert [m.keys() for m in second] == [m.keys() for m in first]
     assert all(m[k] is f[k] for m, f in zip(second, first) for k in f)
