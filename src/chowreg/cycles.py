@@ -40,9 +40,8 @@ class CurveComponent:
     mult: int
     # schedule-independent data built once by ``numeric.kept``: per
     # precision, "off_cut" (``wavefront._off_cut_entries``), exact where a
-    # value is 0 or oo, "off_cut_images" (``wavefront._off_cut_images``)
-    # and "chart_terms" (``regulator._chart_terms``); exact, "chart"
-    # (``wavefront._chart``).  f_1^-1 is kept on f_1, the facet
+    # value is 0 or oo, and "chart_terms" (``regulator._chart_terms``);
+    # exact, "chart" (``wavefront._chart``).  f_1^-1 is kept on f_1, the facet
     # restrictions on the precycle as ("facets", bits) (``cycles._facets``)
     _memo: dict = dataclass_field(default_factory=dict, init=False,
                                   repr=False, compare=False)
@@ -316,7 +315,8 @@ def _facets(Z, precision_bits):
     """(the restrictions (i, value, points) to the 2n facets in the order
     of the boundary sum, their signed sum reduced), kept on Z per
     precision.  The precision doubles, at most CLOSEDNESS_ESCALATIONS
-    times, while a restriction or the reduction is undecided."""
+    times and never past 1024 bits, while a restriction or the reduction
+    is undecided."""
 
     def build():
         # an empty point-level precycle has no facets and the empty boundary
@@ -334,7 +334,8 @@ def _facets(Z, precision_bits):
                         for i, value, points in facets for pt in points],
                         order=Z.order)
             except PrecisionError:
-                if attempt == CLOSEDNESS_ESCALATIONS:
+                if (attempt == CLOSEDNESS_ESCALATIONS
+                        or precision_bits * 2 ** (attempt + 1) > 1024):
                     raise
     return kept(Z, ("facets", precision_bits), build)
 

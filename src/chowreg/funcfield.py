@@ -187,18 +187,15 @@ class Poly:
         if self.degree < 1:
             return []
         c = self.gcd(self.derivative())
-        w = self // c if c.degree >= 0 and not c.is_zero() else self.monic()
+        w = (self // c).monic()
         out = []
         m = 1
-        w = w.monic()
         while w.degree > 0:
             y = w.gcd(c)
             fac = w // y
             if fac.degree > 0:
                 out.append((fac.monic(), m))
-            w = y
-            if not c.is_zero() and y.degree >= 0 and not y.is_zero():
-                c = c // y
+            w, c = y, c // y
             m += 1
         return out
 

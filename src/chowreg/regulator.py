@@ -818,8 +818,9 @@ def phase_independence_check(Z, schedules, precision_bits=None, tol=1e-8):
 def _cf_minimal_denominator(x, max_order, tol):
     """Smallest denominator m <= max_order with |x - p/m| < tol/m, via the
     continued-fraction convergents of x (best approximations, so the first
-    qualifying convergent has the minimal denominator)."""
-    tol_f = Fraction(tol).limit_denominator(10 ** 15)
+    qualifying convergent has the minimal denominator).  tol is read
+    exactly: a float is a dyadic rational, however small."""
+    tol_f = Fraction(tol)
     n, d = x.numerator, x.denominator
     p, p_last, q, q_last = 1, 0, 0, 1
     while d:

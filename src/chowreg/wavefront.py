@@ -45,12 +45,13 @@ is one rule: a value keeps an angular margin of CUT_MARGIN from its cut ray.
 It is decided on doubles, the value and the ray's rotation each scaled by a
 power of two (``numeric.double_image``), and at working precision only when
 the double's slack lies within 2^-44 of zero, relative to the value's size:
-the images of a component's own values are kept on it, those of the
-rotations are made once per check.  The rule is applied to every critical
-value of f_i (f_i at the roots of the Wronskian num' den - num den',
-factors shared with num den removed exactly, plus f_i(oo) when the degrees
-agree), since a locus is a smooth union of branches exactly when none lies
-on its ray, and to the few other values ``admissible`` lists.  The report of an admissibility check carries the
+a component keeps one record per value, its midpoint beside its image, and
+the images of the rotations are made once per check.  The rule is applied
+to every critical value of f_i (f_i at the roots of the Wronskian
+num' den - num den', factors shared with num den removed exactly, plus
+f_i(oo) when the degrees agree), since a locus is a smooth union of
+branches exactly when none lies on its ray, and to the few other values
+``admissible`` lists.  The report of an admissibility check carries the
 coordinate-1 paths and crossings, which are all the evaluation needs:
 ``search_admissible`` returns the report that accepted a schedule, and
 evaluation reads its paths and crossings rather than tracing again.
@@ -750,8 +751,8 @@ class AdmissibilityFailure:
     def to_dict(self):
         w = None
         if self.witness is not None:
-            v = self.witness.value if isinstance(self.witness, ComplexApprox) else self.witness
-            w = {"re": mp.nstr(mp.mpc(v).real, 20), "im": mp.nstr(mp.mpc(v).imag, 20)}
+            v = mp.mpc(self.witness.value)
+            w = {"re": mp.nstr(v.real, 20), "im": mp.nstr(v.imag, 20)}
         return {"kind": self.kind, "component": self.component,
                 "detail": self.detail, "witness": w}
 
@@ -778,43 +779,33 @@ class AdmissibilityReport:
         }
 
 
-def _midpoint(value):
-    """The mpc of an admissibility value, which is an mpc, an mpf or a
-    ``ComplexApprox``."""
-    return value.value if isinstance(value, ComplexApprox) else mp.mpc(value)
-
-
 def _on_cut_margin(value, rot):
-    """Angular distance of a nonzero finite value from a cut ray, given the
-    ray's phase as its ``_rotation``: |arg(rot value) - pi|, with the
+    """Angular distance of a nonzero finite mpc value from a cut ray, given
+    the ray's phase as its ``_rotation``: |arg(rot value) - pi|, with the
     difference wrapped to (-pi, pi]."""
-    return float(abs(mp.arg(-_midpoint(value) * rot)))
+    return float(abs(mp.arg(-value * rot)))
 
 
 def _in_sector(value, rot):
     """Whether -rot value lies in the sector |Im| <= tan(CUT_MARGIN) Re
     around the positive real axis, at the working precision."""
-    w = -_midpoint(value) * rot
+    w = -value * rot
     return abs(w.imag) <= _TAN_CUT_MARGIN * w.real
 
 
-def _near_cut(value, rot, image=None, rot_image=None):
+def _near_cut(value, rot, image, rot_image):
     """Whether ``_on_cut_margin(value, rot)`` is below CUT_MARGIN, decided
     without an arctangent: the sector test ``_in_sector``, on doubles
     first.
 
-    ``image`` and ``rot_image`` are the ``double_image``s of value and rot
-    (computed here when not given), and w = -image rot_image is -rot value
-    scaled by a power of two, to a few units of 2^-53 |w|.  The sector test
-    on w decides when its slack tan(CUT_MARGIN) Re w - |Im w| lies outside
-    2^-44 |w| of zero, a band far wider than that error and than the
-    working-precision rounding of -rot value; inside the band ``_in_sector``
-    decides at the working precision.  So the verdict is the one of
-    ``_in_sector`` at every input and precision."""
-    if image is None:
-        image = double_image(_midpoint(value))
-    if rot_image is None:
-        rot_image = double_image(rot)
+    ``image`` and ``rot_image`` are the ``double_image``s of value and rot,
+    and w = -image rot_image is -rot value scaled by a power of two, to a
+    few units of 2^-53 |w|.  The sector test on w decides when its slack
+    tan(CUT_MARGIN) Re w - |Im w| lies outside 2^-44 |w| of zero, a band far
+    wider than that error and than the working-precision rounding of
+    -rot value; inside the band ``_in_sector`` decides at the working
+    precision.  So the verdict is the one of ``_in_sector`` at every input
+    and precision."""
     w = -image * rot_image
     slack = _TAN_CUT_MARGIN * w.real - abs(w.imag)
     if abs(slack) > 2.0 ** -44 * abs(w):
@@ -839,9 +830,10 @@ def _coordinate_value_at(component, j, point):
 
 
 def _off_cut_entries(comp, precision_bits):
-    """(k, kind, value, witness, detail) for each value of ``comp`` that
-    ``admissible`` keeps off cut ray k at every schedule, built once per
-    precision and kept on the component.  A zero or pole of a coordinate
+    """(k, kind, value, witness, detail, image) for each value of ``comp``
+    that ``admissible`` keeps off cut ray k at every schedule, built once
+    per precision and kept on the component: ``value`` is the mpc midpoint
+    and ``image`` its ``double_image``.  A zero or pole of a coordinate
     other than f_1 is a facet parameter (f_1 there keeps off the first
     ray), and one of f_1 is an endpoint of the first locus (f_k there keeps
     off ray k); a value 0 or oo there lies on no ray."""
@@ -853,10 +845,10 @@ def _off_cut_entries(comp, precision_bits):
             for i, f in enumerate(comp.coords, 1):
                 if f.is_constant():
                     cval = embed(f.constant_value(), precision_bits)
-                    entries.append((i, "constant-on-cut", cval, cval,
+                    entries.append((i, "constant-on-cut", cval.value, cval,
                                     f"coordinate {i} is constant on its cut"))
                     continue
-                entries += [(i, "critical-value", value, point,
+                entries += [(i, "critical-value", value.value, point,
                              f"coordinate {i} has a critical value on its cut")
                             for point, value in f.critical_values(precision_bits)]
                 if i > 1 and not f1.is_constant():
@@ -872,39 +864,27 @@ def _off_cut_entries(comp, precision_bits):
                 v = _coordinate_value_at(comp, k, pt)
                 if v is not INF and v != 0:
                     witness = None if pt.is_exact else pt.location
-                    entries.append((k, kind, v, witness, detail))
+                    entries.append((k, kind, mp.mpc(v), witness, detail))
         # one value on one ray is one fact: a constant coordinate is also its
         # value at every endpoint, and f_k(oo) can be both a critical value and
         # an endpoint value; the first entry listed reports it
         firsts = {}
         for entry in entries:
-            k, _, v = entry[:3]
-            firsts.setdefault(
-                (k, v.value if isinstance(v, ComplexApprox) else v), entry)
-        return list(firsts.values())
+            firsts.setdefault((entry[0], entry[2]), entry)
+        return [entry + (double_image(entry[2]),) for entry in firsts.values()]
     return kept(comp, ("off_cut", precision_bits), build)
 
 
-def _off_cut_images(comp, precision_bits):
-    """The ``double_image`` of each value of ``_off_cut_entries``, in its
-    order: built once per precision and kept on the component beside the
-    entries, which stay as they are."""
-    return kept(comp, ("off_cut_images", precision_bits), lambda: [
-        double_image(_midpoint(entry[2]))
-        for entry in _off_cut_entries(comp, precision_bits)])
-
-
-def _keep_off_cuts(entries, images, rots, ci, failures, warnings):
-    """The one rule of ``admissible``: each entry's value keeps an angular
-    margin of CUT_MARGIN from cut ray k, else it fails with its kind, as a
-    warning for an endpoint on a cut beyond the second, which no nested
-    cut-prefix condition reaches.  ``images`` holds the ``double_image`` of
-    each entry's value, kept on the component for its own entries
-    (``_off_cut_images``), and ``rots[k - 1]`` is (rotation, its image) for
-    ray k, made once per ``admissible`` call: ``_near_cut`` decides most
-    entries in doubles, and at working precision those whose slack falls
-    in its band."""
-    for (k, kind, value, witness, detail), image in zip(entries, images):
+def _keep_off_cuts(entries, rots, ci, failures, warnings):
+    """The one rule of ``admissible``: each entry (k, kind, value, witness,
+    detail, image) keeps its value an angular margin of CUT_MARGIN from cut
+    ray k, else it fails with its kind, as a warning for an endpoint on a
+    cut beyond the second, which no nested cut-prefix condition reaches.
+    ``image`` is the ``double_image`` of the value, and ``rots[k - 1]`` is
+    (rotation, its image) for ray k, made once per ``admissible`` call:
+    ``_near_cut`` decides most entries in doubles, and at working precision
+    those whose slack falls in its band."""
+    for k, kind, value, witness, detail, image in entries:
         rot, rot_image = rots[k - 1]
         if _near_cut(value, rot, image, rot_image):
             margin = _on_cut_margin(value, rot)
@@ -924,8 +904,8 @@ def admissible(Z, schedule, precision_bits=None):
     crossing of the first locus with the second cut, the coordinates >= 3
     (no triple point) keep an angular margin of CUT_MARGIN from their cut
     rays.  All but the last are built once per component and precision
-    (``_off_cut_entries``), with the double images the margin test reads
-    first (``_off_cut_images``).  A crossing must also be transverse.
+    (``_off_cut_entries``), each with the double image the margin test
+    reads first.  A crossing must also be transverse.
 
     Only the first locus is traced, and only for a component that no entry
     has failed yet (a warning does not count): the schedule is refused
@@ -947,8 +927,7 @@ def admissible(Z, schedule, precision_bits=None):
                 for rot in map(_rotation, schedule.phases)]
         for ci, comp in enumerate(Z.components):
             failed = len(failures)
-            _keep_off_cuts(_off_cut_entries(comp, precision_bits),
-                           _off_cut_images(comp, precision_bits), rots, ci,
+            _keep_off_cuts(_off_cut_entries(comp, precision_bits), rots, ci,
                            failures, warnings)
             if comp.coords[0].is_constant() or len(failures) > failed:
                 continue
@@ -976,10 +955,9 @@ def admissible(Z, schedule, precision_bits=None):
                     v = f.evaluator(precision_bits).value(c.t.value)
                     if v != 0:
                         triples.append((k, "triple", v, c.t,
-                                        f"triple point: cuts 1,2,{k} meet"))
-            _keep_off_cuts(triples, [double_image(v) for _, _, v, _, _
-                                     in triples], rots, ci, failures,
-                           warnings)
+                                        f"triple point: cuts 1,2,{k} meet",
+                                        double_image(v)))
+            _keep_off_cuts(triples, rots, ci, failures, warnings)
     return AdmissibilityReport(ok=not failures, failures=failures,
                                schedule=schedule, warnings=warnings,
                                paths=paths, crossings=crossings)

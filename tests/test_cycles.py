@@ -370,6 +370,18 @@ def test_a_build_that_raises_keeps_nothing():
     assert Z._memo == {}
 
 
+@pytest.mark.parametrize("bits", [512, 1024])
+def test_closedness_escalation_stops_at_1024_bits(bits):
+    # doubling from 512 or 1024 bits once asked for 2048 or 4096 bits,
+    # above the supported range, and the refusal named that precision
+    # instead of the split cluster
+    (Z,) = parse_cycle_file("field cyclotomic(1)\ncycle c n=2 p=1\n"
+                            "component mult=1 (t^2-2)*(t^2-3) ; "
+                            "(t^2-2)/(t+7)\n")
+    with pytest.raises(PrecisionError, match="splits"):
+        is_closed(Z, bits)
+
+
 def _irrational_facets(mult):
     # f_1 = t^2 - 2 vanishes at +-sqrt(2), which no exact factor finds: its
     # facet points are numeric clusters, matched by ball distance

@@ -1120,6 +1120,19 @@ def test_torsion_recognition_exact_values():
             assert tr.certificate == expected_q
 
 
+def test_torsion_recognition_at_a_tolerance_below_1e_15(z1, petras):
+    # a tolerance was once rounded to a fraction of denominator at most
+    # 10^15, which is 0 below about 5e-16: nothing was recognized then,
+    # with residual nan, though Totaro's radius at 256 bits is 1e-74
+    for Z, bits, order, q in ((z1, 256, 24, Fraction(-1, 24)),
+                              (petras, 128, 120, Fraction(-7, 120))):
+        with workprec(bits):
+            v = regulator(Z, precision_bits=bits)
+            for tol in (1e-6, 1e-15, 1e-16, 1e-30):
+                tr = torsion_order(v, 200, tol)
+                assert (tr.order, tr.certificate) == (order, q)
+
+
 def test_torsion_rejects_imprecise_input():
     with workprec(128):
         v = RegulatorValue(p=2, value=ComplexApprox(mp.mpc(1), 1e-3),

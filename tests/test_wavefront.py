@@ -28,7 +28,7 @@ from chowreg import (
     workprec,
 )
 from chowreg.funcfield import RFEvaluator, mpf_to_fraction
-from chowreg.numeric import ComplexApprox
+from chowreg.numeric import ComplexApprox, double_image
 from chowreg.wavefront import (
     SCHEDULE_ATTEMPTS,
     SIGMA_SPAN_DEFAULT,
@@ -124,6 +124,14 @@ def test_schedule_strict_nesting_random():
             assert 0 < s.phases[0] < s.eps_bound
             for k in range(n - 1):
                 assert mp.log(s.phases[k + 1]) < -1 / s.phases[k]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "once 1/eps_k reaches 2^prec, log eps_(k+1) < -1/eps_k differs only by "
+    "log lambda, lost to rounding; ROADMAP puts the fix in make_schedule"))
+def test_a_made_schedule_reads_as_nested_at_a_small_bound():
+    with workprec(128):
+        assert make_schedule(mp.mpf("0.02"), 3, 0.5, 128).is_b_nested()
 
 
 def test_schedule_validation_rejects_bad():
@@ -935,9 +943,8 @@ def test_a_zero_or_pole_at_an_irrational_point_is_exact(bits):
         "field cyclotomic(1)\ncycle c n=3 p=2\n"
         f"component mult=1 1-1/({g}) ; 1-({g}) ; 1/({g})\n")
     with workprec(bits):
-        for *_, value, _, _ in _off_cut_entries(Z.components[0], bits):
-            v = value.value if isinstance(value, ComplexApprox) else value
-            assert 2.0 ** (-bits / 2) <= abs(v) <= 2.0 ** (bits / 2)
+        for _, _, value, *_ in _off_cut_entries(Z.components[0], bits):
+            assert 2.0 ** (-bits / 2) <= abs(value) <= 2.0 ** (bits / 2)
         if bits == 128:
             rep = admissible(Z, make_schedule(mp.mpf("0.1") / 3, 3, 0.5),
                              precision_bits=bits)
@@ -961,7 +968,8 @@ def test_cut_margin_is_decided_without_an_arctangent(monkeypatch):
                 for side in (1, -1):
                     for size in (mp.mpf("1e-30"), 1, mp.mpf("1e30")):
                         v = -size * mp.expj(side * angle) / rot
-                        assert wf._near_cut(v, rot) == (
+                        assert wf._near_cut(v, rot, double_image(v),
+                                            double_image(rot)) == (
                             _on_cut_margin(v, rot) < wf.CUT_MARGIN)
     margins = []
     on_cut_margin = wf._on_cut_margin
@@ -1264,7 +1272,8 @@ def test_near_cut_in_doubles_agrees_with_the_sector_test(bits, monkeypatch):
                     for size in (mp.mpf("1e-300"), 1, mp.mpf("1e300")):
                         v = -size * mp.expj(side * angle) / rot
                         del fallback[:]
-                        verdict = wf._near_cut(v, rot)
+                        verdict = wf._near_cut(v, rot, double_image(v),
+                                               double_image(rot))
                         assert verdict == _reference_in_sector(v, rot)
                         assert bool(fallback) == (factor in near_margin)
                         verdicts.add((factor, verdict))
@@ -1415,7 +1424,6 @@ def test_a_warm_component_builds_no_entry_image(monkeypatch):
             assert not rep.ok
             counts.append(len(images) - 3 - len(rep.crossings[0]))
         assert counts == [len(_off_cut_entries(comp, 128)), 0, 0]
-        assert comp._memo["off_cut_images", 128] == [
-            double_image(e[2].value if isinstance(e[2], ComplexApprox)
-                         else mp.mpc(e[2]))
-            for e in _off_cut_entries(comp, 128)]
+        entries = _off_cut_entries(comp, 128)
+        assert [e[5] for e in entries] == [double_image(e[2])
+                                          for e in entries]
