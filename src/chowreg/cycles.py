@@ -118,7 +118,9 @@ class Precycle:
     """
 
     def __init__(self, n, p, components, order=1, name=None):
-        self._memo = {}  # ("facets", bits): ``_facets``
+        # ("facets", bits): ``_facets``; ("face_proper", bits):
+        # ``check_face_proper``
+        self._memo = {}
         self.n = n
         self.p = p
         self.order = order
@@ -371,11 +373,22 @@ def check_face_proper(Z):
 
     A violation is a parameter where >= 2 coordinates lie in {0, oo} while no
     remaining coordinate equals 1 (the point would sit inside a codimension-2
-    face, which a curve must miss).
+    face, which a curve must miss).  The report is built once per working
+    precision, at which the divisors are read, and kept on the precycle;
+    each call hands out a copy of it.
     """
-    report = {"ok": True, "violations": []}
     if not Z.is_curve_level:
         raise ChowregError("face properness applies to curve-level precycles")
+    report = kept(Z, ("face_proper", mp.mp.prec),
+                  lambda: _face_proper_report(Z))
+    return {"ok": report["ok"],
+            "violations": [dict(v, coordinates=list(v["coordinates"]))
+                           for v in report["violations"]]}
+
+
+def _face_proper_report(Z):
+    """``check_face_proper``'s report, built anew."""
+    report = {"ok": True, "violations": []}
     for ci, comp in enumerate(Z.components):
         locations = []  # (divisor point, index of the coordinate it is a hit of)
         for i in range(1, Z.n + 1):

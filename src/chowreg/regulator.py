@@ -44,14 +44,26 @@ Im rho at r = 0, that of Im delta for c = log(-1/delta) at r = oo.  The K
 of a stretch is log c + N log(scale) + 2 pi i m for f_2 = c scale^N
 prod (lambda - s)^n on its line, the scale the direction or a traced
 chord's vector, with the integer m from the side of the cut on which the
-branch of log f_2 lies.  Every side is an mp comparison; only the integers
-are rounded from double-precision imaginary parts.
+branch of log f_2 lies.  That side is read from the double images of
+w = f_2 and of the second rotation (``_sided_k``).  On a Moebius line
+without crossings, so are the inversions of the pairs and the half-planes
+at r = 0 and r = oo, from the chart places times conj(direction) as Python
+complex numbers (``_line_images``); the places are divided by the
+direction at the working precision only on a line with crossing stops,
+where they enter the balls.  A decision whose quantity lies within 2^-40
+of its threshold, relative to its scale, is left to the working-precision
+comparison, so every decision is the one that comparison takes and every
+ball keeps its working-precision expression.  The integers are rounded
+from double-precision imaginary parts.  The rotations, the direction and
+i arg(direction) of a schedule come from its ``wavefront._Context``, made
+once.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass, field as dataclass_field
@@ -66,8 +78,9 @@ from .field import embed
 from .funcfield import INF, mpf_to_fraction
 from .numeric import ComplexApprox, double_image, kept, workprec
 from .special import BranchSpec, li2, log_eps
-from .wavefront import (AdmissibilityReport, PhaseSchedule, _chart,
-                        _coordinate_value_at, admissible, search_admissible)
+from .wavefront import (_BAND, _EXTRA_BITS, AdmissibilityReport,
+                        PhaseSchedule, _chart, _Context, _coordinate_value_at,
+                        _schedule_context, admissible, search_admissible)
 
 
 @dataclass
@@ -77,6 +90,8 @@ class RegulatorValue:
     ``value`` is the canonical representative (lattice coefficient in
     [-1/2, 1/2)); ``breakdown`` lists per-component line-integral and crossing
     contributions, which sum to the pre-reduction value.
+    ``precision_bits`` is the working precision the value was computed at,
+    at which its readers work; None reads it at the caller's precision.
     """
 
     p: int
@@ -85,10 +100,12 @@ class RegulatorValue:
     breakdown: list = dataclass_field(default_factory=list)
     lattice_multiple: int = 0
     agreement: list = dataclass_field(default_factory=list)
+    precision_bits: int = None
 
     def q_value(self):
-        """value / (2*pi*i)^p."""
-        return self.value.value / (2 * mp.pi * mp.mpc(0, 1)) ** self.p
+        """value / (2*pi*i)^p, at the value's own precision."""
+        with mp.workprec(self.precision_bits or mp.mp.prec):
+            return self.value.value / _generator(self.p)
 
 
 @dataclass
@@ -98,12 +115,19 @@ class TorsionResult:
     residual: float
 
 
+def _generator(p):
+    """(2 pi i)^p at the working precision, as (2 pi)^p i^p: one real power,
+    the value that the mpc power gives for p = 1 and 2."""
+    power = (2 * mp.pi) ** p * (-1) ** (p // 2)
+    return mp.mpc(power, 0) if p % 2 == 0 else mp.mpc(0, power)
+
+
 def _canonical_mod_lattice(value, p):
     """Shift by the lattice so the generator coefficient lies in [-1/2, 1/2)."""
-    gen = (2 * mp.pi * mp.mpc(0, 1)) ** p
+    gen = _generator(p)
     coeff = value.real / gen.real if p % 2 == 0 else value.imag / gen.imag
     k = int(mp.floor(coeff + mp.mpf("0.5")))
-    return value - k * gen, k
+    return (value - k * gen if k else value), k
 
 
 def lattice_difference(a, b, p):
@@ -139,20 +163,27 @@ def reg_n1(Z, phase, precision_bits=None):
             schedule_used=PhaseSchedule(mp.mpf(1), (mp.mpf(phase),)),
             breakdown=breakdown,
             lattice_multiple=k,
+            precision_bits=precision_bits,
         )
 
 
-# the closed forms of the line integral run this many bits above the
-# working precision, along a polygon through every _POLYGON_STRIDE-th
-# trace sample of a traced branch
-_EXTRA_BITS = 16
+# the closed forms of the line integral run _EXTRA_BITS above the working
+# precision, along a polygon through every _POLYGON_STRIDE-th trace sample
+# of a traced branch
 _POLYGON_STRIDE = 40
 
 
+@functools.lru_cache(maxsize=4)
+def _constants(prec):
+    """(2 pi i, pi^2 / 6) at ``prec`` bits, made once per precision."""
+    with mp.workprec(prec):
+        return 2 * mp.pi * mp.mpc(0, 1), mp.pi ** 2 / 6
+
+
 def _arg(z):
-    """arg z of a nonzero mpc in double precision, at any exponent of z."""
-    image = double_image(z)
-    return math.atan2(image.imag, image.real)
+    """arg z in double precision, of a nonzero Python complex or of an mpc
+    at any exponent of z."""
+    return cmath.phase(z if isinstance(z, complex) else double_image(z))
 
 
 def _shifted(lg, centre):
@@ -162,19 +193,30 @@ def _shifted(lg, centre):
     return lg + mp.mpc(0, 2 * n * mp.pi) if n else lg
 
 
-def _sided_k(w, phase, rot, guard, side_hint, lead, lam, zeros2):
+def _sided_k(w, context, guard, side_hint, lead, lam, zeros2):
     """K = lead + 2 pi i m on a line where f_2 = c scale^N prod (lam - s)^n,
     given lead = log c + N log(scale) and w = f_2 at ``lam``: the m that
-    puts Im K + sum n Im log(lam - s) in (-pi - phase, pi - phase], so that
-    K + sum n log(lam - s) is the branch of log f_2 with ``rot`` =
-    e^{i phase}.  The hint, a sign or 0, resolves a w inside the guard
-    sliver around the cut by continuity from one side.  That side is an mp
-    comparison; only m is rounded from double-precision arguments."""
-    phi = mp.arg(-w * rot)
-    theta = mp.pi - phase + phi - (2 * mp.pi if phi > -guard * side_hint
-                                   else 0)
-    return _shifted(lead, float(theta) - sum(n * _arg(lam - s)
-                                             for n, s in zeros2))
+    puts Im K + sum n Im log(lam - s) in (-pi - eps_2, pi - eps_2], so that
+    K + sum n log(lam - s) is the branch of log f_2 at the second phase
+    eps_2 of ``context`` (``wavefront._Context``).  The hint, a sign or 0,
+    resolves a w inside the guard sliver around the cut by continuity from
+    one side: the side is whether phi = arg(-w e^{i eps_2}) exceeds
+    -guard hint.  It is read from the double images of w and of the
+    context's rotation, whose phi is off by a few units of 2^-53, unless
+    that phi lies within 2^-40 of -guard hint (or w is 0); there
+    phi is taken at _EXTRA_BITS above the working precision, with the
+    rotation made there.  So the side is that of the working-precision
+    comparison at every input, and m is rounded from double-precision
+    arguments."""
+    limit = -guard * side_hint
+    phi = _arg(-double_image(w) * context.rotations[1][1]) if w else 0.0
+    if w and abs(phi - float(limit)) > _BAND:
+        above = phi > float(limit)
+    else:
+        above = mp.arg(-w * context.fine_rotation(2)) > limit
+    theta = math.pi - float(context.phases[1]) + phi - (
+        2 * math.pi if above else 0.0)
+    return _shifted(lead, theta - sum(n * _arg(lam - s) for n, s in zeros2))
 
 
 def _log_lead(rf, precision_bits):
@@ -246,7 +288,7 @@ def _log(z):
     return cmath.log(complex(z))
 
 
-def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0):
+def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0, flags=None):
     """How each pair of a zero or pole s of f_2 and rho of f_3 on a line
     (in lambda, the radius r on a Moebius path) enters the antiderivative, as
     (n m, index of rho in ``zeros3``, delta, inverted, D).
@@ -265,21 +307,28 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0):
     real axis), and the integer q is fixed once, at r = 1, from logs in
     double precision.  ``log_gaps``, when given, holds a log of
     (rho - s) scale per pair in order and ``log_scale`` one of the line's
-    scale, on any branch: q absorbs the multiple of 2 pi i.
+    scale, on any branch: q absorbs the multiple of 2 pi i.  ``flags``,
+    when given, holds per pair None where s = rho and else whether the
+    pair is inverted, as ``_line_images`` decides them on Python complex
+    places; else they are decided here, on mpc places at the working
+    precision.
     """
-    two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+    two_pi_i = _constants(mp.mp.prec)[0]
     pairs = []
     for j, (m, rho) in enumerate(zeros3):
         for n, s in zeros2:
-            if s == rho:
+            if s == rho if flags is None else flags[len(pairs)] is None:
                 pairs.append((m * n, j, None, False, 0))
                 continue
             delta = s - rho
-            # the real r at which z(r) is real, or 1 when the line z(r) is
-            # parallel to the real axis
-            r_real = (-(rho * delta.conjugate()).imag / delta.imag
-                      if delta.imag else 1)
-            inverted = ((r_real - rho) / delta).real > 1
+            if flags is None:
+                # the real r at which z(r) is real, or 1 when the line z(r)
+                # is parallel to the real axis
+                r_real = (-(rho * delta.conjugate()).imag / delta.imag
+                          if delta.imag else 1)
+                inverted = ((r_real - rho) / delta).real > 1
+            else:
+                inverted = flags[len(pairs)]
             z1 = (1 - rho) / delta
             if inverted:
                 d = 0
@@ -291,6 +340,52 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0):
             q = round((_log(1 - s) - rest).imag / (2 * math.pi))
             pairs.append((m * n, j, delta, inverted, d + two_pi_i * q))
     return pairs
+
+
+def _line_images(places2, places3, direction):
+    """(zeros2, zeros3, flags) for the Moebius line of ``quadrature``
+    without crossings, from double images, or None when a decision falls
+    within the band: the places s = a / direction of f_2 and
+    rho = b / direction of f_3 as Python complex numbers, the chart places
+    times conj(direction), and, per ``_dilog_pairs`` pair in order, None
+    where a = b and else whether the pair is inverted.
+
+    Each image is off by a few units of 2^-53 relative, and a decision
+    stands when its quantity lies outside 2^-40 of its scale from the
+    threshold, far beyond that and beyond the rounding of the
+    working-precision test, so it is the one that test takes.  A pair is
+    inverted exactly when Im delta Im s < 0 (delta = s - rho; at s = 0 the
+    working-precision test finds z = 1 at r = 0, not inverted), so this
+    asks |Im delta| |Im s| > 2^-40 S^2 with S = |s| + |rho|, or
+    |Im delta| > 2^-40 S at s = 0: the rounding of that test grows like
+    S |rho| / |Im delta|^2 relative to its margin.  Then Im delta is clear
+    of 0 for the half-plane at r = oo, and |Im rho| > 2^-40 |rho| is asked
+    for the one at r = 0.  A place of size outside 2^+-500 is not
+    imaged."""
+    conj = complex(direction).conjugate()
+    images = []
+    for places in (places2, places3):
+        images.append([])
+        for n, a in places:
+            z = complex(a) * conj
+            if not (2.0 ** -500 < abs(z) < 2.0 ** 500 or a == 0):
+                return None
+            images[-1].append((n, z))
+    zeros2, zeros3 = images
+    flags = []
+    for (_, b), (_, rho) in zip(places3, zeros3):
+        if rho and abs(rho.imag) <= _BAND * abs(rho):
+            return None
+        for (_, a), (_, s) in zip(places2, zeros2):
+            if a == b:
+                flags.append(None)
+                continue
+            delta, size = s - rho, abs(s) + abs(rho)
+            if (abs(delta.imag) * (abs(s.imag) if s else size)
+                    <= _BAND * size * size):
+                return None
+            flags.append(delta.imag * s.imag < 0)
+    return zeros2, zeros3, flags
 
 
 def _antiderivative(r, zeros3, pairs, dilogs=None, logs=None):
@@ -398,7 +493,7 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
                          else 0.0 if delta.real < 0
                          else -math.pi if zeros3[j][1].imag < 0 else math.pi)
             d += c
-            term = coeff * (mp.pi ** 2 / 6 + c ** 2 / 2)
+            term = coeff * (_constants(mp.mp.prec)[1] + c ** 2 / 2)
             h += term
             size += abs(complex(term))
         slope += coeff * d
@@ -438,7 +533,7 @@ def _line(zeros3, pairs, stops, ks, precision_bits, shared=None):
         for k, (h0, g0, r0, z0), (h1, g1, r1, z1) in zip(ks, sums, sums[1:])]
 
 
-def quadrature(comp, path, xs, eps2, precision_bits=None):
+def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     """The line integral along a first-locus ``path`` with its crossings
     ``xs`` (in path order), as (stretch index, x_a, x_b, ball) for each
     chord of a polygon from the pole of f_1 to its zero, in path order, x_a
@@ -472,16 +567,27 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
     pole of f_2 or f_3 lies in or about one sample spacing from the loop of
     the chord and the samples it skips, or on the chord; PrecisionError if
     it skips none.  The radius is ``_line``'s, plus, at each vertex ball of
-    a traced chord, the integrand times its radius."""
+    a traced chord, the integrand times its radius.
+
+    ``context`` is the schedule's ``wavefront._Context`` at this precision,
+    whose second phase is ``eps2`` and whose direction is the path's; alone,
+    the function builds one from ``eps2`` and the path's direction.  On a
+    Moebius path without crossings the places, the pairs' inversions and
+    the half-planes come from double images (``_line_images``), and the
+    places are divided by the direction at the working precision only when
+    a decision falls within the band there, or when crossings put stops on
+    the line."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
+    if context is None:
+        context = _Context((None, eps2), precision_bits, path.direction)
     f1, f2, f3 = comp.coords
     points = path.points
     # f_2 in t on a traced path, and in its chart w = f_1 on a Moebius one
     rf2 = f2 if points else _chart(comp, 1, 2)
     ev2 = rf2.evaluator(precision_bits)
     with mp.workprec(precision_bits + _EXTRA_BITS):
-        rot2, guard = mp.expj(eps2), mp.mpf(2) ** (-precision_bits // 2)
+        guard = mp.mpf(2) ** (-precision_bits // 2)
         log_c, degree = _log_lead(rf2, precision_bits)
 
         def branch_k(x, lam, hint, zeros2, log_scale):
@@ -489,7 +595,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             ``log_scale`` a log of its scale, from the sided branch of log
             f_2 at the point of the path where ``ev2`` reads f_2 at x,
             which sits at lambda on the line."""
-            return _sided_k(ev2.value(x), eps2, rot2, guard, hint,
+            return _sided_k(ev2.value(x), context, guard, hint,
                             log_c + degree * log_scale, lam, zeros2)
 
         if not points:
@@ -500,11 +606,17 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             # (face-on-cut), so log(r - s) is continuous on the path
             places2, places3, neg_logs, gaps, dilogs = _chart_terms(
                 comp, precision_bits)
-            zeros2, zeros3 = ([(n, a / path.direction if a != 0
-                                else mp.mpc(0)) for n, a in places]
-                              for places in (places2, places3))
-            log_dir = mp.mpc(0, mp.arg(path.direction))
-            pairs = _dilog_pairs(zeros2, zeros3, gaps, log_dir)
+            images = None if xs else _line_images(places2, places3,
+                                                  path.direction)
+            if images is None:
+                zeros2, zeros3 = ([(n, a / path.direction if a != 0
+                                    else mp.mpc(0)) for n, a in places]
+                                  for places in (places2, places3))
+                flags = None
+            else:
+                zeros2, zeros3, flags = images
+            log_dir = context.log_direction()
+            pairs = _dilog_pairs(zeros2, zeros3, gaps, log_dir, flags)
             # the chart terms move with the direction by -i theta and a
             # multiple of 2 pi i: at r = 0, log(-rho) lies in the half-plane
             # of -rho that the sign of Im rho fixes (0 on a negative rho;
@@ -519,7 +631,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None):
             radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
             # K at the crossing that opens the stretch, else at the one
             # that closes it, else at r = 1
-            at = [(radii[1], -xs[0].sign) if xs else (mp.mpf(1), 0),
+            at = [(radii[1], -xs[0].sign) if xs else (1, 0),
                   *((r, c.sign) for r, c in zip(radii[1:], xs))]
             balls = _line(zeros3, pairs, radii,
                           [branch_k(r * path.direction, r, hint, zeros2,
@@ -657,8 +769,9 @@ def reg_n3(Z, schedule, precision_bits=None):
         raise ChowregError("reg_n3 needs a curve-level cycle in the 3-cube")
     rep = _admitted(Z, schedule, precision_bits)
     _, eps2, eps3 = rep.schedule.phases
+    context = _schedule_context(rep.schedule, precision_bits)
     with workprec(precision_bits):
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+        two_pi_i = _constants(mp.mp.prec)[0]
         total = mp.mpc(0)
         total_err = 0.0
         breakdown = []
@@ -687,13 +800,18 @@ def reg_n3(Z, schedule, precision_bits=None):
                 for path in paths:
                     xs = [c for c in crossings if c.host_path is path]
                     for *_, piece in quadrature(comp, path, xs, eps2,
-                                                 precision_bits):
+                                                 precision_bits, context):
                         line = line + piece
             entry["line_integral"] = line
             entry["crossing_sum"] = p_sum
             breakdown.append(entry)
-            total += comp.mult * (line.value - two_pi_i * p_sum.value)
-            total_err += abs(comp.mult) * (line.radius + float(2 * mp.pi) * p_sum.radius)
+            if crossings:
+                total += comp.mult * (line.value - two_pi_i * p_sum.value)
+                total_err += abs(comp.mult) * (
+                    line.radius + float(2 * mp.pi) * p_sum.radius)
+            else:
+                total += comp.mult * line.value
+                total_err += abs(comp.mult) * line.radius
         canon, k = _canonical_mod_lattice(total, 2)
         return RegulatorValue(
             p=2,
@@ -701,6 +819,7 @@ def reg_n3(Z, schedule, precision_bits=None):
             schedule_used=rep.schedule,
             breakdown=breakdown,
             lattice_multiple=k,
+            precision_bits=precision_bits,
         )
 
 
@@ -844,7 +963,8 @@ def _check_torsion_args(max_order, tol):
 
 def torsion_order(value, max_order=200, tol=1e-6):
     """Least m <= max_order with m * value in the lattice, with certificate
-    q = value / (2*pi*i)^p recognized as a fraction of denominator m."""
+    q = value / (2*pi*i)^p recognized as a fraction of denominator m.  q is
+    read at the value's own precision, whatever the caller's."""
     if not isinstance(value, RegulatorValue):
         raise ChowregError("torsion_order expects a RegulatorValue")
     _check_torsion_args(max_order, tol)
@@ -854,11 +974,12 @@ def torsion_order(value, max_order=200, tol=1e-6):
             "torsion recognition needs an error radius below "
             f"{tol / (2 * max_order):.3g}, have {v.value.radius:.3g}; "
             "raise the working precision")
-    q = v.q_value()
-    if abs(q.imag) > tol:
-        return TorsionResult(order=None, certificate=None,
-                             residual=float(abs(q.imag)))
-    x = mpf_to_fraction(q.real)
+    with mp.workprec(v.precision_bits or mp.mp.prec):
+        q = v.q_value()
+        if abs(q.imag) > tol:
+            return TorsionResult(order=None, certificate=None,
+                                 residual=float(abs(q.imag)))
+        x = mpf_to_fraction(q.real)
     hit = _cf_minimal_denominator(x, max_order, tol)
     if hit is None:
         return TorsionResult(order=None, certificate=None, residual=float("nan"))

@@ -27,11 +27,12 @@ Re(e^{i eps_2} f_2) < 0.  On a Moebius path the roots are those of a real
 polynomial P in the radius, read from f_2 in the exact chart w = f_1, with
 a companion Q whose sign there tells the cut from the positive real axis.
 Descartes's rule of signs on their coefficients rules most paths out at
-once and isolates the rest, its counts exact on the binary values of P, Q
-and the bracket ends, in Python ints; a path on which P vanishes to
-rounding and Q is negative runs along the cut and is refused.  Bracketed
-Newton on P in the reals finds each root: in doubles first, on P's
-coefficients scaled by one power of two, and from that seed in working
+once (Q without a negative coefficient on double images first,
+``_off_the_cut``) and isolates the rest, its counts exact on the binary
+values of P, Q and the bracket ends, in Python ints; a path on which P
+vanishes to rounding and Q is negative runs along the cut and is refused.
+Bracketed Newton on P in the reals finds each root: in doubles first, on
+P's coefficients scaled by one power of two, and from that seed in working
 precision for its last steps; the path is solved once per crossing, to
 place it.  On a traced path the roots are bracketed by sign changes
 between samples, and bracketed Newton along the path, one solve per step,
@@ -46,7 +47,9 @@ It is decided on doubles, the value and the ray's rotation each scaled by a
 power of two (``numeric.double_image``), and at working precision only when
 the double's slack lies within 2^-44 of zero, relative to the value's size:
 a component keeps one record per value, its midpoint beside its image, and
-the images of the rotations are made once per check.  The rule is applied
+each schedule keeps one context per precision (``_Context``) with its
+rotations, their images and the direction of the first cut ray, which the
+check and the evaluation at that schedule read.  The rule is applied
 to every critical value of f_i (f_i at the roots of the Wronskian
 num' den - num den', factors shared with num den removed exactly, plus
 f_i(oo) when the degrees agree), since a locus is a smooth union of
@@ -78,6 +81,10 @@ SCHEDULE_ATTEMPTS = 12
 # its cut ray
 CUT_MARGIN = 1e-9
 _TAN_CUT_MARGIN = math.tan(CUT_MARGIN)
+# a sign read from double images stands unless its quantity lies within
+# this share of its scale of the threshold; there the working-precision
+# test decides
+_BAND = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,9 @@ class PhaseSchedule:
 
     eps_bound: object
     phases: tuple
+    # ("context", bits): the schedule's ``_Context`` at that precision
+    _memo: dict = dataclass_field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(mp.mpf(p) for p in self.phases))
@@ -333,7 +343,8 @@ def _check_coordinate_index(component, index):
                            f"1..{len(component.coords)}, got {index!r}")
 
 
-def trace_wavefront(component, coord_index, phase, precision_bits=None):
+def trace_wavefront(component, coord_index, phase, precision_bits=None,
+                    context=None):
     """All branches of {t : arg f_i(t) = pi - phase}.
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
@@ -355,6 +366,9 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     2^(-prec/2) in one step: they have collided or jumped onto one another,
     at a critical value on the ray near that radius.  ChowregError unless
     ``coord_index`` is a coordinate of the component, counted from 1.
+    The direction e^(i(pi - phase)) is read from ``context``, the
+    ``_Context`` of a schedule whose first phase is ``phase``, when one is
+    given.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -364,7 +378,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
         raise ChowregError("cannot trace a constant coordinate")
     with workprec(precision_bits):
         ev = f.evaluator(precision_bits)
-        direction = mp.expj(mp.pi - mp.mpf(phase))
+        direction = (context or _Context((phase,), precision_bits)).direction
         if f.degree_map == 1:
             return [TracedPath(coord_index, direction, ev)]
         sigmas = _trace_grid(mp.mp.prec)
@@ -407,6 +421,67 @@ def _rotation(phase):
     return mp.expj(mp.mpf(phase))
 
 
+# the closed forms of the line integral (``regulator.quadrature``) run this
+# many bits above the working precision
+_EXTRA_BITS = 16
+
+
+class _Context:
+    """What every check and evaluation at one schedule and precision reads
+    of the phases, made once: per phase eps_k, ``rotations[k - 1]`` holds
+    e^{i eps_k} (``_rotation``) and its ``double_image``; ``direction`` is
+    e^{i(pi - eps_1)}, the direction of the first cut ray, unless one is
+    given; and ``log_direction()`` is i arg(direction).
+    ``_schedule_context`` keeps one on each schedule.  A public function
+    called without one builds its own from the phases it is given, the
+    others None: a phase of None has no rotation, and a first phase of None
+    no direction unless one is given.  Outside the command line, no other
+    code makes a rotation or a direction."""
+
+    def __init__(self, phases, precision_bits, direction=None):
+        self.phases, self.precision_bits = tuple(phases), precision_bits
+        # "log_direction": ``log_direction``; ("fine_rotation", k):
+        # ``fine_rotation``
+        self._memo = {}
+        with workprec(precision_bits):
+            rotations = []
+            for phase in self.phases:
+                if phase is None:
+                    rotations.append(None)
+                else:
+                    rot = _rotation(phase)
+                    rotations.append((rot, double_image(rot)))
+            self.rotations = tuple(rotations)
+            if direction is None and self.phases[0] is not None:
+                direction = mp.expj(mp.pi - mp.mpf(self.phases[0]))
+            self.direction = direction
+
+    def log_direction(self):
+        """i arg(direction) at _EXTRA_BITS above the working precision,
+        where the closed form on a Moebius path reads it, made on first
+        need."""
+        def build():
+            with mp.workprec(self.precision_bits + _EXTRA_BITS):
+                return mp.mpc(0, mp.arg(self.direction))
+        return kept(self, "log_direction", build)
+
+    def fine_rotation(self, k):
+        """e^{i eps_k} at _EXTRA_BITS above the working precision, made on
+        first need: only a side that double images leave undecided reads it
+        (``regulator._sided_k``)."""
+        def build():
+            with mp.workprec(self.precision_bits + _EXTRA_BITS):
+                return _rotation(self.phases[k - 1])
+        return kept(self, ("fine_rotation", k), build)
+
+
+def _schedule_context(schedule, precision_bits):
+    """The ``_Context`` of ``schedule`` at ``precision_bits``, built on
+    first need and kept on the schedule."""
+    return kept(schedule, ("context", precision_bits),
+                lambda: _Context(schedule.phases, precision_bits))
+
+
 def _chart(comp, i, k):
     """Coordinate k of ``comp`` as an exact rational function of w = f_i,
     for a Moebius f_i: g_k = f_k o f_i^-1, composed with
@@ -419,7 +494,7 @@ def _chart(comp, i, k):
 
 
 def find_pair_intersections(component, paths_i, j, phase_j,
-                            precision_bits=None):
+                            precision_bits=None, context=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
     A crossing is a root of g = Im(e^{i phase_j} f_j) along the path where
@@ -427,8 +502,9 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     On a Moebius path the brackets isolate the real roots of the polynomial
     P in the radius read from the chart of f_j (``_chart``,
     ``_moebius_brackets``), and a path whose coefficients already show no
-    cut crossing gets none; on a traced path they are consecutive samples
-    between which g changes sign, counted half-open (zero counts as
+    cut crossing gets none (on double images first when Q has no negative
+    coefficient, ``_off_the_cut``); on a traced path they are consecutive
+    samples between which g changes sign, counted half-open (zero counts as
     positive, so a sample on the cut is one crossing, not two), and where
     the value is not on the positive real axis at both samples.
     ``_refine_crossing`` then finds the root, on P in the reals or along
@@ -437,7 +513,9 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     transverse when |Im q| / |q| is above 2^(-prec/3), else ScheduleError;
     its sign is -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero
     orientation of the host path.  ChowregError unless j is a coordinate
-    of the component other than every host path's own.
+    of the component other than every host path's own.  The rotation
+    e^{i phase_j} is read from ``context``, the ``_Context`` of the
+    schedule, when one is given.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -450,15 +528,20 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         return out
     with workprec(precision_bits):
         f_j_ev = component.coords[j - 1].evaluator(precision_bits)
-        rot_j = _rotation(phase_j)
+        if context is None:
+            context = _Context((None,) * (j - 1) + (phase_j,),
+                               precision_bits)
+        rot_j, rot_image = context.rotations[j - 1]
         for path in paths_i:
             if path.points:
                 pq, brackets = None, _sample_brackets(path, f_j_ev, rot_j)
             else:
-                pq, brackets = _moebius_brackets(
-                    path, _chart(component, path.coord_index,
-                                 j).evaluator(precision_bits),
-                    rot_j, precision_bits)
+                chart_ev = _chart(component, path.coord_index,
+                                  j).evaluator(precision_bits)
+                if _off_the_cut(chart_ev, path.direction, rot_image):
+                    continue
+                pq, brackets = _moebius_brackets(path, chart_ev, rot_j,
+                                                 precision_bits)
             for bracket, hi_positive in brackets:
                 hit = _refine_crossing(path, f_j_ev, rot_j, bracket,
                                        hi_positive, pq, precision_bits)
@@ -499,6 +582,37 @@ def _sample_brackets(path, f_j_ev, rot_j):
     return out
 
 
+def _off_the_cut(chart_ev, direction, rot_image):
+    """Whether the first test of ``_moebius_brackets``, no negative
+    coefficient in Q, holds, decided on doubles: the coefficients of the
+    chart evaluator and the direction as Python complex numbers, the
+    rotation as its ``double_image``.  Each coefficient q_k of Q is then
+    off by about (2 k + 6) 2^-53 of its scale, the sum of |a_i| |b_l| over
+    its terms times |rotation|, and the working-precision q_k by far less:
+    True only when every q_k is above 2^-40 of its scale or a sum of exact
+    zeros, so that the working-precision test holds too.  False, also for
+    a coefficient of size outside 2^+-500, leaves the test to
+    ``_moebius_brackets``."""
+    d, a, b = complex(direction), [], []
+    for cs, images in ((chart_ev.nc, a), (chart_ev.dc, b)):
+        w = 1
+        for c in cs:
+            z = complex(c)
+            if not (2.0 ** -500 < abs(z) < 2.0 ** 500 or c == 0):
+                return False
+            images.append(z * w)
+            w *= d
+    for k in range(len(a) + len(b) - 1):
+        q, size = 0j, 0.0
+        for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+            term = a[i] * b[k - i].conjugate()
+            q += term
+            size += abs(term)
+        if size and (rot_image * q).real <= _BAND * abs(rot_image) * size:
+            return False
+    return True
+
+
 def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
     """((P, Q), brackets) along a Moebius path: the chart polynomials below,
     and ((s_hi, s_lo), g >= 0 at s_hi) for each root of
@@ -533,7 +647,9 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
     Python ints over one power of two (``_binary_ints``), and each bracket
     end's exponential is computed once.
     """
-    a, b = ([c * path.direction ** k for k, c in enumerate(cs)]
+    powers = [path.direction ** k
+              for k in range(max(len(chart_ev.nc), len(chart_ev.dc)))]
+    a, b = ([c * w for c, w in zip(cs, powers)]
             for cs in (chart_ev.nc, chart_ev.dc))
     rotated = [rot_j * c for c in _poly_mul(a, [c.conjugate() for c in b])]
     p = [c.imag for c in rotated]
@@ -749,9 +865,12 @@ class AdmissibilityFailure:
     witness: object = None
 
     def to_dict(self):
+        """The failure as plain data; the witness's midpoint is printed as
+        it was computed, at the precision of the check, whatever the
+        caller's precision."""
         w = None
         if self.witness is not None:
-            v = mp.mpc(self.witness.value)
+            v = self.witness.value
             w = {"re": mp.nstr(v.real, 20), "im": mp.nstr(v.imag, 20)}
         return {"kind": self.kind, "component": self.component,
                 "detail": self.detail, "witness": w}
@@ -881,7 +1000,7 @@ def _keep_off_cuts(entries, rots, ci, failures, warnings):
     ray k, else it fails with its kind, as a warning for an endpoint on a
     cut beyond the second, which no nested cut-prefix condition reaches.
     ``image`` is the ``double_image`` of the value, and ``rots[k - 1]`` is
-    (rotation, its image) for ray k, made once per ``admissible`` call:
+    (rotation, its image) for ray k, from the schedule's ``_Context``:
     ``_near_cut`` decides most entries in doubles, and at working precision
     those whose slack falls in its band."""
     for k, kind, value, witness, detail, image in entries:
@@ -923,8 +1042,8 @@ def admissible(Z, schedule, precision_bits=None):
         raise ChowregError(f"schedule has {schedule.n} phases, cycle needs {Z.n}")
     failures, warnings, paths, crossings = [], [], {}, {}
     with workprec(precision_bits):
-        rots = [(rot, double_image(rot))
-                for rot in map(_rotation, schedule.phases)]
+        context = _schedule_context(schedule, precision_bits)
+        rots = context.rotations
         for ci, comp in enumerate(Z.components):
             failed = len(failures)
             _keep_off_cuts(_off_cut_entries(comp, precision_bits), rots, ci,
@@ -933,7 +1052,8 @@ def admissible(Z, schedule, precision_bits=None):
                 continue
             try:
                 paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],
-                                            precision_bits=precision_bits)
+                                            precision_bits=precision_bits,
+                                            context=context)
             except (ScheduleError, ConvergenceError) as exc:
                 failures.append(AdmissibilityFailure(
                     "trace", ci, f"coordinate 1: {exc}"))
@@ -943,7 +1063,7 @@ def admissible(Z, schedule, precision_bits=None):
             try:
                 crossings[ci] = find_pair_intersections(
                     comp, paths[ci], 2, schedule.phases[1],
-                    precision_bits=precision_bits)
+                    precision_bits=precision_bits, context=context)
             except ScheduleError as exc:
                 failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
                 crossings[ci] = []

@@ -36,10 +36,11 @@ from chowreg import (
 from chowreg.regulator import (
     RegulatorValue,
     _canonical_mod_lattice,
+    _generator,
     lattice_difference,
 )
 from chowreg.field import embed
-from chowreg.fixtures import dilog_cycle
+from chowreg.fixtures import dilog_cycle, dilog_pair
 from chowreg.funcfield import INF, RFEvaluator
 from chowreg.numeric import ComplexApprox
 
@@ -243,8 +244,8 @@ def _recording_moebius_lines(monkeypatch):
         inverted.append([p[3] for p in pairs])
         return pairs
 
-    def recording(comp, path, xs, eps2, precision_bits):
-        chords = quadrature(comp, path, xs, eps2, precision_bits)
+    def recording(comp, path, xs, eps2, precision_bits, *context):
+        chords = quadrature(comp, path, xs, eps2, precision_bits, *context)
         stretches = [[] for _ in range(len(xs) + 1)]
         for seg, _, _, ball in chords:
             stretches[seg].append(ball)
@@ -903,11 +904,24 @@ def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
     # constant f_2 (N = 0)
     regulator_module = importlib.import_module("chowreg.regulator")
     sided_k, line = regulator_module._sided_k, regulator_module._line
-    bits, checked, taken = 128, [], []
+    line_images = regulator_module._line_images
+    bits, checked, taken, places = 128, [], [], {}
 
-    def checking_k(w, phase, rot, guard, hint, lead, lam, zeros2):
-        k = sided_k(w, phase, rot, guard, hint, lead, lam, zeros2)
-        ref = _sided_log_branch(w, phase, rot, guard, hint) - sum(
+    def recording_images(places2, places3, direction):
+        # a line read in doubles hands _sided_k the double images of its
+        # places s; the reference reads them at the working precision
+        images = line_images(places2, places3, direction)
+        if images is not None:
+            places[id(images[0])] = images[0], [
+                (n, a / direction if a != 0 else mp.mpc(0))
+                for n, a in places2]
+        return images
+
+    def checking_k(w, context, guard, hint, lead, lam, zeros2):
+        k = sided_k(w, context, guard, hint, lead, lam, zeros2)
+        _, zeros2 = places.get(id(zeros2), (None, zeros2))
+        ref = _sided_log_branch(w, context.phases[1],
+                                context.fine_rotation(2), guard, hint) - sum(
             n * mp.log(lam - s) for n, s in zeros2)
         checked.append((k, abs(k - ref) / (1 + abs(k) + 1 / abs(w))))
         return k
@@ -918,6 +932,7 @@ def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
 
     monkeypatch.setattr(regulator_module, "_sided_k", checking_k)
     monkeypatch.setattr(regulator_module, "_line", recording_line)
+    monkeypatch.setattr(regulator_module, "_line_images", recording_images)
     build, seed = _K_CYCLES[name]
     Z = build()
     with workprec(bits):
@@ -1066,10 +1081,100 @@ def test_a_second_regulator_call_builds_no_memo(name):
         first = [dict(m) for m in memos()]
         regulator(Z, precision_bits=128)
         second = memos()
-    assert list(first[0]) == [("facets", 128)]
+    assert list(first[0]) == [("face_proper", 128), ("facets", 128)]
     assert any(("chart_terms", 128) in m for m in first)
     assert [m.keys() for m in second] == [m.keys() for m in first]
     assert all(m[k] is f[k] for m, f in zip(second, first) for k in f)
+
+
+# (cycle, schedule seeds): Moebius paths with and without crossings, places
+# at 0 and coincident ones, and first coordinates composed with Moebius maps
+_BAND_CYCLES = {
+    "totaro": (lambda: load_fixture("z1_totaro"), (0,)),
+    "petras": (lambda: load_fixture("petras_zeta5"), (0,)),
+    "z_minus1": (lambda: load_fixture("z_minus1"), (0,)),
+    "mccarthy": (lambda: load_fixture("mccarthy_counterexample"), range(5)),
+    **{f"dilog_{n}_{k}": (functools.partial(dilog_cycle, n, k), (0,))
+       for n, k in ((5, 2), (7, 3), (12, 5))},
+    "dilog_pair_8_3": (lambda: dilog_pair(8, 3), (0,)),
+    "totaro_2t_plus_1_over_t_plus_3": (
+        lambda: _totaro_composed(1, "(2*t+1)/(t+3)"), (0,)),
+    "totaro_1_over_t": (lambda: _totaro_composed(1, "1/t"), (0,)),
+    "totaro_it_plus_2": (lambda: _totaro_composed(4, "i*t+2"), (0,)),
+}
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("name", sorted(_BAND_CYCLES))
+def test_double_image_sides_give_the_working_precision_balls(name, bits,
+                                                             monkeypatch):
+    # every side, half-plane and pair inversion of a line is read from
+    # double images unless it falls within the band, where the
+    # working-precision test takes it; with a band of oo that test takes
+    # every one, and every chord ball comes out bit-identical.  Without
+    # the band, every Moebius line without crossings of these cycles is
+    # read in doubles
+    regulator_module = importlib.import_module("chowreg.regulator")
+    quadrature = regulator_module.quadrature
+    line_images = regulator_module._line_images
+    build, seeds = _BAND_CYCLES[name]
+    Z = build()
+    with workprec(bits):
+        reports = [search_admissible(Z, 0.3, seed=seed, precision_bits=bits)
+                   for seed in seeds]
+
+    def chords():
+        balls, lines = [], {"plain": 0, "imaged": 0}
+
+        def recording(comp, path, xs, *args):
+            out = quadrature(comp, path, xs, *args)
+            balls.append([(seg, ball.value, ball.radius)
+                          for seg, _, _, ball in out])
+            lines["plain"] += not (xs or path.points)
+            return out
+
+        def counting_images(*args):
+            images = line_images(*args)
+            lines["imaged"] += images is not None
+            return images
+
+        monkeypatch.setattr(regulator_module, "quadrature", recording)
+        monkeypatch.setattr(regulator_module, "_line_images", counting_images)
+        with workprec(bits):
+            for rep in reports:
+                reg_n3(Z, rep, precision_bits=bits)
+        return balls, lines
+
+    balls, lines = chords()
+    assert lines["imaged"] == lines["plain"]
+    monkeypatch.setattr(regulator_module, "_BAND", math.inf)
+    forced, forced_lines = chords()
+    assert forced_lines["imaged"] == 0
+    assert balls and forced == balls
+
+
+def test_a_warm_petras_regulator_call_makes_each_rotation_once(monkeypatch):
+    # one context per schedule and precision makes the rotations
+    # e^{i eps_k}, the direction e^{i(pi - eps_1)} and i arg(direction):
+    # over the three schedules of a warm call, 12 mp.expj and 3 mp.arg
+    # calls, where each check, trace, crossing search and quadrature once
+    # made its own (36 and 18)
+    Z = load_fixture("petras_zeta5")
+    counts = {"expj": 0, "arg": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with workprec(128):
+        regulator(Z, precision_bits=128)
+        for name in counts:
+            monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
+        regulator(Z, precision_bits=128)
+    assert counts["expj"] <= 12
+    assert counts["arg"] <= 3
 
 
 def test_regulator_refuses_open_cycle(z_minus1):
@@ -1181,6 +1286,43 @@ def test_torsion_none_for_non_torsion():
                            schedule_used=None)
         tr = torsion_order(v, 200, 1e-9)
         assert tr.order is None
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_lattice_generator_is_the_mpc_power(p, bits):
+    # (2 pi)^p i^p is the value of the mpc power (2 pi i)^p, bit for bit,
+    # and the reduction it makes is the one that the power made
+    with workprec(bits):
+        gen = (2 * mp.pi * mp.mpc(0, 1)) ** p
+        assert _generator(p) == gen
+        assert (_generator(p).real, _generator(p).imag) == (gen.real,
+                                                          gen.imag)
+        for value in (mp.mpc(mp.pi ** 2 / 6), mp.mpc(0, 7), mp.mpc(-50, 40),
+                      mp.mpc(7 * mp.pi ** 2 / 30) + 3 * gen,
+                      mp.mpc(mp.mpf(1) / 3, -mp.mpf(2) / 7) - 2 * gen):
+            coeff = value.real / gen.real if p % 2 == 0 else (
+                value.imag / gen.imag)
+            k = int(mp.floor(coeff + mp.mpf("0.5")))
+            canon, got_k = _canonical_mod_lattice(value, p)
+            assert got_k == k
+            old = value - k * gen
+            assert (canon.real, canon.imag) == (old.real, old.imag)
+
+
+def test_results_read_at_their_own_precision(petras):
+    # a value carries its precision, and q_value and torsion_order work at
+    # it: outside workprec a 128-bit Petras value is still recognized at a
+    # tolerance far below 2^-53, as inside
+    with workprec(128):
+        v = regulator(petras, precision_bits=128)
+        inside = torsion_order(v, 200, 1e-20), v.q_value()
+    assert v.precision_bits == 128
+    outside = torsion_order(v, 200, 1e-20), v.q_value()
+    assert (outside[0].order, outside[0].certificate) == (120,
+                                                          Fraction(-7, 120))
+    assert outside[0] == inside[0]
+    assert outside[1] == inside[1]
 
 
 def test_canonical_lattice_representative():

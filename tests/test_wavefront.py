@@ -1427,3 +1427,62 @@ def test_a_warm_component_builds_no_entry_image(monkeypatch):
         entries = _off_cut_entries(comp, 128)
         assert [e[5] for e in entries] == [double_image(e[2])
                                           for e in entries]
+
+
+def test_a_failure_prints_its_witness_at_the_precision_of_the_check():
+    # the witness of McCarthy's triple point at equal phases 0.2 is printed
+    # from its 128-bit midpoint, not rounded again at the caller's 53 bits
+    # (which read ...250365 in place of ...249488)
+    Z = load_fixture("mccarthy_counterexample")
+    with workprec(128):
+        rep = admissible(Z, PhaseSchedule(1, (0.2, 0.2, 0.2)),
+                         precision_bits=128)
+        inside = [f.to_dict() for f in rep.failures]
+    assert [f.to_dict() for f in rep.failures] == inside
+    (triple,) = [f for f in inside if f["kind"] == "triple"]
+    assert triple["witness"]["re"] == "0.20271003550867249488"
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_the_coefficient_test_on_doubles_keeps_every_report(bits,
+                                                            monkeypatch):
+    # a Moebius path whose chart polynomial Q has no negative coefficient
+    # on double images is ruled out before _moebius_brackets; with a band
+    # of oo every path goes there, and every report and crossing is the
+    # same, on paths with and without crossings and at equal phases
+    import chowreg.wavefront as wf
+
+    off_the_cut = wf._off_the_cut
+    cycles = [load_fixture(name) for name in (
+        "z1_totaro", "petras_zeta5", "mccarthy_counterexample", "z_minus1",
+        "graph_4_2")] + list(parse_cycle_file(HIDDEN_CROSSING))
+
+    def reports():
+        out, ruled = [], []
+
+        def counting(*args):
+            ruled.append(off_the_cut(*args))
+            return ruled[-1]
+
+        monkeypatch.setattr(wf, "_off_the_cut", counting)
+        with workprec(bits):
+            for Z in cycles:
+                schedules = [make_schedule(mp.mpf(b), Z.n, mp.mpf(lam), bits)
+                             for b in ("0.3", "0.1")
+                             for lam in ("0.25", "0.5", "0.8")]
+                schedules += [PhaseSchedule(1, (mp.mpf(e),) * Z.n)
+                              for e in ("0.05", "0.2", "0.4")]
+                for s in schedules:
+                    rep = admissible(Z, s, precision_bits=bits)
+                    out.append((rep.to_dict(), {
+                        ci: [(c.sign, c.t.value, c.t.radius, c.sigma)
+                             for c in cs]
+                        for ci, cs in rep.crossings.items()}))
+        return out, ruled
+
+    plain, ruled = reports()
+    monkeypatch.setattr(wf, "_BAND", math.inf)
+    forced, forced_ruled = reports()
+    assert any(ruled) and not any(forced_ruled)
+    assert any(xs for _, crossings in plain for xs in crossings.values())
+    assert forced == plain
