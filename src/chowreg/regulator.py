@@ -54,9 +54,10 @@ where they enter the balls.  A decision whose quantity lies within 2^-40
 of its threshold, relative to its scale, is left to the working-precision
 comparison, so every decision is the one that comparison takes and every
 ball keeps its working-precision expression.  The integers are rounded
-from double-precision imaginary parts.  The rotations, the direction and
-i arg(direction) of a schedule come from its ``wavefront._Context``, made
-once.
+from double-precision imaginary parts.  The rotations and the direction
+of a schedule come from its ``wavefront._Context``, made once, and
+i arg(direction) and the rotation at _EXTRA_BITS above the working
+precision are kept on it.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ from .field import embed
 from .funcfield import INF, mpf_to_fraction
 from .numeric import ComplexApprox, double_image, kept, workprec
 from .special import BranchSpec, li2, log_eps
-from .wavefront import (_BAND, _EXTRA_BITS, AdmissibilityReport,
-                        PhaseSchedule, _chart, _Context, _coordinate_value_at,
+from .wavefront import (_BAND, AdmissibilityReport, PhaseSchedule, _chart,
+                        _Context, _coordinate_value_at, _phase_context,
                         _schedule_context, admissible, search_admissible)
 
 
@@ -127,7 +128,7 @@ def _canonical_mod_lattice(value, p):
     gen = _generator(p)
     coeff = value.real / gen.real if p % 2 == 0 else value.imag / gen.imag
     k = int(mp.floor(coeff + mp.mpf("0.5")))
-    return (value - k * gen if k else value), k
+    return value - k * gen, k
 
 
 def lattice_difference(a, b, p):
@@ -167,9 +168,10 @@ def reg_n1(Z, phase, precision_bits=None):
         )
 
 
-# the closed forms of the line integral run _EXTRA_BITS above the working
-# precision, along a polygon through every _POLYGON_STRIDE-th trace sample
-# of a traced branch
+# the closed forms of the line integral run this many bits above the
+# working precision, along a polygon through every _POLYGON_STRIDE-th
+# trace sample of a traced branch
+_EXTRA_BITS = 16
 _POLYGON_STRIDE = 40
 
 
@@ -178,6 +180,28 @@ def _constants(prec):
     """(2 pi i, pi^2 / 6) at ``prec`` bits, made once per precision."""
     with mp.workprec(prec):
         return 2 * mp.pi * mp.mpc(0, 1), mp.pi ** 2 / 6
+
+
+def _fine_rotation(context):
+    """e^{i eps_2} of ``context`` at _EXTRA_BITS above its precision, read
+    from the context of its phases there: made on first need, since only a
+    side that double images leave undecided reads it (``_sided_k``), and
+    kept on ``context``."""
+    return kept(context, "fine_rotation", lambda: _Context(
+        context.phases, context.precision_bits + _EXTRA_BITS).rotations[1][0])
+
+
+def _log_direction(context, direction):
+    """i arg(direction) at _EXTRA_BITS above the precision of ``context``,
+    where the closed form on a Moebius path reads it: kept on ``context``
+    when ``direction`` is the context's, the direction of a path traced at
+    its schedule."""
+    def build():
+        with mp.workprec(context.precision_bits + _EXTRA_BITS):
+            return mp.mpc(0, mp.arg(direction))
+    if direction == context.direction:
+        return kept(context, "log_direction", build)
+    return build()
 
 
 def _arg(z):
@@ -213,7 +237,7 @@ def _sided_k(w, context, guard, side_hint, lead, lam, zeros2):
     if w and abs(phi - float(limit)) > _BAND:
         above = phi > float(limit)
     else:
-        above = mp.arg(-w * context.fine_rotation(2)) > limit
+        above = mp.arg(-w * _fine_rotation(context)) > limit
     theta = math.pi - float(context.phases[1]) + phi - (
         2 * math.pi if above else 0.0)
     return _shifted(lead, theta - sum(n * _arg(lam - s) for n, s in zeros2))
@@ -569,9 +593,10 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     it skips none.  The radius is ``_line``'s, plus, at each vertex ball of
     a traced chord, the integrand times its radius.
 
-    ``context`` is the schedule's ``wavefront._Context`` at this precision,
-    whose second phase is ``eps2`` and whose direction is the path's; alone,
-    the function builds one from ``eps2`` and the path's direction.  On a
+    ``context`` is the ``wavefront._Context`` of the schedule at this
+    precision, whose second phase must be ``eps2`` (ChowregError if it is
+    not); alone, the function builds that of a schedule of phases eps2.
+    i arg(direction) is kept on it when the path's direction is its.  On a
     Moebius path without crossings the places, the pairs' inversions and
     the half-planes come from double images (``_line_images``), and the
     places are divided by the direction at the working precision only when
@@ -579,8 +604,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     the line."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    if context is None:
-        context = _Context((None, eps2), precision_bits, path.direction)
+    context = _phase_context(eps2, 2, precision_bits, context)
     f1, f2, f3 = comp.coords
     points = path.points
     # f_2 in t on a traced path, and in its chart w = f_1 on a Moebius one
@@ -615,7 +639,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
                 flags = None
             else:
                 zeros2, zeros3, flags = images
-            log_dir = context.log_direction()
+            log_dir = _log_direction(context, path.direction)
             pairs = _dilog_pairs(zeros2, zeros3, gaps, log_dir, flags)
             # the chart terms move with the direction by -i theta and a
             # multiple of 2 pi i: at r = 0, log(-rho) lies in the half-plane
@@ -805,13 +829,8 @@ def reg_n3(Z, schedule, precision_bits=None):
             entry["line_integral"] = line
             entry["crossing_sum"] = p_sum
             breakdown.append(entry)
-            if crossings:
-                total += comp.mult * (line.value - two_pi_i * p_sum.value)
-                total_err += abs(comp.mult) * (
-                    line.radius + float(2 * mp.pi) * p_sum.radius)
-            else:
-                total += comp.mult * line.value
-                total_err += abs(comp.mult) * line.radius
+            total += comp.mult * (line.value - two_pi_i * p_sum.value)
+            total_err += abs(comp.mult) * (line.radius + float(2 * mp.pi) * p_sum.radius)
         canon, k = _canonical_mod_lattice(total, 2)
         return RegulatorValue(
             p=2,

@@ -45,7 +45,7 @@ with the second cut, so the pipeline traces coordinate 1 only.  Admissibility
 is one rule: a value keeps an angular margin of CUT_MARGIN from its cut ray.
 It is decided on doubles, the value and the ray's rotation each scaled by a
 power of two (``numeric.double_image``), and at working precision only when
-the double's slack lies within 2^-44 of zero, relative to the value's size:
+the double's slack lies within 2^-40 of zero, relative to the value's size:
 a component keeps one record per value, its midpoint beside its image, and
 each schedule keeps one context per precision (``_Context``) with its
 rotations, their images and the direction of the first cut ray, which the
@@ -367,8 +367,8 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None,
     at a critical value on the ray near that radius.  ChowregError unless
     ``coord_index`` is a coordinate of the component, counted from 1.
     The direction e^(i(pi - phase)) is read from ``context``, the
-    ``_Context`` of a schedule whose first phase is ``phase``, when one is
-    given.
+    ``_Context`` of a schedule whose first phase is ``phase`` (ChowregError
+    if it is not), when one is given.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -378,7 +378,8 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None,
         raise ChowregError("cannot trace a constant coordinate")
     with workprec(precision_bits):
         ev = f.evaluator(precision_bits)
-        direction = (context or _Context((phase,), precision_bits)).direction
+        direction = _phase_context(phase, 1, precision_bits,
+                                   context).direction
         if f.degree_map == 1:
             return [TracedPath(coord_index, direction, ev)]
         sigmas = _trace_grid(mp.mp.prec)
@@ -421,58 +422,24 @@ def _rotation(phase):
     return mp.expj(mp.mpf(phase))
 
 
-# the closed forms of the line integral (``regulator.quadrature``) run this
-# many bits above the working precision
-_EXTRA_BITS = 16
-
-
 class _Context:
     """What every check and evaluation at one schedule and precision reads
-    of the phases, made once: per phase eps_k, ``rotations[k - 1]`` holds
-    e^{i eps_k} (``_rotation``) and its ``double_image``; ``direction`` is
-    e^{i(pi - eps_1)}, the direction of the first cut ray, unless one is
-    given; and ``log_direction()`` is i arg(direction).
-    ``_schedule_context`` keeps one on each schedule.  A public function
-    called without one builds its own from the phases it is given, the
-    others None: a phase of None has no rotation, and a first phase of None
-    no direction unless one is given.  Outside the command line, no other
-    code makes a rotation or a direction."""
+    of its phases, made once: per phase eps_k, ``rotations[k - 1]`` holds
+    e^{i eps_k} (``_rotation``) and its ``double_image``, and ``direction``
+    is e^{i(pi - eps_1)}, the direction of the first cut ray.
+    ``_schedule_context`` keeps one on each schedule, and a public function
+    called alone with one phase builds the context of a schedule of that
+    phase (``_phase_context``).  Outside the command line, no other code
+    makes a rotation or a direction.  ``_memo`` keeps what the evaluation
+    at the schedule makes of these once (``regulator``)."""
 
-    def __init__(self, phases, precision_bits, direction=None):
+    def __init__(self, phases, precision_bits):
         self.phases, self.precision_bits = tuple(phases), precision_bits
-        # "log_direction": ``log_direction``; ("fine_rotation", k):
-        # ``fine_rotation``
         self._memo = {}
         with workprec(precision_bits):
-            rotations = []
-            for phase in self.phases:
-                if phase is None:
-                    rotations.append(None)
-                else:
-                    rot = _rotation(phase)
-                    rotations.append((rot, double_image(rot)))
-            self.rotations = tuple(rotations)
-            if direction is None and self.phases[0] is not None:
-                direction = mp.expj(mp.pi - mp.mpf(self.phases[0]))
-            self.direction = direction
-
-    def log_direction(self):
-        """i arg(direction) at _EXTRA_BITS above the working precision,
-        where the closed form on a Moebius path reads it, made on first
-        need."""
-        def build():
-            with mp.workprec(self.precision_bits + _EXTRA_BITS):
-                return mp.mpc(0, mp.arg(self.direction))
-        return kept(self, "log_direction", build)
-
-    def fine_rotation(self, k):
-        """e^{i eps_k} at _EXTRA_BITS above the working precision, made on
-        first need: only a side that double images leave undecided reads it
-        (``regulator._sided_k``)."""
-        def build():
-            with mp.workprec(self.precision_bits + _EXTRA_BITS):
-                return _rotation(self.phases[k - 1])
-        return kept(self, ("fine_rotation", k), build)
+            self.rotations = tuple((rot, double_image(rot))
+                                   for rot in map(_rotation, self.phases))
+            self.direction = mp.expj(mp.pi - mp.mpf(self.phases[0]))
 
 
 def _schedule_context(schedule, precision_bits):
@@ -480,6 +447,22 @@ def _schedule_context(schedule, precision_bits):
     first need and kept on the schedule."""
     return kept(schedule, ("context", precision_bits),
                 lambda: _Context(schedule.phases, precision_bits))
+
+
+def _phase_context(phase, k, precision_bits, context=None):
+    """The ``_Context`` a function handed phase eps_k = ``phase`` reads at
+    ``precision_bits``: ``context`` when given, ChowregError unless its
+    phase eps_k is ``phase`` and its precision ``precision_bits``, else
+    that of the schedule whose first k phases are all ``phase``."""
+    if context is None:
+        return _Context((phase,) * k, precision_bits)
+    if (context.phases[k - 1] != phase
+            or context.precision_bits != precision_bits):
+        raise ChowregError(
+            f"the context has phase {k} {context.phases[k - 1]} at "
+            f"{context.precision_bits} bits, not {phase} at "
+            f"{precision_bits}")
+    return context
 
 
 def _chart(comp, i, k):
@@ -514,8 +497,9 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     its sign is -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero
     orientation of the host path.  ChowregError unless j is a coordinate
     of the component other than every host path's own.  The rotation
-    e^{i phase_j} is read from ``context``, the ``_Context`` of the
-    schedule, when one is given.
+    e^{i phase_j} is read from ``context``, the ``_Context`` of a schedule
+    whose phase j is ``phase_j`` (ChowregError if it is not), when one is
+    given.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -528,10 +512,8 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         return out
     with workprec(precision_bits):
         f_j_ev = component.coords[j - 1].evaluator(precision_bits)
-        if context is None:
-            context = _Context((None,) * (j - 1) + (phase_j,),
-                               precision_bits)
-        rot_j, rot_image = context.rotations[j - 1]
+        rot_j, rot_image = _phase_context(phase_j, j, precision_bits,
+                                          context).rotations[j - 1]
         for path in paths_i:
             if path.points:
                 pq, brackets = None, _sample_brackets(path, f_j_ev, rot_j)
@@ -592,23 +574,35 @@ def _off_the_cut(chart_ev, direction, rot_image):
     True only when every q_k is above 2^-40 of its scale or a sum of exact
     zeros, so that the working-precision test holds too.  False, also for
     a coefficient of size outside 2^+-500, leaves the test to
-    ``_moebius_brackets``."""
-    d, a, b = complex(direction), [], []
-    for cs, images in ((chart_ev.nc, a), (chart_ev.dc, b)):
+    ``_moebius_brackets``.  No schedule moves the coefficients' images, so
+    they are made once per precision and kept on the chart."""
+
+    def build():
+        images = tuple([complex(c) for c in cs]
+                       for cs in (chart_ev.nc, chart_ev.dc))
+        inside = all(2.0 ** -500 < abs(z) < 2.0 ** 500 or c == 0
+                     for cs, zs in zip((chart_ev.nc, chart_ev.dc), images)
+                     for c, z in zip(cs, zs))
+        return images if inside else None
+
+    images = kept(chart_ev.rf, ("coefficient_images", chart_ev.precision_bits),
+                  build)
+    if images is None:
+        return False
+    d, (a, b) = complex(direction), ([], [])
+    for zs, out in zip(images, (a, b)):
         w = 1
-        for c in cs:
-            z = complex(c)
-            if not (2.0 ** -500 < abs(z) < 2.0 ** 500 or c == 0):
-                return False
-            images.append(z * w)
+        for z in zs:
+            out.append(z * w)
             w *= d
+    scale = _BAND * abs(rot_image)
     for k in range(len(a) + len(b) - 1):
         q, size = 0j, 0.0
         for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
             term = a[i] * b[k - i].conjugate()
             q += term
             size += abs(term)
-        if size and (rot_image * q).real <= _BAND * abs(rot_image) * size:
+        if size and (rot_image * q).real <= scale * size:
             return False
     return True
 
@@ -920,14 +914,14 @@ def _near_cut(value, rot, image, rot_image):
     ``image`` and ``rot_image`` are the ``double_image``s of value and rot,
     and w = -image rot_image is -rot value scaled by a power of two, to a
     few units of 2^-53 |w|.  The sector test on w decides when its slack
-    tan(CUT_MARGIN) Re w - |Im w| lies outside 2^-44 |w| of zero, a band far
+    tan(CUT_MARGIN) Re w - |Im w| lies outside _BAND |w| of zero, a band far
     wider than that error and than the working-precision rounding of
     -rot value; inside the band ``_in_sector`` decides at the working
     precision.  So the verdict is the one of ``_in_sector`` at every input
     and precision."""
     w = -image * rot_image
     slack = _TAN_CUT_MARGIN * w.real - abs(w.imag)
-    if abs(slack) > 2.0 ** -44 * abs(w):
+    if abs(slack) > _BAND * abs(w):
         return slack > 0
     return _in_sector(value, rot)
 

@@ -921,7 +921,8 @@ def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
         k = sided_k(w, context, guard, hint, lead, lam, zeros2)
         _, zeros2 = places.get(id(zeros2), (None, zeros2))
         ref = _sided_log_branch(w, context.phases[1],
-                                context.fine_rotation(2), guard, hint) - sum(
+                                regulator_module._fine_rotation(context),
+                                guard, hint) - sum(
             n * mp.log(lam - s) for n, s in zeros2)
         checked.append((k, abs(k - ref) / (1 + abs(k) + 1 / abs(w))))
         return k
@@ -1151,6 +1152,30 @@ def test_double_image_sides_give_the_working_precision_balls(name, bits,
     forced, forced_lines = chords()
     assert forced_lines["imaged"] == 0
     assert balls and forced == balls
+
+
+def test_quadrature_refuses_the_context_of_another_schedule(petras):
+    # quadrature reads the second rotation from the context it is handed,
+    # so that context's second phase must be eps2 and its precision the
+    # quadrature's; the context of the schedule's own phases gives the
+    # chords that quadrature builds alone
+    regulator_module = importlib.import_module("chowreg.regulator")
+    wavefront_module = importlib.import_module("chowreg.wavefront")
+    with workprec(128):
+        rep = search_admissible(petras, 0.3, precision_bits=128)
+        comp, (path,) = petras.components[0], rep.paths[0]
+        eps2 = rep.schedule.phases[1]
+        context = wavefront_module._schedule_context(rep.schedule, 128)
+        alone = regulator_module.quadrature(comp, path, [], eps2, 128)
+        given = regulator_module.quadrature(comp, path, [], eps2, 128,
+                                            context)
+        assert [(b.value, b.radius) for *_, b in given] == [
+            (b.value, b.radius) for *_, b in alone]
+        with pytest.raises(ChowregError, match="phase 2"):
+            regulator_module.quadrature(comp, path, [], eps2 / 2, 128,
+                                        context)
+        with pytest.raises(ChowregError, match="at 128 bits"):
+            regulator_module.quadrature(comp, path, [], eps2, 256, context)
 
 
 def test_a_warm_petras_regulator_call_makes_each_rotation_once(monkeypatch):

@@ -37,6 +37,7 @@ from chowreg.wavefront import (
     _off_cut_entries,
     _on_cut_margin,
     _rotation,
+    _schedule_context,
     _sign_variations,
     search_admissible,
 )
@@ -512,6 +513,32 @@ def test_pair_intersections_z1_empty(z1):
         hits = find_pair_intersections(z1.components[0], paths, 2, s.phases[1],
                                        precision_bits=128)
         assert hits == []
+
+
+def test_a_context_of_another_schedule_is_refused(z1):
+    # handed a schedule's context, the trace reads its direction and the
+    # crossing search its rotation, so the phase each is handed must be the
+    # context's, at the context's precision; its own schedule's phases pass
+    comp = z1.components[0]
+    with workprec(128):
+        s = make_schedule(0.3, 3, 0.5)
+        other = make_schedule(0.1, 3, 0.5)
+        context = _schedule_context(s, 128)
+        paths = trace_wavefront(comp, 1, s.phases[0], precision_bits=128,
+                                context=context)
+        assert paths[0].direction is context.direction
+        assert find_pair_intersections(comp, paths, 2, s.phases[1],
+                                       precision_bits=128,
+                                       context=context) == []
+        with pytest.raises(ChowregError, match="phase 1"):
+            trace_wavefront(comp, 1, other.phases[0], precision_bits=128,
+                            context=context)
+        with pytest.raises(ChowregError, match="phase 2"):
+            find_pair_intersections(comp, paths, 2, other.phases[1],
+                                    precision_bits=128, context=context)
+        with pytest.raises(ChowregError, match="at 128 bits"):
+            trace_wavefront(comp, 1, s.phases[0], precision_bits=256,
+                            context=context)
 
 
 @pytest.mark.parametrize("index", [0, -1, 4, 1.5, True])
