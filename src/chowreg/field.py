@@ -56,7 +56,7 @@ def _poly_divmod_int(num, den):
     return q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(n):
     """Integer coefficients of Phi_n, ascending, computed by recursive division."""
     if n < 1:

@@ -57,7 +57,10 @@ ball keeps its working-precision expression.  The integers are rounded
 from double-precision imaginary parts.  The rotations and the direction
 of a schedule come from its ``wavefront._Context``, made once, and
 i arg(direction) and the rotation at _EXTRA_BITS above the working
-precision are kept on it.
+precision are kept on it.  ``make_schedule`` builds each schedule of the
+search's ladder once per process, so a warm evaluation makes no rotation,
+direction or phase; 2 pi i, (2 pi i)^2 and pi^2 / 6 are made once per
+precision (``_constants``).
 """
 
 from __future__ import annotations
@@ -117,17 +120,20 @@ class TorsionResult:
 
 
 def _generator(p):
-    """(2 pi i)^p at the working precision, as (2 pi)^p i^p: one real power,
-    the value that the mpc power gives for p = 1 and 2."""
-    power = (2 * mp.pi) ** p * (-1) ** (p // 2)
-    return mp.mpc(power, 0) if p % 2 == 0 else mp.mpc(0, power)
+    """(2 pi i)^p for p = 1 or 2 at the working precision, as (2 pi)^p i^p:
+    one real power, the value that the mpc power gives, read from
+    ``_constants``."""
+    if p not in (1, 2):
+        raise ChowregError(
+            f"the lattice (2 pi i)^p needs p = 1 or 2, got {p!r}")
+    return _constants(mp.mp.prec)[p - 1]
 
 
 def _canonical_mod_lattice(value, p):
     """Shift by the lattice so the generator coefficient lies in [-1/2, 1/2)."""
     gen = _generator(p)
     coeff = value.real / gen.real if p % 2 == 0 else value.imag / gen.imag
-    k = int(mp.floor(coeff + mp.mpf("0.5")))
+    k = int(mp.floor(coeff + 0.5))
     return value - k * gen, k
 
 
@@ -175,11 +181,16 @@ _EXTRA_BITS = 16
 _POLYGON_STRIDE = 40
 
 
-@functools.lru_cache(maxsize=4)
+# a process that evaluates at a handful of precisions reads each at its
+# working precision and at _EXTRA_BITS above it: a precision sweep of five
+# reads ten
+@functools.lru_cache(maxsize=32)
 def _constants(prec):
-    """(2 pi i, pi^2 / 6) at ``prec`` bits, made once per precision."""
+    """(2 pi i, (2 pi i)^2, pi^2 / 6) at ``prec`` bits, made once per
+    precision; each power of 2 pi i is (2 pi)^p i^p, one real power."""
     with mp.workprec(prec):
-        return 2 * mp.pi * mp.mpc(0, 1), mp.pi ** 2 / 6
+        two_pi = 2 * mp.pi
+        return (mp.mpc(0, two_pi), mp.mpc(-two_pi ** 2, 0), mp.pi ** 2 / 6)
 
 
 def _fine_rotation(context):
@@ -337,7 +348,7 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0, flags=None):
     places; else they are decided here, on mpc places at the working
     precision.
     """
-    two_pi_i = _constants(mp.mp.prec)[0]
+    two_pi_i = _generator(1)
     pairs = []
     for j, (m, rho) in enumerate(zeros3):
         for n, s in zeros2:
@@ -517,7 +528,7 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
                          else 0.0 if delta.real < 0
                          else -math.pi if zeros3[j][1].imag < 0 else math.pi)
             d += c
-            term = coeff * (_constants(mp.mp.prec)[1] + c ** 2 / 2)
+            term = coeff * (_constants(mp.mp.prec)[2] + c ** 2 / 2)
             h += term
             size += abs(complex(term))
         slope += coeff * d
@@ -795,7 +806,7 @@ def reg_n3(Z, schedule, precision_bits=None):
     _, eps2, eps3 = rep.schedule.phases
     context = _schedule_context(rep.schedule, precision_bits)
     with workprec(precision_bits):
-        two_pi_i = _constants(mp.mp.prec)[0]
+        two_pi_i = _generator(1)
         total = mp.mpc(0)
         total_err = 0.0
         breakdown = []

@@ -94,7 +94,9 @@ def _terms(log2_y, wp):
     return math.ceil((wp + 4) / -log2_y) + 1
 
 
-@functools.cache
+# the tables below are made once per working precision, of which a process
+# uses a few
+@functools.lru_cache(maxsize=32)
 def _inverse_squares(wp):
     """1/(j+1)^2, j = 0, 1, ..., floored to wp-bit fixed point: the power
     series coefficients, enough of them for |y| <= 1/2."""
@@ -103,7 +105,7 @@ def _inverse_squares(wp):
                  for k in range(1, _terms(math.log2(0.5001), wp) + 1))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def _bernoulli_coefficients(wp):
     """c_j = B_2j (2 pi)^(2j+1) / (2j+1)!, j = 0, 1, ..., floored to wp-bit
     fixed point, enough of them for |v| <= 0.4.  Normalized so that
@@ -117,7 +119,7 @@ def _bernoulli_coefficients(wp):
             for j in range(_terms(2 * math.log2(0.4), wp)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def _pi2_6(prec):
     with mp.workprec(prec):
         return mp.pi ** 2 / 6

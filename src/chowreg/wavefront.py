@@ -49,8 +49,10 @@ the double's slack lies within 2^-40 of zero, relative to the value's size:
 a component keeps one record per value, its midpoint beside its image, and
 each schedule keeps one context per precision (``_Context``) with its
 rotations, their images and the direction of the first cut ray, which the
-check and the evaluation at that schedule read.  The rule is applied
-to every critical value of f_i (f_i at the roots of the Wronskian
+check and the evaluation at that schedule read.  A schedule depends only on
+its bound, n, lambda and precision, so ``make_schedule`` builds each one of
+the search's ladder once per process, and its contexts with it.  The rule
+is applied to every critical value of f_i (f_i at the roots of the Wronskian
 num' den - num den', factors shared with num den removed exactly, plus
 f_i(oo) when the degrees agree), since a locus is a smooth union of
 branches exactly when none lies on its ray, and to the few other values
@@ -98,7 +100,9 @@ class PhaseSchedule:
 
     eps_bound: object
     phases: tuple
-    # ("context", bits): the schedule's ``_Context`` at that precision
+    # ("context", bits): the schedule's ``_Context`` at that precision; a
+    # schedule of ``make_schedule`` is shared by every caller in the process,
+    # so what is kept here depends on the phases and precision alone
     _memo: dict = dataclass_field(default_factory=dict, init=False,
                                   repr=False, compare=False)
 
@@ -143,11 +147,24 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
     fails at once with ScheduleError rather than spend seconds on a phase
     that no evaluation can use.  ``regulator``'s own search goes
     no deeper than 1/eps_2 of about 2^1004.
+
+    ``eps_bound`` and ``lam`` are read at the caller's precision and the
+    schedule is built at ``precision_bits`` (the caller's when None).  A
+    schedule depends on nothing else, so each is built once per process
+    (``_built_schedule``) and equal arguments return the same object,
+    with the contexts kept on it; a refused one raises on every call.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    eps_bound = mp.mpf(eps_bound)
-    lam = mp.mpf(lam)
+    return _built_schedule(mp.mpf(eps_bound), n, mp.mpf(lam), precision_bits)
+
+
+# the search's ladder is a few dozen schedules per precision; a bounded
+# table keeps every one an evaluation at a few precisions reads
+@functools.lru_cache(maxsize=128)
+def _built_schedule(eps_bound, n, lam, precision_bits):
+    """``make_schedule``'s schedule of the mpf ``eps_bound`` and ``lam``
+    at ``precision_bits``."""
     if not (0 < lam < 1):
         raise ChowregError("lambda must lie in (0, 1)")
     if not 0 < eps_bound < mp.inf or n < 1:
@@ -425,20 +442,25 @@ def _rotation(phase):
 class _Context:
     """What every check and evaluation at one schedule and precision reads
     of its phases, made once: per phase eps_k, ``rotations[k - 1]`` holds
-    e^{i eps_k} (``_rotation``) and its ``double_image``, and ``direction``
-    is e^{i(pi - eps_1)}, the direction of the first cut ray.
-    ``_schedule_context`` keeps one on each schedule, and a public function
-    called alone with one phase builds the context of a schedule of that
-    phase (``_phase_context``).  Outside the command line, no other code
-    makes a rotation or a direction.  ``_memo`` keeps what the evaluation
-    at the schedule makes of these once (``regulator``)."""
+    e^{i eps_k} (``_rotation``) and its ``double_image``, one made per
+    distinct phase, and ``direction`` is e^{i(pi - eps_1)}, the direction
+    of the first cut ray.  ``_schedule_context`` keeps one on each
+    schedule, which ``make_schedule`` builds once per process, and a
+    public function called alone with one phase builds the context of a
+    schedule of that phase (``_phase_context``).  Outside the command
+    line, no other code makes a rotation or a direction.  ``_memo`` keeps
+    what the evaluation at the schedule makes of these once
+    (``regulator``)."""
 
     def __init__(self, phases, precision_bits):
         self.phases, self.precision_bits = tuple(phases), precision_bits
         self._memo = {}
         with workprec(precision_bits):
-            self.rotations = tuple((rot, double_image(rot))
-                                   for rot in map(_rotation, self.phases))
+            made = dict.fromkeys(self.phases)
+            for phase in made:
+                rot = _rotation(phase)
+                made[phase] = rot, double_image(rot)
+            self.rotations = tuple(made[phase] for phase in self.phases)
             self.direction = mp.expj(mp.pi - mp.mpf(self.phases[0]))
 
 

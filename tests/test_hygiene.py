@@ -170,6 +170,50 @@ def test_a_module_level_cache_is_caught():
         "_BY_KEY", "_IMAGES", "_IMAGES", "_IMAGES", "_LOG", "_SEEN"]
 
 
+def _unbounded_caches(tree):
+    """(line, name) for each function decorated with ``lru_cache`` that
+    does not set an integer ``maxsize``, first positional or by keyword,
+    and for each decorated with ``functools.cache``, which sets none."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name not in ("lru_cache", "cache"):
+                continue
+            sizes = ([kw.value for kw in call.keywords
+                      if kw.arg == "maxsize"] + call.args[:1]) if call else []
+            if name == "cache" or not any(
+                    isinstance(size, ast.Constant) and type(size.value) is int
+                    for size in sizes):
+                yield dec.lineno, fn.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    # a module-level cache lives as long as the process: it keeps at most
+    # a stated number of entries, never one per argument ever seen
+    assert list(_unbounded_caches(_tree(path))) == []
+
+
+def test_an_unbounded_cache_is_caught():
+    tree = ast.parse(
+        "import functools\nfrom functools import lru_cache, cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(x):\n    return x\n"
+        "@lru_cache\ndef b(x):\n    return x\n"
+        "@lru_cache()\ndef c(x):\n    return x\n"
+        "@functools.cache\ndef d(x):\n    return x\n"
+        "@cache\ndef e(x):\n    return x\n"
+        "@lru_cache(None)\ndef f(x):\n    return x\n"
+        "@functools.lru_cache(maxsize=32)\ndef fine(x):\n    return x\n"
+        "@lru_cache(8)\ndef fine_too(x):\n    return x\n")
+    assert [name for _, name in _unbounded_caches(tree)] == [
+        "a", "b", "c", "d", "e", "f"]
+
+
 def _is_memo(node):
     return isinstance(node, ast.Attribute) and node.attr == "_memo"
 

@@ -36,9 +36,11 @@ from chowreg import (
 from chowreg.regulator import (
     RegulatorValue,
     _canonical_mod_lattice,
+    _constants,
     _generator,
     lattice_difference,
 )
+from chowreg.wavefront import _built_schedule
 from chowreg.field import embed
 from chowreg.fixtures import dilog_cycle, dilog_pair
 from chowreg.funcfield import INF, RFEvaluator
@@ -1178,14 +1180,11 @@ def test_quadrature_refuses_the_context_of_another_schedule(petras):
             regulator_module.quadrature(comp, path, [], eps2, 256, context)
 
 
-def test_a_warm_petras_regulator_call_makes_each_rotation_once(monkeypatch):
-    # one context per schedule and precision makes the rotations
-    # e^{i eps_k}, the direction e^{i(pi - eps_1)} and i arg(direction):
-    # over the three schedules of a warm call, 12 mp.expj and 3 mp.arg
-    # calls, where each check, trace, crossing search and quadrature once
-    # made its own (36 and 18)
-    Z = load_fixture("petras_zeta5")
-    counts = {"expj": 0, "arg": 0}
+def _warm_call_counts(name, bits, monkeypatch):
+    """The mp.expj, mp.arg and mp.exp calls of a warm ``regulator`` call
+    on the fixture ``name`` at ``bits``."""
+    Z = load_fixture(name)
+    counts = {"expj": 0, "arg": 0, "exp": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -1193,13 +1192,70 @@ def test_a_warm_petras_regulator_call_makes_each_rotation_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    with workprec(128):
-        regulator(Z, precision_bits=128)
+    with workprec(bits):
+        regulator(Z, precision_bits=bits)
         for name in counts:
             monkeypatch.setattr(mp, name, counting(name, getattr(mp, name)))
-        regulator(Z, precision_bits=128)
-    assert counts["expj"] <= 12
-    assert counts["arg"] <= 3
+        regulator(Z, precision_bits=bits)
+    return counts
+
+
+def test_a_warm_petras_regulator_call_makes_each_rotation_once(monkeypatch):
+    # each schedule of the search's ladder is built once per process, and
+    # its context makes the rotations e^{i eps_k}, the direction
+    # e^{i(pi - eps_1)} and i arg(direction) once per precision: a warm
+    # call makes none of them, nor a phase exp(-1/eps_k)
+    assert _warm_call_counts("petras_zeta5", 128, monkeypatch) == {
+        "expj": 0, "arg": 0, "exp": 0}
+
+
+def test_a_warm_totaro_regulator_call_makes_no_rotation(monkeypatch):
+    assert _warm_call_counts("z1_totaro", 256, monkeypatch) == {
+        "expj": 0, "arg": 0, "exp": 0}
+
+
+def test_a_regulator_call_reads_the_same_with_its_schedules_kept(z1):
+    # emptied, the table of schedules is built again by the next call: its
+    # value, radius, agreement and schedule are those of a warm call, bit
+    # for bit, and the call after it reads the schedule it kept
+    def call():
+        with workprec(128):
+            return regulator(z1, precision_bits=128)
+
+    warm = call()
+    _built_schedule.cache_clear()
+    cold = call()
+    again = call()
+    assert cold.schedule_used is not warm.schedule_used
+    assert again.schedule_used is cold.schedule_used
+    for v in (warm, again):
+        assert (v.value.value, v.value.radius) == (cold.value.value,
+                                                   cold.value.radius)
+        assert v.agreement == cold.agreement
+        assert v.schedule_used == cold.schedule_used
+        assert v.schedule_used.describe() == cold.schedule_used.describe()
+
+
+def test_a_precision_sweep_keeps_its_constants(z1):
+    # a sweep reads its constants at five working precisions and at
+    # _EXTRA_BITS above each: once two cycles have run, a third makes none
+    def sweep():
+        for bits in (53, 64, 80, 96, 128):
+            with workprec(bits):
+                regulator(z1, precision_bits=bits)
+
+    sweep()
+    sweep()
+    misses = _constants.cache_info().misses
+    sweep()
+    assert _constants.cache_info().misses == misses
+
+
+def test_the_lattice_generator_is_refused_beyond_weight_two():
+    with workprec(128):
+        for p in (0, 3):
+            with pytest.raises(ChowregError, match="p = 1 or 2"):
+                _generator(p)
 
 
 def test_regulator_refuses_open_cycle(z_minus1):

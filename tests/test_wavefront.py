@@ -34,6 +34,7 @@ from chowreg.wavefront import (
     SIGMA_SPAN_DEFAULT,
     TRACE_GRID_DEFAULT,
     _binary_ints,
+    _built_schedule,
     _off_cut_entries,
     _on_cut_margin,
     _rotation,
@@ -1215,6 +1216,96 @@ def test_every_schedule_the_regulator_tries_is_built():
                     assert mp.log(1 / s.phases[1], 2) < 1010
 
 
+# the lambda ladder of search_admissible's first ten attempts
+_SEARCH_LAMS = (0.5, 0.35, 0.65, 0.8, 0.25, 0.45, 0.7, 0.3, 0.55, 0.6)
+
+
+def _search_ladder(bits):
+    """(bound, lambda) of every schedule of the ladder that regulator()'s
+    three searches walk at ``bits``: the bounds 0.3, 0.1 and 0.1/3, each
+    shrunk by 0.6 after every third attempt, as the search makes them."""
+    ladder = []
+    with workprec(bits):
+        bound = mp.mpf(0.3)
+        for _ in range(3):
+            eps = bound
+            for k, lam in enumerate(_SEARCH_LAMS):
+                ladder.append((eps, lam))
+                if (k + 1) % 3 == 0:
+                    eps = eps * mp.mpf("0.6")
+            bound = bound / 3
+    return ladder
+
+
+def test_equal_schedule_arguments_return_one_schedule():
+    # a schedule depends only on its bound, n, lambda and precision, so
+    # arguments equal once read at the caller's precision share one
+    # schedule, and with it the contexts kept on it
+    with workprec(128):
+        s = make_schedule(0.3, 3, 0.5)
+        assert make_schedule(mp.mpf(0.3), 3, mp.mpf("0.5"), 128) is s
+        assert make_schedule(0.3, 3, 0.5, precision_bits=256) is not s
+        assert make_schedule(0.3, 2, 0.5) is not s
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 1024])
+def test_a_kept_schedule_is_the_schedule_built_afresh(bits):
+    # every schedule of the search's ladder, kept, has the phases, bound
+    # and description of the one built again once the table is emptied
+    for n in (1, 2, 3):
+        for bound, lam in _search_ladder(bits):
+            with workprec(bits):
+                kept = make_schedule(bound, n, lam, bits)
+                assert make_schedule(bound, n, lam, bits) is kept
+                _built_schedule.cache_clear()
+                fresh = make_schedule(bound, n, lam, bits)
+            assert fresh is not kept
+            assert ([p._mpf_ for p in fresh.phases]
+                    == [p._mpf_ for p in kept.phases])
+            assert fresh.eps_bound._mpf_ == kept.eps_bound._mpf_
+            assert fresh.describe() == kept.describe()
+
+
+def test_a_string_bound_is_read_at_the_caller_precision():
+    # "0.3" read at 53 bits and at 256 bits are two bounds, so two
+    # schedules, though both are built at 128 bits
+    _built_schedule.cache_clear()
+    with workprec(53):
+        low = make_schedule("0.3", 3, 0.5, 128)
+    with workprec(256):
+        high = make_schedule("0.3", 3, 0.5, 128)
+    assert low is not high
+    assert low.eps_bound != high.eps_bound
+    assert _built_schedule.cache_info().currsize == 2
+
+
+def test_a_refused_schedule_is_refused_on_every_call():
+    # an exception is never kept: each call raises it again
+    with workprec(256):
+        size = _built_schedule.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ScheduleError, match="underflow"):
+                make_schedule(2, 4, 0.05)
+            with pytest.raises(ChowregError, match="lambda"):
+                make_schedule(0.3, 3, 1)
+        assert _built_schedule.cache_info().currsize == size
+
+
+def test_an_equal_phase_check_makes_one_rotation(mccarthy, monkeypatch):
+    # the context of (eps, eps, eps) makes e^{i eps} once for its three
+    # phases, and the direction e^{i(pi - eps)}: two mp.expj calls
+    calls = []
+    expj = mp.expj
+    monkeypatch.setattr(mp, "expj", lambda z: calls.append(z) or expj(z))
+    with workprec(128):
+        eps = mp.mpf("0.2")
+        schedule = PhaseSchedule(1, (eps, eps, eps))
+        admissible(mccarthy, schedule, precision_bits=128)
+        rotations = _schedule_context(schedule, 128).rotations
+    assert len(calls) == 2
+    assert rotations[0] is rotations[1] is rotations[2]
+
+
 ALONG_THE_CUT = ["t ; 2*t ; (t-2)/(t+3)",
                  "(t-1)/(t+2) ; 3*(t-1)/(t+2) ; (t-5)/(t+3)"]
 
@@ -1429,7 +1520,8 @@ def test_a_seeded_crossing_stays_within_its_radius(mccarthy, bits):
 def test_a_warm_component_builds_no_entry_image(monkeypatch):
     # the double images of a component's off-cut values are built with
     # them, once per precision; a later admissible call builds only the
-    # images of its rotations and of the values at its crossings
+    # image of its one rotation, made once for its three equal phases,
+    # and those of the values at its crossings
     import chowreg.wavefront as wf
 
     images = []
@@ -1449,7 +1541,7 @@ def test_a_warm_component_builds_no_entry_image(monkeypatch):
             rep = admissible(Z, PhaseSchedule(1, (mp.mpf(e),) * 3),
                              precision_bits=128)
             assert not rep.ok
-            counts.append(len(images) - 3 - len(rep.crossings[0]))
+            counts.append(len(images) - 1 - len(rep.crossings[0]))
         assert counts == [len(_off_cut_entries(comp, 128)), 0, 0]
         entries = _off_cut_entries(comp, 128)
         assert [e[5] for e in entries] == [double_image(e[2])
