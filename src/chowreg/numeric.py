@@ -46,7 +46,7 @@ def kept(obj, key, build):
 
 def ulp_radius(z):
     """Upper bound on the rounding error of one arithmetic op on z."""
-    m = abs(mp.mpc(z))
+    m = abs(z if type(z) is mp.mpc else mp.mpc(z))
     return (float(m) + 1e-300) * 2.0 ** (2 - mp.mp.prec)
 
 
@@ -83,7 +83,8 @@ class ComplexApprox:
     __slots__ = ("value", "radius")
 
     def __init__(self, value, radius=0.0):
-        self.value = mp.mpc(value)
+        # an mpc is kept as it is: mp.mpc copies it without rounding
+        self.value = value if type(value) is mp.mpc else mp.mpc(value)
         if radius < 0 or math.isnan(radius):
             raise ValueError(f"invalid error radius {radius}")
         self.radius = float(radius)

@@ -38,29 +38,45 @@ are s = a / direction and rho = b / direction, so log(-rho), log(rho - s)
 and the dilogarithms at r = 0, Li2(b / (b - a)) or Li2((b - a) / b), move
 with the schedule only by i theta, theta = arg(direction), and a multiple
 of 2 pi i.  They are computed once per component and precision, in the
-chart (``_chart_terms``), and each schedule adds -i theta and the
-multiple, which the half-plane of the log's argument fixes: the sign of
-Im rho at r = 0, that of Im delta for c = log(-1/delta) at r = oo.  The K
-of a stretch is log c + N log(scale) + 2 pi i m for f_2 = c scale^N
-prod (lambda - s)^n on its line, the scale the direction or a traced
-chord's vector, with the integer m from the side of the cut on which the
-branch of log f_2 lies.  That side is read from the double images of
-w = f_2 and of the second rotation (``_sided_k``).  On a Moebius line
-without crossings, so are the inversions of the pairs and the half-planes
-at r = 0 and r = oo, from the chart places times conj(direction) as Python
-complex numbers (``_line_images``); the places are divided by the
-direction at the working precision only on a line with crossing stops,
-where they enter the balls.  A decision whose quantity lies within 2^-40
-of its threshold, relative to its scale, is left to the working-precision
-comparison, so every decision is the one that comparison takes and every
-ball keeps its working-precision expression.  The integers are rounded
-from double-precision imaginary parts.  The rotations and the direction
-of a schedule come from its ``wavefront._Context``, made once, and
-i arg(direction) and the rotation at _EXTRA_BITS above the working
-precision are kept on it.  ``make_schedule`` builds each schedule of the
-search's ladder once per process, so a warm evaluation makes no rotation,
-direction or phase; 2 pi i, (2 pi i)^2 and pi^2 / 6 are made once per
-precision (``_constants``).
+chart, and each schedule adds -i theta and the multiple, which the
+half-plane of the log's argument fixes: the sign of Im rho at r = 0, that
+of Im delta for c = log(-1/delta) at r = oo.  The same per-component
+line plan (``_ChartTerms``, kept by ``_chart_terms``) holds everything
+else of the line that no schedule moves: the places a and b, their
+Python complex images, which of them are 0 (a rho = 0 is an end that
+drops its pairs), and which pairs have s = rho.  The K of a stretch is
+log c + N log(scale) + 2 pi i m for f_2 = c scale^N prod (lambda - s)^n
+on its line, the scale the direction or a traced chord's vector, with
+the integer m from the side of the cut on which the branch of log f_2
+lies (``_sided_k``).
+
+On a Moebius line without crossings every decision is read in doubles:
+the inversions of the pairs and the half-planes at r = 0 and r = oo, from
+the images times conj(direction) (``_line_images``); the side that fixes
+K, from f_2 evaluated in its chart at the direction by Horner's rule on
+the chart's coefficient images, with a running error bound
+(``_chart_image``); and the guards that refuse a diverging end, from the
+double image of the slope of log lambda or of log f_2 (``_diverges``).
+The places are divided by the direction at the working precision only on
+a line with crossing stops, where they enter the balls, and f_2 is
+evaluated at the working precision only there, on traced chords, or
+where the doubles leave its side open.  A decision whose quantity lies
+within 2^-40 of its threshold, relative to its scale (plus the Horner
+bound for K's side), is left to the working-precision comparison, so
+every decision is the one that comparison takes and every ball keeps its
+working-precision expression.  The integers are rounded from
+double-precision imaginary parts.  A term that vanishes identically (the
+crossing term of a component without crossings, G at r = oo, a log of 1)
+is carried as the integer 0, and no product by a multiplicity of 1 or sum
+with such a 0 is made (``_plus``, ``_minus``, ``_times``): at the
+working precision each would give its operand bit for bit.  The rotations
+and the direction of a schedule come from its ``wavefront._Context``,
+made once, and i arg(direction), the direction's image and the rotation
+at _EXTRA_BITS above the working precision are kept on it.
+``make_schedule`` builds each schedule of the search's ladder once per
+process, so a warm evaluation makes no rotation, direction or phase;
+2 pi i and (2 pi i)^2 are made once per precision (``_constants``), and
+pi^2 / 6 is ``special``'s.
 """
 
 from __future__ import annotations
@@ -81,10 +97,11 @@ from .errors import ChowregError, PrecisionError, PropernessError, ScheduleError
 from .field import embed
 from .funcfield import INF, mpf_to_fraction
 from .numeric import ComplexApprox, double_image, kept, workprec
-from .special import BranchSpec, li2, log_eps
+from .special import BranchSpec, _pi2_6, li2, log_eps
 from .wavefront import (_BAND, AdmissibilityReport, PhaseSchedule, _chart,
-                        _Context, _coordinate_value_at, _phase_context,
-                        _schedule_context, admissible, search_admissible)
+                        _coefficient_images, _Context, _coordinate_value_at,
+                        _phase_context, _schedule_context, admissible,
+                        search_admissible)
 
 
 @dataclass
@@ -130,11 +147,13 @@ def _generator(p):
 
 
 def _canonical_mod_lattice(value, p):
-    """Shift by the lattice so the generator coefficient lies in [-1/2, 1/2)."""
+    """Shift ``value``, at the working precision, by the lattice so the
+    generator coefficient lies in [-1/2, 1/2)."""
     gen = _generator(p)
     coeff = value.real / gen.real if p % 2 == 0 else value.imag / gen.imag
     k = int(mp.floor(coeff + 0.5))
-    return value - k * gen, k
+    # value is at the working precision, where value - 0 gen is value
+    return (value - k * gen if k else value), k
 
 
 def lattice_difference(a, b, p):
@@ -187,10 +206,11 @@ _POLYGON_STRIDE = 40
 @functools.lru_cache(maxsize=32)
 def _constants(prec):
     """(2 pi i, (2 pi i)^2, pi^2 / 6) at ``prec`` bits, made once per
-    precision; each power of 2 pi i is (2 pi)^p i^p, one real power."""
+    precision; each power of 2 pi i is (2 pi)^p i^p, one real power, and
+    pi^2 / 6 is the one that ``li2`` reads (``special._pi2_6``)."""
     with mp.workprec(prec):
         two_pi = 2 * mp.pi
-        return (mp.mpc(0, two_pi), mp.mpc(-two_pi ** 2, 0), mp.pi ** 2 / 6)
+        return (mp.mpc(0, two_pi), mp.mpc(-two_pi ** 2, 0), _pi2_6(prec))
 
 
 def _fine_rotation(context):
@@ -202,17 +222,47 @@ def _fine_rotation(context):
         context.phases, context.precision_bits + _EXTRA_BITS).rotations[1][0])
 
 
-def _log_direction(context, direction):
-    """i arg(direction) at _EXTRA_BITS above the precision of ``context``,
-    where the closed form on a Moebius path reads it: kept on ``context``
-    when ``direction`` is the context's, the direction of a path traced at
-    its schedule."""
+def _direction_terms(context, direction):
+    """(i arg(direction) at _EXTRA_BITS above the precision of ``context``,
+    direction as a Python complex number), where the closed form on a
+    Moebius path reads them: kept on ``context`` when ``direction`` is the
+    context's, the direction of a path traced at its schedule (the very
+    object, as a rule, which no comparison needs)."""
     def build():
         with mp.workprec(context.precision_bits + _EXTRA_BITS):
-            return mp.mpc(0, mp.arg(direction))
-    if direction == context.direction:
-        return kept(context, "log_direction", build)
+            return mp.mpc(0, mp.arg(direction)), complex(direction)
+    if direction is context.direction or direction == context.direction:
+        return kept(context, "direction_terms", build)
     return build()
+
+
+def _is_zero(z):
+    """Whether z is the integer 0, the exact zero that the closed form
+    carries where a term vanishes identically: no operation with it is
+    made."""
+    return type(z) is int and not z
+
+
+def _plus(a, b):
+    """a + b, or one operand where the other is the integer 0: every
+    operand here is at the working precision, where that sum is it bit
+    for bit."""
+    return b if _is_zero(a) else a if _is_zero(b) else a + b
+
+
+def _minus(a, b):
+    """a - b, or a where b is the integer 0 (``_plus``)."""
+    return a if _is_zero(b) else -b if _is_zero(a) else a - b
+
+
+def _times(a, b):
+    """a b, or the integer 0 where either is 0 as an integer, or the other
+    where one is the integer 1: the product by a multiplicity of 1 is the
+    operand bit for bit."""
+    if _is_zero(a) or _is_zero(b):
+        return 0
+    return b if type(a) is int and a == 1 else a if (
+        type(b) is int and b == 1) else a * b
 
 
 def _arg(z):
@@ -225,27 +275,76 @@ def _shifted(lg, centre):
     """lg + 2 pi i n, the n that puts its imaginary part nearest the float
     ``centre``: the log on the branch whose arguments lie within pi of it."""
     n = round((centre - float(lg.imag)) / (2 * math.pi))
-    return lg + mp.mpc(0, 2 * n * mp.pi) if n else lg
+    return _plus(lg, mp.mpc(0, 2 * n * mp.pi)) if n else lg
 
 
-def _sided_k(w, context, guard, side_hint, lead, lam, zeros2):
+def _chart_image(images, x):
+    """(w, eta): w = f_2 at x by Horner's rule in doubles, from the
+    coefficient images of its chart evaluator
+    (``wavefront._coefficient_images``) at x a Python complex number, and
+    eta a bound on |w - f_2(x)| / |w|, f_2(x) that evaluator's value at
+    the mpc point that x images; None when eta is not below 2^-40, or when
+    the chart has no images.
+
+    A pass over coefficients c_k, k <= n, is off by at most
+    8 (n + 1) 2^-53 sum |c_k| |x|^k, a running bound that covers the
+    images of c_k and of x, each off by one unit of 2^-53, and the
+    rounding of each complex product and sum, about (sqrt 5 + 1) 2^-53 a
+    step; the evaluator's own value at the working precision is off by
+    far less.  With a and b those bounds relative to the numerator and
+    the denominator, w is off by (a + b) / (1 - b), and by a few units of
+    2^-53 for the division.  A numerator or denominator below 2^-500, or
+    a w above 2^500, is not read."""
+    if images is None:
+        return None
+    ax, parts = abs(x), []
+    for cs in images:
+        acc, size = 0j, 0.0
+        for c in reversed(cs):
+            acc = acc * x + c
+            size = size * ax + abs(c)
+        parts.append((acc, 8 * len(cs) * 2.0 ** -53 * size))
+    (num, num_err), (den, den_err) = parts
+    if not (num_err < abs(num) and 2 * den_err < abs(den)
+            and min(abs(num), abs(den)) > 2.0 ** -500):
+        return None
+    b = den_err / abs(den)
+    eta = (num_err / abs(num) + b) / (1 - b) + 2.0 ** -50
+    w = num / den
+    return (w, eta) if eta < _BAND and abs(w) < 2.0 ** 500 else None
+
+
+def _sided_k(ev, x, context, guard, side_hint, lead, lam, zeros2,
+             doubles=None):
     """K = lead + 2 pi i m on a line where f_2 = c scale^N prod (lam - s)^n,
-    given lead = log c + N log(scale) and w = f_2 at ``lam``: the m that
-    puts Im K + sum n Im log(lam - s) in (-pi - eps_2, pi - eps_2], so that
-    K + sum n log(lam - s) is the branch of log f_2 at the second phase
-    eps_2 of ``context`` (``wavefront._Context``).  The hint, a sign or 0,
-    resolves a w inside the guard sliver around the cut by continuity from
-    one side: the side is whether phi = arg(-w e^{i eps_2}) exceeds
-    -guard hint.  It is read from the double images of w and of the
-    context's rotation, whose phi is off by a few units of 2^-53, unless
-    that phi lies within 2^-40 of -guard hint (or w is 0); there
-    phi is taken at _EXTRA_BITS above the working precision, with the
-    rotation made there.  So the side is that of the working-precision
-    comparison at every input, and m is rounded from double-precision
-    arguments."""
-    limit = -guard * side_hint
-    phi = _arg(-double_image(w) * context.rotations[1][1]) if w else 0.0
-    if w and abs(phi - float(limit)) > _BAND:
+    given lead = log c + N log(scale) and w = f_2 at ``lam``, which the
+    evaluator ``ev`` reads at x: the m that puts Im K + sum n Im log(lam -
+    s) in (-pi - eps_2, pi - eps_2], so that K + sum n log(lam - s) is the
+    branch of log f_2 at the second phase eps_2 of ``context``
+    (``wavefront._Context``).  The hint, a sign or 0, resolves a w inside
+    the guard sliver around the cut by continuity from one side: the side
+    is whether phi = arg(-w e^{i eps_2}) exceeds -guard hint.
+
+    ``doubles``, when given, is (the coefficient images of ``ev``, x as a
+    Python complex number), and w is first read from them in doubles
+    (``_chart_image``), off by eta relative: with the double image of the
+    context's rotation, its phi decides the side when it lies more than
+    2^-40 + eta from -guard hint.  Otherwise w is ``ev``'s value at the
+    working precision, whose phi from double images is off by a few units
+    of 2^-53 and decides unless it lies within 2^-40 of -guard hint (or w
+    is 0); there phi is taken at _EXTRA_BITS above the working precision,
+    with the rotation made there.  So the side is that of the
+    working-precision comparison at every input, and m is rounded from
+    double-precision arguments."""
+    limit = -guard * side_hint if side_hint else 0
+    read = doubles and _chart_image(*doubles)
+    if read:
+        w, eta = read
+        phi = _arg(-w * context.rotations[1][1])
+    if not read or abs(phi - float(limit)) <= _BAND + eta:
+        w = ev.value(x)
+        phi = _arg(-double_image(w) * context.rotations[1][1]) if w else 0.0
+    if isinstance(w, complex) or w and abs(phi - float(limit)) > _BAND:
         above = phi > float(limit)
     else:
         above = mp.arg(-w * _fine_rotation(context)) > limit
@@ -257,10 +356,11 @@ def _sided_k(w, context, guard, side_hint, lead, lam, zeros2):
 def _log_lead(rf, precision_bits):
     """(log c, N) for rf = c prod (x - x_k)^{n_k} over its finite zeros and
     poles x_k: c the ratio of the leading coefficients, N = deg num - deg
-    den.  Kept on the function's memo per precision."""
+    den, and log c the integer 0 at c = 1.  Kept on the function's memo per
+    precision."""
     def build():
         c = rf.num.lead() * rf.den.lead().inverse()
-        return (mp.log(embed(c, mp.mp.prec).value),
+        return (0 if c.is_one() else mp.log(embed(c, mp.mp.prec).value),
                 rf.num.degree - rf.den.degree)
     return kept(rf, ("log_lead", precision_bits), build)
 
@@ -279,38 +379,68 @@ def _admitted(Z, schedule, precision_bits):
     return rep
 
 
+@dataclass
+class _ChartTerms:
+    """What the closed form on a Moebius path of one component takes at
+    one precision and no schedule moves (``_chart_terms``).
+
+    ``places`` holds the places (n, a) of f_2 and (m, b) of f_3, a or b
+    the value of f_1 at a zero or pole of order n or m at which f_1 is
+    finite.  ``zero`` tells per a and per b whether it is 0, and ``same``
+    per pair, in the order of ``_dilog_pairs``, whether a = b.
+    ``images`` holds the places as (n, a) with a a Python complex number,
+    or is None when a place that is not 0 has a size outside 2^+-500.
+    ``neg_logs`` holds log(-b) per b (None at b = 0), ``gaps`` log(b - a)
+    per pair (None where a = b), and ``dilogs`` is the ``_stop_dilogs``
+    cache of the dilogarithm balls at the end r = 0."""
+
+    places: tuple
+    zero: tuple
+    same: list
+    images: tuple
+    neg_logs: list
+    gaps: list
+    dilogs: dict
+
+
 def _chart_terms(comp, precision_bits):
-    """The terms of the closed form on a Moebius path that no schedule
-    moves: the places (n, a) of f_2 and (m, b) of f_3, a or b the value of
-    f_1 at a zero or pole of order n or m at which f_1 is finite;
-    log(-b) per b (None at b = 0); log(b - a) per pair in the order of
-    ``_dilog_pairs`` (None where a = b); and the ``_stop_dilogs`` cache of
-    the dilogarithm balls at the end r = 0.  Built on the first Moebius
-    quadrature of a precision and kept on the component."""
+    """The ``_ChartTerms`` of ``comp`` at ``precision_bits``: built on the
+    first Moebius quadrature of a precision and kept on the component."""
     def build():
-        places2, places3 = (
+        places = tuple(
             [(pt.multiplicity, v)
              for pt in comp.coords[k - 1].divisor(precision_bits)
              if (v := _coordinate_value_at(comp, 1, pt)) is not INF]
             for k in (2, 3))
-        return (places2, places3,
-                [None if b == 0 else mp.log(-b) for _, b in places3],
-                [None if a == b else mp.log(b - a)
-                 for _, b in places3 for _, a in places2],
-                {})
+        zero = tuple([a == 0 for _, a in ps] for ps in places)
+        images = tuple([(n, complex(a)) for n, a in ps] for ps in places)
+        inside = all(2.0 ** -500 < abs(z) < 2.0 ** 500 or a == 0
+                     for ps, zs in zip(places, images)
+                     for (_, a), (_, z) in zip(ps, zs))
+        pairs = [(a, b) for _, b in places[1] for _, a in places[0]]
+        same = [a == b for a, b in pairs]
+        return _ChartTerms(
+            places, zero, same, images if inside else None,
+            [None if z else mp.log(-b)
+             for z, (_, b) in zip(zero[1], places[1])],
+            [None if eq else mp.log(b - a)
+             for eq, (a, b) in zip(same, pairs)],
+            {})
     return kept(comp, ("chart_terms", precision_bits), build)
 
 
-def _stop_dilogs(cache, v, pairs, xs, ys):
+def _stop_dilogs(cache, v, pairs, xs, ys, at_v=None):
     """The dilogarithm ball of each ``_dilog_pairs`` pair at the stop v,
     with x and y the places of the pair's zero or pole of f_2 and of f_3
     in the coordinate of v: Li2((v - y) / (x - y)) or, inverted,
     Li2((x - y) / (v - y)), or None for a pair that needs none or whose y
-    is v.  ``cache`` keeps them by (v, pair, inverted) for every line."""
+    is v, which ``at_v``, when given, tells per y.  ``cache`` keeps them
+    by (v, pair, inverted) for every line."""
     balls = []
     for i, (_, j, delta, inverted, _) in enumerate(pairs):
         x, y = xs[i % len(xs)], ys[j]
-        if delta is not None and y != v and (v, i, inverted) not in cache:
+        if delta is not None and not (y == v if at_v is None else at_v[j]) \
+                and (v, i, inverted) not in cache:
             cache[v, i, inverted] = li2((x - y) / (v - y) if inverted
                                         else (v - y) / (x - y))
         balls.append(cache.get((v, i, inverted)))
@@ -373,11 +503,12 @@ def _dilog_pairs(zeros2, zeros3, log_gaps=None, log_scale=0, flags=None):
                      else log_gaps[len(pairs)] - log_scale)
                 rest = complex(d) + _log(1 - z1)
             q = round((_log(1 - s) - rest).imag / (2 * math.pi))
-            pairs.append((m * n, j, delta, inverted, d + two_pi_i * q))
+            pairs.append((m * n, j, delta, inverted,
+                          _plus(d, two_pi_i * q) if q else d))
     return pairs
 
 
-def _line_images(places2, places3, direction):
+def _line_images(terms, direction):
     """(zeros2, zeros3, flags) for the Moebius line of ``quadrature``
     without crossings, from double images, or None when a decision falls
     within the band: the places s = a / direction of f_2 and
@@ -395,24 +526,21 @@ def _line_images(places2, places3, direction):
     |Im delta| > 2^-40 S at s = 0: the rounding of that test grows like
     S |rho| / |Im delta|^2 relative to its margin.  Then Im delta is clear
     of 0 for the half-plane at r = oo, and |Im rho| > 2^-40 |rho| is asked
-    for the one at r = 0.  A place of size outside 2^+-500 is not
-    imaged."""
-    conj = complex(direction).conjugate()
-    images = []
-    for places in (places2, places3):
-        images.append([])
-        for n, a in places:
-            z = complex(a) * conj
-            if not (2.0 ** -500 < abs(z) < 2.0 ** 500 or a == 0):
-                return None
-            images[-1].append((n, z))
-    zeros2, zeros3 = images
+    for the one at r = 0.  The places' images, and which a = b, come
+    from ``terms``, the ``_ChartTerms`` of the component, and
+    ``direction`` is a Python complex number; None when a place of size
+    outside 2^+-500 is not imaged there."""
+    if terms.images is None:
+        return None
+    conj = direction.conjugate()
+    zeros2, zeros3 = ([(n, z * conj) for n, z in images]
+                      for images in terms.images)
     flags = []
-    for (_, b), (_, rho) in zip(places3, zeros3):
+    for _, rho in zeros3:
         if rho and abs(rho.imag) <= _BAND * abs(rho):
             return None
-        for (_, a), (_, s) in zip(places2, zeros2):
-            if a == b:
+        for _, s in zeros2:
+            if terms.same[len(flags)]:
                 flags.append(None)
                 continue
             delta, size = s - rho, abs(s) + abs(rho)
@@ -430,26 +558,34 @@ def _antiderivative(r, zeros3, pairs, dilogs=None, logs=None):
     ``_dilog_pairs``.  ``radius`` adds the dilogarithms' radii and ``size``
     the absolute values of the terms of H and G.  ``dilogs``, when given,
     holds the dilogarithm ball of each pair, and ``logs`` the principal
-    log(r - rho_j) of each rho_j, which are then not computed."""
+    log(r - rho_j) of each rho_j, which are then not computed.  H or G is
+    the integer 0 where no term enters it."""
     if logs is None:
         logs = [mp.log(r - rho) for _, rho in zeros3]
-    halves = [lr ** 2 / 2 for lr in logs]
-    h, g, radius, size = mp.mpc(0), mp.mpc(0), 0.0, 0.0
+    halves = {}
+
+    def half(j):
+        if j not in halves:
+            halves[j] = logs[j] ** 2 / 2
+        return halves[j]
+
+    h, g, radius, size = 0, 0, 0.0, 0.0
     for i, (coeff, j, delta, inverted, d) in enumerate(pairs):
         if delta is None:
-            term = coeff * halves[j]
+            term = _times(coeff, half(j))
         else:
             rho = zeros3[j][1]
             li = dilogs[i] if dilogs else li2(
                 delta / (r - rho) if inverted else (r - rho) / delta)
-            term = coeff * (d * logs[j] + (halves[j] + li.value if inverted
-                                           else -li.value))
+            term = _times(coeff, _plus(_times(d, logs[j]), (
+                half(j) + li.value if inverted else -li.value)))
             radius += abs(coeff) * li.radius
-        h += term
+        h = _plus(h, term)
         size += abs(complex(term))
     for (m, _), lr in zip(zeros3, logs):
-        g += m * lr
-        size += abs(complex(m * lr))
+        term = _times(m, lr)
+        g = _plus(g, term)
+        size += abs(complex(term))
     return h, g, radius, size
 
 
@@ -490,15 +626,23 @@ def _antiderivative_at_0(zeros3, pairs, k, precision_bits, dilogs, logs):
     has the factor m_j (K + sum_k n_k D_k) = m_j log f_2, which the limit
     drops, as f_2 = 1 on a properly meeting cycle (else ChowregError); the
     pair is not inverted and its Li2(0) is 0.  ``dilogs`` and ``logs`` are
-    ``_antiderivative``'s, over every pair and rho_j."""
+    ``_antiderivative``'s, over every pair and rho_j; a log of None marks a
+    rho_j = 0, which is then not compared.  Where no rho_j is 0 no pair is
+    dropped, and there is nothing to check."""
     keep = {j: i for i, j in enumerate(
-        j for j, (_, rho) in enumerate(zeros3) if rho != 0)}
+        j for j, (_, rho) in enumerate(zeros3)
+        if (logs[j] is not None if logs else rho != 0))}
+    if len(keep) == len(zeros3):
+        return _antiderivative(mp.mpf(0), zeros3, pairs, dilogs, logs)
     dropped = [p for p in pairs if p[1] not in keep]
-    log_f2 = k * sum(m for m, rho in zeros3 if rho == 0) + sum(
-        coeff * d for coeff, _, _, _, d in dropped)
-    if any(p[2] is None for p in dropped) or abs(log_f2) > mp.mpf(2) ** (
-            16 - precision_bits) * (1 + sum(abs(p[0]) * (abs(k) + abs(p[4]))
-                                            for p in dropped)):
+    ds = 0
+    for coeff, _, _, _, d in dropped:
+        ds = _plus(ds, _times(coeff, d))
+    log_f2 = _plus(_times(k, sum(m for j, (m, _) in enumerate(zeros3)
+                                 if j not in keep)), ds)
+    if any(p[2] is None for p in dropped) or _diverges(
+            log_f2, lambda: sum(abs(p[0]) * (abs(k) + abs(p[4]))
+                                for p in dropped), precision_bits):
         raise ChowregError("the line integral diverges at an end of the "
                            "first cut locus, where f_3 is 0 or oo")
     kept = [i for i, p in enumerate(pairs) if p[1] in keep]
@@ -518,26 +662,48 @@ def _antiderivative_at_oo(zeros3, pairs, k, precision_bits):
     c = log(-1/delta) = -D + 2 pi i n, whose imaginary part lies in the
     half-plane of -1/delta, fixed by the sign of Im delta; on a real delta
     it is 0 when delta < 0 and pi when delta > 0, or -pi when Im rho < 0,
-    where log(-z) tends to the negative real axis from below."""
-    slope = k * sum(m for m, _ in zeros3)
-    scale, h, size = abs(slope), mp.mpc(0), 0.0
+    where log(-z) tends to the negative real axis from below.  H is the
+    integer 0 where no pair adds to it."""
+    first = slope = _times(k, sum(m for m, _ in zeros3))
+    h, size, ds = 0, 0.0, []
     for coeff, j, delta, inverted, d in pairs:
         if delta is not None and not inverted:
-            c = _shifted(-d, math.pi / 2 if delta.imag > 0
+            neg = -d
+            c = _shifted(neg, math.pi / 2 if delta.imag > 0
                          else -math.pi / 2 if delta.imag < 0
                          else 0.0 if delta.real < 0
                          else -math.pi if zeros3[j][1].imag < 0 else math.pi)
-            d += c
-            term = coeff * (_constants(mp.mp.prec)[2] + c ** 2 / 2)
-            h += term
+            # c = -d exactly when no multiple of 2 pi i moves it: d + c = 0
+            d = 0 if c is neg else d + c
+            term = _times(coeff, _constants(mp.mp.prec)[2] + c ** 2 / 2)
+            h = _plus(h, term)
             size += abs(complex(term))
-        slope += coeff * d
-        scale += abs(coeff) * abs(d)
-    if sum(p[0] for p in pairs) or abs(slope) > mp.mpf(2) ** (
-            16 - precision_bits) * (1 + scale):
+        ds.append((coeff, d))
+        slope = _plus(slope, _times(coeff, d))
+
+    def scale():
+        total = abs(first)
+        for coeff, d in ds:
+            total += abs(coeff) * abs(d)
+        return total
+
+    if sum(p[0] for p in pairs) or _diverges(slope, scale, precision_bits):
         raise ChowregError("the line integral diverges at an end of the "
                            "first cut locus at oo, where f_3 is 0 or oo")
-    return h, mp.mpc(0), 0.0, size
+    return h, 0, 0.0, size
+
+
+def _diverges(value, scale, precision_bits):
+    """Whether |value| > 2^(16 - precision_bits) (1 + scale()), the test
+    that an end of the first locus refuses, on the slope of log lambda or
+    on log f_2.  The double image of |value| is off by a few units of
+    2^-53, so below 1 - 2^-40 times 2^(16 - precision_bits), the least
+    the threshold can be, it decides that the test fails, and neither the
+    working-precision |value| nor ``scale`` is made; else the test is
+    taken at the working precision."""
+    if abs(complex(value)) < math.ldexp(1 - _BAND, 16 - precision_bits):
+        return False
+    return abs(value) > mp.ldexp(1, 16 - precision_bits) * (1 + scale())
 
 
 def _line(zeros3, pairs, stops, ks, precision_bits, shared=None):
@@ -552,7 +718,8 @@ def _line(zeros3, pairs, stops, ks, precision_bits, shared=None):
     ``shared[i]``, when given, is None or the (logs, dilogs) of stop i
     that other lines share, either of them None.  The radius adds the
     dilogarithms' radii and 2^(8 - precision_bits) times the size of the
-    terms at both ends, K G included."""
+    terms at both ends, K G included; a K, H or G that is the integer 0
+    enters no operation."""
     sums = []
     for i, lam in enumerate(stops):
         k = ks[max(i - 1, 0)]
@@ -563,8 +730,10 @@ def _line(zeros3, pairs, stops, ks, precision_bits, shared=None):
                     if lam == 0 else
                     _antiderivative(lam, zeros3, pairs, dilogs, logs))
     rounding = 2.0 ** (8 - precision_bits)
-    return [ComplexApprox(h1 - h0 + k * (g1 - g0), r0 + r1 + rounding * (
-        z0 + z1 + float(abs(k)) * (float(abs(g0)) + float(abs(g1)))))
+    return [ComplexApprox(
+        _plus(_minus(h1, h0), _times(k, _minus(g1, g0))),
+        r0 + r1 + rounding * (z0 + z1 + (0.0 if _is_zero(k) else float(
+            abs(k)) * (float(abs(g0)) + float(abs(g1))))))
         for k, (h0, g0, r0, z0), (h1, g1, r1, z1) in zip(ks, sums, sums[1:])]
 
 
@@ -595,7 +764,8 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     branch at a vertex on the path, a sample if there is one, else a
     crossing, with the side hint of the stretch it opens or closes; at
     r = 1 on a Moebius path without crossings, where f_2 is read in its
-    chart (``wavefront._chart``) at w = r direction.  On a Moebius path the
+    chart (``wavefront._chart``) at w = r direction, in doubles unless
+    they leave the side open (``_sided_k``).  On a Moebius path the
     logs of rho - s, the logs and dilogarithms at r = 0 and c at r = oo
     come from the chart terms (``_chart_terms``) less i theta, and no
     schedule takes them anew.  A traced chord is halved while a zero or
@@ -607,12 +777,12 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     ``context`` is the ``wavefront._Context`` of the schedule at this
     precision, whose second phase must be ``eps2`` (ChowregError if it is
     not); alone, the function builds that of a schedule of phases eps2.
-    i arg(direction) is kept on it when the path's direction is its.  On a
-    Moebius path without crossings the places, the pairs' inversions and
-    the half-planes come from double images (``_line_images``), and the
-    places are divided by the direction at the working precision only when
-    a decision falls within the band there, or when crossings put stops on
-    the line."""
+    i arg(direction) and the direction's image are kept on it when the
+    path's direction is its.  On a Moebius path without crossings the
+    places, the pairs' inversions and the half-planes come from double
+    images (``_line_images``), and the places are divided by the direction
+    at the working precision only when a decision falls within the band
+    there, or when crossings put stops on the line."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
     context = _phase_context(eps2, 2, precision_bits, context)
@@ -622,16 +792,18 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     rf2 = f2 if points else _chart(comp, 1, 2)
     ev2 = rf2.evaluator(precision_bits)
     with mp.workprec(precision_bits + _EXTRA_BITS):
-        guard = mp.mpf(2) ** (-precision_bits // 2)
+        guard = mp.ldexp(1, -precision_bits // 2)
         log_c, degree = _log_lead(rf2, precision_bits)
 
-        def branch_k(x, lam, hint, zeros2, log_scale):
+        def branch_k(x, lam, hint, zeros2, log_scale, doubles=None):
             """K on a line where f_2 = c scale^N prod (lambda - s)^n, with
             ``log_scale`` a log of its scale, from the sided branch of log
             f_2 at the point of the path where ``ev2`` reads f_2 at x,
-            which sits at lambda on the line."""
-            return _sided_k(ev2.value(x), context, guard, hint,
-                            log_c + degree * log_scale, lam, zeros2)
+            which sits at lambda on the line; ``doubles`` as
+            ``_sided_k``'s."""
+            return _sided_k(ev2, x, context, guard, hint,
+                            _plus(log_c, _times(degree, log_scale)), lam,
+                            zeros2, doubles)
 
         if not points:
             # one line with a stop at each crossing radius, on which
@@ -639,19 +811,18 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
             # (n, a), s = a / direction (a point where f_1 = oo only moves
             # c), and admissible keeps every s off the positive real axis
             # (face-on-cut), so log(r - s) is continuous on the path
-            places2, places3, neg_logs, gaps, dilogs = _chart_terms(
-                comp, precision_bits)
-            images = None if xs else _line_images(places2, places3,
-                                                  path.direction)
+            terms = _chart_terms(comp, precision_bits)
+            log_dir, direction = _direction_terms(context, path.direction)
+            images = None if xs else _line_images(terms, direction)
             if images is None:
-                zeros2, zeros3 = ([(n, a / path.direction if a != 0
-                                    else mp.mpc(0)) for n, a in places]
-                                  for places in (places2, places3))
+                zeros2, zeros3 = ([(n, mp.mpc(0) if z else a / path.direction)
+                                   for (n, a), z in zip(places, zero)]
+                                  for places, zero in zip(terms.places,
+                                                          terms.zero))
                 flags = None
             else:
                 zeros2, zeros3, flags = images
-            log_dir = _log_direction(context, path.direction)
-            pairs = _dilog_pairs(zeros2, zeros3, gaps, log_dir, flags)
+            pairs = _dilog_pairs(zeros2, zeros3, terms.gaps, log_dir, flags)
             # the chart terms move with the direction by -i theta and a
             # multiple of 2 pi i: at r = 0, log(-rho) lies in the half-plane
             # of -rho that the sign of Im rho fixes (0 on a negative rho;
@@ -659,19 +830,24 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
             at_0 = ([None if lg is None else _shifted(
                 lg - log_dir, -math.pi / 2 if rho.imag > 0
                 else math.pi / 2 if rho.imag < 0 else 0.0)
-                for lg, (_, rho) in zip(neg_logs, zeros3)],
-                _stop_dilogs(dilogs, 0, pairs,
-                             *([a for _, a in places]
-                               for places in (places2, places3))))
+                for lg, (_, rho) in zip(terms.neg_logs, zeros3)],
+                _stop_dilogs(terms.dilogs, 0, pairs,
+                             *([a for _, a in ps] for ps in terms.places),
+                             terms.zero[1]))
             radii = [INF, *(mp.exp(c.sigma) for c in xs), mp.mpf(0)]
-            # K at the crossing that opens the stretch, else at the one
-            # that closes it, else at r = 1
-            at = [(radii[1], -xs[0].sign) if xs else (1, 0),
-                  *((r, c.sign) for r, c in zip(radii[1:], xs))]
-            balls = _line(zeros3, pairs, radii,
-                          [branch_k(r * path.direction, r, hint, zeros2,
-                                    log_dir) for r, hint in at],
-                          precision_bits, [None] * (len(radii) - 1) + [at_0])
+            if xs:
+                # K at the crossing that opens the stretch, else at the
+                # one that closes it
+                ks = [branch_k(r * path.direction, r, hint, zeros2, log_dir)
+                      for r, hint in [(radii[1], -xs[0].sign),
+                                      *((r, c.sign) for r, c
+                                        in zip(radii[1:], xs))]]
+            else:
+                # K at r = 1, read in doubles where they decide its side
+                ks = [branch_k(path.direction, 1, 0, zeros2, log_dir,
+                               (_coefficient_images(ev2), direction))]
+            balls = _line(zeros3, pairs, radii, ks, precision_bits,
+                          [None] * (len(radii) - 1) + [at_0])
             return [(seg, a, b, ball) for seg, (a, b, ball)
                     in enumerate(zip(radii, radii[1:], balls))]
 
@@ -807,41 +983,41 @@ def reg_n3(Z, schedule, precision_bits=None):
     context = _schedule_context(rep.schedule, precision_bits)
     with workprec(precision_bits):
         two_pi_i = _generator(1)
-        total = mp.mpc(0)
+        total = 0
         total_err = 0.0
         breakdown = []
         for ci, comp in enumerate(Z.components):
             f1, _, f3 = comp.coords
-            entry = {"component": ci, "mult": comp.mult,
-                     "line_integral": ComplexApprox(mp.mpc(0), 0.0),
-                     "crossing_sum": ComplexApprox(mp.mpc(0), 0.0),
-                     "crossings": []}
-            if f1.is_constant():
-                breakdown.append(entry)
-                continue
-            paths = rep.paths[ci]
-            crossings = rep.crossings[ci]
+            constant = f1.is_constant()
+            crossings = [] if constant else rep.crossings[ci]
 
             # crossing sum P
-            p_sum = ComplexApprox(mp.mpc(0), 0.0)
+            p_sum, logged = ComplexApprox(mp.mpc(0), 0.0), []
             for c in crossings:
                 lg = log_eps(f3.eval(c.t, precision_bits), BranchSpec(eps3))
                 p_sum = p_sum + c.sign * lg
-                entry["crossings"].append({"t": c.t, "sign": c.sign, "log_f3": lg})
+                logged.append({"t": c.t, "sign": c.sign, "log_f3": lg})
 
             # line integral L, split at crossings, branch fixed by continuity
             line = ComplexApprox(mp.mpc(0), 0.0)
-            if not f3.is_constant():
-                for path in paths:
+            if not (constant or f3.is_constant()):
+                for path in rep.paths[ci]:
                     xs = [c for c in crossings if c.host_path is path]
                     for *_, piece in quadrature(comp, path, xs, eps2,
                                                  precision_bits, context):
                         line = line + piece
-            entry["line_integral"] = line
-            entry["crossing_sum"] = p_sum
-            breakdown.append(entry)
-            total += comp.mult * (line.value - two_pi_i * p_sum.value)
-            total_err += abs(comp.mult) * (line.radius + float(2 * mp.pi) * p_sum.radius)
+            breakdown.append({"component": ci, "mult": comp.mult,
+                              "line_integral": line, "crossing_sum": p_sum,
+                              "crossings": logged})
+            if constant:
+                continue
+            # without crossings P is 0: L alone, and its radius alone
+            total = _plus(total, _times(comp.mult, line.value - two_pi_i
+                                        * p_sum.value if crossings
+                                        else line.value))
+            total_err += abs(comp.mult) * (line.radius + float(2 * mp.pi)
+                                           * p_sum.radius if crossings
+                                           else line.radius)
         canon, k = _canonical_mod_lattice(total, 2)
         return RegulatorValue(
             p=2,

@@ -242,7 +242,7 @@ class TracedPath:
         try:
             if sigmas:
                 hit = ev.solve(self.points[self._nearest_index(sigma)], w,
-                               mp.mpf(2) ** (12 - mp.mp.prec), 60)
+                               mp.ldexp(1, 12 - mp.mp.prec), 60)
             else:
                 t = ev.rf.inverse().evaluator(ev.precision_bits).value(w)
                 hit = t, ev._horner(ev.nc, t), ev._horner(ev.dc, t)
@@ -317,7 +317,7 @@ def _trace_step(ev, coord_index, direction, t, sigma):
     ``_resolved`` refuses its point."""
     try:
         hit = ev.solve(t, mp.exp(sigma) * direction,
-                       mp.mpf(2) ** (16 - ev.precision_bits), 40)
+                       mp.ldexp(1, 16 - ev.precision_bits), 40)
     except ZeroDivisionError:
         hit = None
     if hit is None:
@@ -337,7 +337,7 @@ def _seed_roots(ev, w, precision_bits):
     # the leading coefficient cancels only when w hits the value of f at
     # infinity; compare against its forming terms, not the rest
     lead_scale = abs(nc[-1]) + abs(w) * abs(dc[-1])
-    if abs(poly[-1]) < lead_scale * mp.mpf(2) ** (-precision_bits // 2):
+    if abs(poly[-1]) < lead_scale * mp.ldexp(1, -precision_bits // 2):
         raise ScheduleError(
             "non-generic phase: degree drop at the seed radius "
             f"{mp.nstr(abs(w), 8)}")
@@ -400,7 +400,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None,
         if f.degree_map == 1:
             return [TracedPath(coord_index, direction, ev)]
         sigmas = _trace_grid(mp.mp.prec)
-        collision_rel = mp.mpf(2) ** (-precision_bits // 2)
+        collision_rel = mp.ldexp(1, -precision_bits // 2)
         current = [_resolved(ev, coord_index, (t, None, None), sigmas[0])[0]
                    for t in _seed_roots(ev, mp.exp(sigmas[0]) * direction,
                                         precision_bits)]
@@ -478,7 +478,8 @@ def _phase_context(phase, k, precision_bits, context=None):
     that of the schedule whose first k phases are all ``phase``."""
     if context is None:
         return _Context((phase,) * k, precision_bits)
-    if (context.phases[k - 1] != phase
+    # the phase is, as a rule, the very object the context holds
+    if (context.phases[k - 1] is not phase and context.phases[k - 1] != phase
             or context.precision_bits != precision_bits):
         raise ChowregError(
             f"the context has phase {k} {context.phases[k - 1]} at "
@@ -528,7 +529,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     _check_coordinate_index(component, j)
     if any(path.coord_index == j for path in paths_i):
         raise ChowregError(f"coordinate {j} cannot cut its own cut locus")
-    transversality_rel = mp.mpf(2) ** (-precision_bits // 3)
+    transversality_rel = mp.ldexp(1, -precision_bits // 3)
     out = []
     if component.coords[j - 1].is_constant():
         return out
@@ -559,7 +560,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
                     )
                 out.append(
                     WavefrontIntersection(
-                        t=ComplexApprox(t_c, float(mp.mpf(2) ** (24 - precision_bits)
+                        t=ComplexApprox(t_c, float(mp.ldexp(1, 24 - precision_bits)
                                                    * (1 + abs(t_c)))),
                         sign=-1 if q.imag > 0 else 1,
                         host_path=path,
@@ -586,6 +587,24 @@ def _sample_brackets(path, f_j_ev, rot_j):
     return out
 
 
+def _coefficient_images(chart_ev):
+    """The coefficients of the numerator and of the denominator of the
+    chart evaluator ``chart_ev`` as Python complex numbers, or None when
+    one that is not 0 has a size outside 2^+-500.  No schedule moves them,
+    so they are made once per precision and kept on the chart."""
+
+    def build():
+        images = tuple([complex(c) for c in cs]
+                       for cs in (chart_ev.nc, chart_ev.dc))
+        inside = all(2.0 ** -500 < abs(z) < 2.0 ** 500 or c == 0
+                     for cs, zs in zip((chart_ev.nc, chart_ev.dc), images)
+                     for c, z in zip(cs, zs))
+        return images if inside else None
+
+    return kept(chart_ev.rf, ("coefficient_images", chart_ev.precision_bits),
+                build)
+
+
 def _off_the_cut(chart_ev, direction, rot_image):
     """Whether the first test of ``_moebius_brackets``, no negative
     coefficient in Q, holds, decided on doubles: the coefficients of the
@@ -596,19 +615,8 @@ def _off_the_cut(chart_ev, direction, rot_image):
     True only when every q_k is above 2^-40 of its scale or a sum of exact
     zeros, so that the working-precision test holds too.  False, also for
     a coefficient of size outside 2^+-500, leaves the test to
-    ``_moebius_brackets``.  No schedule moves the coefficients' images, so
-    they are made once per precision and kept on the chart."""
-
-    def build():
-        images = tuple([complex(c) for c in cs]
-                       for cs in (chart_ev.nc, chart_ev.dc))
-        inside = all(2.0 ** -500 < abs(z) < 2.0 ** 500 or c == 0
-                     for cs, zs in zip((chart_ev.nc, chart_ev.dc), images)
-                     for c, z in zip(cs, zs))
-        return images if inside else None
-
-    images = kept(chart_ev.rf, ("coefficient_images", chart_ev.precision_bits),
-                  build)
+    ``_moebius_brackets``."""
+    images = _coefficient_images(chart_ev)
     if images is None:
         return False
     d, (a, b) = complex(direction), ([], [])
@@ -685,7 +693,7 @@ def _moebius_brackets(path, chart_ev, rot_j, precision_bits):
         return (p, q), []
     (p_ints, _), (q_ints, _) = _binary_ints(p), _binary_ints(q)
     bound = mp.log(1 + max(map(abs, p)) / min(abs(p[0]), abs(p[-1])))
-    min_width = mp.mpf(2) ** (-precision_bits // 2)
+    min_width = mp.ldexp(1, -precision_bits // 2)
     out = []
     # bracket ends as (log-radius, radius)
     stack = [((bound, mp.exp(bound)), (-bound, mp.exp(-bound)))]
@@ -794,7 +802,7 @@ def _refine_crossing(path, f_j_ev, rot_j, bracket, hi_positive, pq,
     g' = Im(rot_j f_j q).
     """
     f_i_ev = path.evaluator
-    small = mp.mpf(2) ** (-precision_bits // 2)
+    small = mp.ldexp(1, -precision_bits // 2)
     s_hi, s_lo = bracket
     seed = None
     if pq is not None:

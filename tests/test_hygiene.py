@@ -327,3 +327,26 @@ def test_a_rotation_made_outside_the_context_is_caught():
         "def cross(p):\n    return _rotation(p) * mp.expjpi(p)\n")
     assert _outside_the_context(tree) == [(8, ("trace",)),
                                           (10, ("cross",))]
+
+
+def _powers_of_two(tree):
+    """The lines of each power ``mp.mpf(2) ** k``: an mpf_pow_int per
+    call for a value that ``mp.ldexp(1, k)`` gives exactly."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Call)
+            and ast.unparse(node.left) == "mp.mpf(2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_power_of_two_is_an_ldexp(path):
+    # a threshold 2^k is exact either way, and mp.ldexp(1, k) makes it
+    # without a power
+    assert _powers_of_two(_tree(path)) == []
+
+
+def test_a_power_of_two_by_pow_is_caught():
+    tree = ast.parse("x = mp.mpf(2) ** (16 - bits)\n"
+                     "y = a * mp.mpf(2) ** -k\n"
+                     "fine = mp.ldexp(1, -k) + mp.mpf(3) ** k\n")
+    assert _powers_of_two(tree) == [1, 2]

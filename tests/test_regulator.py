@@ -395,6 +395,40 @@ def test_antiderivative_at_oo_refuses_a_diverging_end():
                                                        mp.mpc(k), 128)
 
 
+@pytest.mark.parametrize("band", ["doubles", "forced"])
+def test_antiderivative_at_0_refuses_a_diverging_end(band, monkeypatch):
+    # f_3 with a zero or pole at r = 0 where f_2 != 1 (a log r term), or
+    # where f_2 has one too (s = rho = 0, a log^2 r term): the integral
+    # diverges.  Where f_2 = 1 there, K + D = 0, the end is taken and its
+    # guard is decided on the double image of log f_2, without the scale
+    # of the working-precision test; with a band of oo that test takes it
+    regulator_module = importlib.import_module("chowreg.regulator")
+    diverges, scaled = regulator_module._diverges, []
+
+    def counting(value, scale, bits):
+        return diverges(value, lambda: scaled.append(1) or scale(), bits)
+
+    monkeypatch.setattr(regulator_module, "_diverges", counting)
+    if band == "forced":
+        monkeypatch.setattr(regulator_module, "_BAND", math.inf)
+    with workprec(128):
+        s, rho = mp.mpc(-1, 2), mp.mpc(-2, -1)
+        zeros3 = [(1, mp.mpc(0)), (-1, rho)]
+        for zeros2 in ([(1, s)], [(1, mp.mpc(0)), (-1, s)]):
+            pairs = regulator_module._dilog_pairs(zeros2, zeros3)
+            with pytest.raises(ChowregError, match="diverges"):
+                regulator_module._antiderivative_at_0(
+                    zeros3, pairs, mp.mpc(0, 1), 128, None, None)
+        pairs = regulator_module._dilog_pairs([(1, s)], zeros3)
+        scaled.clear()
+        h, g, _, _ = regulator_module._antiderivative_at_0(
+            zeros3, pairs, -pairs[0][4], 128, None, None)
+        assert scaled == ([1] if band == "forced" else [])
+        ref_h, ref_g, _, _ = regulator_module._antiderivative(
+            mp.mpf(0), zeros3[1:], [(-1, 0, *pairs[1][2:])])
+        assert (h, g) == (ref_h, ref_g)
+
+
 # li2 calls over one regulator() call on a fresh cycle: one per pair of a
 # zero or pole of f_2 and one of f_3 that differ, at the end r = 0
 _MOEBIUS_DILOGS = {"totaro": 1, "petras": 3}
@@ -407,6 +441,8 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
     # closed form in the radius, which solves for no t, takes no Newton
     # step and evaluates f_2 at one point per stretch only, the point in
     # closed form that fixes the branch of log f_2 there.  Without
+    # crossings (Totaro, Petras) that point is read in doubles, and f_2 is
+    # evaluated nowhere; McCarthy's line crosses the second cut.  Without
     # crossings its logs and dilogarithms are chart terms no schedule
     # moves: a fresh Totaro or Petras computes each dilogarithm once over
     # the three schedules of regulator(), and a second call takes no log
@@ -444,10 +480,12 @@ def test_moebius_quadrature_solves_and_evaluates_nothing_in_t(name,
                    precision_bits=128)
     assert all(e["line_integral"].value != 0 for e in v.breakdown)
     assert len(stretches) == len(Z.components)
-    assert 0 < calls.pop("value") <= sum(stretches)
+    values = calls.pop("value")
     assert calls == {"solve": 0, "dlog": 0, "newton_step": 0}
     if name not in _MOEBIUS_DILOGS:
+        assert 0 < values <= sum(stretches)
         return
+    assert values == 0
     monkeypatch.undo()
     counts = {"li2": 0, "log": 0}
 
@@ -900,7 +938,9 @@ def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
     # own error: w carries the rounding of the places of the zeros of f_2
     # at the working precision, about 2^-bits absolute, which the traced
     # chords of Totaro o (s^2 + i) next to the exact zero of f_1, where
-    # f_2 vanishes too, read with |w| down to 5e-25.  Every K that _line
+    # f_2 vanishes too, read with |w| down to 5e-25.  The reference reads
+    # w from the evaluator _sided_k is handed, at the working precision,
+    # whether or not _sided_k reads it in doubles.  Every K that _line
     # takes is checked, on Moebius paths with and without crossings
     # (McCarthy's carry side hints), on traced branches, and for a
     # constant f_2 (N = 0)
@@ -909,19 +949,22 @@ def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
     line_images = regulator_module._line_images
     bits, checked, taken, places = 128, [], [], {}
 
-    def recording_images(places2, places3, direction):
+    def recording_images(terms, direction):
         # a line read in doubles hands _sided_k the double images of its
         # places s; the reference reads them at the working precision
-        images = line_images(places2, places3, direction)
+        images = line_images(terms, direction)
         if images is not None:
-            places[id(images[0])] = images[0], [
-                (n, a / direction if a != 0 else mp.mpc(0))
-                for n, a in places2]
+            places[id(images[0])] = images[0], terms.places[0]
         return images
 
-    def checking_k(w, context, guard, hint, lead, lam, zeros2):
-        k = sided_k(w, context, guard, hint, lead, lam, zeros2)
-        _, zeros2 = places.get(id(zeros2), (None, zeros2))
+    def checking_k(ev, x, context, guard, hint, lead, lam, zeros2,
+                   *doubles):
+        k = sided_k(ev, x, context, guard, hint, lead, lam, zeros2,
+                    *doubles)
+        w = ev.value(x)
+        if id(zeros2) in places:
+            zeros2 = [(n, a / context.direction if a != 0 else mp.mpc(0))
+                      for n, a in places[id(zeros2)][1]]
         ref = _sided_log_branch(w, context.phases[1],
                                 regulator_module._fine_rotation(context),
                                 guard, hint) - sum(
@@ -1111,15 +1154,21 @@ _BAND_CYCLES = {
 @pytest.mark.parametrize("name", sorted(_BAND_CYCLES))
 def test_double_image_sides_give_the_working_precision_balls(name, bits,
                                                              monkeypatch):
-    # every side, half-plane and pair inversion of a line is read from
-    # double images unless it falls within the band, where the
-    # working-precision test takes it; with a band of oo that test takes
+    # every side, half-plane and pair inversion of a line, the side that
+    # fixes K on a line without crossings and the guards at its ends are
+    # read from double images unless they fall within the band, where the
+    # working-precision test takes them; with a band of oo that test takes
     # every one, and every chord ball comes out bit-identical.  Without
     # the band, every Moebius line without crossings of these cycles is
-    # read in doubles
+    # read in doubles: f_2 is evaluated at no point of it, and no end
+    # guard makes the scale of its working-precision test.  With it, f_2
+    # is evaluated once on each such line, for its K, and every guard
+    # makes its scale
     regulator_module = importlib.import_module("chowreg.regulator")
     quadrature = regulator_module.quadrature
     line_images = regulator_module._line_images
+    diverges = regulator_module._diverges
+    value = RFEvaluator.value
     build, seeds = _BAND_CYCLES[name]
     Z = build()
     with workprec(bits):
@@ -1127,10 +1176,16 @@ def test_double_image_sides_give_the_working_precision_balls(name, bits,
                    for seed in seeds]
 
     def chords():
-        balls, lines = [], {"plain": 0, "imaged": 0}
+        balls, plain = [], []
+        lines = {"plain": 0, "imaged": 0, "values": 0, "guards": 0,
+                 "scaled": 0}
 
         def recording(comp, path, xs, *args):
-            out = quadrature(comp, path, xs, *args)
+            plain.append(not (xs or path.points))
+            try:
+                out = quadrature(comp, path, xs, *args)
+            finally:
+                plain.pop()
             balls.append([(seg, ball.value, ball.radius)
                           for seg, _, _, ball in out])
             lines["plain"] += not (xs or path.points)
@@ -1141,8 +1196,21 @@ def test_double_image_sides_give_the_working_precision_balls(name, bits,
             lines["imaged"] += images is not None
             return images
 
+        def counting_value(self, *args):
+            lines["values"] += plain[-1]
+            return value(self, *args)
+
+        def counting_diverges(v, scale, bits):
+            def counted():
+                lines["scaled"] += 1
+                return scale()
+            lines["guards"] += 1
+            return diverges(v, counted, bits)
+
         monkeypatch.setattr(regulator_module, "quadrature", recording)
         monkeypatch.setattr(regulator_module, "_line_images", counting_images)
+        monkeypatch.setattr(RFEvaluator, "value", counting_value)
+        monkeypatch.setattr(regulator_module, "_diverges", counting_diverges)
         with workprec(bits):
             for rep in reports:
                 reg_n3(Z, rep, precision_bits=bits)
@@ -1150,10 +1218,143 @@ def test_double_image_sides_give_the_working_precision_balls(name, bits,
 
     balls, lines = chords()
     assert lines["imaged"] == lines["plain"]
+    assert lines["values"] == lines["scaled"] == 0 < lines["guards"]
     monkeypatch.setattr(regulator_module, "_BAND", math.inf)
     forced, forced_lines = chords()
     assert forced_lines["imaged"] == 0
+    assert forced_lines["values"] == forced_lines["plain"]
+    assert forced_lines["scaled"] == forced_lines["guards"] == lines["guards"]
     assert balls and forced == balls
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_the_chart_image_bound_holds(trial):
+    # f_2 in doubles by Horner's rule on the coefficient images, at the
+    # image of an mpc point: wherever _chart_image reads it, it lies within
+    # eta |w| of the evaluator's value at the working precision.  The
+    # points lie 1 to 2^-40 from a zero or a pole, and the nearest are
+    # refused
+    regulator_module = importlib.import_module("chowreg.regulator")
+    rng = random.Random(trial)
+    degree = 1 + trial % 3
+    roots = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+             for _ in range(2 * degree)]
+
+    def coefficients(rs):
+        # c prod (x - r), constant term first
+        cs = [complex(rng.uniform(1, 3))]
+        for r in rs:
+            cs = [(cs[k - 1] if k else 0) - r * (cs[k] if k < len(cs) else 0)
+                  for k in range(len(cs) + 1)]
+        return cs
+
+    num, den = coefficients(roots[:degree]), coefficients(roots[degree:])
+    counts = [0, 0]
+    with workprec(128):
+        nc, dc = ([mp.mpc(c) for c in cs] for cs in (num, den))
+        images = tuple([complex(c) for c in cs] for cs in (nc, dc))
+        for root in roots:
+            for e in range(0, 41, 4):
+                x = mp.mpc(root) + mp.expj(rng.uniform(0, 6.3)) * mp.ldexp(
+                    1, -e)
+                read = regulator_module._chart_image(images, complex(x))
+                counts[read is None] += 1
+                if read is None:
+                    continue
+                w, eta = read
+                ref = RFEvaluator._horner(nc, x) / RFEvaluator._horner(dc, x)
+                assert abs(complex(ref) - w) <= eta * abs(w)
+    assert all(counts)
+    assert regulator_module._chart_image(None, 1j) is None
+
+
+@pytest.mark.parametrize("name", ["petras", "dilog_12_5"])
+def test_k_near_a_zero_of_f2_is_read_at_the_working_precision(
+        name, monkeypatch):
+    # within 2^-45 of a zero of f_2 in its chart, the Horner bound of the
+    # double value is not below 2^-40 of it: K's side is read from f_2 at
+    # the working precision, and K is the one that reading gives.  At a
+    # point clear of the zero the doubles decide, with no evaluation, and
+    # give the K of the working-precision reading too
+    regulator_module = importlib.import_module("chowreg.regulator")
+    wavefront_module = importlib.import_module("chowreg.wavefront")
+    Z = _BAND_CYCLES[name][0]()
+    comp = Z.components[-1]
+    bits = 128
+    with workprec(bits):
+        rep = search_admissible(Z, 0.3, precision_bits=bits)
+        context = wavefront_module._schedule_context(rep.schedule, bits)
+        ev = wavefront_module._chart(comp, 1, 2).evaluator(bits)
+        images = wavefront_module._coefficient_images(ev)
+        zero = next(a for n, a in regulator_module._chart_terms(
+            comp, bits).places[0] if n > 0)
+        assert zero != 0
+    value, calls = RFEvaluator.value, []
+
+    def counting(self, x):
+        calls.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(RFEvaluator, "value", counting)
+    with mp.workprec(bits + 16):
+        guard = mp.ldexp(1, -bits // 2)
+        for x, read in ((zero + mp.ldexp(1, -46), False),
+                        (zero + mp.mpc(0.25, 0.5), True)):
+            assert (regulator_module._chart_image(images, complex(x))
+                    is not None) == read
+            ks = []
+            for doubles in ((images, complex(x)), None):
+                calls.clear()
+                ks.append(regulator_module._sided_k(
+                    ev, x, context, guard, 0, 0, x / context.direction,
+                    [(1, zero / context.direction)], doubles))
+                assert calls == ([] if doubles and read else [x])
+            assert ks[0] == ks[1]
+
+
+# the dunders of mpmath's mpf and mpc through which the package does its
+# multiprecision arithmetic, comparisons and conversions
+_MP_DUNDERS = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv",
+               "rtruediv", "pow", "rpow", "neg", "pos", "abs", "eq", "ne",
+               "lt", "le", "gt", "ge", "bool", "complex", "float", "int")
+
+
+@pytest.mark.parametrize("name, at_most", [("z1_totaro", 60),
+                                           ("petras_zeta5", 180)])
+def test_a_crossing_free_line_makes_few_multiprecision_operations(
+        name, at_most, monkeypatch):
+    # a warm reg_n3 at 128 bits on a cycle without crossings keeps the
+    # structure of each line per component, reads K's side and the end
+    # guards in doubles and makes no operation whose result is its
+    # operand: Totaro's one line takes at most 60 mpf and mpc operations,
+    # where redoing that work took 112 of them, and f_2 is evaluated at
+    # no point
+    Z = load_fixture(name)
+    with workprec(128):
+        regulator(Z, precision_bits=128)
+        rep = search_admissible(Z, 0.1, precision_bits=128)
+        reg_n3(Z, rep, precision_bits=128)
+    counts = {"ops": 0, "values": 0}
+
+    def counting(original, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for cls in (type(mp.mpf(1)), type(mp.mpc(1))):
+        for dunder in _MP_DUNDERS:
+            method = getattr(cls, f"__{dunder}__", None)
+            if method is not None:
+                monkeypatch.setattr(cls, f"__{dunder}__",
+                                    counting(method, "ops"))
+    monkeypatch.setattr(RFEvaluator, "value",
+                        counting(RFEvaluator.value, "values"))
+    with workprec(128):
+        reg_n3(Z, rep, precision_bits=128)
+    monkeypatch.undo()
+    assert 0 < counts["ops"] <= at_most
+    assert counts["values"] == 0
 
 
 def test_quadrature_refuses_the_context_of_another_schedule(petras):
