@@ -240,7 +240,7 @@ def _cmd_trace(Z, args, precision_bits, tol):
             paths = trace_wavefront(comp, i, s.phases[i - 1],
                                     precision_bits=precision_bits)
             all_paths[i] = paths
-            rot = _rotation(s.phases[i - 1])
+            rot = _rotation(s.phases[i - 1], precision_bits)[0]
             for p in paths:
                 for k, (sig, t) in enumerate(p.samples()):
                     path_rows.append([

@@ -50,29 +50,31 @@ on its line, the scale the direction or a traced chord's vector, with
 the integer m from the side of the cut on which the branch of log f_2
 lies (``_sided_k``).
 
-On a Moebius line without crossings every decision is read in doubles:
-the inversions of the pairs and the half-planes at r = 0 and r = oo, from
-the images times conj(direction) (``_line_images``); the side that fixes
-K, from f_2 evaluated in its chart at the direction by Horner's rule on
-the chart's coefficient images, with a running error bound
-(``_chart_image``); and the guards that refuse a diverging end, from the
-double image of the slope of log lambda or of log f_2 (``_diverges``).
-The places are divided by the direction at the working precision only on
-a line with crossing stops, where they enter the balls, and f_2 is
-evaluated at the working precision only there, on traced chords, or
-where the doubles leave its side open.  A decision whose quantity lies
-within 2^-40 of its threshold, relative to its scale (plus the Horner
-bound for K's side), is left to the working-precision comparison, so
-every decision is the one that comparison takes and every ball keeps its
-working-precision expression.  The integers are rounded from
+The side that fixes K is read in doubles on every line first, from f_2
+evaluated by Horner's rule on the coefficient images of the evaluator
+that reads it, its chart on a Moebius path and f_2 itself on a traced
+one, with a running error bound (``_chart_image``); f_2 is evaluated at
+the working precision only where the doubles leave that side open.  On a
+Moebius line without crossings every other decision is read in doubles
+too: the inversions of the pairs and the half-planes at r = 0 and
+r = oo, from the images times conj(direction) (``_line_images``), and
+the guards that refuse a diverging end, from the double image of the
+slope of log lambda or of log f_2 (``_diverges``).  The places are
+divided by the direction at the working precision only on a line with
+crossing stops, where they enter the balls.  A decision whose quantity
+lies within 2^-40 of its threshold, relative to its scale (plus the
+Horner bound for K's side), is left to the working-precision comparison,
+so every decision is the one that comparison takes and every ball keeps
+its working-precision expression.  The integers are rounded from
 double-precision imaginary parts.  A term that vanishes identically (the
 crossing term of a component without crossings, G at r = oo, a log of 1)
 is carried as the integer 0, and no product by a multiplicity of 1 or sum
 with such a 0 is made (``_plus``, ``_minus``, ``_times``): at the
-working precision each would give its operand bit for bit.  The rotations
-and the direction of a schedule come from its ``wavefront._Context``,
-made once, and i arg(direction), the direction's image and the rotation
-at _EXTRA_BITS above the working precision are kept on it.
+working precision each would give its operand bit for bit.  A rotation,
+at the working precision or at _EXTRA_BITS above it, and the direction
+are made once per phase and precision (``wavefront._rotation``,
+``wavefront._direction``), and i arg(direction) with the direction's image
+once per direction and precision (``_direction_terms``).
 ``make_schedule`` builds each schedule of the search's ladder once per
 process, so a warm evaluation makes no rotation, direction or phase;
 2 pi i and (2 pi i)^2 are made once per precision (``_constants``), and
@@ -99,9 +101,8 @@ from .funcfield import INF, mpf_to_fraction
 from .numeric import ComplexApprox, double_image, kept, workprec
 from .special import BranchSpec, _pi2_6, li2, log_eps
 from .wavefront import (_BAND, AdmissibilityReport, PhaseSchedule, _chart,
-                        _coefficient_images, _Context, _coordinate_value_at,
-                        _phase_context, _schedule_context, admissible,
-                        search_admissible)
+                        _coefficient_images, _coordinate_value_at, _rotation,
+                        admissible, search_admissible)
 
 
 @dataclass
@@ -213,27 +214,16 @@ def _constants(prec):
         return (mp.mpc(0, two_pi), mp.mpc(-two_pi ** 2, 0), _pi2_6(prec))
 
 
-def _fine_rotation(context):
-    """e^{i eps_2} of ``context`` at _EXTRA_BITS above its precision, read
-    from the context of its phases there: made on first need, since only a
-    side that double images leave undecided reads it (``_sided_k``), and
-    kept on ``context``."""
-    return kept(context, "fine_rotation", lambda: _Context(
-        context.phases, context.precision_bits + _EXTRA_BITS).rotations[1][0])
-
-
-def _direction_terms(context, direction):
-    """(i arg(direction) at _EXTRA_BITS above the precision of ``context``,
-    direction as a Python complex number), where the closed form on a
-    Moebius path reads them: kept on ``context`` when ``direction`` is the
-    context's, the direction of a path traced at its schedule (the very
-    object, as a rule, which no comparison needs)."""
-    def build():
-        with mp.workprec(context.precision_bits + _EXTRA_BITS):
-            return mp.mpc(0, mp.arg(direction)), complex(direction)
-    if direction is context.direction or direction == context.direction:
-        return kept(context, "direction_terms", build)
-    return build()
+@functools.lru_cache(maxsize=256)
+def _direction_terms(direction, precision_bits):
+    """(i arg(direction) at _EXTRA_BITS above ``precision_bits``, direction
+    as a Python complex number), where the closed form on a Moebius path
+    reads them, made once per direction and precision: ``direction`` is
+    the exact binary value (``_mpc_``) of the mpc, since an mpc's hash
+    and equality run in Python."""
+    direction = mp.make_mpc(direction)
+    with mp.workprec(precision_bits + _EXTRA_BITS):
+        return mp.mpc(0, mp.arg(direction)), complex(direction)
 
 
 def _is_zero(z):
@@ -280,11 +270,11 @@ def _shifted(lg, centre):
 
 def _chart_image(images, x):
     """(w, eta): w = f_2 at x by Horner's rule in doubles, from the
-    coefficient images of its chart evaluator
-    (``wavefront._coefficient_images``) at x a Python complex number, and
+    coefficient images of its evaluator, a chart's or f_2's own
+    (``wavefront._coefficient_images``), at x a Python complex number, and
     eta a bound on |w - f_2(x)| / |w|, f_2(x) that evaluator's value at
     the mpc point that x images; None when eta is not below 2^-40, or when
-    the chart has no images.
+    the evaluator has no images.
 
     A pass over coefficients c_k, k <= n, is off by at most
     8 (n + 1) 2^-53 sum |c_k| |x|^k, a running bound that covers the
@@ -314,42 +304,43 @@ def _chart_image(images, x):
     return (w, eta) if eta < _BAND and abs(w) < 2.0 ** 500 else None
 
 
-def _sided_k(ev, x, context, guard, side_hint, lead, lam, zeros2,
-             doubles=None):
+def _sided_k(ev, x, eps2, precision_bits, guard, side_hint, lead, lam,
+             zeros2):
     """K = lead + 2 pi i m on a line where f_2 = c scale^N prod (lam - s)^n,
     given lead = log c + N log(scale) and w = f_2 at ``lam``, which the
     evaluator ``ev`` reads at x: the m that puts Im K + sum n Im log(lam -
     s) in (-pi - eps_2, pi - eps_2], so that K + sum n log(lam - s) is the
-    branch of log f_2 at the second phase eps_2 of ``context``
-    (``wavefront._Context``).  The hint, a sign or 0, resolves a w inside
-    the guard sliver around the cut by continuity from one side: the side
-    is whether phi = arg(-w e^{i eps_2}) exceeds -guard hint.
+    branch of log f_2 at the second phase ``eps2``.  The hint, a sign or
+    0, resolves a w inside the guard sliver around the cut by continuity
+    from one side: the side is whether phi = arg(-w e^{i eps_2}) exceeds
+    -guard hint.
 
-    ``doubles``, when given, is (the coefficient images of ``ev``, x as a
-    Python complex number), and w is first read from them in doubles
+    w is first read in doubles from the coefficient images of ``ev``
+    (``wavefront._coefficient_images``) at x as a Python complex number
     (``_chart_image``), off by eta relative: with the double image of the
-    context's rotation, its phi decides the side when it lies more than
-    2^-40 + eta from -guard hint.  Otherwise w is ``ev``'s value at the
-    working precision, whose phi from double images is off by a few units
-    of 2^-53 and decides unless it lies within 2^-40 of -guard hint (or w
-    is 0); there phi is taken at _EXTRA_BITS above the working precision,
-    with the rotation made there.  So the side is that of the
-    working-precision comparison at every input, and m is rounded from
-    double-precision arguments."""
+    rotation (``wavefront._rotation``), its phi decides the side when it
+    lies more than 2^-40 + eta from -guard hint.  Otherwise w is ``ev``'s
+    value at the working precision ``precision_bits``, whose phi from
+    double images is off by a few units of 2^-53 and decides unless it
+    lies within 2^-40 of -guard hint (or w is 0); there phi is taken at
+    _EXTRA_BITS above the working precision, with the rotation made there.
+    So the side is that of the working-precision comparison at every
+    input, and m is rounded from double-precision arguments."""
     limit = -guard * side_hint if side_hint else 0
-    read = doubles and _chart_image(*doubles)
+    rot_image = _rotation(eps2, precision_bits)[1]
+    read = _chart_image(_coefficient_images(ev), complex(x))
     if read:
         w, eta = read
-        phi = _arg(-w * context.rotations[1][1])
+        phi = _arg(-w * rot_image)
     if not read or abs(phi - float(limit)) <= _BAND + eta:
         w = ev.value(x)
-        phi = _arg(-double_image(w) * context.rotations[1][1]) if w else 0.0
+        phi = _arg(-double_image(w) * rot_image) if w else 0.0
     if isinstance(w, complex) or w and abs(phi - float(limit)) > _BAND:
         above = phi > float(limit)
     else:
-        above = mp.arg(-w * _fine_rotation(context)) > limit
-    theta = math.pi - float(context.phases[1]) + phi - (
-        2 * math.pi if above else 0.0)
+        above = mp.arg(-w * _rotation(eps2, precision_bits + _EXTRA_BITS)[0]
+                       ) > limit
+    theta = math.pi - float(eps2) + phi - (2 * math.pi if above else 0.0)
     return _shifted(lead, theta - sum(n * _arg(lam - s) for n, s in zeros2))
 
 
@@ -737,7 +728,7 @@ def _line(zeros3, pairs, stops, ks, precision_bits, shared=None):
         for k, (h0, g0, r0, z0), (h1, g1, r1, z1) in zip(ks, sums, sums[1:])]
 
 
-def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
+def quadrature(comp, path, xs, eps2, precision_bits=None):
     """The line integral along a first-locus ``path`` with its crossings
     ``xs`` (in path order), as (stretch index, x_a, x_b, ball) for each
     chord of a polygon from the pole of f_1 to its zero, in path order, x_a
@@ -762,30 +753,28 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
     chord's vector on a traced one, and K = log c + N log(scale) + 2 pi i m
     (``_log_lead``, ``_sided_k``).  The integer m puts log f_2 on its sided
     branch at a vertex on the path, a sample if there is one, else a
-    crossing, with the side hint of the stretch it opens or closes; at
-    r = 1 on a Moebius path without crossings, where f_2 is read in its
-    chart (``wavefront._chart``) at w = r direction, in doubles unless
-    they leave the side open (``_sided_k``).  On a Moebius path the
-    logs of rho - s, the logs and dilogarithms at r = 0 and c at r = oo
-    come from the chart terms (``_chart_terms``) less i theta, and no
-    schedule takes them anew.  A traced chord is halved while a zero or
-    pole of f_2 or f_3 lies in or about one sample spacing from the loop of
-    the chord and the samples it skips, or on the chord; PrecisionError if
-    it skips none.  The radius is ``_line``'s, plus, at each vertex ball of
-    a traced chord, the integrand times its radius.
+    crossing, with the side hint of the stretch it opens or closes, or at
+    r = 1 on a Moebius path without crossings; f_2 is read there in t on a
+    traced path and in its chart (``wavefront._chart``) at w = r direction
+    on a Moebius one, in doubles unless they leave the side open
+    (``_sided_k``).  On a Moebius path the logs of rho - s, the logs and
+    dilogarithms at r = 0 and c at r = oo come from the chart terms
+    (``_chart_terms``) less i theta, and no schedule takes them anew.  A
+    traced chord is halved while a zero or pole of f_2 or f_3 lies in or
+    about one sample spacing from the loop of the chord and the samples it
+    skips, or on the chord; PrecisionError if it skips none.  The radius is
+    ``_line``'s, plus, at each vertex ball of a traced chord, the integrand
+    times its radius.
 
-    ``context`` is the ``wavefront._Context`` of the schedule at this
-    precision, whose second phase must be ``eps2`` (ChowregError if it is
-    not); alone, the function builds that of a schedule of phases eps2.
-    i arg(direction) and the direction's image are kept on it when the
-    path's direction is its.  On a Moebius path without crossings the
-    places, the pairs' inversions and the half-planes come from double
+    The rotations of ``eps2`` (``wavefront._rotation``) and i arg(direction)
+    with the direction's image (``_direction_terms``) are made once per
+    phase or direction and precision.  On a Moebius path without crossings
+    the places, the pairs' inversions and the half-planes come from double
     images (``_line_images``), and the places are divided by the direction
     at the working precision only when a decision falls within the band
     there, or when crossings put stops on the line."""
     if precision_bits is None:
         precision_bits = mp.mp.prec
-    context = _phase_context(eps2, 2, precision_bits, context)
     f1, f2, f3 = comp.coords
     points = path.points
     # f_2 in t on a traced path, and in its chart w = f_1 on a Moebius one
@@ -795,15 +784,14 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
         guard = mp.ldexp(1, -precision_bits // 2)
         log_c, degree = _log_lead(rf2, precision_bits)
 
-        def branch_k(x, lam, hint, zeros2, log_scale, doubles=None):
+        def branch_k(x, lam, hint, zeros2, log_scale):
             """K on a line where f_2 = c scale^N prod (lambda - s)^n, with
             ``log_scale`` a log of its scale, from the sided branch of log
             f_2 at the point of the path where ``ev2`` reads f_2 at x,
-            which sits at lambda on the line; ``doubles`` as
-            ``_sided_k``'s."""
-            return _sided_k(ev2, x, context, guard, hint,
+            which sits at lambda on the line."""
+            return _sided_k(ev2, x, eps2, precision_bits, guard, hint,
                             _plus(log_c, _times(degree, log_scale)), lam,
-                            zeros2, doubles)
+                            zeros2)
 
         if not points:
             # one line with a stop at each crossing radius, on which
@@ -812,7 +800,8 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
             # c), and admissible keeps every s off the positive real axis
             # (face-on-cut), so log(r - s) is continuous on the path
             terms = _chart_terms(comp, precision_bits)
-            log_dir, direction = _direction_terms(context, path.direction)
+            log_dir, direction = _direction_terms(path.direction._mpc_,
+                                                  precision_bits)
             images = None if xs else _line_images(terms, direction)
             if images is None:
                 zeros2, zeros3 = ([(n, mp.mpc(0) if z else a / path.direction)
@@ -844,8 +833,7 @@ def quadrature(comp, path, xs, eps2, precision_bits=None, context=None):
                                         in zip(radii[1:], xs))]]
             else:
                 # K at r = 1, read in doubles where they decide its side
-                ks = [branch_k(path.direction, 1, 0, zeros2, log_dir,
-                               (_coefficient_images(ev2), direction))]
+                ks = [branch_k(path.direction, 1, 0, zeros2, log_dir)]
             balls = _line(zeros3, pairs, radii, ks, precision_bits,
                           [None] * (len(radii) - 1) + [at_0])
             return [(seg, a, b, ball) for seg, (a, b, ball)
@@ -980,7 +968,6 @@ def reg_n3(Z, schedule, precision_bits=None):
         raise ChowregError("reg_n3 needs a curve-level cycle in the 3-cube")
     rep = _admitted(Z, schedule, precision_bits)
     _, eps2, eps3 = rep.schedule.phases
-    context = _schedule_context(rep.schedule, precision_bits)
     with workprec(precision_bits):
         two_pi_i = _generator(1)
         total = 0
@@ -1004,7 +991,7 @@ def reg_n3(Z, schedule, precision_bits=None):
                 for path in rep.paths[ci]:
                     xs = [c for c in crossings if c.host_path is path]
                     for *_, piece in quadrature(comp, path, xs, eps2,
-                                                 precision_bits, context):
+                                                 precision_bits):
                         line = line + piece
             breakdown.append({"component": ci, "mult": comp.mult,
                               "line_integral": line, "crossing_sum": p_sum,

@@ -46,20 +46,21 @@ is one rule: a value keeps an angular margin of CUT_MARGIN from its cut ray.
 It is decided on doubles, the value and the ray's rotation each scaled by a
 power of two (``numeric.double_image``), and at working precision only when
 the double's slack lies within 2^-40 of zero, relative to the value's size:
-a component keeps one record per value, its midpoint beside its image, and
-each schedule keeps one context per precision (``_Context``) with its
-rotations, their images and the direction of the first cut ray, which the
-check and the evaluation at that schedule read.  A schedule depends only on
-its bound, n, lambda and precision, so ``make_schedule`` builds each one of
-the search's ladder once per process, and its contexts with it.  The rule
-is applied to every critical value of f_i (f_i at the roots of the Wronskian
-num' den - num den', factors shared with num den removed exactly, plus
-f_i(oo) when the degrees agree), since a locus is a smooth union of
-branches exactly when none lies on its ray, and to the few other values
-``admissible`` lists.  The report of an admissibility check carries the
-coordinate-1 paths and crossings, which are all the evaluation needs:
-``search_admissible`` returns the report that accepted a schedule, and
-evaluation reads its paths and crossings rather than tracing again.
+a component keeps one record per value, its midpoint beside its image.  A
+rotation e^{i eps} with its image (``_rotation``) and the direction
+e^{i(pi - eps)} of a cut ray (``_direction``) depend on one phase and the
+precision alone, so each is made once per (phase, precision) in a bounded
+table, and every check and evaluation reads it from the phase it is handed.
+A schedule depends only on its bound, n, lambda and precision, so
+``make_schedule`` builds each one of the search's ladder once per
+process.  The rule is applied to every critical value of f_i (f_i at the
+roots of the Wronskian num' den - num den', factors shared with num den
+removed exactly, plus f_i(oo) when the degrees agree), since a locus is a
+smooth union of branches exactly when none lies on its ray, and to the few
+other values ``admissible`` lists.  The report of an admissibility check
+carries the coordinate-1 paths and crossings, which are all the evaluation
+needs: ``search_admissible`` returns the report that accepted a schedule,
+and evaluation reads its paths and crossings rather than tracing again.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ class PhaseSchedule:
 
     eps_bound: object
     phases: tuple
-    # ("context", bits): the schedule's ``_Context`` at that precision; a
-    # schedule of ``make_schedule`` is shared by every caller in the process,
-    # so what is kept here depends on the phases and precision alone
-    _memo: dict = dataclass_field(default_factory=dict, init=False,
-                                  repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(mp.mpf(p) for p in self.phases))
@@ -151,8 +147,8 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
     ``eps_bound`` and ``lam`` are read at the caller's precision and the
     schedule is built at ``precision_bits`` (the caller's when None).  A
     schedule depends on nothing else, so each is built once per process
-    (``_built_schedule``) and equal arguments return the same object,
-    with the contexts kept on it; a refused one raises on every call.
+    (``_built_schedule``) and equal arguments return the same object; a
+    refused one raises on every call.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -164,7 +160,8 @@ def make_schedule(eps_bound, n, lam, precision_bits=None):
 @functools.lru_cache(maxsize=128)
 def _built_schedule(eps_bound, n, lam, precision_bits):
     """``make_schedule``'s schedule of the mpf ``eps_bound`` and ``lam``
-    at ``precision_bits``."""
+    at ``precision_bits``, built once, so the mp.exp of each of its phases
+    is taken once per process."""
     if not (0 < lam < 1):
         raise ChowregError("lambda must lie in (0, 1)")
     if not 0 < eps_bound < mp.inf or n < 1:
@@ -191,7 +188,8 @@ def _built_schedule(eps_bound, n, lam, precision_bits):
 class TracedPath:
     """One branch of a cut locus, oriented pole -> zero (radius decreasing).
 
-    ``direction`` is e^(i(pi - phase)), the direction of the cut ray.
+    ``direction`` is e^(i(pi - phase)), the direction of the cut ray, the
+    one object ``_direction`` keeps for the phase and precision.
     ``solve_at`` solves the defining equation at a log-radius of the path,
     so a crossing is placed on the exact path rather than interpolated.
     On a Moebius coordinate the path holds nothing more:
@@ -360,8 +358,7 @@ def _check_coordinate_index(component, index):
                            f"1..{len(component.coords)}, got {index!r}")
 
 
-def trace_wavefront(component, coord_index, phase, precision_bits=None,
-                    context=None):
+def trace_wavefront(component, coord_index, phase, precision_bits=None):
     """All branches of {t : arg f_i(t) = pi - phase}.
 
     Returns one TracedPath per branch (deg of f_i as a map P^1 -> P^1 in
@@ -383,9 +380,8 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None,
     2^(-prec/2) in one step: they have collided or jumped onto one another,
     at a critical value on the ray near that radius.  ChowregError unless
     ``coord_index`` is a coordinate of the component, counted from 1.
-    The direction e^(i(pi - phase)) is read from ``context``, the
-    ``_Context`` of a schedule whose first phase is ``phase`` (ChowregError
-    if it is not), when one is given.
+    Every path of one phase and precision holds the one direction
+    e^(i(pi - phase)) that ``_direction`` keeps.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -395,8 +391,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None,
         raise ChowregError("cannot trace a constant coordinate")
     with workprec(precision_bits):
         ev = f.evaluator(precision_bits)
-        direction = _phase_context(phase, 1, precision_bits,
-                                   context).direction
+        direction = _direction(phase, precision_bits)
         if f.degree_map == 1:
             return [TracedPath(coord_index, direction, ev)]
         sigmas = _trace_grid(mp.mp.prec)
@@ -433,59 +428,35 @@ class WavefrontIntersection:
     sigma: object
 
 
+def _per_phase(build):
+    """``build(phase)`` at a precision, read as (phase, precision_bits) and
+    made once per pair in a bounded table (``.table``) keyed on the phase's
+    exact binary value: an mpf's hash and equality run in Python.  A
+    precision sweep of five reads about 60 pairs, and the random equal
+    phases of a search only pass through."""
+    @functools.lru_cache(maxsize=256)
+    def table(phase, precision_bits):
+        with mp.workprec(precision_bits):
+            return build(mp.mpf(phase))
+
+    def read(phase, precision_bits):
+        return table(getattr(phase, "_mpf_", phase), precision_bits)
+    read.table = table
+    return functools.update_wrapper(read, build)
+
+
+@_per_phase
 def _rotation(phase):
-    """e^{i phase} at the working precision: multiplying a value by it puts
-    the phase's cut ray on the negative real axis."""
-    return mp.expj(mp.mpf(phase))
+    """(e^{i phase}, its ``double_image``): multiplying a value by the
+    rotation puts the phase's cut ray on the negative real axis."""
+    rot = mp.expj(phase)
+    return rot, double_image(rot)
 
 
-class _Context:
-    """What every check and evaluation at one schedule and precision reads
-    of its phases, made once: per phase eps_k, ``rotations[k - 1]`` holds
-    e^{i eps_k} (``_rotation``) and its ``double_image``, one made per
-    distinct phase, and ``direction`` is e^{i(pi - eps_1)}, the direction
-    of the first cut ray.  ``_schedule_context`` keeps one on each
-    schedule, which ``make_schedule`` builds once per process, and a
-    public function called alone with one phase builds the context of a
-    schedule of that phase (``_phase_context``).  Outside the command
-    line, no other code makes a rotation or a direction.  ``_memo`` keeps
-    what the evaluation at the schedule makes of these once
-    (``regulator``)."""
-
-    def __init__(self, phases, precision_bits):
-        self.phases, self.precision_bits = tuple(phases), precision_bits
-        self._memo = {}
-        with workprec(precision_bits):
-            made = dict.fromkeys(self.phases)
-            for phase in made:
-                rot = _rotation(phase)
-                made[phase] = rot, double_image(rot)
-            self.rotations = tuple(made[phase] for phase in self.phases)
-            self.direction = mp.expj(mp.pi - mp.mpf(self.phases[0]))
-
-
-def _schedule_context(schedule, precision_bits):
-    """The ``_Context`` of ``schedule`` at ``precision_bits``, built on
-    first need and kept on the schedule."""
-    return kept(schedule, ("context", precision_bits),
-                lambda: _Context(schedule.phases, precision_bits))
-
-
-def _phase_context(phase, k, precision_bits, context=None):
-    """The ``_Context`` a function handed phase eps_k = ``phase`` reads at
-    ``precision_bits``: ``context`` when given, ChowregError unless its
-    phase eps_k is ``phase`` and its precision ``precision_bits``, else
-    that of the schedule whose first k phases are all ``phase``."""
-    if context is None:
-        return _Context((phase,) * k, precision_bits)
-    # the phase is, as a rule, the very object the context holds
-    if (context.phases[k - 1] is not phase and context.phases[k - 1] != phase
-            or context.precision_bits != precision_bits):
-        raise ChowregError(
-            f"the context has phase {k} {context.phases[k - 1]} at "
-            f"{context.precision_bits} bits, not {phase} at "
-            f"{precision_bits}")
-    return context
+@_per_phase
+def _direction(phase):
+    """e^{i(pi - phase)}, the direction of the cut ray of ``phase``."""
+    return mp.expj(mp.pi - phase)
 
 
 def _chart(comp, i, k):
@@ -500,7 +471,7 @@ def _chart(comp, i, k):
 
 
 def find_pair_intersections(component, paths_i, j, phase_j,
-                            precision_bits=None, context=None):
+                            precision_bits=None):
     """Crossings of the traced coordinate-i loci with the coordinate-j cut.
 
     A crossing is a root of g = Im(e^{i phase_j} f_j) along the path where
@@ -520,9 +491,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
     its sign is -sgn Im q, the sign of d(arg f_j)/du along the pole -> zero
     orientation of the host path.  ChowregError unless j is a coordinate
     of the component other than every host path's own.  The rotation
-    e^{i phase_j} is read from ``context``, the ``_Context`` of a schedule
-    whose phase j is ``phase_j`` (ChowregError if it is not), when one is
-    given.
+    e^{i phase_j} and its image are ``_rotation``'s.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -535,8 +504,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         return out
     with workprec(precision_bits):
         f_j_ev = component.coords[j - 1].evaluator(precision_bits)
-        rot_j, rot_image = _phase_context(phase_j, j, precision_bits,
-                                          context).rotations[j - 1]
+        rot_j, rot_image = _rotation(phase_j, precision_bits)
         for path in paths_i:
             if path.points:
                 pq, brackets = None, _sample_brackets(path, f_j_ev, rot_j)
@@ -589,9 +557,10 @@ def _sample_brackets(path, f_j_ev, rot_j):
 
 def _coefficient_images(chart_ev):
     """The coefficients of the numerator and of the denominator of the
-    chart evaluator ``chart_ev`` as Python complex numbers, or None when
-    one that is not 0 has a size outside 2^+-500.  No schedule moves them,
-    so they are made once per precision and kept on the chart."""
+    evaluator ``chart_ev``, a chart's or a coordinate's own, as Python
+    complex numbers, or None when one that is not 0 has a size outside
+    2^+-500.  No schedule moves them, so they are made once per precision
+    and kept on the rational function."""
 
     def build():
         images = tuple([complex(c) for c in cs]
@@ -1024,7 +993,7 @@ def _keep_off_cuts(entries, rots, ci, failures, warnings):
     ray k, else it fails with its kind, as a warning for an endpoint on a
     cut beyond the second, which no nested cut-prefix condition reaches.
     ``image`` is the ``double_image`` of the value, and ``rots[k - 1]`` is
-    (rotation, its image) for ray k, from the schedule's ``_Context``:
+    (rotation, its image) for ray k (``_rotation``):
     ``_near_cut`` decides most entries in doubles, and at working precision
     those whose slack falls in its band."""
     for k, kind, value, witness, detail, image in entries:
@@ -1066,8 +1035,7 @@ def admissible(Z, schedule, precision_bits=None):
         raise ChowregError(f"schedule has {schedule.n} phases, cycle needs {Z.n}")
     failures, warnings, paths, crossings = [], [], {}, {}
     with workprec(precision_bits):
-        context = _schedule_context(schedule, precision_bits)
-        rots = context.rotations
+        rots = [_rotation(p, precision_bits) for p in schedule.phases]
         for ci, comp in enumerate(Z.components):
             failed = len(failures)
             _keep_off_cuts(_off_cut_entries(comp, precision_bits), rots, ci,
@@ -1076,8 +1044,7 @@ def admissible(Z, schedule, precision_bits=None):
                 continue
             try:
                 paths[ci] = trace_wavefront(comp, 1, schedule.phases[0],
-                                            precision_bits=precision_bits,
-                                            context=context)
+                                            precision_bits=precision_bits)
             except (ScheduleError, ConvergenceError) as exc:
                 failures.append(AdmissibilityFailure(
                     "trace", ci, f"coordinate 1: {exc}"))
@@ -1087,7 +1054,7 @@ def admissible(Z, schedule, precision_bits=None):
             try:
                 crossings[ci] = find_pair_intersections(
                     comp, paths[ci], 2, schedule.phases[1],
-                    precision_bits=precision_bits, context=context)
+                    precision_bits=precision_bits)
             except ScheduleError as exc:
                 failures.append(AdmissibilityFailure("tangency", ci, str(exc)))
                 crossings[ci] = []

@@ -282,17 +282,14 @@ def test_a_hand_written_memo_is_caught():
 
 
 def _rotation_calls(tree):
-    """(line, scope) for each call of ``mp.expj`` or ``_rotation``, the
-    scope being the names of the classes and functions around it,
-    outermost first."""
+    """(line, scope) for each call of ``mp.expj``, the scope being the
+    names of the classes and functions around it, outermost first."""
     def visit(node, scope):
         if isinstance(node, ast.Call):
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr == "expj"
                     and isinstance(func.value, ast.Name)
-                    and func.value.id == "mp") or (
-                        isinstance(func, ast.Name)
-                        and func.id == "_rotation"):
+                    and func.value.id == "mp"):
                 yield node.lineno, scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -302,31 +299,33 @@ def _rotation_calls(tree):
     return list(visit(tree, ()))
 
 
-def _outside_the_context(tree):
-    """The calls of ``_rotation_calls`` outside the body of ``_rotation``
-    and of the ``_Context`` class."""
+def _outside_the_tables(tree):
+    """The calls of ``_rotation_calls`` outside the bodies of ``_rotation``
+    and ``_direction``."""
     return [(line, scope) for line, scope in _rotation_calls(tree)
-            if scope[:1] not in (("_rotation",), ("_Context",))]
+            if scope[:1] not in (("_rotation",), ("_direction",))]
 
 
 def test_only_the_schedule_context_makes_a_rotation():
-    # wavefront._Context makes each rotation e^{i eps} and the direction
-    # of the first cut ray once per schedule and precision, and every
-    # check and evaluation reads them there; the command line, which
-    # prints traces one coordinate at a time, is the one exception
-    assert [(path.name, hit) for path in MODULES if path.name != "cli.py"
-            for hit in _outside_the_context(_tree(path))] == []
+    # wavefront._rotation and wavefront._direction make each rotation
+    # e^{i eps} and each direction e^{i(pi - eps)} once per phase and
+    # precision, in their tables, and every module, the command line
+    # included, reads them there; a call of either may stand anywhere
+    assert [(path.name, hit) for path in MODULES
+            for hit in _outside_the_tables(_tree(path))] == []
 
 
 def test_a_rotation_made_outside_the_context_is_caught():
     tree = ast.parse(
-        "def _rotation(phase):\n    return mp.expj(phase)\n"
+        "@_per_phase\ndef _rotation(phase):\n    return mp.expj(phase)\n"
+        "@_per_phase\ndef _direction(phase):\n"
+        "    return mp.expj(mp.pi - phase)\n"
         "class _Context:\n    def __init__(self, p):\n"
         "        self.r = _rotation(p)\n        self.d = mp.expj(p)\n"
         "def trace(p):\n    return mp.expj(mp.pi - p)\n"
         "def cross(p):\n    return _rotation(p) * mp.expjpi(p)\n")
-    assert _outside_the_context(tree) == [(8, ("trace",)),
-                                          (10, ("cross",))]
+    assert _outside_the_tables(tree) == [(10, ("_Context", "__init__")),
+                                         (12, ("trace",))]
 
 
 def _powers_of_two(tree):

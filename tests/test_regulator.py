@@ -40,7 +40,7 @@ from chowreg.regulator import (
     _generator,
     lattice_difference,
 )
-from chowreg.wavefront import _built_schedule
+from chowreg.wavefront import _built_schedule, _rotation
 from chowreg.field import embed
 from chowreg.fixtures import dilog_cycle, dilog_pair
 from chowreg.funcfield import INF, RFEvaluator
@@ -246,8 +246,8 @@ def _recording_moebius_lines(monkeypatch):
         inverted.append([p[3] for p in pairs])
         return pairs
 
-    def recording(comp, path, xs, eps2, precision_bits, *context):
-        chords = quadrature(comp, path, xs, eps2, precision_bits, *context)
+    def recording(comp, path, xs, eps2, precision_bits):
+        chords = quadrature(comp, path, xs, eps2, precision_bits)
         stretches = [[] for _ in range(len(xs) + 1)]
         for seg, _, _, ball in chords:
             stretches[seg].append(ball)
@@ -823,6 +823,26 @@ def test_crossing_stretches_agree_across_the_sweep(mccarthy):
     assert diff < 1e-20
 
 
+def test_mccarthy_evaluates_at_the_top_of_the_precision_range(mccarthy):
+    # a side that doubles leave open at a crossing is read with the
+    # rotation made 16 bits above the working precision, which at 1024
+    # bits lies above the supported range: it is made all the same, and
+    # the value lies inside the 256-bit ball
+    with workprec(1024):
+        reports = [search_admissible(mccarthy, bound, precision_bits=1024)
+                   for bound in (0.3, 0.1)]
+        v = reg_n3(mccarthy, reports[0].schedule, precision_bits=1024)
+        check = phase_independence_check(
+            mccarthy, [rep.schedule for rep in reports], precision_bits=1024)
+    assert sum(len(e["crossings"]) for e in v.breakdown) > 0
+    assert check["ok"] and len(check["values"]) == 2
+    with workprec(256):
+        ref = reg_n3(mccarthy, search_admissible(
+            mccarthy, 0.3, precision_bits=256).schedule, precision_bits=256)
+        assert abs(v.value.value - ref.value.value) <= ref.value.radius
+    assert 0 < v.value.radius < ref.value.radius
+
+
 def test_phase_independence_z1(z1):
     with workprec(192):
         schedules = [make_schedule(0.3, 3, lam) for lam in (0.3, 0.6)]
@@ -957,16 +977,17 @@ def test_k_is_the_sided_log_of_f2_less_its_line_logs(name, monkeypatch):
             places[id(images[0])] = images[0], terms.places[0]
         return images
 
-    def checking_k(ev, x, context, guard, hint, lead, lam, zeros2,
-                   *doubles):
-        k = sided_k(ev, x, context, guard, hint, lead, lam, zeros2,
-                    *doubles)
+    def checking_k(ev, x, eps2, precision_bits, guard, hint, lead, lam,
+                   zeros2):
+        k = sided_k(ev, x, eps2, precision_bits, guard, hint, lead, lam,
+                    zeros2)
         w = ev.value(x)
         if id(zeros2) in places:
-            zeros2 = [(n, a / context.direction if a != 0 else mp.mpc(0))
+            # such a line reads K at r = 1, where x is its direction
+            zeros2 = [(n, a / x if a != 0 else mp.mpc(0))
                       for n, a in places[id(zeros2)][1]]
-        ref = _sided_log_branch(w, context.phases[1],
-                                regulator_module._fine_rotation(context),
+        fine = precision_bits + regulator_module._EXTRA_BITS
+        ref = _sided_log_branch(w, eps2, _rotation(eps2, fine)[0],
                                 guard, hint) - sum(
             n * mp.log(lam - s) for n, s in zeros2)
         checked.append((k, abs(k - ref) / (1 + abs(k) + 1 / abs(w))))
@@ -1275,7 +1296,8 @@ def test_k_near_a_zero_of_f2_is_read_at_the_working_precision(
     # double value is not below 2^-40 of it: K's side is read from f_2 at
     # the working precision, and K is the one that reading gives.  At a
     # point clear of the zero the doubles decide, with no evaluation, and
-    # give the K of the working-precision reading too
+    # give the K of the working-precision reading, which an evaluator
+    # without coefficient images takes, too
     regulator_module = importlib.import_module("chowreg.regulator")
     wavefront_module = importlib.import_module("chowreg.wavefront")
     Z = _BAND_CYCLES[name][0]()
@@ -1283,7 +1305,8 @@ def test_k_near_a_zero_of_f2_is_read_at_the_working_precision(
     bits = 128
     with workprec(bits):
         rep = search_admissible(Z, 0.3, precision_bits=bits)
-        context = wavefront_module._schedule_context(rep.schedule, bits)
+        eps1, eps2 = rep.schedule.phases[:2]
+        direction = wavefront_module._direction(eps1, bits)
         ev = wavefront_module._chart(comp, 1, 2).evaluator(bits)
         images = wavefront_module._coefficient_images(ev)
         zero = next(a for n, a in regulator_module._chart_terms(
@@ -1303,11 +1326,15 @@ def test_k_near_a_zero_of_f2_is_read_at_the_working_precision(
             assert (regulator_module._chart_image(images, complex(x))
                     is not None) == read
             ks = []
-            for doubles in ((images, complex(x)), None):
+            for doubles in (True, False):
+                monkeypatch.setattr(
+                    regulator_module, "_coefficient_images",
+                    wavefront_module._coefficient_images if doubles
+                    else lambda ev: None)
                 calls.clear()
                 ks.append(regulator_module._sided_k(
-                    ev, x, context, guard, 0, 0, x / context.direction,
-                    [(1, zero / context.direction)], doubles))
+                    ev, x, eps2, bits, guard, 0, 0, x / direction,
+                    [(1, zero / direction)]))
                 assert calls == ([] if doubles and read else [x])
             assert ks[0] == ks[1]
 
@@ -1357,30 +1384,6 @@ def test_a_crossing_free_line_makes_few_multiprecision_operations(
     assert counts["values"] == 0
 
 
-def test_quadrature_refuses_the_context_of_another_schedule(petras):
-    # quadrature reads the second rotation from the context it is handed,
-    # so that context's second phase must be eps2 and its precision the
-    # quadrature's; the context of the schedule's own phases gives the
-    # chords that quadrature builds alone
-    regulator_module = importlib.import_module("chowreg.regulator")
-    wavefront_module = importlib.import_module("chowreg.wavefront")
-    with workprec(128):
-        rep = search_admissible(petras, 0.3, precision_bits=128)
-        comp, (path,) = petras.components[0], rep.paths[0]
-        eps2 = rep.schedule.phases[1]
-        context = wavefront_module._schedule_context(rep.schedule, 128)
-        alone = regulator_module.quadrature(comp, path, [], eps2, 128)
-        given = regulator_module.quadrature(comp, path, [], eps2, 128,
-                                            context)
-        assert [(b.value, b.radius) for *_, b in given] == [
-            (b.value, b.radius) for *_, b in alone]
-        with pytest.raises(ChowregError, match="phase 2"):
-            regulator_module.quadrature(comp, path, [], eps2 / 2, 128,
-                                        context)
-        with pytest.raises(ChowregError, match="at 128 bits"):
-            regulator_module.quadrature(comp, path, [], eps2, 256, context)
-
-
 def _warm_call_counts(name, bits, monkeypatch):
     """The mp.expj, mp.arg and mp.exp calls of a warm ``regulator`` call
     on the fixture ``name`` at ``bits``."""
@@ -1403,9 +1406,9 @@ def _warm_call_counts(name, bits, monkeypatch):
 
 def test_a_warm_petras_regulator_call_makes_each_rotation_once(monkeypatch):
     # each schedule of the search's ladder is built once per process, and
-    # its context makes the rotations e^{i eps_k}, the direction
-    # e^{i(pi - eps_1)} and i arg(direction) once per precision: a warm
-    # call makes none of them, nor a phase exp(-1/eps_k)
+    # the rotations e^{i eps_k}, the direction e^{i(pi - eps_1)} and
+    # i arg(direction) are made once per phase or direction and
+    # precision: a warm call makes none of them, nor a phase exp(-1/eps_k)
     assert _warm_call_counts("petras_zeta5", 128, monkeypatch) == {
         "expj": 0, "arg": 0, "exp": 0}
 

@@ -37,8 +37,8 @@ from chowreg.wavefront import (
     _built_schedule,
     _off_cut_entries,
     _on_cut_margin,
+    _direction,
     _rotation,
-    _schedule_context,
     _sign_variations,
     search_admissible,
 )
@@ -159,7 +159,7 @@ def test_a_non_finite_phase_is_refused(z1, value):
 def _margins(path, phase):
     """Angular distance of f(t) from the cut ray of ``phase`` at every
     point t of ``path`` on the trace grid."""
-    rot = _rotation(phase)
+    rot = _rotation(phase, mp.mp.prec)[0]
     return [_on_cut_margin(path.evaluator.value(t), rot)
             for _, t in path.samples()]
 
@@ -516,30 +516,22 @@ def test_pair_intersections_z1_empty(z1):
         assert hits == []
 
 
-def test_a_context_of_another_schedule_is_refused(z1):
-    # handed a schedule's context, the trace reads its direction and the
-    # crossing search its rotation, so the phase each is handed must be the
-    # context's, at the context's precision; its own schedule's phases pass
+def test_traces_at_one_phase_share_one_direction(z1):
+    # the direction of a cut ray is made once per phase and precision, so
+    # two traces there hold one object, an equal phase read from a float
+    # the same value, and a trace at another precision its own
     comp = z1.components[0]
     with workprec(128):
         s = make_schedule(0.3, 3, 0.5)
-        other = make_schedule(0.1, 3, 0.5)
-        context = _schedule_context(s, 128)
-        paths = trace_wavefront(comp, 1, s.phases[0], precision_bits=128,
-                                context=context)
-        assert paths[0].direction is context.direction
+        paths = trace_wavefront(comp, 1, s.phases[0], precision_bits=128)
+        again = trace_wavefront(comp, 1, s.phases[0], precision_bits=128)
+        assert again[0].direction is paths[0].direction
+        assert paths[0].direction is _direction(s.phases[0], 128)
+        assert _direction(float(s.phases[0]), 128) == paths[0].direction
         assert find_pair_intersections(comp, paths, 2, s.phases[1],
-                                       precision_bits=128,
-                                       context=context) == []
-        with pytest.raises(ChowregError, match="phase 1"):
-            trace_wavefront(comp, 1, other.phases[0], precision_bits=128,
-                            context=context)
-        with pytest.raises(ChowregError, match="phase 2"):
-            find_pair_intersections(comp, paths, 2, other.phases[1],
-                                    precision_bits=128, context=context)
-        with pytest.raises(ChowregError, match="at 128 bits"):
-            trace_wavefront(comp, 1, s.phases[0], precision_bits=256,
-                            context=context)
+                                       precision_bits=128) == []
+        finer = trace_wavefront(comp, 1, s.phases[0], precision_bits=256)
+        assert finer[0].direction is not paths[0].direction
 
 
 @pytest.mark.parametrize("index", [0, -1, 4, 1.5, True])
@@ -990,7 +982,7 @@ def test_cut_margin_is_decided_without_an_arctangent(monkeypatch):
 
     with workprec(128):
         for phase in (0, mp.mpf("0.3"), 2, mp.pi / 2):
-            rot = _rotation(phase)
+            rot = _rotation(phase, 128)[0]
             for angle in (0, 5e-10, 9.99e-10, 1.001e-9, 2e-9, 1e-3, 1.5, 3,
                           mp.pi):
                 for side in (1, -1):
@@ -1240,7 +1232,7 @@ def _search_ladder(bits):
 def test_equal_schedule_arguments_return_one_schedule():
     # a schedule depends only on its bound, n, lambda and precision, so
     # arguments equal once read at the caller's precision share one
-    # schedule, and with it the contexts kept on it
+    # schedule
     with workprec(128):
         s = make_schedule(0.3, 3, 0.5)
         assert make_schedule(mp.mpf(0.3), 3, mp.mpf("0.5"), 128) is s
@@ -1292,18 +1284,21 @@ def test_a_refused_schedule_is_refused_on_every_call():
 
 
 def test_an_equal_phase_check_makes_one_rotation(mccarthy, monkeypatch):
-    # the context of (eps, eps, eps) makes e^{i eps} once for its three
-    # phases, and the direction e^{i(pi - eps)}: two mp.expj calls
+    # a check at (eps, eps, eps) makes e^{i eps} once for its three phases,
+    # and the direction e^{i(pi - eps)}: two mp.expj calls, one entry of
+    # each table
+    _rotation.table.cache_clear()
+    _direction.table.cache_clear()
     calls = []
     expj = mp.expj
     monkeypatch.setattr(mp, "expj", lambda z: calls.append(z) or expj(z))
     with workprec(128):
         eps = mp.mpf("0.2")
-        schedule = PhaseSchedule(1, (eps, eps, eps))
-        admissible(mccarthy, schedule, precision_bits=128)
-        rotations = _schedule_context(schedule, 128).rotations
+        admissible(mccarthy, PhaseSchedule(1, (eps, eps, eps)),
+                   precision_bits=128)
     assert len(calls) == 2
-    assert rotations[0] is rotations[1] is rotations[2]
+    assert _rotation.table.cache_info().currsize == 1
+    assert _direction.table.cache_info().currsize == 1
 
 
 ALONG_THE_CUT = ["t ; 2*t ; (t-2)/(t+3)",
@@ -1383,7 +1378,7 @@ def test_near_cut_in_doubles_agrees_with_the_sector_test(bits, monkeypatch):
     verdicts = set()
     with workprec(bits):
         for phase in (0, mp.mpf("0.3"), 2, mp.pi / 2, 3, mp.mpf("1e-683")):
-            rot = _rotation(phase)
+            rot = _rotation(phase, bits)[0]
             for factor in factors:
                 angle = wf.CUT_MARGIN * factor
                 for side in (1, -1):
@@ -1461,7 +1456,7 @@ def _midpoint_start_crossings(comp, s, bits):
 
     (path,) = trace_wavefront(comp, 1, s.phases[0], bits)
     f2_ev = comp.coords[1].evaluator(bits)
-    rot = _rotation(s.phases[1])
+    rot = _rotation(s.phases[1], bits)[0]
     (p, q), brackets = wf._moebius_brackets(
         path, wf._chart(comp, 1, 2).evaluator(bits), rot, bits)
     small = mp.mpf(2) ** (-bits // 2)
@@ -1519,11 +1514,13 @@ def test_a_seeded_crossing_stays_within_its_radius(mccarthy, bits):
 
 def test_a_warm_component_builds_no_entry_image(monkeypatch):
     # the double images of a component's off-cut values are built with
-    # them, once per precision; a later admissible call builds only the
-    # image of its one rotation, made once for its three equal phases,
-    # and those of the values at its crossings
+    # them, once per precision; a later admissible call builds only those
+    # of the values at its crossings, and the image of its one rotation
+    # when no earlier check made it: once for three equal phases, and not
+    # again for a phase already read
     import chowreg.wavefront as wf
 
+    _rotation.table.cache_clear()
     images = []
     double_image = wf.double_image
 
@@ -1541,8 +1538,8 @@ def test_a_warm_component_builds_no_entry_image(monkeypatch):
             rep = admissible(Z, PhaseSchedule(1, (mp.mpf(e),) * 3),
                              precision_bits=128)
             assert not rep.ok
-            counts.append(len(images) - 1 - len(rep.crossings[0]))
-        assert counts == [len(_off_cut_entries(comp, 128)), 0, 0]
+            counts.append(len(images) - len(rep.crossings[0]))
+        assert counts == [len(_off_cut_entries(comp, 128)) + 1, 1, 0]
         entries = _off_cut_entries(comp, 128)
         assert [e[5] for e in entries] == [double_image(e[2])
                                           for e in entries]
