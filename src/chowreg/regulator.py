@@ -71,10 +71,10 @@ crossing term of a component without crossings, G at r = oo, a log of 1)
 is carried as the integer 0, and no product by a multiplicity of 1 or sum
 with such a 0 is made (``_plus``, ``_minus``, ``_times``): at the
 working precision each would give its operand bit for bit.  A rotation,
-at the working precision or at _EXTRA_BITS above it, and the direction
-are made once per phase and precision (``wavefront._rotation``,
-``wavefront._direction``), and i arg(direction) with the direction's image
-once per direction and precision (``_direction_terms``).
+at the working precision or at _EXTRA_BITS above it, and its direction,
+the rotation's negated conjugate, are made once per phase and precision
+in one table (``wavefront._rotation``), and i arg(direction) with the
+direction's image once per direction and precision (``_direction_terms``).
 ``make_schedule`` builds each schedule of the search's ladder once per
 process, so a warm evaluation makes no rotation, direction or phase;
 2 pi i and (2 pi i)^2 are made once per precision (``_constants``), and

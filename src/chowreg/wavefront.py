@@ -47,10 +47,12 @@ It is decided on doubles, the value and the ray's rotation each scaled by a
 power of two (``numeric.double_image``), and at working precision only when
 the double's slack lies within 2^-40 of zero, relative to the value's size:
 a component keeps one record per value, its midpoint beside its image.  A
-rotation e^{i eps} with its image (``_rotation``) and the direction
-e^{i(pi - eps)} of a cut ray (``_direction``) depend on one phase and the
-precision alone, so each is made once per (phase, precision) in a bounded
-table, and every check and evaluation reads it from the phase it is handed.
+rotation e^{i eps}, its image and the direction e^{i(pi - eps)} of a cut
+ray depend on one phase and the precision alone, so they are made once per
+(phase, precision) in one bounded table (``_rotation``), and every check
+and evaluation reads them from the phase it is handed.  The direction is
+-conj(e^{i eps}), so the rotation puts its ray on the negative real axis
+exactly.
 A schedule depends only on its bound, n, lambda and precision, so
 ``make_schedule`` builds each one of the search's ladder once per
 process.  The rule is applied to every critical value of f_i (f_i at the
@@ -189,7 +191,7 @@ class TracedPath:
     """One branch of a cut locus, oriented pole -> zero (radius decreasing).
 
     ``direction`` is e^(i(pi - phase)), the direction of the cut ray, the
-    one object ``_direction`` keeps for the phase and precision.
+    one object ``_rotation`` keeps for the phase and precision.
     ``solve_at`` solves the defining equation at a log-radius of the path,
     so a crossing is placed on the exact path rather than interpolated.
     On a Moebius coordinate the path holds nothing more:
@@ -381,7 +383,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
     at a critical value on the ray near that radius.  ChowregError unless
     ``coord_index`` is a coordinate of the component, counted from 1.
     Every path of one phase and precision holds the one direction
-    e^(i(pi - phase)) that ``_direction`` keeps.
+    e^(i(pi - phase)) that ``_rotation`` keeps.
     """
     if precision_bits is None:
         precision_bits = mp.mp.prec
@@ -391,7 +393,7 @@ def trace_wavefront(component, coord_index, phase, precision_bits=None):
         raise ChowregError("cannot trace a constant coordinate")
     with workprec(precision_bits):
         ev = f.evaluator(precision_bits)
-        direction = _direction(phase, precision_bits)
+        direction = _rotation(phase, precision_bits)[2]
         if f.degree_map == 1:
             return [TracedPath(coord_index, direction, ev)]
         sigmas = _trace_grid(mp.mp.prec)
@@ -428,35 +430,24 @@ class WavefrontIntersection:
     sigma: object
 
 
-def _per_phase(build):
-    """``build(phase)`` at a precision, read as (phase, precision_bits) and
-    made once per pair in a bounded table (``.table``) keyed on the phase's
-    exact binary value: an mpf's hash and equality run in Python.  A
-    precision sweep of five reads about 60 pairs, and the random equal
-    phases of a search only pass through."""
-    @functools.lru_cache(maxsize=256)
-    def table(phase, precision_bits):
-        with mp.workprec(precision_bits):
-            return build(mp.mpf(phase))
-
-    def read(phase, precision_bits):
-        return table(getattr(phase, "_mpf_", phase), precision_bits)
-    read.table = table
-    return functools.update_wrapper(read, build)
+# keyed on the phase's exact binary value, since an mpf's hash and equality
+# run in Python: a precision sweep of five reads about 60 pairs, and the
+# random equal phases of a search only pass through
+@functools.lru_cache(maxsize=256)
+def _rotations(phase, precision_bits):
+    """``_rotation``'s entry for the phase's ``_mpf_`` (or a float)."""
+    with mp.workprec(precision_bits):
+        rot = mp.expj(mp.mpf(phase))
+        return rot, double_image(rot), -rot.conjugate()
 
 
-@_per_phase
-def _rotation(phase):
-    """(e^{i phase}, its ``double_image``): multiplying a value by the
-    rotation puts the phase's cut ray on the negative real axis."""
-    rot = mp.expj(phase)
-    return rot, double_image(rot)
-
-
-@_per_phase
-def _direction(phase):
-    """e^{i(pi - phase)}, the direction of the cut ray of ``phase``."""
-    return mp.expj(mp.pi - phase)
+def _rotation(phase, precision_bits):
+    """(e^{i phase}, its ``double_image``, the direction e^{i(pi - phase)}
+    of the phase's cut ray), made once per phase and precision.  The
+    direction is -conj(e^{i phase}), exact on the rounded rotation, so
+    multiplying it by the rotation gives the real -|e^{i phase}|^2: the
+    rotation puts the ray on the negative real axis bit for bit."""
+    return _rotations(getattr(phase, "_mpf_", phase), precision_bits)
 
 
 def _chart(comp, i, k):
@@ -504,7 +495,7 @@ def find_pair_intersections(component, paths_i, j, phase_j,
         return out
     with workprec(precision_bits):
         f_j_ev = component.coords[j - 1].evaluator(precision_bits)
-        rot_j, rot_image = _rotation(phase_j, precision_bits)
+        rot_j, rot_image, _ = _rotation(phase_j, precision_bits)
         for path in paths_i:
             if path.points:
                 pq, brackets = None, _sample_brackets(path, f_j_ev, rot_j)
@@ -993,11 +984,11 @@ def _keep_off_cuts(entries, rots, ci, failures, warnings):
     ray k, else it fails with its kind, as a warning for an endpoint on a
     cut beyond the second, which no nested cut-prefix condition reaches.
     ``image`` is the ``double_image`` of the value, and ``rots[k - 1]`` is
-    (rotation, its image) for ray k (``_rotation``):
+    (rotation, its image, direction) for ray k (``_rotation``):
     ``_near_cut`` decides most entries in doubles, and at working precision
     those whose slack falls in its band."""
     for k, kind, value, witness, detail, image in entries:
-        rot, rot_image = rots[k - 1]
+        rot, rot_image, _ = rots[k - 1]
         if _near_cut(value, rot, image, rot_image):
             margin = _on_cut_margin(value, rot)
             (warnings if kind == "endpoint-on-cut" and k > 2

@@ -299,33 +299,34 @@ def _rotation_calls(tree):
     return list(visit(tree, ()))
 
 
-def _outside_the_tables(tree):
-    """The calls of ``_rotation_calls`` outside the bodies of ``_rotation``
-    and ``_direction``."""
+def _outside_the_table(tree):
+    """The calls of ``_rotation_calls`` outside the body of ``_rotations``."""
     return [(line, scope) for line, scope in _rotation_calls(tree)
-            if scope[:1] not in (("_rotation",), ("_direction",))]
+            if scope[:1] != ("_rotations",)]
 
 
 def test_only_the_schedule_context_makes_a_rotation():
-    # wavefront._rotation and wavefront._direction make each rotation
-    # e^{i eps} and each direction e^{i(pi - eps)} once per phase and
-    # precision, in their tables, and every module, the command line
-    # included, reads them there; a call of either may stand anywhere
+    # wavefront._rotations makes each rotation e^{i eps} once per phase and
+    # precision, in its table, with the direction e^{i(pi - eps)} derived
+    # from it, and every module, the command line included, reads them
+    # through wavefront._rotation; a call of that may stand anywhere
     assert [(path.name, hit) for path in MODULES
-            for hit in _outside_the_tables(_tree(path))] == []
+            for hit in _outside_the_table(_tree(path))] == []
 
 
 def test_a_rotation_made_outside_the_context_is_caught():
     tree = ast.parse(
-        "@_per_phase\ndef _rotation(phase):\n    return mp.expj(phase)\n"
-        "@_per_phase\ndef _direction(phase):\n"
-        "    return mp.expj(mp.pi - phase)\n"
+        "@functools.lru_cache(maxsize=256)\n"
+        "def _rotations(phase, bits):\n    rot = mp.expj(phase)\n"
+        "    return rot, -rot.conjugate()\n"
+        "def _direction(phase):\n    return mp.expj(mp.pi - phase)\n"
         "class _Context:\n    def __init__(self, p):\n"
         "        self.r = _rotation(p)\n        self.d = mp.expj(p)\n"
         "def trace(p):\n    return mp.expj(mp.pi - p)\n"
         "def cross(p):\n    return _rotation(p) * mp.expjpi(p)\n")
-    assert _outside_the_tables(tree) == [(10, ("_Context", "__init__")),
-                                         (12, ("trace",))]
+    assert _outside_the_table(tree) == [(6, ("_direction",)),
+                                        (10, ("_Context", "__init__")),
+                                        (12, ("trace",))]
 
 
 def _powers_of_two(tree):

@@ -1306,7 +1306,7 @@ def test_k_near_a_zero_of_f2_is_read_at_the_working_precision(
     with workprec(bits):
         rep = search_admissible(Z, 0.3, precision_bits=bits)
         eps1, eps2 = rep.schedule.phases[:2]
-        direction = wavefront_module._direction(eps1, bits)
+        direction = wavefront_module._rotation(eps1, bits)[2]
         ev = wavefront_module._chart(comp, 1, 2).evaluator(bits)
         images = wavefront_module._coefficient_images(ev)
         zero = next(a for n, a in regulator_module._chart_terms(

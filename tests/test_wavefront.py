@@ -37,8 +37,8 @@ from chowreg.wavefront import (
     _built_schedule,
     _off_cut_entries,
     _on_cut_margin,
-    _direction,
     _rotation,
+    _rotations,
     _sign_variations,
     search_admissible,
 )
@@ -517,21 +517,33 @@ def test_pair_intersections_z1_empty(z1):
 
 
 def test_traces_at_one_phase_share_one_direction(z1):
-    # the direction of a cut ray is made once per phase and precision, so
-    # two traces there hold one object, an equal phase read from a float
-    # the same value, and a trace at another precision its own
+    # the direction of a cut ray is made once per phase and precision, with
+    # its rotation, so two traces there hold one object, an equal phase read
+    # from a float the same value, and a trace at another precision its own.
+    # It is -conj of the rounded rotation, so the rotation puts it on the
+    # negative real axis exactly, and it lies within one unit of the last
+    # place of e^{i(pi - phase)}
     comp = z1.components[0]
     with workprec(128):
         s = make_schedule(0.3, 3, 0.5)
         paths = trace_wavefront(comp, 1, s.phases[0], precision_bits=128)
         again = trace_wavefront(comp, 1, s.phases[0], precision_bits=128)
         assert again[0].direction is paths[0].direction
-        assert paths[0].direction is _direction(s.phases[0], 128)
-        assert _direction(float(s.phases[0]), 128) == paths[0].direction
+        assert paths[0].direction is _rotation(s.phases[0], 128)[2]
+        assert _rotation(float(s.phases[0]), 128)[2] == paths[0].direction
         assert find_pair_intersections(comp, paths, 2, s.phases[1],
                                        precision_bits=128) == []
         finer = trace_wavefront(comp, 1, s.phases[0], precision_bits=256)
         assert finer[0].direction is not paths[0].direction
+    for bits in (53, 128, 1024):
+        for phase in s.phases:
+            rot, _, direction = _rotation(phase, bits)
+            with workprec(bits):
+                assert direction == -rot.conjugate()
+                assert (rot * direction).imag == 0
+            with mp.workprec(bits + 64):
+                ref = mp.expj(mp.pi - phase)
+                assert abs(direction - ref) <= mp.ldexp(1, 1 - bits)
 
 
 @pytest.mark.parametrize("index", [0, -1, 4, 1.5, True])
@@ -1285,10 +1297,9 @@ def test_a_refused_schedule_is_refused_on_every_call():
 
 def test_an_equal_phase_check_makes_one_rotation(mccarthy, monkeypatch):
     # a check at (eps, eps, eps) makes e^{i eps} once for its three phases,
-    # and the direction e^{i(pi - eps)}: two mp.expj calls, one entry of
-    # each table
-    _rotation.table.cache_clear()
-    _direction.table.cache_clear()
+    # with the direction e^{i(pi - eps)} its negated conjugate: one mp.expj
+    # call, one table entry
+    _rotations.cache_clear()
     calls = []
     expj = mp.expj
     monkeypatch.setattr(mp, "expj", lambda z: calls.append(z) or expj(z))
@@ -1296,9 +1307,8 @@ def test_an_equal_phase_check_makes_one_rotation(mccarthy, monkeypatch):
         eps = mp.mpf("0.2")
         admissible(mccarthy, PhaseSchedule(1, (eps, eps, eps)),
                    precision_bits=128)
-    assert len(calls) == 2
-    assert _rotation.table.cache_info().currsize == 1
-    assert _direction.table.cache_info().currsize == 1
+    assert len(calls) == 1
+    assert _rotations.cache_info().currsize == 1
 
 
 ALONG_THE_CUT = ["t ; 2*t ; (t-2)/(t+3)",
@@ -1334,15 +1344,22 @@ def test_a_first_locus_along_the_second_cut_is_refused(text, bits):
             reg_n3(Z, equal, precision_bits=bits)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a traced first locus brackets crossings by sign changes between trace "
-    "samples and sees none on a locus that runs along the cut; ROADMAP's "
-    "one crossing finder for every degree is to refuse it"))
-def test_a_traced_first_locus_along_the_second_cut_is_refused():
-    Z = _n3_cycle("t^2 ; 2*t^2 ; (t-2)/(t+3)")
-    with workprec(128):
-        rep = admissible(Z, PhaseSchedule(1, (0.1, 0.1, 0.01)),
-                         precision_bits=128)
+@pytest.mark.parametrize("text, phases, bits", [
+    ("t^2 ; 2*t^2 ; (t-2)/(t+3)", (0.1, 0.1, 0.01), 128),
+    ("t^2 ; 2*t^2 ; (t-2)/(t+3)", (0.2, 0.2, 0.01), 53),
+    ("t^2 ; 7*t^2 ; (t-2)/(t+3)", (0.05, 0.05, 0.001), 256),
+    ("t^3 ; 5*t^3 ; (t-2)/(t+3)", (0.2, 0.2, 0.01), 53),
+], ids=["t2-128", "t2-53", "t2x7-256", "t3-53"])
+def test_a_traced_first_locus_along_the_second_cut_is_refused(text, phases,
+                                                              bits):
+    # on a traced path Im(e^{i eps_2} f_2) along the cut is rounding noise:
+    # with the direction the exact negated conjugate of the rotation that
+    # noise changes sign between trace samples, and a crossing found there
+    # is refused as not transverse.  A crossing finder that sees the
+    # eliminant vanish identically would refuse it without the noise
+    Z = _n3_cycle(text)
+    with workprec(bits):
+        rep = admissible(Z, PhaseSchedule(1, phases), precision_bits=bits)
     assert [f.kind for f in rep.failures] == ["tangency"]
 
 
@@ -1520,7 +1537,7 @@ def test_a_warm_component_builds_no_entry_image(monkeypatch):
     # again for a phase already read
     import chowreg.wavefront as wf
 
-    _rotation.table.cache_clear()
+    _rotations.cache_clear()
     images = []
     double_image = wf.double_image
 
